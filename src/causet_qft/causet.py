@@ -10,13 +10,24 @@ The machine checks here deliberately distinguish the *order* from the
 causally after the origin yet cannot be reached by any chain of links.
 Reports carry those counterexamples rather than assuming the two notions
 agree.
+
+A history carries its vertices as index-aligned arrays: coordinates, the
+V x V order, the V x 13 link (child) indices and the V x V link
+reachability.  Every diagnostic is computed from those arrays.  The
+per-vertex functions (``precedes``, ``children``, ``parents``,
+``path_lengths``) define the same notions one object at a time and serve
+as the oracles the arrays are tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from . import paperdata
 from .lattice import (
@@ -35,6 +46,10 @@ __all__ = [
     "shell_sizes",
     "History",
     "history",
+    "causal_order",
+    "link_array",
+    "link_reachability",
+    "order_axioms",
     "precedes",
     "children",
     "parents",
@@ -52,6 +67,10 @@ ORIGIN = Vec4(0, 0, 0, 0)
 _STEPS = tuple(
     [Vec4(1, 0, 0, 0)] + [Vec4(1, u.n, u.p, u.q) for u in unit_vectors3()]
 )
+
+# The steps as (t, n, p, q) rows in the lexicographic order ``children`` uses.
+# Each spatial coordinate of a step is -1, 0 or 1, which ``link_array`` relies on.
+_STEP_ARRAY = np.array(sorted(s.coords() for s in _STEPS), dtype=np.int32)
 
 
 def in_cone(v: Vec4) -> bool:
@@ -72,16 +91,51 @@ def shell_sizes(t_max: int) -> list[int]:
     return [len(shell(t)) for t in range(t_max + 1)]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class History:
-    """The union of shells 0..t with membership index."""
+    """The union of shells 0..t with membership index.
+
+    The vertices run shell by shell in lexicographic (t, n, p, q) order, and
+    row i of every array property describes ``vertices[i]``.  The arrays are
+    computed on first use, cached, and read-only.
+    """
 
     horizon: int
     shells: tuple[tuple[Vec4, ...], ...]
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[Vec4, ...]:
         return tuple(v for sh in self.shells for v in sh)
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Shell t is the vertex index range ``offsets[t]:offsets[t + 1]``."""
+        return tuple(itertools.accumulate((len(sh) for sh in self.shells), initial=0))
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """V x 4 int32 coordinates (t, n, p, q)."""
+        return _frozen(np.array([v.coords() for v in self.vertices], dtype=np.int32))
+
+    @cached_property
+    def links(self) -> np.ndarray:
+        """V x 13 child indices in ``children`` order; -1 past the horizon."""
+        return _frozen(link_array(self.coords))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """V x V bool: ``order[i, j]`` iff vertex i precedes vertex j."""
+        return _frozen(causal_order(self.coords))
+
+    @cached_property
+    def reachable(self) -> np.ndarray:
+        """V x V bool: ``reachable[i, j]`` iff a chain of links (maybe empty) runs from i to j."""
+        return _frozen(link_reachability(self.links, self.offsets))
 
     def __contains__(self, v: Vec4) -> bool:
         return 0 <= v.t <= self.horizon and norm_sq4(v) >= 0
@@ -94,6 +148,77 @@ def history(t: int) -> History:
     if t < 0:
         raise ValueError("time must be nonnegative")
     return History(horizon=t, shells=tuple(shell(s) for s in range(t + 1)))
+
+
+def causal_order(coords: np.ndarray) -> np.ndarray:
+    """V x V bool relation ``precedes`` on the rows of a V x 4 coordinate array.
+
+    Differences are broadcast one coordinate at a time into two V x V int32
+    buffers, using 2 norm_sq3(n, p, q) = (n + p)^2 + (n + q)^2 + (p + q)^2,
+    so no V x V x 4 block is ever held.
+    """
+    c = np.asarray(coords, dtype=np.int32)
+    dt = c[None, :, 0] - c[:, None, 0]
+    later = dt > 0
+    twice_norm = np.square(dt, out=dt)
+    twice_norm *= 2
+    d = np.empty_like(twice_norm)
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        s = c[:, a] + c[:, b]
+        np.subtract(s[None, :], s[:, None], out=d)
+        d *= d
+        twice_norm -= d
+    return later & (twice_norm >= 0)
+
+
+def link_array(coords: np.ndarray) -> np.ndarray:
+    """V x 13 int32 indices of each row's children, in ``children`` order.
+
+    ``coords`` are the rows of a history; a child past its last shell gets
+    index -1.  Lookup goes through a dense coordinate grid with a margin of
+    one, which holds every child since a step moves each coordinate by at
+    most one.
+    """
+    lo = coords.min(axis=0) - 1
+    grid = np.full(coords.max(axis=0) - lo + 2, -1, dtype=np.int32)
+    grid[tuple((coords - lo).T)] = np.arange(len(coords), dtype=np.int32)
+    kids = coords[:, None, :] + _STEP_ARRAY - lo
+    return grid[tuple(np.moveaxis(kids, -1, 0))]
+
+
+def link_reachability(links: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
+    """V x V bool link reachability (reflexive) from a history's link array.
+
+    Every link joins shell t to shell t + 1, so the rows are filled one shell
+    at a time from the top down: a vertex reaches itself and whatever its
+    children reach.  Rows are held as packed bits while they are combined.
+    """
+    n = len(links)
+    bits = np.packbits(np.eye(n, dtype=bool), axis=1)
+    for t in range(len(offsets) - 3, -1, -1):  # the top shell reaches only itself
+        rows = slice(offsets[t], offsets[t + 1])
+        bits[rows] |= np.bitwise_or.reduce(bits[links[rows]], axis=1)
+    return np.unpackbits(bits, axis=1, count=n).view(bool)
+
+
+def order_axioms(rel: np.ndarray) -> dict[str, bool]:
+    """Irreflexivity, antisymmetry and transitivity of a V x V bool relation.
+
+    Transitivity ORs together the packed rows of each element's successors
+    and asks that the result lie inside the element's own row.  No pair
+    count is formed, so nothing can wrap around the way a uint8 count of
+    256 intermediate elements reads 0 and hides a violation.
+    """
+    packed = np.packbits(rel, axis=1)
+    transitive = not any(
+        (np.bitwise_or.reduce(packed[row], axis=0) & ~own).any()
+        for row, own in zip(rel, packed)
+    )
+    return {
+        "irreflexive": not rel.diagonal().any(),
+        "antisymmetric": not (rel & rel.T).any(),
+        "transitive": transitive,
+    }
 
 
 def precedes(u: Vec4, v: Vec4) -> bool:
@@ -142,14 +267,23 @@ def path_lengths(u: Vec4, v: Vec4, sample_limit: int = 1000) -> frozenset[int]:
     return frozenset(lengths)
 
 
+def _parent_counts(hist: History) -> np.ndarray:
+    """Number of in-history parents of each vertex."""
+    return np.bincount(hist.links[hist.links >= 0], minlength=len(hist.links))
+
+
 def parent_histogram(hist: History) -> dict[int, dict[int, int]]:
-    """Per-shell histogram of in-history parent counts (answers an open count)."""
-    vset = set(hist.vertices)
+    """Per-shell histogram of in-history parent counts (answers an open count).
+
+    Within a shell, counts appear in the order their first vertex does.
+    """
+    counts = _parent_counts(hist)
     histogram: dict[int, dict[int, int]] = {}
-    for v in hist.vertices:
-        counts = histogram.setdefault(v.t, {})
-        k = len([w for w in parents(v) if w in vset])
-        counts[k] = counts.get(k, 0) + 1
+    for t in range(hist.horizon + 1):
+        values, first, sizes = np.unique(
+            counts[hist.offsets[t] : hist.offsets[t + 1]], return_index=True, return_counts=True
+        )
+        histogram[t] = {int(values[i]): int(sizes[i]) for i in np.argsort(first)}
     return histogram
 
 
@@ -186,56 +320,49 @@ class CovarianceReport:
 
 
 def covariance_diagnostics(hist: History) -> CovarianceReport:
-    """Heights, weak covariance, covariance witness and reachability defects."""
-    verts = hist.vertices
-    vset = set(verts)
+    """Heights, weak covariance, covariance witness and reachability defects.
 
-    heights: dict[Vec4, int] = {}
-    for v in verts:  # shells are emitted in time order, so parents come first
-        ps = [w for w in parents(v) if w in vset]
-        heights[v] = 0 if not ps else 1 + max(heights[w] for w in ps)
+    Samples and the witness are the first pairs or vertices in row-major
+    vertex order.
+    """
+    verts, links, order = hist.vertices, hist.links, hist.order
+    times = hist.coords[:, 0]
 
-    orphans = tuple(v for v in verts if v.t > 0 and not parents(v))
-    height_mismatches = sum(1 for v in verts if heights[v] != v.t)
+    # a vertex's height is 0 without parents, else one more than its highest
+    # parent; parents lie one shell down, so shells are settled in time order
+    heights = np.zeros(len(verts), dtype=np.int64)
+    for t in range(hist.horizon):
+        rows = slice(hist.offsets[t], hist.offsets[t + 1])
+        np.maximum.at(heights, links[rows].ravel(), np.repeat(heights[rows] + 1, links.shape[1]))
 
-    comparable = 0
-    pathless: list[tuple[Vec4, Vec4]] = []
-    for u in verts:
-        reach = _reachable_from(u, hist)
-        for v in verts:
-            if precedes(u, v):
-                comparable += 1
-                if v not in reach:
-                    pathless.append((u, v))
+    orphans = np.flatnonzero((_parent_counts(hist) == 0) & (times > 0))
+    pathless = order & ~hist.reachable
     # every link advances time by one step, so any existing chain from u to v
     # has length v.t - u.t; weak covariance can only fail if a link skipped a
-    # shell, which the construction forbids
-    weakly_covariant = all(c.t == w.t + 1 for w in verts for c in children(w))
+    # shell, which the construction forbids.  A child past the horizon is
+    # counted at time horizon + 1.
+    child_times = np.where(links >= 0, times[links], hist.horizon + 1)
+    weakly_covariant = bool((child_times == times[:, None] + 1).all())
 
+    later = (heights[:, None] < heights[None, :]) & ~order
     witness = None
-    for u in verts:
-        for v in verts:
-            if heights[u] < heights[v] and not precedes(u, v):
-                witness = (u, v)
-                break
-        if witness:
-            break
-
-    histogram = parent_histogram(hist)
+    if later.any():
+        u, v = np.unravel_index(np.argmax(later), later.shape)
+        witness = (verts[u], verts[v])
 
     return CovarianceReport(
         horizon=hist.horizon,
         vertex_count=len(verts),
-        comparable_pairs=comparable,
+        comparable_pairs=int(np.count_nonzero(order)),
         weakly_covariant=weakly_covariant,
         covariant=witness is None,
         covariance_witness=witness,
         orphan_count=len(orphans),
-        orphans_sample=orphans[:5],
-        height_mismatch_count=height_mismatches,
-        pathless_comparable_pairs=len(pathless),
-        pathless_sample=tuple(pathless[:5]),
-        parent_histogram=histogram,
+        orphans_sample=tuple(verts[i] for i in orphans[:5]),
+        height_mismatch_count=int(np.count_nonzero(heights != times)),
+        pathless_comparable_pairs=int(np.count_nonzero(pathless)),
+        pathless_sample=tuple((verts[u], verts[v]) for u, v in np.argwhere(pathless)[:5]),
+        parent_histogram=parent_histogram(hist),
     )
 
 

@@ -177,7 +177,7 @@ def test_criterion_5_causet_structure():
                 rel[i, j] = causet.precedes(u, v)
         assert not rel.diagonal().any()
         assert not (rel & rel.T).any()
-        assert not (((rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0) & ~rel).any()
+        assert not (((rel.astype(np.int64) @ rel.astype(np.int64)) > 0) & ~rel).any()
         # every path that exists has the shell-difference length, and the
         # comparable pairs without any path are exactly the 30 found by the
         # reachability oracle

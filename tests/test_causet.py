@@ -9,6 +9,8 @@ import pytest
 
 from causet_qft.causet import (
     ORIGIN,
+    CovarianceReport,
+    _reachable_from,
     average_speeds,
     children,
     construction_cross_check,
@@ -16,6 +18,8 @@ from causet_qft.causet import (
     equivariance_check,
     history,
     in_cone,
+    order_axioms,
+    parent_histogram,
     parents,
     path_lengths,
     precedes,
@@ -64,8 +68,112 @@ def test_partial_order_axioms_exhaustive_on_history3():
             rel[i, j] = precedes(u, v)
     assert not rel.diagonal().any()  # irreflexive
     assert not (rel & rel.T).any()  # antisymmetric
-    composed = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
+    composed = (rel.astype(np.int64) @ rel.astype(np.int64)) > 0
     assert not (composed & ~rel).any()  # transitive
+    assert order_axioms(history(3).order) == {
+        "irreflexive": True,
+        "antisymmetric": True,
+        "transitive": True,
+    }
+
+
+def test_order_axioms_transitivity_count_does_not_wrap():
+    # 0 < k < 257 for 256 elements k, yet 0 and 257 are unrelated: the
+    # intermediate count 256 is 0 modulo 256
+    rel = np.zeros((258, 258), dtype=bool)
+    rel[0, 1:257] = True
+    rel[1:257, 257] = True
+    assert ((rel.astype(np.uint8) @ rel.astype(np.uint8))[0, 257]) == 0
+    assert order_axioms(rel) == {"irreflexive": True, "antisymmetric": True, "transitive": False}
+
+
+def _covariance_oracle(hist) -> CovarianceReport:
+    """The per-object diagnostics: parents, reachable sets and precedes pair by pair."""
+    verts = hist.vertices
+    vset = set(verts)
+    heights = {}
+    for v in verts:
+        ps = [w for w in parents(v) if w in vset]
+        heights[v] = 0 if not ps else 1 + max(heights[w] for w in ps)
+    orphans = tuple(v for v in verts if v.t > 0 and not parents(v))
+    comparable = 0
+    pathless = []
+    for u in verts:
+        reach = _reachable_from(u, hist)
+        for v in verts:
+            if precedes(u, v):
+                comparable += 1
+                if v not in reach:
+                    pathless.append((u, v))
+    witness = next(
+        ((u, v) for u in verts for v in verts if heights[u] < heights[v] and not precedes(u, v)),
+        None,
+    )
+    return CovarianceReport(
+        horizon=hist.horizon,
+        vertex_count=len(verts),
+        comparable_pairs=comparable,
+        weakly_covariant=all(c.t == w.t + 1 for w in verts for c in children(w)),
+        covariant=witness is None,
+        covariance_witness=witness,
+        orphan_count=len(orphans),
+        orphans_sample=orphans[:5],
+        height_mismatch_count=sum(1 for v in verts if heights[v] != v.t),
+        pathless_comparable_pairs=len(pathless),
+        pathless_sample=tuple(pathless[:5]),
+        parent_histogram=_parent_histogram_oracle(hist),
+    )
+
+
+def _parent_histogram_oracle(hist) -> dict[int, dict[int, int]]:
+    vset = set(hist.vertices)
+    histogram = {}
+    for v in hist.vertices:
+        counts = histogram.setdefault(v.t, {})
+        k = len([w for w in parents(v) if w in vset])
+        counts[k] = counts.get(k, 0) + 1
+    return histogram
+
+
+@pytest.mark.parametrize("t", range(4))
+def test_arrays_match_per_object_oracles(t):
+    hist = history(t)
+    verts = hist.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    assert [Vec4(*row) for row in hist.coords.tolist()] == list(verts)
+    assert hist.order.tolist() == [[precedes(u, v) for v in verts] for u in verts]
+    for i, v in enumerate(verts):
+        assert hist.links[i].tolist() == [index.get(c, -1) for c in children(v)]
+        assert [verts[j] for j in np.flatnonzero((hist.links == i).any(axis=1))] == list(parents(v))
+        assert {verts[j] for j in np.flatnonzero(hist.reachable[i])} == _reachable_from(v, hist)
+
+
+@pytest.mark.parametrize("t", range(4))
+def test_covariance_diagnostics_match_per_object_oracle(t):
+    hist = history(t)
+    assert covariance_diagnostics(hist) == _covariance_oracle(hist)
+
+
+def test_parent_histogram_matches_per_object_oracle():
+    # from shell 6 on, parent counts first appear out of numeric order; the
+    # text report lists them in order of appearance
+    hist = history(7)
+    got, want = parent_histogram(hist), _parent_histogram_oracle(hist)
+    assert [(t, list(c.items())) for t, c in got.items()] == [
+        (t, list(c.items())) for t, c in want.items()
+    ]
+
+
+def test_covariance_diagnostics_history5():
+    # new data past the published horizon, first confirmed against the
+    # per-vertex reachable sets of _reachable_from
+    rep = covariance_diagnostics(history(5))
+    assert rep.vertex_count == 1394
+    assert rep.comparable_pairs == 39995
+    assert rep.pathless_comparable_pairs == 3284
+    assert rep.height_mismatch_count == 308
+    assert rep.weakly_covariant
+    assert not rep.covariant
 
 
 def test_children():
@@ -114,13 +222,16 @@ def test_path_lengths_sample_limit():
 
 
 def test_all_existing_paths_have_shell_difference_length():
-    verts = history(3).vertices
-    for u in verts:
-        for v in verts:
-            if precedes(u, v):
-                lengths = path_lengths(u, v, sample_limit=50)
-                if lengths:
-                    assert lengths == frozenset({v.t - u.t})
+    # the depth-first search finds no chain exactly for the pairs the
+    # array reachability calls pathless, and every chain it finds has the
+    # shell-difference length
+    hist = history(3)
+    verts = hist.vertices
+    pathless = hist.order & ~hist.reachable
+    for i, j in np.argwhere(hist.order):
+        u, v = verts[i], verts[j]
+        lengths = path_lengths(u, v, sample_limit=50)
+        assert lengths == (frozenset() if pathless[i, j] else frozenset({v.t - u.t}))
 
 
 def test_covariance_diagnostics_history3():

@@ -106,7 +106,11 @@ def test_causet_verify(capsys):
     assert bundle["payload"]["weakly_covariant"] is True
     assert bundle["payload"]["covariant"] is False
     assert bundle["paper_diff"]["comparable_pairs_without_paths"] == 30
+    assert bundle["config"] == {"t": 3}
     assert bundle["summary"]["all_passed"]
+    with pytest.raises(SystemExit) as exc:
+        main(["causet-verify", "--t", "3", "--sample-limit", "5"])
+    assert exc.value.code == 2
 
 
 def test_speeds(capsys):
@@ -125,6 +129,13 @@ def test_masses(capsys):
     assert all(r["agree"] for r in rows[:4])
     assert any(not r["agree"] for r in rows[4:])
     assert bundle["paper_diff"]["spatial_norms"]["computed_only"][0] == 15
+
+
+def test_masses_rejects_negative_p0_max(capsys):
+    code, out, err = run_cli(capsys, "masses", "--p0-max", "-1")
+    assert code == 1
+    assert out == ""
+    assert "error: --p0-max must be nonnegative" in err
 
 
 def test_hyperboloid(capsys):
