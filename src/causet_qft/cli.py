@@ -5,7 +5,9 @@ echo, the configuration, the result payload, the diff against the published
 values, and a pass/fail summary.  Bundles are rendered deterministically
 (sorted keys, no timestamps); wall-clock timing goes to stderr so stdout is
 byte-identical across runs.  Exit status: 0 when all gated checks pass, 1
-when one fails (the failing check is named on stderr), 2 for usage errors.
+when one fails (the failing check is named on stderr) or the run stops on
+bad input or a raising library gate (``error: ...`` on stderr), 2 for usage
+errors.
 
 Published-value disagreements are carried in the diff section as data; they
 do not fail the run.  The gated checks cover the laws the artifact itself
@@ -18,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -27,9 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import causet, fock, momentum, representations as reps, scattering, symmetry
-from .lattice import Vec3, Vec4
+from .lattice import Vec3, Vec4, norm_sq4
 from .momentum import PoincareElement, poincare_product
-from .util import thread_cap
 
 TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "fock-verify"}
 
@@ -229,7 +231,7 @@ def cmd_reps_verify(args) -> dict:
 
 
 def cmd_no_boost(args) -> dict:
-    cert = symmetry.no_boost_search(args.bound, threads=args.threads)
+    cert = symmetry.no_boost_search(args.bound)
     rnd = random.Random(97)
     witnesses_ok = True
     for m in cert.boost_examples:
@@ -237,8 +239,6 @@ def cmd_no_boost(args) -> dict:
         for _ in range(100):
             v = Vec4(*(rnd.randint(-6, 6) for _ in range(4)))
             img = mat @ np.array(v.coords())
-            from .lattice import norm_sq4
-
             if norm_sq4(Vec4(*(int(c) for c in img))) != norm_sq4(v):
                 witnesses_ok = False
     families_ok = all(cert.quoted_families_found["time"].values()) and all(
@@ -263,7 +263,7 @@ def cmd_no_boost(args) -> dict:
         "published_no_boost_claim_holds": cert.no_boosts,
         "boost_counterexample": payload["boost_examples"][0] if cert.boost_examples else None,
     }
-    return _bundle("no-boost", {"bound": args.bound, "threads": args.threads}, payload, paper_diff, checks)
+    return _bundle("no-boost", {"bound": args.bound}, payload, paper_diff, checks)
 
 
 def cmd_shells(args) -> dict:
@@ -380,8 +380,6 @@ def cmd_masses(args) -> dict:
 def cmd_hyperboloid(args) -> dict:
     h = momentum.hyperboloid(args.m2, args.pmax)
     invariance = momentum.hyperboloid_invariance_defect(h, symmetry.elements())
-    from .lattice import norm_sq4
-
     on_shell = all(norm_sq4(p) == args.m2 for p in h.points)
     payload = {
         "mass_sq": args.m2,
@@ -515,11 +513,8 @@ def cmd_scatter(args) -> dict:
         ) from None
     series = scattering.scattering_series(model)
     report = scattering.amplitude(model, p_in, p_out, series)
-    parity = scattering.order_parity_check(model, p_in, p_out)
-    herm = max(
-        float(np.max(np.abs(model.hamiltonian(t) - model.hamiltonian(t).conj().T)))
-        for t in range(max(cfg.horizon, 1))
-    )
+    parity = scattering.order_parity_check(report, p_in, p_out)
+    herm = max((float(np.max(np.abs(h - h.conj().T))) for h in series.hamiltonians), default=0.0)
     payload = {
         "per_order": list(report.per_order),
         "total": report.total,
@@ -539,12 +534,14 @@ def cmd_scatter(args) -> dict:
         },
     }
     checks = [
-        _check("recursion_matches_expansion", series.expansion_defect < 1e-9),
+        _check("recursion_matches_expansion", series.expansion_defect < 1e-9, series.expansion_defect),
         _check("hamiltonians_self_adjoint", herm < args.tol, herm),
-        _check("odd_orders_vanish", parity["odd_order_max"] <= args.tol),
+        _check("odd_orders_vanish", parity["odd_order_max"] <= args.tol, parity["odd_order_max"]),
     ]
     if parity["distinct_states"]:
-        checks.append(_check("order_zero_vanishes_for_distinct_states", parity["order0"] <= args.tol))
+        checks.append(
+            _check("order_zero_vanishes_for_distinct_states", parity["order0"] <= args.tol, parity["order0"])
+        )
     config = {
         "g": args.g,
         "m2": args.m2,
@@ -663,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
     parser.add_argument(
-        "--tol", type=float, default=1e-10, help="tolerance for floating-point checks"
+        "--tol", type=_tolerance, default=1e-10,
+        help="tolerance for floating-point checks (finite, > 0)",
     )
     parser.add_argument("--out", help="also write the rendered report to this file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -725,6 +723,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and greater than 0, got {text!r}")
+    return value
+
+
 def _index_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -735,17 +743,12 @@ def _index_pair(text: str) -> tuple[int, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        threads = thread_cap()
-    except ValueError as exc:
-        parser.error(str(exc))
-    args.threads = threads
     if args.format == "csv" and args.command not in TABLE_COMMANDS:
         parser.error(f"--format csv is not available for {args.command}")
     start = time.monotonic()
     try:
         bundle = args.func(args)
-    except ValueError as exc:
+    except (ValueError, AssertionError) as exc:  # bad input, or a library gate that raised
         print(f"error: {exc}", file=sys.stderr)
         return 1
     plain = _plain(bundle)

@@ -28,7 +28,6 @@ from .lattice import Vec4, minkowski_doubled, norm_sq3
 from .momentum import Hyperboloid
 from .representations import SignConvention, cal_u, spinor_of
 from .symmetry import GroupElement, inverse
-from .util import op_matmul
 
 __all__ = [
     "SectorBasis",
@@ -242,8 +241,8 @@ def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
 
 
 def matrix_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA with deterministic contraction order (see util.op_matmul)."""
-    return op_matmul(a, b) - op_matmul(b, a)
+    """AB - BA of two dense matrices."""
+    return a @ b - b @ a
 
 
 def restrict(fock: FockSpace, m: np.ndarray) -> np.ndarray:

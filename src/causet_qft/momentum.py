@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import paperdata
-from .lattice import Vec4, norm_sq4, spatial_enumeration_bound, vectors_with_norm
+from .lattice import Vec4, spatial_enumeration_bound, vectors_with_norm
 from .symmetry import GroupElement, apply4, inverse, multiply
 
 __all__ = [
@@ -159,6 +159,3 @@ def hyperboloid_invariance_defect(h: Hyperboloid, group) -> int:
                 bad += 1
     return bad
 
-
-def mass_is_integral(p: Vec4) -> bool:
-    return isinstance(norm_sq4(p), int)

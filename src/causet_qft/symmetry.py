@@ -17,13 +17,12 @@ fields.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import paperdata
-from .lattice import Vec3, Vec4, inner3_doubled, norm_sq3, triples
+from .lattice import Vec3, Vec4, _det3, inner3_doubled, norm_sq3, triples
 
 __all__ = [
     "GroupElement",
@@ -62,14 +61,6 @@ class GroupElement:
 def _matmul3(a: Matrix3, b: Matrix3) -> Matrix3:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )
-
-
-def _det3(m: Matrix3) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
 
 
@@ -338,27 +329,7 @@ class BoostCertificate:
         return self.boost_count == 0
 
 
-def _search_block(td_rows: np.ndarray, s_arr: np.ndarray) -> list[tuple]:
-    sols = []
-    for td in td_rows:
-        dots = s_arr @ (_M4 @ td)
-        s0 = s_arr[dots == 0]
-        if len(s0) < 3:
-            continue
-        gram = s0 @ _M4 @ s0.T
-        n0 = len(s0)
-        for i in range(n0):
-            js = np.nonzero(gram[i] == -1)[0]
-            for j in js:
-                ks = js[gram[j, js] == -1]
-                for k in ks:
-                    cols = (td, s0[i], s0[j], s0[k])
-                    if _det4_exact(cols) == 1:
-                        sols.append(tuple(tuple(int(x) for x in c) for c in cols))
-    return sols
-
-
-def no_boost_search(bound: int, threads: int = 1) -> BoostCertificate:
+def no_boost_search(bound: int) -> BoostCertificate:
     """Enumerate all integer norm-preserving det-1 maps with entries in [-bound, bound].
 
     Columns are the images of the four basis vectors; a solution is a
@@ -373,15 +344,21 @@ def no_boost_search(bound: int, threads: int = 1) -> BoostCertificate:
     d_arr = grid[norms == 1]
     s_arr = grid[norms == -1]
 
-    threads = max(1, int(threads))
-    if threads == 1:
-        sols = _search_block(d_arr, s_arr)
-    else:
-        chunks = np.array_split(d_arr, threads * 4)
-        sols = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(lambda c: _search_block(c, s_arr), chunks):
-                sols.extend(part)
+    sols = []
+    for td in d_arr:
+        dots = s_arr @ (_M4 @ td)
+        s0 = s_arr[dots == 0]
+        if len(s0) < 3:
+            continue
+        gram = s0 @ _M4 @ s0.T
+        for i in range(len(s0)):
+            js = np.nonzero(gram[i] == -1)[0]
+            for j in js:
+                ks = js[gram[j, js] == -1]
+                for k in ks:
+                    cols = (td, s0[i], s0[j], s0[k])
+                    if _det4_exact(cols) == 1:
+                        sols.append(tuple(tuple(int(x) for x in c) for c in cols))
     sols.sort()
 
     d_axis = {(1, 0, 0, 0), (-1, 0, 0, 0)}

@@ -338,7 +338,9 @@ def test_criterion_9_dyson_engine():
         )
         model = scattering.build_model(cfg)
         pts = model.pi_space.hyperboloid.points
-        report = scattering.order_parity_check(model, (pts[1], pts[2]), (pts[3], pts[4]))
+        incoming, outgoing = (pts[1], pts[2]), (pts[3], pts[4])
+        amplitudes = scattering.amplitude(model, incoming, outgoing)
+        report = scattering.order_parity_check(amplitudes, incoming, outgoing)
         assert report["order0"] <= 1e-10
         assert report["odd_order_max"] <= 1e-10
         assert abs(report["order2"]) > 1e-6

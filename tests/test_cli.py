@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from causet_qft import scattering
 from causet_qft.cli import main
 
 
@@ -68,6 +69,7 @@ def test_no_boost(capsys):
     assert bundle["paper_diff"]["published_no_boost_claim_holds"] is False
     assert bundle["paper_diff"]["boost_counterexample"] is not None
     assert bundle["summary"]["all_passed"]
+    assert bundle["config"] == {"bound": 3}
 
 
 def test_shells(capsys):
@@ -171,6 +173,30 @@ def test_scatter(capsys):
     assert abs(complex(bundle["payload"]["per_order"][2]["re"],
                        bundle["payload"]["per_order"][2]["im"])) > 1e-4
     assert bundle["summary"]["all_passed"]
+    details = {c["name"]: c["detail"] for c in bundle["summary"]["checks"]}
+    assert details == {
+        "recursion_matches_expansion": bundle["payload"]["expansion_defect"],
+        "hamiltonians_self_adjoint": 0.0,
+        "odd_orders_vanish": bundle["payload"]["odd_order_max"],
+        "order_zero_vanishes_for_distinct_states": 0.0,
+    }
+
+
+def test_scatter_builds_one_series(capsys, monkeypatch):
+    calls = {"scattering_series": 0, "interaction_hamiltonian": 0}
+    for name in calls:
+        original = getattr(scattering, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scattering, name, counted)
+    code, _, _ = run_cli(
+        capsys, "scatter", "--g", "0.1", "--m2", "0", "--M2", "1", "--horizon", "4", "--window", "0"
+    )
+    assert code == 0
+    assert calls == {"scattering_series": 1, "interaction_hamiltonian": 4}
 
 
 def test_scatter_bad_indices(capsys):
@@ -192,18 +218,27 @@ def test_usage_errors():
     assert exc.value.code == 2
 
 
-def test_invalid_thread_env(monkeypatch):
-    monkeypatch.setenv("CAUSET_QFT_THREADS", "zero")
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tolerance_must_be_finite_and_positive(capsys, tol):
     with pytest.raises(SystemExit) as exc:
-        main(["group-verify"])
+        main(["--tol", tol, "scatter", "--g", "0.1", "--m2", "0", "--M2", "1",
+              "--horizon", "1", "--window", "0"])
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --tol: must be finite and greater than 0, got '{tol}'" in captured.err
 
 
-def test_thread_env_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("CAUSET_QFT_THREADS", "2")
-    code, out, _ = run_cli(capsys, "--format", "json", "no-boost", "--bound", "3")
-    assert code == 0
-    assert json.loads(out)["config"]["threads"] == 2
+def test_library_gate_failure_is_a_named_error(capsys):
+    # at this coupling the recursion and the expansion disagree far beyond
+    # the series' own tolerance, and scattering_series raises
+    code, out, err = run_cli(
+        capsys, "scatter", "--g", "1e6", "--m2", "0", "--M2", "1", "--horizon", "3", "--window", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: recursion/expansion mismatch")
+    assert "Traceback" not in err
 
 
 def test_out_file(tmp_path, capsys):

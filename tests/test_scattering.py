@@ -23,7 +23,6 @@ from causet_qft.scattering import (
     two_pi_state,
     window_slice,
 )
-from causet_qft.util import op_matmul
 
 
 def _random_matrices(rnd, dim, count, scale=0.5):
@@ -53,7 +52,7 @@ def test_product_formula_small_steps():
     x0 = _random_matrices(rnd, 4, 1)[0]
     assert np.array_equal(product_formula(a_seq, x0, 0), x0.astype(complex))
     one = product_formula(a_seq, x0, 1)
-    direct = op_matmul(np.eye(4, dtype=complex) + a_seq[0], x0)
+    direct = (np.eye(4, dtype=complex) + a_seq[0]) @ x0
     assert np.max(np.abs(one - direct)) == 0.0
 
 
@@ -127,9 +126,23 @@ def test_window_slice(model):
     assert all(norm_sq4(x) >= 0 for x in window_slice(wide, 2))
 
 
-def test_hamiltonian_selfadjoint(model):
-    for t in range(model.cfg.horizon):
-        h = model.hamiltonian(t)
+@pytest.mark.parametrize("window_radius", [0, 1])
+def test_hamiltonian_selfadjoint(window_radius):
+    """Exactly self-adjoint by construction, whatever order BLAS sums in."""
+    cfg = InteractionConfig(
+        coupling=0.1,
+        pi_mass_sq=0,
+        sigma_mass_sq=1,
+        energy_cap=1,
+        pi_particle_cap=2,
+        sigma_particle_cap=1,
+        window_radius=window_radius,
+        horizon=3,
+    )
+    m = build_model(cfg)
+    assert len(window_slice(cfg, 2)) == (1 if window_radius == 0 else 13)
+    for t in range(cfg.horizon):
+        h = m.hamiltonian(t)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
@@ -181,7 +194,7 @@ def test_series_recursion_properties(model):
     # the difference of consecutive steps is iH(t) S(t)
     diffs = difference_op(list(series.steps))
     for t, d in enumerate(diffs):
-        expected = op_matmul(1j * model.hamiltonian(t), series.steps[t])
+        expected = (1j * model.hamiltonian(t)) @ series.steps[t]
         assert np.max(np.abs(d - expected)) < 1e-10
     # per-order pieces sum to the final operator
     total = sum(series.final_orders)
@@ -221,9 +234,9 @@ def test_series_two_steps_order_pattern(model):
     h0, h1 = m2.hamiltonian(0), m2.hamiltonian(1)
     eye = np.eye(m2.dim, dtype=complex)
     # later time acts on the left of earlier time
-    expected = eye + 1j * (h0 + h1) + (1j**2) * op_matmul(h1, h0)
+    expected = eye + 1j * (h0 + h1) + (1j**2) * (h1 @ h0)
     assert np.max(np.abs(series.final - expected)) < 1e-12
-    assert np.max(np.abs(series.final_orders[2] - (1j**2) * op_matmul(h1, h0))) < 1e-12
+    assert np.max(np.abs(series.final_orders[2] - (1j**2) * (h1 @ h0))) < 1e-12
 
 
 def test_unitarity_defect_structure(model):
@@ -232,7 +245,7 @@ def test_unitarity_defect_structure(model):
     assert defects[0] == 0.0
     # one step: S*S - I = H^2 exactly for self-adjoint H
     h0 = model.hamiltonian(0)
-    assert defects[1] == pytest.approx(float(np.max(np.abs(op_matmul(h0, h0)))), rel=1e-12)
+    assert defects[1] == pytest.approx(float(np.max(np.abs(h0 @ h0))), rel=1e-12)
     assert all(d > 0 for d in defects[1:])
 
 
@@ -282,7 +295,8 @@ def test_amplitude_identity_for_equal_states(model):
 
 def test_order_parity(model):
     pts = model.pi_space.hyperboloid.points
-    rep = order_parity_check(model, (pts[1], pts[2]), (pts[3], pts[4]))
+    incoming, outgoing = (pts[1], pts[2]), (pts[3], pts[4])
+    rep = order_parity_check(amplitude(model, incoming, outgoing), incoming, outgoing)
     assert rep["passes"]
     assert rep["order0"] == 0.0
     assert rep["odd_order_max"] <= 1e-10

@@ -177,14 +177,6 @@ def test_boost_examples_are_genuine_isometries():
             assert norm_sq4(Vec4(*(int(x) for x in img))) == norm_sq4(v)
 
 
-def test_no_boost_threading_agrees():
-    serial = no_boost_search(3, threads=1)
-    threaded = no_boost_search(3, threads=4)
-    assert serial.total_solutions == threaded.total_solutions
-    assert serial.boost_count == threaded.boost_count
-    assert serial.boost_examples == threaded.boost_examples
-
-
 def test_element_matrices_satisfy_group_invariants():
     basis = (E3, F3, G3)
     from causet_qft.lattice import inner3_doubled
