@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -62,15 +63,9 @@ class SectorBasis:
     multisets: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.multisets)})
-
     @property
     def dim(self) -> int:
         return len(self.multisets)
-
-    def index(self, multiset: tuple[int, ...]) -> int:
-        return self._index[tuple(sorted(multiset))]
 
 
 def _weight(multiset: tuple[int, ...]) -> int:
@@ -105,6 +100,39 @@ class FockSpace:
         """Offset ending the sectors on which commutator identities are exact."""
         return self.offsets[self.n_max]
 
+    @cached_property
+    def multiset_arrays(self) -> tuple[np.ndarray, ...]:
+        """Sector n's sorted multisets as a (sector dim, n) int array, in basis order."""
+        return tuple(np.array(s.multisets, dtype=np.int64).reshape(s.dim, s.n) for s in self.sectors)
+
+    def rank(self, n: int, multisets: np.ndarray) -> np.ndarray:
+        """Full-space indices of the sorted rows of an (m, n) array of sector-n multisets."""
+        # the basis is in lexicographic order, so the base-d keys of its rows ascend
+        radix = len(self.hyperboloid) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        return self.offsets[n] + np.searchsorted(self.multiset_arrays[n] @ radix, multisets @ radix)
+
+    @cached_property
+    def ladder_maps(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per-point ladder maps by field role, each ``(target, weight)`` of shape (d, dim).
+
+        Lowering point q ("annihilates") sends column c to row ``target[q, c]``
+        (-1 when the multiset holds no q) with amplitude ``weight[q, c]``, the
+        square root of the count of q.  Raising ("creates") is the inverse map
+        with the same weights; the image of the top sector is dropped.
+        """
+        low = np.full((len(self.hyperboloid), self.dim), -1, dtype=np.int64)
+        low_w = np.zeros(low.shape)
+        for n in range(1, self.n_max + 1):
+            ms = self.multiset_arrays[n]
+            cols = np.arange(self.offsets[n], self.offsets[n + 1])
+            for pos in range(n):  # dropping any copy of a point leaves the same multiset
+                low[ms[:, pos], cols] = self.rank(n - 1, np.delete(ms, pos, axis=1))
+                low_w[ms[:, pos], cols] = np.sqrt((ms == ms[:, pos, None]).sum(axis=1))
+        up, up_w = np.full_like(low, -1), np.zeros_like(low_w)
+        q, c = np.nonzero(low >= 0)
+        up[q, low[q, c]], up_w[q, low[q, c]] = c, low_w[q, c]
+        return {"annihilates": (low, low_w), "creates": (up, up_w)}
+
 
 def fock_space(h: Hyperboloid, n_max: int) -> FockSpace:
     if n_max < 0:
@@ -132,38 +160,11 @@ def sine_sum(h: Hyperboloid, x: Vec4, y: Vec4) -> float:
     return sum(math.sin(0.5 * minkowski_doubled(p, y - x)) for p in h.points)
 
 
-def _lowering_full(fock: FockSpace) -> tuple[np.ndarray, ...]:
-    """Per-point real lowering matrices on the full space (cached on the space).
-
-    Entry sqrt(count of the point in the source multiset) connects a multiset
-    to the multiset with one copy removed.  Every field operator is a phase
-    combination of these, and the bilinear expansion over point pairs is what
-    makes structural commutator cancellations exact in floating point.
-    """
-    cached = getattr(fock, "_lowering_full", None)
-    if cached is not None:
-        return cached
-    d = len(fock.hyperboloid)
-    mats = [np.zeros((fock.dim, fock.dim)) for _ in range(d)]
-    for n in range(fock.n_max):
-        src, dst = fock.sectors[n + 1], fock.sectors[n]
-        src_base, dst_base = fock.offsets[n + 1], fock.offsets[n]
-        for col, mu in enumerate(src.multisets):
-            for k in set(mu):
-                removed = list(mu)
-                removed.remove(k)
-                row = dst.index(tuple(removed))
-                mats[k][dst_base + row, src_base + col] = math.sqrt(mu.count(k))
-    result = tuple(mats)
-    object.__setattr__(fock, "_lowering_full", result)
-    return result
-
-
 @dataclass(frozen=True)
 class FieldOperator:
-    """Phase combination of per-point ladder matrices, with full-matrix view.
+    """Phase combination of per-point ladder maps, with full-matrix view.
 
-    ``coeffs[q]`` multiplies the lowering (or raising) matrix of the q-th
+    ``coeffs[q]`` multiplies the lowering (or raising) map of the q-th
     hyperboloid point; annihilators carry e^{-ip.x}, creators e^{+ip.x}.
     """
 
@@ -172,24 +173,31 @@ class FieldOperator:
     role: str  # "annihilates" or "creates"
     coeffs: tuple[complex, ...]
 
-    def _ladder(self, q: int) -> np.ndarray:
-        low = _lowering_full(self.fock)[q]
-        return low if self.role == "annihilates" else low.T
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the matrix; each entry comes from one point."""
+        target, weight = self.fock.ladder_maps[self.role]
+        q, cols = np.nonzero(target >= 0)
+        # 0.0 + turns a -0.0 part into +0.0, as summing ladder matrices does
+        return target[q, cols], cols, 0.0 + np.asarray(self.coeffs)[q] * weight[q, cols]
 
     def as_matrix(self) -> np.ndarray:
+        rows, cols, vals = self._entries()
         out = np.zeros((self.fock.dim, self.fock.dim), dtype=complex)
-        for q, c in enumerate(self.coeffs):
-            out += c * self._ladder(q)
+        out[rows, cols] = vals
         return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.as_matrix() @ vec
+        rows, cols, vals = self._entries()
+        out = np.zeros(self.fock.dim, dtype=complex)
+        np.add.at(out, rows, vals * vec[cols])
+        return out
 
     def triplets(self) -> list[tuple[int, int, float, float]]:
-        """(row, col, re, im) entries of the full matrix, for export."""
-        m = self.as_matrix()
-        rows, cols = np.nonzero(m)
-        return [(int(r), int(c), float(m[r, c].real), float(m[r, c].imag)) for r, c in zip(rows, cols)]
+        """(row, col, re, im) entries of the full matrix in row-major order, for export."""
+        rows, cols, vals = self._entries()
+        order = np.lexsort((cols, rows))
+        v = vals[order]
+        return list(zip(rows[order].tolist(), cols[order].tolist(), v.real.tolist(), v.imag.tolist()))
 
 
 def phi(x: Vec4, fock: FockSpace) -> FieldOperator:
@@ -205,9 +213,9 @@ def phi(x: Vec4, fock: FockSpace) -> FieldOperator:
 def psi(x: Vec4, fock: FockSpace) -> FieldOperator:
     """Creation field: sector n -> n+1 with amplitude sqrt(count+1) e^{ip.x}.
 
-    The raising matrices are the transposes of the real lowering matrices
-    (same square-root amplitudes), so the adjoint relation to :func:`phi` is
-    a checkable fact about the phase coefficients.  The image of the top
+    The raising maps invert the lowering maps with the same square-root
+    amplitudes, so the adjoint relation to :func:`phi` is a checkable fact
+    about the phase coefficients.  The image of the top
     sector is dropped by the truncation.
     """
     coeffs = tuple(phase(p, x) for p in fock.hyperboloid.points)
@@ -220,24 +228,30 @@ def xi_matrix(x: Vec4, fock: FockSpace) -> np.ndarray:
 
 
 def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
-    """[a, b] on the full space, expanded bilinearly over point pairs.
+    """[a, b] on the full space, expanded bilinearly over point pairs (q, r).
 
-    Ladder matrices of equal role commute entry-for-entry in exact float
-    arithmetic (every two-step path between multisets is unique), so
-    same-species commutators cancel to exact zeros rather than roundoff.
+    X_q Y_r and Y_r X_q each take a column along one two-step path at most,
+    to the same multiset where both are defined, so a bracket entry is one
+    float product minus the other; for ladders of equal role these are the
+    same factors, so same-species commutators cancel to exact zeros.  Terms
+    add up in (q, r) order.  Cost O(d^2 dim) for d points, temporaries (d, dim).
     """
     if a.fock is not b.fock and a.fock != b.fock:
         raise ValueError("operators live on different Fock spaces")
-    d = len(a.fock.hyperboloid)
-    out = np.zeros((a.fock.dim, a.fock.dim), dtype=complex)
-    for q in range(d):
-        la = a._ladder(q)
-        for r in range(d):
-            lb = b._ladder(r)
-            bracket = la @ lb - lb @ la
-            if bracket.any():
-                out += (a.coeffs[q] * b.coeffs[r]) * bracket
-    return out
+    dim = a.fock.dim
+    (xt, xw), (yt, yw) = a.fock.ladder_maps[a.role], b.fock.ladder_maps[b.role]
+    out = np.zeros(dim * dim, dtype=complex)
+    for q, ca in enumerate(a.coeffs):
+        # rows [r, c] of X_q Y_r and Y_r X_q applied to column c, -1 where undefined
+        xy_row = np.where(yt >= 0, xt[q, yt], -1)
+        yx_row = np.where(xt[q] >= 0, yt[:, xt[q]], -1)
+        xy = np.where(xy_row >= 0, xw[q, yt] * yw, 0.0)
+        bracket = xy - np.where(yx_row >= 0, yw[:, xt[q]] * xw[q], 0.0)
+        rows = np.maximum(xy_row, yx_row)
+        hit = (rows >= 0) & (bracket != 0)
+        terms = np.array([ca * cb for cb in b.coeffs])[:, None] * bracket
+        np.add.at(out, (rows * dim + np.arange(dim))[hit], terms[hit])
+    return out.reshape(dim, dim)
 
 
 def matrix_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,6 +271,8 @@ def xi_commutator(x: Vec4, y: Vec4, fock: FockSpace, tol: float = 1e-10) -> comp
     Verifies the measured commutator against 2i * sum of sines before
     returning; raises if the identity fails beyond ``tol``.
     """
+    if fock.n_max < 1:
+        raise ValueError("xi commutator needs n_max >= 1: no sector is truncation-safe at n_max 0")
     expected = 2j * sine_sum(fock.hyperboloid, x, y)
     measured = restrict(fock, matrix_commutator(xi_matrix(x, fock), xi_matrix(y, fock)))
     defect = np.max(np.abs(measured - expected * np.eye(measured.shape[0])))
@@ -265,24 +281,22 @@ def xi_commutator(x: Vec4, y: Vec4, fock: FockSpace, tol: float = 1e-10) -> comp
     return complex(expected)
 
 
-def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> np.ndarray:
-    """Unitary spacetime-symmetry action: phases from the translation, point
-    permutation from the rotation, block-diagonal over sectors."""
-    f = fock
-    h = f.hyperboloid
-    perm = h.permutation_under(rot)
-    point_phases = [phase(p, y) for p in h.points]
-    out = np.zeros((f.dim, f.dim), dtype=complex)
-    for n, sector in enumerate(f.sectors):
-        base = f.offsets[n]
-        for col, mu in enumerate(sector.multisets):
-            mapped = tuple(sorted(perm[i] for i in mu))
-            amp = 1.0 + 0.0j
-            for i in mapped:
-                amp *= point_phases[i]
-            row = sector.index(mapped)
-            out[base + row, base + col] = amp
-    return out
+def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary symmetry action as ``(perm, amp)``, the monomial V[perm[c], c] = amp[c]:
+    the rotation permutes each multiset's points (so V is block-diagonal over sectors)
+    and the translation multiplies in the phases of the mapped points."""
+    h = fock.hyperboloid
+    point_perm = np.array(h.permutation_under(rot), dtype=np.int64)
+    point_phases = np.array([phase(p, y) for p in h.points])
+    perm = np.empty(fock.dim, dtype=np.int64)
+    amp = np.ones(fock.dim, dtype=complex)
+    for n, ms in enumerate(fock.multiset_arrays):
+        mapped = np.sort(point_perm[ms], axis=1)
+        block = fock.sector_slice(n)
+        perm[block] = fock.rank(n, mapped)
+        for points in mapped.T:
+            amp[block] *= point_phases[points]
+    return perm, amp
 
 
 _SPIN_TAGS = {0: 1, Fraction(1, 2): 2, 0.5: 2, 1: 3}
@@ -339,20 +353,15 @@ def multiset_indicator(fock: FockSpace, point_indices: tuple[int, ...]) -> np.nd
     Its squared norm is the number of ordered arrangements of the multiset,
     matching the ordered-tuple inner product on symmetric functions.
     """
-    n = len(point_indices)
-    sector = fock.sectors[n]
-    i = sector.index(tuple(sorted(point_indices)))
-    vec = np.zeros(fock.dim, dtype=complex)
-    vec[fock.offsets[n] + i] = math.sqrt(sector.weights[i])
-    return vec
+    return math.sqrt(_weight(tuple(point_indices))) * basis_unit(fock, point_indices)
 
 
 def basis_unit(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:
     """Unit vector of the orthonormal basis at the given multiset."""
-    n = len(point_indices)
-    sector = fock.sectors[n]
+    if not all(0 <= i < len(fock.hyperboloid) for i in point_indices):
+        raise ValueError(f"point indices {tuple(point_indices)} are not all on the hyperboloid")
     vec = np.zeros(fock.dim, dtype=complex)
-    vec[fock.offsets[n] + sector.index(tuple(sorted(point_indices)))] = 1.0
+    vec[fock.rank(len(point_indices), np.sort([point_indices], axis=1))] = 1.0
     return vec
 
 

@@ -206,18 +206,13 @@ def _printed_matrix(label: str) -> np.ndarray:
     return np.array(paperdata.SPINOR_PRINTED[label])
 
 
-def _printed_is_faithful(label: str, canonical: np.ndarray, tol: float = 1e-9) -> bool:
-    p = _printed_matrix(label)
-    structural = (
+def _valid_su2_form(p: np.ndarray, tol: float) -> bool:
+    """Unitary with determinant 1, of the form [[a, b], [-conj(b), conj(a)]]."""
+    return bool(
         np.max(np.abs(p.conj().T @ p - np.eye(2))) < tol
         and abs(np.linalg.det(p) - 1.0) < tol
         and abs(p[1, 1] - p[0, 0].conjugate()) < tol
         and abs(p[1, 0] + p[0, 1].conjugate()) < tol
-    )
-    if not structural:
-        return False
-    return (
-        min(np.max(np.abs(p - canonical)), np.max(np.abs(p + canonical))) < tol
     )
 
 
@@ -230,10 +225,11 @@ for _z in elements():
 def _printed_sign(label: str) -> int:
     """+1/-1 if the published representative is the +/- canonical one, 0 if corrupt."""
     canonical = _SPINOR_CANONICAL[label].matrix
-    if not _printed_is_faithful(label, canonical):
-        return 0
     p = _printed_matrix(label)
-    return 1 if np.max(np.abs(p - canonical)) < np.max(np.abs(p + canonical)) else -1
+    d_plus, d_minus = np.max(np.abs(p - canonical)), np.max(np.abs(p + canonical))
+    if not _valid_su2_form(p, 1e-9) or min(d_plus, d_minus) >= 1e-9:
+        return 0
+    return 1 if d_plus < d_minus else -1
 
 
 _PRINTED_SIGNS = {z.label: _printed_sign(z.label) for z in elements()}
@@ -278,16 +274,10 @@ def printed_spinor_report(tol: float = 1e-9) -> list[dict]:
         canonical = _SPINOR_CANONICAL[z.label].matrix
         p = _printed_matrix(z.label)
         diff = float(min(np.max(np.abs(p - canonical)), np.max(np.abs(p + canonical))))
-        structural = (
-            np.max(np.abs(p.conj().T @ p - np.eye(2))) < tol
-            and abs(np.linalg.det(p) - 1.0) < tol
-            and abs(p[1, 1] - p[0, 0].conjugate()) < tol
-            and abs(p[1, 0] + p[0, 1].conjugate()) < tol
-        )
         out.append(
             {
                 "label": z.label,
-                "printed_valid_form": bool(structural),
+                "printed_valid_form": _valid_su2_form(p, tol),
                 "matches_up_to_sign": diff < tol,
                 "max_abs_diff": diff,
                 "printed_sign": _PRINTED_SIGNS[z.label],

@@ -284,6 +284,13 @@ def test_criterion_7_fock_theorems():
             assert np.max(np.abs(xi_measured - expected_sine * np.eye(xi_measured.shape[0]))) < 1e-10
 
 
+def _monomial(perm, amp):
+    """Dense V with V[perm[c], c] = amp[c]."""
+    v = np.zeros((len(perm), len(perm)), dtype=complex)
+    v[perm, np.arange(len(perm))] = amp
+    return v
+
+
 def test_criterion_8_poincare_representation():
     with criterion(8, 60.0, "Fock-space symmetry representation"):
         h = momentum.hyperboloid(0, 1)
@@ -299,11 +306,10 @@ def test_criterion_8_poincare_representation():
                 Vec4(*(rnd.randint(-4, 4) for _ in range(4))),
                 symmetry.elements()[rnd.randrange(24)],
             )
-            v1 = fock.rep_v(g1.translation, g1.rotation, space)
-            v2 = fock.rep_v(g2.translation, g2.rotation, space)
+            v1, v2 = (_monomial(*fock.rep_v(g.translation, g.rotation, space)) for g in (g1, g2))
             assert np.max(np.abs(v1.conj().T @ v1 - np.eye(space.dim))) < 1e-10
             g12 = poincare_product(g1, g2)
-            v12 = fock.rep_v(g12.translation, g12.rotation, space)
+            v12 = _monomial(*fock.rep_v(g12.translation, g12.rotation, space))
             assert np.max(np.abs(v1 @ v2 - v12)) < 1e-10
             for a in range(space.n_max + 1):
                 for b in range(space.n_max + 1):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from causet_qft import scattering
+from causet_qft import fock, scattering
 from causet_qft.cli import main
 
 
@@ -78,6 +78,11 @@ def test_shells(capsys):
     bundle = json.loads(out)
     assert bundle["payload"]["sizes"] == [1, 13, 55, 177]
     assert "shells" not in bundle["payload"]
+    checks = {c["name"]: c for c in bundle["summary"]["checks"]}
+    # every vertex of shells 0..2 has its 13 children in the history
+    assert checks["children_always_thirteen"] == {
+        "name": "children_always_thirteen", "passed": True, "detail": 1 + 13 + 55
+    }
     assert bundle["paper_diff"]["construction_divergences"][0]["t"] == 3
 
 
@@ -159,6 +164,65 @@ def test_fock_verify(capsys):
     assert bundle["summary"]["all_passed"]
 
 
+def test_fock_verify_three_particle_cap(capsys):
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "3"
+    )
+    assert code == 0
+    bundle = json.loads(out)
+    assert bundle["payload"]["total_dim"] == 560
+    assert bundle["payload"]["phi_phi_commutator_max"] == 0.0
+    assert bundle["payload"]["psi_psi_commutator_max"] == 0.0
+    assert all(c["passed"] for c in bundle["summary"]["checks"])
+
+
+EXACT_REP_V = fock.rep_v
+
+
+def _rep_v_checks(capsys, monkeypatch, corrupt):
+    """fock-verify's rep_v checks with ``corrupt(call, perm)`` applied to every rep_v result."""
+    calls = []
+
+    def corrupted(y, rot, space):
+        perm, amp = EXACT_REP_V(y, rot, space)
+        calls.append(None)
+        return corrupt(len(calls), perm.copy()), amp
+
+    monkeypatch.setattr(fock, "rep_v", corrupted)
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "1"
+    )
+    assert code == 1
+    return {c["name"]: c for c in json.loads(out)["summary"]["checks"] if c["name"].startswith("rep_v")}
+
+
+def test_fock_verify_counts_a_differing_support(capsys, monkeypatch):
+    def onto_vacuum(call, perm):
+        perm[1] = perm[0]  # a one-particle column shares the vacuum's row
+        return perm
+
+    checks = _rep_v_checks(capsys, monkeypatch, onto_vacuum)
+    assert not checks["rep_v_block_diagonal"]["passed"]
+    assert not checks["rep_v_unitary"]["passed"] and checks["rep_v_unitary"]["detail"] > 0.5
+
+    def swap_in_composite(call, perm):
+        if call % 3 == 0:  # every third call is V(g1 g2)
+            perm[[1, 2]] = perm[[2, 1]]
+        return perm
+
+    checks = _rep_v_checks(capsys, monkeypatch, swap_in_composite)
+    assert checks["rep_v_unitary"]["passed"] and checks["rep_v_block_diagonal"]["passed"]
+    assert not checks["rep_v_homomorphism"]["passed"]
+    assert checks["rep_v_homomorphism"]["detail"] > 0.5
+
+
+def test_fock_verify_rejects_nmax_0(capsys):
+    code, out, err = run_cli(capsys, "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --nmax must be at least 1")
+
+
 def test_scatter(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -227,6 +291,28 @@ def test_tolerance_must_be_finite_and_positive(capsys, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument --tol: must be finite and greater than 0, got '{tol}'" in captured.err
+
+
+@pytest.mark.parametrize("g", ["nan", "inf", "-inf"])
+def test_scatter_coupling_must_be_finite(capsys, g):
+    with pytest.raises(SystemExit) as exc:
+        main(["scatter", f"--g={g}", "--m2", "0", "--M2", "1", "--horizon", "1", "--window", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --g: must be finite, got '{g}'" in captured.err
+
+
+def test_scatter_zero_coupling_is_accepted(capsys):
+    # S = I at g = 0: every order and the total amplitude are exactly zero
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "scatter", "--g", "0", "--m2", "0", "--M2", "1",
+        "--horizon", "2", "--window", "0",
+    )
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["total"] == {"im": 0.0, "re": 0.0}
+    assert set(payload["unitarity_defects"]) == {0.0}
 
 
 def test_library_gate_failure_is_a_named_error(capsys):

@@ -49,6 +49,123 @@ def fock13():
     return fock_space(hyperboloid(0, 1), 2)
 
 
+# Dense oracles for the monomial layer, built one multiset at a time.
+
+
+def _lowering_oracle(fock):
+    """Per-point real lowering matrices on the full space."""
+    mats = [np.zeros((fock.dim, fock.dim)) for _ in fock.hyperboloid.points]
+    for n in range(fock.n_max):
+        src, dst = fock.sectors[n + 1], fock.sectors[n]
+        for col, mu in enumerate(src.multisets):
+            for k in set(mu):
+                removed = list(mu)
+                removed.remove(k)
+                row = dst.multisets.index(tuple(removed))
+                mats[k][fock.offsets[n] + row, fock.offsets[n + 1] + col] = math.sqrt(mu.count(k))
+    return mats
+
+
+def _ladder_oracle(op, mats, q):
+    return mats[q] if op.role == "annihilates" else mats[q].T
+
+
+def _field_oracle(op, mats):
+    out = np.zeros((op.fock.dim, op.fock.dim), dtype=complex)
+    for q, c in enumerate(op.coeffs):
+        out += c * _ladder_oracle(op, mats, q)
+    return out
+
+
+def _commutator_oracle(a, b, mats):
+    """The dense bilinear loop over point pairs."""
+    out = np.zeros((a.fock.dim, a.fock.dim), dtype=complex)
+    for q in range(len(mats)):
+        la = _ladder_oracle(a, mats, q)
+        for r in range(len(mats)):
+            lb = _ladder_oracle(b, mats, r)
+            bracket = la @ lb - lb @ la
+            if bracket.any():
+                out += (a.coeffs[q] * b.coeffs[r]) * bracket
+    return out
+
+
+def _rep_v_oracle(y, rot, fock):
+    """Dense V: point permutation from the rotation, phases from the translation."""
+    perm = fock.hyperboloid.permutation_under(rot)
+    point_phases = [phase(p, y) for p in fock.hyperboloid.points]
+    out = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for n, sector in enumerate(fock.sectors):
+        for col, mu in enumerate(sector.multisets):
+            mapped = tuple(sorted(perm[i] for i in mu))
+            amp = 1.0 + 0.0j
+            for i in mapped:
+                amp *= point_phases[i]
+            out[fock.offsets[n] + sector.multisets.index(mapped), fock.offsets[n] + col] = amp
+    return out
+
+
+def _dense(perm, amp):
+    """The monomial matrix V[perm[c], c] = amp[c]."""
+    v = np.zeros((len(perm), len(perm)), dtype=complex)
+    v[perm, np.arange(len(perm))] = amp
+    return v
+
+
+def _same_bits(a, b):
+    """Equal as IEEE bit patterns, so signed zeros must agree too."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+@pytest.fixture(scope="module", params=[(0, 1, 2), (2, 2, 3)], ids=["fock13", "six_points_n3"])
+def oracle_space(request):
+    """``fock13`` and a 6-point space with a three-particle cap (dim 84), with dense ladders."""
+    m2, pmax, nmax = request.param
+    space = fock_space(hyperboloid(m2, pmax), nmax)
+    return space, _lowering_oracle(space)
+
+
+def test_as_matrix_matches_dense_oracle(oracle_space):
+    space, mats = oracle_space
+    rnd = random.Random(11)
+    for x in [Vec4(0, 0, 0, 0)] + [_random_x(rnd) for _ in range(4)]:
+        for field in (phi, psi):
+            op = field(x, space)
+            m = op.as_matrix()
+            assert _same_bits(m, _field_oracle(op, mats))
+            rows, cols = np.nonzero(m)
+            assert op.triplets() == [
+                (int(r), int(c), float(m[r, c].real), float(m[r, c].imag)) for r, c in zip(rows, cols)
+            ]
+            vec = np.array([complex(rnd.gauss(0, 1), rnd.gauss(0, 1)) for _ in range(space.dim)])
+            assert np.max(np.abs(op.apply(vec) - m @ vec)) < 1e-12
+
+
+def test_commutator_matches_dense_oracle(oracle_space):
+    space, mats = oracle_space
+    rnd = random.Random(12)
+    x, y = _random_x(rnd), _random_x(rnd)
+    for fa in (phi, psi):
+        for fb in (phi, psi):
+            a, b = fa(x, space), fb(y, space)
+            assert _same_bits(commutator(a, b), _commutator_oracle(a, b, mats))
+
+
+def test_rep_v_matches_dense_oracle(oracle_space):
+    space, _ = oracle_space
+    rnd = random.Random(13)
+    for _ in range(10):
+        g = PoincareElement(_random_x(rnd), elements()[rnd.randrange(24)])
+        perm, amp = rep_v(g.translation, g.rotation, space)
+        oracle = _rep_v_oracle(g.translation, g.rotation, space)
+        cols, rows = np.nonzero(oracle.T)  # column by column
+        assert np.array_equal(cols, np.arange(space.dim))
+        assert np.array_equal(perm, rows)
+        assert np.max(np.abs(amp - oracle[perm, cols])) < 1e-15
+
+
 def test_sector_dimensions(fock13):
     dims = [s.dim for s in fock13.sectors]
     assert dims == [1, 13, 91]
@@ -169,6 +286,8 @@ def test_xi_commutator(fock13):
     assert xi_commutator(x, x, fock13) == 0
     assert xi_commutator(y, x, fock13) == pytest.approx(-val)
     assert sine_sum(fock13.hyperboloid, x, y) == pytest.approx(12.0 * math.sin(1.0))
+    with pytest.raises(ValueError, match="n_max >= 1"):
+        xi_commutator(x, y, fock_space(hyperboloid(0, 1), 0))
 
 
 def test_xi_self_adjoint(fock13):
@@ -178,13 +297,14 @@ def test_xi_self_adjoint(fock13):
 
 
 def test_rep_v_identity(fock13):
-    v = rep_v(Vec4(0, 0, 0, 0), element("I"), fock13)
-    assert np.array_equal(v, np.eye(fock13.dim, dtype=complex))
+    perm, amp = rep_v(Vec4(0, 0, 0, 0), element("I"), fock13)
+    assert np.array_equal(perm, np.arange(fock13.dim))
+    assert np.array_equal(amp, np.ones(fock13.dim, dtype=complex))
 
 
 def test_rep_v_translation_phases(fock13):
     y = Vec4(2, 1, 0, 0)
-    v = rep_v(y, element("I"), fock13)
+    v = _dense(*rep_v(y, element("I"), fock13))
     block = v[fock13.sector_slice(1), fock13.sector_slice(1)]
     expected = np.diag([phase(p, y) for p in fock13.hyperboloid.points])
     assert np.max(np.abs(block - expected)) < 1e-14
@@ -194,7 +314,7 @@ def test_rep_v_unitary_and_block_diagonal(fock13):
     rnd = random.Random(3)
     for _ in range(10):
         g = PoincareElement(_random_x(rnd), elements()[rnd.randrange(24)])
-        v = rep_v(g.translation, g.rotation, fock13)
+        v = _dense(*rep_v(g.translation, g.rotation, fock13))
         assert np.max(np.abs(v.conj().T @ v - np.eye(fock13.dim))) < 1e-12
         for n in range(fock13.n_max + 1):
             for m in range(fock13.n_max + 1):
@@ -208,10 +328,10 @@ def test_rep_v_homomorphism(fock13):
         g1 = PoincareElement(_random_x(rnd), elements()[rnd.randrange(24)])
         g2 = PoincareElement(_random_x(rnd), elements()[rnd.randrange(24)])
         g12 = poincare_product(g1, g2)
-        v1 = rep_v(g1.translation, g1.rotation, fock13)
-        v2 = rep_v(g2.translation, g2.rotation, fock13)
-        v12 = rep_v(g12.translation, g12.rotation, fock13)
-        assert np.max(np.abs(v1 @ v2 - v12)) < 1e-10
+        (p1, a1), (p2, a2), (p12, a12) = (rep_v(g.translation, g.rotation, fock13) for g in (g1, g2, g12))
+        assert np.array_equal(p1[p2], p12)
+        assert np.max(np.abs(a1[p2] * a2 - a12)) < 1e-10
+        assert np.max(np.abs(_dense(p1, a1) @ _dense(p2, a2) - _dense(p12, a12))) < 1e-10
 
 
 def test_spin_rep_spin0_matches_single_particle(fock13):
@@ -219,7 +339,7 @@ def test_spin_rep_spin0_matches_single_particle(fock13):
     y = Vec4(1, 1, 0, 0)
     z = element("A")
     s0 = spin_rep(y, z, 0, h)
-    full = rep_v(y, z, fock13)
+    full = _dense(*rep_v(y, z, fock13))
     assert np.max(np.abs(s0 - full[fock13.sector_slice(1), fock13.sector_slice(1)])) < 1e-12
 
 
