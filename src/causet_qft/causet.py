@@ -54,6 +54,7 @@ __all__ = [
     "children",
     "parents",
     "parent_histogram",
+    "complete_children",
     "path_lengths",
     "CovarianceReport",
     "covariance_diagnostics",
@@ -285,6 +286,14 @@ def parent_histogram(hist: History) -> dict[int, dict[int, int]]:
         )
         histogram[t] = {int(values[i]): int(sizes[i]) for i in np.argsort(first)}
     return histogram
+
+
+def complete_children(hist: History) -> tuple[int, int]:
+    """(vertices below the top shell whose 13 children are distinct and in the
+    history, vertices below the top shell): equal when none misses a child."""
+    kids = np.sort(hist.links[: hist.offsets[-2]], axis=1)
+    full = (kids[:, 0] >= 0) & np.all(kids[:, 1:] != kids[:, :-1], axis=1)
+    return int(full.sum()), len(full)
 
 
 def _reachable_from(u: Vec4, hist: History) -> set[Vec4]:

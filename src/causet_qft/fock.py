@@ -25,8 +25,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .lattice import Vec4, minkowski_doubled, norm_sq3
-from .momentum import Hyperboloid
+from .lattice import Vec4, minkowski_doubled
+from .momentum import Hyperboloid, poincare_product
 from .representations import SignConvention, cal_u, spinor_of
 from .symmetry import GroupElement, inverse
 
@@ -44,11 +44,14 @@ __all__ = [
     "commutator",
     "matrix_commutator",
     "restrict",
-    "xi_commutator",
+    "adjoint_defect",
+    "same_species_commutator_max",
+    "phase_sum_defect",
+    "xi_commutator_defect",
     "rep_v",
+    "rep_v_defects",
     "spin_rep",
     "momentum_operators",
-    "mass_shell_defect",
     "multiset_indicator",
     "basis_unit",
     "vacuum",
@@ -265,20 +268,48 @@ def restrict(fock: FockSpace, m: np.ndarray) -> np.ndarray:
     return m[:end, :end]
 
 
-def xi_commutator(x: Vec4, y: Vec4, fock: FockSpace, tol: float = 1e-10) -> complex:
-    """Scalar c with [xi(x), xi(y)] = c I on the truncation-safe sectors.
-
-    Verifies the measured commutator against 2i * sum of sines before
-    returning; raises if the identity fails beyond ``tol``.
-    """
+def _identity_defect(fock: FockSpace, m: np.ndarray, scalar: complex) -> float:
+    """Largest |entry| of m - scalar * I on the truncation-safe sectors."""
     if fock.n_max < 1:
-        raise ValueError("xi commutator needs n_max >= 1: no sector is truncation-safe at n_max 0")
-    expected = 2j * sine_sum(fock.hyperboloid, x, y)
-    measured = restrict(fock, matrix_commutator(xi_matrix(x, fock), xi_matrix(y, fock)))
-    defect = np.max(np.abs(measured - expected * np.eye(measured.shape[0])))
-    if defect > tol:
-        raise AssertionError(f"xi commutator defect {defect} exceeds {tol}")
-    return complex(expected)
+        raise ValueError("identity check needs n_max >= 1: no sector is truncation-safe at n_max 0")
+    safe = restrict(fock, m)
+    return float(np.max(np.abs(safe - scalar * np.eye(safe.shape[0]))))
+
+
+def adjoint_defect(fock: FockSpace, points) -> float:
+    """Worst |psi(x) - phi(x)^H| entry over the points x."""
+    return max(
+        float(np.max(np.abs(psi(x, fock).as_matrix() - phi(x, fock).as_matrix().conj().T)))
+        for x in points
+    )
+
+
+def same_species_commutator_max(fock: FockSpace, x: Vec4, y: Vec4) -> tuple[float, float]:
+    """Largest |entry| of [phi(x), phi(y)] and of [psi(x), psi(y)]; both are exact zeros."""
+    return tuple(
+        float(np.max(np.abs(commutator(field(x, fock), field(y, fock))))) for field in (phi, psi)
+    )
+
+
+def phase_sum_defect(fock: FockSpace, pairs) -> float:
+    """Worst deviation of [phi(x), psi(y)] from phase_sum(x, y) I over the pairs (x, y)."""
+    return max(
+        _identity_defect(fock, commutator(phi(x, fock), psi(y, fock)), phase_sum(fock.hyperboloid, x, y))
+        for x, y in pairs
+    )
+
+
+def xi_commutator_defect(fock: FockSpace, pairs) -> float:
+    """Worst deviation of [xi(x), xi(y)] from 2i sine_sum(x, y) I over the pairs (x, y),
+    from dense products: a cross-check of ``as_matrix`` against :func:`commutator`."""
+    return max(
+        _identity_defect(
+            fock,
+            matrix_commutator(xi_matrix(x, fock), xi_matrix(y, fock)),
+            2j * sine_sum(fock.hyperboloid, x, y),
+        )
+        for x, y in pairs
+    )
 
 
 def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -297,6 +328,29 @@ def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.n
         for points in mapped.T:
             amp[block] *= point_phases[points]
     return perm, amp
+
+
+def rep_v_defects(fock: FockSpace, pairs) -> tuple[float, float, bool]:
+    """Over pairs (g1, g2) of Poincare elements: the worst unitarity defect of V(g1), the
+    worst |V(g1) V(g2) - V(g1 g2)| entry, and whether every V(g1) is block-diagonal.
+
+    V^H V is diag |amp|^2 plus |amp|^2-sized entries where columns share a row; V1 V2 is
+    (perm1[perm2], amp1[perm2] amp2), and a differing support counts as a defect."""
+    unitarity = hom = 0.0
+    block_diagonal = True
+    sector_of = np.repeat(np.arange(fock.n_max + 1), [s.dim for s in fock.sectors])
+    for g1, g2 in pairs:
+        (p1, a1), (p2, a2), (p12, a12) = (
+            rep_v(g.translation, g.rotation, fock) for g in (g1, g2, poincare_product(g1, g2))
+        )
+        shared = np.bincount(p1, minlength=fock.dim)[p1] > 1
+        off_diagonal = float(np.max(np.abs(a1[shared]), initial=0.0)) ** 2
+        unitarity = max(unitarity, off_diagonal, float(np.max(np.abs((a1.conj() * a1).real - 1.0))))
+        prod = a1[p2] * a2
+        defect = np.where(p1[p2] == p12, np.abs(prod - a12), np.maximum(np.abs(prod), np.abs(a12)))
+        hom = max(hom, float(np.max(defect)))
+        block_diagonal = block_diagonal and bool(np.all(sector_of[p1] == sector_of))
+    return unitarity, hom, block_diagonal
 
 
 _SPIN_TAGS = {0: 1, Fraction(1, 2): 2, 0.5: 2, 1: 3}
@@ -332,19 +386,6 @@ def momentum_operators(fock: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndar
     pts = fock.hyperboloid.points
     comps = [np.diag([getattr(p, c) for p in pts]).astype(np.int64) for c in ("t", "n", "p", "q")]
     return tuple(comps)
-
-
-def mass_shell_defect(fock: FockSpace) -> int:
-    """Exact integer residual of the mass-shell identity on the basis points.
-
-    The spatial square is the lattice quadratic form of the three momentum
-    components, so the residual is integer-valued and must vanish identically.
-    """
-    m2 = fock.hyperboloid.mass_sq
-    worst = 0
-    for p in fock.hyperboloid.points:
-        worst = max(worst, abs(p.t * p.t - norm_sq3(p.spatial) - m2))
-    return worst
 
 
 def multiset_indicator(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:

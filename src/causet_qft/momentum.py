@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import paperdata
-from .lattice import Vec4, spatial_enumeration_bound, vectors_with_norm
+from .lattice import Vec4, norm_sq4, spatial_enumeration_bound, vectors_with_norm
 from .symmetry import GroupElement, apply4, inverse, multiply
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "mass_table_paper_diff",
     "Hyperboloid",
     "hyperboloid",
+    "mass_shell_defect",
     "PoincareElement",
     "poincare_identity",
     "poincare_product",
@@ -121,6 +122,11 @@ def hyperboloid(mass_sq: int, p_max: int) -> Hyperboloid:
         points.extend(Vec4(p0, v.n, v.p, v.q) for v in vectors_with_norm(q))
     points.sort(key=Vec4.coords)
     return Hyperboloid(mass_sq=mass_sq, p_max=p_max, points=tuple(points))
+
+
+def mass_shell_defect(h: Hyperboloid) -> int:
+    """Largest |norm_sq4(p) - mass_sq| over the points: 0 when all are on the shell."""
+    return max((abs(norm_sq4(p) - h.mass_sq) for p in h.points), default=0)
 
 
 @dataclass(frozen=True)

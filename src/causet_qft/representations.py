@@ -117,6 +117,16 @@ def generator_log(z: GroupElement) -> np.ndarray:
     return basis @ np.diag(out_angles) @ basis.conj().T
 
 
+def generator_log_defect() -> float:
+    """Worst |exp(iH) - calU(z)| entry over the group, H = generator_log(z)."""
+    worst = 0.0
+    for z in elements():
+        vals, vecs = np.linalg.eigh(generator_log(z))
+        exp_h = vecs @ np.diag(np.exp(1j * vals)) @ vecs.conj().T
+        worst = max(worst, float(np.max(np.abs(exp_h - _CAL_U[z.label]))))
+    return worst
+
+
 class SignConvention(Enum):
     """How the global sign of a spinor value is fixed.
 
@@ -245,10 +255,19 @@ def spinor_of(z: GroupElement, convention: SignConvention = SignConvention.CANON
     return Spinor2(out.label, out.a, out.b, SignConvention.PRINTED)
 
 
-def projective_check(
-    convention: SignConvention = SignConvention.CANONICAL, tol: float = 1e-10
-) -> dict:
-    """Verify R(YZ) = +-R(Y)R(Z) on all pairs and record the sign cocycle."""
+def spinor_unitarity_defect() -> float:
+    """Worst |R^H R - I| entry over the canonical spinor values R."""
+    mats = [s.matrix for s in _SPINOR_CANONICAL.values()]
+    return max(float(np.max(np.abs(m.conj().T @ m - np.eye(2)))) for m in mats)
+
+
+def spinor_equation_residual() -> float:
+    """Worst residual of the seven relations between each canonical spinor value and its rotation."""
+    return max(max(seven_equation_residuals(_CAL_U[s.label], s.a, s.b)) for s in _SPINOR_CANONICAL.values())
+
+
+def projective_check(convention: SignConvention = SignConvention.CANONICAL) -> dict:
+    """Worst residual of R(YZ) = +-R(Y)R(Z) over all pairs, and the sign cocycle."""
     mats = {z.label: spinor_of(z, convention).matrix for z in elements()}
     cocycle: dict[tuple[str, str], int] = {}
     worst = 0.0
@@ -258,10 +277,6 @@ def projective_check(
             prod = mats[y.label] @ mats[z.label]
             d_plus = float(np.max(np.abs(prod - mats[yz.label])))
             d_minus = float(np.max(np.abs(prod + mats[yz.label])))
-            if min(d_plus, d_minus) > tol:
-                raise AssertionError(
-                    f"projective law fails at ({y.label},{z.label}): {min(d_plus, d_minus)}"
-                )
             worst = max(worst, min(d_plus, d_minus))
             cocycle[(y.label, z.label)] = 1 if d_plus <= d_minus else -1
     return {"convention": convention.value, "worst_residual": worst, "cocycle": cocycle}
@@ -309,8 +324,9 @@ def eigenvalue_set_defect() -> float:
     return worst
 
 
-def eigen_transport_check(tol: float = 1e-10) -> float:
-    """Check the published 3-cycle eigenvectors transport through the basis change."""
+def eigen_transport_check() -> float:
+    """Worst eigen-equation residual of the published 3-cycle eigenvectors, before
+    and after the basis change."""
     z = next(e for e in elements() if e.label == "A")
     worst = 0.0
     for lam, coords in paperdata.EIGEN_EXAMPLE_A:
@@ -319,6 +335,4 @@ def eigen_transport_check(tol: float = 1e-10) -> float:
         worst = max(worst, float(np.max(np.abs(zu - lam * u))))
         v = _UINV @ u
         worst = max(worst, float(np.max(np.abs(_CAL_U["A"] @ v - lam * v))))
-    if worst > tol:
-        raise AssertionError(f"eigenvector transport failed: {worst}")
     return worst

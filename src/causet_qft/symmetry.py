@@ -41,6 +41,7 @@ __all__ = [
     "lift_to4",
     "apply4",
     "no_boost_search",
+    "preserves_minkowski_form",
     "ELEMENT_PRINT_DIFFS",
 ]
 
@@ -290,19 +291,21 @@ _M4 = np.array(
 )
 
 
-def _det4_exact(cols: np.ndarray) -> int:
-    m = [[int(cols[j][i]) for j in range(4)] for i in range(4)]
+def _det4_exact(cols) -> int:
+    """Determinant of the integer matrix with these columns, expanded along the first."""
+    rows = [[int(x) for x in c] for c in cols]  # the transpose, whose determinant is the same
+    return sum(
+        (-1) ** j * rows[0][j] * _det3([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(4)
+        if rows[0][j]
+    )
 
-    def det(mm):
-        if len(mm) == 1:
-            return mm[0][0]
-        return sum(
-            (-1) ** j * mm[0][j] * det([r[:j] + r[j + 1 :] for r in mm[1:]])
-            for j in range(len(mm))
-            if mm[0][j]
-        )
 
-    return det(m)
+def preserves_minkowski_form(m: Matrix4) -> bool:
+    """The exact Gram identity M^T G M == G, G the doubled Minkowski Gram matrix:
+    M maps every vector to one of the same squared norm."""
+    mat = np.array(m, dtype=np.int64)
+    return bool(np.array_equal(mat.T @ _M4 @ mat, _M4))
 
 
 @dataclass(frozen=True)

@@ -98,11 +98,13 @@ def test_criterion_3_representations():
         for r in report:
             if r["label"] not in mismatched:
                 assert r["max_abs_diff"] < 1e-9
-        printed = reps.projective_check(reps.SignConvention.PRINTED, tol=1e-10)
+        printed = reps.projective_check(reps.SignConvention.PRINTED)
+        assert printed["worst_residual"] < 1e-10
         assert symmetry.multiply(symmetry.element("G"), symmetry.element("H")).label == "I"
         assert printed["cocycle"][("G", "H")] == -1
         assert printed["cocycle"][("J", "J")] == -1
-        canonical = reps.projective_check(reps.SignConvention.CANONICAL, tol=1e-10)
+        canonical = reps.projective_check(reps.SignConvention.CANONICAL)
+        assert canonical["worst_residual"] < 1e-10
         assert canonical["cocycle"][("J", "J")] == -1
 
 

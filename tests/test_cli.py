@@ -1,10 +1,11 @@
-"""Command-line surface: bundles, formats, exit codes, determinism."""
+"""Command-line surface: bundles, formats, exit codes, check lists.
+
+Determinism across fresh processes is acceptance criterion 10.
+"""
 
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -58,6 +59,17 @@ def test_reps_verify(capsys):
         "C", "F", "H", "Q", "R", "S", "V", "X",
     ]
     assert "A" in bundle["payload"]["spinor"]
+    details = {c["name"]: c.get("detail") for c in bundle["summary"]["checks"]}
+    assert details["projective_up_to_sign"] == bundle["payload"]["projective_worst_residual"]
+
+
+def test_reps_verify_fails_gates_in_the_report(capsys):
+    # below the floating-point residuals the gates fail as named checks that carry their values
+    code, out, _ = run_cli(capsys, "--format", "json", "--tol", "1e-17", "reps-verify")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["summary"]["checks"]}
+    for name in ("projective_up_to_sign", "eigen_transport"):
+        assert not checks[name]["passed"] and checks[name]["detail"] >= 1e-17
 
 
 def test_no_boost(capsys):
@@ -136,6 +148,7 @@ def test_masses(capsys):
     assert all(r["agree"] for r in rows[:4])
     assert any(not r["agree"] for r in rows[4:])
     assert bundle["paper_diff"]["spatial_norms"]["computed_only"][0] == 15
+    assert [c["name"] for c in bundle["summary"]["checks"]] == ["rows_up_to_three_match_printed"]
 
 
 def test_masses_rejects_negative_p0_max(capsys):
@@ -162,6 +175,9 @@ def test_fock_verify(capsys):
     assert bundle["payload"]["sector_dims"] == [1, 13, 91]
     assert bundle["payload"]["phi_phi_commutator_max"] == 0.0
     assert bundle["summary"]["all_passed"]
+    details = {c["name"]: c.get("detail") for c in bundle["summary"]["checks"]}
+    assert details["annihilator_commutator_zero_exact"] == bundle["payload"]["phi_phi_commutator_max"]
+    assert details["creator_commutator_zero_exact"] == bundle["payload"]["psi_psi_commutator_max"]
 
 
 def test_fock_verify_three_particle_cap(capsys):
@@ -357,16 +373,43 @@ SUBCOMMANDS = [
 ]
 
 
+CHECK_NAMES = {
+    "group-table": ["latin_square", "associative_all_triples", "table_matches_printed"],
+    "group-verify": [
+        "group_order_24", "latin_square", "associative_all_triples", "inverses_exist",
+        "isometry_invariants", "listed_subgroups_verify", "mn_generates_group",
+    ],
+    "reps-verify": [
+        "unitary3_unitarity", "unitary3_homomorphism", "eigenvalues_in_allowed_set",
+        "generator_log_roundtrip", "spinor_unitarity", "spinor_equations", "projective_up_to_sign",
+        "pinned_spinor_examples_match", "cocycle_GH_minus_one", "cocycle_JJ_minus_one", "eigen_transport",
+    ],
+    "no-boost": ["quoted_diophantine_families_reproduced", "boost_witnesses_verify_as_isometries"],
+    "shells": ["shell0_single_vertex", "shell1_thirteen_vertices", "children_always_thirteen"],
+    "causet-verify": [
+        "irreflexive", "antisymmetric", "transitive", "existing_path_lengths_singleton", "weakly_covariant",
+    ],
+    "speeds": ["zero_speed_attainable", "light_speed_attainable"],
+    "masses": ["rows_up_to_three_match_printed"],
+    "hyperboloid": ["points_on_shell_exact", "rotation_invariant_point_set", "lexicographic_order"],
+    "fock-verify": [
+        "creation_is_adjoint_of_annihilation", "annihilator_commutator_zero_exact",
+        "creator_commutator_zero_exact", "phi_psi_commutator_matches_phase_sum",
+        "xi_commutator_matches_sine_sum", "rep_v_unitary", "rep_v_homomorphism",
+        "rep_v_block_diagonal", "mass_shell_identity_exact",
+    ],
+    "scatter": [
+        "recursion_matches_expansion", "hamiltonians_self_adjoint", "odd_orders_vanish",
+        "order_zero_vanishes_for_distinct_states",
+    ],
+}
+
+
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: a[0])
-def test_byte_identical_across_processes(argv):
-    """Two fresh interpreter runs must produce identical stdout bytes."""
-    runs = []
-    for _ in range(2):
-        proc = subprocess.run(
-            [sys.executable, "-m", "causet_qft.cli", "--format", "json", *argv],
-            capture_output=True,
-            check=True,
-        )
-        runs.append(proc.stdout)
-    assert runs[0] == runs[1]
-    json.loads(runs[0])  # stdout is a single JSON document
+def test_check_names(capsys, argv):
+    """Each report gates exactly these checks, in this order, and passes them all."""
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    checks = json.loads(out)["summary"]["checks"]
+    assert [c["name"] for c in checks] == CHECK_NAMES[argv[0]]
+    assert all(c["passed"] for c in checks)

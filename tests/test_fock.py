@@ -12,7 +12,6 @@ from causet_qft.fock import (
     basis_unit,
     commutator,
     fock_space,
-    mass_shell_defect,
     momentum_operators,
     multiset_indicator,
     phase,
@@ -24,13 +23,14 @@ from causet_qft.fock import (
     sine_sum,
     spin_rep,
     vacuum,
-    xi_commutator,
+    xi_commutator_defect,
     xi_matrix,
 )
 from causet_qft.lattice import Vec4, norm_sq3
 from causet_qft.momentum import (
     PoincareElement,
     hyperboloid,
+    mass_shell_defect,
     poincare_product,
 )
 from causet_qft.representations import SignConvention, spinor_of
@@ -281,13 +281,16 @@ def test_phi_psi_same_point_counts_points(fock13):
 
 def test_xi_commutator(fock13):
     x, y = Vec4(0, 0, 0, 0), Vec4(1, 0, 0, 0)
-    val = xi_commutator(x, y, fock13)
+    # [xi(a), xi(b)] = 2i sine_sum(a, b) I on the truncation-safe sectors
+    for a, b in ((x, y), (x, x), (y, x)):
+        assert xi_commutator_defect(fock13, [(a, b)]) <= 1e-10
+    val = 2j * sine_sum(fock13.hyperboloid, x, y)
     assert val == pytest.approx(2j * 12.0 * math.sin(1.0))
-    assert xi_commutator(x, x, fock13) == 0
-    assert xi_commutator(y, x, fock13) == pytest.approx(-val)
+    assert 2j * sine_sum(fock13.hyperboloid, x, x) == 0
+    assert 2j * sine_sum(fock13.hyperboloid, y, x) == pytest.approx(-val)
     assert sine_sum(fock13.hyperboloid, x, y) == pytest.approx(12.0 * math.sin(1.0))
     with pytest.raises(ValueError, match="n_max >= 1"):
-        xi_commutator(x, y, fock_space(hyperboloid(0, 1), 0))
+        xi_commutator_defect(fock_space(hyperboloid(0, 1), 0), [(x, y)])
 
 
 def test_xi_self_adjoint(fock13):
@@ -386,7 +389,7 @@ def test_momentum_operators(fock13):
     for i, p in enumerate(pts):
         assert p0[i, i] == p.t
         assert (p1[i, i], p2[i, i], p3[i, i]) == (p.n, p.p, p.q)
-    assert mass_shell_defect(fock13) == 0
+    assert mass_shell_defect(fock13.hyperboloid) == 0
     # trace identity: energy-squared minus mass counts the spatial form
     lhs = int(np.trace(p0 @ p0)) - fock13.hyperboloid.mass_sq * len(pts)
     assert lhs == sum(norm_sq3(p.spatial) for p in pts)
@@ -394,7 +397,7 @@ def test_momentum_operators(fock13):
 
 def test_mass_shell_exact_on_massive_hyperboloid():
     f = fock_space(hyperboloid(4, 3), 1)
-    assert mass_shell_defect(f) == 0
+    assert mass_shell_defect(f.hyperboloid) == 0
 
 
 def test_empty_hyperboloid_rejected():

@@ -8,10 +8,12 @@ import pytest
 
 from causet_qft.lattice import Vec4, norm_sq4
 from causet_qft.momentum import (
+    Hyperboloid,
     PoincareElement,
     attainable_spatial_norms,
     hyperboloid,
     hyperboloid_invariance_defect,
+    mass_shell_defect,
     mass_squared_values,
     mass_table_paper_diff,
     poincare_identity,
@@ -100,6 +102,15 @@ def test_mass_integrality():
     for p in h.points:
         assert isinstance(norm_sq4(p), int)
         assert norm_sq4(p) == 2
+
+
+def test_mass_shell_defect():
+    for mass_sq, cap in ((0, 1), (1, 2), (2, 3), (4, 3)):
+        h = hyperboloid(mass_sq, cap)
+        assert mass_shell_defect(h) == max(abs(norm_sq4(p) - mass_sq) for p in h.points) == 0
+    # (1, 1, 0, 0) is light-like, so it misses the mass-1 shell by exactly 1
+    off_shell = Hyperboloid(mass_sq=1, p_max=1, points=(Vec4(1, 0, 0, 0), Vec4(1, 1, 0, 0)))
+    assert mass_shell_defect(off_shell) == 1
 
 
 def _random_poincare(rnd):

@@ -297,7 +297,6 @@ def test_order_parity(model):
     pts = model.pi_space.hyperboloid.points
     incoming, outgoing = (pts[1], pts[2]), (pts[3], pts[4])
     rep = order_parity_check(amplitude(model, incoming, outgoing), incoming, outgoing)
-    assert rep["passes"]
     assert rep["order0"] == 0.0
     assert rep["odd_order_max"] <= 1e-10
     assert abs(rep["order2"]) > 1e-4  # leading contribution is second order

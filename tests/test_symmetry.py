@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from causet_qft import paperdata
 from causet_qft.lattice import E3, F3, G3, Vec3, Vec4, norm_sq4, minkowski_doubled
 from causet_qft.symmetry import (
     ELEMENT_PRINT_DIFFS,
+    _det4_exact,
     apply3,
     apply4,
     build_table,
@@ -23,6 +25,7 @@ from causet_qft.symmetry import (
     multiply,
     no_boost_search,
     pairwise_generators,
+    preserves_minkowski_form,
     table_diff_vs_printed,
     verify_subgroups,
 )
@@ -175,6 +178,36 @@ def test_boost_examples_are_genuine_isometries():
             v = Vec4(*(rnd.randint(-8, 8) for _ in range(4)))
             img = mat @ np.array(v.coords())
             assert norm_sq4(Vec4(*(int(x) for x in img))) == norm_sq4(v)
+        assert preserves_minkowski_form(m)
+    assert all(preserves_minkowski_form(lift_to4(z)) for z in elements())
+    # one entry off: the image of the time axis (1, 0, 0, 0) changes norm
+    bad = [list(row) for row in cert.boost_examples[0]]
+    bad[0][0] += 1
+    assert not preserves_minkowski_form(bad)
+
+
+def _leibniz_det(m) -> int:
+    """Oracle: the signed sum over all 24 permutations of entry products."""
+    total = 0
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = (-1) ** inversions
+        for i in range(4):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def test_det4_exact_matches_leibniz_oracle():
+    rnd = random.Random(44)
+    samples = [np.eye(4, dtype=np.int64), np.zeros((4, 4), dtype=np.int64)]
+    for _ in range(3000):
+        m = np.array([[rnd.randint(-12, 12) for _ in range(4)] for _ in range(4)], dtype=np.int64)
+        m[rnd.randrange(4), 0] = 0  # the expansion along the first column skips zeros
+        samples.append(m)
+    for m in samples:
+        # _det4_exact takes the columns, as no_boost_search passes them
+        assert _det4_exact(tuple(m.T)) == _leibniz_det(m.tolist())
 
 
 def test_element_matrices_satisfy_group_invariants():
