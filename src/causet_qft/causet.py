@@ -141,9 +141,6 @@ class History:
     def __contains__(self, v: Vec4) -> bool:
         return 0 <= v.t <= self.horizon and norm_sq4(v) >= 0
 
-    def size(self) -> int:
-        return sum(len(sh) for sh in self.shells)
-
 
 def history(t: int) -> History:
     if t < 0:
@@ -375,24 +372,23 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
     )
 
 
-def construction_cross_check(t_max: int) -> list[dict]:
-    """Shell sizes by norm enumeration versus iterated one-step construction.
+def construction_cross_check(hist: History) -> list[dict]:
+    """Shell sizes of ``hist`` (norm enumeration) versus iterated one-step construction.
 
     The published account treats the two as interchangeable; they agree only
     up to t = 2, and the per-timestep report makes the divergence explicit.
     """
     reachable = {ORIGIN}
     rows = []
-    for t in range(t_max + 1):
+    for t, sh in enumerate(hist.shells):
         if t > 0:
             reachable = {w + s for w in reachable for s in _STEPS}
-        enum_size = len(shell(t))
         rows.append(
             {
                 "t": t,
-                "enumerated": enum_size,
+                "enumerated": len(sh),
                 "step_construction": len(reachable),
-                "equal": enum_size == len(reachable),
+                "equal": len(sh) == len(reachable),
             }
         )
     return rows

@@ -216,13 +216,17 @@ def _printed_matrix(label: str) -> np.ndarray:
     return np.array(paperdata.SPINOR_PRINTED[label])
 
 
-def _valid_su2_form(p: np.ndarray, tol: float) -> bool:
+# A printed spinor matrix counts as a valid form, or as a match, within this.
+_PRINTED_TOL = 1e-9
+
+
+def _valid_su2_form(p: np.ndarray) -> bool:
     """Unitary with determinant 1, of the form [[a, b], [-conj(b), conj(a)]]."""
     return bool(
-        np.max(np.abs(p.conj().T @ p - np.eye(2))) < tol
-        and abs(np.linalg.det(p) - 1.0) < tol
-        and abs(p[1, 1] - p[0, 0].conjugate()) < tol
-        and abs(p[1, 0] + p[0, 1].conjugate()) < tol
+        np.max(np.abs(p.conj().T @ p - np.eye(2))) < _PRINTED_TOL
+        and abs(np.linalg.det(p) - 1.0) < _PRINTED_TOL
+        and abs(p[1, 1] - p[0, 0].conjugate()) < _PRINTED_TOL
+        and abs(p[1, 0] + p[0, 1].conjugate()) < _PRINTED_TOL
     )
 
 
@@ -237,7 +241,7 @@ def _printed_sign(label: str) -> int:
     canonical = _SPINOR_CANONICAL[label].matrix
     p = _printed_matrix(label)
     d_plus, d_minus = np.max(np.abs(p - canonical)), np.max(np.abs(p + canonical))
-    if not _valid_su2_form(p, 1e-9) or min(d_plus, d_minus) >= 1e-9:
+    if not _valid_su2_form(p) or min(d_plus, d_minus) >= _PRINTED_TOL:
         return 0
     return 1 if d_plus < d_minus else -1
 
@@ -282,7 +286,7 @@ def projective_check(convention: SignConvention = SignConvention.CANONICAL) -> d
     return {"convention": convention.value, "worst_residual": worst, "cocycle": cocycle}
 
 
-def printed_spinor_report(tol: float = 1e-9) -> list[dict]:
+def printed_spinor_report() -> list[dict]:
     """Per-element comparison of the computed spinor values with the listing."""
     out = []
     for z in elements():
@@ -292,8 +296,8 @@ def printed_spinor_report(tol: float = 1e-9) -> list[dict]:
         out.append(
             {
                 "label": z.label,
-                "printed_valid_form": _valid_su2_form(p, tol),
-                "matches_up_to_sign": diff < tol,
+                "printed_valid_form": _valid_su2_form(p),
+                "matches_up_to_sign": diff < _PRINTED_TOL,
                 "max_abs_diff": diff,
                 "printed_sign": _PRINTED_SIGNS[z.label],
             }

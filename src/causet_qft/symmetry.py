@@ -393,11 +393,11 @@ def no_boost_search(bound: int) -> BoostCertificate:
     )
 
 
-def isometry_report(samples: int = 100, seed: int = 0) -> dict:
-    """Check the Gram form is preserved on all basis pairs and random vectors."""
+def isometry_report() -> dict:
+    """Check the Gram form is preserved on all basis pairs and 100 seeded random pairs."""
     import random
 
-    rnd = random.Random(seed)
+    rnd = random.Random(0)
     basis = (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
     worst_ok = True
     for z in _ELEMENTS:
@@ -406,7 +406,7 @@ def isometry_report(samples: int = 100, seed: int = 0) -> dict:
                 if inner3_doubled(apply3(z, u), apply3(z, v)) != inner3_doubled(u, v):
                     worst_ok = False
     random_ok = True
-    for _ in range(samples):
+    for _ in range(100):
         u = Vec3(rnd.randint(-50, 50), rnd.randint(-50, 50), rnd.randint(-50, 50))
         v = Vec3(rnd.randint(-50, 50), rnd.randint(-50, 50), rnd.randint(-50, 50))
         z = _ELEMENTS[rnd.randrange(24)]

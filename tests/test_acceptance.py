@@ -89,7 +89,7 @@ def test_criterion_3_representations():
     with criterion(3, 30.0, "unitary and spinor representations"):
         assert reps.homomorphism_defect() < 1e-12
         assert reps.eigenvalue_set_defect() < 1e-10
-        report = reps.printed_spinor_report(tol=1e-9)
+        report = reps.printed_spinor_report()
         mismatched = {r["label"] for r in report if not r["matches_up_to_sign"]}
         # every faithfully printed matrix is reproduced to 1e-9; the eight
         # remaining listings are corrupted in the source (wrong exponents,
@@ -116,7 +116,7 @@ def test_criterion_3_representations():
     ),
 )
 def test_criterion_3_literal_every_printed_spinor_matches():
-    report = reps.printed_spinor_report(tol=1e-9)
+    report = reps.printed_spinor_report()
     assert all(r["matches_up_to_sign"] for r in report)
 
 
@@ -347,7 +347,9 @@ def test_criterion_9_dyson_engine():
         model = scattering.build_model(cfg)
         pts = model.pi_space.hyperboloid.points
         incoming, outgoing = (pts[1], pts[2]), (pts[3], pts[4])
-        amplitudes = scattering.amplitude(model, incoming, outgoing)
+        amplitudes = scattering.amplitude(
+            model, incoming, outgoing, scattering.scattering_series(model)
+        )
         report = scattering.order_parity_check(amplitudes, incoming, outgoing)
         assert report["order0"] <= 1e-10
         assert report["odd_order_max"] <= 1e-10

@@ -268,7 +268,7 @@ def test_parent_histogram_totals():
 
 
 def test_construction_cross_check():
-    rows = construction_cross_check(3)
+    rows = construction_cross_check(history(3))
     assert [r["equal"] for r in rows] == [True, True, True, False]
     assert rows[2]["enumerated"] == 55
     assert rows[3]["enumerated"] == 177

@@ -254,8 +254,10 @@ def test_scatter(capsys):
                        bundle["payload"]["per_order"][2]["im"])) > 1e-4
     assert bundle["summary"]["all_passed"]
     details = {c["name"]: c["detail"] for c in bundle["summary"]["checks"]}
+    assert details["orders_sum_to_series"] < 1e-9
     assert details == {
         "recursion_matches_expansion": bundle["payload"]["expansion_defect"],
+        "orders_sum_to_series": details["orders_sum_to_series"],
         "hamiltonians_self_adjoint": 0.0,
         "odd_orders_vanish": bundle["payload"]["odd_order_max"],
         "order_zero_vanishes_for_distinct_states": 0.0,
@@ -332,15 +334,41 @@ def test_scatter_zero_coupling_is_accepted(capsys):
 
 
 def test_library_gate_failure_is_a_named_error(capsys):
-    # at this coupling the recursion and the expansion disagree far beyond
-    # the series' own tolerance, and scattering_series raises
+    # at this coupling the series' absolute defects are far above 1e-9: both
+    # series checks fail in the report, which is still written
     code, out, err = run_cli(
-        capsys, "scatter", "--g", "1e6", "--m2", "0", "--M2", "1", "--horizon", "3", "--window", "0"
+        capsys, "--format", "json", "scatter", "--g", "1e6", "--m2", "0", "--M2", "1",
+        "--horizon", "3", "--window", "0",
     )
     assert code == 1
-    assert out == ""
-    assert err.startswith("error: recursion/expansion mismatch")
+    bundle = json.loads(out)
+    checks = {c["name"]: c for c in bundle["summary"]["checks"]}
+    for name in ("recursion_matches_expansion", "orders_sum_to_series"):
+        assert checks[name]["passed"] is False
+        assert checks[name]["detail"] > 1e-9
+    assert checks["recursion_matches_expansion"]["detail"] == bundle["payload"]["expansion_defect"]
+    assert "FAILED: recursion_matches_expansion, orders_sum_to_series" in err
+    assert "error:" not in err
     assert "Traceback" not in err
+
+
+def test_scatter_fails_on_a_differing_expansion(capsys, monkeypatch):
+    """A genuine fault: an expansion off by 1e-6 fails only the expansion check."""
+    original = scattering.expansion_formula
+
+    def off(a_seq, x0, n):
+        return original(a_seq, x0, n) + 1e-6
+
+    monkeypatch.setattr(scattering, "expansion_formula", off)
+    code, out, err = run_cli(
+        capsys, "--format", "json", "scatter", "--g", "0.1", "--m2", "0", "--M2", "1",
+        "--horizon", "3", "--window", "0",
+    )
+    assert code == 1
+    checks = json.loads(out)["summary"]["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["recursion_matches_expansion"]
+    assert checks[0]["detail"] == pytest.approx(1e-6, rel=1e-6)
+    assert err.splitlines()[-1] == "FAILED: recursion_matches_expansion"
 
 
 def test_out_file(tmp_path, capsys):
@@ -399,8 +427,8 @@ CHECK_NAMES = {
         "rep_v_block_diagonal", "mass_shell_identity_exact",
     ],
     "scatter": [
-        "recursion_matches_expansion", "hamiltonians_self_adjoint", "odd_orders_vanish",
-        "order_zero_vanishes_for_distinct_states",
+        "recursion_matches_expansion", "orders_sum_to_series", "hamiltonians_self_adjoint",
+        "odd_orders_vanish", "order_zero_vanishes_for_distinct_states",
     ],
 }
 

@@ -17,6 +17,7 @@ from causet_qft.scattering import (
     build_model,
     difference_op,
     expansion_formula,
+    interaction_hamiltonian,
     order_parity_check,
     product_formula,
     scattering_series,
@@ -142,7 +143,7 @@ def test_hamiltonian_selfadjoint(window_radius):
     m = build_model(cfg)
     assert len(window_slice(cfg, 2)) == (1 if window_radius == 0 else 13)
     for t in range(cfg.horizon):
-        h = m.hamiltonian(t)
+        h = interaction_hamiltonian(m, t)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
@@ -158,7 +159,7 @@ def test_hamiltonian_zero_coupling(model):
         horizon=2,
     )
     m0 = build_model(cfg0)
-    assert np.all(m0.hamiltonian(0) == 0)
+    assert np.all(interaction_hamiltonian(m0, 0) == 0)
     series = scattering_series(m0)
     for s in series.steps:
         assert np.array_equal(s, np.eye(m0.dim, dtype=complex))
@@ -183,7 +184,7 @@ def test_hamiltonian_single_point_hand_check():
     assert np.allclose(pi0, np.array([[0, 1, 0], [1, 0, s2], [0, s2, 0]]))
     expected_pi_sq = np.array([[1, 0, s2], [0, 3, 0], [s2, 0, 2]])
     expected_sigma = np.array([[0, 1], [1, 0]])
-    h0 = m.hamiltonian(0)
+    h0 = interaction_hamiltonian(m, 0)
     assert np.allclose(h0, 0.5 * np.kron(expected_pi_sq, expected_sigma), atol=1e-14)
 
 
@@ -194,11 +195,45 @@ def test_series_recursion_properties(model):
     # the difference of consecutive steps is iH(t) S(t)
     diffs = difference_op(list(series.steps))
     for t, d in enumerate(diffs):
-        expected = (1j * model.hamiltonian(t)) @ series.steps[t]
+        expected = (1j * interaction_hamiltonian(model, t)) @ series.steps[t]
         assert np.max(np.abs(d - expected)) < 1e-10
     # per-order pieces sum to the final operator
     total = sum(series.final_orders)
     assert np.max(np.abs(total - series.final)) < 1e-10
+
+
+def _reference_orders(hams, dim):
+    """Every order updated at every step: the n^2-product recursion."""
+    n = len(hams)
+    orders = [np.eye(dim, dtype=complex)] + [np.zeros((dim, dim), dtype=complex) for _ in range(n)]
+    for h in hams:
+        ih = 1j * h
+        orders = [orders[0]] + [orders[k] + ih @ orders[k - 1] for k in range(1, n + 1)]
+    return orders
+
+
+@pytest.mark.parametrize("window_radius", [0, 1])
+@pytest.mark.parametrize("horizon", range(6))
+def test_final_orders_match_full_recursion(horizon, window_radius):
+    """Skipping the orders that are still zero changes no bit, signed zeros included."""
+    cfg = InteractionConfig(
+        coupling=0.1,
+        pi_mass_sq=0,
+        sigma_mass_sq=1,
+        energy_cap=1,
+        pi_particle_cap=2,
+        sigma_particle_cap=1,
+        window_radius=window_radius,
+        horizon=horizon,
+    )
+    m = build_model(cfg)
+    series = scattering_series(m)
+    reference = _reference_orders(series.hamiltonians, m.dim)
+    assert len(series.final_orders) == len(reference) == horizon + 1
+    for got, want in zip(series.final_orders, reference):
+        assert np.array_equal(got, want)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
 
 
 def test_series_one_step(model):
@@ -214,7 +249,7 @@ def test_series_one_step(model):
     )
     m1 = build_model(cfg1)
     series = scattering_series(m1)
-    expected = np.eye(m1.dim, dtype=complex) + 1j * m1.hamiltonian(0)
+    expected = np.eye(m1.dim, dtype=complex) + 1j * interaction_hamiltonian(m1, 0)
     assert np.max(np.abs(series.final - expected)) == 0.0
 
 
@@ -231,7 +266,7 @@ def test_series_two_steps_order_pattern(model):
     )
     m2 = build_model(cfg2)
     series = scattering_series(m2)
-    h0, h1 = m2.hamiltonian(0), m2.hamiltonian(1)
+    h0, h1 = interaction_hamiltonian(m2, 0), interaction_hamiltonian(m2, 1)
     eye = np.eye(m2.dim, dtype=complex)
     # later time acts on the left of earlier time
     expected = eye + 1j * (h0 + h1) + (1j**2) * (h1 @ h0)
@@ -244,7 +279,7 @@ def test_unitarity_defect_structure(model):
     defects = series.unitarity_defects
     assert defects[0] == 0.0
     # one step: S*S - I = H^2 exactly for self-adjoint H
-    h0 = model.hamiltonian(0)
+    h0 = interaction_hamiltonian(model, 0)
     assert defects[1] == pytest.approx(float(np.max(np.abs(h0 @ h0))), rel=1e-12)
     assert all(d > 0 for d in defects[1:])
 
@@ -288,7 +323,7 @@ def test_amplitude_identity_for_equal_states(model):
     )
     m0 = build_model(cfg0)
     pts = m0.pi_space.hyperboloid.points
-    rep = amplitude(m0, (pts[1], pts[2]), (pts[1], pts[2]))
+    rep = amplitude(m0, (pts[1], pts[2]), (pts[1], pts[2]), scattering_series(m0))
     assert rep.total == pytest.approx(1.0)
     assert rep.probability == pytest.approx(1.0)
 
@@ -296,7 +331,9 @@ def test_amplitude_identity_for_equal_states(model):
 def test_order_parity(model):
     pts = model.pi_space.hyperboloid.points
     incoming, outgoing = (pts[1], pts[2]), (pts[3], pts[4])
-    rep = order_parity_check(amplitude(model, incoming, outgoing), incoming, outgoing)
+    rep = order_parity_check(
+        amplitude(model, incoming, outgoing, scattering_series(model)), incoming, outgoing
+    )
     assert rep["order0"] == 0.0
     assert rep["odd_order_max"] <= 1e-10
     assert abs(rep["order2"]) > 1e-4  # leading contribution is second order
@@ -305,7 +342,7 @@ def test_order_parity(model):
 
 def test_amplitude_report_structure(model):
     pts = model.pi_space.hyperboloid.points
-    rep = amplitude(model, (pts[1], pts[2]), (pts[3], pts[4]))
+    rep = amplitude(model, (pts[1], pts[2]), (pts[3], pts[4]), scattering_series(model))
     assert isinstance(rep, AmplitudeReport)
     assert len(rep.per_order) == model.cfg.horizon + 1
     assert rep.probability == pytest.approx(abs(rep.total) ** 2)
@@ -316,7 +353,7 @@ def test_amplitude_report_structure(model):
 def test_sigma_parity_structure(model):
     """Each density insertion moves the sigma number by one: K is block
     off-diagonal in the sigma sector grading."""
-    h = model.hamiltonian(0)
+    h = interaction_hamiltonian(model, 0)
     ns = model.sigma_space.dim
     blocks = h.reshape(model.pi_space.dim, ns, model.pi_space.dim, ns)
     for a in range(ns):
