@@ -11,10 +11,12 @@ causally after the origin yet cannot be reached by any chain of links.
 Reports carry those counterexamples rather than assuming the two notions
 agree.
 
-A history carries its vertices as index-aligned arrays: coordinates, the
+A history carries its vertices as index-aligned arrays: the V x 4
+coordinates, built straight from the lattice enumerator's integer rows, the
 V x V order, the V x 13 link (child) indices and the V x V link
-reachability.  Every diagnostic is computed from those arrays.  The
-per-vertex functions (``precedes``, ``children``, ``parents``,
+reachability.  Every diagnostic is computed from those arrays; ``Vec4``
+objects appear only in report samples and in the ``vertices`` and ``shell``
+views.  The per-vertex functions (``precedes``, ``children``, ``parents``,
 ``path_lengths``) define the same notions one object at a time and serve
 as the oracles the arrays are tested against.
 """
@@ -30,20 +32,14 @@ from functools import cached_property
 import numpy as np
 
 from . import paperdata
-from .lattice import (
-    Vec4,
-    norm_sq3,
-    norm_sq4,
-    unit_vectors3,
-    vectors_with_norm_up_to,
-)
+from .lattice import Vec4, norm_sq3_rows, norm_sq4, unit_vectors3, vectors_with_norm_up_to
+from .momentum import attainable_spatial_norms
 from .symmetry import GroupElement, apply4
 
 __all__ = [
     "ORIGIN",
     "in_cone",
     "shell",
-    "shell_sizes",
     "History",
     "history",
     "causal_order",
@@ -83,13 +79,7 @@ def shell(t: int) -> tuple[Vec4, ...]:
     """All vertices at time t, lexicographically ordered by coordinates."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    out = [Vec4(t, v.n, v.p, v.q) for v in vectors_with_norm_up_to(t * t)]
-    out.sort(key=Vec4.coords)
-    return tuple(out)
-
-
-def shell_sizes(t_max: int) -> list[int]:
-    return [len(shell(t)) for t in range(t_max + 1)]
+    return tuple(Vec4(t, *row) for row in vectors_with_norm_up_to(t * t).tolist())
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -97,31 +87,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class History:
-    """The union of shells 0..t with membership index.
+    """The union of shells 0..t as index-aligned arrays.
 
-    The vertices run shell by shell in lexicographic (t, n, p, q) order, and
-    row i of every array property describes ``vertices[i]``.  The arrays are
-    computed on first use, cached, and read-only.
+    The vertices run shell by shell in lexicographic (t, n, p, q) order, shell
+    t being rows ``offsets[t]:offsets[t + 1]``.  Row i of ``coords`` (V x 4
+    int32) and of every array property describes vertex i.  All arrays are
+    read-only; the properties are computed on first use and cached.
     """
 
     horizon: int
-    shells: tuple[tuple[Vec4, ...], ...]
+    coords: np.ndarray
+    offsets: tuple[int, ...]
 
     @cached_property
     def vertices(self) -> tuple[Vec4, ...]:
-        return tuple(v for sh in self.shells for v in sh)
+        """The ``Vec4`` view of ``coords``."""
+        return tuple(Vec4(*row) for row in self.coords.tolist())
 
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """Shell t is the vertex index range ``offsets[t]:offsets[t + 1]``."""
-        return tuple(itertools.accumulate((len(sh) for sh in self.shells), initial=0))
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """V x 4 int32 coordinates (t, n, p, q)."""
-        return _frozen(np.array([v.coords() for v in self.vertices], dtype=np.int32))
+    def vertex(self, i: int) -> Vec4:
+        return Vec4(*self.coords[i].tolist())
 
     @cached_property
     def links(self) -> np.ndarray:
@@ -145,7 +131,12 @@ class History:
 def history(t: int) -> History:
     if t < 0:
         raise ValueError("time must be nonnegative")
-    return History(horizon=t, shells=tuple(shell(s) for s in range(t + 1)))
+    rows = vectors_with_norm_up_to(t * t)
+    norms = norm_sq3_rows(rows)
+    # the enumerator's rows are lexicographic, and so is every subset of them
+    shells = [np.insert(rows[norms <= s * s], 0, s, axis=1) for s in range(t + 1)]
+    offsets = tuple(itertools.accumulate(map(len, shells), initial=0))
+    return History(t, _frozen(np.concatenate(shells).astype(np.int32)), offsets)
 
 
 def causal_order(coords: np.ndarray) -> np.ndarray:
@@ -331,12 +322,12 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
     Samples and the witness are the first pairs or vertices in row-major
     vertex order.
     """
-    verts, links, order = hist.vertices, hist.links, hist.order
+    links, order = hist.links, hist.order
     times = hist.coords[:, 0]
 
     # a vertex's height is 0 without parents, else one more than its highest
     # parent; parents lie one shell down, so shells are settled in time order
-    heights = np.zeros(len(verts), dtype=np.int64)
+    heights = np.zeros(len(times), dtype=np.int64)
     for t in range(hist.horizon):
         rows = slice(hist.offsets[t], hist.offsets[t + 1])
         np.maximum.at(heights, links[rows].ravel(), np.repeat(heights[rows] + 1, links.shape[1]))
@@ -354,20 +345,20 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
     witness = None
     if later.any():
         u, v = np.unravel_index(np.argmax(later), later.shape)
-        witness = (verts[u], verts[v])
+        witness = (hist.vertex(u), hist.vertex(v))
 
     return CovarianceReport(
         horizon=hist.horizon,
-        vertex_count=len(verts),
+        vertex_count=len(times),
         comparable_pairs=int(np.count_nonzero(order)),
         weakly_covariant=weakly_covariant,
         covariant=witness is None,
         covariance_witness=witness,
         orphan_count=len(orphans),
-        orphans_sample=tuple(verts[i] for i in orphans[:5]),
+        orphans_sample=tuple(map(hist.vertex, orphans[:5])),
         height_mismatch_count=int(np.count_nonzero(heights != times)),
         pathless_comparable_pairs=int(np.count_nonzero(pathless)),
-        pathless_sample=tuple((verts[u], verts[v]) for u, v in np.argwhere(pathless)[:5]),
+        pathless_sample=tuple((hist.vertex(u), hist.vertex(v)) for u, v in np.argwhere(pathless)[:5]),
         parent_histogram=parent_histogram(hist),
     )
 
@@ -380,15 +371,15 @@ def construction_cross_check(hist: History) -> list[dict]:
     """
     reachable = {ORIGIN}
     rows = []
-    for t, sh in enumerate(hist.shells):
+    for t, size in enumerate(np.diff(hist.offsets).tolist()):
         if t > 0:
             reachable = {w + s for w in reachable for s in _STEPS}
         rows.append(
             {
                 "t": t,
-                "enumerated": len(sh),
+                "enumerated": size,
                 "step_construction": len(reachable),
-                "equal": len(sh) == len(reachable),
+                "equal": size == len(reachable),
             }
         )
     return rows
@@ -430,8 +421,7 @@ def average_speeds(t: int) -> tuple[Speed, ...]:
     """All speeds attainable from the origin in exactly t steps of time."""
     if t < 1:
         raise ValueError("time must be at least 1")
-    attained = sorted({norm_sq3(v) for v in vectors_with_norm_up_to(t * t)})
-    return tuple(Speed(q, t) for q in attained)
+    return tuple(Speed(q, t) for q in attainable_spatial_norms(t * t))
 
 
 def speeds_paper_diff(t: int) -> dict:

@@ -242,20 +242,20 @@ def cmd_no_boost(args) -> dict:
 def cmd_shells(args) -> dict:
     t = args.t
     hist = causet.history(t)
-    sizes = [len(sh) for sh in hist.shells]
+    sizes = np.diff(hist.offsets).tolist()
     cross = causet.construction_cross_check(hist)
     histogram = causet.parent_histogram(hist)
     complete, below_top = causet.complete_children(hist)
     payload = {
         "t": t,
         "sizes": sizes,
-        "history_size": len(hist.vertices),
+        "history_size": len(hist.coords),
         "children_per_vertex": 13,
         "parent_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "cross_check": cross,
     }
     if not args.sizes_only:
-        payload["shells"] = [[list(v.coords()) for v in sh] for sh in hist.shells]
+        payload["shells"] = [sh.tolist() for sh in np.split(hist.coords, hist.offsets[1:-1])]
     checks = [
         _check("shell0_single_vertex", sizes[0] == 1),
         _check("shell1_thirteen_vertices", len(sizes) < 2 or sizes[1] == 13),
@@ -274,7 +274,7 @@ def cmd_causet_verify(args) -> dict:
     diag = causet.covariance_diagnostics(hist)
     payload = {
         "t": t,
-        "vertex_count": len(hist.vertices),
+        "vertex_count": len(hist.coords),
         "order_axioms": axioms,
         "comparable_pairs": diag.comparable_pairs,
         # every link joins consecutive shells (the weak-covariance fact), so any
@@ -347,12 +347,12 @@ def cmd_hyperboloid(args) -> dict:
         "mass_sq": args.m2,
         "p_max": args.pmax,
         "count": len(h),
-        "points": [list(p.coords()) for p in h.points],
+        "points": h.coords.tolist(),
     }
     checks = [
         _check("points_on_shell_exact", momentum.mass_shell_defect(h) == 0),
         _check("rotation_invariant_point_set", invariance == 0),
-        _check("lexicographic_order", list(h.points) == sorted(h.points, key=lambda p: p.coords())),
+        _check("lexicographic_order", payload["points"] == sorted(payload["points"])),
     ]
     return _bundle("hyperboloid", {"m2": args.m2, "pmax": args.pmax}, payload, {}, checks)
 
@@ -383,9 +383,9 @@ def cmd_fock_verify(args) -> dict:
         "p_max": args.pmax,
         "n_max": args.nmax,
         "point_count": len(h),
-        "sector_dims": [s.dim for s in space.sectors],
+        "sector_dims": np.diff(space.offsets).tolist(),
         "total_dim": space.dim,
-        "basis_manifest": [[list(m) for m in s.multisets] for s in space.sectors],
+        "basis_manifest": [ms.tolist() for ms in space.multiset_arrays],
         "adjoint_defect": adjoint_defect,
         "phi_phi_commutator_max": phi_phi,
         "psi_psi_commutator_max": psi_psi,

@@ -13,25 +13,27 @@ number is capped at ``n_max``, and the creation image of the top sector is
 dropped.  Operator identities are therefore exact on the sector ranges
 where the truncation cannot leak, and the helpers expose those ranges
 explicitly.
+
+Sector n's basis is an array of sorted multisets, one row per basis vector;
+the phases of all points at x are one expression over the point rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .lattice import Vec4, minkowski_doubled
+from .lattice import MINKOWSKI_GRAM, Vec4, minkowski_doubled, rank_rows
 from .momentum import Hyperboloid, poincare_product
 from .representations import SignConvention, cal_u, spinor_of
 from .symmetry import GroupElement, inverse
 
 __all__ = [
-    "SectorBasis",
     "FockSpace",
     "FieldOperator",
     "fock_space",
@@ -58,29 +60,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SectorBasis:
-    """Basis of the n-particle sector: sorted index multisets with weights."""
-
-    n: int
-    multisets: tuple[tuple[int, ...], ...]
-    weights: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.multisets)
-
-
 def _weight(multiset: tuple[int, ...]) -> int:
     w = math.factorial(len(multiset))
     for k in set(multiset):
         w //= math.factorial(multiset.count(k))
     return w
-
-
-def _sector(d: int, n: int) -> SectorBasis:
-    multisets = tuple(combinations_with_replacement(range(d), n))
-    return SectorBasis(n=n, multisets=multisets, weights=tuple(_weight(m) for m in multisets))
 
 
 @dataclass(frozen=True)
@@ -89,8 +73,19 @@ class FockSpace:
 
     hyperboloid: Hyperboloid
     n_max: int
-    sectors: tuple[SectorBasis, ...]
-    offsets: tuple[int, ...]
+
+    @cached_property
+    def multiset_arrays(self) -> tuple[np.ndarray, ...]:
+        """Sector n's basis: its sorted multisets as the rows of a (sector dim, n) int
+        array, in lexicographic order."""
+        points = range(len(self.hyperboloid))
+        sectors = [list(itertools.combinations_with_replacement(points, n)) for n in range(self.n_max + 1)]
+        return tuple(np.array(rows, dtype=np.int64).reshape(len(rows), n) for n, rows in enumerate(sectors))
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Sector n is the index range ``offsets[n]:offsets[n + 1]``."""
+        return tuple(itertools.accumulate(map(len, self.multiset_arrays), initial=0))
 
     @property
     def dim(self) -> int:
@@ -103,16 +98,9 @@ class FockSpace:
         """Offset ending the sectors on which commutator identities are exact."""
         return self.offsets[self.n_max]
 
-    @cached_property
-    def multiset_arrays(self) -> tuple[np.ndarray, ...]:
-        """Sector n's sorted multisets as a (sector dim, n) int array, in basis order."""
-        return tuple(np.array(s.multisets, dtype=np.int64).reshape(s.dim, s.n) for s in self.sectors)
-
     def rank(self, n: int, multisets: np.ndarray) -> np.ndarray:
         """Full-space indices of the sorted rows of an (m, n) array of sector-n multisets."""
-        # the basis is in lexicographic order, so the base-d keys of its rows ascend
-        radix = len(self.hyperboloid) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        return self.offsets[n] + np.searchsorted(self.multiset_arrays[n] @ radix, multisets @ radix)
+        return self.offsets[n] + rank_rows(self.multiset_arrays[n], multisets)
 
     @cached_property
     def ladder_maps(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -142,11 +130,7 @@ def fock_space(h: Hyperboloid, n_max: int) -> FockSpace:
         raise ValueError("particle cap must be nonnegative")
     if len(h) == 0:
         raise ValueError("hyperboloid is empty at this truncation")
-    sectors = tuple(_sector(len(h), n) for n in range(n_max + 1))
-    offsets = [0]
-    for s in sectors:
-        offsets.append(offsets[-1] + s.dim)
-    return FockSpace(hyperboloid=h, n_max=n_max, sectors=sectors, offsets=tuple(offsets))
+    return FockSpace(hyperboloid=h, n_max=n_max)
 
 
 def phase(p: Vec4, x: Vec4) -> complex:
@@ -154,13 +138,20 @@ def phase(p: Vec4, x: Vec4) -> complex:
     return complex(np.exp(0.5j * minkowski_doubled(p, x)))
 
 
+def _phases(h: Hyperboloid, x: Vec4) -> np.ndarray:
+    """exp(i p.x) for every point p of h, in point order: :func:`phase` on the rows."""
+    return np.exp(0.5j * (h.coords @ MINKOWSKI_GRAM @ np.array(x.coords())))
+
+
 def phase_sum(h: Hyperboloid, x: Vec4, y: Vec4) -> complex:
-    """Independent oracle for the commutator scalar: sum of exp(i p.(y-x)))."""
-    return sum(phase(p, y - x) for p in h.points)
+    """Independent oracle for the commutator scalar: sum of exp(i p.(y-x)), in point order."""
+    return sum(_phases(h, y - x).tolist())
 
 
 def sine_sum(h: Hyperboloid, x: Vec4, y: Vec4) -> float:
-    return sum(math.sin(0.5 * minkowski_doubled(p, y - x)) for p in h.points)
+    """Sum of sin(p.(y-x)) over the points, in point order: exp of a purely imaginary
+    argument has sin(p.(y-x)) as its imaginary part exactly."""
+    return sum(_phases(h, y - x).imag.tolist())
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,6 @@ class FieldOperator:
     """
 
     fock: FockSpace
-    point: Vec4
     role: str  # "annihilates" or "creates"
     coeffs: tuple[complex, ...]
 
@@ -209,8 +199,8 @@ def phi(x: Vec4, fock: FockSpace) -> FieldOperator:
     The zero-particle sector is annihilated to zero: there is no block out of
     sector 0.
     """
-    coeffs = tuple(phase(p, x).conjugate() for p in fock.hyperboloid.points)
-    return FieldOperator(fock=fock, point=x, role="annihilates", coeffs=coeffs)
+    coeffs = tuple(np.conj(_phases(fock.hyperboloid, x)).tolist())
+    return FieldOperator(fock=fock, role="annihilates", coeffs=coeffs)
 
 
 def psi(x: Vec4, fock: FockSpace) -> FieldOperator:
@@ -221,8 +211,8 @@ def psi(x: Vec4, fock: FockSpace) -> FieldOperator:
     about the phase coefficients.  The image of the top
     sector is dropped by the truncation.
     """
-    coeffs = tuple(phase(p, x) for p in fock.hyperboloid.points)
-    return FieldOperator(fock=fock, point=x, role="creates", coeffs=coeffs)
+    coeffs = tuple(_phases(fock.hyperboloid, x).tolist())
+    return FieldOperator(fock=fock, role="creates", coeffs=coeffs)
 
 
 def xi_matrix(x: Vec4, fock: FockSpace) -> np.ndarray:
@@ -316,9 +306,8 @@ def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.n
     """Unitary symmetry action as ``(perm, amp)``, the monomial V[perm[c], c] = amp[c]:
     the rotation permutes each multiset's points (so V is block-diagonal over sectors)
     and the translation multiplies in the phases of the mapped points."""
-    h = fock.hyperboloid
-    point_perm = np.array(h.permutation_under(rot), dtype=np.int64)
-    point_phases = np.array([phase(p, y) for p in h.points])
+    point_perm = fock.hyperboloid.permutation_under(rot)
+    point_phases = _phases(fock.hyperboloid, y)
     perm = np.empty(fock.dim, dtype=np.int64)
     amp = np.ones(fock.dim, dtype=complex)
     for n, ms in enumerate(fock.multiset_arrays):
@@ -338,7 +327,7 @@ def rep_v_defects(fock: FockSpace, pairs) -> tuple[float, float, bool]:
     (perm1[perm2], amp1[perm2] amp2), and a differing support counts as a defect."""
     unitarity = hom = 0.0
     block_diagonal = True
-    sector_of = np.repeat(np.arange(fock.n_max + 1), [s.dim for s in fock.sectors])
+    sector_of = np.repeat(np.arange(fock.n_max + 1), np.diff(fock.offsets))
     for g1, g2 in pairs:
         (p1, a1), (p2, a2), (p12, a12) = (
             rep_v(g.translation, g.rotation, fock) for g in (g1, g2, poincare_product(g1, g2))
@@ -367,8 +356,7 @@ def spin_rep(y: Vec4, rot: GroupElement, spin, h: Hyperboloid) -> np.ndarray:
         raise ValueError(f"spin must be one of 0, 1/2, 1; got {spin!r}")
     perm = h.permutation_under(rot)
     single = np.zeros((len(h), len(h)), dtype=complex)
-    for i, p in enumerate(h.points):
-        single[perm[i], i] = phase(h.points[perm[i]], y)
+    single[perm, np.arange(len(h))] = _phases(h, y)[perm]
     k = _SPIN_TAGS[spin]
     if k == 1:
         return single
@@ -383,9 +371,7 @@ def spin_rep(y: Vec4, rot: GroupElement, spin, h: Hyperboloid) -> np.ndarray:
 
 def momentum_operators(fock: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal coordinate-multiplication operators on the one-particle sector."""
-    pts = fock.hyperboloid.points
-    comps = [np.diag([getattr(p, c) for p in pts]).astype(np.int64) for c in ("t", "n", "p", "q")]
-    return tuple(comps)
+    return tuple(np.diag(column) for column in fock.hyperboloid.coords.T)
 
 
 def multiset_indicator(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:

@@ -5,6 +5,10 @@ inner product 1/2; the spacetime lattice adds an orthogonal unit time
 direction.  All inner products are kept exact by working with *doubled*
 values (2<u,v> is always an integer), so nothing in this module touches
 floating point except the Cartesian embedding helper.
+
+Sets of lattice points are integer rows (the enumerator returns (n, p, q)
+rows, ``rank_rows`` finds rows in a sorted table); ``Vec3``/``Vec4`` are the
+one-vector API and the scalar oracles the row paths are tested against.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .paperdata import BASIS_CARTESIAN
 
@@ -23,6 +29,9 @@ __all__ = [
     "norm_sq4",
     "inner3_doubled",
     "minkowski_doubled",
+    "MINKOWSKI_GRAM",
+    "norm_sq3_rows",
+    "rank_rows",
     "unit_vectors3",
     "triads",
     "triples",
@@ -120,6 +129,12 @@ def minkowski_doubled(p: Vec4, x: Vec4) -> int:
     return 2 * p.t * x.t - inner3_doubled(p.spatial, x.spatial)
 
 
+# doubled Minkowski Gram matrix on coordinates (t, n, p, q): 2(p.x) = p @ G @ x
+MINKOWSKI_GRAM = np.array(
+    [[2, 0, 0, 0], [0, -2, -1, -1], [0, -1, -2, -1], [0, -1, -1, -2]], dtype=np.int64
+)
+
+
 def unit_vectors3() -> tuple[Vec3, ...]:
     """The 12 unit vectors, sorted lexicographically by coordinates."""
     return _UNIT_VECTORS
@@ -206,33 +221,42 @@ def basic_triple() -> Triple:
     return Triple(E3, F3, G3)
 
 
-def spatial_enumeration_bound(limit: int) -> int:
-    """Largest |coordinate| possible for norm_sq3 <= limit.
+def norm_sq3_rows(rows: np.ndarray) -> np.ndarray:
+    """``norm_sq3`` of every (n, p, q) row of an (m, 3) integer array."""
+    n, p, q = rows.T
+    return n * n + p * p + q * q + n * p + n * q + p * q
 
-    The quadratic form dominates half the coordinate sum of squares, so any
-    coordinate is bounded by sqrt(2*limit).
+
+def vectors_with_norm_up_to(limit: int) -> np.ndarray:
+    """All spatial vectors with norm_sq3 <= limit, as the (n, p, q) rows of an
+    (m, 3) int64 array in lexicographic order."""
+    # the form dominates half the coordinate sum of squares: |coordinate| <= sqrt(2 limit)
+    b = math.isqrt(2 * limit) if limit >= 0 else -1
+    axis = np.arange(-b, b + 1, dtype=np.int64)
+    rows = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    return rows[norm_sq3_rows(rows) <= limit]
+
+
+def vectors_with_norm(value: int) -> np.ndarray:
+    """All spatial vectors with norm_sq3 == value, as rows in lexicographic order."""
+    rows = vectors_with_norm_up_to(value)
+    return rows[norm_sq3_rows(rows) == value]
+
+
+def rank_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index in ``table`` of each row of ``rows``, or -1 for a row not in it.
+
+    ``table`` holds distinct integer rows in lexicographic order.  Each row is
+    read as the digits of one key, in a base above the spread of every entry,
+    so the table's keys ascend and a binary search finds each wanted key.
     """
-    if limit < 0:
-        return -1
-    return math.isqrt(2 * limit)
-
-
-def vectors_with_norm_up_to(limit: int) -> list[Vec3]:
-    """All spatial vectors with norm_sq3 <= limit, lexicographic order."""
-    b = spatial_enumeration_bound(limit)
-    out = []
-    for n in range(-b, b + 1):
-        for p in range(-b, b + 1):
-            for q in range(-b, b + 1):
-                v = Vec3(n, p, q)
-                if norm_sq3(v) <= limit:
-                    out.append(v)
-    return out
-
-
-def vectors_with_norm(value: int) -> list[Vec3]:
-    """All spatial vectors with norm_sq3 == value, lexicographic order."""
-    return [v for v in vectors_with_norm_up_to(value) if norm_sq3(v) == value]
+    lo = min(table.min(initial=0), rows.min(initial=0))
+    base = max(table.max(initial=0), rows.max(initial=0)) - lo + 1
+    radix = base ** np.arange(table.shape[1] - 1, -1, -1, dtype=np.int64)
+    keys, wanted = (table - lo) @ radix, (rows - lo) @ radix
+    pos = np.searchsorted(keys, wanted)
+    # keys are nonnegative, so the appended -1 matches nothing past the end
+    return np.where(np.append(keys, -1)[pos] == wanted, pos, -1)
 
 
 _UNIT_VECTORS = _enumerate_units()

@@ -5,15 +5,23 @@ same quadratic form, which is the only reading under which the squared mass
 (p0^2 minus the spatial form) is always an integer.  Hyperboloids are the
 forward sheet, truncated at a configurable energy cap so everything
 downstream stays finite.
+
+A hyperboloid's points are the sorted integer rows of a (d, 4) array; point
+lookup and the rotation action rank rows of it, and ``points`` is a view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import paperdata
-from .lattice import Vec4, norm_sq4, spatial_enumeration_bound, vectors_with_norm
-from .symmetry import GroupElement, apply4, inverse, multiply
+from .lattice import (
+    MINKOWSKI_GRAM, Vec4, norm_sq3_rows, rank_rows, vectors_with_norm, vectors_with_norm_up_to,
+)
+from .symmetry import GroupElement, apply4, inverse, lift_to4, multiply
 
 __all__ = [
     "attainable_spatial_norms",
@@ -34,15 +42,7 @@ def attainable_spatial_norms(limit: int) -> tuple[int, ...]:
     """All values of the spatial quadratic form up to ``limit``, by enumeration."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    b = spatial_enumeration_bound(limit)
-    seen = set()
-    for n in range(-b, b + 1):
-        for p in range(-b, b + 1):
-            for q in range(-b, b + 1):
-                v = n * n + p * p + q * q + n * p + n * q + p * q
-                if v <= limit:
-                    seen.add(v)
-    return tuple(sorted(seen))
+    return tuple(np.unique(norm_sq3_rows(vectors_with_norm_up_to(limit))).tolist())
 
 
 def spatial_norms_paper_diff(limit: int = 49) -> dict:
@@ -80,32 +80,46 @@ def mass_table_paper_diff(p0_max: int = 7) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hyperboloid:
-    """Forward-sheet mass hyperboloid truncated at energy cap ``p_max``."""
+    """Forward-sheet mass hyperboloid truncated at energy cap ``p_max``; ``coords``
+    holds its points as sorted, distinct (p0, n, p, q) int64 rows, indexed by row."""
 
     mass_sq: int
     p_max: int
-    points: tuple[Vec4, ...]
+    coords: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, Hyperboloid) and (self.mass_sq, self.p_max) == (other.mass_sq, other.p_max)
+        return same and np.array_equal(self.coords, other.coords)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
+
+    @cached_property
+    def points(self) -> tuple[Vec4, ...]:
+        return tuple(Vec4(*row) for row in self.coords.tolist())
 
     def index(self, p: Vec4) -> int:
-        try:
-            return self._index[p]
-        except KeyError:
-            raise ValueError(f"{p} is not on the truncated hyperboloid") from None
+        (i,) = rank_rows(self.coords, np.array([p.coords()])).tolist()
+        if i < 0:
+            raise ValueError(f"{p} is not on the truncated hyperboloid")
+        return i
 
     def __contains__(self, p: Vec4) -> bool:
-        return p in self._index
+        return bool(rank_rows(self.coords, np.array([p.coords()]))[0] >= 0)
 
-    def permutation_under(self, z: GroupElement) -> tuple[int, ...]:
+    def _image_indices(self, z: GroupElement) -> np.ndarray:
+        """Index of each point's image under the spatial action of z; -1 off the point set."""
+        return rank_rows(self.coords, self.coords @ np.array(lift_to4(z)).T)
+
+    def permutation_under(self, z: GroupElement) -> np.ndarray:
         """Index permutation induced by the spatial action; raises if not closed."""
-        return tuple(self.index(apply4(z, p)) for p in self.points)
+        perm = self._image_indices(z)
+        if (perm < 0).any():
+            p = self.points[int(np.argmax(perm < 0))]
+            raise ValueError(f"{apply4(z, p)} is not on the truncated hyperboloid")
+        return perm
 
 
 def hyperboloid(mass_sq: int, p_max: int) -> Hyperboloid:
@@ -114,19 +128,15 @@ def hyperboloid(mass_sq: int, p_max: int) -> Hyperboloid:
         raise ValueError("squared mass must be nonnegative")
     if p_max < 0:
         raise ValueError("energy cap must be nonnegative")
-    points = []
-    for p0 in range(p_max + 1):
-        q = p0 * p0 - mass_sq
-        if q < 0:
-            continue
-        points.extend(Vec4(p0, v.n, v.p, v.q) for v in vectors_with_norm(q))
-    points.sort(key=Vec4.coords)
-    return Hyperboloid(mass_sq=mass_sq, p_max=p_max, points=tuple(points))
+    # energy blocks ascend and each is in lexicographic order, so the rows are sorted
+    blocks = [np.insert(vectors_with_norm(p0 * p0 - mass_sq), 0, p0, axis=1) for p0 in range(p_max + 1)]
+    return Hyperboloid(mass_sq=mass_sq, p_max=p_max, coords=np.concatenate(blocks))
 
 
 def mass_shell_defect(h: Hyperboloid) -> int:
     """Largest |norm_sq4(p) - mass_sq| over the points: 0 when all are on the shell."""
-    return max((abs(norm_sq4(p) - h.mass_sq) for p in h.points), default=0)
+    twice_norms = np.einsum("ij,jk,ik->i", h.coords, MINKOWSKI_GRAM, h.coords)
+    return int(np.max(np.abs(twice_norms // 2 - h.mass_sq), initial=0))
 
 
 @dataclass(frozen=True)
@@ -158,10 +168,4 @@ def poincare_inverse(g: PoincareElement) -> PoincareElement:
 
 def hyperboloid_invariance_defect(h: Hyperboloid, group) -> int:
     """Number of (element, point) pairs whose image leaves the point set (0 expected)."""
-    bad = 0
-    for z in group:
-        for p in h.points:
-            if apply4(z, p) not in h:
-                bad += 1
-    return bad
-
+    return sum(int(np.count_nonzero(h._image_indices(z) < 0)) for z in group)

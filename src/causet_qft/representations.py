@@ -179,10 +179,15 @@ def seven_equation_residuals(rotation: np.ndarray, a: complex, b: complex) -> tu
     )
 
 
-def _solve_spinor(rotation: np.ndarray, tol: float = 1e-10) -> tuple[complex, complex]:
+# A rotation's imaginary parts, and the seven relations' residuals at its
+# recovered spinor value, must stay within this.
+_SPINOR_TOL = 1e-10
+
+
+def _solve_spinor(rotation: np.ndarray) -> tuple[complex, complex]:
     A = np.asarray(rotation)
     if np.iscomplexobj(A):
-        if np.max(np.abs(A.imag)) > tol:
+        if np.max(np.abs(A.imag)) > _SPINOR_TOL:
             raise ValueError("rotation matrix must be real")
         A = A.real
     if np.max(np.abs(A.T @ A - np.eye(3))) > 1e-9 or np.linalg.det(A) < 0:
@@ -198,7 +203,7 @@ def _solve_spinor(rotation: np.ndarray, tol: float = 1e-10) -> tuple[complex, co
         diff_phase = cmath.phase(complex(0.5 * A[2, 0], 0.5 * A[2, 1]))
         a = a_abs * cmath.exp(0.5j * (sum_phase + diff_phase))
         b = b_abs * cmath.exp(0.5j * (sum_phase - diff_phase))
-    if max(seven_equation_residuals(A, a, b)) > tol:
+    if max(seven_equation_residuals(A, a, b)) > _SPINOR_TOL:
         raise ValueError("no spinor value satisfies the relations for this input")
     return a, b
 

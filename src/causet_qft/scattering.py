@@ -110,7 +110,7 @@ class InteractionConfig:
 def window_slice(cfg: InteractionConfig, t: int) -> tuple[Vec4, ...]:
     """Cone vertices at time t within the configured spatial radius."""
     cap = min(t, cfg.window_radius)
-    return tuple(Vec4(t, v.n, v.p, v.q) for v in vectors_with_norm_up_to(cap * cap))
+    return tuple(Vec4(t, *row) for row in vectors_with_norm_up_to(cap * cap).tolist())
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import paperdata
-from .lattice import Vec3, Vec4, _det3, inner3_doubled, norm_sq3, triples
+from .lattice import MINKOWSKI_GRAM, Vec3, Vec4, _det3, inner3_doubled, norm_sq3, triples
 
 __all__ = [
     "GroupElement",
@@ -279,18 +279,6 @@ def apply4(z: GroupElement, v: Vec4) -> Vec4:
     return Vec4(v.t, s.n, s.p, s.q)
 
 
-# doubled Minkowski Gram matrix on coordinates (t, n, p, q)
-_M4 = np.array(
-    [
-        [2, 0, 0, 0],
-        [0, -2, -1, -1],
-        [0, -1, -2, -1],
-        [0, -1, -1, -2],
-    ],
-    dtype=np.int64,
-)
-
-
 def _det4_exact(cols) -> int:
     """Determinant of the integer matrix with these columns, expanded along the first."""
     rows = [[int(x) for x in c] for c in cols]  # the transpose, whose determinant is the same
@@ -305,7 +293,7 @@ def preserves_minkowski_form(m: Matrix4) -> bool:
     """The exact Gram identity M^T G M == G, G the doubled Minkowski Gram matrix:
     M maps every vector to one of the same squared norm."""
     mat = np.array(m, dtype=np.int64)
-    return bool(np.array_equal(mat.T @ _M4 @ mat, _M4))
+    return bool(np.array_equal(mat.T @ MINKOWSKI_GRAM @ mat, MINKOWSKI_GRAM))
 
 
 @dataclass(frozen=True)
@@ -343,17 +331,17 @@ def no_boost_search(bound: int) -> BoostCertificate:
         raise ValueError("bound must be at least 3")
     rng = np.arange(-bound, bound + 1)
     grid = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
-    norms = np.einsum("ij,jk,ik->i", grid, _M4, grid) // 2
+    norms = np.einsum("ij,jk,ik->i", grid, MINKOWSKI_GRAM, grid) // 2
     d_arr = grid[norms == 1]
     s_arr = grid[norms == -1]
 
     sols = []
     for td in d_arr:
-        dots = s_arr @ (_M4 @ td)
+        dots = s_arr @ (MINKOWSKI_GRAM @ td)
         s0 = s_arr[dots == 0]
         if len(s0) < 3:
             continue
-        gram = s0 @ _M4 @ s0.T
+        gram = s0 @ MINKOWSKI_GRAM @ s0.T
         for i in range(len(s0)):
             js = np.nonzero(gram[i] == -1)[0]
             for j in js:

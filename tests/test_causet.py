@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -24,15 +25,18 @@ from causet_qft.causet import (
     path_lengths,
     precedes,
     shell,
-    shell_sizes,
     speeds_paper_diff,
 )
 from causet_qft.lattice import Vec4, norm_sq4
 from causet_qft.symmetry import elements
 
 
+def _shell_sizes(t_max):
+    return np.diff(history(t_max).offsets).tolist()
+
+
 def test_shell_sizes():
-    assert shell_sizes(3) == [1, 13, 55, 177]
+    assert _shell_sizes(3) == [1, 13, 55, 177]
 
 
 def test_shell_small_cases():
@@ -47,7 +51,7 @@ def test_shell_small_cases():
 
 
 def test_shell_sizes_nondecreasing():
-    sizes = shell_sizes(5)
+    sizes = _shell_sizes(5)
     assert all(sizes[i] <= sizes[i + 1] for i in range(len(sizes) - 1))
 
 
@@ -133,6 +137,31 @@ def _parent_histogram_oracle(hist) -> dict[int, dict[int, int]]:
         k = len([w for w in parents(v) if w in vset])
         counts[k] = counts.get(k, 0) + 1
     return histogram
+
+
+def _cone_oracle(horizon):
+    """Cone vertices up to ``horizon``, one ``Vec4`` at a time, in (t, n, p, q) order."""
+    span = range(-2 * horizon - 1, 2 * horizon + 2)
+    return [
+        v
+        for t in range(horizon + 1)
+        for v in (Vec4(t, n, p, q) for n, p, q in itertools.product(span, repeat=3))
+        if in_cone(v)
+    ]
+
+
+def test_history_coords_match_per_object_shells():
+    oracle = _cone_oracle(6)
+    for t in range(7):
+        hist = history(t)
+        verts = [v for v in oracle if v.t <= t]
+        assert hist.coords.dtype == np.int32
+        assert hist.coords.tolist() == [list(v.coords()) for v in verts]
+        assert hist.offsets == tuple(
+            itertools.accumulate((sum(v.t == s for v in verts) for s in range(t + 1)), initial=0)
+        )
+        for s in range(t + 1):
+            assert list(shell(s)) == [v for v in verts if v.t == s]
 
 
 @pytest.mark.parametrize("t", range(4))

@@ -26,7 +26,7 @@ from causet_qft.fock import (
     xi_commutator_defect,
     xi_matrix,
 )
-from causet_qft.lattice import Vec4, norm_sq3
+from causet_qft.lattice import Vec4, minkowski_doubled, norm_sq3
 from causet_qft.momentum import (
     PoincareElement,
     hyperboloid,
@@ -56,12 +56,12 @@ def _lowering_oracle(fock):
     """Per-point real lowering matrices on the full space."""
     mats = [np.zeros((fock.dim, fock.dim)) for _ in fock.hyperboloid.points]
     for n in range(fock.n_max):
-        src, dst = fock.sectors[n + 1], fock.sectors[n]
-        for col, mu in enumerate(src.multisets):
+        src, dst = fock.multiset_arrays[n + 1].tolist(), fock.multiset_arrays[n].tolist()
+        for col, mu in enumerate(src):
             for k in set(mu):
                 removed = list(mu)
                 removed.remove(k)
-                row = dst.multisets.index(tuple(removed))
+                row = dst.index(removed)
                 mats[k][fock.offsets[n] + row, fock.offsets[n + 1] + col] = math.sqrt(mu.count(k))
     return mats
 
@@ -95,13 +95,14 @@ def _rep_v_oracle(y, rot, fock):
     perm = fock.hyperboloid.permutation_under(rot)
     point_phases = [phase(p, y) for p in fock.hyperboloid.points]
     out = np.zeros((fock.dim, fock.dim), dtype=complex)
-    for n, sector in enumerate(fock.sectors):
-        for col, mu in enumerate(sector.multisets):
-            mapped = tuple(sorted(perm[i] for i in mu))
+    for n, sector in enumerate(fock.multiset_arrays):
+        sector = sector.tolist()
+        for col, mu in enumerate(sector):
+            mapped = sorted(perm[i] for i in mu)
             amp = 1.0 + 0.0j
             for i in mapped:
                 amp *= point_phases[i]
-            out[fock.offsets[n] + sector.multisets.index(mapped), fock.offsets[n] + col] = amp
+            out[fock.offsets[n] + sector.index(mapped), fock.offsets[n] + col] = amp
     return out
 
 
@@ -143,6 +144,34 @@ def test_as_matrix_matches_dense_oracle(oracle_space):
             assert np.max(np.abs(op.apply(vec) - m @ vec)) < 1e-12
 
 
+def test_array_phases_bit_equal_scalar_phase():
+    rnd = random.Random(14)
+    for m2, pmax in ((0, 2), (3, 3)):
+        space = fock_space(hyperboloid(m2, pmax), 1)
+        pts = space.hyperboloid.points
+        for _ in range(20):
+            x, y = _random_x(rnd, span=9), _random_x(rnd, span=9)
+            assert _same_bits(np.array(psi(x, space).coeffs), np.array([phase(p, x) for p in pts]))
+            conj = np.array([phase(p, x).conjugate() for p in pts])
+            assert _same_bits(np.array(phi(x, space).coeffs), conj)
+            assert _same_bits(
+                np.array(phase_sum(space.hyperboloid, x, y)), np.array(sum(phase(p, y - x) for p in pts))
+            )
+            sines = sum(math.sin(0.5 * minkowski_doubled(p, y - x)) for p in pts)
+            assert _same_bits(np.array(sine_sum(space.hyperboloid, x, y)), np.array(sines))
+
+
+def test_commutator_across_equal_spaces():
+    x, y = Vec4(1, 1, 0, 0), Vec4(2, 0, 1, -1)
+    first, second = (fock_space(hyperboloid(3, 3), 2) for _ in range(2))
+    assert first is not second and first == second
+    assert _same_bits(commutator(phi(x, first), psi(y, second)), commutator(phi(x, first), psi(y, first)))
+    with pytest.raises(ValueError, match="operators live on different Fock spaces"):
+        commutator(phi(x, first), psi(y, fock_space(hyperboloid(3, 3), 1)))
+    with pytest.raises(ValueError, match="operators live on different Fock spaces"):
+        commutator(phi(x, first), psi(y, fock_space(hyperboloid(3, 4), 2)))
+
+
 def test_commutator_matches_dense_oracle(oracle_space):
     space, mats = oracle_space
     rnd = random.Random(12)
@@ -167,12 +196,14 @@ def test_rep_v_matches_dense_oracle(oracle_space):
 
 
 def test_sector_dimensions(fock13):
-    dims = [s.dim for s in fock13.sectors]
+    dims = [len(ms) for ms in fock13.multiset_arrays]
     assert dims == [1, 13, 91]
+    assert fock13.offsets == (0, 1, 14, 105)
     assert fock13.dim == 105
-    assert fock13.sectors[2].dim == math.comb(13 + 2 - 1, 2)
+    assert fock13.multiset_arrays[2].shape == (math.comb(13 + 2 - 1, 2), 2)
     # weights: number of ordered arrangements, summing to d^n over the sector
-    assert sum(fock13.sectors[2].weights) == 13**2
+    indicators = [multiset_indicator(fock13, tuple(m)) for m in fock13.multiset_arrays[2].tolist()]
+    assert sum(np.vdot(e, e).real for e in indicators) == pytest.approx(13**2)
 
 
 def test_inner_product_weights(fock13):

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from causet_qft.lattice import (
     E3,
     F3,
     G3,
+    MINKOWSKI_GRAM,
     ZERO3,
     Triple,
     Vec3,
@@ -23,11 +25,14 @@ from causet_qft.lattice import (
     inner3_doubled,
     minkowski_doubled,
     norm_sq3,
+    norm_sq3_rows,
     norm_sq4,
+    rank_rows,
     to_cartesian3,
     triads,
     triples,
     unit_vectors3,
+    vectors_with_norm,
     vectors_with_norm_up_to,
 )
 
@@ -145,9 +150,43 @@ def test_cartesian_preserves_form_on_random_vectors():
 
 def test_vectors_with_norm_up_to():
     vs = vectors_with_norm_up_to(1)
-    assert len(vs) == 13
-    assert ZERO3 in vs
-    assert vectors_with_norm_up_to(-1) == []
+    assert vs.shape == (13, 3)
+    assert list(ZERO3.coords()) in vs.tolist()
+    assert vectors_with_norm_up_to(-1).shape == (0, 3)
+
+
+def test_enumerator_matches_triple_loop():
+    # every coordinate of a vector with norm_sq3 <= 64 is at most sqrt(128) < 12
+    span = range(-12, 13)
+    candidates = [(norm_sq3(Vec3(n, p, q)), [n, p, q]) for n in span for p in span for q in span]
+    for limit in range(-1, 65):
+        rows = vectors_with_norm_up_to(limit)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [c for q, c in candidates if q <= limit]
+        assert vectors_with_norm(limit).tolist() == [c for q, c in candidates if q == limit]
+
+
+@given(st.lists(st.tuples(coords, coords, coords), max_size=20))
+def test_norm_rows_match_scalar_norm(rows):
+    got = norm_sq3_rows(np.array(rows, dtype=np.int64).reshape(-1, 3)).tolist()
+    assert got == [norm_sq3(Vec3(*r)) for r in rows]
+
+
+@given(vec4s, vec4s)
+def test_gram_matrix_is_the_doubled_pairing(p, x):
+    assert int(np.array(p.coords()) @ MINKOWSKI_GRAM @ np.array(x.coords())) == minkowski_doubled(p, x)
+
+
+def test_rank_rows_matches_dict_lookup():
+    rnd = random.Random(7)
+    for width in (0, 1, 3, 4):
+        pool = sorted({tuple(rnd.randint(-4, 4) for _ in range(width)) for _ in range(40)})
+        table = [r for r in pool if rnd.random() < 0.6]
+        index = {r: i for i, r in enumerate(table)}
+        table_rows = np.array(table, dtype=np.int64).reshape(len(table), width)
+        got = rank_rows(table_rows, np.array(pool, dtype=np.int64).reshape(len(pool), width))
+        assert got.tolist() == [index.get(r, -1) for r in pool]
+    assert rank_rows(np.zeros((0, 4), dtype=np.int64), np.ones((2, 4), dtype=np.int64)).tolist() == [-1, -1]
 
 
 def test_module_structure():

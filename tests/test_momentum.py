@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from causet_qft.lattice import Vec4, norm_sq4
+from causet_qft.lattice import Vec3, Vec4, norm_sq3, norm_sq4
 from causet_qft.momentum import (
     Hyperboloid,
     PoincareElement,
@@ -21,7 +23,7 @@ from causet_qft.momentum import (
     poincare_product,
     spatial_norms_paper_diff,
 )
-from causet_qft.symmetry import element, elements
+from causet_qft.symmetry import apply4, element, elements
 
 
 def test_attainable_small():
@@ -31,6 +33,13 @@ def test_attainable_small():
     assert 15 in a16 and 14 not in a16
     with pytest.raises(ValueError):
         attainable_spatial_norms(-1)
+
+
+def test_attainable_norms_match_triple_loop():
+    limit = 144
+    span = range(-17, 18)  # a coordinate of a vector of norm <= 144 is at most sqrt(288)
+    values = {norm_sq3(Vec3(*c)) for c in itertools.product(span, repeat=3)}
+    assert attainable_spatial_norms(limit) == tuple(sorted(v for v in values if v <= limit))
 
 
 def test_attainable_49_oracle():
@@ -109,8 +118,41 @@ def test_mass_shell_defect():
         h = hyperboloid(mass_sq, cap)
         assert mass_shell_defect(h) == max(abs(norm_sq4(p) - mass_sq) for p in h.points) == 0
     # (1, 1, 0, 0) is light-like, so it misses the mass-1 shell by exactly 1
-    off_shell = Hyperboloid(mass_sq=1, p_max=1, points=(Vec4(1, 0, 0, 0), Vec4(1, 1, 0, 0)))
+    off_shell = Hyperboloid(mass_sq=1, p_max=1, coords=np.array([[1, 0, 0, 0], [1, 1, 0, 0]]))
     assert mass_shell_defect(off_shell) == 1
+
+
+@pytest.mark.parametrize("mass_sq, cap", [(0, 2), (3, 3), (1, 4)])
+def test_index_and_permutation_match_apply4(mass_sq, cap):
+    h = hyperboloid(mass_sq, cap)
+    span = range(-2 * cap - 1, 2 * cap + 2)
+    cands = (Vec4(t, *c) for t in range(cap + 1) for c in itertools.product(span, repeat=3))
+    assert list(h.points) == sorted((v for v in cands if norm_sq4(v) == mass_sq), key=Vec4.coords)
+    position = {p: i for i, p in enumerate(h.points)}
+    for p in h.points:
+        assert h.index(p) == position[p] and p in h
+    for z in elements():
+        assert h.permutation_under(z).tolist() == [position[apply4(z, p)] for p in h.points]
+    outside = Vec4(cap + 1, 0, 0, 0)
+    assert outside not in h
+    with pytest.raises(ValueError, match="not on the truncated hyperboloid"):
+        h.index(outside)
+
+
+def test_open_point_set_counts_and_raises():
+    # a point set the rotations do not close: two points of the 13-point shell
+    h = Hyperboloid(mass_sq=0, p_max=1, coords=np.array([[1, 0, 0, 0], [1, 1, 0, 0]]))
+    outside = [(z, p) for z in elements() for p in h.points if apply4(z, p) not in set(h.points)]
+    assert len(outside) == 22  # (1, 1, 0, 0) stays put under 2 of the 24 rotations
+    assert hyperboloid_invariance_defect(h, elements()) == len(outside)
+    with pytest.raises(ValueError, match="not on the truncated hyperboloid"):
+        h.permutation_under(outside[0][0])
+
+
+def test_hyperboloids_built_twice_are_equal():
+    assert hyperboloid(3, 3) == hyperboloid(3, 3)
+    assert hyperboloid(3, 3) != hyperboloid(3, 4)
+    assert hyperboloid(0, 2) != hyperboloid(1, 2)
 
 
 def _random_poincare(rnd):
