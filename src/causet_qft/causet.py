@@ -16,9 +16,9 @@ coordinates, built straight from the lattice enumerator's integer rows, the
 V x V order, the V x 13 link (child) indices and the V x V link
 reachability.  Every diagnostic is computed from those arrays; ``Vec4``
 objects appear only in report samples and in the ``vertices`` and ``shell``
-views.  The per-vertex functions (``precedes``, ``children``, ``parents``,
-``path_lengths``) define the same notions one object at a time and serve
-as the oracles the arrays are tested against.
+views.  The per-vertex functions (``precedes``, ``children``, ``parents``)
+define the same notions one object at a time and serve as the oracles the
+arrays are tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +33,6 @@ import numpy as np
 from . import paperdata
 from .lattice import Vec4, norm_sq3_rows, norm_sq4, unit_vectors3, vectors_with_norm_up_to
 from .momentum import attainable_spatial_norms
-from .symmetry import GroupElement, apply4
 
 __all__ = [
     "ORIGIN",
@@ -51,7 +49,6 @@ __all__ = [
     "parents",
     "parent_histogram",
     "complete_children",
-    "path_lengths",
     "CovarianceReport",
     "covariance_diagnostics",
     "construction_cross_check",
@@ -231,31 +228,6 @@ def parents(u: Vec4) -> tuple[Vec4, ...]:
     return tuple(out)
 
 
-def path_lengths(u: Vec4, v: Vec4, sample_limit: int = 1000) -> frozenset[int]:
-    """Lengths of link chains from u to v found by depth-first search.
-
-    At most ``sample_limit`` complete chains are enumerated, in the
-    deterministic order induced by sorted children.  The result may be empty:
-    comparability does not imply link reachability on this lattice.
-    """
-    if not precedes(u, v):
-        raise ValueError("path enumeration requires u strictly before v")
-    lengths: set[int] = set()
-    found = 0
-    stack = [(u, 0)]
-    while stack and found < sample_limit:
-        w, depth = stack.pop()
-        for c in reversed(children(w)):
-            if c == v:
-                lengths.add(depth + 1)
-                found += 1
-                if found >= sample_limit:
-                    break
-            elif c.t < v.t and precedes(c, v):
-                stack.append((c, depth + 1))
-    return frozenset(lengths)
-
-
 def _parent_counts(hist: History) -> np.ndarray:
     """Number of in-history parents of each vertex."""
     return np.bincount(hist.links[hist.links >= 0], minlength=len(hist.links))
@@ -282,22 +254,6 @@ def complete_children(hist: History) -> tuple[int, int]:
     kids = np.sort(hist.links[: hist.offsets[-2]], axis=1)
     full = (kids[:, 0] >= 0) & np.all(kids[:, 1:] != kids[:, :-1], axis=1)
     return int(full.sum()), len(full)
-
-
-def _reachable_from(u: Vec4, hist: History) -> set[Vec4]:
-    reach = {u}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            if w.t >= hist.horizon:
-                continue
-            for c in children(w):
-                if c in hist and c not in reach:
-                    reach.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return reach
 
 
 @dataclass(frozen=True)
@@ -385,22 +341,6 @@ def construction_cross_check(hist: History) -> list[dict]:
     return rows
 
 
-def equivariance_check(t_max: int, group: tuple[GroupElement, ...]) -> bool:
-    """Spatial symmetries permute each shell and preserve the link relation."""
-    for t in range(t_max + 1):
-        sh = set(shell(t))
-        for z in group:
-            if {apply4(z, v) for v in sh} != sh:
-                return False
-    for t in range(t_max):
-        for v in shell(t):
-            kids = set(children(v))
-            for z in group:
-                if {apply4(z, c) for c in kids} != set(children(apply4(z, v))):
-                    return False
-    return True
-
-
 @dataclass(frozen=True)
 class Speed:
     """Average speed sqrt(Q)/t with its exact squared spatial displacement."""
@@ -411,10 +351,6 @@ class Speed:
     @property
     def value(self) -> float:
         return math.sqrt(self.norm_sq) / self.time
-
-    @property
-    def exact_square(self) -> Fraction:
-        return Fraction(self.norm_sq, self.time * self.time)
 
 
 def average_speeds(t: int) -> tuple[Speed, ...]:

@@ -35,6 +35,11 @@ from .momentum import PoincareElement
 
 TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "fock-verify"}
 
+# The scattering series' defects are gated relative to max|S(n)|: a product's
+# rounding error scales with the sizes of its factors, and |S| grows
+# geometrically with the horizon.  Measured defects sit near 2e-15 relative.
+SERIES_RELATIVE_BOUND = 1e-13
+
 
 def _plain(obj):
     """Recursively convert report values into JSON-encodable structures."""
@@ -444,6 +449,7 @@ def cmd_scatter(args) -> dict:
         "pi_dim": report.dims[0],
         "sigma_dim": report.dims[1],
         "expansion_defect": series.expansion_defect,
+        "series_max_abs": series.final_max_abs,
         "unitarity_defects": list(series.unitarity_defects),
         "odd_order_max": parity["odd_order_max"],
         "order0": parity["order0"],
@@ -455,9 +461,10 @@ def cmd_scatter(args) -> dict:
             "wall_clock": "emitted on stderr to keep stdout deterministic",
         },
     }
+    bound = SERIES_RELATIVE_BOUND * series.final_max_abs
     checks = [
-        _check("recursion_matches_expansion", series.expansion_defect < 1e-9, series.expansion_defect),
-        _check("orders_sum_to_series", series.order_sum_defect < 1e-9, series.order_sum_defect),
+        _check("recursion_matches_expansion", series.expansion_defect < bound, series.expansion_defect),
+        _check("orders_sum_to_series", series.order_sum_defect < bound, series.order_sum_defect),
         _check("hamiltonians_self_adjoint", herm < args.tol, herm),
         _check("odd_orders_vanish", parity["odd_order_max"] <= args.tol, parity["odd_order_max"]),
     ]

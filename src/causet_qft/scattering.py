@@ -1,4 +1,4 @@
-"""Discrete-time scattering: difference calculus, step products and amplitudes.
+"""Discrete-time scattering: step products, their expansion and amplitudes.
 
 The scattering operator obeys the one-step recursion S(k+1) = (I + iH(k))S(k)
 starting from the identity.  Expanding the product gives the sum over
@@ -30,8 +30,6 @@ __all__ = [
     "InteractionConfig",
     "ScatteringModel",
     "ScatteringSeries",
-    "difference_op",
-    "product_formula",
     "expansion_formula",
     "build_model",
     "window_slice",
@@ -43,29 +41,11 @@ __all__ = [
 ]
 
 
-def difference_op(seq: list[np.ndarray]) -> list[np.ndarray]:
-    """Forward difference of an operator sequence; length drops by one."""
-    if len(seq) < 2:
-        raise ValueError("difference needs at least two terms")
-    return [seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
-
-
-def product_formula(a_seq: list[np.ndarray], x0: np.ndarray, n: int) -> np.ndarray:
-    """Ordered product [I + A(n-1)] ... [I + A(0)] X(0)."""
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
-    dim = x0.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    out = x0.astype(complex)
-    for j in range(n):
-        out = (eye + a_seq[j]) @ out
-    return out
-
-
 def expansion_formula(a_seq: list[np.ndarray], x0: np.ndarray, n: int) -> np.ndarray:
     """Sum over strictly decreasing index tuples of A products, applied to X(0).
 
-    Independent of :func:`product_formula`; the two must agree.
+    Independent of the ordered product [I + A(n-1)] ... [I + A(0)] X(0); the
+    two must agree.
     """
     from itertools import combinations
 
@@ -76,7 +56,7 @@ def expansion_formula(a_seq: list[np.ndarray], x0: np.ndarray, n: int) -> np.nda
             term = None
             for j in reversed(combo):  # decreasing order, leftmost largest
                 term = a_seq[j] if term is None else term @ a_seq[j]
-            total = total + term
+            total += term
     return total @ x0.astype(complex)
 
 
@@ -140,28 +120,36 @@ def build_model(cfg: InteractionConfig) -> ScatteringModel:
 def interaction_hamiltonian(model: ScatteringModel, t: int) -> np.ndarray:
     """g * (pi field squared) tensor (sigma field), summed over the window slice.
 
+    Each nonzero sigma entry (i, j) adds its multiple of the squared pi field
+    into the strided (i, j) block of the tensor-product index, the same floats
+    the Kronecker product would add; its zero entries would add only zeros.
     The sum A is returned as (A + A^H) / 2, which is exactly self-adjoint
     whatever order the products accumulated in: entries (i, j) and (j, i)
     are the same two floats added in either order, then conjugated.  An
     empty slice yields the zero operator.
     """
     cfg = model.cfg
+    d_pi, d_sigma = model.pi_space.dim, model.sigma_space.dim
     out = np.zeros((model.dim, model.dim), dtype=complex)
+    blocks = out.reshape(d_pi, d_sigma, d_pi, d_sigma)
     for x in window_slice(cfg, t):
         pi_x = xi_matrix(x, model.pi_space)
+        sq = pi_x @ pi_x
         sigma_x = xi_matrix(x, model.sigma_space)
-        out += cfg.coupling * np.kron(pi_x @ pi_x, sigma_x)
+        for i, j in zip(*np.nonzero(sigma_x)):
+            blocks[:, i, :, j] += cfg.coupling * (sq * sigma_x[i, j])
     return (out + out.conj().T) / 2
 
 
 @dataclass(frozen=True)
 class ScatteringSeries:
     """Hamiltonians H(0..n-1), step operators S(0..n), final per-order
-    contributions, and their measured defects."""
+    contributions, the largest |entry| of S(n), and the measured defects."""
 
     hamiltonians: tuple[np.ndarray, ...]
     steps: tuple[np.ndarray, ...]
     final_orders: tuple[np.ndarray, ...]
+    final_max_abs: float
     expansion_defect: float
     order_sum_defect: float
     unitarity_defects: tuple[float, ...]
@@ -198,6 +186,7 @@ def scattering_series(model: ScatteringModel) -> ScatteringSeries:
         hamiltonians=tuple(hams),
         steps=tuple(steps),
         final_orders=tuple(orders),
+        final_max_abs=float(np.max(np.abs(final))),
         expansion_defect=float(np.max(np.abs(expanded - final))),
         order_sum_defect=float(np.max(np.abs(sum(orders) - final))),
         unitarity_defects=tuple(float(np.max(np.abs(s.conj().T @ s - eye))) for s in steps),

@@ -14,17 +14,21 @@ import cmath
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import CRITERION_LINES
+from oracles import path_lengths, product_formula
 
+import causet_qft
 from causet_qft import causet, fock, momentum, paperdata, representations as reps, scattering, symmetry
 from causet_qft.lattice import Vec4, inner3_doubled, norm_sq4
 from causet_qft.momentum import PoincareElement, poincare_product
@@ -187,7 +191,7 @@ def test_criterion_5_causet_structure():
         for i, u in enumerate(verts):
             for j, v in enumerate(verts):
                 if rel[i, j]:
-                    lengths = causet.path_lengths(u, v, sample_limit=100)
+                    lengths = path_lengths(u, v, sample_limit=100)
                     if not lengths:
                         pathless += 1
                     else:
@@ -216,7 +220,7 @@ def test_criterion_5_literal_all_comparable_pairs_have_singleton_paths():
     for u in verts:
         for v in verts:
             if causet.precedes(u, v):
-                assert causet.path_lengths(u, v, sample_limit=100) == frozenset({v.t - u.t})
+                assert path_lengths(u, v, sample_limit=100) == frozenset({v.t - u.t})
 
 
 def test_criterion_6_speeds_and_masses():
@@ -331,7 +335,7 @@ def test_criterion_9_dyson_engine():
                 im = np.array([[rnd.gauss(0, 0.4) for _ in range(dim)] for _ in range(dim)])
                 a_seq.append(re + 1j * im)
             x0 = np.eye(dim, dtype=complex)
-            prod = scattering.product_formula(a_seq, x0, n)
+            prod = product_formula(a_seq, x0, n)
             expand = scattering.expansion_formula(a_seq, x0, n)
             assert np.max(np.abs(prod - expand)) < 1e-9
         cfg = scattering.InteractionConfig(
@@ -385,6 +389,16 @@ CLI_SUBCOMMANDS = [
 ]
 
 
+# The children import the package from where this process found it, so the
+# test needs no PYTHONPATH of its own.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(causet_qft.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
+
+
 def test_criterion_10_cli_determinism():
     with criterion(10, 120.0, "byte-identical CLI payloads"):
         for argv in CLI_SUBCOMMANDS:
@@ -394,6 +408,7 @@ def test_criterion_10_cli_determinism():
                     [sys.executable, "-m", "causet_qft.cli", "--format", "json", *argv],
                     capture_output=True,
                     check=True,
+                    env=CHILD_ENV,
                 )
                 outputs.append(proc.stdout)
             assert outputs[0] == outputs[1], f"nondeterministic output for {argv[0]}"

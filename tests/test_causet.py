@@ -11,24 +11,22 @@ import pytest
 from causet_qft.causet import (
     ORIGIN,
     CovarianceReport,
-    _reachable_from,
     average_speeds,
     children,
     construction_cross_check,
     covariance_diagnostics,
-    equivariance_check,
     history,
     in_cone,
     order_axioms,
     parent_histogram,
     parents,
-    path_lengths,
     precedes,
     shell,
     speeds_paper_diff,
 )
 from causet_qft.lattice import Vec4, norm_sq4
 from causet_qft.symmetry import elements
+from oracles import equivariance_check, exact_square, path_lengths, reachable_from
 
 
 def _shell_sizes(t_max):
@@ -103,7 +101,7 @@ def _covariance_oracle(hist) -> CovarianceReport:
     comparable = 0
     pathless = []
     for u in verts:
-        reach = _reachable_from(u, hist)
+        reach = reachable_from(u, hist)
         for v in verts:
             if precedes(u, v):
                 comparable += 1
@@ -174,7 +172,7 @@ def test_arrays_match_per_object_oracles(t):
     for i, v in enumerate(verts):
         assert hist.links[i].tolist() == [index.get(c, -1) for c in children(v)]
         assert [verts[j] for j in np.flatnonzero((hist.links == i).any(axis=1))] == list(parents(v))
-        assert {verts[j] for j in np.flatnonzero(hist.reachable[i])} == _reachable_from(v, hist)
+        assert {verts[j] for j in np.flatnonzero(hist.reachable[i])} == reachable_from(v, hist)
 
 
 @pytest.mark.parametrize("t", range(4))
@@ -195,7 +193,7 @@ def test_parent_histogram_matches_per_object_oracle():
 
 def test_covariance_diagnostics_history5():
     # new data past the published horizon, first confirmed against the
-    # per-vertex reachable sets of _reachable_from
+    # per-vertex reachable sets of reachable_from
     rep = covariance_diagnostics(history(5))
     assert rep.vertex_count == 1394
     assert rep.comparable_pairs == 39995
@@ -343,4 +341,4 @@ def test_speed_exact_square():
     from fractions import Fraction
 
     s = average_speeds(4)[3]
-    assert s.exact_square == Fraction(s.norm_sq, 16)
+    assert exact_square(s) == Fraction(s.norm_sq, 16)

@@ -5,6 +5,7 @@ Determinism across fresh processes is acceptance criterion 10.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -333,11 +334,17 @@ def test_scatter_zero_coupling_is_accepted(capsys):
     assert set(payload["unitarity_defects"]) == {0.0}
 
 
-def test_library_gate_failure_is_a_named_error(capsys):
-    # at this coupling the series' absolute defects are far above 1e-9: both
-    # series checks fail in the report, which is still written
+def test_library_gate_failure_is_a_named_error(capsys, monkeypatch):
+    # a series whose recursion disagrees with both of its cross-checks by 1e-6:
+    # both series checks fail in the report, which is still written
+    original = scattering.scattering_series
+
+    def faulty(model):
+        return dataclasses.replace(original(model), expansion_defect=1e-6, order_sum_defect=1e-6)
+
+    monkeypatch.setattr(scattering, "scattering_series", faulty)
     code, out, err = run_cli(
-        capsys, "--format", "json", "scatter", "--g", "1e6", "--m2", "0", "--M2", "1",
+        capsys, "--format", "json", "scatter", "--g", "0.1", "--m2", "0", "--M2", "1",
         "--horizon", "3", "--window", "0",
     )
     assert code == 1
@@ -350,6 +357,22 @@ def test_library_gate_failure_is_a_named_error(capsys):
     assert "FAILED: recursion_matches_expansion, orders_sum_to_series" in err
     assert "error:" not in err
     assert "Traceback" not in err
+
+
+def test_series_gates_scale_with_the_series(capsys):
+    """At coupling 1e6 the absolute defects are about 1e7, yet 2e-15 of max|S|:
+    rounding, which the relative bound passes."""
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "scatter", "--g", "1e6", "--m2", "0", "--M2", "1",
+        "--horizon", "3", "--window", "0",
+    )
+    assert code == 0
+    bundle = json.loads(out)
+    bound = 1e-13 * bundle["payload"]["series_max_abs"]
+    checks = {c["name"]: c for c in bundle["summary"]["checks"]}
+    for name in ("recursion_matches_expansion", "orders_sum_to_series"):
+        assert checks[name]["passed"] is True
+        assert 1e-9 < checks[name]["detail"] < bound
 
 
 def test_scatter_fails_on_a_differing_expansion(capsys, monkeypatch):

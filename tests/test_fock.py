@@ -8,7 +8,10 @@ import random
 import numpy as np
 import pytest
 
+from causet_qft import fock as fock_module
 from causet_qft.fock import (
+    FieldOperator,
+    adjoint_defect,
     basis_unit,
     commutator,
     fock_space,
@@ -28,6 +31,7 @@ from causet_qft.fock import (
 )
 from causet_qft.lattice import Vec4, minkowski_doubled, norm_sq3
 from causet_qft.momentum import (
+    Hyperboloid,
     PoincareElement,
     hyperboloid,
     mass_shell_defect,
@@ -322,6 +326,119 @@ def test_xi_commutator(fock13):
     assert sine_sum(fock13.hyperboloid, x, y) == pytest.approx(12.0 * math.sin(1.0))
     with pytest.raises(ValueError, match="n_max >= 1"):
         xi_commutator_defect(fock_space(hyperboloid(0, 1), 0), [(x, y)])
+
+
+def test_xi_matrix_bit_equals_the_sum_of_its_fields(oracle_space):
+    """One array holding both fields' entries is the sum of the two full matrices."""
+    space, _ = oracle_space
+    rnd = random.Random(15)
+    for x in [Vec4(0, 0, 0, 0)] + [_random_x(rnd) for _ in range(4)]:
+        assert _same_bits(xi_matrix(x, space), phi(x, space).as_matrix() + psi(x, space).as_matrix())
+
+
+def _adjoint_defect_oracle(space, points):
+    """The dense measure: worst |psi(x) - phi(x)^H| entry over full matrices."""
+    field_phi, field_psi = fock_module.phi, fock_module.psi  # as patched
+    return max(
+        float(np.max(np.abs(field_psi(x, space).as_matrix() - field_phi(x, space).as_matrix().conj().T)))
+        for x in points
+    )
+
+
+def test_adjoint_defect_matches_dense_oracle(oracle_space):
+    space, _ = oracle_space
+    rnd = random.Random(16)
+    points = [_random_x(rnd) for _ in range(20)]
+    assert adjoint_defect(space, points) == _adjoint_defect_oracle(space, points)
+
+
+def test_adjoint_defect_sees_a_corrupted_coefficient(monkeypatch):
+    space = fock_space(hyperboloid(3, 3), 2)
+    rnd = random.Random(17)
+    points = [_random_x(rnd) for _ in range(3)]
+    exact = psi
+
+    def corrupted(x, fock):
+        op = exact(x, fock)
+        return FieldOperator(fock=fock, role=op.role, coeffs=(op.coeffs[0] * 1.5,) + op.coeffs[1:])
+
+    monkeypatch.setattr(fock_module, "psi", corrupted)
+    defect = adjoint_defect(space, points)
+    assert defect > 0.1
+    assert defect == _adjoint_defect_oracle(space, points)
+
+
+@pytest.mark.parametrize("part", ["weight", "target", "extra"])
+def test_adjoint_defect_sees_a_corrupted_raising_entry(part):
+    space = fock_space(hyperboloid(3, 3), 2)
+    rnd = random.Random(18)
+    points = [_random_x(rnd) for _ in range(3)]
+    assert adjoint_defect(space, points) == 0.0
+    up, up_w = space.ladder_maps["creates"]
+    q, r = 4, 0  # raise point 4 out of the vacuum
+    assert up[q, r] >= 0
+    if part == "weight":
+        up_w[q, r] *= 2.0
+    elif part == "target":  # land where raising point 5 lands
+        up[q, r] = up[q + 1, r]
+    else:  # raise out of the top sector, whose image the truncation drops
+        r = space.offsets[2]
+        assert up[q, r] < 0
+        up[q, r], up_w[q, r] = space.offsets[1], 1.0
+    defect = adjoint_defect(space, points)
+    assert defect > 0.5
+    assert defect == _adjoint_defect_oracle(space, points)
+
+
+def _rep_v_uncached(y, rot, fock):
+    """rep_v ranking every sector's image multisets on each call."""
+    point_perm = fock.hyperboloid.permutation_under(rot)
+    point_phases = np.array([phase(p, y) for p in fock.hyperboloid.points])
+    perm = np.empty(fock.dim, dtype=np.int64)
+    amp = np.ones(fock.dim, dtype=complex)
+    for n, ms in enumerate(fock.multiset_arrays):
+        mapped = np.sort(point_perm[ms], axis=1)
+        block = fock.sector_slice(n)
+        perm[block] = fock.rank(n, mapped)
+        for points in mapped.T:
+            amp[block] *= point_phases[points]
+    return perm, amp
+
+
+@pytest.mark.parametrize("m2,pmax,nmax", [(3, 3, 2), (0, 1, 3)])
+def test_rep_v_bit_equals_uncached_oracle(m2, pmax, nmax):
+    space = fock_space(hyperboloid(m2, pmax), nmax)
+    rnd = random.Random(19)
+    for rot in elements():
+        for _ in range(2):  # the second call reads the cached permutation
+            y = _random_x(rnd)
+            perm, amp = rep_v(y, rot, space)
+            want_perm, want_amp = _rep_v_uncached(y, rot, space)
+            assert np.array_equal(perm, want_perm)
+            assert _same_bits(amp, want_amp)
+        assert not perm.flags.writeable
+
+
+def test_rep_v_raises_on_an_open_point_set():
+    """Without one point the set is not closed under the rotations that reach it:
+    those raise on every call, as the uncached action does, and the others agree."""
+    full = hyperboloid(0, 1)
+    space = fock_space(Hyperboloid(mass_sq=0, p_max=1, coords=full.coords[:-1]), 2)
+    y = Vec4(1, 0, 2, -1)
+    raised = 0
+    for rot in elements():
+        try:
+            want = _rep_v_uncached(y, rot, space)
+        except ValueError as exc:
+            raised += 1
+            for _ in range(2):
+                with pytest.raises(ValueError) as got:
+                    rep_v(y, rot, space)
+                assert str(got.value) == str(exc)
+            continue
+        got_perm, got_amp = rep_v(y, rot, space)
+        assert np.array_equal(got_perm, want[0]) and _same_bits(got_amp, want[1])
+    assert 0 < raised < 24
 
 
 def test_xi_self_adjoint(fock13):

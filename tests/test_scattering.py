@@ -8,22 +8,21 @@ import random
 import numpy as np
 import pytest
 
-from causet_qft.fock import xi_matrix
+from causet_qft.fock import phi, psi, xi_matrix
 from causet_qft.lattice import Vec4
 from causet_qft.scattering import (
     AmplitudeReport,
     InteractionConfig,
     amplitude,
     build_model,
-    difference_op,
     expansion_formula,
     interaction_hamiltonian,
     order_parity_check,
-    product_formula,
     scattering_series,
     two_pi_state,
     window_slice,
 )
+from oracles import difference_op, product_formula
 
 
 def _random_matrices(rnd, dim, count, scale=0.5):
@@ -65,6 +64,31 @@ def test_product_equals_expansion(dim, n):
     prod = product_formula(a_seq, x0, n)
     expand = expansion_formula(a_seq, x0, n)
     assert np.max(np.abs(prod - expand)) < 1e-9
+
+
+def _old_expansion(a_seq, x0, n):
+    """The expansion summed as total = total + term, a new array per term."""
+    from itertools import combinations
+
+    total = np.eye(x0.shape[0], dtype=complex)
+    for k in range(1, n + 1):
+        for combo in combinations(range(n), k):
+            term = None
+            for j in reversed(combo):
+                term = a_seq[j] if term is None else term @ a_seq[j]
+            total = total + term
+    return total @ x0.astype(complex)
+
+
+@pytest.mark.parametrize("dim,n", [(4, 3), (20, 6), (7, 5)])
+def test_expansion_bit_equals_fresh_array_sum(dim, n):
+    rnd = random.Random(dim * 10 + n)
+    a_seq = _random_matrices(rnd, dim, n)
+    x0 = _random_matrices(rnd, dim, 1)[0]
+    kept = [a.copy() for a in a_seq]
+    got = expansion_formula(a_seq, x0, n)
+    assert np.array_equal(got.view(np.uint64), _old_expansion(a_seq, x0, n).view(np.uint64))
+    assert all(np.array_equal(a, b) for a, b in zip(a_seq, kept))  # inputs left alone
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +169,47 @@ def test_hamiltonian_selfadjoint(window_radius):
     for t in range(cfg.horizon):
         h = interaction_hamiltonian(m, t)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+def _kron_hamiltonian(model, t):
+    """H(t) assembled from Kronecker products of the two fields' full matrices."""
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for x in window_slice(model.cfg, t):
+        pi_x = phi(x, model.pi_space).as_matrix() + psi(x, model.pi_space).as_matrix()
+        sigma_x = phi(x, model.sigma_space).as_matrix() + psi(x, model.sigma_space).as_matrix()
+        out += model.cfg.coupling * np.kron(pi_x @ pi_x, sigma_x)
+    return (out + out.conj().T) / 2
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},
+        {"window_radius": 1},
+        {"sigma_particle_cap": 2},
+        {"pi_mass_sq": 2, "sigma_mass_sq": 3, "energy_cap": 2},
+        {"coupling": 0.0, "window_radius": 1},
+    ],
+    ids=["window0", "window1", "nsigma2", "pmax2", "g0"],
+)
+def test_hamiltonian_bit_equals_kron_assembly(changes):
+    cfg = InteractionConfig(
+        **{
+            "coupling": 0.1,
+            "pi_mass_sq": 0,
+            "sigma_mass_sq": 1,
+            "energy_cap": 1,
+            "pi_particle_cap": 2,
+            "sigma_particle_cap": 1,
+            "window_radius": 0,
+            "horizon": 3,
+            **changes,
+        }
+    )
+    m = build_model(cfg)
+    for t in range(cfg.horizon):
+        got, want = interaction_hamiltonian(m, t), _kron_hamiltonian(m, t)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_hamiltonian_zero_coupling(model):
