@@ -325,11 +325,15 @@ def construction_cross_check(hist: History) -> list[dict]:
     The published account treats the two as interchangeable; they agree only
     up to t = 2, and the per-timestep report makes the divergence explicit.
     """
-    reachable = {ORIGIN}
+    # the points reached in t steps lie at time t, told apart by spatial coordinates
+    # in [-t, t]: balanced base-(2T+1) digits, whose keys add as the vectors do
+    radix = (2 * hist.horizon + 1) ** np.arange(2, -1, -1, dtype=np.int64)
+    step_keys = _STEP_ARRAY[:, 1:] @ radix
+    reachable = np.zeros(1, dtype=np.int64)  # the origin
     rows = []
     for t, size in enumerate(np.diff(hist.offsets).tolist()):
         if t > 0:
-            reachable = {w + s for w in reachable for s in _STEPS}
+            reachable = np.unique(reachable[:, None] + step_keys)
         rows.append(
             {
                 "t": t,

@@ -24,8 +24,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import asdict, is_dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,8 +45,6 @@ def _plain(obj):
         return list(obj.coords())
     if isinstance(obj, complex):
         return {"im": float(obj.imag), "re": float(obj.real)}
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, np.ndarray):
         return _plain(obj.tolist())
     if isinstance(obj, (np.integer,)):
@@ -59,13 +55,10 @@ def _plain(obj):
         return _plain(complex(obj))
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _plain(asdict(obj))
     if isinstance(obj, dict):
         return {_key(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
-        return [_plain(v) for v in seq]
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     return obj
 
 
@@ -126,9 +119,6 @@ def cmd_group_verify(args) -> dict:
     subgroups = symmetry.verify_subgroups()
     pairwise = symmetry.pairwise_generators()
     mn = len(symmetry.generate_from([symmetry.element("M"), symmetry.element("N")]))
-    inverses_ok = all(
-        symmetry.multiply(z, symmetry.inverse(z)).label == "I" for z in symmetry.elements()
-    )
     failing_pairs = [
         r["pair"] for r in pairwise["pairs"] if not r["commute"] and r["generated_order"] != 24
     ]
@@ -137,7 +127,7 @@ def cmd_group_verify(args) -> dict:
         "axioms": {
             "latin_square": table.latin_square,
             "associative": table.associative,
-            "inverses": inverses_ok,
+            "inverses": table.inverses,
         },
         "isometry": iso,
         "subgroups": subgroups,
@@ -152,7 +142,7 @@ def cmd_group_verify(args) -> dict:
         _check("group_order_24", len(symmetry.elements()) == 24),
         _check("latin_square", table.latin_square),
         _check("associative_all_triples", table.associative),
-        _check("inverses_exist", inverses_ok),
+        _check("inverses_exist", table.inverses),
         _check("isometry_invariants", all(iso.values())),
         _check("listed_subgroups_verify", all(s["subgroup"] for s in subgroups)),
         _check("mn_generates_group", mn == 24),
@@ -431,13 +421,10 @@ def cmd_scatter(args) -> dict:
     )
     model = scattering.build_model(cfg)
     pts = model.pi_space.hyperboloid.points
-    try:
-        p_in = tuple(pts[i] for i in args.into)
-        p_out = tuple(pts[i] for i in args.outgoing)
-    except IndexError:
-        raise ValueError(
-            f"momentum indices out of range for a {len(pts)}-point hyperboloid"
-        ) from None
+    if not all(0 <= i < len(pts) for i in (*args.into, *args.outgoing)):
+        raise ValueError(f"momentum indices out of range for a {len(pts)}-point hyperboloid")
+    p_in = tuple(pts[i] for i in args.into)
+    p_out = tuple(pts[i] for i in args.outgoing)
     series = scattering.scattering_series(model)
     report = scattering.amplitude(model, p_in, p_out, series)
     parity = scattering.order_parity_check(report, p_in, p_out)

@@ -30,6 +30,7 @@ __all__ = [
     "inner3_doubled",
     "minkowski_doubled",
     "MINKOWSKI_GRAM",
+    "det_exact",
     "norm_sq3_rows",
     "rank_rows",
     "unit_vectors3",
@@ -171,12 +172,16 @@ class Triple:
         return tuple(tuple(c.coords()[i] for c in cols) for i in range(3))
 
 
-def _det3(m) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+def det_exact(m):
+    """Exact determinant of a small square integer matrix (an ``int``), or of each
+    matrix of a (..., k, k) stack (an int64 array), by first-row expansion.  int64
+    is exact here: entries up to 12 keep a 4x4 below 24 * 12**4."""
+    a = np.asarray(m, dtype=np.int64)
+    k = a.shape[-1]
+    det = a[..., 0, 0] if k == 1 else sum(
+        (-1) ** j * a[..., 0, j] * det_exact(a[..., 1:, np.arange(k) != j]) for j in range(k)
     )
+    return int(det) if a.ndim == 2 else det
 
 
 def triads() -> tuple[frozenset[Vec3], ...]:
@@ -200,7 +205,7 @@ def _enumerate_triples() -> tuple[tuple[frozenset[Vec3], ...], tuple[Triple, ...
     for triad in triad_list:
         for perm in itertools.permutations(sorted(triad, key=Vec3.coords)):
             t = Triple(*perm)
-            if _det3(t.matrix()) == 1:
+            if det_exact(t.matrix()) == 1:
                 trips.append(t)
     trips.sort(key=lambda t: tuple(v.coords() for v in t.members()))
     return tuple(triad_list), tuple(trips)

@@ -18,6 +18,8 @@ its vacuum states to vanish; the engine verifies that numerically.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +109,22 @@ class ScatteringModel:
 
 
 def build_model(cfg: InteractionConfig) -> ScatteringModel:
+    """The model's two Fock spaces of dimension C(points + cap, cap), or a ``ValueError``
+    before any sector exists when the dense series would outgrow physical memory: at
+    its peak it holds 4n + 6 complex D x D arrays (H and iH per step, the orders and
+    S(0..n), the identity and three expansion temporaries)."""
     cfg.validate()
     pi_h = hyperboloid(cfg.pi_mass_sq, cfg.energy_cap)
     sigma_h = hyperboloid(cfg.sigma_mass_sq, cfg.energy_cap)
+    caps = ((pi_h, cfg.pi_particle_cap), (sigma_h, cfg.sigma_particle_cap))
+    dim = math.prod(math.comb(len(h) + n, n) for h, n in caps)
+    need = (4 * cfg.horizon + 6) * np.dtype(complex).itemsize * dim * dim
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"the dense scattering series needs about {need / 2**30:.3g} GiB at D = {dim}, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
     return ScatteringModel(
         cfg=cfg,
         pi_space=fock_space(pi_h, cfg.pi_particle_cap),

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import paperdata
-from .lattice import MINKOWSKI_GRAM, Vec3, Vec4, _det3, inner3_doubled, norm_sq3, triples
+from .lattice import (
+    MINKOWSKI_GRAM, Vec3, Vec4, det_exact, norm_sq3_rows, triples, vectors_with_norm_up_to
+)
 
 __all__ = [
     "GroupElement",
@@ -54,15 +56,6 @@ class GroupElement:
 
     label: str
     matrix: Matrix3
-
-    def column(self, j: int) -> Vec3:
-        return Vec3(self.matrix[0][j], self.matrix[1][j], self.matrix[2][j])
-
-
-def _matmul3(a: Matrix3, b: Matrix3) -> Matrix3:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )
 
 
 def _derive_elements() -> tuple[tuple[GroupElement, ...], tuple[dict, ...]]:
@@ -104,18 +97,23 @@ def _derive_elements() -> tuple[tuple[GroupElement, ...], tuple[dict, ...]]:
 
 
 _ELEMENTS, ELEMENT_PRINT_DIFFS = _derive_elements()
-_BY_LABEL = {e.label: e for e in _ELEMENTS}
-_BY_MATRIX = {e.matrix: e for e in _ELEMENTS}
 _INDEX = {e.label: i for i, e in enumerate(_ELEMENTS)}
+_IDENTITY = _INDEX["I"]
 
-# 24x24 index multiplication table, used for closure and associativity work
-_PRODUCT_INDEX = np.empty((24, 24), dtype=np.int8)
-for _i, _y in enumerate(_ELEMENTS):
-    for _j, _z in enumerate(_ELEMENTS):
-        _prod = _matmul3(_y.matrix, _z.matrix)
-        if _prod not in _BY_MATRIX:
-            raise AssertionError(f"group not closed at {_y.label}*{_z.label}")
-        _PRODUCT_INDEX[_i, _j] = _INDEX[_BY_MATRIX[_prod].label]
+# The matrices as one (24, 3, 3) int64 stack in label order, and the index table of
+# its products y*z, the group's only multiplication.  Closure and an identity in
+# every row (each element's inverse) are facts of this static data, asserted here.
+_MATRICES = np.array([e.matrix for e in _ELEMENTS], dtype=np.int64)
+_HITS = np.all(
+    np.einsum("aij,bjk->abik", _MATRICES, _MATRICES)[:, :, None] == _MATRICES, axis=(-2, -1)
+)
+if not _HITS.any(axis=-1).all():
+    _i, _j = np.argwhere(~_HITS.any(axis=-1))[0]
+    raise AssertionError(f"group not closed at {_ELEMENTS[_i].label}*{_ELEMENTS[_j].label}")
+_PRODUCT_INDEX = _HITS.argmax(axis=-1).astype(np.int8)
+_INVERSE_INDEX = np.argmax(_PRODUCT_INDEX == _IDENTITY, axis=1)
+if not np.all(_PRODUCT_INDEX[np.arange(24), _INVERSE_INDEX] == _IDENTITY):
+    raise AssertionError("a row of the product table holds no identity")
 
 
 def elements() -> tuple[GroupElement, ...]:
@@ -124,22 +122,16 @@ def elements() -> tuple[GroupElement, ...]:
 
 
 def element(label: str) -> GroupElement:
-    return _BY_LABEL[label]
+    return _ELEMENTS[_INDEX[label]]
 
 
 def multiply(y: GroupElement, z: GroupElement) -> GroupElement:
-    """Product y*z, resolved by matrix equality against the element set."""
-    prod = _matmul3(y.matrix, z.matrix)
-    try:
-        return _BY_MATRIX[prod]
-    except KeyError:  # pragma: no cover - closure is established at import
-        raise AssertionError(f"product {y.label}*{z.label} left the element set") from None
+    """Product y*z, read from the product table."""
+    return _ELEMENTS[_PRODUCT_INDEX[_INDEX[y.label], _INDEX[z.label]]]
 
 
 def inverse(z: GroupElement) -> GroupElement:
-    i = _INDEX[z.label]
-    j = int(np.where(_PRODUCT_INDEX[i] == _INDEX["I"])[0][0])
-    return _ELEMENTS[j]
+    return _ELEMENTS[_INVERSE_INDEX[_INDEX[z.label]]]
 
 
 def apply3(z: GroupElement, v: Vec3) -> Vec3:
@@ -159,13 +151,15 @@ class GroupTable:
     rows: tuple[tuple[str, ...], ...]
     latin_square: bool
     associative: bool
+    inverses: bool
 
     def entry(self, row: str, col: str) -> str:
         return self.rows[self.labels.index(row)][self.labels.index(col)]
 
 
 def build_table() -> GroupTable:
-    """Compute all 576 products and check the Latin-square and associativity laws."""
+    """Read the 576 products and check the Latin-square, associativity and two-sided
+    inverse laws (the identity once per row, at transposed positions)."""
     t = _PRODUCT_INDEX
     n = 24
     want = np.arange(n)
@@ -175,9 +169,11 @@ def build_table() -> GroupTable:
     left = t[t[:, :, None], np.arange(n)[None, None, :]]
     right = t[np.arange(n)[:, None, None], t[None, :, :]]
     assoc = bool(np.array_equal(left, right))
+    identity = t == _IDENTITY
+    inverses = bool(np.all(identity.sum(axis=1) == 1) and np.array_equal(identity, identity.T))
     labels = paperdata.LABEL_ORDER
     rows = tuple(tuple(labels[t[i, j]] for j in range(n)) for i in range(n))
-    return GroupTable(labels=labels, rows=rows, latin_square=latin, associative=assoc)
+    return GroupTable(labels, rows, latin, assoc, inverses)
 
 
 def table_diff_vs_printed(table: GroupTable | None = None) -> list[dict]:
@@ -204,28 +200,22 @@ def generate_from(gens) -> set[GroupElement]:
     gens = list(gens)
     if not gens:
         raise ValueError("generator set must be nonempty")
-    seen = {_INDEX[g.label] for g in gens}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in list(seen):
-                for k in (int(_PRODUCT_INDEX[i, j]), int(_PRODUCT_INDEX[j, i])):
-                    if k not in seen:
-                        seen.add(k)
-                        nxt.append(k)
-        frontier = nxt
-    return {_ELEMENTS[i] for i in seen}
+    seen = np.zeros(24, dtype=bool)
+    seen[[_INDEX[g.label] for g in gens]] = True
+    while True:
+        grown = seen.copy()
+        grown[_PRODUCT_INDEX[np.ix_(seen, seen)]] = True
+        if np.array_equal(grown, seen):
+            return {_ELEMENTS[i] for i in np.flatnonzero(seen)}
+        seen = grown
 
 
 def _is_subgroup(labels: tuple[str, ...]) -> dict:
     idx = [_INDEX[lab] for lab in labels]
-    idx_set = set(idx)
-    closed = all(int(_PRODUCT_INDEX[i, j]) in idx_set for i in idx for j in idx)
-    has_identity = _INDEX["I"] in idx_set
-    inverses = all(
-        any(int(_PRODUCT_INDEX[i, j]) == _INDEX["I"] for j in idx) for i in idx
-    )
+    products = _PRODUCT_INDEX[np.ix_(idx, idx)]
+    closed = set(products.flat) <= set(idx)
+    has_identity = _IDENTITY in idx
+    inverses = bool(np.all(np.any(products == _IDENTITY, axis=1)))
     return {
         "labels": labels,
         "order": len(labels),
@@ -279,16 +269,6 @@ def apply4(z: GroupElement, v: Vec4) -> Vec4:
     return Vec4(v.t, s.n, s.p, s.q)
 
 
-def _det4_exact(cols) -> int:
-    """Determinant of the integer matrix with these columns, expanded along the first."""
-    rows = [[int(x) for x in c] for c in cols]  # the transpose, whose determinant is the same
-    return sum(
-        (-1) ** j * rows[0][j] * _det3([r[:j] + r[j + 1 :] for r in rows[1:]])
-        for j in range(4)
-        if rows[0][j]
-    )
-
-
 def preserves_minkowski_form(m: Matrix4) -> bool:
     """The exact Gram identity M^T G M == G, G the doubled Minkowski Gram matrix:
     M maps every vector to one of the same squared norm."""
@@ -325,49 +305,39 @@ def no_boost_search(bound: int) -> BoostCertificate:
 
     Columns are the images of the four basis vectors; a solution is a
     "boost" when the image of the time basis vector is not the time axis up
-    to sign.
+    to sign.  A time image (t, s) has norm_sq3(s) = t^2 - 1 and a space image
+    t^2 + 1: both are spatial rows of the box.  One Gram matrix, of the space
+    images orthogonal to one time image, is kept at a time.
     """
     if bound < 3:
         raise ValueError("bound must be at least 3")
-    rng = np.arange(-bound, bound + 1)
-    grid = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
-    norms = np.einsum("ij,jk,ik->i", grid, MINKOWSKI_GRAM, grid) // 2
-    d_arr = grid[norms == 1]
-    s_arr = grid[norms == -1]
-
-    sols = []
+    spatial = vectors_with_norm_up_to(bound * bound + 1)
+    spatial = spatial[np.all(np.abs(spatial) <= bound, axis=1)]
+    t_sq = np.arange(-bound, bound + 1)[:, None] ** 2
+    d_arr, s_arr = (
+        np.column_stack([ti - bound, spatial[si]])
+        for ti, si in (np.nonzero(norm_sq3_rows(spatial) == t_sq + shift) for shift in (-1, 1))
+    )
+    candidates = []
     for td in d_arr:
-        dots = s_arr @ (MINKOWSKI_GRAM @ td)
-        s0 = s_arr[dots == 0]
-        if len(s0) < 3:
-            continue
-        gram = s0 @ MINKOWSKI_GRAM @ s0.T
-        for i in range(len(s0)):
-            js = np.nonzero(gram[i] == -1)[0]
-            for j in js:
-                ks = js[gram[j, js] == -1]
-                for k in ks:
-                    cols = (td, s0[i], s0[j], s0[k])
-                    if _det4_exact(cols) == 1:
-                        sols.append(tuple(tuple(int(x) for x in c) for c in cols))
-    sols.sort()
+        s0 = s_arr[s_arr @ (MINKOWSKI_GRAM @ td) == 0]
+        adjacent = s0 @ MINKOWSKI_GRAM @ s0.T == -1
+        i, j = np.nonzero(adjacent)
+        p, k = np.nonzero(adjacent[i] & adjacent[j])
+        candidates.append(np.stack([np.tile(td, (len(p), 1)), s0[i[p]], s0[j[p]], s0[k]], axis=1))
+    candidates = np.concatenate(candidates)  # columns as rows: the transpose, of the same det
+    sols = sorted(tuple(map(tuple, c)) for c in candidates[det_exact(candidates) == 1].tolist())
 
     d_axis = {(1, 0, 0, 0), (-1, 0, 0, 0)}
     boosts = [s for s in sols if s[0] not in d_axis]
     fixing = len(sols) - len(boosts)
-    boost_matrices = tuple(
-        tuple(tuple(c[i] for c in cols) for i in range(4)) for cols in boosts[:16]
-    )
+    boost_matrices = tuple(tuple(zip(*cols)) for cols in boosts[:16])
 
-    time_solutions = tuple(sorted(tuple(int(x) for x in v) for v in d_arr))
-    space_solutions = tuple(sorted(tuple(int(x) for x in v) for v in s_arr))
+    time_solutions = tuple(sorted(map(tuple, d_arr.tolist())))
+    space_solutions = tuple(sorted(map(tuple, s_arr.tolist())))
     families = {
-        "time": {
-            fam: fam in time_solutions for fam in paperdata.BOOST_EQ_TIME_FAMILIES
-        },
-        "space": {
-            fam: fam in space_solutions for fam in paperdata.BOOST_EQ_SPACE_FAMILIES
-        },
+        "time": {fam: fam in time_solutions for fam in paperdata.BOOST_EQ_TIME_FAMILIES},
+        "space": {fam: fam in space_solutions for fam in paperdata.BOOST_EQ_SPACE_FAMILIES},
     }
     return BoostCertificate(
         bound=bound,
@@ -382,36 +352,15 @@ def no_boost_search(bound: int) -> BoostCertificate:
 
 
 def isometry_report() -> dict:
-    """Check the Gram form is preserved on all basis pairs and 100 seeded random pairs."""
-    import random
-
-    rnd = random.Random(0)
-    basis = (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
-    worst_ok = True
-    for z in _ELEMENTS:
-        for u in basis:
-            for v in basis:
-                if inner3_doubled(apply3(z, u), apply3(z, v)) != inner3_doubled(u, v):
-                    worst_ok = False
-    random_ok = True
-    for _ in range(100):
-        u = Vec3(rnd.randint(-50, 50), rnd.randint(-50, 50), rnd.randint(-50, 50))
-        v = Vec3(rnd.randint(-50, 50), rnd.randint(-50, 50), rnd.randint(-50, 50))
-        z = _ELEMENTS[rnd.randrange(24)]
-        if inner3_doubled(apply3(z, u), apply3(z, v)) != inner3_doubled(u, v):
-            random_ok = False
-    dets_ok = all(_det3(z.matrix) == 1 for z in _ELEMENTS)
-    units_ok = all(norm_sq3(z.column(j)) == 1 for z in _ELEMENTS for j in range(3))
-    triple_set = {t.members() for t in triples()}
-    triples_ok = all(
-        tuple(apply3(z, v) for v in t.members()) in triple_set
-        for z in _ELEMENTS
-        for t in triples()
-    )
+    """The exact spatial Gram identity M^T G M == G (on every pair by bilinearity; its
+    diagonal makes the columns unit vectors), unit determinants, triples to triples."""
+    gram = -MINKOWSKI_GRAM[1:, 1:]
+    pulled_back = _MATRICES.transpose(0, 2, 1) @ gram @ _MATRICES
+    # a triple's matrix has the members as columns, so M @ T holds their images
+    trips = np.array([t.matrix() for t in triples()], dtype=np.int64)
+    moved = np.einsum("zij,tjk->ztik", _MATRICES, trips)
     return {
-        "basis_pairs_preserved": worst_ok,
-        "random_pairs_preserved": random_ok,
-        "determinants_one": dets_ok,
-        "columns_unit": units_ok,
-        "triples_to_triples": triples_ok,
+        "basis_pairs_preserved": bool(np.all(pulled_back == gram)),
+        "determinants_one": bool(np.all(det_exact(_MATRICES) == 1)),
+        "triples_to_triples": bool(np.all(np.all(moved[:, :, None] == trips, axis=(-2, -1)).any(-1))),
     }

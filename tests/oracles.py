@@ -2,19 +2,22 @@
 
 Each defines a notion the library computes another way (chain enumeration
 against reachability arrays, set comparisons against integer matrices,
-explicit step products against the expansion), so the tests can diff the
-fast path against it on small cases.
+explicit step products against the expansion, per-pair matrix products
+against the product table, a 4-D grid against spatial rows), so the tests
+can diff the fast path against it on small cases.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
+from causet_qft import paperdata
 from causet_qft.causet import History, Speed, children, precedes, shell
-from causet_qft.lattice import Vec4
-from causet_qft.symmetry import GroupElement, apply4
+from causet_qft.lattice import MINKOWSKI_GRAM, Vec4
+from causet_qft.symmetry import BoostCertificate, GroupElement, apply4
 
 
 def path_lengths(u: Vec4, v: Vec4, sample_limit: int = 1000) -> frozenset[int]:
@@ -97,3 +100,78 @@ def product_formula(a_seq: list[np.ndarray], x0: np.ndarray, n: int) -> np.ndarr
     for j in range(n):
         out = (eye + a_seq[j]) @ out
     return out
+
+
+def leibniz_det(m) -> int:
+    """The signed sum over all permutations of entry products of a square matrix."""
+    k = len(m)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = (-1) ** inversions
+        for i in range(k):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def matmul3(a, b) -> tuple[tuple[int, ...], ...]:
+    """The product of two 3x3 integer matrices given as nested tuples."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
+    )
+
+
+def product_table_by_pairs(group: tuple[GroupElement, ...]) -> np.ndarray:
+    """Index table of y*z, one matrix product and one dict lookup per pair."""
+    by_matrix = {z.matrix: i for i, z in enumerate(group)}
+    table = np.empty((len(group), len(group)), dtype=np.int8)
+    for i, y in enumerate(group):
+        for j, z in enumerate(group):
+            table[i, j] = by_matrix[matmul3(y.matrix, z.matrix)]
+    return table
+
+
+def no_boost_search_grid(bound: int) -> BoostCertificate:
+    """The boost search over the full (2B+1)^4 coordinate grid, one candidate at a time.
+
+    Every grid row of Minkowski norm 1 is a time image and of norm -1 a space
+    image; for each time image the (i, j, k) triples of orthogonal space
+    images with pairwise doubled pairing -1 are walked in nested loops and
+    kept when their Leibniz determinant is 1.
+    """
+    rng = np.arange(-bound, bound + 1)
+    grid = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
+    norms = np.einsum("ij,jk,ik->i", grid, MINKOWSKI_GRAM, grid) // 2
+    d_arr = grid[norms == 1]
+    s_arr = grid[norms == -1]
+    sols = []
+    for td in d_arr:
+        s0 = s_arr[s_arr @ (MINKOWSKI_GRAM @ td) == 0]
+        gram = s0 @ MINKOWSKI_GRAM @ s0.T
+        for i in range(len(s0)):
+            js = np.nonzero(gram[i] == -1)[0]
+            for j in js:
+                for k in js[gram[j, js] == -1]:
+                    cols = tuple(tuple(int(x) for x in c) for c in (td, s0[i], s0[j], s0[k]))
+                    if leibniz_det(cols) == 1:
+                        sols.append(cols)
+    sols.sort()
+    boosts = [s for s in sols if s[0] not in {(1, 0, 0, 0), (-1, 0, 0, 0)}]
+    time_solutions = tuple(sorted(tuple(int(x) for x in v) for v in d_arr))
+    space_solutions = tuple(sorted(tuple(int(x) for x in v) for v in s_arr))
+    return BoostCertificate(
+        bound=bound,
+        time_eq_solutions=time_solutions,
+        space_eq_solutions=space_solutions,
+        total_solutions=len(sols),
+        fixing_time_axis=len(sols) - len(boosts),
+        boost_count=len(boosts),
+        boost_examples=tuple(
+            tuple(tuple(c[i] for c in cols) for i in range(4)) for cols in boosts[:16]
+        ),
+        quoted_families_found={
+            "time": {f: f in time_solutions for f in paperdata.BOOST_EQ_TIME_FAMILIES},
+            "space": {f: f in space_solutions for f in paperdata.BOOST_EQ_SPACE_FAMILIES},
+        },
+    )

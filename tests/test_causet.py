@@ -302,6 +302,15 @@ def test_construction_cross_check():
     assert rows[3]["step_construction"] == 147
 
 
+def test_construction_cross_check_matches_vector_sets():
+    reachable = {ORIGIN}
+    want = [1]
+    for _ in range(5):
+        reachable = {c for w in reachable for c in children(w)}
+        want.append(len(reachable))
+    assert [r["step_construction"] for r in construction_cross_check(history(5))] == want
+
+
 def test_equivariance():
     assert equivariance_check(3, elements())
 

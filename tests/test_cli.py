@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 
 import pytest
 
-from causet_qft import fock, scattering
+from causet_qft import fock, scattering, symmetry
 from causet_qft.cli import main
 
 
@@ -48,6 +49,28 @@ def test_group_verify(capsys):
     # the pairwise-generator claim is reported as a diff, not gated
     assert bundle["paper_diff"]["pairwise_generator_claim_holds"] is False
     assert len(bundle["paper_diff"]["pairwise_generator_counterexamples"]) == 24
+    assert bundle["payload"]["axioms"]["inverses"] is True
+    assert bundle["payload"]["isometry"] == {
+        "basis_pairs_preserved": True,
+        "determinants_one": True,
+        "triples_to_triples": True,
+    }
+
+
+def test_group_verify_reads_inverses_off_the_table(capsys, monkeypatch):
+    # the identity entry of row A read as A: A has no inverse in the table
+    corrupt = symmetry._PRODUCT_INDEX.copy()
+    corrupt[1, symmetry._INVERSE_INDEX[1]] = 1
+    monkeypatch.setattr(symmetry, "_PRODUCT_INDEX", corrupt)
+    code, out, err = run_cli(capsys, "--format", "json", "group-verify")
+    assert code == 1
+    bundle = json.loads(out)
+    checks = {c["name"]: c["passed"] for c in bundle["summary"]["checks"]}
+    assert checks["inverses_exist"] is False
+    assert bundle["payload"]["axioms"]["inverses"] is False
+    assert "inverses_exist" in err
+    assert "error:" not in err
+    assert "Traceback" not in err
 
 
 def test_reps_verify(capsys):
@@ -290,6 +313,32 @@ def test_scatter_bad_indices(capsys):
     )
     assert code == 1
     assert "out of range" in err
+
+
+def test_scatter_negative_index_is_out_of_range(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "scatter", "--g", "0.1", "--m2", "0", "--M2", "1",
+        "--horizon", "1", "--window", "0", "--in=-1,2",
+    )
+    assert code == 1
+    assert out == ""
+    assert "error: momentum indices out of range for a 13-point hyperboloid" in err
+
+
+def test_scatter_too_large_for_memory_is_a_named_error(capsys):
+    # D = C(61 + 4, 4) * C(31 + 4, 4), about 3.5e10: stopped before any sector exists
+    start = time.monotonic()
+    code, out, err = run_cli(
+        capsys,
+        "scatter", "--g", "0.1", "--m2", "0", "--M2", "1", "--pmax", "3",
+        "--npi", "4", "--nsigma", "4", "--horizon", "1", "--window", "0",
+    )
+    assert time.monotonic() - start < 2
+    assert code == 1
+    assert out == ""
+    assert "error: the dense scattering series needs about" in err
+    assert "of physical memory" in err
 
 
 def test_usage_errors():

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from causet_qft import scattering
 from causet_qft.fock import phi, psi, xi_matrix
 from causet_qft.lattice import Vec4
 from causet_qft.scattering import (
@@ -104,6 +105,33 @@ def model():
         horizon=3,
     )
     return build_model(cfg)
+
+
+@pytest.mark.parametrize(
+    "pi_mass_sq, energy_cap, pi_cap, sigma_cap",
+    [(0, 1, 2, 1), (0, 1, 3, 2), (3, 2, 2, 1), (0, 1, 2, 3)],
+)
+def test_memory_guard_estimates_the_model_dimension(
+    monkeypatch, pi_mass_sq, energy_cap, pi_cap, sigma_cap
+):
+    cfg = InteractionConfig(
+        coupling=0.1,
+        pi_mass_sq=pi_mass_sq,
+        sigma_mass_sq=1,
+        energy_cap=energy_cap,
+        pi_particle_cap=pi_cap,
+        sigma_particle_cap=sigma_cap,
+        window_radius=0,
+        horizon=1,
+    )
+    dim = build_model(cfg).dim
+    # a series of 4 * 1 + 6 complex D x D arrays, one byte short of fitting
+    need = 10 * 16 * dim * dim
+    monkeypatch.setattr(scattering.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need - 1))
+    with pytest.raises(ValueError, match=f"at D = {dim}, more than the"):
+        build_model(cfg)
+    monkeypatch.setattr(scattering.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need))
+    assert build_model(cfg).dim == dim
 
 
 def test_config_validation():

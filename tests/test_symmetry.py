@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from causet_qft import paperdata
-from causet_qft.lattice import E3, F3, G3, Vec3, Vec4, norm_sq4, minkowski_doubled
+from causet_qft import paperdata, symmetry
+from causet_qft.lattice import E3, F3, G3, Vec3, Vec4, det_exact, norm_sq4, minkowski_doubled
 from causet_qft.symmetry import (
     ELEMENT_PRINT_DIFFS,
-    _det4_exact,
     apply3,
     apply4,
     build_table,
@@ -29,6 +28,7 @@ from causet_qft.symmetry import (
     table_diff_vs_printed,
     verify_subgroups,
 )
+from oracles import leibniz_det, matmul3, no_boost_search_grid, product_table_by_pairs
 
 
 def test_element_count_and_identity():
@@ -63,10 +63,21 @@ def test_multiply_examples():
     assert multiply(m, n).label == "E"
 
 
+def test_product_table_matches_per_pair_products():
+    assert np.array_equal(symmetry._PRODUCT_INDEX, product_table_by_pairs(elements()))
+
+
+def test_multiply_is_the_matrix_product():
+    for y in elements():
+        for z in elements():
+            assert multiply(y, z).matrix == matmul3(y.matrix, z.matrix)
+
+
 def test_table_laws_and_printed_match():
     table = build_table()
     assert table.latin_square
     assert table.associative
+    assert table.inverses
     assert table.entry("G", "H") == "I"
     assert table.entry("J", "J") == "I"
     assert table_diff_vs_printed(table) == []
@@ -76,6 +87,19 @@ def test_inverses_exist():
     for z in elements():
         assert multiply(z, inverse(z)).label == "I"
         assert multiply(inverse(z), z).label == "I"
+        assert matmul3(z.matrix, inverse(z).matrix) == element("I").matrix
+
+
+def test_build_table_reads_inverses_off_the_table(monkeypatch):
+    table = symmetry._PRODUCT_INDEX
+    no_identity = table.copy()
+    no_identity[1, 2] = 1  # A * B = I read as A: row A holds no identity
+    # A * C = I read instead of A * B = I, but C * A is not I: a one-sided inverse
+    one_sided = table.copy()
+    one_sided[1, [2, 3]] = table[1, [3, 2]]
+    for corrupt in (no_identity, one_sided):
+        monkeypatch.setattr(symmetry, "_PRODUCT_INDEX", corrupt)
+        assert not build_table().inverses
 
 
 def test_generate_from():
@@ -122,7 +146,23 @@ def test_pairwise_generators_report():
 
 def test_isometry_and_triple_preservation():
     report = isometry_report()
-    assert all(report.values()), report
+    assert report == {
+        "basis_pairs_preserved": True,
+        "determinants_one": True,
+        "triples_to_triples": True,
+    }
+
+
+def test_isometry_report_sees_a_broken_matrix(monkeypatch):
+    broken = symmetry._MATRICES.copy()
+    broken[5, 0, 0] += 1
+    monkeypatch.setattr(symmetry, "_MATRICES", broken)
+    report = isometry_report()
+    assert report == {
+        "basis_pairs_preserved": False,
+        "determinants_one": bool(det_exact(broken[5]) == 1),
+        "triples_to_triples": False,
+    }
 
 
 def test_lift_to4():
@@ -161,6 +201,14 @@ def test_no_boost_search_bound3():
     assert not cert.no_boosts
 
 
+@pytest.mark.parametrize("bound", [3, 4, 5, 6])
+def test_boost_search_matches_grid_oracle(bound):
+    cert = no_boost_search(bound)
+    oracle = no_boost_search_grid(bound)
+    for f in dataclasses.fields(cert):
+        assert getattr(cert, f.name) == getattr(oracle, f.name), f.name
+
+
 def test_boost_examples_are_genuine_isometries():
     """The search refutes the published no-boost claim; verify its witnesses."""
     cert = no_boost_search(3)
@@ -186,28 +234,33 @@ def test_boost_examples_are_genuine_isometries():
     assert not preserves_minkowski_form(bad)
 
 
-def _leibniz_det(m) -> int:
-    """Oracle: the signed sum over all 24 permutations of entry products."""
-    total = 0
-    for perm in itertools.permutations(range(4)):
-        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
-        term = (-1) ** inversions
-        for i in range(4):
-            term *= m[i][perm[i]]
-        total += term
-    return total
+def _det_samples(k: int, count: int, seed: int) -> np.ndarray:
+    rnd = random.Random(seed)
+    samples = [np.eye(k, dtype=np.int64), np.zeros((k, k), dtype=np.int64)]
+    for _ in range(count):
+        m = np.array([[rnd.randint(-12, 12) for _ in range(k)] for _ in range(k)], dtype=np.int64)
+        m[rnd.randrange(k), 0] = 0  # a zero first-row entry of the transpose
+        samples.append(m)
+    return np.stack(samples)
 
 
 def test_det4_exact_matches_leibniz_oracle():
-    rnd = random.Random(44)
-    samples = [np.eye(4, dtype=np.int64), np.zeros((4, 4), dtype=np.int64)]
-    for _ in range(3000):
-        m = np.array([[rnd.randint(-12, 12) for _ in range(4)] for _ in range(4)], dtype=np.int64)
-        m[rnd.randrange(4), 0] = 0  # the expansion along the first column skips zeros
-        samples.append(m)
-    for m in samples:
-        # _det4_exact takes the columns, as no_boost_search passes them
-        assert _det4_exact(tuple(m.T)) == _leibniz_det(m.tolist())
+    samples = _det_samples(4, 3000, 44)
+    want = [leibniz_det(m) for m in samples.tolist()]
+    assert det_exact(samples).tolist() == want
+    for m, det in zip(samples, want):
+        got = det_exact(m)
+        assert type(got) is int and got == det
+    # the transpose, as the boost search passes each candidate's columns
+    assert det_exact(samples.transpose(0, 2, 1)).tolist() == want
+
+
+def test_det3_exact_matches_leibniz_oracle():
+    samples = _det_samples(3, 1000, 45)
+    want = [leibniz_det(m) for m in samples.tolist()]
+    assert det_exact(samples).tolist() == want
+    assert [det_exact(m) for m in samples.tolist()] == want
+    assert det_exact(element("M").matrix) == 1
 
 
 def test_element_matrices_satisfy_group_invariants():
