@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import paperdata
-from .lattice import Vec4, norm_sq3_rows, norm_sq4, unit_vectors3, vectors_with_norm_up_to
+from .lattice import Vec4, norm_sq3_rows, norm_sq4, require_memory, unit_vectors3, vectors_with_norm_up_to
 from .momentum import attainable_spatial_norms
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "in_cone",
     "shell",
     "History",
+    "Speed",
     "history",
     "causal_order",
     "link_array",
@@ -141,9 +142,12 @@ def causal_order(coords: np.ndarray) -> np.ndarray:
 
     Differences are broadcast one coordinate at a time into two V x V int32
     buffers, using 2 norm_sq3(n, p, q) = (n + p)^2 + (n + q)^2 + (p + q)^2,
-    so no V x V x 4 block is ever held.
+    so no V x V x 4 block is ever held.  A ``ValueError`` comes first when 10
+    bytes per pair, causet-verify's peak at t = 6..8 (618 MB at V = 7,831),
+    exceed physical memory.
     """
     c = np.asarray(coords, dtype=np.int32)
+    require_memory(10 * len(c) ** 2, f"the causal order of {len(c)} vertices")
     dt = c[None, :, 0] - c[:, None, 0]
     later = dt > 0
     twice_norm = np.square(dt, out=dt)

@@ -10,8 +10,9 @@ pass/fail summary.  Bundles are rendered deterministically (sorted keys, no
 timestamps); wall-clock timing goes to stderr so stdout is byte-identical
 across runs.  No library gate raises: a failed gate is a named check in the
 report.  Exit status: 0 when all gated checks pass, 1 when one fails (named
-on stderr after the report) or the run stops on bad input (``error: ...`` on
-stderr), 2 for usage errors.
+on stderr after the report) or the run stops on bad input, an unwritable
+``--out`` path or too little memory (``error: ...`` on stderr), 2 for usage
+errors.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -157,7 +159,7 @@ def cmd_group_verify(args) -> dict:
 
 def cmd_reps_verify(args) -> dict:
     tol = args.tol
-    u_defect = max(reps.cal_u(z).unitarity_defect() for z in symmetry.elements())
+    u_defect = reps.unitary3_defect()
     hom = reps.homomorphism_defect()
     eig = reps.eigenvalue_set_defect()
     spin_unitarity = reps.spinor_unitarity_defect()
@@ -185,7 +187,7 @@ def cmd_reps_verify(args) -> dict:
             "printed_convention_JJ": proj_printed["cocycle"][("J", "J")],
             "canonical_convention_JJ": proj_canonical["cocycle"][("J", "J")],
         },
-        "unitary3": {z.label: reps.cal_u(z).matrix.astype(complex) for z in symmetry.elements()},
+        "unitary3": {z.label: reps.cal_u(z).astype(complex) for z in symmetry.elements()},
         "spinor": {z.label: reps.spinor_of(z).matrix for z in symmetry.elements()},
     }
     checks = [
@@ -663,6 +665,14 @@ def _index_pair(text: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
+def _check_writable(path: str) -> None:
+    """``ValueError`` unless ``path`` is a writable file or a new file in a writable directory."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+    if not os.access(path if os.path.exists(path) else os.path.dirname(path) or ".", os.W_OK):
+        raise ValueError(f"--out {path!r} is not writable: no such directory, or no permission")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -670,9 +680,11 @@ def main(argv=None) -> int:
         parser.error(f"--format csv is not available for {args.command}")
     start = time.monotonic()
     try:
+        if args.out:
+            _check_writable(args.out)
         bundle = args.func(args)
-    except ValueError as exc:  # bad input; failed gates are checks in the report
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # bad input, or too large; failed gates are checks
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     plain = _plain(bundle)
     if args.format == "json":

@@ -24,7 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
@@ -380,7 +379,7 @@ def rep_v_defects(fock: FockSpace, pairs) -> tuple[float, float, bool]:
     return unitarity, hom, block_diagonal
 
 
-_SPIN_TAGS = {0: 1, Fraction(1, 2): 2, 0.5: 2, 1: 3}
+_SPIN_TAGS = {0: 1, 0.5: 2, 1: 3}
 
 
 def spin_rep(y: Vec4, rot: GroupElement, spin, h: Hyperboloid) -> np.ndarray:
@@ -402,7 +401,7 @@ def spin_rep(y: Vec4, rot: GroupElement, spin, h: Hyperboloid) -> np.ndarray:
     factor = (
         spinor_of(rot_inv, SignConvention.CANONICAL).matrix
         if k == 2
-        else cal_u(rot_inv).matrix.astype(complex)
+        else cal_u(rot_inv).astype(complex)
     )
     return np.kron(single, factor)
 

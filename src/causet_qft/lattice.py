@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,16 @@ __all__ = [
     "det_exact",
     "norm_sq3_rows",
     "rank_rows",
+    "vectors_with_norm_up_to",
+    "vectors_with_norm",
+    "require_memory",
     "unit_vectors3",
     "triads",
     "triples",
+    "TRIPLE_MATRICES",
+    "basic_triple",
     "to_cartesian3",
+    "cartesian_norm_sq",
     "ZERO3",
     "E3",
     "F3",
@@ -141,15 +148,6 @@ def unit_vectors3() -> tuple[Vec3, ...]:
     return _UNIT_VECTORS
 
 
-def _enumerate_units() -> tuple[Vec3, ...]:
-    hits = [
-        Vec3(n, p, q)
-        for n, p, q in itertools.product(range(-2, 3), repeat=3)
-        if norm_sq3(Vec3(n, p, q)) == 1
-    ]
-    return tuple(sorted(hits, key=Vec3.coords))
-
-
 @dataclass(frozen=True, slots=True)
 class Triple:
     """Ordered triple of unit vectors with pairwise doubled inner product 1.
@@ -165,11 +163,6 @@ class Triple:
 
     def members(self) -> tuple[Vec3, Vec3, Vec3]:
         return (self.u, self.v, self.w)
-
-    def matrix(self) -> tuple[tuple[int, int, int], ...]:
-        """3x3 integer matrix whose columns are the triple members."""
-        cols = self.members()
-        return tuple(tuple(c.coords()[i] for c in cols) for i in range(3))
 
 
 def det_exact(m):
@@ -192,23 +185,6 @@ def triads() -> tuple[frozenset[Vec3], ...]:
 def triples() -> tuple[Triple, ...]:
     """All 24 positively oriented triples, three per triad."""
     return _TRIPLES
-
-
-def _enumerate_triples() -> tuple[tuple[frozenset[Vec3], ...], tuple[Triple, ...]]:
-    units = _enumerate_units()
-    triad_list = [
-        frozenset((a, b, c))
-        for a, b, c in itertools.combinations(units, 3)
-        if inner3_doubled(a, b) == 1 and inner3_doubled(a, c) == 1 and inner3_doubled(b, c) == 1
-    ]
-    trips = []
-    for triad in triad_list:
-        for perm in itertools.permutations(sorted(triad, key=Vec3.coords)):
-            t = Triple(*perm)
-            if det_exact(t.matrix()) == 1:
-                trips.append(t)
-    trips.sort(key=lambda t: tuple(v.coords() for v in t.members()))
-    return tuple(triad_list), tuple(trips)
 
 
 def to_cartesian3(u: Vec3) -> tuple[float, float, float]:
@@ -264,5 +240,39 @@ def rank_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(np.append(keys, -1)[pos] == wanted, pos, -1)
 
 
-_UNIT_VECTORS = _enumerate_units()
-_TRIADS, _TRIPLES = _enumerate_triples()
+def require_memory(need: int, what: str) -> None:
+    """``ValueError`` when ``need`` bytes for ``what`` exceed physical memory, raised
+    before allocating so that a run too large for the machine stops at once."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"{what} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
+def _triple_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit rows, the index triples of the triads, and the (24, 3, 3) stack of the
+    positively oriented triples, members as columns, in lexicographic member order.
+
+    A triad's members have pairwise doubled inner product 1; of its 6 orderings the 3
+    of determinant 1 are its triples, all 48 orderings taking one determinant call.
+    """
+    units = vectors_with_norm(1)
+    gram = units @ -MINKOWSKI_GRAM[1:, 1:] @ units.T
+    combos = np.array(list(itertools.combinations(range(len(units)), 3)))
+    a, b, c = combos.T
+    triad_index = combos[(gram[a, b] == 1) & (gram[a, c] == 1) & (gram[b, c] == 1)]
+    orderings = triad_index[:, list(itertools.permutations(range(3)))].reshape(-1, 3)
+    mats = units[orderings].transpose(0, 2, 1)
+    mats = mats[det_exact(mats) == 1]
+    # sort by the members' coordinates: the first member's n is the primary key
+    mats = mats[np.lexsort(mats.transpose(0, 2, 1).reshape(-1, 9).T[::-1])]
+    mats.flags.writeable = False
+    return units, triad_index, mats
+
+
+_UNIT_ROWS, _TRIAD_ROWS, TRIPLE_MATRICES = _triple_matrices()
+_UNIT_VECTORS = tuple(Vec3(*row) for row in _UNIT_ROWS.tolist())
+_TRIADS = tuple(frozenset(_UNIT_VECTORS[i] for i in t) for t in _TRIAD_ROWS.tolist())
+_TRIPLES = tuple(Triple(*(Vec3(*col) for col in m.T.tolist())) for m in TRIPLE_MATRICES)

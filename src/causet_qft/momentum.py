@@ -31,6 +31,7 @@ __all__ = [
     "Hyperboloid",
     "hyperboloid",
     "mass_shell_defect",
+    "hyperboloid_invariance_defect",
     "PoincareElement",
     "poincare_identity",
     "poincare_product",

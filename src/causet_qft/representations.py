@@ -1,16 +1,19 @@
 """Unitary and spinor representations of the lattice symmetry group.
 
 The 3-dimensional representation is the conjugation of the integer matrices
-into Cartesian coordinates, where they become rotations.  The 2-dimensional
-spinor values are recovered per element from the standard quadratic
-relations between a rotation matrix and its SU(2) preimages; the preimage
-is only defined up to a global sign, so a deterministic representative is
-chosen (see ``SignConvention``).
+into Cartesian coordinates, where they become rotations: one (24, 3, 3) stack
+in label order.  The 2-dimensional spinor values are recovered per element
+from the standard quadratic relations between a rotation matrix and its SU(2)
+preimages, into one (24, 2, 2) stack; the preimage is only defined up to a
+global sign, so a deterministic representative is chosen (see
+``SignConvention``).  Every law that relates pairs of elements is one array
+expression over the group's product table.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,19 +21,25 @@ from enum import Enum
 import numpy as np
 
 from . import paperdata
-from .symmetry import GroupElement, elements, multiply
+from .symmetry import MATRICES, PRODUCT_INDEX, GroupElement, element, elements, index
 
 __all__ = [
-    "Unitary3",
     "Spinor2",
     "SignConvention",
     "ALLOWED_EIGENVALUES",
     "basis_change",
     "cal_u",
+    "unitary3_defect",
+    "homomorphism_defect",
     "eigensystem",
+    "eigenvalue_set_defect",
+    "eigen_transport_check",
     "generator_log",
+    "generator_log_defect",
     "spinor_of",
     "seven_equation_residuals",
+    "spinor_unitarity_defect",
+    "spinor_equation_residual",
     "projective_check",
     "printed_spinor_report",
 ]
@@ -51,27 +60,24 @@ def basis_change() -> tuple[np.ndarray, np.ndarray]:
     return np.array(paperdata.U_MATRIX), np.array(paperdata.U_INVERSE)
 
 
-@dataclass(frozen=True)
-class Unitary3:
-    """Value of the 3d unitary representation at one group element."""
-
-    label: str
-    matrix: np.ndarray
-
-    def unitarity_defect(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(3))))
-
-
 _U, _UINV = basis_change()
-_CAL_U = {
-    z.label: _UINV @ np.array(z.matrix, dtype=float) @ _U for z in elements()
-}
+_CAL_U = _UINV @ MATRICES @ _U
+_CAL_U.flags.writeable = False
 
 
-def cal_u(z: GroupElement) -> Unitary3:
-    """Rotation matrix of ``z`` in Cartesian coordinates."""
-    return Unitary3(z.label, _CAL_U[z.label].copy())
+def cal_u(z: GroupElement) -> np.ndarray:
+    """Rotation matrix of ``z`` in Cartesian coordinates (a read-only 3x3 array)."""
+    return _CAL_U[index(z)]
+
+
+def unitary3_defect() -> float:
+    """Worst |R^T R - I| entry over the (real) rotations R."""
+    return float(np.max(np.abs(_CAL_U.transpose(0, 2, 1) @ _CAL_U - np.eye(3))))
+
+
+def homomorphism_defect() -> float:
+    """Worst | calU(YZ) - calU(Y) calU(Z) | entry over all 576 pairs."""
+    return float(np.max(np.abs(_CAL_U[PRODUCT_INDEX] - _CAL_U[:, None] @ _CAL_U[None, :])))
 
 
 def _principal_angle(lam: complex) -> float:
@@ -83,7 +89,7 @@ def _principal_angle(lam: complex) -> float:
 
 def eigensystem(z: GroupElement) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (sorted by principal argument) and eigenvectors of cal_u(z)."""
-    vals, vecs = np.linalg.eig(_CAL_U[z.label])
+    vals, vecs = np.linalg.eig(cal_u(z))
     order = sorted(range(3), key=lambda i: (_principal_angle(vals[i]), i))
     return vals[order], vecs[:, order]
 
@@ -95,8 +101,7 @@ def generator_log(z: GroupElement) -> np.ndarray:
     so eigenvectors are orthonormalized cluster by cluster before assembling
     the spectral sum.
     """
-    m = _CAL_U[z.label]
-    vals, vecs = np.linalg.eig(m)
+    vals, vecs = np.linalg.eig(cal_u(z))
     clusters: dict[int, list[int]] = {}
     for i, lam in enumerate(vals):
         key = min(
@@ -123,7 +128,7 @@ def generator_log_defect() -> float:
     for z in elements():
         vals, vecs = np.linalg.eigh(generator_log(z))
         exp_h = vecs @ np.diag(np.exp(1j * vals)) @ vecs.conj().T
-        worst = max(worst, float(np.max(np.abs(exp_h - _CAL_U[z.label]))))
+        worst = max(worst, float(np.max(np.abs(exp_h - cal_u(z)))))
     return worst
 
 
@@ -147,16 +152,10 @@ class Spinor2:
     label: str
     a: complex
     b: complex
-    convention: SignConvention
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.a, self.b], [-self.b.conjugate(), self.a.conjugate()]]
-        )
-
-    def negated(self) -> "Spinor2":
-        return Spinor2(self.label, -self.a, -self.b, self.convention)
+        return np.array([[self.a, self.b], [-self.b.conjugate(), self.a.conjugate()]])
 
 
 def seven_equation_residuals(rotation: np.ndarray, a: complex, b: complex) -> tuple[float, ...]:
@@ -217,131 +216,98 @@ def _canonicalize(a: complex, b: complex) -> tuple[complex, complex]:
     return a, b
 
 
-def _printed_matrix(label: str) -> np.ndarray:
-    return np.array(paperdata.SPINOR_PRINTED[label])
-
+_SPINORS = np.array([Spinor2(z.label, *_canonicalize(*_solve_spinor(cal_u(z)))).matrix for z in elements()])
+_SPINORS.flags.writeable = False
 
 # A printed spinor matrix counts as a valid form, or as a match, within this.
 _PRINTED_TOL = 1e-9
 
 
-def _valid_su2_form(p: np.ndarray) -> bool:
-    """Unitary with determinant 1, of the form [[a, b], [-conj(b), conj(a)]]."""
-    return bool(
-        np.max(np.abs(p.conj().T @ p - np.eye(2))) < _PRINTED_TOL
-        and abs(np.linalg.det(p) - 1.0) < _PRINTED_TOL
-        and abs(p[1, 1] - p[0, 0].conjugate()) < _PRINTED_TOL
-        and abs(p[1, 0] + p[0, 1].conjugate()) < _PRINTED_TOL
+def _printed_comparison() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per element, the printed matrix p against the canonical value R: whether p has
+    the SU(2) form [[a, b], [-conj(b), conj(a)]] (unitary, determinant 1), the distance
+    min(|p - R|, |p + R|), and the sign +1/-1 of the nearer one, 0 if p is corrupt."""
+    p = np.array([paperdata.SPINOR_PRINTED[z.label] for z in elements()])
+    valid = (
+        (np.max(np.abs(p.conj().transpose(0, 2, 1) @ p - np.eye(2)), axis=(1, 2)) < _PRINTED_TOL)
+        & (np.abs(np.linalg.det(p) - 1.0) < _PRINTED_TOL)
+        & (np.abs(p[:, 1, 1] - p[:, 0, 0].conj()) < _PRINTED_TOL)
+        & (np.abs(p[:, 1, 0] + p[:, 0, 1].conj()) < _PRINTED_TOL)
     )
+    d_plus, d_minus = (np.max(np.abs(d), axis=(1, 2)) for d in (p - _SPINORS, p + _SPINORS))
+    diff = np.minimum(d_plus, d_minus)
+    return valid, diff, np.where(valid & (diff < _PRINTED_TOL), np.where(d_plus < d_minus, 1, -1), 0)
 
 
-_SPINOR_CANONICAL: dict[str, Spinor2] = {}
-for _z in elements():
-    _a, _b = _canonicalize(*_solve_spinor(_CAL_U[_z.label]))
-    _SPINOR_CANONICAL[_z.label] = Spinor2(_z.label, _a, _b, SignConvention.CANONICAL)
+_PRINTED_VALID, _PRINTED_DIFF, _PRINTED_SIGNS = _printed_comparison()
 
 
-def _printed_sign(label: str) -> int:
-    """+1/-1 if the published representative is the +/- canonical one, 0 if corrupt."""
-    canonical = _SPINOR_CANONICAL[label].matrix
-    p = _printed_matrix(label)
-    d_plus, d_minus = np.max(np.abs(p - canonical)), np.max(np.abs(p + canonical))
-    if not _valid_su2_form(p) or min(d_plus, d_minus) >= _PRINTED_TOL:
-        return 0
-    return 1 if d_plus < d_minus else -1
-
-
-_PRINTED_SIGNS = {z.label: _printed_sign(z.label) for z in elements()}
+def _spinors(convention: SignConvention) -> np.ndarray:
+    """The (24, 2, 2) spinor values under ``convention``."""
+    if convention is SignConvention.CANONICAL:
+        return _SPINORS
+    return np.where(_PRINTED_SIGNS[:, None, None] < 0, -_SPINORS, _SPINORS)
 
 
 def spinor_of(z: GroupElement, convention: SignConvention = SignConvention.CANONICAL) -> Spinor2:
     """Spinor value of ``z`` under the requested sign convention."""
-    s = _SPINOR_CANONICAL[z.label]
-    if convention is SignConvention.CANONICAL:
-        return s
-    sign = _PRINTED_SIGNS[z.label]
-    out = s if sign >= 0 else s.negated()
-    return Spinor2(out.label, out.a, out.b, SignConvention.PRINTED)
+    m = _spinors(convention)[index(z)]
+    return Spinor2(z.label, complex(m[0, 0]), complex(m[0, 1]))
 
 
 def spinor_unitarity_defect() -> float:
     """Worst |R^H R - I| entry over the canonical spinor values R."""
-    mats = [s.matrix for s in _SPINOR_CANONICAL.values()]
-    return max(float(np.max(np.abs(m.conj().T @ m - np.eye(2)))) for m in mats)
+    return float(np.max(np.abs(_SPINORS.conj().transpose(0, 2, 1) @ _SPINORS - np.eye(2))))
 
 
 def spinor_equation_residual() -> float:
     """Worst residual of the seven relations between each canonical spinor value and its rotation."""
-    return max(max(seven_equation_residuals(_CAL_U[s.label], s.a, s.b)) for s in _SPINOR_CANONICAL.values())
+    spinors = [spinor_of(z) for z in elements()]
+    return max(max(seven_equation_residuals(r, s.a, s.b)) for r, s in zip(_CAL_U, spinors))
 
 
 def projective_check(convention: SignConvention = SignConvention.CANONICAL) -> dict:
     """Worst residual of R(YZ) = +-R(Y)R(Z) over all pairs, and the sign cocycle."""
-    mats = {z.label: spinor_of(z, convention).matrix for z in elements()}
-    cocycle: dict[tuple[str, str], int] = {}
-    worst = 0.0
-    for y in elements():
-        for z in elements():
-            yz = multiply(y, z)
-            prod = mats[y.label] @ mats[z.label]
-            d_plus = float(np.max(np.abs(prod - mats[yz.label])))
-            d_minus = float(np.max(np.abs(prod + mats[yz.label])))
-            worst = max(worst, min(d_plus, d_minus))
-            cocycle[(y.label, z.label)] = 1 if d_plus <= d_minus else -1
+    mats = _spinors(convention)
+    prod, target = mats[:, None] @ mats[None, :], mats[PRODUCT_INDEX]
+    d_plus, d_minus = (np.max(np.abs(d), axis=(-2, -1)) for d in (prod - target, prod + target))
+    labels = [z.label for z in elements()]
+    signs = np.where(d_plus <= d_minus, 1, -1).ravel().tolist()
+    cocycle = dict(zip(itertools.product(labels, repeat=2), signs))
+    worst = float(np.max(np.minimum(d_plus, d_minus)))
     return {"convention": convention.value, "worst_residual": worst, "cocycle": cocycle}
 
 
 def printed_spinor_report() -> list[dict]:
     """Per-element comparison of the computed spinor values with the listing."""
-    out = []
-    for z in elements():
-        canonical = _SPINOR_CANONICAL[z.label].matrix
-        p = _printed_matrix(z.label)
-        diff = float(min(np.max(np.abs(p - canonical)), np.max(np.abs(p + canonical))))
-        out.append(
-            {
-                "label": z.label,
-                "printed_valid_form": _valid_su2_form(p),
-                "matches_up_to_sign": diff < _PRINTED_TOL,
-                "max_abs_diff": diff,
-                "printed_sign": _PRINTED_SIGNS[z.label],
-            }
-        )
-    return out
-
-
-def homomorphism_defect() -> float:
-    """Worst | calU(YZ) - calU(Y) calU(Z) | over all 576 pairs."""
-    worst = 0.0
-    for y in elements():
-        for z in elements():
-            yz = multiply(y, z)
-            worst = max(
-                worst,
-                float(np.max(np.abs(_CAL_U[yz.label] - _CAL_U[y.label] @ _CAL_U[z.label]))),
-            )
-    return worst
+    rows = zip(elements(), _PRINTED_VALID.tolist(), _PRINTED_DIFF.tolist(), _PRINTED_SIGNS.tolist())
+    return [
+        {
+            "label": z.label,
+            "printed_valid_form": valid,
+            "matches_up_to_sign": diff < _PRINTED_TOL,
+            "max_abs_diff": diff,
+            "printed_sign": sign,
+        }
+        for z, valid, diff, sign in rows
+    ]
 
 
 def eigenvalue_set_defect() -> float:
     """Worst distance of any eigenvalue from the six allowed values."""
-    worst = 0.0
-    for z in elements():
-        vals, _ = eigensystem(z)
-        for lam in vals:
-            worst = max(worst, min(abs(lam - mu) for mu in ALLOWED_EIGENVALUES))
-    return worst
+    vals, _ = np.linalg.eig(_CAL_U)
+    return float(np.max(np.abs(vals[..., None] - np.array(ALLOWED_EIGENVALUES)).min(axis=-1)))
 
 
 def eigen_transport_check() -> float:
     """Worst eigen-equation residual of the published 3-cycle eigenvectors, before
     and after the basis change."""
-    z = next(e for e in elements() if e.label == "A")
+    z = element("A")
     worst = 0.0
     for lam, coords in paperdata.EIGEN_EXAMPLE_A:
         u = np.array(coords, dtype=complex)
         zu = np.array(z.matrix, dtype=float) @ u
         worst = max(worst, float(np.max(np.abs(zu - lam * u))))
         v = _UINV @ u
-        worst = max(worst, float(np.max(np.abs(_CAL_U["A"] @ v - lam * v))))
+        worst = max(worst, float(np.max(np.abs(cal_u(z) @ v - lam * v))))
     return worst

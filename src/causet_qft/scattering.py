@@ -19,13 +19,12 @@ its vacuum states to vanish; the engine verifies that numerically.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import FockSpace, basis_unit, fock_space, vacuum, xi_matrix
-from .lattice import Vec4, vectors_with_norm_up_to
+from .lattice import Vec4, require_memory, vectors_with_norm_up_to
 from .momentum import hyperboloid
 
 __all__ = [
@@ -38,6 +37,8 @@ __all__ = [
     "interaction_hamiltonian",
     "scattering_series",
     "self_adjoint_defect",
+    "two_pi_state",
+    "AmplitudeReport",
     "amplitude",
     "order_parity_check",
 ]
@@ -119,12 +120,7 @@ def build_model(cfg: InteractionConfig) -> ScatteringModel:
     caps = ((pi_h, cfg.pi_particle_cap), (sigma_h, cfg.sigma_particle_cap))
     dim = math.prod(math.comb(len(h) + n, n) for h, n in caps)
     need = (4 * cfg.horizon + 6) * np.dtype(complex).itemsize * dim * dim
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"the dense scattering series needs about {need / 2**30:.3g} GiB at D = {dim}, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    require_memory(need, f"the dense scattering series at D = {dim}")
     return ScatteringModel(
         cfg=cfg,
         pi_space=fock_space(pi_h, cfg.pi_particle_cap),

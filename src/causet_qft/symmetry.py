@@ -23,7 +23,7 @@ import numpy as np
 
 from . import paperdata
 from .lattice import (
-    MINKOWSKI_GRAM, Vec3, Vec4, det_exact, norm_sq3_rows, triples, vectors_with_norm_up_to
+    MINKOWSKI_GRAM, TRIPLE_MATRICES, Vec3, Vec4, det_exact, norm_sq3_rows, vectors_with_norm_up_to
 )
 
 __all__ = [
@@ -32,6 +32,9 @@ __all__ = [
     "BoostCertificate",
     "elements",
     "element",
+    "index",
+    "MATRICES",
+    "PRODUCT_INDEX",
     "multiply",
     "inverse",
     "apply3",
@@ -44,6 +47,7 @@ __all__ = [
     "apply4",
     "no_boost_search",
     "preserves_minkowski_form",
+    "isometry_report",
     "ELEMENT_PRINT_DIFFS",
 ]
 
@@ -59,21 +63,12 @@ class GroupElement:
 
 
 def _derive_elements() -> tuple[tuple[GroupElement, ...], tuple[dict, ...]]:
-    derived = [t.matrix() for t in triples()]
-    derived_set = set(derived)
-    if len(derived_set) != 24:
+    derived = [tuple(map(tuple, m)) for m in TRIPLE_MATRICES.tolist()]
+    if len(set(derived)) != 24:
         raise AssertionError("expected 24 distinct symmetry matrices")
-
-    assigned: dict[Matrix3, str] = {}
-    missing_labels: list[str] = []
-    diffs: list[dict] = []
-    for lab in paperdata.LABEL_ORDER:
-        printed = paperdata.ELEMENT_MATRICES_PRINTED[lab]
-        if printed in derived_set:
-            assigned[printed] = lab
-        else:
-            missing_labels.append(lab)
-    leftovers = [m for m in derived if m not in assigned]
+    printed = [paperdata.ELEMENT_MATRICES_PRINTED[lab] for lab in paperdata.LABEL_ORDER]
+    missing_labels = [lab for lab, m in zip(paperdata.LABEL_ORDER, printed) if m not in derived]
+    leftovers = [m for m in derived if m not in printed]
     if len(missing_labels) != len(leftovers):
         raise AssertionError("printed matrix listing inconsistent with derived group")
     if len(missing_labels) > 1:
@@ -81,39 +76,39 @@ def _derive_elements() -> tuple[tuple[GroupElement, ...], tuple[dict, ...]]:
             "more than one misprinted element matrix; cannot label unambiguously: "
             f"{missing_labels}"
         )
-    for lab, m in zip(missing_labels, leftovers):
-        assigned[m] = lab
-        diffs.append(
-            {
-                "label": lab,
-                "printed": paperdata.ELEMENT_MATRICES_PRINTED[lab],
-                "derived": m,
-                "reason": "printed matrix is not an isometry of the lattice form",
-            }
-        )
-    by_label = {lab: m for m, lab in assigned.items()}
-    elems = tuple(GroupElement(lab, by_label[lab]) for lab in paperdata.LABEL_ORDER)
-    return elems, tuple(diffs)
+    fixed = dict(zip(missing_labels, leftovers))
+    diffs = tuple(
+        {
+            "label": lab,
+            "printed": paperdata.ELEMENT_MATRICES_PRINTED[lab],
+            "derived": m,
+            "reason": "printed matrix is not an isometry of the lattice form",
+        }
+        for lab, m in fixed.items()
+    )
+    elems = tuple(GroupElement(lab, fixed.get(lab, m)) for lab, m in zip(paperdata.LABEL_ORDER, printed))
+    return elems, diffs
 
 
 _ELEMENTS, ELEMENT_PRINT_DIFFS = _derive_elements()
 _INDEX = {e.label: i for i, e in enumerate(_ELEMENTS)}
 _IDENTITY = _INDEX["I"]
 
-# The matrices as one (24, 3, 3) int64 stack in label order, and the index table of
-# its products y*z, the group's only multiplication.  Closure and an identity in
-# every row (each element's inverse) are facts of this static data, asserted here.
-_MATRICES = np.array([e.matrix for e in _ELEMENTS], dtype=np.int64)
+# The matrices as one read-only (24, 3, 3) int64 stack in label order, and the index
+# table of its products y*z, the group's only multiplication.  Closure and an identity
+# in every row (each element's inverse) are facts of this static data, asserted here.
+MATRICES = np.array([e.matrix for e in _ELEMENTS], dtype=np.int64)
 _HITS = np.all(
-    np.einsum("aij,bjk->abik", _MATRICES, _MATRICES)[:, :, None] == _MATRICES, axis=(-2, -1)
+    np.einsum("aij,bjk->abik", MATRICES, MATRICES)[:, :, None] == MATRICES, axis=(-2, -1)
 )
 if not _HITS.any(axis=-1).all():
     _i, _j = np.argwhere(~_HITS.any(axis=-1))[0]
     raise AssertionError(f"group not closed at {_ELEMENTS[_i].label}*{_ELEMENTS[_j].label}")
-_PRODUCT_INDEX = _HITS.argmax(axis=-1).astype(np.int8)
-_INVERSE_INDEX = np.argmax(_PRODUCT_INDEX == _IDENTITY, axis=1)
-if not np.all(_PRODUCT_INDEX[np.arange(24), _INVERSE_INDEX] == _IDENTITY):
+PRODUCT_INDEX = _HITS.argmax(axis=-1).astype(np.int8)
+_INVERSE_INDEX = np.argmax(PRODUCT_INDEX == _IDENTITY, axis=1)
+if not np.all(PRODUCT_INDEX[np.arange(24), _INVERSE_INDEX] == _IDENTITY):
     raise AssertionError("a row of the product table holds no identity")
+MATRICES.flags.writeable = PRODUCT_INDEX.flags.writeable = False
 
 
 def elements() -> tuple[GroupElement, ...]:
@@ -125,9 +120,14 @@ def element(label: str) -> GroupElement:
     return _ELEMENTS[_INDEX[label]]
 
 
+def index(z: GroupElement) -> int:
+    """Position of ``z`` in label order: its row of ``MATRICES`` and ``PRODUCT_INDEX``."""
+    return _INDEX[z.label]
+
+
 def multiply(y: GroupElement, z: GroupElement) -> GroupElement:
     """Product y*z, read from the product table."""
-    return _ELEMENTS[_PRODUCT_INDEX[_INDEX[y.label], _INDEX[z.label]]]
+    return _ELEMENTS[PRODUCT_INDEX[_INDEX[y.label], _INDEX[z.label]]]
 
 
 def inverse(z: GroupElement) -> GroupElement:
@@ -160,12 +160,10 @@ class GroupTable:
 def build_table() -> GroupTable:
     """Read the 576 products and check the Latin-square, associativity and two-sided
     inverse laws (the identity once per row, at transposed positions)."""
-    t = _PRODUCT_INDEX
+    t = PRODUCT_INDEX
     n = 24
     want = np.arange(n)
-    latin = all(np.array_equal(np.sort(t[i, :]), want) for i in range(n)) and all(
-        np.array_equal(np.sort(t[:, j]), want) for j in range(n)
-    )
+    latin = bool(np.all(np.sort(t, axis=1) == want) and np.all(np.sort(t, axis=0) == want[:, None]))
     left = t[t[:, :, None], np.arange(n)[None, None, :]]
     right = t[np.arange(n)[:, None, None], t[None, :, :]]
     assoc = bool(np.array_equal(left, right))
@@ -179,20 +177,14 @@ def build_table() -> GroupTable:
 def table_diff_vs_printed(table: GroupTable | None = None) -> list[dict]:
     """Cell-by-cell diff of the computed table against the published one."""
     table = table or build_table()
-    diffs = []
-    for i, row_label in enumerate(table.labels):
-        printed_row = paperdata.MULTIPLICATION_TABLE_PRINTED[row_label].split()
-        for j, col_label in enumerate(table.labels):
-            if table.rows[i][j] != printed_row[j]:
-                diffs.append(
-                    {
-                        "row": row_label,
-                        "col": col_label,
-                        "printed": printed_row[j],
-                        "computed": table.rows[i][j],
-                    }
-                )
-    return diffs
+    return [
+        {"row": row_label, "col": col_label, "printed": printed, "computed": computed}
+        for row_label, row in zip(table.labels, table.rows)
+        for col_label, printed, computed in zip(
+            table.labels, paperdata.MULTIPLICATION_TABLE_PRINTED[row_label].split(), row
+        )
+        if computed != printed
+    ]
 
 
 def generate_from(gens) -> set[GroupElement]:
@@ -204,7 +196,7 @@ def generate_from(gens) -> set[GroupElement]:
     seen[[_INDEX[g.label] for g in gens]] = True
     while True:
         grown = seen.copy()
-        grown[_PRODUCT_INDEX[np.ix_(seen, seen)]] = True
+        grown[PRODUCT_INDEX[np.ix_(seen, seen)]] = True
         if np.array_equal(grown, seen):
             return {_ELEMENTS[i] for i in np.flatnonzero(seen)}
         seen = grown
@@ -212,7 +204,7 @@ def generate_from(gens) -> set[GroupElement]:
 
 def _is_subgroup(labels: tuple[str, ...]) -> dict:
     idx = [_INDEX[lab] for lab in labels]
-    products = _PRODUCT_INDEX[np.ix_(idx, idx)]
+    products = PRODUCT_INDEX[np.ix_(idx, idx)]
     closed = set(products.flat) <= set(idx)
     has_identity = _IDENTITY in idx
     inverses = bool(np.all(np.any(products == _IDENTITY, axis=1)))
@@ -242,7 +234,7 @@ def pairwise_generators() -> dict:
     claim_holds = True
     for a, b in itertools.combinations_with_replacement(labels, 2):
         i, j = _INDEX[a], _INDEX[b]
-        commute = _PRODUCT_INDEX[i, j] == _PRODUCT_INDEX[j, i]
+        commute = PRODUCT_INDEX[i, j] == PRODUCT_INDEX[j, i]
         order = len(generate_from([_ELEMENTS[i], _ELEMENTS[j]]))
         if not commute and order != 24:
             claim_holds = False
@@ -355,12 +347,11 @@ def isometry_report() -> dict:
     """The exact spatial Gram identity M^T G M == G (on every pair by bilinearity; its
     diagonal makes the columns unit vectors), unit determinants, triples to triples."""
     gram = -MINKOWSKI_GRAM[1:, 1:]
-    pulled_back = _MATRICES.transpose(0, 2, 1) @ gram @ _MATRICES
+    pulled_back = MATRICES.transpose(0, 2, 1) @ gram @ MATRICES
     # a triple's matrix has the members as columns, so M @ T holds their images
-    trips = np.array([t.matrix() for t in triples()], dtype=np.int64)
-    moved = np.einsum("zij,tjk->ztik", _MATRICES, trips)
+    moved = np.einsum("zij,tjk->ztik", MATRICES, TRIPLE_MATRICES)[:, :, None]
     return {
         "basis_pairs_preserved": bool(np.all(pulled_back == gram)),
-        "determinants_one": bool(np.all(det_exact(_MATRICES) == 1)),
-        "triples_to_triples": bool(np.all(np.all(moved[:, :, None] == trips, axis=(-2, -1)).any(-1))),
+        "determinants_one": bool(np.all(det_exact(MATRICES) == 1)),
+        "triples_to_triples": bool(np.all(np.all(moved == TRIPLE_MATRICES, axis=(-2, -1)).any(-1))),
     }

@@ -3,8 +3,9 @@
 Each defines a notion the library computes another way (chain enumeration
 against reachability arrays, set comparisons against integer matrices,
 explicit step products against the expansion, per-pair matrix products
-against the product table, a 4-D grid against spatial rows), so the tests
-can diff the fast path against it on small cases.
+against the product table, a 4-D grid against spatial rows, per-object
+triples and per-element spinor comparisons against their stacks), so the
+tests can diff the fast path against it on small cases.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 
 from causet_qft import paperdata
 from causet_qft.causet import History, Speed, children, precedes, shell
-from causet_qft.lattice import MINKOWSKI_GRAM, Vec4
-from causet_qft.symmetry import BoostCertificate, GroupElement, apply4
+from causet_qft.lattice import MINKOWSKI_GRAM, Triple, Vec3, Vec4, inner3_doubled, norm_sq3
+from causet_qft.representations import SignConvention, cal_u, spinor_of
+from causet_qft.symmetry import BoostCertificate, GroupElement, apply4, elements, multiply
 
 
 def path_lengths(u: Vec4, v: Vec4, sample_limit: int = 1000) -> frozenset[int]:
@@ -175,3 +177,92 @@ def no_boost_search_grid(bound: int) -> BoostCertificate:
             "space": {f: f in space_solutions for f in paperdata.BOOST_EQ_SPACE_FAMILIES},
         },
     )
+
+
+def units_triads_triples() -> tuple[tuple[Vec3, ...], tuple[frozenset[Vec3], ...], tuple[Triple, ...]]:
+    """The unit vectors, the triads and the positively oriented triples, one object at a time.
+
+    Units are the norm-1 points of the box [-2, 2]^3 in coordinate order; a triad is a
+    3-subset of units with pairwise doubled inner product 1; its triples are the
+    orderings whose member-column matrix has Leibniz determinant 1.
+    """
+    units = sorted(
+        (Vec3(*c) for c in itertools.product(range(-2, 3), repeat=3) if norm_sq3(Vec3(*c)) == 1),
+        key=Vec3.coords,
+    )
+    triad_list = [
+        frozenset(c)
+        for c in itertools.combinations(units, 3)
+        if all(inner3_doubled(a, b) == 1 for a, b in itertools.combinations(c, 2))
+    ]
+    trips = [
+        Triple(*perm)
+        for triad in triad_list
+        for perm in itertools.permutations(sorted(triad, key=Vec3.coords))
+        if leibniz_det([[v.coords()[i] for v in perm] for i in range(3)]) == 1
+    ]
+    trips.sort(key=lambda t: tuple(v.coords() for v in t.members()))
+    return tuple(units), tuple(triad_list), tuple(trips)
+
+
+def unitary3_defect_by_element() -> float:
+    """Worst |R^H R - I| entry, one rotation R at a time."""
+    worst = 0.0
+    for z in elements():
+        m = cal_u(z)
+        worst = max(worst, float(np.max(np.abs(m.conj().T @ m - np.eye(3)))))
+    return worst
+
+
+def homomorphism_defect_by_pairs() -> float:
+    """Worst | calU(YZ) - calU(Y) calU(Z) | entry, one pair at a time."""
+    worst = 0.0
+    for y in elements():
+        for z in elements():
+            worst = max(worst, float(np.max(np.abs(cal_u(multiply(y, z)) - cal_u(y) @ cal_u(z)))))
+    return worst
+
+
+def projective_check_by_pairs(convention: SignConvention) -> dict:
+    """Worst residual of R(YZ) = +-R(Y)R(Z) and the sign cocycle, one pair at a time."""
+    mats = {z.label: spinor_of(z, convention).matrix for z in elements()}
+    cocycle: dict[tuple[str, str], int] = {}
+    worst = 0.0
+    for y in elements():
+        for z in elements():
+            target = mats[multiply(y, z).label]
+            prod = mats[y.label] @ mats[z.label]
+            d_plus = float(np.max(np.abs(prod - target)))
+            d_minus = float(np.max(np.abs(prod + target)))
+            worst = max(worst, min(d_plus, d_minus))
+            cocycle[(y.label, z.label)] = 1 if d_plus <= d_minus else -1
+    return {"convention": convention.value, "worst_residual": worst, "cocycle": cocycle}
+
+
+def printed_spinor_rows(tol: float = 1e-9) -> list[dict]:
+    """The canonical spinor values against the printed listing, one element at a time:
+    the printed matrix p's SU(2) form, its distance up to sign, and its sign (0 when p
+    is corrupt)."""
+    rows = []
+    for z in elements():
+        canonical = spinor_of(z).matrix
+        p = np.array(paperdata.SPINOR_PRINTED[z.label])
+        valid = bool(
+            np.max(np.abs(p.conj().T @ p - np.eye(2))) < tol
+            and abs(np.linalg.det(p) - 1.0) < tol
+            and abs(p[1, 1] - p[0, 0].conjugate()) < tol
+            and abs(p[1, 0] + p[0, 1].conjugate()) < tol
+        )
+        d_plus, d_minus = np.max(np.abs(p - canonical)), np.max(np.abs(p + canonical))
+        diff = float(min(d_plus, d_minus))
+        sign = 0 if not valid or diff >= tol else (1 if d_plus < d_minus else -1)
+        rows.append(
+            {
+                "label": z.label,
+                "printed_valid_form": valid,
+                "matches_up_to_sign": diff < tol,
+                "max_abs_diff": diff,
+                "printed_sign": sign,
+            }
+        )
+    return rows

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from causet_qft.causet import (
     ORIGIN,
     CovarianceReport,
     average_speeds,
+    causal_order,
     children,
     construction_cross_check,
     covariance_diagnostics,
@@ -351,3 +353,13 @@ def test_speed_exact_square():
 
     s = average_speeds(4)[3]
     assert exact_square(s) == Fraction(s.norm_sq, 16)
+
+
+def test_causal_order_memory_guard_trips_one_byte_short(monkeypatch):
+    coords = history(2).coords
+    need = 10 * len(coords) ** 2
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need - 1))
+    with pytest.raises(ValueError, match=f"causal order of {len(coords)} vertices"):
+        causal_order(coords)
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need))
+    assert causal_order(coords).shape == (len(coords), len(coords))

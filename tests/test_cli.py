@@ -7,10 +7,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import causet_qft
 from causet_qft import fock, scattering, symmetry
 from causet_qft.cli import main
 
@@ -59,9 +64,9 @@ def test_group_verify(capsys):
 
 def test_group_verify_reads_inverses_off_the_table(capsys, monkeypatch):
     # the identity entry of row A read as A: A has no inverse in the table
-    corrupt = symmetry._PRODUCT_INDEX.copy()
+    corrupt = symmetry.PRODUCT_INDEX.copy()
     corrupt[1, symmetry._INVERSE_INDEX[1]] = 1
-    monkeypatch.setattr(symmetry, "_PRODUCT_INDEX", corrupt)
+    monkeypatch.setattr(symmetry, "PRODUCT_INDEX", corrupt)
     code, out, err = run_cli(capsys, "--format", "json", "group-verify")
     assert code == 1
     bundle = json.loads(out)
@@ -337,7 +342,7 @@ def test_scatter_too_large_for_memory_is_a_named_error(capsys):
     assert time.monotonic() - start < 2
     assert code == 1
     assert out == ""
-    assert "error: the dense scattering series needs about" in err
+    assert "error: the dense scattering series at D = " in err
     assert "of physical memory" in err
 
 
@@ -449,6 +454,45 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
     assert out.endswith("\n")
+
+
+@pytest.mark.parametrize("target", ["missing/dir/r.txt", "."], ids=["missing-directory", "directory"])
+def test_out_to_an_unwritable_path_is_a_named_error(tmp_path, capsys, target):
+    # checked before the subcommand runs: no report, no traceback
+    code, out, err = run_cli(capsys, "--out", str(tmp_path / target), "group-table")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --out ")
+    assert "Traceback" not in err
+
+
+def test_causet_verify_beyond_physical_memory_is_a_named_error(capsys):
+    # V = 261,815 vertices: the guard stops the run before any V x V buffer exists
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "causet-verify", "--t", "20")
+    assert time.monotonic() - start < 2.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the causal order of 261815 vertices needs about")
+
+
+def test_out_of_memory_is_a_named_error():
+    # the 169 GiB coordinate box of no-boost --bound 1000 under a 2 GiB address-space cap
+    resource = pytest.importorskip("resource")
+    cap = 2 << 30
+    src = str(Path(causet_qft.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "causet_qft.cli", "no-boost", "--bound", "1000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_text_format_default(capsys):

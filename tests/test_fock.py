@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -505,7 +506,7 @@ def test_spin_rep_identity_rotation(fock13):
 def test_spin_rep_unitary(fock13):
     h = fock13.hyperboloid
     rnd = random.Random(6)
-    for spin in (0, 0.5, 1):
+    for spin in (0, 0.5, Fraction(1, 2), 1):
         for _ in range(5):
             z = elements()[rnd.randrange(24)]
             m = spin_rep(_random_x(rnd), z, spin, h)

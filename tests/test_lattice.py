@@ -16,6 +16,7 @@ from causet_qft.lattice import (
     F3,
     G3,
     MINKOWSKI_GRAM,
+    TRIPLE_MATRICES,
     ZERO3,
     Triple,
     Vec3,
@@ -35,6 +36,7 @@ from causet_qft.lattice import (
     vectors_with_norm,
     vectors_with_norm_up_to,
 )
+from oracles import units_triads_triples
 
 coords = st.integers(min_value=-50, max_value=50)
 vec3s = st.builds(Vec3, coords, coords, coords)
@@ -82,6 +84,9 @@ def test_unit_vectors_brute_force_oracle():
         if norm_sq3(Vec3(n, p, q)) == 1
     }
     assert brute == set(unit_vectors3())
+    # the stacked derivation gives the per-object enumeration's tuples, in its order
+    assert (unit_vectors3(), triads(), triples()) == units_triads_triples()
+    assert not TRIPLE_MATRICES.flags.writeable
 
 
 def test_triads_and_triples():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from causet_qft import paperdata
+from causet_qft import representations as reps
 from causet_qft.representations import (
     ALLOWED_EIGENVALUES,
     SignConvention,
@@ -23,8 +24,15 @@ from causet_qft.representations import (
     projective_check,
     seven_equation_residuals,
     spinor_of,
+    unitary3_defect,
 )
-from causet_qft.symmetry import element, elements, multiply
+from causet_qft.symmetry import element, elements, index, multiply
+from oracles import (
+    homomorphism_defect_by_pairs,
+    printed_spinor_rows,
+    projective_check_by_pairs,
+    unitary3_defect_by_element,
+)
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -37,20 +45,33 @@ def test_basis_change_values():
 
 
 def test_cal_u_values():
-    assert np.allclose(cal_u(element("I")).matrix, np.eye(3))
-    assert np.allclose(cal_u(element("M")).matrix, np.diag([1.0, -1.0, -1.0]), atol=1e-12)
-    n_row1 = cal_u(element("N")).matrix[0]
+    assert np.allclose(cal_u(element("I")), np.eye(3))
+    assert not cal_u(element("I")).flags.writeable
+    assert np.allclose(cal_u(element("M")), np.diag([1.0, -1.0, -1.0]), atol=1e-12)
+    n_row1 = cal_u(element("N"))[0]
     assert np.allclose(
         n_row1, [0.5, -1.0 / (2.0 * math.sqrt(3.0)), -math.sqrt(2.0 / 3.0)], atol=1e-12
     )
     for lab, printed in paperdata.UNITARY3_PRINTED.items():
-        assert np.max(np.abs(cal_u(element(lab)).matrix - np.array(printed))) < 1e-12
+        assert np.max(np.abs(cal_u(element(lab)) - np.array(printed))) < 1e-12
 
 
 def test_unitarity_and_homomorphism():
-    for z in elements():
-        assert cal_u(z).unitarity_defect() < 1e-12
+    assert unitary3_defect() < 1e-12
     assert homomorphism_defect() < 1e-12
+    # the stacked laws give the per-element and per-pair loops' values bit for bit
+    assert unitary3_defect() == unitary3_defect_by_element()
+    assert homomorphism_defect() == homomorphism_defect_by_pairs()
+
+
+def test_unitarity_and_homomorphism_see_a_corrupted_rotation(monkeypatch):
+    broken = reps._CAL_U.copy()
+    broken[index(element("N")), 0, 1] += 1e-3
+    monkeypatch.setattr(reps, "_CAL_U", broken)
+    assert unitary3_defect() > 1e-4
+    assert homomorphism_defect() > 1e-4
+    assert unitary3_defect() == unitary3_defect_by_element()
+    assert homomorphism_defect() == homomorphism_defect_by_pairs()
 
 
 def test_eigenvalue_set():
@@ -108,7 +129,7 @@ def _expm_hermitian(h):
 def test_exponential_reproduces_representation():
     for z in elements():
         h = generator_log(z)
-        assert np.max(np.abs(_expm_hermitian(h) - cal_u(z).matrix)) < 1e-10
+        assert np.max(np.abs(_expm_hermitian(h) - cal_u(z))) < 1e-10
 
 
 def test_spinor_values_and_equations():
@@ -118,7 +139,7 @@ def test_spinor_values_and_equations():
         m = s.matrix
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
         assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
-        assert max(seven_equation_residuals(cal_u(z).matrix, s.a, s.b)) < 1e-10
+        assert max(seven_equation_residuals(cal_u(z), s.a, s.b)) < 1e-10
 
 
 def test_spinor_examples():
@@ -134,6 +155,7 @@ def test_spinor_examples():
 
 def test_printed_spinor_comparison():
     report = printed_spinor_report()
+    assert report == printed_spinor_rows()
     mismatched = {r["label"] for r in report if not r["matches_up_to_sign"]}
     # the published listing garbles exactly these eight entries (misprinted
     # exponents, dropped imaginary units, a stray prefactor, one mixed row)
@@ -144,8 +166,27 @@ def test_printed_spinor_comparison():
             assert r["printed_sign"] in (-1, 1)
 
 
+def test_flipped_printed_sign_flips_its_cocycle_entries(monkeypatch):
+    g = index(element("G"))
+    before = projective_check(SignConvention.PRINTED)["cocycle"]
+    flipped = reps._PRINTED_SIGNS.copy()
+    flipped[g] *= -1
+    monkeypatch.setattr(reps, "_PRINTED_SIGNS", flipped)
+    after = projective_check(SignConvention.PRINTED)
+    assert after == projective_check_by_pairs(SignConvention.PRINTED)
+    # R(G) -> -R(G) flips c(Y, Z) exactly when G is an odd number of Y, Z and YZ
+    for y in elements():
+        for z in elements():
+            odd = ((y.label == "G") + (z.label == "G") + (multiply(y, z).label == "G")) % 2
+            key = (y.label, z.label)
+            assert after["cocycle"][key] == (-1 if odd else 1) * before[key]
+
+
 def test_projective_property_canonical():
     report = projective_check(SignConvention.CANONICAL)
+    # the stacked check gives the pair loop's residual bit for bit and its 576 signs
+    assert report == projective_check_by_pairs(SignConvention.CANONICAL)
+    assert len(report["cocycle"]) == 576
     assert report["worst_residual"] < 1e-10
     cocycle = report["cocycle"]
     for z in elements():
@@ -156,6 +197,7 @@ def test_projective_property_canonical():
 def test_projective_property_printed_convention():
     """Under the published sign choices both quoted sign facts reproduce."""
     report = projective_check(SignConvention.PRINTED)
+    assert report == projective_check_by_pairs(SignConvention.PRINTED)
     assert report["worst_residual"] < 1e-10
     assert multiply(element("G"), element("H")).label == "I"
     assert report["cocycle"][("G", "H")] == -1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 
 import numpy as np
@@ -127,10 +128,10 @@ def test_memory_guard_estimates_the_model_dimension(
     dim = build_model(cfg).dim
     # a series of 4 * 1 + 6 complex D x D arrays, one byte short of fitting
     need = 10 * 16 * dim * dim
-    monkeypatch.setattr(scattering.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need - 1))
-    with pytest.raises(ValueError, match=f"at D = {dim}, more than the"):
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need - 1))
+    with pytest.raises(ValueError, match=f"series at D = {dim} needs about"):
         build_model(cfg)
-    monkeypatch.setattr(scattering.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need))
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need))
     assert build_model(cfg).dim == dim
 
 

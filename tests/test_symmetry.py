@@ -64,7 +64,8 @@ def test_multiply_examples():
 
 
 def test_product_table_matches_per_pair_products():
-    assert np.array_equal(symmetry._PRODUCT_INDEX, product_table_by_pairs(elements()))
+    assert np.array_equal(symmetry.PRODUCT_INDEX, product_table_by_pairs(elements()))
+    assert not symmetry.PRODUCT_INDEX.flags.writeable and not symmetry.MATRICES.flags.writeable
 
 
 def test_multiply_is_the_matrix_product():
@@ -91,14 +92,14 @@ def test_inverses_exist():
 
 
 def test_build_table_reads_inverses_off_the_table(monkeypatch):
-    table = symmetry._PRODUCT_INDEX
+    table = symmetry.PRODUCT_INDEX
     no_identity = table.copy()
     no_identity[1, 2] = 1  # A * B = I read as A: row A holds no identity
     # A * C = I read instead of A * B = I, but C * A is not I: a one-sided inverse
     one_sided = table.copy()
     one_sided[1, [2, 3]] = table[1, [3, 2]]
     for corrupt in (no_identity, one_sided):
-        monkeypatch.setattr(symmetry, "_PRODUCT_INDEX", corrupt)
+        monkeypatch.setattr(symmetry, "PRODUCT_INDEX", corrupt)
         assert not build_table().inverses
 
 
@@ -154,9 +155,9 @@ def test_isometry_and_triple_preservation():
 
 
 def test_isometry_report_sees_a_broken_matrix(monkeypatch):
-    broken = symmetry._MATRICES.copy()
+    broken = symmetry.MATRICES.copy()
     broken[5, 0, 0] += 1
-    monkeypatch.setattr(symmetry, "_MATRICES", broken)
+    monkeypatch.setattr(symmetry, "MATRICES", broken)
     report = isometry_report()
     assert report == {
         "basis_pairs_preserved": False,
