@@ -20,12 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import random
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -39,29 +39,6 @@ TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "f
 # rounding error scales with the sizes of its factors, and |S| grows
 # geometrically with the horizon.  Measured defects sit near 2e-15 relative.
 SERIES_RELATIVE_BOUND = 1e-13
-
-
-def _plain(obj):
-    """Recursively convert report values into JSON-encodable structures."""
-    if isinstance(obj, (Vec3, Vec4)):
-        return list(obj.coords())
-    if isinstance(obj, complex):
-        return {"im": float(obj.imag), "re": float(obj.real)}
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.complexfloating,)):
-        return _plain(complex(obj))
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {_key(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
 
 
 def _key(k):
@@ -252,7 +229,7 @@ def cmd_shells(args) -> dict:
         "cross_check": cross,
     }
     if not args.sizes_only:
-        payload["shells"] = [sh.tolist() for sh in np.split(hist.coords, hist.offsets[1:-1])]
+        payload["shells"] = np.split(hist.coords, hist.offsets[1:-1])
     checks = [
         _check("shell0_single_vertex", sizes[0] == 1),
         _check("shell1_thirteen_vertices", len(sizes) < 2 or sizes[1] == 13),
@@ -344,12 +321,13 @@ def cmd_hyperboloid(args) -> dict:
         "mass_sq": args.m2,
         "p_max": args.pmax,
         "count": len(h),
-        "points": h.coords.tolist(),
+        "points": h.coords,
     }
+    points = h.coords.tolist()
     checks = [
         _check("points_on_shell_exact", momentum.mass_shell_defect(h) == 0),
         _check("rotation_invariant_point_set", invariance == 0),
-        _check("lexicographic_order", payload["points"] == sorted(payload["points"])),
+        _check("lexicographic_order", points == sorted(points)),
     ]
     return _bundle("hyperboloid", {"m2": args.m2, "pmax": args.pmax}, payload, {}, checks)
 
@@ -382,7 +360,7 @@ def cmd_fock_verify(args) -> dict:
         "point_count": len(h),
         "sector_dims": np.diff(space.offsets).tolist(),
         "total_dim": space.dim,
-        "basis_manifest": [ms.tolist() for ms in space.multiset_arrays],
+        "basis_manifest": list(space.multiset_arrays),
         "adjoint_defect": adjoint_defect,
         "phi_phi_commutator_max": phi_phi,
         "psi_psi_commutator_max": psi_psi,
@@ -477,43 +455,128 @@ def cmd_scatter(args) -> dict:
 
 
 # ---------------------------------------------------------------- rendering
+# One walk per format renders the bundle as the commands built it: JSON in the
+# layout of ``json.dumps(value, indent=2, sort_keys=True)``, text in insertion
+# order.  A list of scalars is one join, a 2-D integer array one ``%`` call over
+# its flattened values.
+
+_SCALAR, _SCALARS, _BLOCK, _LIST, _DICT = range(5)
+_PLAIN = frozenset({str, int, float, bool, type(None), dict, list})
+_JSON_WORDS = {
+    "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null", "True": "true", "False": "false"
+}
 
 
-def _render_text(value, indent=0) -> list[str]:
-    pad = "  " * indent
-    lines = []
-    if isinstance(value, dict):
-        for k in value:
-            v = value[k]
-            if isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {_fmt_scalar(v)}")
-    elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {_fmt_scalar(v)}")
-    else:
-        lines.append(f"{pad}{_fmt_scalar(value)}")
-    return lines
+def _leaf(v):
+    """``v`` one level down in JSON's types: vectors and tuples as lists, complex numbers
+    as ``{"im", "re"}``, numpy scalars and 0-d arrays as Python scalars; arrays stay."""
+    if isinstance(v, (np.generic, np.ndarray)):
+        if v.ndim:
+            return v
+        v = v.item()
+    if isinstance(v, complex):
+        return {"im": v.imag, "re": v.real}
+    if isinstance(v, (Vec3, Vec4)):
+        return list(v.coords())
+    if isinstance(v, (list, tuple, dict)):
+        return dict(v) if isinstance(v, dict) else list(v)
+    return v
 
 
-def _is_scalar_list(v) -> bool:
-    return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
+def _form(v):
+    """``(form, value)``: a scalar (empty containers too), a nonempty list of scalars, a
+    nonempty 2-D integer array as ``(flat values, width)``, a nonempty list, or a
+    nonempty dict keyed through ``_key``."""
+    if type(v) not in _PLAIN:
+        v = _leaf(v)
+    if type(v) is np.ndarray:
+        if v.ndim == 2 and v.size and v.dtype.kind in "iu":
+            return _BLOCK, (v.ravel().tolist(), v.shape[1])
+        v = v.tolist()
+    if type(v) not in (dict, list) or not v:
+        return _SCALAR, v
+    if type(v) is dict:
+        return _DICT, {_key(k): x for k, x in v.items()}
+    kinds = set(map(type, v))
+    if not kinds <= _PLAIN:
+        v = [x if type(x) in _PLAIN else _leaf(x) for x in v]
+        kinds = set(map(type, v))
+    return (_LIST if kinds & {dict, list, np.ndarray} else _SCALARS), v
 
 
-def _fmt_scalar(v) -> str:
-    if isinstance(v, list):
-        return "[" + ", ".join(_fmt_scalar(x) for x in v) + "]"
-    if isinstance(v, dict):
-        return "{" + ", ".join(f"{k}: {_fmt_scalar(x)}" for k, x in v.items()) + "}"
+def _json_scalar(v) -> str:
+    if isinstance(v, str):
+        return _json_str(v)
     if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        text = float.__repr__(v)
+    elif isinstance(v, int) and not isinstance(v, bool):
+        text = int.__repr__(v)
+    elif v is None or isinstance(v, (bool, dict, list)):  # the containers are empty
+        text = str(v)
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    return _JSON_WORDS.get(text, text)
+
+
+def _json(v, nl: str, emit) -> None:
+    """Emit ``v`` as JSON; ``nl`` is a newline and the indentation ``v`` starts at."""
+    form, v = _form(v)
+    inner = nl + "  "
+    if form == _DICT or form == _LIST:
+        sep, end = "{}" if form == _DICT else "[]"
+        items = sorted(v.items()) if form == _DICT else ((None, x) for x in v)
+        for k, x in items:
+            head = "" if k is None else f"{_json_str(k)}: "
+            emit(sep + inner + head)
+            _json(x, inner, emit)
+            sep = ","
+        emit(nl + end)
+    elif form == _SCALARS:
+        emit("[" + inner + ("," + inner).join(map(_json_scalar, v)) + nl + "]")
+    elif form == _BLOCK:
+        flat, width = v
+        cell = inner + "  "
+        row = "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]"
+        emit("[" + inner + ("," + inner).join([row] * (len(flat) // width)) % tuple(flat) + nl + "]")
+    else:
+        emit(_json_scalar(v))
+
+
+def _text_scalar(v) -> str:
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def _text(pairs, pad: str, emit) -> None:
+    """Emit a ``head value`` line per ``(head, value)`` pair, or, for a nonempty
+    container that is not a list of scalars, a ``head`` line and its items below."""
+    inner = pad + "  "
+    for head, v in pairs:
+        form, v = _form(v)
+        if form == _SCALAR:
+            emit(f"{pad}{head} {_text_scalar(v)}")
+        elif form == _SCALARS:
+            emit(f"{pad}{head} [{', '.join(map(_text_scalar, v))}]")
+        else:
+            emit(pad + head)
+            if form == _BLOCK:
+                flat, width = v
+                row = inner + "- [" + ", ".join(["%d"] * width) + "]"
+                emit("\n".join([row] * (len(flat) // width)) % tuple(flat))
+            else:
+                items = ((f"{k}:", x) for k, x in v.items()) if form == _DICT else (("-", x) for x in v)
+                _text(items, inner, emit)
+
+
+def _render_json(bundle: dict) -> str:
+    out: list[str] = []
+    _json(bundle, "\n", out.append)
+    return "".join(out) + "\n"
+
+
+def _render_text(bundle: dict) -> str:
+    out: list[str] = []
+    _text(((f"{k}:", x) for k, x in _form(bundle)[1].items()), "", out.append)
+    return "\n".join(out) + "\n"
 
 
 def _render_csv(bundle: dict) -> str:
@@ -686,19 +749,18 @@ def main(argv=None) -> int:
     except (ValueError, MemoryError) as exc:  # bad input, or too large; failed gates are checks
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    plain = _plain(bundle)
-    if args.format == "json":
-        rendered = json.dumps(plain, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        rendered = _render_csv(bundle)
-    else:
-        rendered = "\n".join(_render_text(plain)) + "\n"
+    command_s = time.monotonic() - start
+    render = {"json": _render_json, "csv": _render_csv, "text": _render_text}[args.format]
+    rendered = render(bundle)
     sys.stdout.write(rendered)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     elapsed = time.monotonic() - start
-    print(f"# wall-clock: {elapsed:.3f}s", file=sys.stderr)
+    print(
+        f"# wall-clock: {elapsed:.3f}s (command {command_s:.3f}s, render {elapsed - command_s:.3f}s)",
+        file=sys.stderr,
+    )
     failed = [c["name"] for c in bundle["summary"]["checks"] if not c["passed"]]
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)

@@ -4,7 +4,7 @@ The spatial lattice is the integer span of three unit vectors with pairwise
 inner product 1/2; the spacetime lattice adds an orthogonal unit time
 direction.  All inner products are kept exact by working with *doubled*
 values (2<u,v> is always an integer), so nothing in this module touches
-floating point except the Cartesian embedding helper.
+floating point.
 
 Sets of lattice points are integer rows (the enumerator returns (n, p, q)
 rows, ``rank_rows`` finds rows in a sorted table); ``Vec3``/``Vec4`` are the
@@ -19,8 +19,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-
-from .paperdata import BASIS_CARTESIAN
 
 __all__ = [
     "Vec3",
@@ -41,10 +39,6 @@ __all__ = [
     "triads",
     "triples",
     "TRIPLE_MATRICES",
-    "basic_triple",
-    "to_cartesian3",
-    "cartesian_norm_sq",
-    "ZERO3",
     "E3",
     "F3",
     "G3",
@@ -108,7 +102,6 @@ class Vec4:
         return (self.t, self.n, self.p, self.q)
 
 
-ZERO3 = Vec3(0, 0, 0)
 E3 = Vec3(1, 0, 0)
 F3 = Vec3(0, 1, 0)
 G3 = Vec3(0, 0, 1)
@@ -187,21 +180,6 @@ def triples() -> tuple[Triple, ...]:
     return _TRIPLES
 
 
-def to_cartesian3(u: Vec3) -> tuple[float, float, float]:
-    """Cartesian embedding of a lattice vector via the published basis."""
-    e, f, g = BASIS_CARTESIAN
-    return tuple(u.n * e[i] + u.p * f[i] + u.q * g[i] for i in range(3))
-
-
-def cartesian_norm_sq(u: Vec3) -> float:
-    x, y, z = to_cartesian3(u)
-    return x * x + y * y + z * z
-
-
-def basic_triple() -> Triple:
-    return Triple(E3, F3, G3)
-
-
 def norm_sq3_rows(rows: np.ndarray) -> np.ndarray:
     """``norm_sq3`` of every (n, p, q) row of an (m, 3) integer array."""
     n, p, q = rows.T
@@ -213,6 +191,9 @@ def vectors_with_norm_up_to(limit: int) -> np.ndarray:
     (m, 3) int64 array in lexicographic order."""
     # the form dominates half the coordinate sum of squares: |coordinate| <= sqrt(2 limit)
     b = math.isqrt(2 * limit) if limit >= 0 else -1
+    # three meshgrid arrays and their stack, 8 bytes per coordinate
+    side = 2 * b + 1
+    require_memory(48 * side**3, f"the lattice enumeration of norm_sq3 <= {limit} (a {side}^3 coordinate cube)")
     axis = np.arange(-b, b + 1, dtype=np.int64)
     rows = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     return rows[norm_sq3_rows(rows) <= limit]

@@ -4,20 +4,23 @@ Each defines a notion the library computes another way (chain enumeration
 against reachability arrays, set comparisons against integer matrices,
 explicit step products against the expansion, per-pair matrix products
 against the product table, a 4-D grid against spatial rows, per-object
-triples and per-element spinor comparisons against their stacks), so the
-tests can diff the fast path against it on small cases.
+triples and per-element spinor comparisons against their stacks, a converted
+copy of a report passed to ``json.dumps`` and a line-list walk against the
+one-pass renderers), so the tests can diff the fast path against it on small
+cases.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 
 from causet_qft import paperdata
 from causet_qft.causet import History, Speed, children, precedes, shell
-from causet_qft.lattice import MINKOWSKI_GRAM, Triple, Vec3, Vec4, inner3_doubled, norm_sq3
+from causet_qft.lattice import E3, F3, G3, MINKOWSKI_GRAM, Triple, Vec3, Vec4, inner3_doubled, norm_sq3
 from causet_qft.representations import SignConvention, cal_u, spinor_of
 from causet_qft.symmetry import BoostCertificate, GroupElement, apply4, elements, multiply
 
@@ -266,3 +269,100 @@ def printed_spinor_rows(tol: float = 1e-9) -> list[dict]:
             }
         )
     return rows
+
+
+ZERO3 = Vec3(0, 0, 0)
+
+
+def basic_triple() -> Triple:
+    return Triple(E3, F3, G3)
+
+
+def to_cartesian3(u: Vec3) -> tuple[float, float, float]:
+    """Cartesian embedding of a lattice vector via the published basis."""
+    e, f, g = paperdata.BASIS_CARTESIAN
+    return tuple(u.n * e[i] + u.p * f[i] + u.q * g[i] for i in range(3))
+
+
+def cartesian_norm_sq(u: Vec3) -> float:
+    x, y, z = to_cartesian3(u)
+    return x * x + y * y + z * z
+
+
+# ---------------------------------------------------------------- rendering
+
+
+def plain(obj):
+    """Recursively convert report values into JSON-encodable structures."""
+    if isinstance(obj, (Vec3, Vec4)):
+        return list(obj.coords())
+    if isinstance(obj, complex):
+        return {"im": float(obj.imag), "re": float(obj.real)}
+    if isinstance(obj, np.ndarray):
+        return plain(obj.tolist())
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.complexfloating,)):
+        return plain(complex(obj))
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, dict):
+        return {_key(k): plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
+
+
+def _key(k):
+    if isinstance(k, tuple):
+        return ",".join(str(x) for x in k)
+    return str(k)
+
+
+def render_json(bundle) -> str:
+    """The report as ``json.dumps`` lays out its converted copy."""
+    return json.dumps(plain(bundle), indent=2, sort_keys=True) + "\n"
+
+
+def render_text(bundle) -> str:
+    """The report as indented ``key: value`` and ``- item`` lines of its converted copy."""
+    return "\n".join(_text_lines(plain(bundle))) + "\n"
+
+
+def _text_lines(value, indent=0) -> list[str]:
+    pad = "  " * indent
+    lines = []
+    if isinstance(value, dict):
+        for k in value:
+            v = value[k]
+            if isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
+                lines.append(f"{pad}{k}:")
+                lines.extend(_text_lines(v, indent + 1))
+            else:
+                lines.append(f"{pad}{k}: {_fmt_scalar(v)}")
+    elif isinstance(value, list):
+        for v in value:
+            if isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
+                lines.append(f"{pad}-")
+                lines.extend(_text_lines(v, indent + 1))
+            else:
+                lines.append(f"{pad}- {_fmt_scalar(v)}")
+    else:
+        lines.append(f"{pad}{_fmt_scalar(value)}")
+    return lines
+
+
+def _is_scalar_list(v) -> bool:
+    return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
+
+
+def _fmt_scalar(v) -> str:
+    if isinstance(v, list):
+        return "[" + ", ".join(_fmt_scalar(x) for x in v) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{k}: {_fmt_scalar(x)}" for k, x in v.items()) + "}"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)

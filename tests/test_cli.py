@@ -7,17 +7,24 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causet_qft
-from causet_qft import fock, scattering, symmetry
+import oracles
+from causet_qft import cli, fock, scattering, symmetry
 from causet_qft.cli import main
+from causet_qft.lattice import Vec3, Vec4
 
 
 def run_cli(capsys, *argv):
@@ -476,30 +483,44 @@ def test_causet_verify_beyond_physical_memory_is_a_named_error(capsys):
     assert err.startswith("error: the causal order of 261815 vertices needs about")
 
 
-def test_out_of_memory_is_a_named_error():
-    # the 169 GiB coordinate box of no-boost --bound 1000 under a 2 GiB address-space cap
+def test_out_of_memory_is_a_named_error(capsys):
+    # a 2829^3 coordinate cube, about 1 TiB: refused before any coordinate exists
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "no-boost", "--bound", "1000")
+    assert time.monotonic() - start < 2.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the lattice enumeration of norm_sq3 <= 1000001 (a 2829^3 coordinate cube) needs")
+    # a 283^3 cube (1.1 GB) passes that estimate, but its first 181 MB coordinate array
+    # fails under an address-space cap 64 MiB above what the process has mapped
     resource = pytest.importorskip("resource")
-    cap = 2 << 30
-    src = str(Path(causet_qft.__file__).parents[1])
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm for the process's mapped size")
+    child = (
+        "import resource, sys\n"
+        "from causet_qft.cli import main\n"
+        "cap = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize() + (64 << 20)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "sys.exit(main(['no-boost', '--bound', '100']))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-m", "causet_qft.cli", "no-boost", "--bound", "1000"],
+        [sys.executable, "-c", child],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        env={**os.environ, "PYTHONPATH": str(Path(causet_qft.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"},
     )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: Unable to allocate ")
     assert "Traceback" not in proc.stderr
 
 
 def test_text_format_default(capsys):
-    code, out, _ = run_cli(capsys, "speeds", "--t", "2")
+    code, out, err = run_cli(capsys, "speeds", "--t", "2")
     assert code == 0
     assert out.startswith("command: speeds")
     assert "paper_diff" in out
+    # stderr splits the time between the subcommand and rendering
+    assert re.fullmatch(r"# wall-clock: \d+\.\d{3}s \(command \d+\.\d{3}s, render \d+\.\d{3}s\)\n", err)
 
 
 SUBCOMMANDS = [
@@ -557,3 +578,66 @@ def test_check_names(capsys, argv):
     checks = json.loads(out)["summary"]["checks"]
     assert [c["name"] for c in checks] == CHECK_NAMES[argv[0]]
     assert all(c["passed"] for c in checks)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", [*SUBCOMMANDS, ("shells", "--t", "7")], ids=lambda a: " ".join(a))
+def test_render_matches_the_two_pass_oracle(capsys, monkeypatch, fmt, argv):
+    """stdout is byte-identical to the converted copy rendered by json.dumps or the line walk."""
+    name = f"_render_{fmt}"
+    bundles = []
+
+    def spy(bundle, _render=getattr(cli, name)):
+        bundles.append(bundle)
+        return _render(bundle)
+
+    monkeypatch.setattr(cli, name, spy)
+    code, out, _ = run_cli(capsys, "--format", fmt, *argv)
+    assert code == 0
+    assert out == getattr(oracles, name.removeprefix("_"))(bundles[0])
+
+
+def _int_matrices(dtype):
+    """Integer matrices of 1 to 3 columns and 0 to 3 rows."""
+    bound = np.iinfo(dtype)
+    values = st.lists(st.integers(int(bound.min), int(bound.max)), max_size=9)
+    return st.tuples(st.integers(1, 3), values).map(
+        lambda t: np.array(t[1][: len(t[1]) // t[0] * t[0]], dtype=dtype).reshape(-1, t[0])
+    )
+
+
+# ASCII, characters JSON escapes, non-ASCII, and one outside the BMP (a surrogate pair)
+_TEXT = st.text(alphabet='az09 ,:"\\/\n\t\x00\x1f\x7fé∞ψ\u2028😀', max_size=6)
+_KEYS = st.one_of(_TEXT, st.integers(-3, 3), st.tuples(st.integers(-3, 3), _TEXT))
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16]))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT, st.complex_numbers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), _FLOATS.map(np.float64), st.booleans().map(np.bool_),
+    st.builds(Vec3, st.integers(), st.integers(), st.integers()),
+    st.builds(Vec4, st.integers(), st.integers(), st.integers(), st.integers()),
+    _int_matrices(np.int64), _int_matrices(np.int32),
+    st.lists(st.booleans(), min_size=2, max_size=6).map(lambda xs: np.array(xs[: len(xs) // 2 * 2]).reshape(-1, 2)),
+    st.lists(_FLOATS, max_size=3).map(np.array), st.lists(st.complex_numbers(), max_size=2).map(np.array),
+    _FLOATS.map(np.array),
+    st.just(np.zeros((2, 0), dtype=np.int64)),
+    st.lists(st.lists(st.integers(), max_size=3), max_size=3),  # ragged and empty rows
+    # equal-width rows of ints with True/False among them, empty rows included
+    st.tuples(
+        st.integers(0, 3), st.lists(st.lists(st.one_of(st.integers(), st.booleans()), min_size=3, max_size=3), max_size=3)
+    ).map(lambda t: [row[: t[0]] for row in t[1]]),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(_KEYS, _TREES, max_size=4))
+def test_render_matches_the_two_pass_oracle_on_payload_trees(bundle):
+    assert cli._render_json(bundle) == oracles.render_json(bundle)
+    assert cli._render_text(bundle) == oracles.render_text(bundle)

@@ -17,26 +17,22 @@ from causet_qft.lattice import (
     G3,
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
-    ZERO3,
     Triple,
     Vec3,
     Vec4,
-    basic_triple,
-    cartesian_norm_sq,
     inner3_doubled,
     minkowski_doubled,
     norm_sq3,
     norm_sq3_rows,
     norm_sq4,
     rank_rows,
-    to_cartesian3,
     triads,
     triples,
     unit_vectors3,
     vectors_with_norm,
     vectors_with_norm_up_to,
 )
-from oracles import units_triads_triples
+from oracles import ZERO3, basic_triple, cartesian_norm_sq, to_cartesian3, units_triads_triples
 
 coords = st.integers(min_value=-50, max_value=50)
 vec3s = st.builds(Vec3, coords, coords, coords)
