@@ -1,12 +1,12 @@
-"""Discrete-time scattering: step products, their expansion and amplitudes.
+"""Discrete-time scattering: step products, their orders and amplitudes.
 
 The scattering operator obeys the one-step recursion S(k+1) = (I + iH(k))S(k)
-starting from the identity.  Expanding the product gives the sum over
-strictly decreasing time tuples, which is rebuilt independently here and
-compared against the recursion.  Orders in the interaction are tracked
-exactly during the recursion (order k picks up one factor of H per step),
-so per-order amplitude contributions come from bookkeeping, not numerical
-differentiation in the coupling.
+starting from the identity.  Orders in the interaction are tracked exactly
+during the recursion (order k picks up one factor of H per step), so per-order
+amplitude contributions come from bookkeeping, not numerical differentiation
+in the coupling.  The same product rebuilt with the coupling turned through
+the (n+1)-th roots of unity checks every order in n^2 products, where the sum
+over decreasing time tuples took 2^n terms to check only their total.
 
 The model interaction couples two scalar species on a tensor product of
 truncated Fock spaces: the density at a spacetime point is the squared
@@ -31,7 +31,6 @@ __all__ = [
     "InteractionConfig",
     "ScatteringModel",
     "ScatteringSeries",
-    "expansion_formula",
     "build_model",
     "window_slice",
     "interaction_hamiltonian",
@@ -42,25 +41,6 @@ __all__ = [
     "amplitude",
     "order_parity_check",
 ]
-
-
-def expansion_formula(a_seq: list[np.ndarray], x0: np.ndarray, n: int) -> np.ndarray:
-    """Sum over strictly decreasing index tuples of A products, applied to X(0).
-
-    Independent of the ordered product [I + A(n-1)] ... [I + A(0)] X(0); the
-    two must agree.
-    """
-    from itertools import combinations
-
-    dim = x0.shape[0]
-    total = np.eye(dim, dtype=complex)
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            term = None
-            for j in reversed(combo):  # decreasing order, leftmost largest
-                term = a_seq[j] if term is None else term @ a_seq[j]
-            total += term
-    return total @ x0.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -112,14 +92,14 @@ class ScatteringModel:
 def build_model(cfg: InteractionConfig) -> ScatteringModel:
     """The model's two Fock spaces of dimension C(points + cap, cap), or a ``ValueError``
     before any sector exists when the dense series would outgrow physical memory: at
-    its peak it holds 4n + 6 complex D x D arrays (H and iH per step, the orders and
-    S(0..n), the identity and three expansion temporaries)."""
+    its peak it holds 3n + 6 complex D x D arrays (H per step, the orders and S(1..n),
+    the identity, the last step's iH, three chain buffers and one real |defect|)."""
     cfg.validate()
     pi_h = hyperboloid(cfg.pi_mass_sq, cfg.energy_cap)
     sigma_h = hyperboloid(cfg.sigma_mass_sq, cfg.energy_cap)
     caps = ((pi_h, cfg.pi_particle_cap), (sigma_h, cfg.sigma_particle_cap))
     dim = math.prod(math.comb(len(h) + n, n) for h, n in caps)
-    need = (4 * cfg.horizon + 6) * np.dtype(complex).itemsize * dim * dim
+    need = (3 * cfg.horizon + 6) * np.dtype(complex).itemsize * dim * dim
     require_memory(need, f"the dense scattering series at D = {dim}")
     return ScatteringModel(
         cfg=cfg,
@@ -161,7 +141,7 @@ class ScatteringSeries:
     steps: tuple[np.ndarray, ...]
     final_orders: tuple[np.ndarray, ...]
     final_max_abs: float
-    expansion_defect: float
+    rotated_coupling_defect: float
     order_sum_defect: float
     unitarity_defects: tuple[float, ...]
 
@@ -171,12 +151,14 @@ class ScatteringSeries:
 
 
 def scattering_series(model: ScatteringModel) -> ScatteringSeries:
-    """Build S by the recursion, track orders, and measure it against the expansion.
+    """Build S by the recursion, track orders, and check every order on the coupling circle.
 
-    ``expansion_defect`` is the worst entry of |expansion - S(n)| and
-    ``order_sum_defect`` that of |sum of orders - S(n)|.  Before step t only
-    orders 0..t are nonzero, so the step updates orders t+1 down to 1 in place,
-    each from the order below it before that one changes.
+    Before step t only orders 0..t are nonzero, so the step updates orders t+1
+    down to 1 in place, each from the order below it before that one changes.
+    At each w = exp(2 pi i j / (n + 1)) the chain (I + i w H(n-1)) ... (I + i w H(0))
+    must equal the sum of w^k times order k: ``order_sum_defect`` is the worst entry of
+    the difference at w = 1 and ``rotated_coupling_defect`` over the other n roots,
+    so by the inverse DFT no order is off anywhere by more than the larger.
     """
     n = model.cfg.horizon
     dim = model.dim
@@ -192,13 +174,26 @@ def scattering_series(model: ScatteringModel) -> ScatteringSeries:
         steps.append((eye + ih) @ steps[-1])
 
     final = steps[-1]
-    expanded = expansion_formula([1j * h for h in hams], eye, n)
+    rotated = 0.0
+    chain, spare, factor = (np.empty_like(eye) for _ in range(3))
+    for j in range(1, n + 1):
+        w = np.exp(2j * np.pi * j / (n + 1))
+        chain[...] = eye
+        for h in hams:
+            np.multiply(h, 1j * w, out=factor)
+            factor.flat[:: dim + 1] += 1
+            np.matmul(factor, chain, out=spare)
+            chain, spare = spare, chain
+        for order, w_k in zip(orders, w ** np.arange(n + 1)):  # powers of the rounded w
+            chain -= np.multiply(order, w_k, out=factor)
+        rotated = max(rotated, float(np.max(np.abs(chain))))
+    del chain, spare, factor
     return ScatteringSeries(
         hamiltonians=tuple(hams),
         steps=tuple(steps),
         final_orders=tuple(orders),
         final_max_abs=float(np.max(np.abs(final))),
-        expansion_defect=float(np.max(np.abs(expanded - final))),
+        rotated_coupling_defect=rotated,
         order_sum_defect=float(np.max(np.abs(sum(orders) - final))),
         unitarity_defects=tuple(float(np.max(np.abs(s.conj().T @ s - eye))) for s in steps),
     )

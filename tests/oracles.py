@@ -2,12 +2,13 @@
 
 Each defines a notion the library computes another way (chain enumeration
 against reachability arrays, set comparisons against integer matrices,
-explicit step products against the expansion, per-pair matrix products
-against the product table, a 4-D grid against spatial rows, per-object
-triples and per-element spinor comparisons against their stacks, a converted
-copy of a report passed to ``json.dumps`` and a line-list walk against the
-one-pass renderers), so the tests can diff the fast path against it on small
-cases.
+explicit step products and the 2^n sum over decreasing time tuples against
+the step recursion and its orders checked on the coupling circle, per-pair
+matrix products against the product table, a 4-D grid against spatial rows,
+per-object triples and per-element spinor comparisons against their stacks,
+a converted copy of a report passed to ``json.dumps`` and a line-list walk
+against the one-pass renderers), so the tests can diff the fast path against
+it on small cases.
 """
 
 from __future__ import annotations
@@ -105,6 +106,25 @@ def product_formula(a_seq: list[np.ndarray], x0: np.ndarray, n: int) -> np.ndarr
     for j in range(n):
         out = (eye + a_seq[j]) @ out
     return out
+
+
+def expansion_formula(a_seq: list[np.ndarray], x0: np.ndarray, n: int) -> np.ndarray:
+    """Sum over strictly decreasing index tuples of A products, applied to X(0).
+
+    Independent of the ordered product [I + A(n-1)] ... [I + A(0)] X(0); the
+    two must agree.
+    """
+    from itertools import combinations
+
+    dim = x0.shape[0]
+    total = np.eye(dim, dtype=complex)
+    for k in range(1, n + 1):
+        for combo in combinations(range(n), k):
+            term = None
+            for j in reversed(combo):  # decreasing order, leftmost largest
+                term = a_seq[j] if term is None else term @ a_seq[j]
+            total += term
+    return total @ x0.astype(complex)
 
 
 def leibniz_det(m) -> int:

