@@ -1,12 +1,12 @@
 """Discrete-time scattering: step products, their orders and amplitudes.
 
 The scattering operator obeys the one-step recursion S(k+1) = (I + iH(k))S(k)
-starting from the identity.  Orders in the interaction are tracked exactly
-during the recursion (order k picks up one factor of H per step), so per-order
-amplitude contributions come from bookkeeping, not numerical differentiation
-in the coupling.  The same product rebuilt with the coupling turned through
-the (n+1)-th roots of unity checks every order in n^2 products, where the sum
-over decreasing time tuples took 2^n terms to check only their total.
+starting from the identity.  One step loop builds S, taking each S(k)'s unitarity
+defect as it goes, and its orders in the interaction (order k picks up one factor
+of H per step), so per-order amplitudes come from bookkeeping, not numerical
+differentiation in the coupling; the series keeps the Hamiltonians, the orders and
+S(n).  The product rebuilt with the coupling turned through the (n+1)-th roots of
+unity checks every order.
 
 The model interaction couples two scalar species on a tensor product of
 truncated Fock spaces: the density at a spacetime point is the squared
@@ -92,14 +92,14 @@ class ScatteringModel:
 def build_model(cfg: InteractionConfig) -> ScatteringModel:
     """The model's two Fock spaces of dimension C(points + cap, cap), or a ``ValueError``
     before any sector exists when the dense series would outgrow physical memory: at
-    its peak it holds 3n + 6 complex D x D arrays (H per step, the orders and S(1..n),
-    the identity, the last step's iH, three chain buffers and one real |defect|)."""
+    its peak it holds 2n + 6 complex D x D arrays (H and an order per step, the identity,
+    S(n) and a spare, the factor, the chain and one real |defect|)."""
     cfg.validate()
     pi_h = hyperboloid(cfg.pi_mass_sq, cfg.energy_cap)
     sigma_h = hyperboloid(cfg.sigma_mass_sq, cfg.energy_cap)
     caps = ((pi_h, cfg.pi_particle_cap), (sigma_h, cfg.sigma_particle_cap))
     dim = math.prod(math.comb(len(h) + n, n) for h, n in caps)
-    need = (3 * cfg.horizon + 6) * np.dtype(complex).itemsize * dim * dim
+    need = (2 * cfg.horizon + 6) * np.dtype(complex).itemsize * dim * dim
     require_memory(need, f"the dense scattering series at D = {dim}")
     return ScatteringModel(
         cfg=cfg,
@@ -134,27 +134,23 @@ def interaction_hamiltonian(model: ScatteringModel, t: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatteringSeries:
-    """Hamiltonians H(0..n-1), step operators S(0..n), final per-order
-    contributions, the largest |entry| of S(n), and the measured defects."""
+    """Hamiltonians H(0..n-1), the orders, the step loop's S(n), max|S(n)| and the defects."""
 
     hamiltonians: tuple[np.ndarray, ...]
-    steps: tuple[np.ndarray, ...]
+    final: np.ndarray
     final_orders: tuple[np.ndarray, ...]
     final_max_abs: float
     rotated_coupling_defect: float
     order_sum_defect: float
     unitarity_defects: tuple[float, ...]
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.steps[-1]
-
 
 def scattering_series(model: ScatteringModel) -> ScatteringSeries:
-    """Build S by the recursion, track orders, and check every order on the coupling circle.
+    """Build S and its orders in one step loop, then check every order on the coupling circle.
 
-    Before step t only orders 0..t are nonzero, so the step updates orders t+1
-    down to 1 in place, each from the order below it before that one changes.
+    Only orders 0..t are nonzero before step t, so it updates orders t+1 down to 1 in
+    place, each from the order below it before that one changes; the same iH(t) plus I
+    then takes S(t) to S(t+1), whose max|S^H S - I| is taken before the next step.
     At each w = exp(2 pi i j / (n + 1)) the chain (I + i w H(n-1)) ... (I + i w H(0))
     must equal the sum of w^k times order k: ``order_sum_defect`` is the worst entry of
     the difference at w = 1 and ``rotated_coupling_defect`` over the other n roots,
@@ -166,16 +162,19 @@ def scattering_series(model: ScatteringModel) -> ScatteringSeries:
     hams = [interaction_hamiltonian(model, t) for t in range(n)]
 
     orders = [eye] + [np.zeros((dim, dim), dtype=complex) for _ in range(n)]
-    steps = [eye]
-    for t in range(n):
-        ih = 1j * hams[t]
+    final, factor, unitarity = eye, np.empty_like(eye), [0.0]  # S(0) = I is unitary
+    for t, h in enumerate(hams):
+        np.multiply(1j, h, out=factor)
         for k in range(t + 1, 0, -1):
-            orders[k] += ih @ orders[k - 1]
-        steps.append((eye + ih) @ steps[-1])
+            orders[k] += factor @ orders[k - 1]
+        factor.flat[:: dim + 1] += 1
+        final = factor @ final
+        np.matmul(final.conj().T, final, out=factor)
+        factor.flat[:: dim + 1] -= 1
+        unitarity.append(float(np.max(np.abs(factor))))
 
-    final = steps[-1]
     rotated = 0.0
-    chain, spare, factor = (np.empty_like(eye) for _ in range(3))
+    chain, spare = np.empty_like(eye), np.empty_like(eye)
     for j in range(1, n + 1):
         w = np.exp(2j * np.pi * j / (n + 1))
         chain[...] = eye
@@ -190,12 +189,12 @@ def scattering_series(model: ScatteringModel) -> ScatteringSeries:
     del chain, spare, factor
     return ScatteringSeries(
         hamiltonians=tuple(hams),
-        steps=tuple(steps),
+        final=final,
         final_orders=tuple(orders),
         final_max_abs=float(np.max(np.abs(final))),
         rotated_coupling_defect=rotated,
         order_sum_defect=float(np.max(np.abs(sum(orders) - final))),
-        unitarity_defects=tuple(float(np.max(np.abs(s.conj().T @ s - eye))) for s in steps),
+        unitarity_defects=tuple(unitarity),
     )
 
 

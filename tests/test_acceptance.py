@@ -370,8 +370,14 @@ def test_criterion_9_dyson_engine():
         )
         zero_model = scattering.build_model(zero_cfg)
         series = scattering.scattering_series(zero_model)
-        for s in series.steps:
-            assert np.array_equal(s, np.eye(zero_model.dim, dtype=complex))
+        eye = np.eye(zero_model.dim, dtype=complex)
+        ihs = [1j * h for h in series.hamiltonians]
+        steps = [product_formula(ihs, eye, k) for k in range(len(ihs) + 1)]
+        assert np.array_equal(series.final, eye)
+        assert np.max(np.abs(series.final - steps[-1])) == 0.0
+        assert series.unitarity_defects == tuple(
+            float(np.max(np.abs(s.conj().T @ s - eye))) for s in steps
+        )
 
 
 CLI_SUBCOMMANDS = [

@@ -177,8 +177,8 @@ def test_memory_guard_estimates_the_model_dimension(
         horizon=1,
     )
     dim = build_model(cfg).dim
-    # a series of 3 * 1 + 6 complex D x D arrays, one byte short of fitting
-    need = 9 * 16 * dim * dim
+    # a series of 2 * 1 + 6 complex D x D arrays, one byte short of fitting
+    need = 8 * 16 * dim * dim
     monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need - 1))
     with pytest.raises(ValueError, match=f"series at D = {dim} needs about"):
         build_model(cfg)
@@ -333,8 +333,14 @@ def test_hamiltonian_zero_coupling(model):
     m0 = build_model(cfg0)
     assert np.all(interaction_hamiltonian(m0, 0) == 0)
     series = scattering_series(m0)
-    for s in series.steps:
-        assert np.array_equal(s, np.eye(m0.dim, dtype=complex))
+    eye = np.eye(m0.dim, dtype=complex)
+    ihs = [1j * h for h in series.hamiltonians]
+    steps = [product_formula(ihs, eye, k) for k in range(len(ihs) + 1)]
+    assert np.array_equal(series.final, eye)
+    assert np.max(np.abs(series.final - steps[-1])) == 0.0
+    assert series.unitarity_defects == tuple(
+        float(np.max(np.abs(s.conj().T @ s - eye))) for s in steps
+    )
 
 
 def test_hamiltonian_single_point_hand_check():
@@ -362,13 +368,19 @@ def test_hamiltonian_single_point_hand_check():
 
 def test_series_recursion_properties(model):
     series = scattering_series(model)
-    assert np.array_equal(series.steps[0], np.eye(model.dim, dtype=complex))
     assert series.rotated_coupling_defect < 1e-9
-    # the difference of consecutive steps is iH(t) S(t)
-    diffs = difference_op(list(series.steps))
-    for t, d in enumerate(diffs):
-        expected = (1j * interaction_hamiltonian(model, t)) @ series.steps[t]
-        assert np.max(np.abs(d - expected)) < 1e-10
+    # S(0..n) rebuilt one factor at a time: the series keeps the last bit for bit
+    # and took each step's unitarity defect from the S(k) it then held
+    ihs = [1j * h for h in series.hamiltonians]
+    eye = np.eye(model.dim, dtype=complex)
+    steps = [product_formula(ihs, eye, k) for k in range(len(ihs) + 1)]
+    assert np.max(np.abs(series.final - steps[-1])) == 0.0
+    assert series.unitarity_defects == tuple(
+        float(np.max(np.abs(s.conj().T @ s - eye))) for s in steps
+    )
+    # the last step adds iH(n-1) S(n-1) to the rebuilt S(n-1)
+    (last,) = difference_op([steps[-2], series.final])
+    assert np.max(np.abs(last - ihs[-1] @ steps[-2])) < 1e-10
     # per-order pieces sum to the final operator
     total = sum(series.final_orders)
     assert np.max(np.abs(total - series.final)) < 1e-10
