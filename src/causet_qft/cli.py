@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from . import causet, fock, momentum, representations as reps, scattering, symmetry
-from .lattice import Vec3, Vec4
+from .lattice import Vec3, Vec4, require_memory
 from .momentum import PoincareElement
 
 TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "fock-verify"}
@@ -338,6 +338,9 @@ def cmd_fock_verify(args) -> dict:
     if args.nmax < 1:
         raise ValueError(f"--nmax must be at least 1 (no sector is truncation-safe at 0), got {args.nmax}")
     h = momentum.hyperboloid(args.m2, args.pmax)
+    dim = math.comb(len(h) + args.nmax, args.nmax)
+    # the xi product check holds two dense D x D matrices at once, the run's largest arrays
+    require_memory(2 * np.dtype(complex).itemsize * dim * dim, f"a pair of dense Fock matrices at D = {dim}")
     space = fock.fock_space(h, args.nmax)
     rnd = random.Random(12345)
 
@@ -350,7 +353,10 @@ def cmd_fock_verify(args) -> dict:
     adjoint_defect = fock.adjoint_defect(space, [rand_x() for _ in range(20)])
     phi_phi, psi_psi = fock.same_species_commutator_max(space, rand_x(), rand_x())
     mixed_defect = fock.phase_sum_defect(space, [(rand_x(), rand_x()) for _ in range(5)])
-    xi_defect = fock.xi_commutator_defect(space, [(rand_x(), rand_x()) for _ in range(5)])
+    xi_pairs = [(rand_x(), rand_x()) for _ in range(5)]
+    xi_defect = fock.xi_commutator_defect(space, xi_pairs)
+    # its own generator, so the rand_x / rand_g draws stay as they were
+    xi_matrix_defect = fock.xi_matrix_defect(space, xi_pairs, random.Random(12345))
     v_unitarity, v_hom, block_ok = fock.rep_v_defects(space, [(rand_g(), rand_g()) for _ in range(50)])
     shell_defect = momentum.mass_shell_defect(h)
 
@@ -378,6 +384,7 @@ def cmd_fock_verify(args) -> dict:
         _check("creator_commutator_zero_exact", psi_psi == 0.0, psi_psi),
         _check("phi_psi_commutator_matches_phase_sum", mixed_defect < tol, mixed_defect),
         _check("xi_commutator_matches_sine_sum", xi_defect < tol, xi_defect),
+        _check("xi_matrix_products_match_bracket", xi_matrix_defect < tol, xi_matrix_defect),
         _check("rep_v_unitary", v_unitarity < tol, v_unitarity),
         _check("rep_v_homomorphism", v_hom < tol, v_hom),
         _check("rep_v_block_diagonal", block_ok),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,12 +44,12 @@ __all__ = [
     "psi",
     "xi_matrix",
     "commutator",
-    "matrix_commutator",
     "restrict",
     "adjoint_defect",
     "same_species_commutator_max",
     "phase_sum_defect",
     "xi_commutator_defect",
+    "xi_matrix_defect",
     "rep_v",
     "rep_v_defects",
     "spin_rep",
@@ -117,6 +118,40 @@ class FockSpace:
             perm.flags.writeable = False
             self._sector_permutations[rot] = perm
         return perm
+
+    @cached_property
+    def _bracket_tables(self) -> dict[tuple[str, str], tuple[np.ndarray, ...]]:
+        return {}
+
+    def bracket_table(self, role_a: str, role_b: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every nonzero entry of the ladder brackets [X_q, Y_r], X of ``role_a`` and Y of
+        ``role_b``, as read-only ``(flat, q, r, bracket)`` arrays in (q, r, column) order:
+        entry ``flat`` (row * dim + column) of [X_q, Y_r] is the float ``bracket``.
+
+        X_q Y_r and Y_r X_q each take a column along one two-step path at most, to the
+        same multiset where both are defined, so an entry is one float product minus the
+        other; for ladders of equal role these are the same factors, so the same-species
+        tables are empty.  Built once per role pair, q by q with (d, dim) temporaries.
+        """
+        table = self._bracket_tables.get((role_a, role_b))
+        if table is None:
+            (xt, xw), (yt, yw) = self.ladder_maps[role_a], self.ladder_maps[role_b]
+            y_ok = yt >= 0
+            parts = []
+            for q, (xq, xwq) in enumerate(zip(xt, xw)):
+                # rows [r, c] of X_q Y_r and Y_r X_q applied to column c, -1 where undefined
+                xy_row = np.where(y_ok, xq[yt], -1)
+                yx_row = np.where(xq >= 0, yt[:, xq], -1)
+                xy = np.where(xy_row >= 0, xwq[yt] * yw, 0.0)
+                bracket = xy - np.where(yx_row >= 0, yw[:, xq] * xwq, 0.0)
+                rows = np.maximum(xy_row, yx_row)
+                r, c = np.nonzero((rows >= 0) & (bracket != 0))
+                parts.append((rows[r, c] * self.dim + c, np.full(len(r), q), r, bracket[r, c]))
+            table = tuple(np.concatenate(column) for column in zip(*parts))
+            for column in table:
+                column.flags.writeable = False
+            self._bracket_tables[(role_a, role_b)] = table
+        return table
 
     @cached_property
     def ladder_maps(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -240,36 +275,28 @@ def xi_matrix(x: Vec4, fock: FockSpace) -> np.ndarray:
     return out
 
 
-def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
-    """[a, b] on the full space, expanded bilinearly over point pairs (q, r).
-
-    X_q Y_r and Y_r X_q each take a column along one two-step path at most,
-    to the same multiset where both are defined, so a bracket entry is one
-    float product minus the other; for ladders of equal role these are the
-    same factors, so same-species commutators cancel to exact zeros.  Terms
-    add up in (q, r) order.  Cost O(d^2 dim) for d points, temporaries (d, dim).
-    """
+def _bracket_terms(a: FieldOperator, b: FieldOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and values of the nonzero [a, b] entries, in (q, r, column) order:
+    each table bracket times its coefficient product a.coeffs[q] * b.coeffs[r]."""
     if a.fock is not b.fock and a.fock != b.fock:
         raise ValueError("operators live on different Fock spaces")
+    flat, q, r, bracket = a.fock.bracket_table(a.role, b.role)
+    # Python complex products: numpy's vectorised complex product is not bit-equal
+    products = np.array([[ca * cb for cb in b.coeffs] for ca in a.coeffs])
+    return flat, products[q, r] * bracket
+
+
+def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
+    """[a, b] on the full space, expanded bilinearly over point pairs (q, r) of the
+    space's cached :meth:`FockSpace.bracket_table`.  Terms add up in (q, r) order, so
+    same-species commutators are exact zeros.  Beyond the dense result, cost O(d^2) plus
+    the table's nonzeros, after the table's one-time O(d^2 dim) build.
+    """
+    flat, terms = _bracket_terms(a, b)
     dim = a.fock.dim
-    (xt, xw), (yt, yw) = a.fock.ladder_maps[a.role], b.fock.ladder_maps[b.role]
     out = np.zeros(dim * dim, dtype=complex)
-    for q, ca in enumerate(a.coeffs):
-        # rows [r, c] of X_q Y_r and Y_r X_q applied to column c, -1 where undefined
-        xy_row = np.where(yt >= 0, xt[q, yt], -1)
-        yx_row = np.where(xt[q] >= 0, yt[:, xt[q]], -1)
-        xy = np.where(xy_row >= 0, xw[q, yt] * yw, 0.0)
-        bracket = xy - np.where(yx_row >= 0, yw[:, xt[q]] * xw[q], 0.0)
-        rows = np.maximum(xy_row, yx_row)
-        hit = (rows >= 0) & (bracket != 0)
-        terms = np.array([ca * cb for cb in b.coeffs])[:, None] * bracket
-        np.add.at(out, (rows * dim + np.arange(dim))[hit], terms[hit])
+    np.add.at(out, flat, terms)
     return out.reshape(dim, dim)
-
-
-def matrix_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA of two dense matrices."""
-    return a @ b - b @ a
 
 
 def restrict(fock: FockSpace, m: np.ndarray) -> np.ndarray:
@@ -329,17 +356,55 @@ def phase_sum_defect(fock: FockSpace, pairs) -> float:
     )
 
 
+def _xi_bracket(fock: FockSpace, x: Vec4, y: Vec4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero [xi(x), xi(y)] entries: the table terms of
+    its four field brackets."""
+    parts = [_bracket_terms(fa(x, fock), fb(y, fock)) for fa in (phi, psi) for fb in (phi, psi)]
+    flat, terms = (np.concatenate(column) for column in zip(*parts))
+    return (*np.divmod(flat, fock.dim), terms)
+
+
 def xi_commutator_defect(fock: FockSpace, pairs) -> float:
     """Worst deviation of [xi(x), xi(y)] from 2i sine_sum(x, y) I over the pairs (x, y),
-    from dense products: a cross-check of ``as_matrix`` against :func:`commutator`."""
+    the bracket's truncation-safe block summed from the four field brackets' tables."""
+    end = fock.safe_sector_end()
+
+    def safe_bracket(x: Vec4, y: Vec4) -> np.ndarray:
+        rows, cols, terms = _xi_bracket(fock, x, y)
+        safe = (rows < end) & (cols < end)
+        out = np.zeros((end, end), dtype=complex)
+        np.add.at(out, (rows[safe], cols[safe]), terms[safe])
+        return out
+
     return max(
-        _identity_defect(
-            fock,
-            matrix_commutator(xi_matrix(x, fock), xi_matrix(y, fock)),
-            2j * sine_sum(fock.hyperboloid, x, y),
-        )
-        for x, y in pairs
+        _identity_defect(fock, safe_bracket(x, y), 2j * sine_sum(fock.hyperboloid, x, y)) for x, y in pairs
     )
+
+
+def xi_matrix_defect(fock: FockSpace, pairs, rnd: random.Random) -> float:
+    """Worst |xi(x) (xi(y) v) - xi(y) (xi(x) v) - C v| entry over the pairs (x, y), with
+    C the table bracket of :func:`xi_commutator_defect` and v a random vector per pair:
+    Freivalds' check of the dense :func:`xi_matrix` against the ladder maps, O(dim^2).
+
+    v's parts are drawn from ``rnd``, uniform in [-1, 1), on the truncation-safe sectors
+    (zero above them).  xi(y) v then fills every sector, so the outer products read every
+    entry of both matrices.  The products are ``np.einsum`` loops, not BLAS calls, which
+    would start OpenBLAS's worker threads and leave them spinning after the check.
+    """
+    end = fock.safe_sector_end()
+
+    def pair_defect(x: Vec4, y: Vec4) -> float:
+        v = np.array([2.0 * rnd.random() - 1.0 for _ in range(2 * end)]).view(complex)
+        rows, cols, terms = _xi_bracket(fock, x, y)
+        safe = cols < end  # v is zero on the other columns
+        defect = np.zeros(fock.dim, dtype=complex)
+        np.add.at(defect, rows[safe], -terms[safe] * v[cols[safe]])
+        xi_x, xi_y = xi_matrix(x, fock), xi_matrix(y, fock)
+        defect += np.einsum("ij,j->i", xi_x, np.einsum("ij,j->i", xi_y[:, :end], v))
+        defect -= np.einsum("ij,j->i", xi_y, np.einsum("ij,j->i", xi_x[:, :end], v))
+        return float(np.max(np.abs(defect)))
+
+    return max(pair_defect(x, y) for x, y in pairs)
 
 
 def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.ndarray]:

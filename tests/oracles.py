@@ -3,7 +3,8 @@
 Each defines a notion the library computes another way (chain enumeration
 against reachability arrays, set comparisons against integer matrices,
 explicit step products and the 2^n sum over decreasing time tuples against
-the step recursion and its orders checked on the coupling circle, per-pair
+the step recursion and its orders checked on the coupling circle, dense
+matrix products against the Fock layer's bracket tables, per-pair
 matrix products against the product table, a 4-D grid against spatial rows,
 per-object triples and per-element spinor comparisons against their stacks,
 a converted copy of a report passed to ``json.dumps`` and a line-list walk
@@ -125,6 +126,11 @@ def expansion_formula(a_seq: list[np.ndarray], x0: np.ndarray, n: int) -> np.nda
                 term = a_seq[j] if term is None else term @ a_seq[j]
             total += term
     return total @ x0.astype(complex)
+
+
+def matrix_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """AB - BA of two dense matrices."""
+    return a @ b - b @ a
 
 
 def leibniz_det(m) -> int:

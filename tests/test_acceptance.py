@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from conftest import CRITERION_LINES
-from oracles import expansion_formula, path_lengths, product_formula
+from oracles import expansion_formula, matrix_commutator, path_lengths, product_formula
 
 import causet_qft
 from causet_qft import causet, fock, momentum, paperdata, representations as reps, scattering, symmetry
@@ -285,7 +285,7 @@ def test_criterion_7_fock_theorems():
             expected_sine = 2j * sum(math.sin(0.5 * dd) for dd in doubled_dots)
             xi_measured = fock.restrict(
                 space,
-                fock.matrix_commutator(fock.xi_matrix(x, space), fock.xi_matrix(y, space)),
+                matrix_commutator(fock.xi_matrix(x, space), fock.xi_matrix(y, space)),
             )
             assert np.max(np.abs(xi_measured - expected_sine * np.eye(xi_measured.shape[0]))) < 1e-10
 

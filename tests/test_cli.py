@@ -268,11 +268,43 @@ def test_fock_verify_counts_a_differing_support(capsys, monkeypatch):
     assert checks["rep_v_homomorphism"]["detail"] > 0.5
 
 
+def test_fock_verify_fails_only_the_product_check_on_a_corrupted_xi_matrix(capsys, monkeypatch):
+    exact = fock.xi_matrix
+
+    def corrupted(x, space):
+        m = exact(x, space)
+        m[0, 1] += 0.5
+        return m
+
+    monkeypatch.setattr(fock, "xi_matrix", corrupted)
+    code, out, err = run_cli(
+        capsys, "--format", "json", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "2"
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == "FAILED: xi_matrix_products_match_bracket"
+    check = {c["name"]: c for c in json.loads(out)["summary"]["checks"]}["xi_matrix_products_match_bracket"]
+    assert check["detail"] > 1e-3
+
+
 def test_fock_verify_rejects_nmax_0(capsys):
     code, out, err = run_cli(capsys, "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "0")
     assert code == 1
     assert out == ""
     assert err.startswith("error: --nmax must be at least 1")
+
+
+def test_fock_verify_refuses_a_space_larger_than_memory(capsys, monkeypatch):
+    """D = C(53, 13), about 8.4e11: refused from its size, before any sector is enumerated."""
+
+    def no_space(*args):
+        raise AssertionError("the Fock space was built before the memory guard")
+
+    monkeypatch.setattr(fock, "fock_space", no_space)
+    code, out, err = run_cli(capsys, "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "40")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: a pair of dense Fock matrices at D = {math.comb(53, 13)} needs about ")
+    assert err.count("\n") == 1 and "of physical memory" in err
 
 
 # per_order of ``scatter --g 0.1 --m2 0 --M2 1 --horizon 4 --window 1`` with the
@@ -620,8 +652,8 @@ CHECK_NAMES = {
     "fock-verify": [
         "creation_is_adjoint_of_annihilation", "annihilator_commutator_zero_exact",
         "creator_commutator_zero_exact", "phi_psi_commutator_matches_phase_sum",
-        "xi_commutator_matches_sine_sum", "rep_v_unitary", "rep_v_homomorphism",
-        "rep_v_block_diagonal", "mass_shell_identity_exact",
+        "xi_commutator_matches_sine_sum", "xi_matrix_products_match_bracket", "rep_v_unitary",
+        "rep_v_homomorphism", "rep_v_block_diagonal", "mass_shell_identity_exact",
     ],
     "scatter": [
         "orders_match_rotated_couplings", "orders_sum_to_series", "hamiltonians_self_adjoint",

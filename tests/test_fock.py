@@ -29,6 +29,7 @@ from causet_qft.fock import (
     vacuum,
     xi_commutator_defect,
     xi_matrix,
+    xi_matrix_defect,
 )
 from causet_qft.lattice import Vec4, minkowski_doubled, norm_sq3
 from causet_qft.momentum import (
@@ -40,6 +41,7 @@ from causet_qft.momentum import (
 )
 from causet_qft.representations import SignConvention, spinor_of
 from causet_qft.symmetry import element, elements, multiply
+from oracles import matrix_commutator
 
 RND = random.Random(20241)
 
@@ -327,6 +329,81 @@ def test_xi_commutator(fock13):
     assert sine_sum(fock13.hyperboloid, x, y) == pytest.approx(12.0 * math.sin(1.0))
     with pytest.raises(ValueError, match="n_max >= 1"):
         xi_commutator_defect(fock_space(hyperboloid(0, 1), 0), [(x, y)])
+
+
+def test_same_species_bracket_tables_are_empty(oracle_space):
+    space, _ = oracle_space
+    for role in ("annihilates", "creates"):
+        assert all(len(column) == 0 for column in space.bracket_table(role, role))
+    flat, q, r, bracket = space.bracket_table("annihilates", "creates")
+    assert len(flat) > 0 and np.all(bracket != 0)
+    # (q, r, column) order, the order in which the dense loop adds the terms
+    assert np.all(np.diff((q * len(space.hyperboloid) + r) * space.dim + flat % space.dim) > 0)
+
+
+def test_a_second_commutator_reuses_the_cached_tables():
+    space = fock_space(hyperboloid(3, 3), 2)
+    x, y = Vec4(1, 1, 0, 0), Vec4(2, 0, 1, -1)
+    first = commutator(phi(x, space), psi(y, space))
+    table = space.bracket_table("annihilates", "creates")
+    assert _same_bits(commutator(phi(x, space), psi(y, space)), first)
+    assert all(a is b for a, b in zip(space.bracket_table("annihilates", "creates"), table))
+    assert not any(column.flags.writeable for column in table)
+    # an equal space builds its own tables, with the same entries
+    other = fock_space(hyperboloid(3, 3), 2).bracket_table("annihilates", "creates")
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(other, table))
+
+
+def _xi_bracket_from_tables(space, x, y):
+    return sum(commutator(fa(x, space), fb(y, space)) for fa in (phi, psi) for fb in (phi, psi))
+
+
+@pytest.fixture(scope="module", params=["oracle", "d231"])
+def xi_space(request, oracle_space):
+    """Both oracle spaces and the 20-point, two-particle space (dim 231)."""
+    return oracle_space[0] if request.param == "oracle" else fock_space(hyperboloid(3, 3), 2)
+
+
+def test_table_xi_bracket_matches_the_dense_product(xi_space):
+    rnd = random.Random(21)
+    for _ in range(3):
+        x, y = _random_x(rnd), _random_x(rnd)
+        dense = matrix_commutator(xi_matrix(x, xi_space), xi_matrix(y, xi_space))
+        tables = _xi_bracket_from_tables(xi_space, x, y)
+        assert np.max(np.abs(tables - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_xi_matrix_defect_is_rounding_on_exact_matrices(xi_space):
+    rnd = random.Random(22)
+    pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(3)]
+    assert xi_matrix_defect(xi_space, pairs, random.Random(23)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda o: (o[0], o[1]), lambda o: (o[1], o[2]), lambda o: (o[1] + 1, o[1] + 3)],
+    ids=["safe_block", "top_sector_column", "zero_entry"],
+)
+def test_xi_matrix_defect_sees_one_corrupted_entry(monkeypatch, entry):
+    """One entry of the dense xi matrix off by 0.5: a lowering entry in the safe block, one
+    in a top-sector column (reached only through xi(y) v), or a one-particle to one-particle
+    entry, which is zero."""
+    space = fock_space(hyperboloid(3, 3), 2)
+    row, col = entry(space.offsets)
+    rnd = random.Random(24)
+    pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(2)]
+    exact = xi_matrix
+
+    def corrupted(x, fock):
+        m = exact(x, fock)
+        m[row, col] += 0.5
+        return m
+
+    assert xi_matrix_defect(space, pairs, random.Random(25)) < 1e-12
+    monkeypatch.setattr(fock_module, "xi_matrix", corrupted)
+    assert xi_matrix_defect(space, pairs, random.Random(25)) > 1e-3
+    # the bracket gate reads the tables, not the dense matrix
+    assert xi_commutator_defect(space, pairs) < 1e-12
 
 
 def test_xi_matrix_bit_equals_the_sum_of_its_fields(oracle_space):
