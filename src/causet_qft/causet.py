@@ -11,14 +11,14 @@ causally after the origin yet cannot be reached by any chain of links.
 Reports carry those counterexamples rather than assuming the two notions
 agree.
 
-A history carries its vertices as index-aligned arrays: the V x 4
-coordinates, built straight from the lattice enumerator's integer rows, the
-V x V order, the V x 13 link (child) indices and the V x V link
-reachability.  Every diagnostic is computed from those arrays; ``Vec4``
-objects appear only in report samples and in the ``vertices`` and ``shell``
-views.  The per-vertex functions (``precedes``, ``children``, ``parents``)
-define the same notions one object at a time and serve as the oracles the
-arrays are tested against.
+Shell k is {k} x B_k, B_k the ball norm_sq3 <= k^2.  Both relations are
+translation-invariant, so no array has a row per vertex pair: u precedes v
+iff v - u lies in the difference set, the union of the {k} x B_k over k >= 1,
+and links join u to v iff v - u lies in some {k} x R_k, R_k the k-link
+displacements.  Vertices, balls and step sets are sorted radix keys that add
+as the vectors do.  The per-vertex functions (``precedes``, ``children``,
+``parents``) define the same notions one object at a time and serve as the
+oracles the arrays are tested against.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ __all__ = [
     "History",
     "Speed",
     "history",
-    "causal_order",
     "link_array",
-    "link_reachability",
     "order_axioms",
     "precedes",
     "children",
@@ -91,8 +89,9 @@ class History:
 
     The vertices run shell by shell in lexicographic (t, n, p, q) order, shell
     t being rows ``offsets[t]:offsets[t + 1]``.  Row i of ``coords`` (V x 4
-    int32) and of every array property describes vertex i.  All arrays are
-    read-only; the properties are computed on first use and cached.
+    int32), ``keys`` (V int64) and ``links`` (V x 13 int32) describes vertex i;
+    no array has a row per vertex pair.  All arrays are read-only; the
+    properties are computed on first use and cached.
     """
 
     horizon: int
@@ -113,52 +112,45 @@ class History:
         return _frozen(link_array(self.coords))
 
     @cached_property
-    def order(self) -> np.ndarray:
-        """V x V bool: ``order[i, j]`` iff vertex i precedes vertex j."""
-        return _frozen(causal_order(self.coords))
-
-    @cached_property
-    def reachable(self) -> np.ndarray:
-        """V x V bool: ``reachable[i, j]`` iff a chain of links (maybe empty) runs from i to j."""
-        return _frozen(link_reachability(self.links, self.offsets))
+    def keys(self) -> np.ndarray:
+        """The :func:`_keys` of ``coords``, ascending; shell k's are its ball B_k."""
+        return _frozen(_keys(self.coords, self.horizon))
 
     def __contains__(self, v: Vec4) -> bool:
         return 0 <= v.t <= self.horizon and norm_sq4(v) >= 0
 
 
+# Bytes per vertex at causet-verify's peak: coords, keys, links, ``link_array``'s V x 13 x 4
+# children and grid, and the diagnostics (traced: 340-450 from t = 6 to 14, see the tests).
+_VERTEX_BYTES = 512
+
+
 def history(t: int) -> History:
+    """Shells 0..t, or a ``ValueError`` first if ``_VERTEX_BYTES`` per vertex exceed memory."""
     if t < 0:
         raise ValueError("time must be nonnegative")
     rows = vectors_with_norm_up_to(t * t)
     norms = norm_sq3_rows(rows)
-    # the enumerator's rows are lexicographic, and so is every subset of them
-    shells = [np.insert(rows[norms <= s * s], 0, s, axis=1) for s in range(t + 1)]
-    offsets = tuple(itertools.accumulate(map(len, shells), initial=0))
-    return History(t, _frozen(np.concatenate(shells).astype(np.int32)), offsets)
+    offsets = tuple(itertools.accumulate((np.count_nonzero(norms <= s * s) for s in range(t + 1)), initial=0))
+    require_memory(_VERTEX_BYTES * offsets[-1], f"the history up to t = {t} ({offsets[-1]} vertices)")
+    coords = np.empty((offsets[-1], 4), dtype=np.int32)
+    for s in range(t + 1):
+        # the enumerator's rows are lexicographic, and so is every subset of them
+        coords[offsets[s] : offsets[s + 1]] = np.insert(rows[norms <= s * s], 0, s, axis=1)
+    return History(t, _frozen(coords), offsets)
 
 
-def causal_order(coords: np.ndarray) -> np.ndarray:
-    """V x V bool relation ``precedes`` on the rows of a V x 4 coordinate array.
+def _keys(rows: np.ndarray, horizon: int) -> np.ndarray:
+    """Radix keys of (t, n, p, q) rows of a history up to ``horizon``, in balanced base
+    6 horizon + 1 digits.  Its coordinates are at most sqrt(2) horizon in size, so keys add,
+    subtract and sort as the rows do for differences of rows, sums of two shells' rows
+    (times adding up to at most ``horizon``) and chains of steps."""
+    return np.asarray(rows, dtype=np.int64) @ (6 * horizon + 1) ** np.arange(3, -1, -1, dtype=np.int64)
 
-    Differences are broadcast one coordinate at a time into two V x V int32
-    buffers, using 2 norm_sq3(n, p, q) = (n + p)^2 + (n + q)^2 + (p + q)^2,
-    so no V x V x 4 block is ever held.  A ``ValueError`` comes first when 10
-    bytes per pair, causet-verify's peak at t = 6..8 (618 MB at V = 7,831),
-    exceed physical memory.
-    """
-    c = np.asarray(coords, dtype=np.int32)
-    require_memory(10 * len(c) ** 2, f"the causal order of {len(c)} vertices")
-    dt = c[None, :, 0] - c[:, None, 0]
-    later = dt > 0
-    twice_norm = np.square(dt, out=dt)
-    twice_norm *= 2
-    d = np.empty_like(twice_norm)
-    for a, b in ((1, 2), (1, 3), (2, 3)):
-        s = c[:, a] + c[:, b]
-        np.subtract(s[None, :], s[:, None], out=d)
-        d *= d
-        twice_norm -= d
-    return later & (twice_norm >= 0)
+
+def _member(table: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Whether each of ``wanted`` is among the ascending keys ``table``."""
+    return np.searchsorted(table, wanted, side="right") > np.searchsorted(table, wanted)
 
 
 def link_array(coords: np.ndarray) -> np.ndarray:
@@ -172,42 +164,51 @@ def link_array(coords: np.ndarray) -> np.ndarray:
     lo = coords.min(axis=0) - 1
     grid = np.full(coords.max(axis=0) - lo + 2, -1, dtype=np.int32)
     grid[tuple((coords - lo).T)] = np.arange(len(coords), dtype=np.int32)
-    kids = coords[:, None, :] + _STEP_ARRAY - lo
+    kids = (coords - lo)[:, None, :] + _STEP_ARRAY
     return grid[tuple(np.moveaxis(kids, -1, 0))]
 
 
-def link_reachability(links: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
-    """V x V bool link reachability (reflexive) from a history's link array.
+def _step_sets(hist: History) -> list[np.ndarray]:
+    """Sorted keys of {k} x R_k, R_k the spatial displacements of k-link chains, k = 0..T."""
+    sets = [np.zeros(1, dtype=np.int64)]
+    for _ in range(hist.horizon):  # sort and drop repeats: np.unique would import numpy.ma
+        sums = np.sort((sets[-1][:, None] + _keys(_STEP_ARRAY, hist.horizon)).ravel())
+        sets.append(sums[np.diff(sums, prepend=sums[0] - 1) > 0])
+    return sets
 
-    Every link joins shell t to shell t + 1, so the rows are filled one shell
-    at a time from the top down: a vertex reaches itself and whatever its
-    children reach.  Rows are held as packed bits while they are combined.
+
+def _sumsets_inside(hist: History) -> bool:
+    """Whether B_j + B_k lies in B_{j+k} for all j, k >= 1 with j + k <= horizon."""
+    shells = np.split(hist.keys, hist.offsets[1:-1])
+    for m in range(2, hist.horizon + 1):
+        lo = shells[m][0]
+        member = np.zeros(shells[m][-1] - lo + 1, dtype=bool)
+        member[shells[m] - lo] = True
+        for j in range(1, m // 2 + 1):
+            b = shells[m - j] - lo
+            rows = max(1, (1 << 16) // len(b))  # 2^16 sums, 512 KB, stay in cache
+            for start in range(0, len(shells[j]), rows):
+                sums = (shells[j][start : start + rows, None] + b).ravel()
+                if sums[0] < 0 or sums[-1] >= len(member) or not member[sums].all():
+                    return False
+    return True
+
+
+def order_axioms(hist: History) -> dict[str, bool]:
+    """Irreflexivity, antisymmetry and transitivity of the order on ``hist``.
+
+    The order is its difference set, the keys of shells 1..T: irreflexive when the zero
+    vector is not in it, antisymmetric when no member's negative is.  ``transitive`` is
+    the exact sumset inclusion B_j + B_k in B_{j+k} over whole shells, j, k >= 1, j + k <= T,
+    looked up a chunk of sums at a time in a table over shell j + k's keys.  It implies
+    transitivity on the history, and more: every such sum must lie in the history.  It
+    is also the premise of :func:`covariance_diagnostics`' closed-form pair counts.
     """
-    n = len(links)
-    bits = np.packbits(np.eye(n, dtype=bool), axis=1)
-    for t in range(len(offsets) - 3, -1, -1):  # the top shell reaches only itself
-        rows = slice(offsets[t], offsets[t + 1])
-        bits[rows] |= np.bitwise_or.reduce(bits[links[rows]], axis=1)
-    return np.unpackbits(bits, axis=1, count=n).view(bool)
-
-
-def order_axioms(rel: np.ndarray) -> dict[str, bool]:
-    """Irreflexivity, antisymmetry and transitivity of a V x V bool relation.
-
-    Transitivity ORs together the packed rows of each element's successors
-    and asks that the result lie inside the element's own row.  No pair
-    count is formed, so nothing can wrap around the way a uint8 count of
-    256 intermediate elements reads 0 and hides a violation.
-    """
-    packed = np.packbits(rel, axis=1)
-    transitive = not any(
-        (np.bitwise_or.reduce(packed[row], axis=0) & ~own).any()
-        for row, own in zip(rel, packed)
-    )
+    difference = hist.keys[hist.offsets[1] :]
     return {
-        "irreflexive": not rel.diagonal().any(),
-        "antisymmetric": not (rel & rel.T).any(),
-        "transitive": transitive,
+        "irreflexive": not _member(difference, 0),
+        "antisymmetric": not _member(difference, -difference).any(),
+        "transitive": _sumsets_inside(hist),
     }
 
 
@@ -279,21 +280,23 @@ class CovarianceReport:
 def covariance_diagnostics(hist: History) -> CovarianceReport:
     """Heights, weak covariance, covariance witness and reachability defects.
 
-    Samples and the witness are the first pairs or vertices in row-major
-    vertex order.
+    Each of shell s's N(s) vertices precedes its translate of B_k in shell s + k and
+    reaches the R_k part of it: over s >= 0, k >= 1, s + k <= T there are sum N(s) N(k)
+    comparable and sum N(s) (N(k) - |R_k in B_k|) pathless pairs, given the sumset
+    inclusions of :func:`order_axioms`.  The witness and samples come first in
+    row-major order, found one row at a time.
     """
-    links, order = hist.links, hist.order
+    links, keys, off = hist.links, hist.keys, hist.offsets
     times = hist.coords[:, 0]
 
     # a vertex's height is 0 without parents, else one more than its highest
     # parent; parents lie one shell down, so shells are settled in time order
     heights = np.zeros(len(times), dtype=np.int64)
     for t in range(hist.horizon):
-        rows = slice(hist.offsets[t], hist.offsets[t + 1])
+        rows = slice(off[t], off[t + 1])
         np.maximum.at(heights, links[rows].ravel(), np.repeat(heights[rows] + 1, links.shape[1]))
 
     orphans = np.flatnonzero((_parent_counts(hist) == 0) & (times > 0))
-    pathless = order & ~hist.reachable
     # every link advances time by one step, so any existing chain from u to v
     # has length v.t - u.t; weak covariance can only fail if a link skipped a
     # shell, which the construction forbids.  A child past the horizon is
@@ -301,24 +304,35 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
     child_times = np.where(links >= 0, times[links], hist.horizon + 1)
     weakly_covariant = bool((child_times == times[:, None] + 1).all())
 
-    later = (heights[:, None] < heights[None, :]) & ~order
-    witness = None
-    if later.any():
-        u, v = np.unravel_index(np.argmax(later), later.shape)
-        witness = (hist.vertex(u), hist.vertex(v))
+    sizes, steps = np.diff(off).tolist(), _step_sets(hist)
+    below = list(itertools.accumulate(sizes))[::-1]  # below[k]: vertices up to time T - k
+    comparable = sum(sizes[k] * below[k] for k in range(1, len(sizes)))
+    unreached = [sizes[k] - np.count_nonzero(_member(keys[off[k] : off[k + 1]], steps[k])) for k in range(len(sizes))]
+    pathless = sum(unreached[k] * below[k] for k in range(1, len(sizes)))
+
+    difference, chains = keys[off[1] :], np.concatenate(steps)
+    witness, sample = None, []
+    for u in range(len(keys)):
+        if witness is not None and len(sample) == min(5, pathless):
+            break
+        later, reached = _member(difference, keys - keys[u]), _member(chains, keys - keys[u])
+        higher = np.flatnonzero((heights > heights[u]) & ~later)
+        if witness is None and len(higher):
+            witness = (hist.vertex(u), hist.vertex(higher[0]))
+        sample += [(hist.vertex(u), hist.vertex(v)) for v in np.flatnonzero(later & ~reached)[: 5 - len(sample)]]
 
     return CovarianceReport(
         horizon=hist.horizon,
         vertex_count=len(times),
-        comparable_pairs=int(np.count_nonzero(order)),
+        comparable_pairs=comparable,
         weakly_covariant=weakly_covariant,
         covariant=witness is None,
         covariance_witness=witness,
         orphan_count=len(orphans),
         orphans_sample=tuple(map(hist.vertex, orphans[:5])),
         height_mismatch_count=int(np.count_nonzero(heights != times)),
-        pathless_comparable_pairs=int(np.count_nonzero(pathless)),
-        pathless_sample=tuple((hist.vertex(u), hist.vertex(v)) for u, v in np.argwhere(pathless)[:5]),
+        pathless_comparable_pairs=pathless,
+        pathless_sample=tuple(sample),
         parent_histogram=parent_histogram(hist),
     )
 
@@ -329,24 +343,10 @@ def construction_cross_check(hist: History) -> list[dict]:
     The published account treats the two as interchangeable; they agree only
     up to t = 2, and the per-timestep report makes the divergence explicit.
     """
-    # the points reached in t steps lie at time t, told apart by spatial coordinates
-    # in [-t, t]: balanced base-(2T+1) digits, whose keys add as the vectors do
-    radix = (2 * hist.horizon + 1) ** np.arange(2, -1, -1, dtype=np.int64)
-    step_keys = _STEP_ARRAY[:, 1:] @ radix
-    reachable = np.zeros(1, dtype=np.int64)  # the origin
-    rows = []
-    for t, size in enumerate(np.diff(hist.offsets).tolist()):
-        if t > 0:
-            reachable = np.unique(reachable[:, None] + step_keys)
-        rows.append(
-            {
-                "t": t,
-                "enumerated": size,
-                "step_construction": len(reachable),
-                "equal": size == len(reachable),
-            }
-        )
-    return rows
+    return [
+        {"t": t, "enumerated": size, "step_construction": len(reached), "equal": size == len(reached)}
+        for t, (size, reached) in enumerate(zip(np.diff(hist.offsets).tolist(), _step_sets(hist)))
+    ]
 
 
 @dataclass(frozen=True)

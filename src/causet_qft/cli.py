@@ -245,7 +245,7 @@ def cmd_shells(args) -> dict:
 def cmd_causet_verify(args) -> dict:
     t = args.t
     hist = causet.history(t)
-    axioms = causet.order_axioms(hist.order)
+    axioms = causet.order_axioms(hist)
     diag = causet.covariance_diagnostics(hist)
     payload = {
         "t": t,
@@ -264,10 +264,7 @@ def cmd_causet_verify(args) -> dict:
         "pathless_sample": diag.pathless_sample,
         "parent_histogram": {str(k): v for k, v in sorted(diag.parent_histogram.items())},
     }
-    checks = [
-        _check("irreflexive", axioms["irreflexive"]),
-        _check("antisymmetric", axioms["antisymmetric"]),
-        _check("transitive", axioms["transitive"]),
+    checks = [_check(name, passed) for name, passed in axioms.items()] + [
         _check("existing_path_lengths_singleton", diag.weakly_covariant),
         _check("weakly_covariant", diag.weakly_covariant),
     ]

@@ -44,7 +44,6 @@ __all__ = [
     "psi",
     "xi_matrix",
     "commutator",
-    "restrict",
     "adjoint_defect",
     "same_species_commutator_max",
     "phase_sum_defect",
@@ -299,18 +298,27 @@ def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def restrict(fock: FockSpace, m: np.ndarray) -> np.ndarray:
-    """Top-left block of a full-space matrix covering the truncation-safe sectors."""
-    end = fock.safe_sector_end()
-    return m[:end, :end]
+def _accumulated(flat: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct positions in ``flat`` and the ``terms`` at each, added in order as in :func:`commutator`."""
+    positions, where = np.unique(flat, return_inverse=True)
+    entries = np.zeros(len(positions), dtype=complex)
+    np.add.at(entries, where, terms)
+    return positions, entries
 
 
-def _identity_defect(fock: FockSpace, m: np.ndarray, scalar: complex) -> float:
-    """Largest |entry| of m - scalar * I on the truncation-safe sectors."""
+def _identity_defect(fock: FockSpace, flat: np.ndarray, terms: np.ndarray, scalar: complex) -> float:
+    """Largest |entry| of C - scalar * I on the truncation-safe sectors, C the ``terms``
+    summed at their flat positions; a safe diagonal entry with no term counts at |scalar|."""
     if fock.n_max < 1:
         raise ValueError("identity check needs n_max >= 1: no sector is truncation-safe at n_max 0")
-    safe = restrict(fock, m)
-    return float(np.max(np.abs(safe - scalar * np.eye(safe.shape[0]))))
+    end = fock.safe_sector_end()
+    safe = flat < end * fock.dim  # the safe rows, then their safe columns
+    safe[safe] = flat[safe] % fock.dim < end
+    positions, entries = _accumulated(flat[safe], terms[safe])
+    diagonal = positions % (fock.dim + 1) == 0
+    entries[diagonal] -= scalar
+    bare = float(np.abs(np.complex128(scalar))) if np.count_nonzero(diagonal) < end else 0.0
+    return max(float(np.max(np.abs(entries), initial=0.0)), bare)
 
 
 def adjoint_defect(fock: FockSpace, points) -> float:
@@ -344,40 +352,31 @@ def adjoint_defect(fock: FockSpace, points) -> float:
 def same_species_commutator_max(fock: FockSpace, x: Vec4, y: Vec4) -> tuple[float, float]:
     """Largest |entry| of [phi(x), phi(y)] and of [psi(x), psi(y)]; both are exact zeros."""
     return tuple(
-        float(np.max(np.abs(commutator(field(x, fock), field(y, fock))))) for field in (phi, psi)
+        float(np.max(np.abs(_accumulated(*_bracket_terms(field(x, fock), field(y, fock)))[1]), initial=0.0))
+        for field in (phi, psi)
     )
 
 
 def phase_sum_defect(fock: FockSpace, pairs) -> float:
     """Worst deviation of [phi(x), psi(y)] from phase_sum(x, y) I over the pairs (x, y)."""
     return max(
-        _identity_defect(fock, commutator(phi(x, fock), psi(y, fock)), phase_sum(fock.hyperboloid, x, y))
+        _identity_defect(fock, *_bracket_terms(phi(x, fock), psi(y, fock)), phase_sum(fock.hyperboloid, x, y))
         for x, y in pairs
     )
 
 
-def _xi_bracket(fock: FockSpace, x: Vec4, y: Vec4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the nonzero [xi(x), xi(y)] entries: the table terms of
+def _xi_bracket(fock: FockSpace, x: Vec4, y: Vec4) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and values of the nonzero [xi(x), xi(y)] entries: the table terms of
     its four field brackets."""
     parts = [_bracket_terms(fa(x, fock), fb(y, fock)) for fa in (phi, psi) for fb in (phi, psi)]
-    flat, terms = (np.concatenate(column) for column in zip(*parts))
-    return (*np.divmod(flat, fock.dim), terms)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def xi_commutator_defect(fock: FockSpace, pairs) -> float:
     """Worst deviation of [xi(x), xi(y)] from 2i sine_sum(x, y) I over the pairs (x, y),
     the bracket's truncation-safe block summed from the four field brackets' tables."""
-    end = fock.safe_sector_end()
-
-    def safe_bracket(x: Vec4, y: Vec4) -> np.ndarray:
-        rows, cols, terms = _xi_bracket(fock, x, y)
-        safe = (rows < end) & (cols < end)
-        out = np.zeros((end, end), dtype=complex)
-        np.add.at(out, (rows[safe], cols[safe]), terms[safe])
-        return out
-
     return max(
-        _identity_defect(fock, safe_bracket(x, y), 2j * sine_sum(fock.hyperboloid, x, y)) for x, y in pairs
+        _identity_defect(fock, *_xi_bracket(fock, x, y), 2j * sine_sum(fock.hyperboloid, x, y)) for x, y in pairs
     )
 
 
@@ -395,7 +394,8 @@ def xi_matrix_defect(fock: FockSpace, pairs, rnd: random.Random) -> float:
 
     def pair_defect(x: Vec4, y: Vec4) -> float:
         v = np.array([2.0 * rnd.random() - 1.0 for _ in range(2 * end)]).view(complex)
-        rows, cols, terms = _xi_bracket(fock, x, y)
+        flat, terms = _xi_bracket(fock, x, y)
+        rows, cols = np.divmod(flat, fock.dim)
         safe = cols < end  # v is zero on the other columns
         defect = np.zeros(fock.dim, dtype=complex)
         np.add.at(defect, rows[safe], -terms[safe] * v[cols[safe]])

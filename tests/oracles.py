@@ -1,15 +1,16 @@
 """Per-object and dense reference implementations that only the tests run.
 
 Each defines a notion the library computes another way (chain enumeration
-against reachability arrays, set comparisons against integer matrices,
-explicit step products and the 2^n sum over decreasing time tuples against
-the step recursion and its orders checked on the coupling circle, dense
-matrix products against the Fock layer's bracket tables, per-pair
-matrix products against the product table, a 4-D grid against spatial rows,
-per-object triples and per-element spinor comparisons against their stacks,
-a converted copy of a report passed to ``json.dumps`` and a line-list walk
-against the one-pass renderers), so the tests can diff the fast path against
-it on small cases.
+and the V x V order, link reachability and order axioms against the
+per-shell key sets, sumset check and closed-form pair counts, set
+comparisons against integer matrices, explicit step products and the 2^n
+sum over decreasing time tuples against the step recursion and its orders
+checked on the coupling circle, dense matrix products against the Fock
+layer's bracket tables, per-pair matrix products against the product table,
+a 4-D grid against spatial rows, per-object triples and per-element spinor
+comparisons against their stacks, a converted copy of a report passed to
+``json.dumps`` and a line-list walk against the one-pass renderers), so the
+tests can diff the fast path against it on small cases.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from causet_qft import paperdata
-from causet_qft.causet import History, Speed, children, precedes, shell
+from causet_qft.causet import CovarianceReport, History, Speed, children, parent_histogram, precedes, shell
 from causet_qft.lattice import E3, F3, G3, MINKOWSKI_GRAM, Triple, Vec3, Vec4, inner3_doubled, norm_sq3
 from causet_qft.representations import SignConvention, cal_u, spinor_of
 from causet_qft.symmetry import BoostCertificate, GroupElement, apply4, elements, multiply
@@ -50,6 +51,96 @@ def path_lengths(u: Vec4, v: Vec4, sample_limit: int = 1000) -> frozenset[int]:
             elif c.t < v.t and precedes(c, v):
                 stack.append((c, depth + 1))
     return frozenset(lengths)
+
+
+def causal_order(coords: np.ndarray) -> np.ndarray:
+    """V x V bool relation ``precedes`` on the rows of a V x 4 coordinate array.
+
+    Differences are broadcast one coordinate at a time into two V x V int32
+    buffers, using 2 norm_sq3(n, p, q) = (n + p)^2 + (n + q)^2 + (p + q)^2,
+    so no V x V x 4 block is ever held.
+    """
+    c = np.asarray(coords, dtype=np.int32)
+    dt = c[None, :, 0] - c[:, None, 0]
+    later = dt > 0
+    twice_norm = np.square(dt, out=dt)
+    twice_norm *= 2
+    d = np.empty_like(twice_norm)
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        s = c[:, a] + c[:, b]
+        np.subtract(s[None, :], s[:, None], out=d)
+        d *= d
+        twice_norm -= d
+    return later & (twice_norm >= 0)
+
+
+def link_reachability(links: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
+    """V x V bool link reachability (reflexive) from a history's link array.
+
+    Every link joins shell t to shell t + 1, so the rows are filled one shell
+    at a time from the top down: a vertex reaches itself and whatever its
+    children reach.  Rows are held as packed bits while they are combined.
+    """
+    n = len(links)
+    bits = np.packbits(np.eye(n, dtype=bool), axis=1)
+    for t in range(len(offsets) - 3, -1, -1):  # the top shell reaches only itself
+        rows = slice(offsets[t], offsets[t + 1])
+        bits[rows] |= np.bitwise_or.reduce(bits[links[rows]], axis=1)
+    return np.unpackbits(bits, axis=1, count=n).view(bool)
+
+
+def order_axioms(rel: np.ndarray) -> dict[str, bool]:
+    """Irreflexivity, antisymmetry and transitivity of a V x V bool relation.
+
+    Transitivity ORs together the packed rows of each element's successors
+    and asks that the result lie inside the element's own row.  No pair
+    count is formed, so nothing can wrap around the way a uint8 count of
+    256 intermediate elements reads 0 and hides a violation.
+    """
+    packed = np.packbits(rel, axis=1)
+    transitive = not any(
+        (np.bitwise_or.reduce(packed[row], axis=0) & ~own).any()
+        for row, own in zip(rel, packed)
+    )
+    return {
+        "irreflexive": not rel.diagonal().any(),
+        "antisymmetric": not (rel & rel.T).any(),
+        "transitive": transitive,
+    }
+
+
+def covariance_diagnostics(hist: History) -> CovarianceReport:
+    """``causet.covariance_diagnostics`` from the V x V order and reachability arrays:
+    pairs counted, and the witness and samples taken, over the whole arrays."""
+    links, order = hist.links, causal_order(hist.coords)
+    times = hist.coords[:, 0]
+    heights = np.zeros(len(times), dtype=np.int64)
+    for t in range(hist.horizon):
+        rows = slice(hist.offsets[t], hist.offsets[t + 1])
+        np.maximum.at(heights, links[rows].ravel(), np.repeat(heights[rows] + 1, links.shape[1]))
+    parent_counts = np.bincount(links[links >= 0], minlength=len(links))
+    orphans = np.flatnonzero((parent_counts == 0) & (times > 0))
+    pathless = order & ~link_reachability(links, hist.offsets)
+    child_times = np.where(links >= 0, times[links], hist.horizon + 1)
+    later = (heights[:, None] < heights[None, :]) & ~order
+    witness = None
+    if later.any():
+        u, v = np.unravel_index(np.argmax(later), later.shape)
+        witness = (hist.vertex(u), hist.vertex(v))
+    return CovarianceReport(
+        horizon=hist.horizon,
+        vertex_count=len(times),
+        comparable_pairs=int(np.count_nonzero(order)),
+        weakly_covariant=bool((child_times == times[:, None] + 1).all()),
+        covariant=witness is None,
+        covariance_witness=witness,
+        orphan_count=len(orphans),
+        orphans_sample=tuple(map(hist.vertex, orphans[:5])),
+        height_mismatch_count=int(np.count_nonzero(heights != times)),
+        pathless_comparable_pairs=int(np.count_nonzero(pathless)),
+        pathless_sample=tuple((hist.vertex(u), hist.vertex(v)) for u, v in np.argwhere(pathless)[:5]),
+        parent_histogram=parent_histogram(hist),
+    )
 
 
 def reachable_from(u: Vec4, hist: History) -> set[Vec4]:

@@ -274,19 +274,15 @@ def test_criterion_7_fock_theorems():
         assert np.all(fock.commutator(fock.phi(x, space), fock.phi(y, space)) == 0)
         for _ in range(5):
             x, y = rand_x(), rand_x()
-            measured = fock.restrict(
-                space, fock.commutator(fock.phi(x, space), fock.psi(y, space))
-            )
+            end = space.safe_sector_end()
+            measured = fock.commutator(fock.phi(x, space), fock.psi(y, space))[:end, :end]
             # independent oracle: direct phase summation over the point set
             d = y - x
             doubled_dots = [2 * p.t * d.t - inner3_doubled(p.spatial, d.spatial) for p in h.points]
             scalar = sum(cmath.exp(0.5j * dd) for dd in doubled_dots)
             assert np.max(np.abs(measured - scalar * np.eye(measured.shape[0]))) < 1e-10
             expected_sine = 2j * sum(math.sin(0.5 * dd) for dd in doubled_dots)
-            xi_measured = fock.restrict(
-                space,
-                matrix_commutator(fock.xi_matrix(x, space), fock.xi_matrix(y, space)),
-            )
+            xi_measured = matrix_commutator(fock.xi_matrix(x, space), fock.xi_matrix(y, space))[:end, :end]
             assert np.max(np.abs(xi_measured - expected_sine * np.eye(xi_measured.shape[0]))) < 1e-10
 
 

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from causet_qft import causet
 from causet_qft.causet import (
     ORIGIN,
     CovarianceReport,
+    History,
     average_speeds,
-    causal_order,
     children,
     construction_cross_check,
     covariance_diagnostics,
@@ -28,7 +29,8 @@ from causet_qft.causet import (
 )
 from causet_qft.lattice import Vec4, norm_sq4
 from causet_qft.symmetry import elements
-from oracles import equivariance_check, exact_square, path_lengths, reachable_from
+import oracles
+from oracles import causal_order, equivariance_check, exact_square, link_reachability, path_lengths, reachable_from
 
 
 def _shell_sizes(t_max):
@@ -74,7 +76,7 @@ def test_partial_order_axioms_exhaustive_on_history3():
     assert not (rel & rel.T).any()  # antisymmetric
     composed = (rel.astype(np.int64) @ rel.astype(np.int64)) > 0
     assert not (composed & ~rel).any()  # transitive
-    assert order_axioms(history(3).order) == {
+    assert order_axioms(history(3)) == {
         "irreflexive": True,
         "antisymmetric": True,
         "transitive": True,
@@ -88,7 +90,7 @@ def test_order_axioms_transitivity_count_does_not_wrap():
     rel[0, 1:257] = True
     rel[1:257, 257] = True
     assert ((rel.astype(np.uint8) @ rel.astype(np.uint8))[0, 257]) == 0
-    assert order_axioms(rel) == {"irreflexive": True, "antisymmetric": True, "transitive": False}
+    assert oracles.order_axioms(rel) == {"irreflexive": True, "antisymmetric": True, "transitive": False}
 
 
 def _covariance_oracle(hist) -> CovarianceReport:
@@ -170,11 +172,12 @@ def test_arrays_match_per_object_oracles(t):
     verts = hist.vertices
     index = {v: i for i, v in enumerate(verts)}
     assert [Vec4(*row) for row in hist.coords.tolist()] == list(verts)
-    assert hist.order.tolist() == [[precedes(u, v) for v in verts] for u in verts]
+    assert causal_order(hist.coords).tolist() == [[precedes(u, v) for v in verts] for u in verts]
+    reachable = link_reachability(hist.links, hist.offsets)
     for i, v in enumerate(verts):
         assert hist.links[i].tolist() == [index.get(c, -1) for c in children(v)]
         assert [verts[j] for j in np.flatnonzero((hist.links == i).any(axis=1))] == list(parents(v))
-        assert {verts[j] for j in np.flatnonzero(hist.reachable[i])} == reachable_from(v, hist)
+        assert {verts[j] for j in np.flatnonzero(reachable[i])} == reachable_from(v, hist)
 
 
 @pytest.mark.parametrize("t", range(4))
@@ -256,8 +259,9 @@ def test_all_existing_paths_have_shell_difference_length():
     # shell-difference length
     hist = history(3)
     verts = hist.vertices
-    pathless = hist.order & ~hist.reachable
-    for i, j in np.argwhere(hist.order):
+    order = causal_order(hist.coords)
+    pathless = order & ~link_reachability(hist.links, hist.offsets)
+    for i, j in np.argwhere(order):
         u, v = verts[i], verts[j]
         lengths = path_lengths(u, v, sample_limit=50)
         assert lengths == (frozenset() if pathless[i, j] else frozenset({v.t - u.t}))
@@ -355,11 +359,56 @@ def test_speed_exact_square():
     assert exact_square(s) == Fraction(s.norm_sq, 16)
 
 
-def test_causal_order_memory_guard_trips_one_byte_short(monkeypatch):
-    coords = history(2).coords
-    need = 10 * len(coords) ** 2
-    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need - 1))
-    with pytest.raises(ValueError, match=f"causal order of {len(coords)} vertices"):
-        causal_order(coords)
-    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need))
-    assert causal_order(coords).shape == (len(coords), len(coords))
+@pytest.mark.parametrize("t", range(7))
+def test_shell_counts_match_the_vxv_oracles(t):
+    hist = history(t)
+    assert order_axioms(hist) == oracles.order_axioms(causal_order(hist.coords))
+    assert covariance_diagnostics(hist) == oracles.covariance_diagnostics(hist)
+
+
+def test_pair_counts_history8():
+    rep = covariance_diagnostics(history(8))
+    assert rep.vertex_count == 7831
+    assert rep.comparable_pairs == 1005258
+    assert rep.pathless_comparable_pairs == 173384
+
+
+@pytest.mark.parametrize("dropped", [Vec4(2, 0, 0, 0), Vec4(2, -2, 0, 0), Vec4(2, 2, 0, 0)])
+def test_sumset_check_sees_a_missing_ball_point(dropped):
+    # each dropped point is the sum of a first-shell point with itself, so B_1 + B_1
+    # leaves the second shell: inside its key span, or past its first or last key
+    hist = history(4)
+    row = hist.offsets[2] + hist.vertices[hist.offsets[2] : hist.offsets[3]].index(dropped)
+    offsets = tuple(o - (i > 2) for i, o in enumerate(hist.offsets))
+    holed = History(hist.horizon, np.delete(hist.coords, row, axis=0), offsets)
+    assert np.diff(holed.offsets).tolist() == [1, 13, 54, 177, 381]
+    assert order_axioms(holed) == {"irreflexive": True, "antisymmetric": True, "transitive": False}
+    # a subset of a transitive relation stays transitive: the sumset check is stronger
+    assert oracles.order_axioms(causal_order(holed.coords))["transitive"]
+    assert order_axioms(hist)["transitive"]
+
+
+def test_order_axioms_read_the_difference_set():
+    # hand-made shells 1 whose keys hold a vector and its negative, or the zero vector
+    mirrored = History(1, np.array([[0, 0, 0, 0], [-1, 0, 0, 0], [1, 0, 0, 0]], dtype=np.int32), (0, 1, 3))
+    assert order_axioms(mirrored) == {"irreflexive": True, "antisymmetric": False, "transitive": True}
+    zero = History(1, np.zeros((2, 4), dtype=np.int32), (0, 1, 2))
+    assert order_axioms(zero) == {"irreflexive": False, "antisymmetric": False, "transitive": True}
+
+
+@pytest.mark.parametrize("t", [6, 9, 12])
+def test_memory_guard_covers_the_traced_peak(monkeypatch, t):
+    """The guard's per-vertex figure covers the traced peak of a causet-verify run, and
+    is within twice of it."""
+    needs = []
+    monkeypatch.setattr(causet, "require_memory", lambda need, what: needs.append(need))
+    tracemalloc.start()
+    try:
+        hist = history(t)
+        order_axioms(hist)
+        covariance_diagnostics(hist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert needs == [causet._VERTEX_BYTES * len(hist.coords)]
+    assert peak <= needs[0] < 2 * peak

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import causet_qft
 import oracles
-from causet_qft import cli, fock, scattering, symmetry
+from causet_qft import causet, cli, fock, scattering, symmetry
 from causet_qft.cli import main
 from causet_qft.lattice import Vec3, Vec4
 
@@ -565,14 +565,25 @@ def test_out_to_an_unwritable_path_is_a_named_error(tmp_path, capsys, target):
     assert "Traceback" not in err
 
 
-def test_causet_verify_beyond_physical_memory_is_a_named_error(capsys):
-    # V = 261,815 vertices: the guard stops the run before any V x V buffer exists
-    start = time.monotonic()
-    code, out, err = run_cli(capsys, "causet-verify", "--t", "20")
-    assert time.monotonic() - start < 2.0
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: the causal order of 261815 vertices needs about")
+def test_causet_verify_counts_pairs_from_the_shells_at_t12(capsys):
+    # V = 36,251 vertices, whose V x V order the causet layer never holds
+    code, out, _ = run_cli(capsys, "--format", "json", "causet-verify", "--t", "12")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["vertex_count"] == 36251
+    assert payload["comparable_pairs"] == 20022076
+    assert payload["pathless_comparable_pairs"] == 5011336
+
+
+def test_causet_verify_larger_than_memory_is_a_named_error(capsys, monkeypatch):
+    need = causet._VERTEX_BYTES * 2683  # the vertices up to t = 6
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need - 1))
+    code, out, err = run_cli(capsys, "causet-verify", "--t", "6")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the history up to t = 6 (2683 vertices) needs about ")
+    assert err.count("\n") == 1 and "of physical memory" in err
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need))
+    assert run_cli(capsys, "causet-verify", "--t", "6")[0] == 0
 
 
 def test_out_of_memory_is_a_named_error(capsys):

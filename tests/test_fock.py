@@ -20,10 +20,11 @@ from causet_qft.fock import (
     multiset_indicator,
     phase,
     phase_sum,
+    phase_sum_defect,
     phi,
     psi,
     rep_v,
-    restrict,
+    same_species_commutator_max,
     sine_sum,
     spin_rep,
     vacuum,
@@ -306,14 +307,16 @@ def test_creator_commutator_vanishes_exactly(fock13):
 
 def test_phi_psi_commutator_scalar(fock13):
     x, y = Vec4(1, 1, 0, 0), Vec4(2, 0, 1, -1)
-    c = restrict(fock13, commutator(phi(x, fock13), psi(y, fock13)))
+    end = fock13.safe_sector_end()
+    c = commutator(phi(x, fock13), psi(y, fock13))[:end, :end]
     scalar = phase_sum(fock13.hyperboloid, x, y)
     assert np.max(np.abs(c - scalar * np.eye(c.shape[0]))) < 1e-10
 
 
 def test_phi_psi_same_point_counts_points(fock13):
     x = Vec4(2, 1, 1, 1)
-    c = restrict(fock13, commutator(phi(x, fock13), psi(x, fock13)))
+    end = fock13.safe_sector_end()
+    c = commutator(phi(x, fock13), psi(x, fock13))[:end, :end]
     assert np.max(np.abs(c - 13.0 * np.eye(c.shape[0]))) < 1e-10
 
 
@@ -371,6 +374,46 @@ def test_table_xi_bracket_matches_the_dense_product(xi_space):
         dense = matrix_commutator(xi_matrix(x, xi_space), xi_matrix(y, xi_space))
         tables = _xi_bracket_from_tables(xi_space, x, y)
         assert np.max(np.abs(tables - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def _dense_identity_defect(space, bracket, scalar):
+    end = space.safe_sector_end()
+    return float(np.max(np.abs(bracket[:end, :end] - scalar * np.eye(end))))
+
+
+def test_identity_gates_bit_equal_the_dense_safe_block(xi_space):
+    """The gates read the bracket nonzeros; the dense brackets' safe blocks give the same bits."""
+    rnd = random.Random(26)
+    for _ in range(3):
+        x, y = _random_x(rnd), _random_x(rnd)
+        dense = commutator(phi(x, xi_space), psi(y, xi_space))
+        scalar = phase_sum(xi_space.hyperboloid, x, y)
+        assert phase_sum_defect(xi_space, [(x, y)]) == _dense_identity_defect(xi_space, dense, scalar)
+        # the four field brackets' terms, added in one pass as the gate adds them
+        flat, terms = fock_module._xi_bracket(xi_space, x, y)
+        dense = np.zeros(xi_space.dim**2, dtype=complex)
+        np.add.at(dense, flat, terms)
+        scalar = 2j * sine_sum(xi_space.hyperboloid, x, y)
+        want = _dense_identity_defect(xi_space, dense.reshape(xi_space.dim, xi_space.dim), scalar)
+        assert xi_commutator_defect(xi_space, [(x, y)]) == want
+        assert same_species_commutator_max(xi_space, x, y) == (0.0, 0.0)
+
+
+def test_identity_defect_counts_missing_and_stray_entries(fock13):
+    """A safe diagonal entry with no term counts at |scalar|; a term off the diagonal at its
+    size; a term outside the safe block not at all."""
+    end, dim = fock13.safe_sector_end(), fock13.dim
+    diagonal = np.arange(end) * (dim + 1)
+    full = np.full(end, 3 + 4j)
+    defect = fock_module._identity_defect
+    assert defect(fock13, diagonal, full, 3 + 4j) == 0.0
+    assert defect(fock13, diagonal[1:], full[1:], 3 + 4j) == 5.0
+    assert defect(fock13, np.array([], dtype=np.int64), np.array([], dtype=complex), 3 + 4j) == 5.0
+    # (0, 1) is safe; (0, end), (end, 0) and the last entry are not
+    stray = np.append(diagonal, [1, end, end * dim, dim * dim - 1])
+    assert defect(fock13, stray, np.append(full, [0.5, 9.0, 9.0, 9.0]), 3 + 4j) == 0.5
+    # two terms at one position add up before they are compared
+    assert defect(fock13, np.append(diagonal, 0), np.append(full, 1j), 3 + 4j) == 1.0
 
 
 def test_xi_matrix_defect_is_rounding_on_exact_matrices(xi_space):
