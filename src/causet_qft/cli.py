@@ -37,8 +37,8 @@ TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "f
 
 # The scattering series' defects are gated relative to max|S(n)|: a product's
 # rounding error scales with the sizes of its factors, and |S| grows
-# geometrically with the horizon.  Measured defects stay below 1.0e-14 relative
-# up to horizon 12 and 1.4e-14 at 16 (window 0, g from 0.01 to 1e6).
+# geometrically with the horizon.  Measured defects stay below 7.6e-15 relative
+# up to horizon 12 and 1.1e-14 at 16 (window 0, g from 0.01 to 1e6).
 SERIES_RELATIVE_BOUND = 1e-13
 
 
@@ -420,6 +420,7 @@ def cmd_scatter(args) -> dict:
         "probability": report.probability,
         "pi_dim": report.dims[0],
         "sigma_dim": report.dims[1],
+        "sector_dims": list(model.sector_dims),
         "rotated_coupling_defect": series.rotated_coupling_defect,
         "series_max_abs": series.final_max_abs,
         "unitarity_defects": list(series.unitarity_defects),

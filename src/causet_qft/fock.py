@@ -42,8 +42,8 @@ __all__ = [
     "sine_sum",
     "phi",
     "psi",
+    "xi_entries",
     "xi_matrix",
-    "commutator",
     "adjoint_defect",
     "same_species_commutator_max",
     "phase_sum_defect",
@@ -265,11 +265,16 @@ def psi(x: Vec4, fock: FockSpace) -> FieldOperator:
     return FieldOperator(fock=fock, role="creates", coeffs=coeffs)
 
 
+def xi_entries(x: Vec4, fock: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the self-adjoint field phi(x) + psi(x): phi's entries, then
+    psi's; phi lowers and psi raises the sector, so no position holds both."""
+    return tuple(np.concatenate(parts) for parts in zip(phi(x, fock)._entries(), psi(x, fock)._entries()))
+
+
 def xi_matrix(x: Vec4, fock: FockSpace) -> np.ndarray:
-    """Self-adjoint field phi(x) + psi(x) as a full matrix: psi's entries are written
-    into phi's, since phi lowers and psi raises the sector and no position holds both."""
-    out = phi(x, fock).as_matrix()
-    rows, cols, vals = psi(x, fock)._entries()
+    """:func:`xi_entries` as a full matrix."""
+    rows, cols, vals = xi_entries(x, fock)
+    out = np.zeros((fock.dim, fock.dim), dtype=complex)
     out[rows, cols] = vals
     return out
 
@@ -285,21 +290,8 @@ def _bracket_terms(a: FieldOperator, b: FieldOperator) -> tuple[np.ndarray, np.n
     return flat, products[q, r] * bracket
 
 
-def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
-    """[a, b] on the full space, expanded bilinearly over point pairs (q, r) of the
-    space's cached :meth:`FockSpace.bracket_table`.  Terms add up in (q, r) order, so
-    same-species commutators are exact zeros.  Beyond the dense result, cost O(d^2) plus
-    the table's nonzeros, after the table's one-time O(d^2 dim) build.
-    """
-    flat, terms = _bracket_terms(a, b)
-    dim = a.fock.dim
-    out = np.zeros(dim * dim, dtype=complex)
-    np.add.at(out, flat, terms)
-    return out.reshape(dim, dim)
-
-
 def _accumulated(flat: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct positions in ``flat`` and the ``terms`` at each, added in order as in :func:`commutator`."""
+    """Distinct positions in ``flat`` and the ``terms`` at each, added in the order given."""
     positions, where = np.unique(flat, return_inverse=True)
     entries = np.zeros(len(positions), dtype=complex)
     np.add.at(entries, where, terms)

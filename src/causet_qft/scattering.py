@@ -1,4 +1,4 @@
-"""Discrete-time scattering: step products, their orders and amplitudes.
+"""Discrete-time scattering: step products, their orders and amplitudes, held as parity blocks.
 
 The scattering operator obeys the one-step recursion S(k+1) = (I + iH(k))S(k)
 starting from the identity.  One step loop builds S, taking each S(k)'s unitarity
@@ -11,19 +11,25 @@ unity checks every order.
 The model interaction couples two scalar species on a tensor product of
 truncated Fock spaces: the density at a spacetime point is the squared
 self-adjoint field of the first species tensored with the field of the
-second, scaled by the coupling constant.  One factor of the second species
-per density insertion forces every odd-order two-particle amplitude between
-its vacuum states to vanish; the engine verifies that numerically.
+second, scaled by the coupling constant.  The tensor basis splits into four
+sectors s = 2P + Q by the pi-number parity P, which pi_x^2 keeps, and the
+sigma-number parity Q, which sigma_x flips.  So H(t) maps sector s to s ^ 1 and
+order k maps s to s ^ (k mod 2): an operator of Q-parity e is held as four
+blocks, block s from sector s to s ^ e, and the other twelve blocks, exact zeros,
+are never formed.  S(n) and the coupling-circle chain are (even, odd) pairs.
+Amplitudes split the in/out vectors by sector for every order alike, so the
+vanishing odd-order two-particle amplitudes are measured, not assumed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fock import FockSpace, basis_unit, fock_space, vacuum, xi_matrix
+from .fock import FockSpace, basis_unit, fock_space, vacuum, xi_entries
 from .lattice import Vec4, require_memory, vectors_with_norm_up_to
 from .momentum import hyperboloid
 
@@ -88,19 +94,56 @@ class ScatteringModel:
     def dim(self) -> int:
         return self.pi_space.dim * self.sigma_space.dim
 
+    @cached_property
+    def sectors(self) -> tuple[np.ndarray, ...]:
+        """Tensor-basis indices of sector s = 2P + Q, ascending: the pi states of
+        particle-number parity P times the sigma states of parity Q."""
+        pi, sigma = (_parity_split(space)[0] for space in (self.pi_space, self.sigma_space))
+        return tuple(
+            (np.flatnonzero(pi == p)[:, None] * self.sigma_space.dim + np.flatnonzero(sigma == q)).ravel()
+            for p in (0, 1)
+            for q in (0, 1)
+        )
+
+    @property
+    def sector_dims(self) -> tuple[int, ...]:
+        return tuple(len(ix) for ix in self.sectors)
+
+
+def _parity_dims(points: int, cap: int) -> tuple[int, int]:
+    """Numbers of basis states of even and of odd particle number in the Fock space over
+    ``points`` points with at most ``cap`` particles: C(points + n - 1, n) hold n."""
+    sizes = [math.comb(points + n - 1, n) for n in range(1, cap + 1)]
+    return 1 + sum(sizes[1::2]), sum(sizes[0::2])
+
+
+def _parity_split(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Each basis state's particle-number parity, and its index among the states of that parity."""
+    parity = np.repeat(np.arange(space.n_max + 1) % 2, np.diff(space.offsets))
+    local = np.empty(space.dim, dtype=np.int64)
+    for p in (0, 1):
+        local[parity == p] = np.arange(np.count_nonzero(parity == p))
+    return parity, local
+
 
 def build_model(cfg: InteractionConfig) -> ScatteringModel:
     """The model's two Fock spaces of dimension C(points + cap, cap), or a ``ValueError``
-    before any sector exists when the dense series would outgrow physical memory: at
-    its peak it holds 2n + 6 complex D x D arrays (H and an order per step, the identity,
-    S(n) and a spare, the factor, the chain and one real |defect|)."""
+    before any sector exists when the series would outgrow physical memory.  An even
+    graded operator holds U complex entries, U the sum of the squared sector sizes, and
+    an odd one V = sum over s of |s| |s ^ 1| <= U.  Under tracemalloc the series (H and
+    an order per step, S(n), then the circle check's chain and temporaries) peaks below
+    (n + 10) / 2 even plus (3n + 12) / 2 odd operators, within one even one at n >= 2."""
     cfg.validate()
     pi_h = hyperboloid(cfg.pi_mass_sq, cfg.energy_cap)
     sigma_h = hyperboloid(cfg.sigma_mass_sq, cfg.energy_cap)
     caps = ((pi_h, cfg.pi_particle_cap), (sigma_h, cfg.sigma_particle_cap))
-    dim = math.prod(math.comb(len(h) + n, n) for h, n in caps)
-    need = (2 * cfg.horizon + 6) * np.dtype(complex).itemsize * dim * dim
-    require_memory(need, f"the dense scattering series at D = {dim}")
+    (pi_even, pi_odd), (sigma_even, sigma_odd) = (_parity_dims(len(h), n) for h, n in caps)
+    dim = (pi_even + pi_odd) * (sigma_even + sigma_odd)
+    even = (pi_even**2 + pi_odd**2) * (sigma_even**2 + sigma_odd**2)
+    odd = 2 * (pi_even**2 + pi_odd**2) * sigma_even * sigma_odd
+    n = cfg.horizon
+    need = np.dtype(complex).itemsize * ((n + 10) * even + (3 * n + 12) * odd) // 2
+    require_memory(need, f"the scattering series at D = {dim}")
     return ScatteringModel(
         cfg=cfg,
         pi_space=fock_space(pi_h, cfg.pi_particle_cap),
@@ -108,99 +151,162 @@ def build_model(cfg: InteractionConfig) -> ScatteringModel:
     )
 
 
-def interaction_hamiltonian(model: ScatteringModel, t: int) -> np.ndarray:
-    """g * (pi field squared) tensor (sigma field), summed over the window slice.
+def _xi_blocks(space: FockSpace, split: tuple[np.ndarray, np.ndarray], x: Vec4) -> list[np.ndarray]:
+    """xi(x)'s two nonzero parity blocks, given the space's :func:`_parity_split`: block p
+    maps the states of particle-number parity p to those of parity 1 - p, in basis order."""
+    parity, local = split
+    sizes = np.bincount(parity, minlength=2)
+    rows, cols, vals = xi_entries(x, space)
+    blocks = []
+    for p in (0, 1):
+        block = np.zeros((sizes[1 - p], sizes[p]), dtype=complex)
+        source = parity[cols] == p
+        block[local[rows[source]], local[cols[source]]] = vals[source]
+        blocks.append(block)
+    return blocks
 
-    Each nonzero sigma entry (i, j) adds its multiple of the squared pi field
-    into the strided (i, j) block of the tensor-product index, the same floats
-    the Kronecker product would add; its zero entries would add only zeros.
-    The sum A is returned as (A + A^H) / 2, which is exactly self-adjoint
-    whatever order the products accumulated in: entries (i, j) and (j, i)
-    are the same two floats added in either order, then conjugated.  An
-    empty slice yields the zero operator.
+
+def interaction_hamiltonian(model: ScatteringModel, t: int) -> tuple[np.ndarray, ...]:
+    """g * (pi field squared) tensor (sigma field), summed over the window slice, as its
+    four blocks: block s maps sector s to sector s ^ 1, and no other block is nonzero.
+
+    On pi parity P the square is xi's block from 1 - P back to P times its block from P
+    to 1 - P; the sigma field's block out of parity Q tensors it, so each window point
+    adds g * kron(square, sigma block) into the block sums A_s.  The pair between sectors
+    s and s + 1 (s even) is returned as C = (A_s + A_{s+1}^H) / 2 and C^H, which is
+    exactly self-adjoint whatever order the products accumulated in: entries (i, j) and
+    (j, i) are the same two floats added in either order, then conjugated.  An empty
+    slice yields the zero operator.
     """
     cfg = model.cfg
-    d_pi, d_sigma = model.pi_space.dim, model.sigma_space.dim
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    blocks = out.reshape(d_pi, d_sigma, d_pi, d_sigma)
+    spaces = (model.pi_space, model.sigma_space)
+    splits = [_parity_split(space) for space in spaces]
+    dims = model.sector_dims
+    sums = [np.zeros((dims[s ^ 1], dims[s]), dtype=complex) for s in range(4)]
     for x in window_slice(cfg, t):
-        pi_x = xi_matrix(x, model.pi_space)
-        sq = pi_x @ pi_x
-        sigma_x = xi_matrix(x, model.sigma_space)
-        for i, j in zip(*np.nonzero(sigma_x)):
-            blocks[:, i, :, j] += cfg.coupling * (sq * sigma_x[i, j])
-    return (out + out.conj().T) / 2
+        pi_x, sigma_x = (_xi_blocks(space, split, x) for space, split in zip(spaces, splits))
+        for p in (0, 1):
+            square = pi_x[1 - p] @ pi_x[p]
+            for q in (0, 1):  # kron(square, sigma block) as one broadcast product
+                total = sums[2 * p + q]
+                kron = square[:, None, :, None] * sigma_x[q][None, :, None, :]
+                total += cfg.coupling * kron.reshape(total.shape)
+    blocks = []
+    for s in (0, 2):
+        c = (sums[s] + sums[s + 1].conj().T) / 2
+        blocks += [c, c.conj().T]
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
 class ScatteringSeries:
-    """Hamiltonians H(0..n-1), the orders, the step loop's S(n), max|S(n)| and the defects."""
+    """Hamiltonians H(0..n-1), the orders, the step loop's S(n), max|S(n)| and the defects.
 
-    hamiltonians: tuple[np.ndarray, ...]
-    final: np.ndarray
-    final_orders: tuple[np.ndarray, ...]
+    H(t) and order k are four blocks each, block s mapping sector s to s ^ 1 and to
+    s ^ (k mod 2); ``final`` is S(n) as its (even, odd) pair of such block tuples.
+    """
+
+    hamiltonians: tuple[tuple[np.ndarray, ...], ...]
+    final: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+    final_orders: tuple[tuple[np.ndarray, ...], ...]
     final_max_abs: float
     rotated_coupling_defect: float
     order_sum_defect: float
     unitarity_defects: tuple[float, ...]
 
 
+def _max_abs(blocks) -> float:
+    """Largest |entry| over the blocks; 0.0 when they hold none."""
+    return max((float(np.max(np.abs(b), initial=0.0)) for b in blocks), default=0.0)
+
+
+def _step(ih, even, odd) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(I + iH) X for X = even + odd, as new blocks: the even part gains iH times the odd
+    part, the odd part iH times the even part."""
+    return (
+        [e + ih[s ^ 1] @ o for s, (e, o) in enumerate(zip(even, odd))],
+        [o + ih[s] @ e for s, (e, o) in enumerate(zip(even, odd))],
+    )
+
+
+def _unitarity_defect(even, odd) -> float:
+    """max|S^H S - I| for S = even + odd.  Column sector s of S is even[s] in rows s and
+    odd[s] in rows s ^ 1, so S^H S has two nonzero blocks per column: (s, s) and
+    (s ^ 1, s).  S^H S is self-adjoint, so block (s ^ 1, s) is taken for even s only."""
+    worst = 0.0
+    for s, (e, o) in enumerate(zip(even, odd)):
+        gram = e.conj().T @ e + o.conj().T @ o
+        gram.flat[:: len(gram) + 1] -= 1
+        worst = max(worst, _max_abs([gram]))
+        if s % 2 == 0:
+            worst = max(worst, _max_abs([even[s + 1].conj().T @ o + odd[s + 1].conj().T @ e]))
+    return worst
+
+
 def scattering_series(model: ScatteringModel) -> ScatteringSeries:
     """Build S and its orders in one step loop, then check every order on the coupling circle.
 
     Only orders 0..t are nonzero before step t, so it updates orders t+1 down to 1 in
-    place, each from the order below it before that one changes; the same iH(t) plus I
-    then takes S(t) to S(t+1), whose max|S^H S - I| is taken before the next step.
+    place, each from the order below it before that one changes; the same iH(t) then
+    takes S(t) to S(t+1), whose max|S^H S - I| is taken before the next step.
     At each w = exp(2 pi i j / (n + 1)) the chain (I + i w H(n-1)) ... (I + i w H(0))
     must equal the sum of w^k times order k: ``order_sum_defect`` is the worst entry of
     the difference at w = 1 and ``rotated_coupling_defect`` over the other n roots,
-    so by the inverse DFT no order is off anywhere by more than the larger.
+    so by the inverse DFT no order is off anywhere by more than the larger.  The even
+    orders are compared with the even part, the odd orders with the odd part.
     """
     n = model.cfg.horizon
-    dim = model.dim
-    eye = np.eye(dim, dtype=complex)
+    dims = model.sector_dims
     hams = [interaction_hamiltonian(model, t) for t in range(n)]
 
-    orders = [eye] + [np.zeros((dim, dim), dtype=complex) for _ in range(n)]
-    final, factor, unitarity = eye, np.empty_like(eye), [0.0]  # S(0) = I is unitary
+    def zeros(parity: int) -> list[np.ndarray]:
+        return [np.zeros((dims[s ^ parity], dims[s]), dtype=complex) for s in range(4)]
+
+    eye = [np.eye(d, dtype=complex) for d in dims]
+    orders = [eye] + [zeros(k % 2) for k in range(1, n + 1)]
+    even, odd, unitarity = eye, zeros(1), [0.0]  # S(0) = I is unitary
     for t, h in enumerate(hams):
-        np.multiply(1j, h, out=factor)
+        ih = [1j * b for b in h]
         for k in range(t + 1, 0, -1):
-            orders[k] += factor @ orders[k - 1]
-        factor.flat[:: dim + 1] += 1
-        final = factor @ final
-        np.matmul(final.conj().T, final, out=factor)
-        factor.flat[:: dim + 1] -= 1
-        unitarity.append(float(np.max(np.abs(factor))))
+            below = (k - 1) % 2  # order k - 1 maps sector s to s ^ below
+            for s, (order, prev) in enumerate(zip(orders[k], orders[k - 1])):
+                order += ih[s ^ below] @ prev
+        even, odd = _step(ih, even, odd)
+        unitarity.append(_unitarity_defect(even, odd))
 
     rotated = 0.0
-    chain, spare = np.empty_like(eye), np.empty_like(eye)
     for j in range(1, n + 1):
         w = np.exp(2j * np.pi * j / (n + 1))
-        chain[...] = eye
-        for h in hams:
-            np.multiply(h, 1j * w, out=factor)
-            factor.flat[:: dim + 1] += 1
-            np.matmul(factor, chain, out=spare)
-            chain, spare = spare, chain
-        for order, w_k in zip(orders, w ** np.arange(n + 1)):  # powers of the rounded w
-            chain -= np.multiply(order, w_k, out=factor)
-        rotated = max(rotated, float(np.max(np.abs(chain))))
-    del chain, spare, factor
+        chain = (eye, zeros(1))
+        for h in hams:  # n >= 1 steps, so the chain's blocks are its own
+            chain = _step([b * (1j * w) for b in h], *chain)
+        powers = w ** np.arange(n + 1)  # powers of the rounded w
+        for parity, part in enumerate(chain):
+            for k in range(parity, n + 1, 2):
+                for block, order in zip(part, orders[k]):
+                    block -= order * powers[k]
+            rotated = max(rotated, _max_abs(part))
+    summed = max(
+        _max_abs(sum(order[s] for order in orders[parity::2]) - part[s] for s in range(4))
+        for parity, part in enumerate((even, odd))
+    )
     return ScatteringSeries(
         hamiltonians=tuple(hams),
-        final=final,
-        final_orders=tuple(orders),
-        final_max_abs=float(np.max(np.abs(final))),
+        final=(tuple(even), tuple(odd)),
+        final_orders=tuple(tuple(order) for order in orders),
+        final_max_abs=max(_max_abs(even), _max_abs(odd)),
         rotated_coupling_defect=rotated,
-        order_sum_defect=float(np.max(np.abs(sum(orders) - final))),
+        order_sum_defect=summed,
         unitarity_defects=tuple(unitarity),
     )
 
 
 def self_adjoint_defect(series: ScatteringSeries) -> float:
-    """Worst |H - H^H| entry over the series' Hamiltonians; 0.0 by construction."""
-    return max((float(np.max(np.abs(h - h.conj().T))) for h in series.hamiltonians), default=0.0)
+    """Worst |H - H^H| entry over the series' Hamiltonians, block s against the conjugate
+    transpose of block s ^ 1; 0.0 by construction."""
+    return max(
+        (_max_abs(h[s] - h[s ^ 1].conj().T for s in range(4)) for h in series.hamiltonians), default=0.0
+    )
 
 
 def two_pi_state(model: ScatteringModel, p: Vec4, q: Vec4) -> np.ndarray:
@@ -224,11 +330,17 @@ def amplitude(
     outgoing: tuple[Vec4, Vec4],
     series: ScatteringSeries,
 ) -> AmplitudeReport:
-    """<out| S |in> for two-particle states of the first species, read from ``series``."""
-    vec_in = two_pi_state(model, *incoming)
-    vec_out = two_pi_state(model, *outgoing)
-    per_order = tuple(complex(np.vdot(vec_out, s @ vec_in)) for s in series.final_orders)
-    total = complex(np.vdot(vec_out, series.final @ vec_in))
+    """<out| S |in> for two-particle states of the first species, read from ``series``:
+    block s of an operator of Q-parity e takes the in-state's part in sector s to the
+    out-state's part in sector s ^ e."""
+    vec_in, vec_out = two_pi_state(model, *incoming), two_pi_state(model, *outgoing)
+    parts_in, parts_out = ([vec[ix] for ix in model.sectors] for vec in (vec_in, vec_out))
+
+    def bracket(blocks, parity: int) -> complex:
+        return complex(sum(np.vdot(parts_out[s ^ parity], b @ parts_in[s]) for s, b in enumerate(blocks)))
+
+    per_order = tuple(bracket(order, k % 2) for k, order in enumerate(series.final_orders))
+    total = bracket(series.final[0], 0) + bracket(series.final[1], 1)
     return AmplitudeReport(
         total=total,
         per_order=per_order,

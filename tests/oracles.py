@@ -5,8 +5,10 @@ and the V x V order, link reachability and order axioms against the
 per-shell key sets, sumset check and closed-form pair counts, set
 comparisons against integer matrices, explicit step products and the 2^n
 sum over decreasing time tuples against the step recursion and its orders
-checked on the coupling circle, dense matrix products against the Fock
-layer's bracket tables, per-pair matrix products against the product table,
+checked on the coupling circle, the dense Hamiltonian and step loop against
+the graded series' parity blocks, dense matrix products and the dense
+commutator against the Fock layer's bracket tables, per-pair matrix products
+against the product table,
 a 4-D grid against spatial rows, per-object triples and per-element spinor
 comparisons against their stacks, a converted copy of a report passed to
 ``json.dumps`` and a line-list walk against the one-pass renderers), so the
@@ -23,8 +25,10 @@ import numpy as np
 
 from causet_qft import paperdata
 from causet_qft.causet import CovarianceReport, History, Speed, children, parent_histogram, precedes, shell
+from causet_qft.fock import FieldOperator, _bracket_terms, xi_matrix
 from causet_qft.lattice import E3, F3, G3, MINKOWSKI_GRAM, Triple, Vec3, Vec4, inner3_doubled, norm_sq3
 from causet_qft.representations import SignConvention, cal_u, spinor_of
+from causet_qft.scattering import ScatteringModel, ScatteringSeries, window_slice
 from causet_qft.symmetry import BoostCertificate, GroupElement, apply4, elements, multiply
 
 
@@ -222,6 +226,90 @@ def expansion_formula(a_seq: list[np.ndarray], x0: np.ndarray, n: int) -> np.nda
 def matrix_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """AB - BA of two dense matrices."""
     return a @ b - b @ a
+
+
+def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
+    """[a, b] on the full space, expanded bilinearly over point pairs (q, r) of the
+    space's cached bracket table.  Terms add up in (q, r) order, so same-species
+    commutators are exact zeros."""
+    flat, terms = _bracket_terms(a, b)
+    dim = a.fock.dim
+    out = np.zeros(dim * dim, dtype=complex)
+    np.add.at(out, flat, terms)
+    return out.reshape(dim, dim)
+
+
+def interaction_hamiltonian(model: ScatteringModel, t: int) -> np.ndarray:
+    """H(t) as a dense D x D matrix: g * (pi field squared) tensor (sigma field), summed
+    over the window slice.  Each nonzero sigma entry (i, j) adds its multiple of the
+    squared pi field into the strided (i, j) block of the tensor-product index; the sum
+    A is returned as (A + A^H) / 2."""
+    cfg = model.cfg
+    d_pi, d_sigma = model.pi_space.dim, model.sigma_space.dim
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    blocks = out.reshape(d_pi, d_sigma, d_pi, d_sigma)
+    for x in window_slice(cfg, t):
+        pi_x = xi_matrix(x, model.pi_space)
+        sq = pi_x @ pi_x
+        sigma_x = xi_matrix(x, model.sigma_space)
+        for i, j in zip(*np.nonzero(sigma_x)):
+            blocks[:, i, :, j] += cfg.coupling * (sq * sigma_x[i, j])
+    return (out + out.conj().T) / 2
+
+
+def dense_series(model: ScatteringModel) -> ScatteringSeries:
+    """The series on dense D x D matrices, as the library built it before the graded layout:
+    one step loop for the orders (order k updated from order k - 1 before that one
+    changes), S(n) and each S(k)'s max|S^H S - I|, then the chain at every root of unity
+    w != 1 of order n + 1 against the sum of w^k times order k."""
+    n = model.cfg.horizon
+    dim = model.dim
+    eye = np.eye(dim, dtype=complex)
+    hams = [interaction_hamiltonian(model, t) for t in range(n)]
+
+    orders = [eye] + [np.zeros((dim, dim), dtype=complex) for _ in range(n)]
+    final, factor, unitarity = eye, np.empty_like(eye), [0.0]
+    for t, h in enumerate(hams):
+        np.multiply(1j, h, out=factor)
+        for k in range(t + 1, 0, -1):
+            orders[k] += factor @ orders[k - 1]
+        factor.flat[:: dim + 1] += 1
+        final = factor @ final
+        np.matmul(final.conj().T, final, out=factor)
+        factor.flat[:: dim + 1] -= 1
+        unitarity.append(float(np.max(np.abs(factor))))
+
+    rotated = 0.0
+    chain, spare = np.empty_like(eye), np.empty_like(eye)
+    for j in range(1, n + 1):
+        w = np.exp(2j * np.pi * j / (n + 1))
+        chain[...] = eye
+        for h in hams:
+            np.multiply(h, 1j * w, out=factor)
+            factor.flat[:: dim + 1] += 1
+            np.matmul(factor, chain, out=spare)
+            chain, spare = spare, chain
+        for order, w_k in zip(orders, w ** np.arange(n + 1)):
+            chain -= np.multiply(order, w_k, out=factor)
+        rotated = max(rotated, float(np.max(np.abs(chain))))
+    return ScatteringSeries(
+        hamiltonians=tuple(hams),
+        final=final,
+        final_orders=tuple(orders),
+        final_max_abs=float(np.max(np.abs(final))),
+        rotated_coupling_defect=rotated,
+        order_sum_defect=float(np.max(np.abs(sum(orders) - final))),
+        unitarity_defects=tuple(unitarity),
+    )
+
+
+def densify(model: ScatteringModel, blocks, parity: int) -> np.ndarray:
+    """A graded operator of Q-parity ``parity`` as a dense D x D matrix: block s fills
+    the rows of sector s ^ parity and the columns of sector s, zeros elsewhere."""
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for s, block in enumerate(blocks):
+        out[np.ix_(model.sectors[s ^ parity], model.sectors[s])] = block
+    return out
 
 
 def leibniz_det(m) -> int:

@@ -26,7 +26,14 @@ import numpy as np
 import pytest
 
 from conftest import CRITERION_LINES
-from oracles import expansion_formula, matrix_commutator, path_lengths, product_formula
+from oracles import (
+    commutator,
+    dense_series,
+    expansion_formula,
+    matrix_commutator,
+    path_lengths,
+    product_formula,
+)
 
 import causet_qft
 from causet_qft import causet, fock, momentum, paperdata, representations as reps, scattering, symmetry
@@ -271,11 +278,11 @@ def test_criterion_7_fock_theorems():
             c = fock.psi(x, space).as_matrix()
             assert np.max(np.abs(c - a.conj().T)) < 1e-10
         x, y = Vec4(1, 1, 0, 0), Vec4(2, -1, 1, 0)
-        assert np.all(fock.commutator(fock.phi(x, space), fock.phi(y, space)) == 0)
+        assert np.all(commutator(fock.phi(x, space), fock.phi(y, space)) == 0)
         for _ in range(5):
             x, y = rand_x(), rand_x()
             end = space.safe_sector_end()
-            measured = fock.commutator(fock.phi(x, space), fock.psi(y, space))[:end, :end]
+            measured = commutator(fock.phi(x, space), fock.psi(y, space))[:end, :end]
             # independent oracle: direct phase summation over the point set
             d = y - x
             doubled_dots = [2 * p.t * d.t - inner3_doubled(p.spatial, d.spatial) for p in h.points]
@@ -366,14 +373,13 @@ def test_criterion_9_dyson_engine():
         )
         zero_model = scattering.build_model(zero_cfg)
         series = scattering.scattering_series(zero_model)
-        eye = np.eye(zero_model.dim, dtype=complex)
-        ihs = [1j * h for h in series.hamiltonians]
-        steps = [product_formula(ihs, eye, k) for k in range(len(ihs) + 1)]
-        assert np.array_equal(series.final, eye)
-        assert np.max(np.abs(series.final - steps[-1])) == 0.0
-        assert series.unitarity_defects == tuple(
-            float(np.max(np.abs(s.conj().T @ s - eye))) for s in steps
-        )
+        even, odd = series.final
+        assert all(np.array_equal(block, np.eye(len(block))) for block in even)
+        assert not any(block.any() for block in odd)
+        # the dense step loop agrees exactly: S = I, and every S(k) is exactly unitary
+        dense = dense_series(zero_model)
+        assert np.array_equal(dense.final, np.eye(zero_model.dim))
+        assert series.unitarity_defects == dense.unitarity_defects == (0.0,) * 4
 
 
 CLI_SUBCOMMANDS = [

@@ -323,10 +323,11 @@ def test_scatter(capsys):
     assert code == 0
     bundle = json.loads(out)
     per_order = [complex(c["re"], c["im"]) for c in bundle["payload"]["per_order"]]
-    # BLAS sums in an order that depends on its thread count, which moves the last
-    # digit of order 4 (253.74856288043608 + 62.728051885327886i on one thread)
+    # pinned from the dense series; the parity blocks sum fewer exact zeros, in an order
+    # BLAS may choose by its thread count, which moves the last digits of order 4
     for got, want in zip(per_order, PINNED_PER_ORDER, strict=True):
         assert got == want if want == 0 else abs(got - want) <= 1e-15 * abs(want)
+    assert bundle["payload"]["sector_dims"] == [92, 92, 13, 13]
     assert bundle["payload"]["order0"] == 0.0
     assert bundle["payload"]["odd_order_max"] == 0.0
     assert bundle["summary"]["all_passed"]
@@ -415,7 +416,7 @@ def test_scatter_too_large_for_memory_is_a_named_error(capsys):
     assert time.monotonic() - start < 2
     assert code == 1
     assert out == ""
-    assert "error: the dense scattering series at D = " in err
+    assert "error: the scattering series at D = " in err
     assert "of physical memory" in err
 
 
@@ -508,28 +509,38 @@ def test_series_gates_scale_with_the_series(capsys):
 
 
 def test_scatter_fails_on_weight_moved_between_orders(capsys, monkeypatch):
-    """A genuine fault that the sum of the orders cannot see: order 2 ends E above
-    its value and order 3 E below, with S(n) and the sum unchanged.  Order 2 starts
-    at E and order 3 at -(I + iH(2)) E, because the last step adds iH(2) times
-    order 2 into order 3.  E sits on the vacuum entry, so no amplitude moves."""
+    """A genuine fault that the sum of the orders cannot see: order 1 ends E above its
+    value and order 3 E below, with S(n) and the odd part of the sum unchanged; E is odd,
+    as both orders are.  Order 1 starts at E, order 2 at F = -i(H(1) + H(2)) E, which
+    cancels the iH(1) E and iH(2) E that the steps add into order 2, and order 3 at
+    -(I + H(2)^2) E, which cancels iH(2) (F + iH(1) E) = H(2)^2 E and leaves -E.  E joins
+    the vacuum to a one-sigma state, so no two-pi amplitude moves."""
     cfg = scattering.InteractionConfig(
         coupling=0.1, pi_mass_sq=0, sigma_mass_sq=1, energy_cap=1,
         pi_particle_cap=2, sigma_particle_cap=1, window_radius=0, horizon=3,
     )
     model = scattering.build_model(cfg)
     hams = [scattering.interaction_hamiltonian(model, t) for t in range(3)]
-    fault = np.zeros((model.dim, model.dim), dtype=complex)
-    fault[0, 0] = 1e-6
-    starts = iter([np.zeros_like(fault), fault, -(np.eye(model.dim) + 1j * hams[2]) @ fault])
+    dims = model.sector_dims
+
+    def times_h(h, blocks, parity):
+        return [h[s ^ parity] @ b for s, b in enumerate(blocks)]
+
+    fault = [np.zeros((dims[s ^ 1], dims[s]), dtype=complex) for s in range(4)]
+    fault[0][0, 0] = 1e-6  # from the vacuum, sector 0, to sector 1
+    order2 = [-1j * (a + b) for a, b in zip(times_h(hams[1], fault, 1), times_h(hams[2], fault, 1))]
+    order3 = [-(e + hhe) for e, hhe in zip(fault, times_h(hams[2], times_h(hams[2], fault, 1), 0))]
+    starts = iter([*fault, *order2, *order3])
 
     class StartsAtTheFault:
-        """``numpy`` whose ``zeros`` hands out the starting values of orders 1..3."""
+        """``numpy`` whose ``zeros`` hands out the starting blocks of orders 1..3, then zeros."""
 
         def __getattr__(self, name):
             return getattr(np, name)
 
         def zeros(self, shape, dtype):
-            return next(starts)
+            start = next(starts, None)
+            return np.zeros(shape, dtype) if start is None else start
 
     # Hamiltonians built beforehand, so the orders are the series' only zeros calls
     monkeypatch.setattr(scattering, "interaction_hamiltonian", lambda model, t: hams[t])

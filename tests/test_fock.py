@@ -14,7 +14,6 @@ from causet_qft.fock import (
     FieldOperator,
     adjoint_defect,
     basis_unit,
-    commutator,
     fock_space,
     momentum_operators,
     multiset_indicator,
@@ -42,7 +41,7 @@ from causet_qft.momentum import (
 )
 from causet_qft.representations import SignConvention, spinor_of
 from causet_qft.symmetry import element, elements, multiply
-from oracles import matrix_commutator
+from oracles import commutator, matrix_commutator
 
 RND = random.Random(20241)
 

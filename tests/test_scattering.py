@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from causet_qft import scattering
-from causet_qft.fock import phi, psi, xi_matrix
+from causet_qft.fock import FockSpace, fock_space, phi, psi, xi_matrix
 from causet_qft.lattice import Vec4
+from causet_qft.momentum import hyperboloid
 from causet_qft.scattering import (
     AmplitudeReport,
     InteractionConfig,
+    ScatteringModel,
     amplitude,
     build_model,
     interaction_hamiltonian,
@@ -25,7 +27,8 @@ from causet_qft.scattering import (
     two_pi_state,
     window_slice,
 )
-from oracles import difference_op, expansion_formula, product_formula
+from oracles import dense_series, densify, difference_op, expansion_formula, product_formula
+from oracles import interaction_hamiltonian as dense_hamiltonian
 
 
 def _random_matrices(rnd, dim, count, scale=0.5):
@@ -138,10 +141,11 @@ def test_series_orders_are_the_tuple_sums(window_radius):
         window_radius=window_radius,
         horizon=5,
     )
-    series = scattering_series(build_model(cfg))
-    want = _tuple_sums([1j * h for h in series.hamiltonians], series.final.shape[0])
-    for got, order in zip(series.final_orders, want, strict=True):
-        assert np.max(np.abs(got - order)) <= 1e-12 * series.final_max_abs
+    m = build_model(cfg)
+    series = scattering_series(m)
+    want = _tuple_sums([1j * densify(m, h, 1) for h in series.hamiltonians], m.dim)
+    for k, (got, order) in enumerate(zip(series.final_orders, want, strict=True)):
+        assert np.max(np.abs(densify(m, got, k % 2) - order)) <= 1e-12 * series.final_max_abs
 
 
 @pytest.fixture(scope="module")
@@ -176,9 +180,10 @@ def test_memory_guard_estimates_the_model_dimension(
         window_radius=0,
         horizon=1,
     )
-    dim = build_model(cfg).dim
-    # a series of 2 * 1 + 6 complex D x D arrays, one byte short of fitting
-    need = 8 * 16 * dim * dim
+    m = build_model(cfg)
+    dim = m.dim
+    # at horizon 1, 11/2 even and 15/2 odd graded operators of complex entries, one byte short
+    need = 8 * (11 * _even_entries(m) + 15 * _odd_entries(m))
     monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need - 1))
     with pytest.raises(ValueError, match=f"series at D = {dim} needs about"):
         build_model(cfg)
@@ -186,14 +191,25 @@ def test_memory_guard_estimates_the_model_dimension(
     assert build_model(cfg).dim == dim
 
 
-@pytest.mark.parametrize("horizon", [2, 4, 8])
-def test_memory_guard_counts_the_series_peak(monkeypatch, horizon):
-    """The guard's array count is the traced peak of the series, rounded up to a whole array."""
+def _even_entries(model):
+    """Entries of an even graded operator: the sum of the squared sector sizes."""
+    return sum(d * d for d in model.sector_dims)
+
+
+def _odd_entries(model):
+    """Entries of an odd graded operator: block s is |s ^ 1| x |s|."""
+    d = model.sector_dims
+    return sum(d[s ^ 1] * d[s] for s in range(4))
+
+
+def _guard_and_traced_peak(monkeypatch, pi_mass_sq, sigma_mass_sq, energy_cap, horizon):
+    """The guard's estimate for a model, one even graded operator in bytes, the model's
+    sector sizes and the series' traced peak."""
     cfg = InteractionConfig(
         coupling=0.1,
-        pi_mass_sq=0,
-        sigma_mass_sq=1,
-        energy_cap=1,
+        pi_mass_sq=pi_mass_sq,
+        sigma_mass_sq=sigma_mass_sq,
+        energy_cap=energy_cap,
         pi_particle_cap=2,
         sigma_particle_cap=1,
         window_radius=0,
@@ -202,15 +218,31 @@ def test_memory_guard_counts_the_series_peak(monkeypatch, horizon):
     needs = []
     monkeypatch.setattr(scattering, "require_memory", lambda need, what: needs.append(need))
     model = build_model(cfg)
-    assert model.dim == 210
-    array = 16 * model.dim**2
     tracemalloc.start()
     try:
         scattering_series(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert needs[0] - array <= peak <= needs[0]
+    return needs[0], 16 * _even_entries(model), model.sector_dims, peak
+
+
+@pytest.mark.parametrize("horizon", [2, 4, 8])
+def test_memory_guard_counts_the_series_peak(monkeypatch, horizon):
+    """The guard's operator counts are the traced peak of the series, rounded up to within
+    one even graded operator; here the odd operators are as large as the even ones."""
+    need, operator, dims, peak = _guard_and_traced_peak(monkeypatch, 0, 1, 1, horizon)
+    assert dims == (92, 92, 13, 13)
+    assert need - operator <= peak <= need
+
+
+@pytest.mark.parametrize("horizon", [2, 4, 8])
+def test_memory_guard_counts_the_peak_of_unequal_sigma_sectors(monkeypatch, horizon):
+    """With six sigma points an odd operator is a third of an even one, and the guard
+    still rounds the traced peak up to within one even operator."""
+    need, operator, dims, peak = _guard_and_traced_peak(monkeypatch, 2, 2, 2, horizon)
+    assert dims == (22, 132, 6, 36)
+    assert need - operator <= peak <= need
 
 
 def test_config_validation():
@@ -275,7 +307,9 @@ def test_hamiltonian_selfadjoint(window_radius):
     assert len(window_slice(cfg, 2)) == (1 if window_radius == 0 else 13)
     for t in range(cfg.horizon):
         h = interaction_hamiltonian(m, t)
-        assert np.max(np.abs(h - h.conj().T)) == 0.0
+        assert all(np.array_equal(h[s ^ 1], h[s].conj().T) for s in range(4))
+        dense = densify(m, h, 1)
+        assert np.max(np.abs(dense - dense.conj().T)) == 0.0
 
 
 def _kron_hamiltonian(model, t):
@@ -300,6 +334,7 @@ def _kron_hamiltonian(model, t):
     ids=["window0", "window1", "nsigma2", "pmax2", "g0"],
 )
 def test_hamiltonian_bit_equals_kron_assembly(changes):
+    """The dense oracle's strided assembly adds the floats the Kronecker product would."""
     cfg = InteractionConfig(
         **{
             "coupling": 0.1,
@@ -315,7 +350,7 @@ def test_hamiltonian_bit_equals_kron_assembly(changes):
     )
     m = build_model(cfg)
     for t in range(cfg.horizon):
-        got, want = interaction_hamiltonian(m, t), _kron_hamiltonian(m, t)
+        got, want = dense_hamiltonian(m, t), _kron_hamiltonian(m, t)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -331,16 +366,14 @@ def test_hamiltonian_zero_coupling(model):
         horizon=2,
     )
     m0 = build_model(cfg0)
-    assert np.all(interaction_hamiltonian(m0, 0) == 0)
+    assert not any(block.any() for block in interaction_hamiltonian(m0, 0))
     series = scattering_series(m0)
-    eye = np.eye(m0.dim, dtype=complex)
-    ihs = [1j * h for h in series.hamiltonians]
-    steps = [product_formula(ihs, eye, k) for k in range(len(ihs) + 1)]
-    assert np.array_equal(series.final, eye)
-    assert np.max(np.abs(series.final - steps[-1])) == 0.0
-    assert series.unitarity_defects == tuple(
-        float(np.max(np.abs(s.conj().T @ s - eye))) for s in steps
-    )
+    steps = _graded_steps(m0, series.hamiltonians)
+    assert _same_blocks(series.final, steps[-1])
+    even, odd = series.final
+    assert all(np.array_equal(block, np.eye(len(block))) for block in even)
+    assert not any(block.any() for block in odd)
+    assert series.unitarity_defects == tuple(scattering._unitarity_defect(*s) for s in steps) == (0.0,) * 3
 
 
 def test_hamiltonian_single_point_hand_check():
@@ -362,8 +395,36 @@ def test_hamiltonian_single_point_hand_check():
     assert np.allclose(pi0, np.array([[0, 1, 0], [1, 0, s2], [0, s2, 0]]))
     expected_pi_sq = np.array([[1, 0, s2], [0, 3, 0], [s2, 0, 2]])
     expected_sigma = np.array([[0, 1], [1, 0]])
-    h0 = interaction_hamiltonian(m, 0)
+    h0 = densify(m, interaction_hamiltonian(m, 0), 1)
     assert np.allclose(h0, 0.5 * np.kron(expected_pi_sq, expected_sigma), atol=1e-14)
+
+
+def _graded_steps(model, hams):
+    """S(0..n) rebuilt one factor at a time on the parity blocks: (I + iH) S's even part
+    gains iH times S's odd part, its odd part iH times the even part."""
+    dims = model.sector_dims
+    even = [np.eye(d, dtype=complex) for d in dims]
+    odd = [np.zeros((dims[s ^ 1], dims[s]), dtype=complex) for s in range(4)]
+    steps = [(even, odd)]
+    for h in hams:
+        ih = [1j * b for b in h]
+        even, odd = (
+            [e + ih[s ^ 1] @ o for s, (e, o) in enumerate(zip(even, odd))],
+            [o + ih[s] @ e for s, (e, o) in enumerate(zip(even, odd))],
+        )
+        steps.append((even, odd))
+    return steps
+
+
+def _same_blocks(got, want):
+    """Bit-equal (even, odd) pairs of block tuples."""
+    pairs = (zip(part, other, strict=True) for part, other in zip(got, want, strict=True))
+    return all(np.array_equal(a, b) for blocks in pairs for a, b in blocks)
+
+
+def _dense(model, pair):
+    """S as a dense D x D matrix from its (even, odd) pair."""
+    return densify(model, pair[0], 0) + densify(model, pair[1], 1)
 
 
 def test_series_recursion_properties(model):
@@ -371,28 +432,29 @@ def test_series_recursion_properties(model):
     assert series.rotated_coupling_defect < 1e-9
     # S(0..n) rebuilt one factor at a time: the series keeps the last bit for bit
     # and took each step's unitarity defect from the S(k) it then held
-    ihs = [1j * h for h in series.hamiltonians]
-    eye = np.eye(model.dim, dtype=complex)
-    steps = [product_formula(ihs, eye, k) for k in range(len(ihs) + 1)]
-    assert np.max(np.abs(series.final - steps[-1])) == 0.0
-    assert series.unitarity_defects == tuple(
-        float(np.max(np.abs(s.conj().T @ s - eye))) for s in steps
-    )
+    steps = _graded_steps(model, series.hamiltonians)
+    assert _same_blocks(series.final, steps[-1])
+    assert series.unitarity_defects == tuple(scattering._unitarity_defect(*s) for s in steps)
     # the last step adds iH(n-1) S(n-1) to the rebuilt S(n-1)
-    (last,) = difference_op([steps[-2], series.final])
-    assert np.max(np.abs(last - ihs[-1] @ steps[-2])) < 1e-10
+    before, final = _dense(model, steps[-2]), _dense(model, series.final)
+    (last,) = difference_op([before, final])
+    assert np.max(np.abs(last - 1j * densify(model, series.hamiltonians[-1], 1) @ before)) < 1e-10
     # per-order pieces sum to the final operator
-    total = sum(series.final_orders)
-    assert np.max(np.abs(total - series.final)) < 1e-10
+    total = sum(densify(model, order, k % 2) for k, order in enumerate(series.final_orders))
+    assert np.max(np.abs(total - final)) < 1e-10
 
 
-def _reference_orders(hams, dim):
-    """Every order updated at every step: the n^2-product recursion."""
-    n = len(hams)
-    orders = [np.eye(dim, dtype=complex)] + [np.zeros((dim, dim), dtype=complex) for _ in range(n)]
+def _reference_orders(model, hams):
+    """Every order updated at every step on the parity blocks: the n^2-product recursion."""
+    n, dims = len(hams), model.sector_dims
+    orders = [[np.eye(d, dtype=complex) for d in dims]]
+    orders += [[np.zeros((dims[s ^ k % 2], dims[s]), dtype=complex) for s in range(4)] for k in range(1, n + 1)]
     for h in hams:
-        ih = 1j * h
-        orders = [orders[0]] + [orders[k] + ih @ orders[k - 1] for k in range(1, n + 1)]
+        ih = [1j * b for b in h]
+        orders = [orders[0]] + [
+            [o + ih[s ^ (k - 1) % 2] @ prev for s, (o, prev) in enumerate(zip(orders[k], orders[k - 1]))]
+            for k in range(1, n + 1)
+        ]
     return orders
 
 
@@ -412,12 +474,13 @@ def test_final_orders_match_full_recursion(horizon, window_radius):
     )
     m = build_model(cfg)
     series = scattering_series(m)
-    reference = _reference_orders(series.hamiltonians, m.dim)
+    reference = _reference_orders(m, series.hamiltonians)
     assert len(series.final_orders) == len(reference) == horizon + 1
-    for got, want in zip(series.final_orders, reference):
-        assert np.array_equal(got, want)
-        for part in ("real", "imag"):
-            assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+    for got_blocks, want_blocks in zip(series.final_orders, reference):
+        for got, want in zip(got_blocks, want_blocks, strict=True):
+            assert np.array_equal(got, want)
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
 
 
 def test_series_one_step(model):
@@ -433,8 +496,8 @@ def test_series_one_step(model):
     )
     m1 = build_model(cfg1)
     series = scattering_series(m1)
-    expected = np.eye(m1.dim, dtype=complex) + 1j * interaction_hamiltonian(m1, 0)
-    assert np.max(np.abs(series.final - expected)) == 0.0
+    expected = np.eye(m1.dim, dtype=complex) + 1j * densify(m1, interaction_hamiltonian(m1, 0), 1)
+    assert np.max(np.abs(_dense(m1, series.final) - expected)) == 0.0
 
 
 def test_series_two_steps_order_pattern(model):
@@ -450,12 +513,12 @@ def test_series_two_steps_order_pattern(model):
     )
     m2 = build_model(cfg2)
     series = scattering_series(m2)
-    h0, h1 = interaction_hamiltonian(m2, 0), interaction_hamiltonian(m2, 1)
+    h0, h1 = (densify(m2, interaction_hamiltonian(m2, t), 1) for t in (0, 1))
     eye = np.eye(m2.dim, dtype=complex)
     # later time acts on the left of earlier time
     expected = eye + 1j * (h0 + h1) + (1j**2) * (h1 @ h0)
-    assert np.max(np.abs(series.final - expected)) < 1e-12
-    assert np.max(np.abs(series.final_orders[2] - (1j**2) * (h1 @ h0))) < 1e-12
+    assert np.max(np.abs(_dense(m2, series.final) - expected)) < 1e-12
+    assert np.max(np.abs(densify(m2, series.final_orders[2], 0) - (1j**2) * (h1 @ h0))) < 1e-12
 
 
 def test_unitarity_defect_structure(model):
@@ -463,7 +526,7 @@ def test_unitarity_defect_structure(model):
     defects = series.unitarity_defects
     assert defects[0] == 0.0
     # one step: S*S - I = H^2 exactly for self-adjoint H
-    h0 = interaction_hamiltonian(model, 0)
+    h0 = densify(model, interaction_hamiltonian(model, 0), 1)
     assert defects[1] == pytest.approx(float(np.max(np.abs(h0 @ h0))), rel=1e-12)
     assert all(d > 0 for d in defects[1:])
 
@@ -535,10 +598,78 @@ def test_amplitude_report_structure(model):
 
 
 def test_sigma_parity_structure(model):
-    """Each density insertion moves the sigma number by one: K is block
-    off-diagonal in the sigma sector grading."""
-    h = interaction_hamiltonian(model, 0)
+    """Each density insertion moves the sigma number by one: the dense oracle's H is
+    block off-diagonal in the sigma sector grading."""
+    h = dense_hamiltonian(model, 0)
     ns = model.sigma_space.dim
     blocks = h.reshape(model.pi_space.dim, ns, model.pi_space.dim, ns)
     for a in range(ns):
         assert np.all(blocks[:, a, :, a] == 0)
+
+
+def _dense_case(case):
+    """The model of one diff case: the module's small model with one change, or an empty pi
+    hyperboloid (odd pi-parity sectors of size 0), which ``build_model`` refuses."""
+    base = dict(
+        coupling=0.1, pi_mass_sq=0, sigma_mass_sq=1, energy_cap=1, pi_particle_cap=2,
+        sigma_particle_cap=1, window_radius=1, horizon=3,
+    )
+    if case == "pi_empty":
+        cfg = InteractionConfig(**{**base, "pi_mass_sq": 1, "sigma_mass_sq": 0, "energy_cap": 0})
+        assert len(hyperboloid(1, 0)) == 0
+        return ScatteringModel(cfg, FockSpace(hyperboloid(1, 0), 2), fock_space(hyperboloid(0, 0), 1))
+    return build_model(InteractionConfig(**{**base, **case}))
+
+
+DENSE_CASES = [
+    *({"horizon": n, "window_radius": w} for w in (0, 1) for n in range(6)),
+    {"sigma_particle_cap": 2},
+    "pi_empty",
+    {"coupling": 0.0},
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    DENSE_CASES,
+    ids=[*(f"horizon{n}-window{w}" for w in (0, 1) for n in range(6)), "nsigma2", "pi_empty", "g0"],
+)
+def test_graded_series_matches_the_dense_oracle(case):
+    """The parity blocks against the dense Hamiltonian and step loop they replace."""
+    m = _dense_case(case)
+    series, dense = scattering_series(m), dense_series(m)
+    for h, want in zip(series.hamiltonians, dense.hamiltonians, strict=True):
+        # the selection rule: the dense H is an exact zero off the graded blocks
+        support = densify(m, [np.ones_like(b) for b in h], 1) != 0
+        assert not want[~support].any()
+        assert np.max(np.abs(densify(m, h, 1) - want)) <= 1e-14 * np.max(np.abs(want))
+    for k, (got, want) in enumerate(zip(series.final_orders, dense.final_orders, strict=True)):
+        assert np.max(np.abs(densify(m, got, k % 2) - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(_dense(m, series.final) - dense.final)) <= 1e-14 * dense.final_max_abs
+    assert series.final_max_abs == pytest.approx(dense.final_max_abs, rel=1e-14)
+    assert series.unitarity_defects == pytest.approx(dense.unitarity_defects, rel=1e-12, abs=0)
+    bound = 1e-13 * series.final_max_abs
+    assert series.rotated_coupling_defect < bound and series.order_sum_defect < bound
+    if m.cfg.coupling == 0:
+        even, odd = series.final
+        assert all(np.array_equal(block, np.eye(len(block))) for block in even)
+        assert not any(block.any() for block in odd)
+        assert series.unitarity_defects == (0.0,) * (m.cfg.horizon + 1)
+        assert series.rotated_coupling_defect == series.order_sum_defect == 0.0
+
+
+@pytest.mark.parametrize(
+    "case, dims",
+    [({}, (92, 92, 13, 13)), ({"sigma_particle_cap": 2}, (184, 92, 26, 13)), ("pi_empty", (1, 1, 0, 0))],
+    ids=["base", "nsigma2", "pi_empty"],
+)
+def test_sectors_partition_the_tensor_basis_by_parity(case, dims):
+    m = _dense_case(case)
+    assert m.sector_dims == dims
+    assert np.array_equal(np.sort(np.concatenate(m.sectors)), np.arange(m.dim))
+    pi_number, sigma_number = (
+        np.repeat(np.arange(space.n_max + 1), np.diff(space.offsets)) for space in (m.pi_space, m.sigma_space)
+    )
+    for s, ix in enumerate(m.sectors):
+        pi, sigma = np.divmod(ix, m.sigma_space.dim)
+        assert np.all(pi_number[pi] % 2 == s // 2) and np.all(sigma_number[sigma] % 2 == s % 2)
