@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from . import causet, fock, momentum, representations as reps, scattering, symmetry
-from .lattice import Vec3, Vec4, require_memory
+from .lattice import Vec3, Vec4
 from .momentum import PoincareElement
 
 TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "fock-verify"}
@@ -335,9 +335,7 @@ def cmd_fock_verify(args) -> dict:
     if args.nmax < 1:
         raise ValueError(f"--nmax must be at least 1 (no sector is truncation-safe at 0), got {args.nmax}")
     h = momentum.hyperboloid(args.m2, args.pmax)
-    dim = math.comb(len(h) + args.nmax, args.nmax)
-    # the xi product check holds two dense D x D matrices at once, the run's largest arrays
-    require_memory(2 * np.dtype(complex).itemsize * dim * dim, f"a pair of dense Fock matrices at D = {dim}")
+    fock.require_table_memory(len(h), args.nmax)
     space = fock.fock_space(h, args.nmax)
     rnd = random.Random(12345)
 

@@ -5,8 +5,7 @@ vector is stored on the *orthonormal* sector basis (multiset indicators
 divided by the square root of their arrangement count), which turns the
 symmetric-function inner product into the plain complex dot product and
 makes the creation operator the literal conjugate transpose of the
-annihilation operator.  Multiset indicators with their multiplicity weights
-are still available via :func:`multiset_indicator`.
+annihilation operator.
 
 Truncation conventions: the hyperboloid is energy-capped, the particle
 number is capped at ``n_max``, and the creation image of the top sector is
@@ -28,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import MINKOWSKI_GRAM, Vec4, minkowski_doubled, rank_rows
+from .lattice import MINKOWSKI_GRAM, Vec4, rank_rows, require_memory
 from .momentum import Hyperboloid, poincare_product
 from .representations import SignConvention, cal_u, spinor_of
 from .symmetry import GroupElement, inverse
@@ -37,13 +36,12 @@ __all__ = [
     "FockSpace",
     "FieldOperator",
     "fock_space",
-    "phase",
+    "require_table_memory",
     "phase_sum",
     "sine_sum",
     "phi",
     "psi",
     "xi_entries",
-    "xi_matrix",
     "adjoint_defect",
     "same_species_commutator_max",
     "phase_sum_defect",
@@ -52,18 +50,9 @@ __all__ = [
     "rep_v",
     "rep_v_defects",
     "spin_rep",
-    "momentum_operators",
-    "multiset_indicator",
     "basis_unit",
     "vacuum",
 ]
-
-
-def _weight(multiset: tuple[int, ...]) -> int:
-    w = math.factorial(len(multiset))
-    for k in set(multiset):
-        w //= math.factorial(multiset.count(k))
-    return w
 
 
 @dataclass(frozen=True)
@@ -174,6 +163,36 @@ class FockSpace:
         up[q, low[q, c]], up_w[q, low[q, c]] = c, low_w[q, c]
         return {"annihilates": (low, low_w), "creates": (up, up_w)}
 
+    @cached_property
+    def ladder_entries(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Each role's defined ladder entries, read-only ``(q, rows, cols, weight)`` in
+        (q, column) order: point q sends column ``cols`` to row ``rows`` with amplitude
+        ``weight``, at the same positions for every field."""
+        entries = {}
+        for role, (target, weight) in self.ladder_maps.items():
+            q, cols = np.nonzero(target >= 0)
+            entries[role] = (q, target[q, cols], cols, weight[q, cols])
+            for column in entries[role]:
+                column.flags.writeable = False
+        return entries
+
+
+# Bytes per ladder-map slot or mixed bracket-table entry: a traced fock-verify run peaks
+# at 71-78 of them from D = 231 to D = 10626, the tables and the xi gates' temporaries.
+_SLOT_BYTES = 96
+
+
+def require_table_memory(points: int, n_max: int) -> None:
+    """``ValueError``, before any sector exists, when the (points, dim) ladder maps and the
+    two mixed bracket tables of a cap ``n_max >= 1`` would outgrow physical memory.  With
+    top = C(d + n - 1, n) top-sector multisets, [X_q, Y_q] is nonzero on every column
+    below the top sector and on each top one holding q, and [X_q, Y_r] (q != r) only on
+    those, so each table holds d (dim - top) + d^2 C(d + n - 2, n - 1) entries."""
+    d, n = points, n_max
+    dim, top = math.comb(d + n, n), math.comb(d + n - 1, n)
+    entries = 2 * (d * (dim - top) + d * d * math.comb(d + n - 2, n - 1))
+    require_memory(_SLOT_BYTES * (d * dim + entries), f"the field-operator suite at D = {dim}")
+
 
 def fock_space(h: Hyperboloid, n_max: int) -> FockSpace:
     if n_max < 0:
@@ -183,13 +202,8 @@ def fock_space(h: Hyperboloid, n_max: int) -> FockSpace:
     return FockSpace(hyperboloid=h, n_max=n_max)
 
 
-def phase(p: Vec4, x: Vec4) -> complex:
-    """exp(i p.x) evaluated from the doubled integer pairing."""
-    return complex(np.exp(0.5j * minkowski_doubled(p, x)))
-
-
 def _phases(h: Hyperboloid, x: Vec4) -> np.ndarray:
-    """exp(i p.x) for every point p of h, in point order: :func:`phase` on the rows."""
+    """exp(i p.x) for every point p of h, in point order, from the doubled integer pairing."""
     return np.exp(0.5j * (h.coords @ MINKOWSKI_GRAM @ np.array(x.coords())))
 
 
@@ -202,6 +216,15 @@ def sine_sum(h: Hyperboloid, x: Vec4, y: Vec4) -> float:
     """Sum of sin(p.(y-x)) over the points, in point order: exp of a purely imaginary
     argument has sin(p.(y-x)) as its imaginary part exactly."""
     return sum(_phases(h, y - x).imag.tolist())
+
+
+def _apply(dim: int, entries: tuple[np.ndarray, np.ndarray, np.ndarray], vec: np.ndarray) -> np.ndarray:
+    """The dim-row matrix with ``(rows, cols, values)`` entries applied to ``vec``, one
+    scatter-add: entries at one row add up in the order given."""
+    rows, cols, vals = entries
+    out = np.zeros(dim, dtype=complex)
+    np.add.at(out, rows, vals * vec[cols])
+    return out
 
 
 @dataclass(frozen=True)
@@ -217,11 +240,11 @@ class FieldOperator:
     coeffs: tuple[complex, ...]
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the matrix; each entry comes from one point."""
-        target, weight = self.fock.ladder_maps[self.role]
-        q, cols = np.nonzero(target >= 0)
+        """(rows, cols, values) of the matrix in (point, column) order; each entry comes
+        from one point."""
+        q, rows, cols, weight = self.fock.ladder_entries[self.role]
         # 0.0 + turns a -0.0 part into +0.0, as summing ladder matrices does
-        return target[q, cols], cols, 0.0 + np.asarray(self.coeffs)[q] * weight[q, cols]
+        return rows, cols, 0.0 + np.asarray(self.coeffs)[q] * weight
 
     def as_matrix(self) -> np.ndarray:
         rows, cols, vals = self._entries()
@@ -230,10 +253,7 @@ class FieldOperator:
         return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        rows, cols, vals = self._entries()
-        out = np.zeros(self.fock.dim, dtype=complex)
-        np.add.at(out, rows, vals * vec[cols])
-        return out
+        return _apply(self.fock.dim, self._entries(), vec)
 
     def triplets(self) -> list[tuple[int, int, float, float]]:
         """(row, col, re, im) entries of the full matrix in row-major order, for export."""
@@ -269,14 +289,6 @@ def xi_entries(x: Vec4, fock: FockSpace) -> tuple[np.ndarray, np.ndarray, np.nda
     """(rows, cols, values) of the self-adjoint field phi(x) + psi(x): phi's entries, then
     psi's; phi lowers and psi raises the sector, so no position holds both."""
     return tuple(np.concatenate(parts) for parts in zip(phi(x, fock)._entries(), psi(x, fock)._entries()))
-
-
-def xi_matrix(x: Vec4, fock: FockSpace) -> np.ndarray:
-    """:func:`xi_entries` as a full matrix."""
-    rows, cols, vals = xi_entries(x, fock)
-    out = np.zeros((fock.dim, fock.dim), dtype=complex)
-    out[rows, cols] = vals
-    return out
 
 
 def _bracket_terms(a: FieldOperator, b: FieldOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -322,20 +334,19 @@ def adjoint_defect(fock: FockSpace, points) -> float:
     a raising entry without its lowering one, counts at its full magnitude, as
     it does in the dense difference.  Cost O(d dim) per point.
     """
-    (low, low_w), (up, up_w) = fock.ladder_maps["annihilates"], fock.ladder_maps["creates"]
-    q, c = np.nonzero(low >= 0)
-    r = low[q, c]
+    (low, _), (up, up_w) = fock.ladder_maps["annihilates"], fock.ladder_maps["creates"]
+    q, r, c, low_w = fock.ladder_entries["annihilates"]
     paired = up[q, r] == c
-    q_up, r_up = np.nonzero(up >= 0)
-    orphans = low[q_up, up[q_up, r_up]] != r_up
+    q_up, c_up, r_up, w_up = fock.ladder_entries["creates"]
+    orphans = low[q_up, c_up] != r_up
 
     def worst(x: Vec4) -> float:
         a, b = np.asarray(phi(x, fock).coeffs), np.asarray(psi(x, fock).coeffs)
         # the values _entries gives the two matrices
-        lowered = 0.0 + a[q] * low_w[q, c]
+        lowered = 0.0 + a[q] * low_w
         raised = 0.0 + b[q] * up_w[q, r]
         diff = np.where(paired, np.abs(raised - np.conj(lowered)), np.abs(lowered))
-        orphan = np.abs(0.0 + b[q_up[orphans]] * up_w[q_up[orphans], r_up[orphans]])
+        orphan = np.abs(0.0 + b[q_up[orphans]] * w_up[orphans])
         return max(float(np.max(diff, initial=0.0)), float(np.max(orphan, initial=0.0)))
 
     return max(worst(x) for x in points)
@@ -375,25 +386,25 @@ def xi_commutator_defect(fock: FockSpace, pairs) -> float:
 def xi_matrix_defect(fock: FockSpace, pairs, rnd: random.Random) -> float:
     """Worst |xi(x) (xi(y) v) - xi(y) (xi(x) v) - C v| entry over the pairs (x, y), with
     C the table bracket of :func:`xi_commutator_defect` and v a random vector per pair:
-    Freivalds' check of the dense :func:`xi_matrix` against the ladder maps, O(dim^2).
+    Freivalds' check of :func:`xi_entries`, the entries ``scatter`` reads, against the
+    ladder maps.  Each product is one scatter-add over xi's nonzeros, O(d dim).
 
     v's parts are drawn from ``rnd``, uniform in [-1, 1), on the truncation-safe sectors
     (zero above them).  xi(y) v then fills every sector, so the outer products read every
-    entry of both matrices.  The products are ``np.einsum`` loops, not BLAS calls, which
-    would start OpenBLAS's worker threads and leave them spinning after the check.
+    entry of both fields.
     """
     end = fock.safe_sector_end()
 
     def pair_defect(x: Vec4, y: Vec4) -> float:
-        v = np.array([2.0 * rnd.random() - 1.0 for _ in range(2 * end)]).view(complex)
+        v = np.zeros(fock.dim, dtype=complex)
+        v[:end] = np.array([2.0 * rnd.random() - 1.0 for _ in range(2 * end)]).view(complex)
         flat, terms = _xi_bracket(fock, x, y)
         rows, cols = np.divmod(flat, fock.dim)
         safe = cols < end  # v is zero on the other columns
-        defect = np.zeros(fock.dim, dtype=complex)
-        np.add.at(defect, rows[safe], -terms[safe] * v[cols[safe]])
-        xi_x, xi_y = xi_matrix(x, fock), xi_matrix(y, fock)
-        defect += np.einsum("ij,j->i", xi_x, np.einsum("ij,j->i", xi_y[:, :end], v))
-        defect -= np.einsum("ij,j->i", xi_y, np.einsum("ij,j->i", xi_x[:, :end], v))
+        defect = _apply(fock.dim, (rows[safe], cols[safe], -terms[safe]), v)
+        xi_x, xi_y = xi_entries(x, fock), xi_entries(y, fock)
+        defect += _apply(fock.dim, xi_x, _apply(fock.dim, xi_y, v))
+        defect -= _apply(fock.dim, xi_y, _apply(fock.dim, xi_x, v))
         return float(np.max(np.abs(defect)))
 
     return max(pair_defect(x, y) for x, y in pairs)
@@ -461,20 +472,6 @@ def spin_rep(y: Vec4, rot: GroupElement, spin, h: Hyperboloid) -> np.ndarray:
         else cal_u(rot_inv).astype(complex)
     )
     return np.kron(single, factor)
-
-
-def momentum_operators(fock: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal coordinate-multiplication operators on the one-particle sector."""
-    return tuple(np.diag(column) for column in fock.hyperboloid.coords.T)
-
-
-def multiset_indicator(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:
-    """Multiset indicator as a full-space vector.
-
-    Its squared norm is the number of ordered arrangements of the multiset,
-    matching the ordered-tuple inner product on symmetric functions.
-    """
-    return math.sqrt(_weight(tuple(point_indices))) * basis_unit(fock, point_indices)
 
 
 def basis_unit(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:

@@ -136,7 +136,7 @@ def hyperboloid(mass_sq: int, p_max: int) -> Hyperboloid:
 
 def mass_shell_defect(h: Hyperboloid) -> int:
     """Largest |norm_sq4(p) - mass_sq| over the points: 0 when all are on the shell."""
-    twice_norms = np.einsum("ij,jk,ik->i", h.coords, MINKOWSKI_GRAM, h.coords)
+    twice_norms = ((h.coords @ MINKOWSKI_GRAM) * h.coords).sum(axis=1)
     return int(np.max(np.abs(twice_norms // 2 - h.mass_sq), initial=0))
 
 

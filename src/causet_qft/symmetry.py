@@ -98,9 +98,7 @@ _IDENTITY = _INDEX["I"]
 # table of its products y*z, the group's only multiplication.  Closure and an identity
 # in every row (each element's inverse) are facts of this static data, asserted here.
 MATRICES = np.array([e.matrix for e in _ELEMENTS], dtype=np.int64)
-_HITS = np.all(
-    np.einsum("aij,bjk->abik", MATRICES, MATRICES)[:, :, None] == MATRICES, axis=(-2, -1)
-)
+_HITS = np.all((MATRICES[:, None] @ MATRICES)[:, :, None] == MATRICES, axis=(-2, -1))
 if not _HITS.any(axis=-1).all():
     _i, _j = np.argwhere(~_HITS.any(axis=-1))[0]
     raise AssertionError(f"group not closed at {_ELEMENTS[_i].label}*{_ELEMENTS[_j].label}")
@@ -349,7 +347,7 @@ def isometry_report() -> dict:
     gram = -MINKOWSKI_GRAM[1:, 1:]
     pulled_back = MATRICES.transpose(0, 2, 1) @ gram @ MATRICES
     # a triple's matrix has the members as columns, so M @ T holds their images
-    moved = np.einsum("zij,tjk->ztik", MATRICES, TRIPLE_MATRICES)[:, :, None]
+    moved = (MATRICES[:, None] @ TRIPLE_MATRICES)[:, :, None]
     return {
         "basis_pairs_preserved": bool(np.all(pulled_back == gram)),
         "determinants_one": bool(np.all(det_exact(MATRICES) == 1)),

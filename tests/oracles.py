@@ -6,9 +6,11 @@ per-shell key sets, sumset check and closed-form pair counts, set
 comparisons against integer matrices, explicit step products and the 2^n
 sum over decreasing time tuples against the step recursion and its orders
 checked on the coupling circle, the dense Hamiltonian and step loop against
-the graded series' parity blocks, dense matrix products and the dense
-commutator against the Fock layer's bracket tables, per-pair matrix products
-against the product table,
+the graded series' parity blocks, the dense xi matrix, dense matrix products
+and the dense commutator against the Fock layer's ladder entries and bracket
+tables, a per-call ladder-map scan against the cached entries, the scalar
+phase against the phase rows, multiset indicators and diagonal momentum
+operators, per-pair matrix products against the product table,
 a 4-D grid against spatial rows, per-object triples and per-element spinor
 comparisons against their stacks, a converted copy of a report passed to
 ``json.dumps`` and a line-list walk against the one-pass renderers), so the
@@ -19,14 +21,26 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from causet_qft import paperdata
 from causet_qft.causet import CovarianceReport, History, Speed, children, parent_histogram, precedes, shell
-from causet_qft.fock import FieldOperator, _bracket_terms, xi_matrix
-from causet_qft.lattice import E3, F3, G3, MINKOWSKI_GRAM, Triple, Vec3, Vec4, inner3_doubled, norm_sq3
+from causet_qft.fock import FieldOperator, FockSpace, _bracket_terms, basis_unit, xi_entries
+from causet_qft.lattice import (
+    E3,
+    F3,
+    G3,
+    MINKOWSKI_GRAM,
+    Triple,
+    Vec3,
+    Vec4,
+    inner3_doubled,
+    minkowski_doubled,
+    norm_sq3,
+)
 from causet_qft.representations import SignConvention, cal_u, spinor_of
 from causet_qft.scattering import ScatteringModel, ScatteringSeries, window_slice
 from causet_qft.symmetry import BoostCertificate, GroupElement, apply4, elements, multiply
@@ -221,6 +235,42 @@ def expansion_formula(a_seq: list[np.ndarray], x0: np.ndarray, n: int) -> np.nda
                 term = a_seq[j] if term is None else term @ a_seq[j]
             total += term
     return total @ x0.astype(complex)
+
+
+def phase(p: Vec4, x: Vec4) -> complex:
+    """exp(i p.x) of one point, from the doubled integer pairing."""
+    return complex(np.exp(0.5j * minkowski_doubled(p, x)))
+
+
+def momentum_operators(fock: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal coordinate-multiplication operators on the one-particle sector."""
+    return tuple(np.diag(column) for column in fock.hyperboloid.coords.T)
+
+
+def field_entries(op: FieldOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of a field, scanning its (d, dim) ladder maps on every call."""
+    target, weight = op.fock.ladder_maps[op.role]
+    q, cols = np.nonzero(target >= 0)
+    return target[q, cols], cols, 0.0 + np.asarray(op.coeffs)[q] * weight[q, cols]
+
+
+def multiset_indicator(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:
+    """Multiset indicator as a full-space vector: the orthonormal basis unit times the
+    square root of the multiset's number of ordered arrangements, so its squared norm
+    is that number, as the ordered-tuple inner product on symmetric functions gives."""
+    arrangements = math.factorial(len(point_indices))
+    for k in set(point_indices):
+        arrangements //= math.factorial(point_indices.count(k))
+    return math.sqrt(arrangements) * basis_unit(fock, point_indices)
+
+
+def xi_matrix(x: Vec4, fock: FockSpace) -> np.ndarray:
+    """The self-adjoint field phi(x) + psi(x) as a dense dim x dim matrix, written from
+    :func:`causet_qft.fock.xi_entries`."""
+    rows, cols, vals = xi_entries(x, fock)
+    out = np.zeros((fock.dim, fock.dim), dtype=complex)
+    out[rows, cols] = vals
+    return out
 
 
 def matrix_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

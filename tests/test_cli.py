@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,14 +270,13 @@ def test_fock_verify_counts_a_differing_support(capsys, monkeypatch):
 
 
 def test_fock_verify_fails_only_the_product_check_on_a_corrupted_xi_matrix(capsys, monkeypatch):
-    exact = fock.xi_matrix
+    exact = fock.xi_entries
 
     def corrupted(x, space):
-        m = exact(x, space)
-        m[0, 1] += 0.5
-        return m
+        rows, cols, vals = exact(x, space)
+        return rows, cols, vals + 0.5 * ((rows == 0) & (cols == 1))
 
-    monkeypatch.setattr(fock, "xi_matrix", corrupted)
+    monkeypatch.setattr(fock, "xi_entries", corrupted)
     code, out, err = run_cli(
         capsys, "--format", "json", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "2"
     )
@@ -303,8 +303,22 @@ def test_fock_verify_refuses_a_space_larger_than_memory(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "40")
     assert code == 1
     assert out == ""
-    assert err.startswith(f"error: a pair of dense Fock matrices at D = {math.comb(53, 13)} needs about ")
+    assert err.startswith(f"error: the field-operator suite at D = {math.comb(53, 13)} needs about ")
     assert err.count("\n") == 1 and "of physical memory" in err
+
+
+def test_fock_verify_holds_less_than_one_dense_matrix(capsys):
+    """At D = 2380 the run's traced peak stays below one dense D x D complex array
+    (86.4 MiB): no gate forms a full matrix."""
+    tracemalloc.start()
+    try:
+        code = main(["fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < np.dtype(complex).itemsize * 2380**2
 
 
 # per_order of ``scatter --g 0.1 --m2 0 --M2 1 --horizon 4 --window 1`` with the

@@ -4,20 +4,19 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from causet_qft import cli
 from causet_qft import fock as fock_module
 from causet_qft.fock import (
     FieldOperator,
     adjoint_defect,
     basis_unit,
     fock_space,
-    momentum_operators,
-    multiset_indicator,
-    phase,
     phase_sum,
     phase_sum_defect,
     phi,
@@ -28,7 +27,6 @@ from causet_qft.fock import (
     spin_rep,
     vacuum,
     xi_commutator_defect,
-    xi_matrix,
     xi_matrix_defect,
 )
 from causet_qft.lattice import Vec4, minkowski_doubled, norm_sq3
@@ -41,7 +39,15 @@ from causet_qft.momentum import (
 )
 from causet_qft.representations import SignConvention, spinor_of
 from causet_qft.symmetry import element, elements, multiply
-from oracles import commutator, matrix_commutator
+from oracles import (
+    commutator,
+    field_entries,
+    matrix_commutator,
+    momentum_operators,
+    multiset_indicator,
+    phase,
+    xi_matrix,
+)
 
 RND = random.Random(20241)
 
@@ -427,25 +433,62 @@ def test_xi_matrix_defect_is_rounding_on_exact_matrices(xi_space):
     ids=["safe_block", "top_sector_column", "zero_entry"],
 )
 def test_xi_matrix_defect_sees_one_corrupted_entry(monkeypatch, entry):
-    """One entry of the dense xi matrix off by 0.5: a lowering entry in the safe block, one
-    in a top-sector column (reached only through xi(y) v), or a one-particle to one-particle
-    entry, which is zero."""
+    """One entry of xi's ladder entries off by 0.5: a lowering entry in the safe block, one
+    in a top-sector column (reached only through xi(y) v), or a stray entry appended at a
+    one-particle to one-particle position, which is zero."""
     space = fock_space(hyperboloid(3, 3), 2)
     row, col = entry(space.offsets)
     rnd = random.Random(24)
     pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(2)]
-    exact = xi_matrix
+    exact = fock_module.xi_entries
 
     def corrupted(x, fock):
-        m = exact(x, fock)
-        m[row, col] += 0.5
-        return m
+        rows, cols, vals = exact(x, fock)
+        hit = (rows == row) & (cols == col)
+        if not hit.any():
+            return np.append(rows, row), np.append(cols, col), np.append(vals, 0.5)
+        return rows, cols, vals + 0.5 * hit
 
     assert xi_matrix_defect(space, pairs, random.Random(25)) < 1e-12
-    monkeypatch.setattr(fock_module, "xi_matrix", corrupted)
+    monkeypatch.setattr(fock_module, "xi_entries", corrupted)
     assert xi_matrix_defect(space, pairs, random.Random(25)) > 1e-3
-    # the bracket gate reads the tables, not the dense matrix
+    # the bracket gate reads the tables, not the ladder entries
     assert xi_commutator_defect(space, pairs) < 1e-12
+
+
+def test_cached_ladder_entries_bit_equal_the_per_call_scan(oracle_space):
+    """Each field's entries, gathered over the space's cached ladder entries, are the
+    arrays a fresh scan of the ladder maps gives, in the same (point, column) order."""
+    space, _ = oracle_space
+    rnd = random.Random(27)
+    for x in [Vec4(0, 0, 0, 0)] + [_random_x(rnd) for _ in range(4)]:
+        for field in (phi, psi):
+            op = field(x, space)
+            for got, want in zip(op._entries(), field_entries(op)):
+                assert _same_bits(got, want)
+    for column in space.ladder_entries["creates"]:
+        assert not column.flags.writeable
+
+
+@pytest.mark.parametrize("m2, pmax, nmax", [(3, 3, 2), (0, 1, 3), (3, 3, 3), (0, 1, 4)])
+def test_fock_memory_guard_covers_the_traced_peak(monkeypatch, m2, pmax, nmax):
+    """The guard's count of ladder-map slots and mixed bracket-table entries covers the
+    traced peak of a fock-verify run, and is within twice of it."""
+    needs = []
+    monkeypatch.setattr(fock_module, "require_memory", lambda need, what: needs.append(need))
+    tracemalloc.start()
+    try:
+        code = cli.main(["fock-verify", "--m2", str(m2), "--pmax", str(pmax), "--nmax", str(nmax)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    space = fock_space(hyperboloid(m2, pmax), nmax)
+    d = len(space.hyperboloid)
+    mixed = (("annihilates", "creates"), ("creates", "annihilates"))
+    entries = sum(len(space.bracket_table(*roles)[0]) for roles in mixed)
+    assert needs == [fock_module._SLOT_BYTES * (d * space.dim + entries)]
+    assert peak <= needs[0] < 2 * peak
 
 
 def test_xi_matrix_bit_equals_the_sum_of_its_fields(oracle_space):
@@ -494,6 +537,8 @@ def test_adjoint_defect_sees_a_corrupted_raising_entry(part):
     rnd = random.Random(18)
     points = [_random_x(rnd) for _ in range(3)]
     assert adjoint_defect(space, points) == 0.0
+    # corrupt a fresh space's maps before its ladder entries are gathered from them
+    space = fock_space(hyperboloid(3, 3), 2)
     up, up_w = space.ladder_maps["creates"]
     q, r = 4, 0  # raise point 4 out of the vacuum
     assert up[q, r] >= 0

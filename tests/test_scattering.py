@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from causet_qft import scattering
-from causet_qft.fock import FockSpace, fock_space, phi, psi, xi_matrix
+from causet_qft.fock import FockSpace, fock_space, phi, psi
 from causet_qft.lattice import Vec4
 from causet_qft.momentum import hyperboloid
 from causet_qft.scattering import (
@@ -27,7 +27,7 @@ from causet_qft.scattering import (
     two_pi_state,
     window_slice,
 )
-from oracles import dense_series, densify, difference_op, expansion_formula, product_formula
+from oracles import dense_series, densify, difference_op, expansion_formula, product_formula, xi_matrix
 from oracles import interaction_hamiltonian as dense_hamiltonian
 
 
