@@ -16,9 +16,11 @@ translation-invariant, so no array has a row per vertex pair: u precedes v
 iff v - u lies in the difference set, the union of the {k} x B_k over k >= 1,
 and links join u to v iff v - u lies in some {k} x R_k, R_k the k-link
 displacements.  Vertices, balls and step sets are sorted radix keys that add
-as the vectors do.  The per-vertex functions (``precedes``, ``children``,
-``parents``) define the same notions one object at a time and serve as the
-oracles the arrays are tested against.
+as the vectors do, and the keys are the layer's only lookup structure: a
+vertex's parents are its key minus the 13 step keys, looked up in the shell
+below.  The per-vertex functions (``precedes``, ``children``, ``parents``)
+define the same notions one object at a time and serve as the oracles the
+arrays are tested against.
 """
 
 from __future__ import annotations
@@ -31,17 +33,15 @@ from functools import cached_property
 import numpy as np
 
 from . import paperdata
-from .lattice import Vec4, norm_sq3_rows, norm_sq4, require_memory, unit_vectors3, vectors_with_norm_up_to
+from .lattice import Vec4, norm_sq3_rows, norm_sq4, rank_keys, require_memory, unit_vectors3, vectors_with_norm_up_to
 from .momentum import attainable_spatial_norms
 
 __all__ = [
     "ORIGIN",
-    "in_cone",
     "shell",
     "History",
     "Speed",
     "history",
-    "link_array",
     "order_axioms",
     "precedes",
     "children",
@@ -62,13 +62,7 @@ _STEPS = tuple(
 )
 
 # The steps as (t, n, p, q) rows in the lexicographic order ``children`` uses.
-# Each spatial coordinate of a step is -1, 0 or 1, which ``link_array`` relies on.
 _STEP_ARRAY = np.array(sorted(s.coords() for s in _STEPS), dtype=np.int32)
-
-
-def in_cone(v: Vec4) -> bool:
-    """Membership in the forward solid light cone of the origin."""
-    return v.t >= 0 and norm_sq4(v) >= 0
 
 
 def shell(t: int) -> tuple[Vec4, ...]:
@@ -89,9 +83,9 @@ class History:
 
     The vertices run shell by shell in lexicographic (t, n, p, q) order, shell
     t being rows ``offsets[t]:offsets[t + 1]``.  Row i of ``coords`` (V x 4
-    int32), ``keys`` (V int64) and ``links`` (V x 13 int32) describes vertex i;
-    no array has a row per vertex pair.  All arrays are read-only; the
-    properties are computed on first use and cached.
+    int32), ``keys`` (V int64) and ``parent_links`` (V x 13 int32) describes
+    vertex i; no array has a row per vertex pair.  All arrays are read-only;
+    the properties are computed on first use and cached.
     """
 
     horizon: int
@@ -107,22 +101,34 @@ class History:
         return Vec4(*self.coords[i].tolist())
 
     @cached_property
-    def links(self) -> np.ndarray:
-        """V x 13 child indices in ``children`` order; -1 past the horizon."""
-        return _frozen(link_array(self.coords))
-
-    @cached_property
     def keys(self) -> np.ndarray:
         """The :func:`_keys` of ``coords``, ascending; shell k's are its ball B_k."""
         return _frozen(_keys(self.coords, self.horizon))
+
+    @cached_property
+    def parent_links(self) -> np.ndarray:
+        """V x 13 int32: row v, column j is the index of v minus step j (steps in
+        ``children`` order), or -1 when that vector is not in the history.
+
+        Shell t >= 1 looks its keys minus the 13 step keys up in shell t - 1's; shell 0
+        looks nothing up, so no vector outside times 0..horizon is ever keyed.
+        """
+        off, steps = self.offsets, _keys(_STEP_ARRAY, self.horizon)
+        out = np.full((off[-1], len(steps)), -1, dtype=np.int32)
+        for t in range(1, self.horizon + 1):
+            below, keys = self.keys[off[t - 1] : off[t]], self.keys[off[t] : off[t + 1]]
+            for j, step in enumerate(steps):  # one step at a time keeps temporaries shell-sized
+                pos = rank_keys(below, keys - step)
+                out[off[t] : off[t + 1], j] = np.where(pos >= 0, pos + off[t - 1], -1)
+        return _frozen(out)
 
     def __contains__(self, v: Vec4) -> bool:
         return 0 <= v.t <= self.horizon and norm_sq4(v) >= 0
 
 
-# Bytes per vertex at causet-verify's peak: coords, keys, links, ``link_array``'s V x 13 x 4
-# children and grid, and the diagnostics (traced: 340-450 from t = 6 to 14, see the tests).
-_VERTEX_BYTES = 512
+# Bytes per vertex at causet-verify's peak: coords, keys, parent links and the diagnostics'
+# temporaries (traced: 238, 163, 146 and 124 at t = 6, 9, 12 and 20, see the tests).
+_VERTEX_BYTES = 256
 
 
 def history(t: int) -> History:
@@ -146,26 +152,6 @@ def _keys(rows: np.ndarray, horizon: int) -> np.ndarray:
     subtract and sort as the rows do for differences of rows, sums of two shells' rows
     (times adding up to at most ``horizon``) and chains of steps."""
     return np.asarray(rows, dtype=np.int64) @ (6 * horizon + 1) ** np.arange(3, -1, -1, dtype=np.int64)
-
-
-def _member(table: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Whether each of ``wanted`` is among the ascending keys ``table``."""
-    return np.searchsorted(table, wanted, side="right") > np.searchsorted(table, wanted)
-
-
-def link_array(coords: np.ndarray) -> np.ndarray:
-    """V x 13 int32 indices of each row's children, in ``children`` order.
-
-    ``coords`` are the rows of a history; a child past its last shell gets
-    index -1.  Lookup goes through a dense coordinate grid with a margin of
-    one, which holds every child since a step moves each coordinate by at
-    most one.
-    """
-    lo = coords.min(axis=0) - 1
-    grid = np.full(coords.max(axis=0) - lo + 2, -1, dtype=np.int32)
-    grid[tuple((coords - lo).T)] = np.arange(len(coords), dtype=np.int32)
-    kids = (coords - lo)[:, None, :] + _STEP_ARRAY
-    return grid[tuple(np.moveaxis(kids, -1, 0))]
 
 
 def _step_sets(hist: History) -> list[np.ndarray]:
@@ -206,8 +192,8 @@ def order_axioms(hist: History) -> dict[str, bool]:
     """
     difference = hist.keys[hist.offsets[1] :]
     return {
-        "irreflexive": not _member(difference, 0),
-        "antisymmetric": not _member(difference, -difference).any(),
+        "irreflexive": bool(rank_keys(difference, 0) < 0),
+        "antisymmetric": bool((rank_keys(difference, -difference) < 0).all()),
         "transitive": _sumsets_inside(hist),
     }
 
@@ -235,7 +221,7 @@ def parents(u: Vec4) -> tuple[Vec4, ...]:
 
 def _parent_counts(hist: History) -> np.ndarray:
     """Number of in-history parents of each vertex."""
-    return np.bincount(hist.links[hist.links >= 0], minlength=len(hist.links))
+    return np.count_nonzero(hist.parent_links >= 0, axis=1)
 
 
 def parent_histogram(hist: History) -> dict[int, dict[int, int]]:
@@ -254,11 +240,12 @@ def parent_histogram(hist: History) -> dict[int, dict[int, int]]:
 
 
 def complete_children(hist: History) -> tuple[int, int]:
-    """(vertices below the top shell whose 13 children are distinct and in the
-    history, vertices below the top shell): equal when none misses a child."""
-    kids = np.sort(hist.links[: hist.offsets[-2]], axis=1)
-    full = (kids[:, 0] >= 0) & np.all(kids[:, 1:] != kids[:, :-1], axis=1)
-    return int(full.sum()), len(full)
+    """(vertices below the top shell all 13 of whose children are in the history,
+    vertices below the top shell): equal when none misses a child.  A vertex's
+    children are the entries of the parent links that name it, one per step."""
+    links = hist.parent_links
+    kids = np.bincount(links[links >= 0], minlength=len(links))[: hist.offsets[-2]]
+    return int(np.count_nonzero(kids == len(_STEP_ARRAY))), len(kids)
 
 
 @dataclass(frozen=True)
@@ -286,28 +273,29 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
     inclusions of :func:`order_axioms`.  The witness and samples come first in
     row-major order, found one row at a time.
     """
-    links, keys, off = hist.links, hist.keys, hist.offsets
+    keys, off = hist.keys, hist.offsets
     times = hist.coords[:, 0]
 
     # a vertex's height is 0 without parents, else one more than its highest
-    # parent; parents lie one shell down, so shells are settled in time order
+    # parent; parents lie one shell down, so shells are settled in time order.
+    # Every link advances time by one step, so any existing chain from u to v
+    # has length v.t - u.t; weak covariance can only fail if a link skipped a
+    # shell, which the construction forbids.
     heights = np.zeros(len(times), dtype=np.int64)
-    for t in range(hist.horizon):
+    weakly_covariant = True
+    for t in range(1, hist.horizon + 1):
         rows = slice(off[t], off[t + 1])
-        np.maximum.at(heights, links[rows].ravel(), np.repeat(heights[rows] + 1, links.shape[1]))
+        links = hist.parent_links[rows]
+        found = links >= 0
+        weakly_covariant &= bool(((times[rows, None] - times[links])[found] == 1).all())
+        heights[rows] = np.where(found, heights[links] + 1, 0).max(axis=1)
 
     orphans = np.flatnonzero((_parent_counts(hist) == 0) & (times > 0))
-    # every link advances time by one step, so any existing chain from u to v
-    # has length v.t - u.t; weak covariance can only fail if a link skipped a
-    # shell, which the construction forbids.  A child past the horizon is
-    # counted at time horizon + 1.
-    child_times = np.where(links >= 0, times[links], hist.horizon + 1)
-    weakly_covariant = bool((child_times == times[:, None] + 1).all())
 
     sizes, steps = np.diff(off).tolist(), _step_sets(hist)
     below = list(itertools.accumulate(sizes))[::-1]  # below[k]: vertices up to time T - k
     comparable = sum(sizes[k] * below[k] for k in range(1, len(sizes)))
-    unreached = [sizes[k] - np.count_nonzero(_member(keys[off[k] : off[k + 1]], steps[k])) for k in range(len(sizes))]
+    unreached = [n - np.count_nonzero(rank_keys(keys[off[k] : off[k + 1]], steps[k]) >= 0) for k, n in enumerate(sizes)]
     pathless = sum(unreached[k] * below[k] for k in range(1, len(sizes)))
 
     difference, chains = keys[off[1] :], np.concatenate(steps)
@@ -315,7 +303,7 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
     for u in range(len(keys)):
         if witness is not None and len(sample) == min(5, pathless):
             break
-        later, reached = _member(difference, keys - keys[u]), _member(chains, keys - keys[u])
+        later, reached = (rank_keys(table, keys - keys[u]) >= 0 for table in (difference, chains))
         higher = np.flatnonzero((heights > heights[u]) & ~later)
         if witness is None and len(higher):
             witness = (hist.vertex(u), hist.vertex(higher[0]))

@@ -349,9 +349,8 @@ def cmd_fock_verify(args) -> dict:
     phi_phi, psi_psi = fock.same_species_commutator_max(space, rand_x(), rand_x())
     mixed_defect = fock.phase_sum_defect(space, [(rand_x(), rand_x()) for _ in range(5)])
     xi_pairs = [(rand_x(), rand_x()) for _ in range(5)]
-    xi_defect = fock.xi_commutator_defect(space, xi_pairs)
     # its own generator, so the rand_x / rand_g draws stay as they were
-    xi_matrix_defect = fock.xi_matrix_defect(space, xi_pairs, random.Random(12345))
+    xi_defect, xi_matrix_defect = fock.xi_defects(space, xi_pairs, random.Random(12345))
     v_unitarity, v_hom, block_ok = fock.rep_v_defects(space, [(rand_g(), rand_g()) for _ in range(50)])
     shell_defect = momentum.mass_shell_defect(h)
 
@@ -385,10 +384,13 @@ def cmd_fock_verify(args) -> dict:
         _check("rep_v_block_diagonal", block_ok),
         _check("mass_shell_identity_exact", shell_defect == 0),
     ]
-    return _bundle(
+    bundle = _bundle(
         "fock-verify", {"m2": args.m2, "pmax": args.pmax, "nmax": args.nmax, "tol": tol},
         payload, {}, checks,
     )
+    if args.format == "csv":  # the csv table: phi(e_t)'s entries on this run's space
+        bundle["triplets"] = fock.phi(Vec4(1, 0, 0, 0), space).triplets()
+    return bundle
 
 
 def cmd_scatter(args) -> dict:
@@ -626,9 +628,7 @@ def _render_csv(bundle: dict) -> str:
             writer.writerow(p)
     elif command == "fock-verify":
         writer.writerow(["row", "col", "re", "im"])
-        h = momentum.hyperboloid(payload["mass_sq"], payload["p_max"])
-        space = fock.fock_space(h, payload["n_max"])
-        for r, c, re_v, im_v in fock.phi(Vec4(1, 0, 0, 0), space).triplets():
+        for r, c, re_v, im_v in zip(*(column.tolist() for column in bundle["triplets"])):
             writer.writerow([r, c, repr(re_v), repr(im_v)])
     else:  # pragma: no cover - guarded by the parser
         raise ValueError(f"no CSV form for {command}")

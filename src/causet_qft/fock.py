@@ -45,8 +45,7 @@ __all__ = [
     "adjoint_defect",
     "same_species_commutator_max",
     "phase_sum_defect",
-    "xi_commutator_defect",
-    "xi_matrix_defect",
+    "xi_defects",
     "rep_v",
     "rep_v_defects",
     "spin_rep",
@@ -255,12 +254,13 @@ class FieldOperator:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return _apply(self.fock.dim, self._entries(), vec)
 
-    def triplets(self) -> list[tuple[int, int, float, float]]:
-        """(row, col, re, im) entries of the full matrix in row-major order, for export."""
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The row, col, re and im columns of the matrix's entries in row-major order, for
+        export; arrays, which hold no reference to the space."""
         rows, cols, vals = self._entries()
         order = np.lexsort((cols, rows))
-        v = vals[order]
-        return list(zip(rows[order].tolist(), cols[order].tolist(), v.real.tolist(), v.imag.tolist()))
+        vals = vals[order]
+        return rows[order], cols[order], vals.real, vals.imag
 
 
 def phi(x: Vec4, fock: FockSpace) -> FieldOperator:
@@ -375,19 +375,15 @@ def _xi_bracket(fock: FockSpace, x: Vec4, y: Vec4) -> tuple[np.ndarray, np.ndarr
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def xi_commutator_defect(fock: FockSpace, pairs) -> float:
-    """Worst deviation of [xi(x), xi(y)] from 2i sine_sum(x, y) I over the pairs (x, y),
-    the bracket's truncation-safe block summed from the four field brackets' tables."""
-    return max(
-        _identity_defect(fock, *_xi_bracket(fock, x, y), 2j * sine_sum(fock.hyperboloid, x, y)) for x, y in pairs
-    )
+def xi_defects(fock: FockSpace, pairs, rnd: random.Random) -> tuple[float, float]:
+    """The two xi gates over the pairs (x, y), each pair's bracket C built once from the
+    four field brackets' tables:
 
-
-def xi_matrix_defect(fock: FockSpace, pairs, rnd: random.Random) -> float:
-    """Worst |xi(x) (xi(y) v) - xi(y) (xi(x) v) - C v| entry over the pairs (x, y), with
-    C the table bracket of :func:`xi_commutator_defect` and v a random vector per pair:
-    Freivalds' check of :func:`xi_entries`, the entries ``scatter`` reads, against the
-    ladder maps.  Each product is one scatter-add over xi's nonzeros, O(d dim).
+    - the worst deviation of C's truncation-safe block from 2i sine_sum(x, y) I;
+    - the worst |xi(x) (xi(y) v) - xi(y) (xi(x) v) - C v| entry, v a random vector per
+      pair: Freivalds' check of :func:`xi_entries`, the entries ``scatter`` reads,
+      against the ladder maps.  Each product is one scatter-add over xi's nonzeros,
+      O(d dim).
 
     v's parts are drawn from ``rnd``, uniform in [-1, 1), on the truncation-safe sectors
     (zero above them).  xi(y) v then fills every sector, so the outer products read every
@@ -395,19 +391,21 @@ def xi_matrix_defect(fock: FockSpace, pairs, rnd: random.Random) -> float:
     """
     end = fock.safe_sector_end()
 
-    def pair_defect(x: Vec4, y: Vec4) -> float:
+    def pair_defects(x: Vec4, y: Vec4) -> tuple[float, float]:
+        flat, terms = _xi_bracket(fock, x, y)
+        identity = _identity_defect(fock, flat, terms, 2j * sine_sum(fock.hyperboloid, x, y))
         v = np.zeros(fock.dim, dtype=complex)
         v[:end] = np.array([2.0 * rnd.random() - 1.0 for _ in range(2 * end)]).view(complex)
-        flat, terms = _xi_bracket(fock, x, y)
         rows, cols = np.divmod(flat, fock.dim)
         safe = cols < end  # v is zero on the other columns
         defect = _apply(fock.dim, (rows[safe], cols[safe], -terms[safe]), v)
         xi_x, xi_y = xi_entries(x, fock), xi_entries(y, fock)
         defect += _apply(fock.dim, xi_x, _apply(fock.dim, xi_y, v))
         defect -= _apply(fock.dim, xi_y, _apply(fock.dim, xi_x, v))
-        return float(np.max(np.abs(defect)))
+        return identity, float(np.max(np.abs(defect)))
 
-    return max(pair_defect(x, y) for x, y in pairs)
+    identity, products = zip(*(pair_defects(x, y) for x, y in pairs))
+    return max(identity), max(products)
 
 
 def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.ndarray]:

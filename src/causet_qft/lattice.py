@@ -7,8 +7,9 @@ values (2<u,v> is always an integer), so nothing in this module touches
 floating point.
 
 Sets of lattice points are integer rows (the enumerator returns (n, p, q)
-rows, ``rank_rows`` finds rows in a sorted table); ``Vec3``/``Vec4`` are the
-one-vector API and the scalar oracles the row paths are tested against.
+rows, ``rank_rows`` and ``rank_keys`` find rows and keys in a sorted table);
+``Vec3``/``Vec4`` are the one-vector API and the scalar oracles the row paths
+are tested against.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "det_exact",
     "norm_sq3_rows",
     "rank_rows",
+    "rank_keys",
     "vectors_with_norm_up_to",
     "vectors_with_norm",
     "require_memory",
@@ -215,10 +217,16 @@ def rank_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     lo = min(table.min(initial=0), rows.min(initial=0))
     base = max(table.max(initial=0), rows.max(initial=0)) - lo + 1
     radix = base ** np.arange(table.shape[1] - 1, -1, -1, dtype=np.int64)
-    keys, wanted = (table - lo) @ radix, (rows - lo) @ radix
-    pos = np.searchsorted(keys, wanted)
-    # keys are nonnegative, so the appended -1 matches nothing past the end
-    return np.where(np.append(keys, -1)[pos] == wanted, pos, -1)
+    return rank_keys((table - lo) @ radix, (rows - lo) @ radix)
+
+
+def rank_keys(table: np.ndarray, wanted) -> np.ndarray:
+    """Index in the ascending integer keys ``table`` of each of ``wanted``, or -1 for a
+    key not in it.  Keys of any sign: a key past the last one is compared with the last."""
+    pos = np.searchsorted(table, wanted)
+    if not len(table):
+        return np.full_like(pos, -1)
+    return np.where(table.take(pos, mode="clip") == wanted, pos, -1)
 
 
 def require_memory(need: int, what: str) -> None:

@@ -2,19 +2,21 @@
 
 Each defines a notion the library computes another way (chain enumeration
 and the V x V order, link reachability and order axioms against the
-per-shell key sets, sumset check and closed-form pair counts, set
-comparisons against integer matrices, explicit step products and the 2^n
-sum over decreasing time tuples against the step recursion and its orders
-checked on the coupling circle, the dense Hamiltonian and step loop against
-the graded series' parity blocks, the dense xi matrix, dense matrix products
-and the dense commutator against the Fock layer's ladder entries and bracket
-tables, a per-call ladder-map scan against the cached entries, the scalar
-phase against the phase rows, multiset indicators and diagonal momentum
-operators, per-pair matrix products against the product table,
-a 4-D grid against spatial rows, per-object triples and per-element spinor
-comparisons against their stacks, a converted copy of a report passed to
-``json.dumps`` and a line-list walk against the one-pass renderers), so the
-tests can diff the fast path against it on small cases.
+per-shell key sets, cone membership and the child array from a dense
+coordinate grid against the parent links looked up by key, sumset check and
+closed-form pair counts, set comparisons against integer matrices, explicit
+step products and the 2^n sum over decreasing time tuples against the step
+recursion and its orders checked on the coupling circle, the dense
+Hamiltonian and step loop against the graded series' parity blocks, the
+dense xi matrix, dense matrix products and the dense commutator against the
+Fock layer's ladder entries and bracket tables, a per-call ladder-map scan
+against the cached entries, the scalar phase against the phase rows,
+multiset indicators and diagonal momentum operators, per-pair matrix
+products against the product table, a 4-D grid against spatial rows,
+per-object triples and per-element spinor comparisons against their stacks,
+a converted copy of a report passed to ``json.dumps`` and a line-list walk
+against the one-pass renderers), so the tests can diff the fast path
+against it on small cases.
 """
 
 from __future__ import annotations
@@ -27,7 +29,16 @@ from fractions import Fraction
 import numpy as np
 
 from causet_qft import paperdata
-from causet_qft.causet import CovarianceReport, History, Speed, children, parent_histogram, precedes, shell
+from causet_qft.causet import (
+    _STEP_ARRAY,
+    CovarianceReport,
+    History,
+    Speed,
+    children,
+    parent_histogram,
+    precedes,
+    shell,
+)
 from causet_qft.fock import FieldOperator, FockSpace, _bracket_terms, basis_unit, xi_entries
 from causet_qft.lattice import (
     E3,
@@ -40,6 +51,7 @@ from causet_qft.lattice import (
     inner3_doubled,
     minkowski_doubled,
     norm_sq3,
+    norm_sq4,
 )
 from causet_qft.representations import SignConvention, cal_u, spinor_of
 from causet_qft.scattering import ScatteringModel, ScatteringSeries, window_slice
@@ -69,6 +81,26 @@ def path_lengths(u: Vec4, v: Vec4, sample_limit: int = 1000) -> frozenset[int]:
             elif c.t < v.t and precedes(c, v):
                 stack.append((c, depth + 1))
     return frozenset(lengths)
+
+
+def in_cone(v: Vec4) -> bool:
+    """Membership in the forward solid light cone of the origin."""
+    return v.t >= 0 and norm_sq4(v) >= 0
+
+
+def link_array(coords: np.ndarray) -> np.ndarray:
+    """V x 13 int32 indices of each row's children, in ``children`` order.
+
+    ``coords`` are the rows of a history; a child past its last shell gets
+    index -1.  Lookup goes through a dense coordinate grid with a margin of
+    one, which holds every child since a step moves each coordinate by at
+    most one.
+    """
+    lo = coords.min(axis=0) - 1
+    grid = np.full(coords.max(axis=0) - lo + 2, -1, dtype=np.int32)
+    grid[tuple((coords - lo).T)] = np.arange(len(coords), dtype=np.int32)
+    kids = (coords - lo)[:, None, :] + _STEP_ARRAY
+    return grid[tuple(np.moveaxis(kids, -1, 0))]
 
 
 def causal_order(coords: np.ndarray) -> np.ndarray:
@@ -130,7 +162,7 @@ def order_axioms(rel: np.ndarray) -> dict[str, bool]:
 def covariance_diagnostics(hist: History) -> CovarianceReport:
     """``causet.covariance_diagnostics`` from the V x V order and reachability arrays:
     pairs counted, and the witness and samples taken, over the whole arrays."""
-    links, order = hist.links, causal_order(hist.coords)
+    links, order = link_array(hist.coords), causal_order(hist.coords)
     times = hist.coords[:, 0]
     heights = np.zeros(len(times), dtype=np.int64)
     for t in range(hist.horizon):

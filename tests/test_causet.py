@@ -16,10 +16,10 @@ from causet_qft.causet import (
     History,
     average_speeds,
     children,
+    complete_children,
     construction_cross_check,
     covariance_diagnostics,
     history,
-    in_cone,
     order_axioms,
     parent_histogram,
     parents,
@@ -30,7 +30,18 @@ from causet_qft.causet import (
 from causet_qft.lattice import Vec4, norm_sq4
 from causet_qft.symmetry import elements
 import oracles
-from oracles import causal_order, equivariance_check, exact_square, link_reachability, path_lengths, reachable_from
+from oracles import (
+    causal_order,
+    equivariance_check,
+    exact_square,
+    in_cone,
+    link_array,
+    link_reachability,
+    path_lengths,
+    reachable_from,
+)
+
+_STEPS = [Vec4(*row) for row in causet._STEP_ARRAY.tolist()]
 
 
 def _shell_sizes(t_max):
@@ -166,6 +177,15 @@ def test_history_coords_match_per_object_shells():
             assert list(shell(s)) == [v for v in verts if v.t == s]
 
 
+def _child_links(parent_links: np.ndarray) -> np.ndarray:
+    """The V x 13 child indices the parent links name: u's child by step j is the
+    vertex whose column j is u."""
+    kids = np.full_like(parent_links, -1)
+    v, j = np.nonzero(parent_links >= 0)
+    kids[parent_links[v, j], j] = v
+    return kids
+
+
 @pytest.mark.parametrize("t", range(4))
 def test_arrays_match_per_object_oracles(t):
     hist = history(t)
@@ -173,11 +193,39 @@ def test_arrays_match_per_object_oracles(t):
     index = {v: i for i, v in enumerate(verts)}
     assert [Vec4(*row) for row in hist.coords.tolist()] == list(verts)
     assert causal_order(hist.coords).tolist() == [[precedes(u, v) for v in verts] for u in verts]
-    reachable = link_reachability(hist.links, hist.offsets)
+    reachable = link_reachability(link_array(hist.coords), hist.offsets)
+    kids = _child_links(hist.parent_links)
     for i, v in enumerate(verts):
-        assert hist.links[i].tolist() == [index.get(c, -1) for c in children(v)]
-        assert [verts[j] for j in np.flatnonzero((hist.links == i).any(axis=1))] == list(parents(v))
+        assert hist.parent_links[i].tolist() == [index.get(v - s, -1) for s in _STEPS]
+        # ``parents`` sorts its vertices, v minus the steps in reverse step order
+        assert [verts[j] for j in hist.parent_links[i, ::-1] if j >= 0] == list(parents(v))
+        assert kids[i].tolist() == [index.get(c, -1) for c in children(v)]
         assert {verts[j] for j in np.flatnonzero(reachable[i])} == reachable_from(v, hist)
+
+
+def test_parent_links_invert_the_grid_child_array_at_t8():
+    hist = history(8)
+    kids = _child_links(hist.parent_links)
+    want = link_array(hist.coords)
+    assert kids.dtype == want.dtype and np.array_equal(kids, want)
+
+
+def test_parent_links_at_t0_look_nothing_up():
+    # at T = 0 the radix base 6T + 1 is 1, so keys collide: shell 0, with no shell
+    # below it, must look nothing up
+    hist = history(0)
+    assert hist.parent_links.tolist() == [[-1] * 13]
+    assert parent_histogram(hist) == {0: {0: 1}}
+    assert complete_children(hist) == (0, 0)
+
+
+def test_parent_links_read_negative_keys():
+    # a hand-made shell 1 at times -1 and 1: only (1, 0, 0, 0) is a step from the origin
+    hist = History(1, np.array([[0, 0, 0, 0], [-1, 0, 0, 0], [1, 0, 0, 0]], dtype=np.int32), (0, 1, 3))
+    assert hist.keys[1] < 0
+    want = np.full((3, 13), -1)
+    want[2, _STEPS.index(Vec4(1, 0, 0, 0))] = 0
+    assert hist.parent_links.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("t", range(4))
@@ -260,7 +308,7 @@ def test_all_existing_paths_have_shell_difference_length():
     hist = history(3)
     verts = hist.vertices
     order = causal_order(hist.coords)
-    pathless = order & ~link_reachability(hist.links, hist.offsets)
+    pathless = order & ~link_reachability(link_array(hist.coords), hist.offsets)
     for i, j in np.argwhere(order):
         u, v = verts[i], verts[j]
         lengths = path_lengths(u, v, sample_limit=50)
@@ -412,3 +460,17 @@ def test_memory_guard_covers_the_traced_peak(monkeypatch, t):
         tracemalloc.stop()
     assert needs == [causet._VERTEX_BYTES * len(hist.coords)]
     assert peak <= needs[0] < 2 * peak
+
+
+def test_diagnostics_hold_no_per_step_block():
+    """The order axioms and covariance diagnostics at t = 12 trace under 200 bytes per
+    vertex, history included: no V x 13 x 4 child block or coordinate grid is formed."""
+    tracemalloc.start()
+    try:
+        hist = history(12)
+        order_axioms(hist)
+        covariance_diagnostics(hist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * len(hist.coords)

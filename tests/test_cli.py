@@ -217,6 +217,20 @@ def test_fock_verify(capsys):
     assert details["creator_commutator_zero_exact"] == bundle["payload"]["psi_psi_commutator_max"]
 
 
+def test_fock_verify_builds_one_space_and_one_bracket_per_xi_pair(capsys, monkeypatch):
+    """The csv table is phi(e_t)'s entries on the space the checks ran on, not on a second
+    build, and both xi gates read one bracket per drawn pair."""
+    spaces, brackets = [], []
+    build, bracket = fock.fock_space, fock._xi_bracket
+    monkeypatch.setattr(fock, "fock_space", lambda *a: spaces.append(build(*a)) or spaces[-1])
+    monkeypatch.setattr(fock, "_xi_bracket", lambda *a: brackets.append(a) or bracket(*a))
+    code, out, _ = run_cli(capsys, "--format", "csv", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "2")
+    assert code == 0
+    assert len(spaces) == 1 and len(brackets) == 5
+    want = zip(*(column.tolist() for column in fock.phi(Vec4(1, 0, 0, 0), spaces[0]).triplets()))
+    assert out.splitlines() == ["row,col,re,im"] + [f"{r},{c},{re!r},{im!r}" for r, c, re, im in want]
+
+
 def test_fock_verify_three_particle_cap(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "3"

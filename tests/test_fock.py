@@ -26,8 +26,7 @@ from causet_qft.fock import (
     sine_sum,
     spin_rep,
     vacuum,
-    xi_commutator_defect,
-    xi_matrix_defect,
+    xi_defects,
 )
 from causet_qft.lattice import Vec4, minkowski_doubled, norm_sq3
 from causet_qft.momentum import (
@@ -150,7 +149,7 @@ def test_as_matrix_matches_dense_oracle(oracle_space):
             m = op.as_matrix()
             assert _same_bits(m, _field_oracle(op, mats))
             rows, cols = np.nonzero(m)
-            assert op.triplets() == [
+            assert list(zip(*(column.tolist() for column in op.triplets()))) == [
                 (int(r), int(c), float(m[r, c].real), float(m[r, c].imag)) for r, c in zip(rows, cols)
             ]
             vec = np.array([complex(rnd.gauss(0, 1), rnd.gauss(0, 1)) for _ in range(space.dim)])
@@ -329,14 +328,14 @@ def test_xi_commutator(fock13):
     x, y = Vec4(0, 0, 0, 0), Vec4(1, 0, 0, 0)
     # [xi(a), xi(b)] = 2i sine_sum(a, b) I on the truncation-safe sectors
     for a, b in ((x, y), (x, x), (y, x)):
-        assert xi_commutator_defect(fock13, [(a, b)]) <= 1e-10
+        assert xi_defects(fock13, [(a, b)], random.Random(0))[0] <= 1e-10
     val = 2j * sine_sum(fock13.hyperboloid, x, y)
     assert val == pytest.approx(2j * 12.0 * math.sin(1.0))
     assert 2j * sine_sum(fock13.hyperboloid, x, x) == 0
     assert 2j * sine_sum(fock13.hyperboloid, y, x) == pytest.approx(-val)
     assert sine_sum(fock13.hyperboloid, x, y) == pytest.approx(12.0 * math.sin(1.0))
     with pytest.raises(ValueError, match="n_max >= 1"):
-        xi_commutator_defect(fock_space(hyperboloid(0, 1), 0), [(x, y)])
+        xi_defects(fock_space(hyperboloid(0, 1), 0), [(x, y)], random.Random(0))
 
 
 def test_same_species_bracket_tables_are_empty(oracle_space):
@@ -400,7 +399,7 @@ def test_identity_gates_bit_equal_the_dense_safe_block(xi_space):
         np.add.at(dense, flat, terms)
         scalar = 2j * sine_sum(xi_space.hyperboloid, x, y)
         want = _dense_identity_defect(xi_space, dense.reshape(xi_space.dim, xi_space.dim), scalar)
-        assert xi_commutator_defect(xi_space, [(x, y)]) == want
+        assert xi_defects(xi_space, [(x, y)], random.Random(0))[0] == want
         assert same_species_commutator_max(xi_space, x, y) == (0.0, 0.0)
 
 
@@ -424,7 +423,22 @@ def test_identity_defect_counts_missing_and_stray_entries(fock13):
 def test_xi_matrix_defect_is_rounding_on_exact_matrices(xi_space):
     rnd = random.Random(22)
     pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(3)]
-    assert xi_matrix_defect(xi_space, pairs, random.Random(23)) < 1e-12
+    assert xi_defects(xi_space, pairs, random.Random(23))[1] < 1e-12
+
+
+def test_xi_defects_build_each_bracket_once(monkeypatch, fock13):
+    """One bracket per pair serves both gates, and each gate is the worst pair's value."""
+    calls = []
+    bracket = fock_module._xi_bracket
+    monkeypatch.setattr(fock_module, "_xi_bracket", lambda *a: calls.append(a[1:]) or bracket(*a))
+    rnd = random.Random(28)
+    pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(3)]
+    both = xi_defects(fock13, pairs, random.Random(29))
+    assert calls == pairs
+    # each pair alone, its v drawn where the three-pair run drew it
+    draws = random.Random(29)
+    alone = [xi_defects(fock13, [pair], draws) for pair in pairs]
+    assert both == tuple(max(column) for column in zip(*alone))
 
 
 @pytest.mark.parametrize(
@@ -449,11 +463,12 @@ def test_xi_matrix_defect_sees_one_corrupted_entry(monkeypatch, entry):
             return np.append(rows, row), np.append(cols, col), np.append(vals, 0.5)
         return rows, cols, vals + 0.5 * hit
 
-    assert xi_matrix_defect(space, pairs, random.Random(25)) < 1e-12
+    assert max(xi_defects(space, pairs, random.Random(25))) < 1e-12
     monkeypatch.setattr(fock_module, "xi_entries", corrupted)
-    assert xi_matrix_defect(space, pairs, random.Random(25)) > 1e-3
+    bracket_defect, product_defect = xi_defects(space, pairs, random.Random(25))
+    assert product_defect > 1e-3
     # the bracket gate reads the tables, not the ladder entries
-    assert xi_commutator_defect(space, pairs) < 1e-12
+    assert bracket_defect < 1e-12
 
 
 def test_cached_ladder_entries_bit_equal_the_per_call_scan(oracle_space):

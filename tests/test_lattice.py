@@ -25,6 +25,7 @@ from causet_qft.lattice import (
     norm_sq3,
     norm_sq3_rows,
     norm_sq4,
+    rank_keys,
     rank_rows,
     triads,
     triples,
@@ -188,6 +189,15 @@ def test_rank_rows_matches_dict_lookup():
         got = rank_rows(table_rows, np.array(pool, dtype=np.int64).reshape(len(pool), width))
         assert got.tolist() == [index.get(r, -1) for r in pool]
     assert rank_rows(np.zeros((0, 4), dtype=np.int64), np.ones((2, 4), dtype=np.int64)).tolist() == [-1, -1]
+
+
+def test_rank_keys_reads_keys_of_any_sign():
+    table = np.array([-5, -3, 0, 4])
+    assert rank_keys(table, np.array([-6, -5, -4, -3, -1, 0, 4, 5])).tolist() == [-1, 0, -1, 1, -1, 2, 3, -1]
+    # a key past the last one: an appended -1 sentinel would match the wanted -1 here
+    assert rank_keys(np.array([-3, -2]), np.array([-1, -2])).tolist() == [-1, 1]
+    assert rank_keys(np.zeros(0, dtype=np.int64), np.array([-1, 0])).tolist() == [-1, -1]
+    assert rank_keys(table, 0) == 2 and rank_keys(table, 1) == -1
 
 
 def test_module_structure():
