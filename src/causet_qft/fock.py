@@ -29,8 +29,7 @@ import numpy as np
 
 from .lattice import MINKOWSKI_GRAM, Vec4, rank_rows, require_memory
 from .momentum import Hyperboloid, poincare_product
-from .representations import SignConvention, cal_u, spinor_of
-from .symmetry import GroupElement, inverse
+from .symmetry import GroupElement
 
 __all__ = [
     "FockSpace",
@@ -48,7 +47,6 @@ __all__ = [
     "xi_defects",
     "rep_v",
     "rep_v_defects",
-    "spin_rep",
     "basis_unit",
     "vacuum",
 ]
@@ -443,33 +441,6 @@ def rep_v_defects(fock: FockSpace, pairs) -> tuple[float, float, bool]:
         hom = max(hom, float(np.max(defect)))
         block_diagonal = block_diagonal and bool(np.all(sector_of[p1] == sector_of))
     return unitarity, hom, block_diagonal
-
-
-_SPIN_TAGS = {0: 1, 0.5: 2, 1: 3}
-
-
-def spin_rep(y: Vec4, rot: GroupElement, spin, h: Hyperboloid) -> np.ndarray:
-    """Single-particle representation tensored with the spin factor.
-
-    spin 0 gives the plain single-particle action, spin 1/2 tensors with the
-    spinor value of the inverse rotation (a homomorphism only up to sign),
-    spin 1 with the 3d rotation of the inverse.
-    """
-    if spin not in _SPIN_TAGS:
-        raise ValueError(f"spin must be one of 0, 1/2, 1; got {spin!r}")
-    perm = h.permutation_under(rot)
-    single = np.zeros((len(h), len(h)), dtype=complex)
-    single[perm, np.arange(len(h))] = _phases(h, y)[perm]
-    k = _SPIN_TAGS[spin]
-    if k == 1:
-        return single
-    rot_inv = inverse(rot)
-    factor = (
-        spinor_of(rot_inv, SignConvention.CANONICAL).matrix
-        if k == 2
-        else cal_u(rot_inv).astype(complex)
-    )
-    return np.kron(single, factor)
 
 
 def basis_unit(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:

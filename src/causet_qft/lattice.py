@@ -38,7 +38,6 @@ __all__ = [
     "vectors_with_norm",
     "require_memory",
     "unit_vectors3",
-    "triads",
     "triples",
     "TRIPLE_MATRICES",
     "E3",
@@ -172,11 +171,6 @@ def det_exact(m):
     return int(det) if a.ndim == 2 else det
 
 
-def triads() -> tuple[frozenset[Vec3], ...]:
-    """The 8 unordered triads of mutually half-angled unit vectors."""
-    return _TRIADS
-
-
 def triples() -> tuple[Triple, ...]:
     """All 24 positively oriented triples, three per triad."""
     return _TRIPLES
@@ -240,9 +234,9 @@ def require_memory(need: int, what: str) -> None:
         )
 
 
-def _triple_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unit rows, the index triples of the triads, and the (24, 3, 3) stack of the
-    positively oriented triples, members as columns, in lexicographic member order.
+def _triple_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """The unit rows and the (24, 3, 3) stack of the positively oriented triples,
+    members as columns, in lexicographic member order.
 
     A triad's members have pairwise doubled inner product 1; of its 6 orderings the 3
     of determinant 1 are its triples, all 48 orderings taking one determinant call.
@@ -258,10 +252,9 @@ def _triple_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # sort by the members' coordinates: the first member's n is the primary key
     mats = mats[np.lexsort(mats.transpose(0, 2, 1).reshape(-1, 9).T[::-1])]
     mats.flags.writeable = False
-    return units, triad_index, mats
+    return units, mats
 
 
-_UNIT_ROWS, _TRIAD_ROWS, TRIPLE_MATRICES = _triple_matrices()
+_UNIT_ROWS, TRIPLE_MATRICES = _triple_matrices()
 _UNIT_VECTORS = tuple(Vec3(*row) for row in _UNIT_ROWS.tolist())
-_TRIADS = tuple(frozenset(_UNIT_VECTORS[i] for i in t) for t in _TRIAD_ROWS.tolist())
 _TRIPLES = tuple(Triple(*(Vec3(*col) for col in m.T.tolist())) for m in TRIPLE_MATRICES)

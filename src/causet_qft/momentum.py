@@ -21,7 +21,7 @@ from . import paperdata
 from .lattice import (
     MINKOWSKI_GRAM, Vec4, norm_sq3_rows, rank_rows, vectors_with_norm, vectors_with_norm_up_to,
 )
-from .symmetry import GroupElement, apply4, inverse, lift_to4, multiply
+from .symmetry import GroupElement, apply4, lift_to4, multiply
 
 __all__ = [
     "attainable_spatial_norms",
@@ -33,9 +33,7 @@ __all__ = [
     "mass_shell_defect",
     "hyperboloid_invariance_defect",
     "PoincareElement",
-    "poincare_identity",
     "poincare_product",
-    "poincare_inverse",
 ]
 
 
@@ -151,20 +149,11 @@ class PoincareElement:
         return self.translation + apply4(self.rotation, x)
 
 
-def poincare_identity(identity_rotation: GroupElement) -> PoincareElement:
-    return PoincareElement(Vec4(0, 0, 0, 0), identity_rotation)
-
-
 def poincare_product(g1: PoincareElement, g2: PoincareElement) -> PoincareElement:
     return PoincareElement(
         g1.translation + apply4(g1.rotation, g2.translation),
         multiply(g1.rotation, g2.rotation),
     )
-
-
-def poincare_inverse(g: PoincareElement) -> PoincareElement:
-    rot_inv = inverse(g.rotation)
-    return PoincareElement(-apply4(rot_inv, g.translation), rot_inv)
 
 
 def hyperboloid_invariance_defect(h: Hyperboloid, group) -> int:

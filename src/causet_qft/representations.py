@@ -31,7 +31,6 @@ __all__ = [
     "cal_u",
     "unitary3_defect",
     "homomorphism_defect",
-    "eigensystem",
     "eigenvalue_set_defect",
     "eigen_transport_check",
     "generator_log",
@@ -85,13 +84,6 @@ def _principal_angle(lam: complex) -> float:
     if theta <= -math.pi + 1e-12:
         theta += 2.0 * math.pi
     return theta
-
-
-def eigensystem(z: GroupElement) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (sorted by principal argument) and eigenvectors of cal_u(z)."""
-    vals, vecs = np.linalg.eig(cal_u(z))
-    order = sorted(range(3), key=lambda i: (_principal_angle(vals[i]), i))
-    return vals[order], vecs[:, order]
 
 
 def generator_log(z: GroupElement) -> np.ndarray:

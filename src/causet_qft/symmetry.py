@@ -23,7 +23,7 @@ import numpy as np
 
 from . import paperdata
 from .lattice import (
-    MINKOWSKI_GRAM, TRIPLE_MATRICES, Vec3, Vec4, det_exact, norm_sq3_rows, vectors_with_norm_up_to
+    MINKOWSKI_GRAM, TRIPLE_MATRICES, Vec3, Vec4, det_exact, norm_sq3_rows, rank_keys, vectors_with_norm_up_to
 )
 
 __all__ = [
@@ -290,17 +290,20 @@ class BoostCertificate:
         return self.boost_count == 0
 
 
-def no_boost_search(bound: int) -> BoostCertificate:
-    """Enumerate all integer norm-preserving det-1 maps with entries in [-bound, bound].
+# Time images per block of the pairing scan: a block's (rows, space images) int32
+# pairing table is the scan's largest array.
+_BLOCK_ROWS = 64
 
-    Columns are the images of the four basis vectors; a solution is a
-    "boost" when the image of the time basis vector is not the time axis up
-    to sign.  A time image (t, s) has norm_sq3(s) = t^2 - 1 and a space image
-    t^2 + 1: both are spatial rows of the box.  One Gram matrix, of the space
-    images orthogonal to one time image, is kept at a time.
-    """
-    if bound < 3:
-        raise ValueError("bound must be at least 3")
+
+def _with_each_of(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with j in lo[i], ..., lo[i] + size[i] - 1, ascending in i, then j."""
+    i = np.repeat(np.arange(len(lo)), size)
+    return i, np.arange(len(i)) + np.repeat(lo - (np.cumsum(size) - size), size)
+
+
+def _unit_images(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The time images (t, s), norm_sq3(s) = t^2 - 1, and the space images, t^2 + 1,
+    with every entry in [-bound, bound]: rows of two (m, 4) arrays in lexicographic order."""
     spatial = vectors_with_norm_up_to(bound * bound + 1)
     spatial = spatial[np.all(np.abs(spatial) <= bound, axis=1)]
     t_sq = np.arange(-bound, bound + 1)[:, None] ** 2
@@ -308,23 +311,72 @@ def no_boost_search(bound: int) -> BoostCertificate:
         np.column_stack([ti - bound, spatial[si]])
         for ti, si in (np.nonzero(norm_sq3_rows(spatial) == t_sq + shift) for shift in (-1, 1))
     )
-    candidates = []
-    for td in d_arr:
-        s0 = s_arr[s_arr @ (MINKOWSKI_GRAM @ td) == 0]
-        adjacent = s0 @ MINKOWSKI_GRAM @ s0.T == -1
-        i, j = np.nonzero(adjacent)
-        p, k = np.nonzero(adjacent[i] & adjacent[j])
-        candidates.append(np.stack([np.tile(td, (len(p), 1)), s0[i[p]], s0[j[p]], s0[k]], axis=1))
-    candidates = np.concatenate(candidates)  # columns as rows: the transpose, of the same det
-    sols = sorted(tuple(map(tuple, c)) for c in candidates[det_exact(candidates) == 1].tolist())
+    return d_arr, s_arr
 
-    d_axis = {(1, 0, 0, 0), (-1, 0, 0, 0)}
-    boosts = [s for s in sols if s[0] not in d_axis]
-    fixing = len(sols) - len(boosts)
-    boost_matrices = tuple(tuple(zip(*cols)) for cols in boosts[:16])
 
-    time_solutions = tuple(sorted(map(tuple, d_arr.tolist())))
-    space_solutions = tuple(sorted(map(tuple, s_arr.tolist())))
+def _orthogonal_triads(d_arr: np.ndarray, s_arr: np.ndarray) -> np.ndarray:
+    """Every (d, s_a, s_b, s_c) of a time image and three space images orthogonal to
+    it with pairwise doubled pairing -1, as the rows of an (N, 4, 4) stack in
+    lexicographic order.
+
+    The (time image, space image) pairs of zero pairing come from int32 pairing
+    tables of ``_BLOCK_ROWS`` time images at a time, listed by time image.  Inside
+    one time image's pairs, the ordered pairs (a, b) of doubled pairing -1 are the
+    edges, and a third member c joins an edge (a, b) when (a, c) and (b, c) are
+    edges too: the edges from a are found by position, (b, c) by binary search in
+    the ascending edge keys.
+    """
+    gram = MINKOWSKI_GRAM.astype(np.int32)
+    dg, s32 = d_arr.astype(np.int32) @ gram, s_arr.astype(np.int32)
+    found = []
+    for lo in range(0, len(dg), _BLOCK_ROWS):
+        block = dg[lo:lo + _BLOCK_ROWS]
+        pairing = block[:, :1] * s32[:, 0]
+        for col in range(1, 4):
+            pairing += block[:, col:col + 1] * s32[:, col]
+        t, s = np.nonzero(pairing == 0)
+        found.append((t + lo, s))
+    time_of, space_of = (np.concatenate(part) for part in zip(*found))
+    n = len(time_of)
+
+    # a and b are positions in the pair list, each pair's time image the same
+    group = np.bincount(time_of, minlength=len(d_arr))
+    a, b = _with_each_of((np.cumsum(group) - group)[time_of], group[time_of])
+    rows = s32[space_of]
+    edge = np.einsum("ij,ij->i", (rows @ gram)[a], rows[b]) == -1
+    a, b = a[edge], b[edge]
+
+    degree = np.bincount(a, minlength=n)
+    e, f = _with_each_of((np.cumsum(degree) - degree)[a], degree[a])
+    hit = rank_keys(a * n + b, b[e] * n + b[f]) >= 0  # edge keys ascend, as a and b do
+    a, b, c = a[e[hit]], b[e[hit]], b[f[hit]]
+    return np.stack([d_arr[time_of[a]], s_arr[space_of[a]], s_arr[space_of[b]], s_arr[space_of[c]]], axis=1)
+
+
+def no_boost_search(bound: int) -> BoostCertificate:
+    """Enumerate all integer norm-preserving det-1 maps with entries in [-bound, bound].
+
+    Columns are the images of the four basis vectors; a solution is a
+    "boost" when the image of the time basis vector is not the time axis up
+    to sign.  A time image (t, s) has norm_sq3(s) = t^2 - 1 and a space image
+    t^2 + 1: both are spatial rows of the box.  The candidates are the
+    orthogonal triads of space images with a time image, found in whole-array
+    integer passes over blocks of time images; one determinant call keeps the
+    solutions.  The candidates come out in lexicographic column order, so no
+    list is sorted.
+    """
+    if bound < 3:
+        raise ValueError("bound must be at least 3")
+    d_arr, s_arr = _unit_images(bound)
+    candidates = _orthogonal_triads(d_arr, s_arr)  # columns as rows: the transpose, of the same det
+    sols = candidates[det_exact(candidates) == 1]
+
+    moves_axis = (np.abs(sols[:, 0, 0]) != 1) | sols[:, 0, 1:].any(axis=1)
+    boost_count = int(moves_axis.sum())
+    boosts = sols[np.flatnonzero(moves_axis)[:16]].transpose(0, 2, 1).tolist()
+
+    time_solutions = tuple(map(tuple, d_arr.tolist()))
+    space_solutions = tuple(map(tuple, s_arr.tolist()))
     families = {
         "time": {fam: fam in time_solutions for fam in paperdata.BOOST_EQ_TIME_FAMILIES},
         "space": {fam: fam in space_solutions for fam in paperdata.BOOST_EQ_SPACE_FAMILIES},
@@ -334,9 +386,9 @@ def no_boost_search(bound: int) -> BoostCertificate:
         time_eq_solutions=time_solutions,
         space_eq_solutions=space_solutions,
         total_solutions=len(sols),
-        fixing_time_axis=fixing,
-        boost_count=len(boosts),
-        boost_examples=boost_matrices,
+        fixing_time_axis=len(sols) - boost_count,
+        boost_count=boost_count,
+        boost_examples=tuple(tuple(map(tuple, m)) for m in boosts),
         quoted_families_found=families,
     )
 

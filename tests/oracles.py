@@ -16,7 +16,9 @@ products against the product table, a 4-D grid against spatial rows,
 per-object triples and per-element spinor comparisons against their stacks,
 a converted copy of a report passed to ``json.dumps`` and a line-list walk
 against the one-pass renderers), so the tests can diff the fast path
-against it on small cases.
+against it on small cases.  It also holds the helpers that only tests call:
+sorted eigensystems, the Poincare identity and inverse, and the
+spin-tensored single-particle representation.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from causet_qft.causet import (
     precedes,
     shell,
 )
-from causet_qft.fock import FieldOperator, FockSpace, _bracket_terms, basis_unit, xi_entries
+from causet_qft.fock import FieldOperator, FockSpace, _bracket_terms, _phases, basis_unit, xi_entries
 from causet_qft.lattice import (
     E3,
     F3,
@@ -53,9 +55,10 @@ from causet_qft.lattice import (
     norm_sq3,
     norm_sq4,
 )
-from causet_qft.representations import SignConvention, cal_u, spinor_of
+from causet_qft.momentum import Hyperboloid, PoincareElement
+from causet_qft.representations import SignConvention, _principal_angle, cal_u, spinor_of
 from causet_qft.scattering import ScatteringModel, ScatteringSeries, window_slice
-from causet_qft.symmetry import BoostCertificate, GroupElement, apply4, elements, multiply
+from causet_qft.symmetry import BoostCertificate, GroupElement, apply4, elements, inverse, multiply
 
 
 def path_lengths(u: Vec4, v: Vec4, sample_limit: int = 1000) -> frozenset[int]:
@@ -286,6 +289,33 @@ def field_entries(op: FieldOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return target[q, cols], cols, 0.0 + np.asarray(op.coeffs)[q] * weight[q, cols]
 
 
+_SPIN_TAGS = {0: 1, 0.5: 2, 1: 3}
+
+
+def spin_rep(y: Vec4, rot: GroupElement, spin, h: Hyperboloid) -> np.ndarray:
+    """Single-particle representation tensored with the spin factor.
+
+    spin 0 gives the plain single-particle action, spin 1/2 tensors with the
+    spinor value of the inverse rotation (a homomorphism only up to sign),
+    spin 1 with the 3d rotation of the inverse.
+    """
+    if spin not in _SPIN_TAGS:
+        raise ValueError(f"spin must be one of 0, 1/2, 1; got {spin!r}")
+    perm = h.permutation_under(rot)
+    single = np.zeros((len(h), len(h)), dtype=complex)
+    single[perm, np.arange(len(h))] = _phases(h, y)[perm]
+    k = _SPIN_TAGS[spin]
+    if k == 1:
+        return single
+    rot_inv = inverse(rot)
+    factor = (
+        spinor_of(rot_inv, SignConvention.CANONICAL).matrix
+        if k == 2
+        else cal_u(rot_inv).astype(complex)
+    )
+    return np.kron(single, factor)
+
+
 def multiset_indicator(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:
     """Multiset indicator as a full-space vector: the orthonormal basis unit times the
     square root of the multiset's number of ordered arrangements, so its squared norm
@@ -424,6 +454,15 @@ def product_table_by_pairs(group: tuple[GroupElement, ...]) -> np.ndarray:
     return table
 
 
+def poincare_identity(identity_rotation: GroupElement) -> PoincareElement:
+    return PoincareElement(Vec4(0, 0, 0, 0), identity_rotation)
+
+
+def poincare_inverse(g: PoincareElement) -> PoincareElement:
+    rot_inv = inverse(g.rotation)
+    return PoincareElement(-apply4(rot_inv, g.translation), rot_inv)
+
+
 def no_boost_search_grid(bound: int) -> BoostCertificate:
     """The boost search over the full (2B+1)^4 coordinate grid, one candidate at a time.
 
@@ -493,6 +532,13 @@ def units_triads_triples() -> tuple[tuple[Vec3, ...], tuple[frozenset[Vec3], ...
     ]
     trips.sort(key=lambda t: tuple(v.coords() for v in t.members()))
     return tuple(units), tuple(triad_list), tuple(trips)
+
+
+def eigensystem(z: GroupElement) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (sorted by principal argument) and eigenvectors of cal_u(z)."""
+    vals, vecs = np.linalg.eig(cal_u(z))
+    order = sorted(range(3), key=lambda i: (_principal_angle(vals[i]), i))
+    return vals[order], vecs[:, order]
 
 
 def unitary3_defect_by_element() -> float:

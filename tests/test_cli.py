@@ -661,8 +661,22 @@ def test_text_format_default(capsys):
     assert code == 0
     assert out.startswith("command: speeds")
     assert "paper_diff" in out
-    # stderr splits the time between the subcommand and rendering
-    assert re.fullmatch(r"# wall-clock: \d+\.\d{3}s \(command \d+\.\d{3}s, render \d+\.\d{3}s\)\n", err)
+    # stderr splits the time between argument parsing, the subcommand and rendering
+    assert re.fullmatch(
+        r"# wall-clock: \d+\.\d{3}s \(parse \d+\.\d{3}s, command \d+\.\d{3}s, render \d+\.\d{3}s\)\n", err
+    )
+
+
+def test_one_parser_per_process_and_handlers_looked_up_by_name(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "group-verify")[0] == 0
+    # a handler replaced after the parser exists is the one called
+    handler, calls = cli.cmd_group_verify, []
+    monkeypatch.setattr(cli, "cmd_group_verify", lambda args: calls.append(args.command) or handler(args))
+    assert run_cli(capsys, "group-verify")[0] == 0
+    assert calls == ["group-verify"]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 SUBCOMMANDS = [

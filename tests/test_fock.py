@@ -24,7 +24,6 @@ from causet_qft.fock import (
     rep_v,
     same_species_commutator_max,
     sine_sum,
-    spin_rep,
     vacuum,
     xi_defects,
 )
@@ -45,6 +44,7 @@ from oracles import (
     momentum_operators,
     multiset_indicator,
     phase,
+    spin_rep,
     xi_matrix,
 )
 

@@ -27,7 +27,6 @@ from causet_qft.lattice import (
     norm_sq4,
     rank_keys,
     rank_rows,
-    triads,
     triples,
     unit_vectors3,
     vectors_with_norm,
@@ -82,12 +81,13 @@ def test_unit_vectors_brute_force_oracle():
     }
     assert brute == set(unit_vectors3())
     # the stacked derivation gives the per-object enumeration's tuples, in its order
-    assert (unit_vectors3(), triads(), triples()) == units_triads_triples()
+    units, triads, trips = units_triads_triples()
+    assert (unit_vectors3(), triples()) == (units, trips)
+    assert len(triads) == 8
     assert not TRIPLE_MATRICES.flags.writeable
 
 
 def test_triads_and_triples():
-    assert len(triads()) == 8
     ts = triples()
     assert len(ts) == 24
     assert basic_triple() in ts

@@ -16,7 +16,6 @@ from causet_qft.representations import (
     basis_change,
     cal_u,
     eigen_transport_check,
-    eigensystem,
     eigenvalue_set_defect,
     generator_log,
     homomorphism_defect,
@@ -28,6 +27,7 @@ from causet_qft.representations import (
 )
 from causet_qft.symmetry import element, elements, index, multiply
 from oracles import (
+    eigensystem,
     homomorphism_defect_by_pairs,
     printed_spinor_rows,
     projective_check_by_pairs,

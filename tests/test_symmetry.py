@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,12 +203,34 @@ def test_no_boost_search_bound3():
     assert not cert.no_boosts
 
 
-@pytest.mark.parametrize("bound", [3, 4, 5, 6])
+@pytest.mark.parametrize("bound", [3, 4, 5, 6, 8, 12])
 def test_boost_search_matches_grid_oracle(bound):
     cert = no_boost_search(bound)
     oracle = no_boost_search_grid(bound)
     for f in dataclasses.fields(cert):
         assert getattr(cert, f.name) == getattr(oracle, f.name), f.name
+
+
+def test_no_boost_search_bound12():
+    cert = no_boost_search(12)
+    assert (len(cert.time_eq_solutions), len(cert.space_eq_solutions)) == (966, 1404)
+    assert cert.total_solutions == 3024
+    assert cert.fixing_time_axis == 48
+    assert cert.boost_count == 2976
+    assert len(cert.boost_examples) == 16
+
+
+def test_no_boost_search_peak_stays_in_row_blocks():
+    """Pairings are scanned 64 time images at a time and no solution list is sorted
+    as Python tuples, so the traced peak of bound 12 stays below 3.4 MB."""
+    no_boost_search(12)  # first-call allocations, such as numpy's caches, are not counted
+    tracemalloc.start()
+    try:
+        no_boost_search(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.4e6
 
 
 def test_boost_examples_are_genuine_isometries():
