@@ -18,9 +18,8 @@ and links join u to v iff v - u lies in some {k} x R_k, R_k the k-link
 displacements.  Vertices, balls and step sets are sorted radix keys that add
 as the vectors do, and the keys are the layer's only lookup structure: a
 vertex's parents are its key minus the 13 step keys, looked up in the shell
-below.  The per-vertex functions (``precedes``, ``children``, ``parents``)
-define the same notions one object at a time and serve as the oracles the
-arrays are tested against.
+below.  The tests define the same notions one ``Vec4`` at a time (shells,
+precedence, children, parents) and diff the arrays against them.
 """
 
 from __future__ import annotations
@@ -33,19 +32,15 @@ from functools import cached_property
 import numpy as np
 
 from . import paperdata
-from .lattice import Vec4, norm_sq3_rows, norm_sq4, rank_keys, require_memory, unit_vectors3, vectors_with_norm_up_to
+from .lattice import Vec4, norm_sq3_rows, rank_keys, require_memory, vectors_with_norm_up_to
 from .momentum import attainable_spatial_norms
 
 __all__ = [
     "ORIGIN",
-    "shell",
     "History",
     "Speed",
     "history",
     "order_axioms",
-    "precedes",
-    "children",
-    "parents",
     "parent_histogram",
     "complete_children",
     "CovarianceReport",
@@ -57,19 +52,9 @@ __all__ = [
 
 ORIGIN = Vec4(0, 0, 0, 0)
 
-_STEPS = tuple(
-    [Vec4(1, 0, 0, 0)] + [Vec4(1, u.n, u.p, u.q) for u in unit_vectors3()]
-)
-
-# The steps as (t, n, p, q) rows in the lexicographic order ``children`` uses.
-_STEP_ARRAY = np.array(sorted(s.coords() for s in _STEPS), dtype=np.int32)
-
-
-def shell(t: int) -> tuple[Vec4, ...]:
-    """All vertices at time t, lexicographically ordered by coordinates."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return tuple(Vec4(t, *row) for row in vectors_with_norm_up_to(t * t).tolist())
+# The 13 one-step moves, rest or one of the 12 unit directions, as lexicographic
+# (t, n, p, q) rows: the spatial parts are the ball norm_sq3 <= 1.
+_STEP_ARRAY = np.insert(vectors_with_norm_up_to(1), 0, 1, axis=1).astype(np.int32)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -92,11 +77,6 @@ class History:
     coords: np.ndarray
     offsets: tuple[int, ...]
 
-    @cached_property
-    def vertices(self) -> tuple[Vec4, ...]:
-        """The ``Vec4`` view of ``coords``."""
-        return tuple(Vec4(*row) for row in self.coords.tolist())
-
     def vertex(self, i: int) -> Vec4:
         return Vec4(*self.coords[i].tolist())
 
@@ -108,7 +88,7 @@ class History:
     @cached_property
     def parent_links(self) -> np.ndarray:
         """V x 13 int32: row v, column j is the index of v minus step j (steps in
-        ``children`` order), or -1 when that vector is not in the history.
+        lexicographic order), or -1 when that vector is not in the history.
 
         Shell t >= 1 looks its keys minus the 13 step keys up in shell t - 1's; shell 0
         looks nothing up, so no vector outside times 0..horizon is ever keyed.
@@ -121,9 +101,6 @@ class History:
                 pos = rank_keys(below, keys - step)
                 out[off[t] : off[t + 1], j] = np.where(pos >= 0, pos + off[t - 1], -1)
         return _frozen(out)
-
-    def __contains__(self, v: Vec4) -> bool:
-        return 0 <= v.t <= self.horizon and norm_sq4(v) >= 0
 
 
 # Bytes per vertex at causet-verify's peak: coords, keys, parent links and the diagnostics'
@@ -196,27 +173,6 @@ def order_axioms(hist: History) -> dict[str, bool]:
         "antisymmetric": bool((rank_keys(difference, -difference) < 0).all()),
         "transitive": _sumsets_inside(hist),
     }
-
-
-def precedes(u: Vec4, v: Vec4) -> bool:
-    """Causal order: strictly later time and nonnegative squared interval."""
-    return u.t < v.t and norm_sq4(v - u) >= 0
-
-
-def children(u: Vec4) -> tuple[Vec4, ...]:
-    """The 13 one-step successors of a cone vertex, lexicographic order."""
-    out = [u + s for s in _STEPS]
-    out.sort(key=Vec4.coords)
-    return tuple(out)
-
-
-def parents(u: Vec4) -> tuple[Vec4, ...]:
-    """Cone vertices one step before u; may be empty even for u.t >= 1."""
-    if u.t <= 0:
-        return ()
-    out = [w for w in (u - s for s in _STEPS) if norm_sq4(w) >= 0]
-    out.sort(key=Vec4.coords)
-    return tuple(out)
 
 
 def _parent_counts(hist: History) -> np.ndarray:

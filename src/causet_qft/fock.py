@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import MINKOWSKI_GRAM, Vec4, rank_rows, require_memory
-from .momentum import Hyperboloid, poincare_product
-from .symmetry import GroupElement
+from .momentum import Hyperboloid, PoincareElement, poincare_product
+from .symmetry import MATRICES, GroupElement, index
 
 __all__ = [
     "FockSpace",
@@ -88,21 +88,28 @@ class FockSpace:
         return self.offsets[n] + rank_rows(self.multiset_arrays[n], multisets)
 
     @cached_property
-    def _sector_permutations(self) -> dict[GroupElement, np.ndarray]:
-        return {}
+    def _sector_permutations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whether the point set is closed under each of the 24 rotations, in
+        ``symmetry.MATRICES`` order, and their sector permutations as the rows of one
+        read-only (24, dim) array, ranked in one pass per sector; the row of a rotation
+        that leaves the point set is meaningless."""
+        h, rotations = self.hyperboloid, len(MATRICES)
+        images = np.insert(h.coords[:, 1:] @ MATRICES.transpose(0, 2, 1), 0, h.coords[:, 0], axis=2)
+        point_perms = rank_rows(h.coords, images.reshape(-1, 4)).reshape(rotations, len(h))
+        perms = np.empty((rotations, self.dim), dtype=np.int64)
+        for n, ms in enumerate(self.multiset_arrays):
+            mapped = np.sort(point_perms[:, ms], axis=2).reshape(rotations * len(ms), n)
+            perms[:, self.sector_slice(n)] = self.rank(n, mapped).reshape(rotations, len(ms))
+        perms.flags.writeable = False
+        return (point_perms >= 0).all(axis=1), perms
 
     def sector_permutation(self, rot: GroupElement) -> np.ndarray:
-        """Full-space index of each basis multiset's image under the rotation, cached per
-        rotation and read-only; raises if the point set is not closed under it."""
-        perm = self._sector_permutations.get(rot)
-        if perm is None:
-            point_perm = self.hyperboloid.permutation_under(rot)
-            perm = np.empty(self.dim, dtype=np.int64)
-            for n, ms in enumerate(self.multiset_arrays):
-                perm[self.sector_slice(n)] = self.rank(n, np.sort(point_perm[ms], axis=1))
-            perm.flags.writeable = False
-            self._sector_permutations[rot] = perm
-        return perm
+        """Full-space index of each basis multiset's image under the rotation, read-only;
+        raises if the point set is not closed under it."""
+        closed, perms = self._sector_permutations
+        if not closed[index(rot)]:
+            self.hyperboloid.permutation_under(rot)  # raises, naming a point that leaves
+        return perms[index(rot)]
 
     @cached_property
     def _bracket_tables(self) -> dict[tuple[str, str], tuple[np.ndarray, ...]]:
@@ -137,6 +144,20 @@ class FockSpace:
                 column.flags.writeable = False
             self._bracket_tables[(role_a, role_b)] = table
         return table
+
+    def product_table(self, role_a: str, role_b: str) -> tuple[np.ndarray, ...]:
+        """Every entry of the two-step products X_q Y_r, X of ``role_a`` and Y of ``role_b``,
+        as ``(rows, cols, q, r, weight)`` arrays in (q, r, column) order: X_q Y_r sends
+        column ``cols`` to row ``rows`` with amplitude ``weight``.
+
+        Y_r takes a column along one ladder entry at most and X_q the result along one
+        more, so each product holds one entry per column at most: the table is one gather
+        of X's maps at the targets of Y's entries.  Built afresh on each call."""
+        xt, xw = self.ladder_maps[role_a]
+        r, mid, cols, yw = self.ladder_entries[role_b]
+        rows = xt[:, mid]
+        q, j = np.nonzero(rows >= 0)
+        return rows[q, j], cols[j], q, r[j], xw[q, mid[j]] * yw[j]
 
     @cached_property
     def ladder_maps(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -199,9 +220,11 @@ def fock_space(h: Hyperboloid, n_max: int) -> FockSpace:
     return FockSpace(hyperboloid=h, n_max=n_max)
 
 
-def _phases(h: Hyperboloid, x: Vec4) -> np.ndarray:
-    """exp(i p.x) for every point p of h, in point order, from the doubled integer pairing."""
-    return np.exp(0.5j * (h.coords @ MINKOWSKI_GRAM @ np.array(x.coords())))
+def _phases(h: Hyperboloid, x) -> np.ndarray:
+    """exp(i p.x) for every point p of h, in point order, from the doubled integer pairing:
+    one row for a ``Vec4`` x, an (m, d) array for the (m, 4) coordinate rows of m points."""
+    rows = np.array(x.coords()) if isinstance(x, Vec4) else x
+    return np.exp(0.5j * (rows @ MINKOWSKI_GRAM @ h.coords.T))
 
 
 def phase_sum(h: Hyperboloid, x: Vec4, y: Vec4) -> complex:
@@ -379,8 +402,8 @@ def xi_defects(fock: FockSpace, pairs, rnd: random.Random) -> tuple[float, float
 
     - the worst deviation of C's truncation-safe block from 2i sine_sum(x, y) I;
     - the worst |xi(x) (xi(y) v) - xi(y) (xi(x) v) - C v| entry, v a random vector per
-      pair: Freivalds' check of :func:`xi_entries`, the entries ``scatter`` reads,
-      against the ladder maps.  Each product is one scatter-add over xi's nonzeros,
+      pair: Freivalds' check of :func:`xi_entries`, the field's entries, against the
+      ladder maps.  Each product is one scatter-add over xi's nonzeros,
       O(d dim).
 
     v's parts are drawn from ``rnd``, uniform in [-1, 1), on the truncation-safe sectors
@@ -406,18 +429,28 @@ def xi_defects(fock: FockSpace, pairs, rnd: random.Random) -> tuple[float, float
     return max(identity), max(products)
 
 
+def _monomials(fock: FockSpace, elements) -> tuple[np.ndarray, np.ndarray]:
+    """``(perms, amps)`` of V(g) for each Poincare element g, as the rows of two (B, dim)
+    arrays: V[perm[c], c] = amp[c].  Each amplitude is 1 times the phases of the image
+    multiset's points, one point position at a time, for all elements at once."""
+    perms = np.stack([fock.sector_permutation(g.rotation) for g in elements])
+    phases = _phases(fock.hyperboloid, np.array([g.translation.coords() for g in elements]).reshape(-1, 4))
+    amps = np.ones(perms.shape, dtype=complex)
+    for n, ms in enumerate(fock.multiset_arrays):
+        block = fock.sector_slice(n)
+        mapped = ms[perms[:, block] - fock.offsets[n]]  # (B, sector dim, n) image points
+        for j in range(n):
+            amps[:, block] *= np.take_along_axis(phases, mapped[:, :, j], axis=1)
+    return perms, amps
+
+
 def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     """Unitary symmetry action as ``(perm, amp)``, the monomial V[perm[c], c] = amp[c]:
     the rotation permutes each multiset's points (so V is block-diagonal over sectors)
-    and the translation multiplies in the phases of the mapped points."""
-    perm = fock.sector_permutation(rot)
-    point_phases = _phases(fock.hyperboloid, y)
-    amp = np.ones(fock.dim, dtype=complex)
-    for n, ms in enumerate(fock.multiset_arrays):
-        block = fock.sector_slice(n)
-        for points in ms[perm[block] - fock.offsets[n]].T:  # the image multisets' points
-            amp[block] *= point_phases[points]
-    return perm, amp
+    and the translation multiplies in the phases of the mapped points; ``perm`` is
+    read-only."""
+    amp = _monomials(fock, [PoincareElement(y, rot)])[1][0]
+    return fock.sector_permutation(rot), amp
 
 
 def rep_v_defects(fock: FockSpace, pairs) -> tuple[float, float, bool]:
@@ -425,19 +458,26 @@ def rep_v_defects(fock: FockSpace, pairs) -> tuple[float, float, bool]:
     worst |V(g1) V(g2) - V(g1 g2)| entry, and whether every V(g1) is block-diagonal.
 
     V^H V is diag |amp|^2 plus |amp|^2-sized entries where columns share a row; V1 V2 is
-    (perm1[perm2], amp1[perm2] amp2), and a differing support counts as a defect."""
+    (perm1[perm2], amp1[perm2] amp2), and a differing support counts as a defect.  The
+    three actions of d // 6 pairs at a time are one :func:`_monomials` batch: at most d / 2
+    rows of dim entries, so its temporaries stay of the order of the d x dim ladder maps."""
+    pairs, dim = list(pairs), fock.dim
+    chunk = max(1, len(fock.hyperboloid) // 6)
     unitarity = hom = 0.0
     block_diagonal = True
     sector_of = np.repeat(np.arange(fock.n_max + 1), np.diff(fock.offsets))
-    for g1, g2 in pairs:
-        (p1, a1), (p2, a2), (p12, a12) = (
-            rep_v(g.translation, g.rotation, fock) for g in (g1, g2, poincare_product(g1, g2))
-        )
-        shared = np.bincount(p1, minlength=fock.dim)[p1] > 1
+    for start in range(0, len(pairs), chunk):
+        part = [(g1, g2, poincare_product(g1, g2)) for g1, g2 in pairs[start : start + chunk]]
+        perms, amps = _monomials(fock, [g for triple in part for g in triple])
+        (p1, p2, p12), (a1, a2, a12) = (a.reshape(len(part), 3, dim).transpose(1, 0, 2) for a in (perms, amps))
+        own = p1 + dim * np.arange(len(part))[:, None]  # each pair's rows in a range of its own
+        shared = np.bincount(own.ravel(), minlength=own.size)[own] > 1
         off_diagonal = float(np.max(np.abs(a1[shared]), initial=0.0)) ** 2
         unitarity = max(unitarity, off_diagonal, float(np.max(np.abs((a1.conj() * a1).real - 1.0))))
-        prod = a1[p2] * a2
-        defect = np.where(p1[p2] == p12, np.abs(prod - a12), np.maximum(np.abs(prod), np.abs(a12)))
+        prod = np.take_along_axis(a1, p2, axis=1) * a2
+        defect = np.where(
+            np.take_along_axis(p1, p2, axis=1) == p12, np.abs(prod - a12), np.maximum(np.abs(prod), np.abs(a12))
+        )
         hom = max(hom, float(np.max(defect)))
         block_diagonal = block_diagonal and bool(np.all(sector_of[p1] == sector_of))
     return unitarity, hom, block_diagonal

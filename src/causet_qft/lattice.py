@@ -8,8 +8,7 @@ floating point.
 
 Sets of lattice points are integer rows (the enumerator returns (n, p, q)
 rows, ``rank_rows`` and ``rank_keys`` find rows and keys in a sorted table);
-``Vec3``/``Vec4`` are the one-vector API and the scalar oracles the row paths
-are tested against.
+``Vec3``/``Vec4`` and their norms are the one-vector API.
 """
 
 from __future__ import annotations
@@ -24,11 +23,8 @@ import numpy as np
 __all__ = [
     "Vec3",
     "Vec4",
-    "Triple",
     "norm_sq3",
     "norm_sq4",
-    "inner3_doubled",
-    "minkowski_doubled",
     "MINKOWSKI_GRAM",
     "det_exact",
     "norm_sq3_rows",
@@ -37,12 +33,7 @@ __all__ = [
     "vectors_with_norm_up_to",
     "vectors_with_norm",
     "require_memory",
-    "unit_vectors3",
-    "triples",
     "TRIPLE_MATRICES",
-    "E3",
-    "F3",
-    "G3",
 ]
 
 
@@ -103,22 +94,10 @@ class Vec4:
         return (self.t, self.n, self.p, self.q)
 
 
-E3 = Vec3(1, 0, 0)
-F3 = Vec3(0, 1, 0)
-G3 = Vec3(0, 0, 1)
-
-
 def norm_sq3(u: Vec3) -> int:
     """Squared spatial length n^2+p^2+q^2+np+nq+pq (always a nonnegative integer)."""
     n, p, q = u.n, u.p, u.q
     return n * n + p * p + q * q + n * p + n * q + p * q
-
-
-def inner3_doubled(u: Vec3, v: Vec3) -> int:
-    """Doubled spatial inner product 2<u,v>; the factor 2 keeps it integral."""
-    n, p, q = u.n, u.p, u.q
-    a, b, c = v.n, v.p, v.q
-    return 2 * (n * a + p * b + q * c) + (n * b + p * a) + (n * c + q * a) + (p * c + q * b)
 
 
 def norm_sq4(u: Vec4) -> int:
@@ -126,37 +105,10 @@ def norm_sq4(u: Vec4) -> int:
     return u.t * u.t - norm_sq3(u.spatial)
 
 
-def minkowski_doubled(p: Vec4, x: Vec4) -> int:
-    """Doubled Minkowski pairing 2(p.x) = 2 p^0 x^0 - 2<spatial, spatial>."""
-    return 2 * p.t * x.t - inner3_doubled(p.spatial, x.spatial)
-
-
 # doubled Minkowski Gram matrix on coordinates (t, n, p, q): 2(p.x) = p @ G @ x
 MINKOWSKI_GRAM = np.array(
     [[2, 0, 0, 0], [0, -2, -1, -1], [0, -1, -2, -1], [0, -1, -1, -2]], dtype=np.int64
 )
-
-
-def unit_vectors3() -> tuple[Vec3, ...]:
-    """The 12 unit vectors, sorted lexicographically by coordinates."""
-    return _UNIT_VECTORS
-
-
-@dataclass(frozen=True, slots=True)
-class Triple:
-    """Ordered triple of unit vectors with pairwise doubled inner product 1.
-
-    The ordering is the orientation-positive (determinant +1) one, so the 24
-    triples are exactly the images of the basic triple under the symmetry
-    group.
-    """
-
-    u: Vec3
-    v: Vec3
-    w: Vec3
-
-    def members(self) -> tuple[Vec3, Vec3, Vec3]:
-        return (self.u, self.v, self.w)
 
 
 def det_exact(m):
@@ -171,11 +123,6 @@ def det_exact(m):
     return int(det) if a.ndim == 2 else det
 
 
-def triples() -> tuple[Triple, ...]:
-    """All 24 positively oriented triples, three per triad."""
-    return _TRIPLES
-
-
 def norm_sq3_rows(rows: np.ndarray) -> np.ndarray:
     """``norm_sq3`` of every (n, p, q) row of an (m, 3) integer array."""
     n, p, q = rows.T
@@ -184,15 +131,35 @@ def norm_sq3_rows(rows: np.ndarray) -> np.ndarray:
 
 def vectors_with_norm_up_to(limit: int) -> np.ndarray:
     """All spatial vectors with norm_sq3 <= limit, as the (n, p, q) rows of an
-    (m, 3) int64 array in lexicographic order."""
+    (m, 3) int64 array in lexicographic order.
+
+    For each (n, p) column, (2q + n + p)^2 <= 4 limit - 3n^2 - 3p^2 - 2np bounds q
+    exactly: with s the integer square root of the right side, q runs from
+    ceil((-s - n - p) / 2) to floor((s - n - p) / 2).  The columns ascend
+    lexicographically and q within each, so the rows do.
+    """
     # the form dominates half the coordinate sum of squares: |coordinate| <= sqrt(2 limit)
     b = math.isqrt(2 * limit) if limit >= 0 else -1
-    # three meshgrid arrays and their stack, 8 bytes per coordinate
     side = 2 * b + 1
-    require_memory(48 * side**3, f"the lattice enumeration of norm_sq3 <= {limit} (a {side}^3 coordinate cube)")
-    axis = np.arange(-b, b + 1, dtype=np.int64)
-    rows = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    return rows[norm_sq3_rows(rows) <= limit]
+    # the ellipsoid norm_sq3 <= limit has volume (4 pi / 3) sqrt(2) limit^(3/2); 64 bytes
+    # per point (the rows and their repeated columns) and 96 per (n, p) column
+    points = math.ceil(4 * math.pi / 3 * math.sqrt(2) * max(limit, 0) ** 1.5)
+    need = 64 * points + 96 * side * side
+    require_memory(need, f"the lattice enumeration of norm_sq3 <= {limit} (about {points} points)")
+    n, p = (a.ravel() for a in np.meshgrid(*[np.arange(-b, b + 1, dtype=np.int64)] * 2, indexing="ij"))
+    room = 4 * limit - 3 * n * n - 3 * p * p - 2 * n * p
+    inside = room >= 0
+    n, p, room = n[inside], p[inside], room[inside]
+    s = np.sqrt(room).astype(np.int64)  # the float root, corrected to isqrt by one either way
+    s -= s * s > room
+    s += (s + 1) * (s + 1) <= room
+    low, high = -((s + n + p) // 2), (s - n - p) // 2
+    counts = high - low + 1
+    starts = np.cumsum(counts) - counts
+    rows = np.empty((int(counts.sum()), 3), dtype=np.int64)
+    rows[:, 0], rows[:, 1] = np.repeat(n, counts), np.repeat(p, counts)
+    rows[:, 2] = np.arange(len(rows)) - np.repeat(starts - low, counts)
+    return rows
 
 
 def vectors_with_norm(value: int) -> np.ndarray:
@@ -234,9 +201,9 @@ def require_memory(need: int, what: str) -> None:
         )
 
 
-def _triple_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """The unit rows and the (24, 3, 3) stack of the positively oriented triples,
-    members as columns, in lexicographic member order.
+def _triple_matrices() -> np.ndarray:
+    """The (24, 3, 3) stack of the positively oriented triples of unit vectors (pairwise
+    doubled inner product 1), members as columns, in lexicographic member order.
 
     A triad's members have pairwise doubled inner product 1; of its 6 orderings the 3
     of determinant 1 are its triples, all 48 orderings taking one determinant call.
@@ -252,9 +219,7 @@ def _triple_matrices() -> tuple[np.ndarray, np.ndarray]:
     # sort by the members' coordinates: the first member's n is the primary key
     mats = mats[np.lexsort(mats.transpose(0, 2, 1).reshape(-1, 9).T[::-1])]
     mats.flags.writeable = False
-    return units, mats
+    return mats
 
 
-_UNIT_ROWS, TRIPLE_MATRICES = _triple_matrices()
-_UNIT_VECTORS = tuple(Vec3(*row) for row in _UNIT_ROWS.tolist())
-_TRIPLES = tuple(Triple(*(Vec3(*col) for col in m.T.tolist())) for m in TRIPLE_MATRICES)
+TRIPLE_MATRICES = _triple_matrices()

@@ -29,16 +29,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import FockSpace, basis_unit, fock_space, vacuum, xi_entries
+from .fock import FockSpace, _phases, basis_unit, fock_space, vacuum
 from .lattice import Vec4, require_memory, vectors_with_norm_up_to
-from .momentum import hyperboloid
+from .momentum import Hyperboloid, hyperboloid
 
 __all__ = [
     "InteractionConfig",
     "ScatteringModel",
     "ScatteringSeries",
     "build_model",
-    "window_slice",
     "interaction_hamiltonian",
     "scattering_series",
     "self_adjoint_defect",
@@ -76,10 +75,16 @@ class InteractionConfig:
             raise ValueError("squared masses must be nonnegative")
 
 
-def window_slice(cfg: InteractionConfig, t: int) -> tuple[Vec4, ...]:
-    """Cone vertices at time t within the configured spatial radius."""
+def _window_rows(cfg: InteractionConfig, t: int) -> np.ndarray:
+    """The window slice, the cone vertices at time t within the configured spatial radius,
+    as lexicographic (t, n, p, q) int64 rows."""
     cap = min(t, cfg.window_radius)
-    return tuple(Vec4(t, *row) for row in vectors_with_norm_up_to(cap * cap).tolist())
+    return np.insert(vectors_with_norm_up_to(cap * cap), 0, t, axis=1)
+
+
+# Ladder roles in the order of their coefficients: lowering maps carry e^{-ip.x} in the
+# field, as phi does, and raising maps e^{ip.x}, as psi does.
+_ROLES = ("annihilates", "creates")
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,35 @@ class ScatteringModel:
     def sector_dims(self) -> tuple[int, ...]:
         return tuple(len(ix) for ix in self.sectors)
 
+    @cached_property
+    def _hamiltonian_terms(self) -> tuple:
+        """The terms of H(t)'s blocks 2P out of the even-sigma sectors, placed once.
+
+        A term is a two-step pi path X_q Y_r of :meth:`FockSpace.product_table` tensored
+        with a sigma ladder entry Z_u out of an even-sigma state.  In slice t it is worth
+        g K[(X, Y, q, r), (Z, u)] times the two weights, K the phase sums, at the path's
+        offset plus the entry's in block 2P, P the path's pi parity.  Returns the sigma
+        entries' (keys, weights, offsets per block) and each P's paths' (keys, offsets,
+        weights), with int32 keys and offsets where they fit."""
+        pi, sigma = self.pi_space, self.sigma_space
+        (pi_parity, pi_local), (sigma_parity, sigma_local) = _parity_split(pi), _parity_split(sigma)
+        n_pi, n_sigma = np.bincount(pi_parity, minlength=2), np.bincount(sigma_parity, minlength=2)
+        widths = n_pi * n_sigma[0]  # the columns of blocks 0 and 2
+        index = np.int32 if max(widths * n_pi * n_sigma[1]) < 2**31 else np.int64
+
+        (u, rows, cols, weight), z = _joined([sigma.ladder_entries[role] for role in _ROLES])
+        even = sigma_parity[cols] == 0
+        rows, cols = sigma_local[rows[even]], sigma_local[cols[even]]
+        offsets = [(rows * width + cols).astype(index) for width in widths]
+        sigma_terms = ((z * len(sigma.hyperboloid) + u)[even], weight[even], offsets)
+
+        d = len(pi.hyperboloid)
+        (rows, cols, q, r, weight), xy = _joined([pi.product_table(x, y) for x in _ROLES for y in _ROLES])
+        parity = pi_parity[cols]
+        keys = ((xy * d + q) * d + r).astype(index)
+        offsets = (pi_local[rows] * n_sigma[1] * widths[parity] + pi_local[cols] * n_sigma[0]).astype(index)
+        return sigma_terms, [(keys[parity == p], offsets[parity == p], weight[parity == p]) for p in (0, 1)]
+
 
 def _parity_dims(points: int, cap: int) -> tuple[int, int]:
     """Numbers of basis states of even and of odd particle number in the Fock space over
@@ -132,7 +166,9 @@ def build_model(cfg: InteractionConfig) -> ScatteringModel:
     graded operator holds U complex entries, U the sum of the squared sector sizes, and
     an odd one V = sum over s of |s| |s ^ 1| <= U.  Under tracemalloc the series (H and
     an order per step, S(n), then the circle check's chain and temporaries) peaks below
-    (n + 10) / 2 even plus (3n + 12) / 2 odd operators, within one even one at n >= 2."""
+    (n + 10) / 2 even plus (3n + 12) / 2 odd operators, within one even one at n >= 2.
+    That peak includes the H term table the model caches, 16 bytes per two-step pi path:
+    3042 paths, 49 KB, beside a 276 KB even operator at sectors (92, 92, 13, 13)."""
     cfg.validate()
     pi_h = hyperboloid(cfg.pi_mass_sq, cfg.energy_cap)
     sigma_h = hyperboloid(cfg.sigma_mass_sq, cfg.energy_cap)
@@ -151,49 +187,47 @@ def build_model(cfg: InteractionConfig) -> ScatteringModel:
     )
 
 
-def _xi_blocks(space: FockSpace, split: tuple[np.ndarray, np.ndarray], x: Vec4) -> list[np.ndarray]:
-    """xi(x)'s two nonzero parity blocks, given the space's :func:`_parity_split`: block p
-    maps the states of particle-number parity p to those of parity 1 - p, in basis order."""
-    parity, local = split
-    sizes = np.bincount(parity, minlength=2)
-    rows, cols, vals = xi_entries(x, space)
-    blocks = []
-    for p in (0, 1):
-        block = np.zeros((sizes[1 - p], sizes[p]), dtype=complex)
-        source = parity[cols] == p
-        block[local[rows[source]], local[cols[source]]] = vals[source]
-        blocks.append(block)
-    return blocks
+def _joined(tables) -> tuple[list[np.ndarray], np.ndarray]:
+    """The columns of tables of equal width, end to end, and each row's table index."""
+    return [np.concatenate(c) for c in zip(*tables)], np.repeat(np.arange(len(tables)), [len(t[0]) for t in tables])
+
+
+def _coefficients(h: Hyperboloid, rows: np.ndarray) -> np.ndarray:
+    """(2, W, d): each point's lowering and raising coefficients e^{-ip.x} and e^{ip.x} in
+    the field at each of the W window ``rows``, as phi and psi take them."""
+    phases = _phases(h, rows)
+    return np.stack([phases.conj(), phases])
 
 
 def interaction_hamiltonian(model: ScatteringModel, t: int) -> tuple[np.ndarray, ...]:
     """g * (pi field squared) tensor (sigma field), summed over the window slice, as its
     four blocks: block s maps sector s to sector s ^ 1, and no other block is nonzero.
 
-    On pi parity P the square is xi's block from 1 - P back to P times its block from P
-    to 1 - P; the sigma field's block out of parity Q tensors it, so each window point
-    adds g * kron(square, sigma block) into the block sums A_s.  The pair between sectors
-    s and s + 1 (s even) is returned as C = (A_s + A_{s+1}^H) / 2 and C^H, which is
-    exactly self-adjoint whatever order the products accumulated in: entries (i, j) and
-    (j, i) are the same two floats added in either order, then conjugated.  An empty
-    slice yields the zero operator.
+    With pi_x = sum over roles X and points q of c^X_q(x) X_q, and sigma_x alike,
+    H(t) = g sum over role triples (X, Y, Z) and points (q, r, u) of K[X, Y, q, r, Z, u]
+    (X_q Y_r tensor Z_u), where K, the slice's sums of c^X_q c^Y_r c^Z_u over the window
+    points, is one ``einsum``.  The terms' places are fixed per model
+    (``ScatteringModel._hamiltonian_terms``), so a block is one gather of K and one
+    ``bincount`` per part.  Only the blocks C out of the even-sigma sectors 0 and 2 are
+    summed, and C^H is returned for the blocks back, whose terms are the adjoints of C's:
+    H is exactly self-adjoint by construction.
     """
     cfg = model.cfg
-    spaces = (model.pi_space, model.sigma_space)
-    splits = [_parity_split(space) for space in spaces]
+    rows = _window_rows(cfg, t)
+    pi_c, sigma_c = (_coefficients(space.hyperboloid, rows) for space in (model.pi_space, model.sigma_space))
+    d, d_sigma = pi_c.shape[2], sigma_c.shape[2]
+    phase_sums = np.einsum("axq,bxr,zxu->abqrzu", pi_c, pi_c, sigma_c).reshape(4 * d * d, 2 * d_sigma)
+    (sigma_keys, sigma_weights, sigma_offsets), paths = model._hamiltonian_terms
+    phase_sums = phase_sums[:, sigma_keys] * (cfg.coupling * sigma_weights)
     dims = model.sector_dims
-    sums = [np.zeros((dims[s ^ 1], dims[s]), dtype=complex) for s in range(4)]
-    for x in window_slice(cfg, t):
-        pi_x, sigma_x = (_xi_blocks(space, split, x) for space, split in zip(spaces, splits))
-        for p in (0, 1):
-            square = pi_x[1 - p] @ pi_x[p]
-            for q in (0, 1):  # kron(square, sigma block) as one broadcast product
-                total = sums[2 * p + q]
-                kron = square[:, None, :, None] * sigma_x[q][None, :, None, :]
-                total += cfg.coupling * kron.reshape(total.shape)
     blocks = []
-    for s in (0, 2):
-        c = (sums[s] + sums[s + 1].conj().T) / 2
+    for p, (keys, offsets, weights) in enumerate(paths):
+        terms = phase_sums[keys] * weights[:, None]
+        at = (offsets[:, None] + sigma_offsets[p]).ravel()
+        c = np.empty(dims[2 * p + 1] * dims[2 * p], dtype=complex)
+        c.real = np.bincount(at, terms.real.ravel(), len(c))
+        c.imag = np.bincount(at, terms.imag.ravel(), len(c))
+        c = c.reshape(dims[2 * p + 1], dims[2 * p])
         blocks += [c, c.conj().T]
     return tuple(blocks)
 

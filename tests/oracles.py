@@ -1,6 +1,8 @@
 """Per-object and dense reference implementations that only the tests run.
 
-Each defines a notion the library computes another way (chain enumeration
+Each defines a notion the library computes another way (shells, vertices,
+precedence, children and parents one ``Vec4`` at a time, the coordinate-cube
+enumerator against the per-column q intervals, chain enumeration
 and the V x V order, link reachability and order axioms against the
 per-shell key sets, cone membership and the child array from a dense
 coordinate grid against the parent links looked up by key, sumset check and
@@ -26,39 +28,115 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from causet_qft import paperdata
-from causet_qft.causet import (
-    _STEP_ARRAY,
-    CovarianceReport,
-    History,
-    Speed,
-    children,
-    parent_histogram,
-    precedes,
-    shell,
-)
+from causet_qft.causet import _STEP_ARRAY, CovarianceReport, History, Speed, parent_histogram
 from causet_qft.fock import FieldOperator, FockSpace, _bracket_terms, _phases, basis_unit, xi_entries
 from causet_qft.lattice import (
-    E3,
-    F3,
-    G3,
     MINKOWSKI_GRAM,
-    Triple,
+    TRIPLE_MATRICES,
     Vec3,
     Vec4,
-    inner3_doubled,
-    minkowski_doubled,
     norm_sq3,
+    norm_sq3_rows,
     norm_sq4,
+    vectors_with_norm,
+    vectors_with_norm_up_to,
 )
 from causet_qft.momentum import Hyperboloid, PoincareElement
 from causet_qft.representations import SignConvention, _principal_angle, cal_u, spinor_of
-from causet_qft.scattering import ScatteringModel, ScatteringSeries, window_slice
+from causet_qft.scattering import InteractionConfig, ScatteringModel, ScatteringSeries, _window_rows
 from causet_qft.symmetry import BoostCertificate, GroupElement, apply4, elements, inverse, multiply
+
+
+E3 = Vec3(1, 0, 0)
+F3 = Vec3(0, 1, 0)
+G3 = Vec3(0, 0, 1)
+
+
+def inner3_doubled(u: Vec3, v: Vec3) -> int:
+    """Doubled spatial inner product 2<u,v>; the factor 2 keeps it integral."""
+    n, p, q = u.n, u.p, u.q
+    a, b, c = v.n, v.p, v.q
+    return 2 * (n * a + p * b + q * c) + (n * b + p * a) + (n * c + q * a) + (p * c + q * b)
+
+
+def minkowski_doubled(p: Vec4, x: Vec4) -> int:
+    """Doubled Minkowski pairing 2(p.x) = 2 p^0 x^0 - 2<spatial, spatial>."""
+    return 2 * p.t * x.t - inner3_doubled(p.spatial, x.spatial)
+
+
+@dataclass(frozen=True, slots=True)
+class Triple:
+    """Ordered triple of unit vectors with pairwise doubled inner product 1.
+
+    The ordering is the orientation-positive (determinant +1) one, so the 24
+    triples are exactly the images of the basic triple under the symmetry
+    group.
+    """
+
+    u: Vec3
+    v: Vec3
+    w: Vec3
+
+    def members(self) -> tuple[Vec3, Vec3, Vec3]:
+        return (self.u, self.v, self.w)
+
+
+def unit_vectors3() -> tuple[Vec3, ...]:
+    """The 12 unit vectors, sorted lexicographically by coordinates: the ball's rows."""
+    return tuple(Vec3(*row) for row in vectors_with_norm(1).tolist())
+
+
+def triples() -> tuple[Triple, ...]:
+    """The 24 positively oriented triples, the ``Vec3`` view of ``TRIPLE_MATRICES``."""
+    return tuple(Triple(*(Vec3(*col) for col in m.T.tolist())) for m in TRIPLE_MATRICES)
+
+
+def cube_vectors_with_norm_up_to(limit: int) -> np.ndarray:
+    """All spatial vectors with norm_sq3 <= limit as lexicographic (n, p, q) int64 rows,
+    filtered from the whole (2b + 1)^3 coordinate cube, b = isqrt(2 limit)."""
+    b = math.isqrt(2 * limit) if limit >= 0 else -1
+    axis = np.arange(-b, b + 1, dtype=np.int64)
+    rows = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    return rows[norm_sq3_rows(rows) <= limit]
+
+
+# The 13 one-step moves in lexicographic order.
+_STEPS = tuple(Vec4(*row) for row in _STEP_ARRAY.tolist())
+
+
+def shell(t: int) -> tuple[Vec4, ...]:
+    """All vertices at time t, lexicographically ordered by coordinates."""
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    return tuple(Vec4(t, *row) for row in vectors_with_norm_up_to(t * t).tolist())
+
+
+def vertices(hist: History) -> tuple[Vec4, ...]:
+    """The ``Vec4`` view of a history's coordinate rows."""
+    return tuple(Vec4(*row) for row in hist.coords.tolist())
+
+
+def precedes(u: Vec4, v: Vec4) -> bool:
+    """Causal order: strictly later time and nonnegative squared interval."""
+    return u.t < v.t and norm_sq4(v - u) >= 0
+
+
+def children(u: Vec4) -> tuple[Vec4, ...]:
+    """The 13 one-step successors of a cone vertex, lexicographic order."""
+    return tuple(sorted((u + s for s in _STEPS), key=Vec4.coords))
+
+
+def parents(u: Vec4) -> tuple[Vec4, ...]:
+    """Cone vertices one step before u; may be empty even for u.t >= 1."""
+    if u.t <= 0:
+        return ()
+    return tuple(sorted((w for w in (u - s for s in _STEPS) if norm_sq4(w) >= 0), key=Vec4.coords))
 
 
 def path_lengths(u: Vec4, v: Vec4, sample_limit: int = 1000) -> frozenset[int]:
@@ -206,7 +284,7 @@ def reachable_from(u: Vec4, hist: History) -> set[Vec4]:
             if w.t >= hist.horizon:
                 continue
             for c in children(w):
-                if c in hist and c not in reach:
+                if c.t <= hist.horizon and in_cone(c) and c not in reach:
                     reach.add(c)
                     nxt.append(c)
         frontier = nxt
@@ -349,6 +427,11 @@ def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
     out = np.zeros(dim * dim, dtype=complex)
     np.add.at(out, flat, terms)
     return out.reshape(dim, dim)
+
+
+def window_slice(cfg: InteractionConfig, t: int) -> tuple[Vec4, ...]:
+    """Cone vertices at time t within the configured spatial radius, one ``Vec4`` each."""
+    return tuple(Vec4(*row) for row in _window_rows(cfg, t).tolist())
 
 
 def interaction_hamiltonian(model: ScatteringModel, t: int) -> np.ndarray:

@@ -15,16 +15,12 @@ from causet_qft.causet import (
     CovarianceReport,
     History,
     average_speeds,
-    children,
     complete_children,
     construction_cross_check,
     covariance_diagnostics,
     history,
     order_axioms,
     parent_histogram,
-    parents,
-    precedes,
-    shell,
     speeds_paper_diff,
 )
 from causet_qft.lattice import Vec4, norm_sq4
@@ -32,13 +28,18 @@ from causet_qft.symmetry import elements
 import oracles
 from oracles import (
     causal_order,
+    children,
     equivariance_check,
     exact_square,
     in_cone,
     link_array,
     link_reachability,
+    parents,
     path_lengths,
+    precedes,
     reachable_from,
+    shell,
+    vertices,
 )
 
 _STEPS = [Vec4(*row) for row in causet._STEP_ARRAY.tolist()]
@@ -76,7 +77,7 @@ def test_precedes_basics():
 
 
 def test_partial_order_axioms_exhaustive_on_history3():
-    verts = history(3).vertices
+    verts = vertices(history(3))
     n = len(verts)
     assert n == 246
     rel = np.zeros((n, n), dtype=bool)
@@ -106,7 +107,7 @@ def test_order_axioms_transitivity_count_does_not_wrap():
 
 def _covariance_oracle(hist) -> CovarianceReport:
     """The per-object diagnostics: parents, reachable sets and precedes pair by pair."""
-    verts = hist.vertices
+    verts = vertices(hist)
     vset = set(verts)
     heights = {}
     for v in verts:
@@ -143,9 +144,9 @@ def _covariance_oracle(hist) -> CovarianceReport:
 
 
 def _parent_histogram_oracle(hist) -> dict[int, dict[int, int]]:
-    vset = set(hist.vertices)
+    vset = set(vertices(hist))
     histogram = {}
-    for v in hist.vertices:
+    for v in vertices(hist):
         counts = histogram.setdefault(v.t, {})
         k = len([w for w in parents(v) if w in vset])
         counts[k] = counts.get(k, 0) + 1
@@ -189,7 +190,7 @@ def _child_links(parent_links: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("t", range(4))
 def test_arrays_match_per_object_oracles(t):
     hist = history(t)
-    verts = hist.vertices
+    verts = vertices(hist)
     index = {v: i for i, v in enumerate(verts)}
     assert [Vec4(*row) for row in hist.coords.tolist()] == list(verts)
     assert causal_order(hist.coords).tolist() == [[precedes(u, v) for v in verts] for u in verts]
@@ -260,7 +261,7 @@ def test_children():
     kids = children(ORIGIN)
     assert len(kids) == 13
     assert set(kids) == set(shell(1))
-    for v in history(3).vertices:
+    for v in vertices(history(3)):
         ks = children(v)
         assert len(ks) == 13
         assert all(in_cone(c) for c in ks)
@@ -306,7 +307,7 @@ def test_all_existing_paths_have_shell_difference_length():
     # array reachability calls pathless, and every chain it finds has the
     # shell-difference length
     hist = history(3)
-    verts = hist.vertices
+    verts = vertices(hist)
     order = causal_order(hist.coords)
     pathless = order & ~link_reachability(link_array(hist.coords), hist.offsets)
     for i, j in np.argwhere(order):
@@ -426,7 +427,7 @@ def test_sumset_check_sees_a_missing_ball_point(dropped):
     # each dropped point is the sum of a first-shell point with itself, so B_1 + B_1
     # leaves the second shell: inside its key span, or past its first or last key
     hist = history(4)
-    row = hist.offsets[2] + hist.vertices[hist.offsets[2] : hist.offsets[3]].index(dropped)
+    row = hist.offsets[2] + vertices(hist)[hist.offsets[2] : hist.offsets[3]].index(dropped)
     offsets = tuple(o - (i > 2) for i, o in enumerate(hist.offsets))
     holed = History(hist.horizon, np.delete(hist.coords, row, axis=0), offsets)
     assert np.diff(holed.offsets).tolist() == [1, 13, 54, 177, 381]

@@ -243,19 +243,23 @@ def test_fock_verify_three_particle_cap(capsys):
     assert all(c["passed"] for c in bundle["summary"]["checks"])
 
 
-EXACT_REP_V = fock.rep_v
+EXACT_MONOMIALS = fock._monomials
 
 
 def _rep_v_checks(capsys, monkeypatch, corrupt):
-    """fock-verify's rep_v checks with ``corrupt(call, perm)`` applied to every rep_v result."""
+    """fock-verify's rep_v checks with ``corrupt(call, perm)`` applied to every V(g) the
+    gate builds, calls counted from 1 in the order of the gate's batches and their rows."""
     calls = []
 
-    def corrupted(y, rot, space):
-        perm, amp = EXACT_REP_V(y, rot, space)
-        calls.append(None)
-        return corrupt(len(calls), perm.copy()), amp
+    def corrupted(space, elements):
+        perms, amps = EXACT_MONOMIALS(space, elements)
+        perms = perms.copy()
+        for row in perms:
+            calls.append(None)
+            row[:] = corrupt(len(calls), row.copy())
+        return perms, amps
 
-    monkeypatch.setattr(fock, "rep_v", corrupted)
+    monkeypatch.setattr(fock, "_monomials", corrupted)
     code, out, _ = run_cli(
         capsys, "--format", "json", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "1"
     )
@@ -626,14 +630,14 @@ def test_causet_verify_larger_than_memory_is_a_named_error(capsys, monkeypatch):
 
 
 def test_out_of_memory_is_a_named_error(capsys):
-    # a 2829^3 coordinate cube, about 1 TiB: refused before any coordinate exists
+    # about 5.9e9 points at 64 bytes each, 354 GiB: refused before any coordinate exists
     start = time.monotonic()
     code, out, err = run_cli(capsys, "no-boost", "--bound", "1000")
     assert time.monotonic() - start < 2.0
     assert (code, out) == (1, "")
-    assert err.startswith("error: the lattice enumeration of norm_sq3 <= 1000001 (a 2829^3 coordinate cube) needs")
-    # a 283^3 cube (1.1 GB) passes that estimate, but its first 181 MB coordinate array
-    # fails under an address-space cap 64 MiB above what the process has mapped
+    assert err.startswith("error: the lattice enumeration of norm_sq3 <= 1000001 (about 5923852804 points) needs")
+    # about 5.9e6 points (0.4 GB) pass that estimate, but their 142 MB row array fails
+    # under an address-space cap 64 MiB above what the process has mapped
     resource = pytest.importorskip("resource")
     if not os.path.exists("/proc/self/statm"):
         pytest.skip("needs /proc/self/statm for the process's mapped size")

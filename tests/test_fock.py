@@ -22,12 +22,13 @@ from causet_qft.fock import (
     phi,
     psi,
     rep_v,
+    rep_v_defects,
     same_species_commutator_max,
     sine_sum,
     vacuum,
     xi_defects,
 )
-from causet_qft.lattice import Vec4, minkowski_doubled, norm_sq3
+from causet_qft.lattice import Vec4, norm_sq3
 from causet_qft.momentum import (
     Hyperboloid,
     PoincareElement,
@@ -41,6 +42,7 @@ from oracles import (
     commutator,
     field_entries,
     matrix_commutator,
+    minkowski_doubled,
     momentum_operators,
     multiset_indicator,
     phase,
@@ -599,6 +601,44 @@ def test_rep_v_bit_equals_uncached_oracle(m2, pmax, nmax):
         assert not perm.flags.writeable
 
 
+def _rep_v_defects_by_element(fock, pairs):
+    """The rep_v gate one V(g) at a time, each from :func:`_rep_v_uncached`."""
+    unitarity = hom = 0.0
+    block_diagonal = True
+    sector_of = np.repeat(np.arange(fock.n_max + 1), np.diff(fock.offsets))
+    for g1, g2 in pairs:
+        (p1, a1), (p2, a2), (p12, a12) = (
+            _rep_v_uncached(g.translation, g.rotation, fock) for g in (g1, g2, poincare_product(g1, g2))
+        )
+        shared = np.bincount(p1, minlength=fock.dim)[p1] > 1
+        off_diagonal = float(np.max(np.abs(a1[shared]), initial=0.0)) ** 2
+        unitarity = max(unitarity, off_diagonal, float(np.max(np.abs((a1.conj() * a1).real - 1.0))))
+        prod = a1[p2] * a2
+        defect = np.where(p1[p2] == p12, np.abs(prod - a12), np.maximum(np.abs(prod), np.abs(a12)))
+        hom = max(hom, float(np.max(defect)))
+        block_diagonal = block_diagonal and bool(np.all(sector_of[p1] == sector_of))
+    return unitarity, hom, block_diagonal
+
+
+@pytest.mark.parametrize("m2,pmax,nmax", [(3, 3, 2), (0, 1, 3), (2, 2, 2)])
+def test_rep_v_gate_bit_equals_the_per_element_oracle(m2, pmax, nmax):
+    """The batched gate and each batch row against the actions built one at a time."""
+    space = fock_space(hyperboloid(m2, pmax), nmax)
+    rnd = random.Random(29)
+
+    def rand_g():
+        return PoincareElement(_random_x(rnd), elements()[rnd.randrange(24)])
+
+    pairs = [(rand_g(), rand_g()) for _ in range(17)]
+    got, want = rep_v_defects(space, pairs), _rep_v_defects_by_element(space, pairs)
+    assert got == want and got[2]
+    batch = [g for pair in pairs[:4] for g in pair]
+    perms, amps = fock_module._monomials(space, batch)
+    for g, perm, amp in zip(batch, perms, amps, strict=True):
+        want_perm, want_amp = _rep_v_uncached(g.translation, g.rotation, space)
+        assert np.array_equal(perm, want_perm) and _same_bits(amp, want_amp)
+
+
 def test_rep_v_raises_on_an_open_point_set():
     """Without one point the set is not closed under the rotations that reach it:
     those raise on every call, as the uncached action does, and the others agree."""
@@ -619,6 +659,27 @@ def test_rep_v_raises_on_an_open_point_set():
         got_perm, got_amp = rep_v(y, rot, space)
         assert np.array_equal(got_perm, want[0]) and _same_bits(got_amp, want[1])
     assert 0 < raised < 24
+
+
+@pytest.mark.parametrize("nmax", [2, 3])
+def test_product_table_bit_equals_the_dense_products(nmax):
+    """Each two-step table, placed densely per (q, r), is as_matrix(X_q) @ as_matrix(Y_r)
+    bit for bit, and lists its entries in (q, r, column) order."""
+    space = fock_space(hyperboloid(2, 2), nmax)
+    d = len(space.hyperboloid)
+    units = np.eye(d, dtype=complex)
+    for role_a in ("annihilates", "creates"):
+        for role_b in ("annihilates", "creates"):
+            rows, cols, q, r, weight = space.product_table(role_a, role_b)
+            assert np.array_equal(np.lexsort((cols, r, q)), np.arange(len(rows)))
+            for qq in range(d):
+                x = FieldOperator(space, role_a, tuple(units[qq])).as_matrix()
+                for rr in range(d):
+                    y = FieldOperator(space, role_b, tuple(units[rr])).as_matrix()
+                    pick = (q == qq) & (r == rr)
+                    table = np.zeros((space.dim, space.dim), dtype=complex)
+                    table[rows[pick], cols[pick]] = weight[pick]
+                    assert _same_bits(table, x @ y)
 
 
 def test_xi_self_adjoint(fock13):

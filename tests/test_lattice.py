@@ -5,34 +5,43 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from causet_qft import lattice
 from causet_qft.lattice import (
-    E3,
-    F3,
-    G3,
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
-    Triple,
     Vec3,
     Vec4,
-    inner3_doubled,
-    minkowski_doubled,
     norm_sq3,
     norm_sq3_rows,
     norm_sq4,
     rank_keys,
     rank_rows,
-    triples,
-    unit_vectors3,
     vectors_with_norm,
     vectors_with_norm_up_to,
 )
-from oracles import ZERO3, basic_triple, cartesian_norm_sq, to_cartesian3, units_triads_triples
+from oracles import (
+    E3,
+    F3,
+    G3,
+    ZERO3,
+    Triple,
+    basic_triple,
+    cartesian_norm_sq,
+    cube_vectors_with_norm_up_to,
+    inner3_doubled,
+    minkowski_doubled,
+    to_cartesian3,
+    triples,
+    unit_vectors3,
+    units_triads_triples,
+)
 
 coords = st.integers(min_value=-50, max_value=50)
 vec3s = st.builds(Vec3, coords, coords, coords)
@@ -166,6 +175,31 @@ def test_enumerator_matches_triple_loop():
         assert rows.dtype == np.int64
         assert rows.tolist() == [c for q, c in candidates if q <= limit]
         assert vectors_with_norm(limit).tolist() == [c for q, c in candidates if q == limit]
+
+
+def test_enumerator_equals_the_cube_oracle():
+    """The per-column q intervals give the cube's filtered rows bit for bit."""
+    for limit in [*range(-2, 401), 1600]:
+        rows = vectors_with_norm_up_to(limit)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, cube_vectors_with_norm_up_to(limit))
+
+
+@pytest.mark.parametrize("limit", [145, 400, 1600])
+def test_enumerator_guard_covers_the_traced_peak(monkeypatch, limit):
+    """Past a few thousand points, where the guard can matter, its count covers the traced
+    peak and is within three times of it."""
+    needs = []
+    monkeypatch.setattr(lattice, "require_memory", lambda need, what: needs.append(need))
+    tracemalloc.start()
+    try:
+        rows = vectors_with_norm_up_to(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the guard's point count is the ellipsoid's volume, close to the lattice count
+    assert abs(len(rows) / (4 * math.pi / 3 * math.sqrt(2) * limit**1.5) - 1) < 0.2
+    assert peak <= needs[0] < 3 * peak
 
 
 @given(st.lists(st.tuples(coords, coords, coords), max_size=20))

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from causet_qft import scattering
+from causet_qft import fock, scattering
 from causet_qft.fock import FockSpace, fock_space, phi, psi
 from causet_qft.lattice import Vec4
 from causet_qft.momentum import hyperboloid
@@ -25,9 +25,8 @@ from causet_qft.scattering import (
     order_parity_check,
     scattering_series,
     two_pi_state,
-    window_slice,
 )
-from oracles import dense_series, densify, difference_op, expansion_formula, product_formula, xi_matrix
+from oracles import dense_series, densify, difference_op, expansion_formula, product_formula, window_slice, xi_matrix
 from oracles import interaction_hamiltonian as dense_hamiltonian
 
 
@@ -656,6 +655,41 @@ def test_graded_series_matches_the_dense_oracle(case):
         assert not any(block.any() for block in odd)
         assert series.unitarity_defects == (0.0,) * (m.cfg.horizon + 1)
         assert series.rotated_coupling_defect == series.order_sum_defect == 0.0
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*DENSE_CASES, {"pi_mass_sq": 2, "sigma_mass_sq": 3, "energy_cap": 2}],
+    ids=[*(f"horizon{n}-window{w}" for w in (0, 1) for n in range(6)), "nsigma2", "pi_empty", "g0", "pmax2"],
+)
+def test_hamiltonian_matches_the_dense_oracle_per_slice(case):
+    """Each slice's blocks, from the phase sums and the per-model term positions, against
+    the dense per-point assembly; at g = 0 the bound is 0, so every block is an exact zero."""
+    m = _dense_case(case)
+    for t in range(m.cfg.horizon):
+        got, want = densify(m, interaction_hamiltonian(m, t), 1), dense_hamiltonian(m, t)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+
+
+def test_hamiltonian_matches_the_dense_oracle_at_three_pi_particles():
+    """One 13-point slice of the --npi 3 model (sectors 92, 92, 468, 468)."""
+    m = _dense_case({"pi_particle_cap": 3})
+    assert m.sector_dims == (92, 92, 468, 468)
+    got, want = densify(m, interaction_hamiltonian(m, 1), 1), dense_hamiltonian(m, 1)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_hamiltonian_reads_no_field_entries(monkeypatch):
+    """H(t) comes from the two-step tables and the ladder entries, not from xi's entries."""
+    want = [interaction_hamiltonian(_dense_case({}), t) for t in range(3)]
+
+    def refuse(*args):
+        raise AssertionError("xi_entries called")
+
+    monkeypatch.setattr(fock, "xi_entries", refuse)
+    fresh = _dense_case({})  # its term table is built under the patch
+    for t, blocks in enumerate(want):
+        assert all(np.array_equal(a, b) for a, b in zip(interaction_hamiltonian(fresh, t), blocks, strict=True))
 
 
 @pytest.mark.parametrize(

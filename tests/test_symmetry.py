@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from causet_qft import paperdata, symmetry
-from causet_qft.lattice import E3, F3, G3, Vec3, Vec4, det_exact, norm_sq4, minkowski_doubled
+from causet_qft.lattice import Vec3, Vec4, det_exact, norm_sq4
 from causet_qft.symmetry import (
     ELEMENT_PRINT_DIFFS,
     apply3,
@@ -29,7 +29,17 @@ from causet_qft.symmetry import (
     table_diff_vs_printed,
     verify_subgroups,
 )
-from oracles import leibniz_det, matmul3, no_boost_search_grid, product_table_by_pairs
+from oracles import (
+    E3,
+    F3,
+    G3,
+    inner3_doubled,
+    leibniz_det,
+    matmul3,
+    minkowski_doubled,
+    no_boost_search_grid,
+    product_table_by_pairs,
+)
 
 
 def test_element_count_and_identity():
@@ -289,7 +299,6 @@ def test_det3_exact_matches_leibniz_oracle():
 
 def test_element_matrices_satisfy_group_invariants():
     basis = (E3, F3, G3)
-    from causet_qft.lattice import inner3_doubled
 
     for z in elements():
         for u in basis:
@@ -299,7 +308,6 @@ def test_element_matrices_satisfy_group_invariants():
 
 def test_random_vector_isometry():
     rnd = random.Random(3)
-    from causet_qft.lattice import inner3_doubled
 
     for _ in range(100):
         u = Vec3(rnd.randint(-50, 50), rnd.randint(-50, 50), rnd.randint(-50, 50))
