@@ -38,8 +38,8 @@ TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "f
 
 # The scattering series' defects are gated relative to max|S(n)|: a product's
 # rounding error scales with the sizes of its factors, and |S| grows
-# geometrically with the horizon.  Measured defects stay below 7.6e-15 relative
-# up to horizon 12 and 1.1e-14 at 16 (window 0, g from 0.01 to 1e6).
+# geometrically with the horizon.  Measured: below 6.2e-15 up to horizon 12 and
+# 8.9e-15 at 16 (window 0, g 0.01 to 1e6); H's rotation defect 5.2e-16 of max|H|.
 SERIES_RELATIVE_BOUND = 1e-13
 
 
@@ -395,15 +395,11 @@ def cmd_fock_verify(args) -> dict:
 
 
 def cmd_scatter(args) -> dict:
+    if args.horizon < 1:
+        raise ValueError(f"--horizon must be at least 1 (no H(t) to check at 0), got {args.horizon}")
     cfg = scattering.InteractionConfig(
-        coupling=args.g,
-        pi_mass_sq=args.m2,
-        sigma_mass_sq=args.big_m2,
-        energy_cap=args.pmax,
-        pi_particle_cap=args.npi,
-        sigma_particle_cap=args.nsigma,
-        window_radius=args.window,
-        horizon=args.horizon,
+        coupling=args.g, pi_mass_sq=args.m2, sigma_mass_sq=args.big_m2, energy_cap=args.pmax,
+        pi_particle_cap=args.npi, sigma_particle_cap=args.nsigma, window_radius=args.window, horizon=args.horizon,
     )
     model = scattering.build_model(cfg)
     pts = model.pi_space.hyperboloid.points
@@ -415,6 +411,7 @@ def cmd_scatter(args) -> dict:
     report = scattering.amplitude(model, p_in, p_out, series)
     parity = scattering.order_parity_check(report, p_in, p_out)
     herm = scattering.self_adjoint_defect(series)
+    rotated_h, h_max = scattering.rotation_defect(model, series)
     payload = {
         "per_order": list(report.per_order),
         "total": report.total,
@@ -422,6 +419,7 @@ def cmd_scatter(args) -> dict:
         "pi_dim": report.dims[0],
         "sigma_dim": report.dims[1],
         "sector_dims": list(model.sector_dims),
+        "orbit_counts": [len(orbit[0]) for orbit in model.orbits],
         "rotated_coupling_defect": series.rotated_coupling_defect,
         "series_max_abs": series.final_max_abs,
         "unitarity_defects": list(series.unitarity_defects),
@@ -441,6 +439,7 @@ def cmd_scatter(args) -> dict:
         _check("orders_match_rotated_couplings", rotated < bound, rotated),
         _check("orders_sum_to_series", summed < bound, summed),
         _check("hamiltonians_self_adjoint", herm < args.tol, herm),
+        _check("hamiltonians_rotation_invariant", rotated_h <= SERIES_RELATIVE_BOUND * h_max, rotated_h),
         _check("odd_orders_vanish", parity["odd_order_max"] <= args.tol, parity["odd_order_max"]),
     ]
     if parity["distinct_states"]:
@@ -448,16 +447,8 @@ def cmd_scatter(args) -> dict:
             _check("order_zero_vanishes_for_distinct_states", parity["order0"] <= args.tol, parity["order0"])
         )
     config = {
-        "g": args.g,
-        "m2": args.m2,
-        "M2": args.big_m2,
-        "pmax": args.pmax,
-        "npi": args.npi,
-        "nsigma": args.nsigma,
-        "window": args.window,
-        "horizon": args.horizon,
-        "in": list(args.into),
-        "out": list(args.outgoing),
+        "g": args.g, "m2": args.m2, "M2": args.big_m2, "pmax": args.pmax, "npi": args.npi, "nsigma": args.nsigma,
+        "window": args.window, "horizon": args.horizon, "in": list(args.into), "out": list(args.outgoing),
     }
     return _bundle("scatter", config, payload, {}, checks)
 

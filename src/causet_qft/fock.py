@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import MINKOWSKI_GRAM, Vec4, rank_rows, require_memory
-from .momentum import Hyperboloid, PoincareElement, poincare_product
-from .symmetry import MATRICES, GroupElement, index
+from .momentum import Hyperboloid, poincare_product
+from .symmetry import GroupElement, index
 
 __all__ = [
     "FockSpace",
@@ -45,7 +45,6 @@ __all__ = [
     "same_species_commutator_max",
     "phase_sum_defect",
     "xi_defects",
-    "rep_v",
     "rep_v_defects",
     "basis_unit",
     "vacuum",
@@ -93,9 +92,8 @@ class FockSpace:
         ``symmetry.MATRICES`` order, and their sector permutations as the rows of one
         read-only (24, dim) array, ranked in one pass per sector; the row of a rotation
         that leaves the point set is meaningless."""
-        h, rotations = self.hyperboloid, len(MATRICES)
-        images = np.insert(h.coords[:, 1:] @ MATRICES.transpose(0, 2, 1), 0, h.coords[:, 0], axis=2)
-        point_perms = rank_rows(h.coords, images.reshape(-1, 4)).reshape(rotations, len(h))
+        point_perms = self.hyperboloid.rotation_images
+        rotations = len(point_perms)
         perms = np.empty((rotations, self.dim), dtype=np.int64)
         for n, ms in enumerate(self.multiset_arrays):
             mapped = np.sort(point_perms[:, ms], axis=2).reshape(rotations * len(ms), n)
@@ -272,9 +270,6 @@ class FieldOperator:
         out[rows, cols] = vals
         return out
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return _apply(self.fock.dim, self._entries(), vec)
-
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The row, col, re and im columns of the matrix's entries in row-major order, for
         export; arrays, which hold no reference to the space."""
@@ -442,15 +437,6 @@ def _monomials(fock: FockSpace, elements) -> tuple[np.ndarray, np.ndarray]:
         for j in range(n):
             amps[:, block] *= np.take_along_axis(phases, mapped[:, :, j], axis=1)
     return perms, amps
-
-
-def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary symmetry action as ``(perm, amp)``, the monomial V[perm[c], c] = amp[c]:
-    the rotation permutes each multiset's points (so V is block-diagonal over sectors)
-    and the translation multiplies in the phases of the mapped points; ``perm`` is
-    read-only."""
-    amp = _monomials(fock, [PoincareElement(y, rot)])[1][0]
-    return fock.sector_permutation(rot), amp
 
 
 def rep_v_defects(fock: FockSpace, pairs) -> tuple[float, float, bool]:

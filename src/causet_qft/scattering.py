@@ -1,24 +1,15 @@
-"""Discrete-time scattering: step products, their orders and amplitudes, held as parity blocks.
+"""Discrete-time scattering: step products, their orders and amplitudes, on orbit columns.
 
-The scattering operator obeys the one-step recursion S(k+1) = (I + iH(k))S(k)
-starting from the identity.  One step loop builds S, taking each S(k)'s unitarity
-defect as it goes, and its orders in the interaction (order k picks up one factor
-of H per step), so per-order amplitudes come from bookkeeping, not numerical
-differentiation in the coupling; the series keeps the Hamiltonians, the orders and
-S(n).  The product rebuilt with the coupling turned through the (n+1)-th roots of
-unity checks every order.
-
-The model interaction couples two scalar species on a tensor product of
-truncated Fock spaces: the density at a spacetime point is the squared
-self-adjoint field of the first species tensored with the field of the
-second, scaled by the coupling constant.  The tensor basis splits into four
-sectors s = 2P + Q by the pi-number parity P, which pi_x^2 keeps, and the
-sigma-number parity Q, which sigma_x flips.  So H(t) maps sector s to s ^ 1 and
-order k maps s to s ^ (k mod 2): an operator of Q-parity e is held as four
-blocks, block s from sector s to s ^ e, and the other twelve blocks, exact zeros,
-are never formed.  S(n) and the coupling-circle chain are (even, odd) pairs.
-Amplitudes split the in/out vectors by sector for every order alike, so the
-vanishing odd-order two-particle amplitudes are measured, not assumed.
+S obeys S(k+1) = (I + iH(k))S(k) from the identity.  One step loop builds S, its orders
+in the coupling (order k picks up one factor of H per step, so per-order amplitudes are
+bookkeeping) and the products with the coupling turned through the (n+1)-th roots of
+unity, which check every order.  The interaction g (pi field)^2 (x) (sigma field) maps
+sector s = 2P + Q (P, Q the pi- and sigma-number parities) to s ^ 1, so H(t) is four
+dense blocks and order k maps s to s ^ (k mod 2).  The window slice is a norm ball and
+both hyperboloids are closed under the 24 rotations of G, so H(t), the orders and S
+commute with the tensor permutations P_g: X[g.i, g.j] = X[i, j].  They are held at the
+representative columns of each sector's G-orbits; the column at g.r is P_g times the
+one at r.
 """
 
 from __future__ import annotations
@@ -29,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import symmetry
 from .fock import FockSpace, _phases, basis_unit, fock_space, vacuum
 from .lattice import Vec4, require_memory, vectors_with_norm_up_to
 from .momentum import Hyperboloid, hyperboloid
@@ -41,6 +33,8 @@ __all__ = [
     "interaction_hamiltonian",
     "scattering_series",
     "self_adjoint_defect",
+    "GENERATORS",
+    "rotation_defect",
     "two_pi_state",
     "AmplitudeReport",
     "amplitude",
@@ -67,10 +61,8 @@ class InteractionConfig:
         if self.window_radius < 0:
             raise ValueError("window radius must be nonnegative")
         if self.pi_particle_cap < 2 or self.sigma_particle_cap < 1:
-            raise ValueError(
-                "truncation caps too small to represent the interaction: need at "
-                "least two pi particles and one sigma particle"
-            )
+            raise ValueError("truncation caps too small to represent the interaction: need at "
+                             "least two pi particles and one sigma particle")
         if self.pi_mass_sq < 0 or self.sigma_mass_sq < 0:
             raise ValueError("squared masses must be nonnegative")
 
@@ -106,8 +98,7 @@ class ScatteringModel:
         pi, sigma = (_parity_split(space)[0] for space in (self.pi_space, self.sigma_space))
         return tuple(
             (np.flatnonzero(pi == p)[:, None] * self.sigma_space.dim + np.flatnonzero(sigma == q)).ravel()
-            for p in (0, 1)
-            for q in (0, 1)
+            for p in (0, 1) for q in (0, 1)
         )
 
     @property
@@ -115,15 +106,27 @@ class ScatteringModel:
         return tuple(len(ix) for ix in self.sectors)
 
     @cached_property
-    def _hamiltonian_terms(self) -> tuple:
-        """The terms of H(t)'s blocks 2P out of the even-sigma sectors, placed once.
+    def sector_permutations(self) -> tuple[np.ndarray, ...]:
+        """Row g of sector s's (24, |s|) array: the index in s of each state's image under
+        P_g = P_g^pi (x) P_g^sigma, g in ``symmetry.MATRICES`` order."""
+        local, n_sigma = np.empty(self.dim, dtype=np.int64), self.sigma_space.dim
+        for ix in self.sectors:
+            local[ix] = np.arange(len(ix))
+        pi, sigma = self.pi_space._sector_permutations[1], self.sigma_space._sector_permutations[1]
+        return tuple(local[pi[:, ix // n_sigma] * n_sigma + sigma[:, ix % n_sigma]] for ix in self.sectors)
 
-        A term is a two-step pi path X_q Y_r of :meth:`FockSpace.product_table` tensored
-        with a sigma ladder entry Z_u out of an even-sigma state.  In slice t it is worth
-        g K[(X, Y, q, r), (Z, u)] times the two weights, K the phase sums, at the path's
-        offset plus the entry's in block 2P, P the path's pi parity.  Returns the sigma
-        entries' (keys, weights, offsets per block) and each P's paths' (keys, offsets,
-        weights), with int32 keys and offsets where they fit."""
+    @cached_property
+    def orbits(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Each sector's G-orbits, as ``symmetry.orbits`` gives them."""
+        return tuple(symmetry.orbits(perms) for perms in self.sector_permutations)
+
+    @cached_property
+    def _hamiltonian_terms(self) -> tuple:
+        """The terms of H(t)'s blocks 2P out of the even-sigma sectors, placed once: a pi
+        path X_q Y_r of :meth:`FockSpace.product_table` times a sigma ladder entry Z_u out
+        of an even-sigma state, worth g K[(X, Y, q, r), (Z, u)] times the two weights in
+        slice t, K the phase sums.  The sigma entries' (keys, weights, offsets per block)
+        and each P's paths' (keys, offsets, weights), int32 where they fit."""
         pi, sigma = self.pi_space, self.sigma_space
         (pi_parity, pi_local), (sigma_parity, sigma_local) = _parity_split(pi), _parity_split(sigma)
         n_pi, n_sigma = np.bincount(pi_parity, minlength=2), np.bincount(sigma_parity, minlength=2)
@@ -144,11 +147,35 @@ class ScatteringModel:
         return sigma_terms, [(keys[parity == p], offsets[parity == p], weight[parity == p]) for p in (0, 1)]
 
 
-def _parity_dims(points: int, cap: int) -> tuple[int, int]:
-    """Numbers of basis states of even and of odd particle number in the Fock space over
-    ``points`` points with at most ``cap`` particles: C(points + n - 1, n) hold n."""
-    sizes = [math.comb(points + n - 1, n) for n in range(1, cap + 1)]
-    return 1 + sum(sizes[1::2]), sum(sizes[0::2])
+def _fixed_states(h: Hyperboloid, cap: int) -> list[tuple[int, int]]:
+    """The even and odd states each rotation (identity first) fixes in the Fock space over
+    h: unions of its point cycles, counted by the product over cycles of 1 / (1 - x^length)."""
+    perms, fixed = h.rotation_images, []
+    length, image, k = np.zeros(perms.shape, dtype=np.int64), perms, 1
+    while not length.all():  # each point's cycle length under each rotation
+        length[(length == 0) & (image == np.arange(len(h)))] = k
+        image, k = np.take_along_axis(perms, image, axis=1), k + 1
+    for row in length:
+        coefficients = [1] + [0] * cap
+        for size, points in enumerate(np.bincount(row).tolist()[1:], start=1):
+            for _ in range(points // size):  # one factor per cycle
+                for n in range(size, cap + 1):
+                    coefficients[n] += coefficients[n - size]
+        fixed.append((sum(coefficients[0::2]), sum(coefficients[1::2])))
+    return fixed
+
+
+def _two_step_paths(d: int, cap: int) -> int:
+    """Entries of the four ``FockSpace.product_table`` tables over d points.  Out of the C(n)
+    states of n particles, lowering twice or lowering then raising gives d^2 C(n - 2) and
+    d^2 C(n - 1); raising then lowering sums the squared supports of n + 1, d C(n) + d (d - 1)
+    C(n - 1); raising twice d^2 C(n)."""
+    states = [0, 0] + [math.comb(d + n - 1, n) for n in range(cap + 1)]  # C(n) at n + 2
+    return sum(
+        d * d * (states[n] + states[n + 1]) + (n < cap) * (d * states[n + 2] + d * (d - 1) * states[n + 1])
+        + (n < cap - 1) * d * d * states[n + 2]
+        for n in range(cap + 1)
+    )
 
 
 def _parity_split(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -161,25 +188,24 @@ def _parity_split(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_model(cfg: InteractionConfig) -> ScatteringModel:
-    """The model's two Fock spaces of dimension C(points + cap, cap), or a ``ValueError``
-    before any sector exists when the series would outgrow physical memory.  An even
-    graded operator holds U complex entries, U the sum of the squared sector sizes, and
-    an odd one V = sum over s of |s| |s ^ 1| <= U.  Under tracemalloc the series (H and
-    an order per step, S(n), then the circle check's chain and temporaries) peaks below
-    (n + 10) / 2 even plus (3n + 12) / 2 odd operators, within one even one at n >= 2.
-    That peak includes the H term table the model caches, 16 bytes per two-step pi path:
-    3042 paths, 49 KB, beside a 276 KB even operator at sectors (92, 92, 13, 13)."""
+    """The model, or a ``ValueError`` before any sector exists when the series would
+    outgrow physical memory.  Its traced peak stays below n + 1 H(t) (sum |s| |s ^ 1|
+    complex entries), the held items (n // 2 + n + 2 per orbit of s, |s| + |s ^ 1| rows
+    each) and the larger of another copy and one unitarity check, 51 int64 per state,
+    24 per Fock state and 16 bytes per H term, within one H(t); orbits by Burnside."""
     cfg.validate()
     pi_h = hyperboloid(cfg.pi_mass_sq, cfg.energy_cap)
     sigma_h = hyperboloid(cfg.sigma_mass_sq, cfg.energy_cap)
-    caps = ((pi_h, cfg.pi_particle_cap), (sigma_h, cfg.sigma_particle_cap))
-    (pi_even, pi_odd), (sigma_even, sigma_odd) = (_parity_dims(len(h), n) for h, n in caps)
-    dim = (pi_even + pi_odd) * (sigma_even + sigma_odd)
-    even = (pi_even**2 + pi_odd**2) * (sigma_even**2 + sigma_odd**2)
-    odd = 2 * (pi_even**2 + pi_odd**2) * sigma_even * sigma_odd
-    n = cfg.horizon
-    need = np.dtype(complex).itemsize * ((n + 10) * even + (3 * n + 12) * odd) // 2
-    require_memory(need, f"the scattering series at D = {dim}")
+    pi, sigma = _fixed_states(pi_h, cfg.pi_particle_cap), _fixed_states(sigma_h, cfg.sigma_particle_cap)
+    dims = [a * b for a in pi[0] for b in sigma[0]]  # Python integers, which cannot overflow
+    w = [sum(f[p] * e[q] for f, e in zip(pi, sigma)) // 24 for p in (0, 1) for q in (0, 1)]
+    m, n = [dims[s] + dims[s ^ 1] for s in range(4)], cfg.horizon
+    held = (n // 2 + n + 2) * sum(a * b for a, b in zip(m, w))
+    gram = max(24 * w[s] * (m[s] + w[s] + w[s ^ 1]) + 2 * m[s] * (w[s] + w[s ^ 1]) for s in range(4))
+    entries = (n + 1) * sum(dims[s] * dims[s ^ 1] for s in range(4)) + held + max(held, gram)
+    indices = 51 * sum(dims) + 24 * (sum(pi[0]) + sum(sigma[0]))
+    need = 16 * (entries + _two_step_paths(len(pi_h), cfg.pi_particle_cap)) + 8 * indices
+    require_memory(need, f"the scattering series at D = {sum(dims)}")
     return ScatteringModel(
         cfg=cfg,
         pi_space=fock_space(pi_h, cfg.pi_particle_cap),
@@ -192,29 +218,18 @@ def _joined(tables) -> tuple[list[np.ndarray], np.ndarray]:
     return [np.concatenate(c) for c in zip(*tables)], np.repeat(np.arange(len(tables)), [len(t[0]) for t in tables])
 
 
-def _coefficients(h: Hyperboloid, rows: np.ndarray) -> np.ndarray:
-    """(2, W, d): each point's lowering and raising coefficients e^{-ip.x} and e^{ip.x} in
-    the field at each of the W window ``rows``, as phi and psi take them."""
-    phases = _phases(h, rows)
-    return np.stack([phases.conj(), phases])
-
-
 def interaction_hamiltonian(model: ScatteringModel, t: int) -> tuple[np.ndarray, ...]:
-    """g * (pi field squared) tensor (sigma field), summed over the window slice, as its
-    four blocks: block s maps sector s to sector s ^ 1, and no other block is nonzero.
-
-    With pi_x = sum over roles X and points q of c^X_q(x) X_q, and sigma_x alike,
-    H(t) = g sum over role triples (X, Y, Z) and points (q, r, u) of K[X, Y, q, r, Z, u]
-    (X_q Y_r tensor Z_u), where K, the slice's sums of c^X_q c^Y_r c^Z_u over the window
-    points, is one ``einsum``.  The terms' places are fixed per model
-    (``ScatteringModel._hamiltonian_terms``), so a block is one gather of K and one
-    ``bincount`` per part.  Only the blocks C out of the even-sigma sectors 0 and 2 are
-    summed, and C^H is returned for the blocks back, whose terms are the adjoints of C's:
-    H is exactly self-adjoint by construction.
-    """
+    """g (pi field)^2 (x) (sigma field), summed over the window slice, as its four blocks
+    (block s maps sector s to s ^ 1).  With pi_x = sum of c^X_q(x) X_q over roles X and
+    points q, and sigma_x alike, H(t) = g sum of K[X, Y, q, r, Z, u] X_q Y_r (x) Z_u,
+    where the slice's phase sums K are one ``einsum``; a block is one gather of K and one
+    ``bincount`` per part.  Only the blocks C out of sectors 0 and 2 are summed, and C^H
+    is returned for the blocks back: H is exactly self-adjoint by construction."""
     cfg = model.cfg
     rows = _window_rows(cfg, t)
-    pi_c, sigma_c = (_coefficients(space.hyperboloid, rows) for space in (model.pi_space, model.sigma_space))
+    # (2, W, d): each point's lowering and raising coefficients e^{-ip.x}, e^{ip.x} per window row
+    phases = (_phases(space.hyperboloid, rows) for space in (model.pi_space, model.sigma_space))
+    pi_c, sigma_c = (np.stack([p.conj(), p]) for p in phases)
     d, d_sigma = pi_c.shape[2], sigma_c.shape[2]
     phase_sums = np.einsum("axq,bxr,zxu->abqrzu", pi_c, pi_c, sigma_c).reshape(4 * d * d, 2 * d_sigma)
     (sigma_keys, sigma_weights, sigma_offsets), paths = model._hamiltonian_terms
@@ -234,11 +249,8 @@ def interaction_hamiltonian(model: ScatteringModel, t: int) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class ScatteringSeries:
-    """Hamiltonians H(0..n-1), the orders, the step loop's S(n), max|S(n)| and the defects.
-
-    H(t) and order k are four blocks each, block s mapping sector s to s ^ 1 and to
-    s ^ (k mod 2); ``final`` is S(n) as its (even, odd) pair of such block tuples.
-    """
+    """H(0..n-1), the orders, S(n) as its (even, odd) parts, max|S(n)| and the defects;
+    block s of order k: the rows of sector s ^ (k mod 2) at sector s's representatives."""
 
     hamiltonians: tuple[tuple[np.ndarray, ...], ...]
     final: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
@@ -254,93 +266,98 @@ def _max_abs(blocks) -> float:
     return max((float(np.max(np.abs(b), initial=0.0)) for b in blocks), default=0.0)
 
 
-def _step(ih, even, odd) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(I + iH) X for X = even + odd, as new blocks: the even part gains iH times the odd
-    part, the odd part iH times the even part."""
-    return (
-        [e + ih[s ^ 1] @ o for s, (e, o) in enumerate(zip(even, odd))],
-        [o + ih[s] @ e for s, (e, o) in enumerate(zip(even, odd))],
+def scattering_series(model: ScatteringModel) -> ScatteringSeries:
+    """S, its orders and chains j = 0..n, the products of (I + i w_j H(t)), w_j = exp(2 pi
+    i j / (n + 1)), in one loop.  Row sector r holds, one row per representative column,
+    the items of column sector r (even orders, chains' even parts) and r ^ 1 (odd orders,
+    odd parts), so a step is one product with H(t)'s block r per sector; order k gains
+    i H(t) times order k - 1 and chain j i w_j H(t) times itself.  Chain 0 is S.  Chain j
+    must be the sum of w_j^k times order k: ``order_sum_defect`` is the worst entry off
+    at w = 1 and ``rotated_coupling_defect`` at the other roots, which bounds every order."""
+    n, dims = model.cfg.horizon, model.sector_dims
+    width = [len(orbit[0]) for orbit in model.orbits]
+    hams = [interaction_hamiltonian(model, t) for t in range(n)]
+    half = n // 2 + 1  # orders 0, 2, ..., 2 half - 2 and 1, 3, ..., 2 half - 1
+    count = half + n + 1  # items per column sector
+    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    scale = 1j * np.concatenate([np.ones(half), roots])[:, None, None]
+
+    def items(held: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:  # (item, column, row) views
+        cut, rows = count * width[r], held.shape[1]
+        return held[:cut].reshape(count, width[r], rows), held[cut:].reshape(count, width[r ^ 1], rows)
+
+    def step(h) -> None:
+        for r, product in enumerate([held[r] @ h[r].T for r in range(4)]):
+            even, odd = items(product, r)
+            even *= scale
+            odd *= scale
+            to_even, to_odd = parts[r ^ 1]  # column sectors r ^ 1 and r
+            to_odd += even  # order 2i to 2i + 1, each chain's even part to its odd part
+            to_even[1:half] += odd[: half - 1]  # order 2i + 1 to 2i + 2
+            to_even[half:] += odd[half:]
+
+    held = [np.zeros((count * (width[r] + width[r ^ 1]), dims[r]), dtype=complex) for r in range(4)]
+    parts = [items(held[r], r) for r in range(4)]
+    for (reps, _, _), (even, _) in zip(model.orbits, parts):  # order 0 and the chains start as I
+        even[np.r_[0, half:count][:, None], np.arange(len(reps)), reps] = 1
+    columns = [[part[half] for part in pair] for pair in parts]  # S, chain 0
+    defects = [_unitarity_defect(model, columns)]
+    for h in hams:
+        step(h)
+        defects.append(_unitarity_defect(model, columns))
+    summed = rotated = 0.0
+    for first, part in (item for pair in parts for item in enumerate(pair)):
+        powers = roots[:, None] ** np.arange(first, 2 * half, 2)  # powers of the rounded w
+        gap = part[half:] - np.einsum("jk,kcx->jcx", powers, part[:half])
+        worst = np.max(np.abs(gap), axis=(1, 2), initial=0.0)  # per root
+        summed, rotated = max(summed, worst[0]), max(rotated, *worst[1:], 0.0)
+
+    def blocks(k: int, item: int) -> tuple[np.ndarray, ...]:
+        return tuple(parts[s ^ k % 2][k % 2][item].T for s in range(4))
+
+    final = (blocks(0, half), blocks(1, half))
+    return ScatteringSeries(
+        hamiltonians=tuple(hams), final=final, final_orders=tuple(blocks(k, k // 2) for k in range(n + 1)),
+        final_max_abs=max(_max_abs(final[0]), _max_abs(final[1])), rotated_coupling_defect=float(rotated),
+        order_sum_defect=float(summed), unitarity_defects=tuple(defects),
     )
 
 
-def _unitarity_defect(even, odd) -> float:
-    """max|S^H S - I| for S = even + odd.  Column sector s of S is even[s] in rows s and
-    odd[s] in rows s ^ 1, so S^H S has two nonzero blocks per column: (s, s) and
-    (s ^ 1, s).  S^H S is self-adjoint, so block (s ^ 1, s) is taken for even s only."""
-    worst = 0.0
-    for s, (e, o) in enumerate(zip(even, odd)):
-        gram = e.conj().T @ e + o.conj().T @ o
-        gram.flat[:: len(gram) + 1] -= 1
-        worst = max(worst, _max_abs([gram]))
-        if s % 2 == 0:
-            worst = max(worst, _max_abs([even[s + 1].conj().T @ o + odd[s + 1].conj().T @ e]))
+def _unitarity_defect(model: ScatteringModel, columns) -> float:
+    """max|S^H S - I| from S's columns in each row sector r (sector r's, then r ^ 1's):
+    per column sector, one gather by the 24 row permutations and one product give every
+    (S^H S)[g.a, b] = <P_g S e_a, S e_b>, less 1 where g.a = b, i.e. g fixes a = b."""
+    dims, orbits, worst = model.sector_dims, model.orbits, 0.0
+    for s in (0, 2):
+        perms = np.concatenate([model.sector_permutations[s], model.sector_permutations[s + 1] + dims[s]], axis=1)
+        reps = np.concatenate([orbits[s][0], orbits[s + 1][0] + dims[s]])
+        (e0, o0), (e1, o1) = columns[s], columns[s + 1]
+        z = np.block([[e0, o1], [o0, e1]])  # columns of sectors s, s + 1 on the rows of both
+        for lo, hi in ((0, len(orbits[s][0])), (len(orbits[s][0]), len(reps))):
+            g, j = np.nonzero(perms[:, reps[lo:hi]] == reps[lo:hi])
+            gram = z[lo:hi].take(perms, axis=1).reshape(24 * (hi - lo), len(z.T)) @ z.conj().T  # [b, g, a]
+            gram.reshape(-1)[(j * 24 + g) * len(reps) + lo + j] -= 1
+            worst = max(worst, _max_abs([gram]))
     return worst
 
 
-def scattering_series(model: ScatteringModel) -> ScatteringSeries:
-    """Build S and its orders in one step loop, then check every order on the coupling circle.
-
-    Only orders 0..t are nonzero before step t, so it updates orders t+1 down to 1 in
-    place, each from the order below it before that one changes; the same iH(t) then
-    takes S(t) to S(t+1), whose max|S^H S - I| is taken before the next step.
-    At each w = exp(2 pi i j / (n + 1)) the chain (I + i w H(n-1)) ... (I + i w H(0))
-    must equal the sum of w^k times order k: ``order_sum_defect`` is the worst entry of
-    the difference at w = 1 and ``rotated_coupling_defect`` over the other n roots,
-    so by the inverse DFT no order is off anywhere by more than the larger.  The even
-    orders are compared with the even part, the odd orders with the odd part.
-    """
-    n = model.cfg.horizon
-    dims = model.sector_dims
-    hams = [interaction_hamiltonian(model, t) for t in range(n)]
-
-    def zeros(parity: int) -> list[np.ndarray]:
-        return [np.zeros((dims[s ^ parity], dims[s]), dtype=complex) for s in range(4)]
-
-    eye = [np.eye(d, dtype=complex) for d in dims]
-    orders = [eye] + [zeros(k % 2) for k in range(1, n + 1)]
-    even, odd, unitarity = eye, zeros(1), [0.0]  # S(0) = I is unitary
-    for t, h in enumerate(hams):
-        ih = [1j * b for b in h]
-        for k in range(t + 1, 0, -1):
-            below = (k - 1) % 2  # order k - 1 maps sector s to s ^ below
-            for s, (order, prev) in enumerate(zip(orders[k], orders[k - 1])):
-                order += ih[s ^ below] @ prev
-        even, odd = _step(ih, even, odd)
-        unitarity.append(_unitarity_defect(even, odd))
-
-    rotated = 0.0
-    for j in range(1, n + 1):
-        w = np.exp(2j * np.pi * j / (n + 1))
-        chain = (eye, zeros(1))
-        for h in hams:  # n >= 1 steps, so the chain's blocks are its own
-            chain = _step([b * (1j * w) for b in h], *chain)
-        powers = w ** np.arange(n + 1)  # powers of the rounded w
-        for parity, part in enumerate(chain):
-            for k in range(parity, n + 1, 2):
-                for block, order in zip(part, orders[k]):
-                    block -= order * powers[k]
-            rotated = max(rotated, _max_abs(part))
-    summed = max(
-        _max_abs(sum(order[s] for order in orders[parity::2]) - part[s] for s in range(4))
-        for parity, part in enumerate((even, odd))
-    )
-    return ScatteringSeries(
-        hamiltonians=tuple(hams),
-        final=(tuple(even), tuple(odd)),
-        final_orders=tuple(tuple(order) for order in orders),
-        final_max_abs=max(_max_abs(even), _max_abs(odd)),
-        rotated_coupling_defect=rotated,
-        order_sum_defect=summed,
-        unitarity_defects=tuple(unitarity),
-    )
-
-
 def self_adjoint_defect(series: ScatteringSeries) -> float:
-    """Worst |H - H^H| entry over the series' Hamiltonians, block s against the conjugate
-    transpose of block s ^ 1; 0.0 by construction."""
-    return max(
-        (_max_abs(h[s] - h[s ^ 1].conj().T for s in range(4)) for h in series.hamiltonians), default=0.0
-    )
+    """Worst |H - H^H| entry over the series' Hamiltonians, blocks 0 and 2 against the
+    adjoints of 1 and 3 (the reverse pairs are the same differences); 0.0 by construction."""
+    return max((_max_abs(h[s] - h[s ^ 1].conj().T for s in (0, 2)) for h in series.hamiltonians), default=0.0)
+
+
+GENERATORS = ("A", "M")  # generate G: what commutes with both P_g commutes with all 24
+
+
+def rotation_defect(model: ScatteringModel, series: ScatteringSeries) -> tuple[float, float]:
+    """Worst |P_g H P_g^T - H| entry for g in ``GENERATORS``, and max|H|, over blocks 0 and
+    2, whose adjoints are 1 and 3.  Rounding-level, not zero: a term and its image add into
+    their entries in different orders."""
+    perms, hams = model.sector_permutations, series.hamiltonians
+    images = [[p[symmetry.index(symmetry.element(label))] for p in perms] for label in GENERATORS]
+    worst = (_max_abs(h[s][np.ix_(p[s + 1], p[s])] - h[s] for s in (0, 2)) for p in images for h in hams)
+    return max(worst, default=0.0), max((_max_abs(h[0::2]) for h in hams), default=0.0)
 
 
 def two_pi_state(model: ScatteringModel, p: Vec4, q: Vec4) -> np.ndarray:
@@ -359,37 +376,29 @@ class AmplitudeReport:
 
 
 def amplitude(
-    model: ScatteringModel,
-    incoming: tuple[Vec4, Vec4],
-    outgoing: tuple[Vec4, Vec4],
-    series: ScatteringSeries,
+    model: ScatteringModel, incoming: tuple[Vec4, Vec4], outgoing: tuple[Vec4, Vec4], series: ScatteringSeries
 ) -> AmplitudeReport:
     """<out| S |in> for two-particle states of the first species, read from ``series``:
-    block s of an operator of Q-parity e takes the in-state's part in sector s to the
-    out-state's part in sector s ^ e."""
-    vec_in, vec_out = two_pi_state(model, *incoming), two_pi_state(model, *outgoing)
-    parts_in, parts_out = ([vec[ix] for ix in model.sectors] for vec in (vec_in, vec_out))
+    |in> = e_{g.r} in sector 0, so S|in> = P_g S e_r, paired with <out| read at g-images."""
+    reps, element, rep = model.orbits[0]
+    local = np.searchsorted(model.sectors[0], np.flatnonzero(two_pi_state(model, *incoming))[0])
+    g, column = element[local], np.searchsorted(reps, rep[local])
+    vec_out = two_pi_state(model, *outgoing)
+    parts_out = [vec_out[ix][perms[g]] for ix, perms in zip(model.sectors, model.sector_permutations)]
 
     def bracket(blocks, parity: int) -> complex:
-        return complex(sum(np.vdot(parts_out[s ^ parity], b @ parts_in[s]) for s, b in enumerate(blocks)))
+        return complex(0.0 + np.vdot(parts_out[parity], blocks[0][:, column]))
 
     per_order = tuple(bracket(order, k % 2) for k, order in enumerate(series.final_orders))
     total = bracket(series.final[0], 0) + bracket(series.final[1], 1)
-    return AmplitudeReport(
-        total=total,
-        per_order=per_order,
-        probability=float(abs(total) ** 2),
-        dims=(model.pi_space.dim, model.sigma_space.dim),
-    )
+    return AmplitudeReport(total, per_order, float(abs(total) ** 2), (model.pi_space.dim, model.sigma_space.dim))
 
 
 def order_parity_check(
     report: AmplitudeReport, incoming: tuple[Vec4, Vec4], outgoing: tuple[Vec4, Vec4]
 ) -> dict:
     """Odd-order maximum, |order 0| and order 2 of ``report``, and whether in and out differ."""
-    odd_max = max(
-        (abs(c) for k, c in enumerate(report.per_order) if k % 2 == 1), default=0.0
-    )
+    odd_max = max((abs(c) for k, c in enumerate(report.per_order) if k % 2 == 1), default=0.0)
     return {
         "odd_order_max": odd_max,
         "order0": abs(report.per_order[0]),

@@ -41,6 +41,7 @@ __all__ = [
     "build_table",
     "table_diff_vs_printed",
     "generate_from",
+    "orbits",
     "verify_subgroups",
     "pairwise_generators",
     "lift_to4",
@@ -198,6 +199,16 @@ def generate_from(gens) -> set[GroupElement]:
         if np.array_equal(grown, seen):
             return {_ELEMENTS[i] for i in np.flatnonzero(seen)}
         seen = grown
+
+
+def orbits(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the permutation group whose row g sends i to ``perms[g, i]``: each orbit's
+    least index (column i of the stack is i's orbit), ascending, and for every index i
+    an element g and that representative r with ``perms[g, r] == i``."""
+    indices = np.arange(perms.shape[1])
+    rep = perms.min(axis=0)
+    element = np.argmax(perms[:, rep] == indices, axis=0)
+    return np.flatnonzero(rep == indices), element, rep
 
 
 def _is_subgroup(labels: tuple[str, ...]) -> dict:

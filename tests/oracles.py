@@ -9,7 +9,8 @@ coordinate grid against the parent links looked up by key, sumset check and
 closed-form pair counts, set comparisons against integer matrices, explicit
 step products and the 2^n sum over decreasing time tuples against the step
 recursion and its orders checked on the coupling circle, the dense
-Hamiltonian and step loop against the graded series' parity blocks, the
+Hamiltonian and step loop and the whole parity-block series against the
+series on orbit representative columns, the
 dense xi matrix, dense matrix products and the dense commutator against the
 Fock layer's ladder entries and bracket tables, a per-call ladder-map scan
 against the cached entries, the scalar phase against the phase rows,
@@ -19,7 +20,8 @@ per-object triples and per-element spinor comparisons against their stacks,
 a converted copy of a report passed to ``json.dumps`` and a line-list walk
 against the one-pass renderers), so the tests can diff the fast path
 against it on small cases.  It also holds the helpers that only tests call:
-sorted eigensystems, the Poincare identity and inverse, and the
+sorted eigensystems, the Poincare identity, inverse and action on a vector,
+the symmetry action ``rep_v``, a field operator applied to a vector, and the
 spin-tensored single-particle representation.
 """
 
@@ -35,7 +37,9 @@ import numpy as np
 
 from causet_qft import paperdata
 from causet_qft.causet import _STEP_ARRAY, CovarianceReport, History, Speed, parent_histogram
-from causet_qft.fock import FieldOperator, FockSpace, _bracket_terms, _phases, basis_unit, xi_entries
+from causet_qft.fock import (
+    FieldOperator, FockSpace, _apply, _bracket_terms, _monomials, _phases, basis_unit, xi_entries
+)
 from causet_qft.lattice import (
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
@@ -49,7 +53,8 @@ from causet_qft.lattice import (
 )
 from causet_qft.momentum import Hyperboloid, PoincareElement
 from causet_qft.representations import SignConvention, _principal_angle, cal_u, spinor_of
-from causet_qft.scattering import InteractionConfig, ScatteringModel, ScatteringSeries, _window_rows
+from causet_qft.scattering import InteractionConfig, ScatteringModel, ScatteringSeries, _max_abs, _window_rows
+from causet_qft.scattering import interaction_hamiltonian as block_hamiltonian
 from causet_qft.symmetry import BoostCertificate, GroupElement, apply4, elements, inverse, multiply
 
 
@@ -429,6 +434,25 @@ def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
+def apply(op: FieldOperator, vec: np.ndarray) -> np.ndarray:
+    """The field operator applied to a vector, one scatter-add over its entries."""
+    return _apply(op.fock.dim, op._entries(), vec)
+
+
+def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary symmetry action as ``(perm, amp)``, the monomial V[perm[c], c] = amp[c]:
+    the rotation permutes each multiset's points (so V is block-diagonal over sectors)
+    and the translation multiplies in the phases of the mapped points; ``perm`` is
+    read-only."""
+    amp = _monomials(fock, [PoincareElement(y, rot)])[1][0]
+    return fock.sector_permutation(rot), amp
+
+
+def poincare_apply(g: PoincareElement, x: Vec4) -> Vec4:
+    """The Poincare element's action x -> y + Yx on one spacetime vector."""
+    return g.translation + apply4(g.rotation, x)
+
+
 def window_slice(cfg: InteractionConfig, t: int) -> tuple[Vec4, ...]:
     """Cone vertices at time t within the configured spatial radius, one ``Vec4`` each."""
     return tuple(Vec4(*row) for row in _window_rows(cfg, t).tolist())
@@ -504,6 +528,94 @@ def densify(model: ScatteringModel, blocks, parity: int) -> np.ndarray:
     out = np.zeros((model.dim, model.dim), dtype=complex)
     for s, block in enumerate(blocks):
         out[np.ix_(model.sectors[s ^ parity], model.sectors[s])] = block
+    return out
+
+
+def _step(ih, even, odd) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(I + iH) X for X = even + odd, as new blocks: the even part gains iH times the odd
+    part, the odd part iH times the even part."""
+    return (
+        [e + ih[s ^ 1] @ o for s, (e, o) in enumerate(zip(even, odd))],
+        [o + ih[s] @ e for s, (e, o) in enumerate(zip(even, odd))],
+    )
+
+
+def graded_unitarity_defect(even, odd) -> float:
+    """max|S^H S - I| for S = even + odd on whole parity blocks.  Column sector s of S is
+    even[s] in rows s and odd[s] in rows s ^ 1, so S^H S has two nonzero blocks per
+    column: (s, s) and (s ^ 1, s), the latter taken for even s only (S^H S is self-adjoint)."""
+    worst = 0.0
+    for s, (e, o) in enumerate(zip(even, odd)):
+        gram = e.conj().T @ e + o.conj().T @ o
+        gram.flat[:: len(gram) + 1] -= 1
+        worst = max(worst, _max_abs([gram]))
+        if s % 2 == 0:
+            worst = max(worst, _max_abs([even[s + 1].conj().T @ o + odd[s + 1].conj().T @ e]))
+    return worst
+
+
+def graded_series(model: ScatteringModel) -> ScatteringSeries:
+    """The series on whole parity blocks, as the library built it before the orbit columns:
+    orders t + 1 down to 1 updated in place at step t, S(n) and each S(k)'s unitarity
+    defect, then the chain at every root of unity w != 1 of order n + 1 against the sum
+    of w^k times order k.  Block s of every operator holds all of sector s's columns."""
+    n = model.cfg.horizon
+    dims = model.sector_dims
+    hams = [block_hamiltonian(model, t) for t in range(n)]
+
+    def zeros(parity: int) -> list[np.ndarray]:
+        return [np.zeros((dims[s ^ parity], dims[s]), dtype=complex) for s in range(4)]
+
+    eye = [np.eye(d, dtype=complex) for d in dims]
+    orders = [eye] + [zeros(k % 2) for k in range(1, n + 1)]
+    even, odd, unitarity = eye, zeros(1), [0.0]
+    for t, h in enumerate(hams):
+        ih = [1j * b for b in h]
+        for k in range(t + 1, 0, -1):
+            below = (k - 1) % 2
+            for s, (order, prev) in enumerate(zip(orders[k], orders[k - 1])):
+                order += ih[s ^ below] @ prev
+        even, odd = _step(ih, even, odd)
+        unitarity.append(graded_unitarity_defect(even, odd))
+
+    rotated = 0.0
+    for j in range(1, n + 1):
+        w = np.exp(2j * np.pi * j / (n + 1))
+        chain = (eye, zeros(1))
+        for h in hams:
+            chain = _step([b * (1j * w) for b in h], *chain)
+        powers = w ** np.arange(n + 1)
+        for parity, part in enumerate(chain):
+            for k in range(parity, n + 1, 2):
+                for block, order in zip(part, orders[k]):
+                    block -= order * powers[k]
+            rotated = max(rotated, _max_abs(part))
+    summed = max(
+        _max_abs(sum(order[s] for order in orders[parity::2]) - part[s] for s in range(4))
+        for parity, part in enumerate((even, odd))
+    )
+    return ScatteringSeries(
+        hamiltonians=tuple(hams),
+        final=(tuple(even), tuple(odd)),
+        final_orders=tuple(tuple(order) for order in orders),
+        final_max_abs=max(_max_abs(even), _max_abs(odd)),
+        rotated_coupling_defect=rotated,
+        order_sum_defect=summed,
+        unitarity_defects=tuple(unitarity),
+    )
+
+
+def expand(model: ScatteringModel, blocks, parity: int) -> list[np.ndarray]:
+    """Whole parity blocks of a G-invariant operator of Q-parity ``parity`` from its blocks
+    at the representative columns: the column of state i = g.r is P_g times column r,
+    so its entry at row g.x is column r's entry at row x."""
+    out = []
+    for s, block in enumerate(blocks):
+        reps, element, rep = model.orbits[s]
+        rows = model.sector_permutations[s ^ parity][element]  # row i: the g of state i
+        full = np.empty((model.sector_dims[s ^ parity], model.sector_dims[s]), dtype=complex)
+        full[rows.T, np.arange(len(rep))] = block[:, np.searchsorted(reps, rep)]
+        out.append(full)
     return out
 
 

@@ -369,6 +369,7 @@ def test_scatter(capsys):
         "orders_match_rotated_couplings": bundle["payload"]["rotated_coupling_defect"],
         "orders_sum_to_series": details["orders_sum_to_series"],
         "hamiltonians_self_adjoint": 0.0,
+        "hamiltonians_rotation_invariant": details["hamiltonians_rotation_invariant"],
         "odd_orders_vanish": bundle["payload"]["odd_order_max"],
         "order_zero_vanishes_for_distinct_states": 0.0,
     }
@@ -402,7 +403,7 @@ def test_scatter_at_horizon_12_is_quick(capsys):
     assert time.monotonic() - start < 3
     assert code == 0
     checks = json.loads(out)["summary"]["checks"]
-    assert len(checks) == 5 and all(c["passed"] for c in checks)
+    assert len(checks) == 6 and all(c["passed"] for c in checks)
 
 
 def test_scatter_bad_indices(capsys):
@@ -435,6 +436,66 @@ def test_scatter_index_pair_must_be_two_integers(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: expected two comma-separated integers, got '{value}'" in captured.err
+
+
+def test_scatter_rejects_horizon_0(capsys):
+    """At horizon 0 there is no H(t) and no root of unity to check: a named error, not a
+    vacuous pass (the library still builds the trivial series)."""
+    code, out, err = run_cli(
+        capsys, "scatter", "--g", "0.1", "--m2", "0", "--M2", "1", "--horizon", "0", "--window", "0"
+    )
+    assert (code, out) == (1, "")
+    assert "error: --horizon must be at least 1 (no H(t) to check at 0), got 0" in err
+    assert "Traceback" not in err
+
+
+def test_scatter_rotation_gate_sees_one_perturbed_entry(capsys, monkeypatch):
+    """H(t) with one entry and its adjoint moved by 1e-6 max|H| is still self-adjoint and
+    its series still consistent, but no longer commutes with the rotations, which the
+    orbit columns assume: only ``hamiltonians_rotation_invariant`` fails."""
+    original = scattering.interaction_hamiltonian
+
+    def perturbed(model, t):
+        blocks = [b.copy() for b in original(model, t)]
+        blocks[0][3, 5] += 1e-6 * max(np.max(np.abs(b)) for b in blocks)
+        blocks[1] = blocks[0].conj().T
+        return tuple(blocks)
+
+    monkeypatch.setattr(scattering, "interaction_hamiltonian", perturbed)
+    code, out, err = run_cli(
+        capsys, "--format", "json", "scatter", "--g", "0.1", "--m2", "0", "--M2", "1", "--horizon", "3", "--window", "1"
+    )
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["summary"]["checks"]}
+    assert [name for name, c in checks.items() if not c["passed"]] == ["hamiltonians_rotation_invariant"]
+    assert checks["hamiltonians_rotation_invariant"]["detail"] > 1e-7
+    assert checks["hamiltonians_self_adjoint"]["detail"] == 0.0
+    assert err.splitlines()[-1] == "FAILED: hamiltonians_rotation_invariant"
+
+
+def test_benchmark_invocations_leave_numpy_ma_unimported():
+    """A plain ``np.unique`` imports ``numpy.ma`` (about 14 ms cold); after the eleven
+    invocations of ``perfbench/workloads.py`` at its default seed a fresh process has
+    not imported it."""
+    child = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parents[1] / 'perfbench')!r})\n"
+        "import workloads\n"
+        "from causet_qft.cli import main\n"
+        "invocations = [inv for name in workloads.WORKLOADS for inv in workloads.build(name, workloads.DEFAULT_SEED)]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(workloads.argv_of(inv)) for inv in invocations]\n"
+        "print(len(codes), set(codes), 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(causet_qft.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["11", "{0}", "False"]
 
 
 def test_scatter_too_large_for_memory_is_a_named_error(capsys):
@@ -543,10 +604,10 @@ def test_series_gates_scale_with_the_series(capsys):
 def test_scatter_fails_on_weight_moved_between_orders(capsys, monkeypatch):
     """A genuine fault that the sum of the orders cannot see: order 1 ends E above its
     value and order 3 E below, with S(n) and the odd part of the sum unchanged; E is odd,
-    as both orders are.  Order 1 starts at E, order 2 at F = -i(H(1) + H(2)) E, which
-    cancels the iH(1) E and iH(2) E that the steps add into order 2, and order 3 at
-    -(I + H(2)^2) E, which cancels iH(2) (F + iH(1) E) = H(2)^2 E and leaves -E.  E joins
-    the vacuum to a one-sigma state, so no two-pi amplitude moves."""
+    as both orders are.  Every step t adds iH(t) times order k - 1 into order k, so order
+    1 starts at E, order 2 at F = -i(H(0) + H(1) + H(2)) E, which cancels the iH(t) E the
+    steps add into it, and order 3 at -E less the iH(t) times order 2 they add into it.
+    E joins the vacuum to a one-sigma state, so no two-pi amplitude moves."""
     cfg = scattering.InteractionConfig(
         coupling=0.1, pi_mass_sq=0, sigma_mass_sq=1, energy_cap=1,
         pi_particle_cap=2, sigma_particle_cap=1, window_radius=0, horizon=3,
@@ -560,21 +621,34 @@ def test_scatter_fails_on_weight_moved_between_orders(capsys, monkeypatch):
 
     fault = [np.zeros((dims[s ^ 1], dims[s]), dtype=complex) for s in range(4)]
     fault[0][0, 0] = 1e-6  # from the vacuum, sector 0, to sector 1
-    order2 = [-1j * (a + b) for a, b in zip(times_h(hams[1], fault, 1), times_h(hams[2], fault, 1))]
-    order3 = [-(e + hhe) for e, hhe in zip(fault, times_h(hams[2], times_h(hams[2], fault, 1), 0))]
-    starts = iter([*fault, *order2, *order3])
+    h_fault = [times_h(h, fault, 1) for h in hams]
+    order2 = [-1j * sum(parts) for parts in zip(*h_fault)]
+    order3, before = [-e for e in fault], order2  # before: order 2 ahead of step t
+    for h, hf in zip(hams, h_fault):
+        order3 = [o - 1j * x for o, x in zip(order3, times_h(h, before, 0))]
+        before = [b + 1j * x for b, x in zip(before, hf)]
+    # The vacuum is the first representative of sector 0.  The series holds, in row
+    # sector r, each column of column sector r's items (orders 0 and 2, then the four
+    # chains' even parts) and then of column sector r ^ 1's (orders 1 and 3, then the
+    # chains' odd parts) as a row: order 2 starts in row sector 0, orders 1 and 3 in 1.
+    width = [len(orbit[0]) for orbit in model.orbits]
+    starts = {0: [(1 * width[0], order2[0])], 1: [(6 * width[1], fault[0]), (6 * width[1] + width[0], order3[0])]}
+    calls = iter(range(4))
 
     class StartsAtTheFault:
-        """``numpy`` whose ``zeros`` hands out the starting blocks of orders 1..3, then zeros."""
+        """``numpy`` whose complex ``zeros`` hands out the row sectors' items with the
+        starts of orders 1..3 at the vacuum's column."""
 
         def __getattr__(self, name):
             return getattr(np, name)
 
         def zeros(self, shape, dtype):
-            start = next(starts, None)
-            return np.zeros(shape, dtype) if start is None else start
+            held = np.zeros(shape, dtype)
+            for row, block in starts.get(next(calls, None), []) if dtype is complex else ():
+                held[row] = block[:, 0]
+            return held
 
-    # Hamiltonians built beforehand, so the orders are the series' only zeros calls
+    # Hamiltonians built beforehand, so the row sectors' items are the series' only complex zeros
     monkeypatch.setattr(scattering, "interaction_hamiltonian", lambda model, t: hams[t])
     monkeypatch.setattr(scattering, "np", StartsAtTheFault())
     code, out, err = run_cli(
@@ -725,7 +799,7 @@ CHECK_NAMES = {
     ],
     "scatter": [
         "orders_match_rotated_couplings", "orders_sum_to_series", "hamiltonians_self_adjoint",
-        "odd_orders_vanish", "order_zero_vanishes_for_distinct_states",
+        "hamiltonians_rotation_invariant", "odd_orders_vanish", "order_zero_vanishes_for_distinct_states",
     ],
 }
 

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from causet_qft import fock, scattering
+from causet_qft import fock, scattering, symmetry
 from causet_qft.fock import FockSpace, fock_space, phi, psi
 from causet_qft.lattice import Vec4
 from causet_qft.momentum import hyperboloid
@@ -26,7 +26,18 @@ from causet_qft.scattering import (
     scattering_series,
     two_pi_state,
 )
-from oracles import dense_series, densify, difference_op, expansion_formula, product_formula, window_slice, xi_matrix
+from oracles import (
+    dense_series,
+    densify,
+    difference_op,
+    expand,
+    expansion_formula,
+    graded_series,
+    graded_unitarity_defect,
+    product_formula,
+    window_slice,
+    xi_matrix,
+)
 from oracles import interaction_hamiltonian as dense_hamiltonian
 
 
@@ -144,7 +155,7 @@ def test_series_orders_are_the_tuple_sums(window_radius):
     series = scattering_series(m)
     want = _tuple_sums([1j * densify(m, h, 1) for h in series.hamiltonians], m.dim)
     for k, (got, order) in enumerate(zip(series.final_orders, want, strict=True)):
-        assert np.max(np.abs(densify(m, got, k % 2) - order)) <= 1e-12 * series.final_max_abs
+        assert np.max(np.abs(_full(m, got, k % 2) - order)) <= 1e-12 * series.final_max_abs
 
 
 @pytest.fixture(scope="module")
@@ -181,8 +192,7 @@ def test_memory_guard_estimates_the_model_dimension(
     )
     m = build_model(cfg)
     dim = m.dim
-    # at horizon 1, 11/2 even and 15/2 odd graded operators of complex entries, one byte short
-    need = 8 * (11 * _even_entries(m) + 15 * _odd_entries(m))
+    need = _guard_bytes(m)  # one byte short, then exactly enough
     monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1}.get(name, need - 1))
     with pytest.raises(ValueError, match=f"series at D = {dim} needs about"):
         build_model(cfg)
@@ -190,20 +200,31 @@ def test_memory_guard_estimates_the_model_dimension(
     assert build_model(cfg).dim == dim
 
 
-def _even_entries(model):
-    """Entries of an even graded operator: the sum of the squared sector sizes."""
-    return sum(d * d for d in model.sector_dims)
-
-
-def _odd_entries(model):
-    """Entries of an odd graded operator: block s is |s ^ 1| x |s|."""
+def _hamiltonian_entries(model):
+    """Entries of H(t): block s is |s ^ 1| x |s|."""
     d = model.sector_dims
     return sum(d[s ^ 1] * d[s] for s in range(4))
 
 
+def _guard_bytes(model):
+    """The guard's arithmetic from the built model: its sector sizes, its orbits as
+    ``symmetry.orbits`` finds them and its two-step pi paths as the product tables list
+    them, against the closed forms the guard uses before any sector exists."""
+    n, d = model.cfg.horizon, model.sector_dims
+    w = [len(orbit[0]) for orbit in model.orbits]
+    rows = [d[s] + d[s ^ 1] for s in range(4)]
+    pair = [w[s] + w[s ^ 1] for s in range(4)]
+    held = (n // 2 + n + 2) * sum(r * c for r, c in zip(rows, w))
+    gram = max(24 * w[s] * (rows[s] + pair[s]) + 2 * rows[s] * pair[s] for s in range(4))
+    roles = ("annihilates", "creates")
+    paths = sum(len(model.pi_space.product_table(x, y)[0]) for x in roles for y in roles)
+    entries = (n + 1) * _hamiltonian_entries(model) + held + max(held, gram) + paths
+    return 16 * entries + 8 * (51 * model.dim + 24 * (model.pi_space.dim + model.sigma_space.dim))
+
+
 def _guard_and_traced_peak(monkeypatch, pi_mass_sq, sigma_mass_sq, energy_cap, horizon):
-    """The guard's estimate for a model, one even graded operator in bytes, the model's
-    sector sizes and the series' traced peak."""
+    """The guard's estimate for a model, one H(t) in bytes, the model's sector sizes and
+    the series' traced peak."""
     cfg = InteractionConfig(
         coupling=0.1,
         pi_mass_sq=pi_mass_sq,
@@ -223,13 +244,14 @@ def _guard_and_traced_peak(monkeypatch, pi_mass_sq, sigma_mass_sq, energy_cap, h
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return needs[0], 16 * _even_entries(model), model.sector_dims, peak
+    assert needs == [_guard_bytes(model)]
+    return needs[0], 16 * _hamiltonian_entries(model), model.sector_dims, peak
 
 
 @pytest.mark.parametrize("horizon", [2, 4, 8])
 def test_memory_guard_counts_the_series_peak(monkeypatch, horizon):
-    """The guard's operator counts are the traced peak of the series, rounded up to within
-    one even graded operator; here the odd operators are as large as the even ones."""
+    """The guard's count is the traced peak of the series, rounded up to within one H(t);
+    here the odd-pi sectors are a seventh of the even ones."""
     need, operator, dims, peak = _guard_and_traced_peak(monkeypatch, 0, 1, 1, horizon)
     assert dims == (92, 92, 13, 13)
     assert need - operator <= peak <= need
@@ -237,8 +259,8 @@ def test_memory_guard_counts_the_series_peak(monkeypatch, horizon):
 
 @pytest.mark.parametrize("horizon", [2, 4, 8])
 def test_memory_guard_counts_the_peak_of_unequal_sigma_sectors(monkeypatch, horizon):
-    """With six sigma points an odd operator is a third of an even one, and the guard
-    still rounds the traced peak up to within one even operator."""
+    """With six sigma points H(t) is a third of an even operator, and the guard still
+    rounds the traced peak up to within one H(t)."""
     need, operator, dims, peak = _guard_and_traced_peak(monkeypatch, 2, 2, 2, horizon)
     assert dims == (22, 132, 6, 36)
     assert need - operator <= peak <= need
@@ -368,11 +390,11 @@ def test_hamiltonian_zero_coupling(model):
     assert not any(block.any() for block in interaction_hamiltonian(m0, 0))
     series = scattering_series(m0)
     steps = _graded_steps(m0, series.hamiltonians)
-    assert _same_blocks(series.final, steps[-1])
-    even, odd = series.final
+    assert _same_blocks(_full_pair(m0, series.final), steps[-1])
+    even, odd = _full_pair(m0, series.final)
     assert all(np.array_equal(block, np.eye(len(block))) for block in even)
     assert not any(block.any() for block in odd)
-    assert series.unitarity_defects == tuple(scattering._unitarity_defect(*s) for s in steps) == (0.0,) * 3
+    assert series.unitarity_defects == tuple(graded_unitarity_defect(*s) for s in steps) == (0.0,) * 3
 
 
 def test_hamiltonian_single_point_hand_check():
@@ -421,25 +443,51 @@ def _same_blocks(got, want):
     return all(np.array_equal(a, b) for blocks in pairs for a, b in blocks)
 
 
+def _full(model, blocks, parity):
+    """A G-invariant operator of Q-parity ``parity`` as a dense D x D matrix from its blocks
+    at the representative columns."""
+    return densify(model, expand(model, blocks, parity), parity)
+
+
+def _at_reps(model, blocks, parity):
+    """The D x (representatives) matrix of an operator's representative columns, sector
+    by sector, from its blocks."""
+    out = []
+    for s, block in enumerate(blocks):
+        columns = np.zeros((model.dim, block.shape[1]), dtype=complex)
+        columns[model.sectors[s ^ parity]] = block
+        out.append(columns)
+    return np.hstack(out)
+
+
+def _full_pair(model, pair):
+    """The (even, odd) pair of S on whole parity blocks."""
+    return tuple(expand(model, blocks, parity) for parity, blocks in enumerate(pair))
+
+
 def _dense(model, pair):
-    """S as a dense D x D matrix from its (even, odd) pair."""
-    return densify(model, pair[0], 0) + densify(model, pair[1], 1)
+    """S as a dense D x D matrix from its (even, odd) pair at the representative columns."""
+    return _full(model, pair[0], 0) + _full(model, pair[1], 1)
 
 
 def test_series_recursion_properties(model):
     series = scattering_series(model)
     assert series.rotated_coupling_defect < 1e-9
-    # S(0..n) rebuilt one factor at a time: the series keeps the last bit for bit
-    # and took each step's unitarity defect from the S(k) it then held
+    # S(0..n) rebuilt one factor at a time on whole parity blocks: the series' S(n) and
+    # each step's unitarity defect agree with them to rounding
     steps = _graded_steps(model, series.hamiltonians)
-    assert _same_blocks(series.final, steps[-1])
-    assert series.unitarity_defects == tuple(scattering._unitarity_defect(*s) for s in steps)
+    scale = series.final_max_abs
+    for got, want in zip(_full_pair(model, series.final), steps[-1], strict=True):
+        assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) <= 1e-14 * scale
+    want = [graded_unitarity_defect(*s) for s in steps]
+    assert series.unitarity_defects == pytest.approx(want, rel=1e-12, abs=0)
     # the last step adds iH(n-1) S(n-1) to the rebuilt S(n-1)
-    before, final = _dense(model, steps[-2]), _dense(model, series.final)
+    before = densify(model, steps[-2][0], 0) + densify(model, steps[-2][1], 1)
+    final = _dense(model, series.final)
     (last,) = difference_op([before, final])
     assert np.max(np.abs(last - 1j * densify(model, series.hamiltonians[-1], 1) @ before)) < 1e-10
     # per-order pieces sum to the final operator
-    total = sum(densify(model, order, k % 2) for k, order in enumerate(series.final_orders))
+    total = sum(_full(model, order, k % 2) for k, order in enumerate(series.final_orders))
     assert np.max(np.abs(total - final)) < 1e-10
 
 
@@ -460,7 +508,9 @@ def _reference_orders(model, hams):
 @pytest.mark.parametrize("window_radius", [0, 1])
 @pytest.mark.parametrize("horizon", range(6))
 def test_final_orders_match_full_recursion(horizon, window_radius):
-    """Skipping the orders that are still zero changes no bit, signed zeros included."""
+    """The block oracle skips the orders that are still zero, which changes no bit, signed
+    zeros included; the orbit series updates every order at every step, as the n^2
+    recursion does, and its representative columns agree with it to rounding."""
     cfg = InteractionConfig(
         coupling=0.1,
         pi_mass_sq=0,
@@ -472,14 +522,19 @@ def test_final_orders_match_full_recursion(horizon, window_radius):
         horizon=horizon,
     )
     m = build_model(cfg)
-    series = scattering_series(m)
-    reference = _reference_orders(m, series.hamiltonians)
-    assert len(series.final_orders) == len(reference) == horizon + 1
-    for got_blocks, want_blocks in zip(series.final_orders, reference):
+    graded = graded_series(m)
+    reference = _reference_orders(m, graded.hamiltonians)
+    assert len(graded.final_orders) == len(reference) == horizon + 1
+    for got_blocks, want_blocks in zip(graded.final_orders, reference):
         for got, want in zip(got_blocks, want_blocks, strict=True):
             assert np.array_equal(got, want)
             for part in ("real", "imag"):
                 assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+    series = scattering_series(m)
+    scale = max(series.final_max_abs, *(np.max(np.abs(b)) for blocks in reference for b in blocks))
+    for k, (got_blocks, want_blocks) in enumerate(zip(series.final_orders, reference, strict=True)):
+        for s, (got, want) in enumerate(zip(got_blocks, want_blocks, strict=True)):
+            assert np.max(np.abs(got - want[:, m.orbits[s][0]]), initial=0.0) <= 1e-14 * scale
 
 
 def test_series_one_step(model):
@@ -496,7 +551,10 @@ def test_series_one_step(model):
     m1 = build_model(cfg1)
     series = scattering_series(m1)
     expected = np.eye(m1.dim, dtype=complex) + 1j * densify(m1, interaction_hamiltonian(m1, 0), 1)
-    assert np.max(np.abs(_dense(m1, series.final) - expected)) == 0.0
+    # I + iH at the representative columns, exactly: each is one column of H times i
+    reps = np.concatenate([ix[orbit[0]] for ix, orbit in zip(m1.sectors, m1.orbits)])
+    got = _at_reps(m1, series.final[0], 0) + _at_reps(m1, series.final[1], 1)
+    assert np.max(np.abs(got - expected[:, reps])) == 0.0
 
 
 def test_series_two_steps_order_pattern(model):
@@ -517,7 +575,7 @@ def test_series_two_steps_order_pattern(model):
     # later time acts on the left of earlier time
     expected = eye + 1j * (h0 + h1) + (1j**2) * (h1 @ h0)
     assert np.max(np.abs(_dense(m2, series.final) - expected)) < 1e-12
-    assert np.max(np.abs(densify(m2, series.final_orders[2], 0) - (1j**2) * (h1 @ h0))) < 1e-12
+    assert np.max(np.abs(_full(m2, series.final_orders[2], 0) - (1j**2) * (h1 @ h0))) < 1e-12
 
 
 def test_unitarity_defect_structure(model):
@@ -634,23 +692,30 @@ DENSE_CASES = [
     ids=[*(f"horizon{n}-window{w}" for w in (0, 1) for n in range(6)), "nsigma2", "pi_empty", "g0"],
 )
 def test_graded_series_matches_the_dense_oracle(case):
-    """The parity blocks against the dense Hamiltonian and step loop they replace."""
+    """The orbit columns against the whole parity blocks of the block oracle and against
+    the dense Hamiltonian and step loop: an orbit column's images under the 24 rotations
+    fill its sector's columns."""
     m = _dense_case(case)
-    series, dense = scattering_series(m), dense_series(m)
+    series, graded, dense = scattering_series(m), graded_series(m), dense_series(m)
     for h, want in zip(series.hamiltonians, dense.hamiltonians, strict=True):
         # the selection rule: the dense H is an exact zero off the graded blocks
         support = densify(m, [np.ones_like(b) for b in h], 1) != 0
         assert not want[~support].any()
         assert np.max(np.abs(densify(m, h, 1) - want)) <= 1e-14 * np.max(np.abs(want))
-    for k, (got, want) in enumerate(zip(series.final_orders, dense.final_orders, strict=True)):
-        assert np.max(np.abs(densify(m, got, k % 2) - want)) <= 1e-14 * np.max(np.abs(want))
+    orders = zip(series.final_orders, graded.final_orders, dense.final_orders, strict=True)
+    for k, (got, blocks, want) in enumerate(orders):
+        full = expand(m, got, k % 2)
+        scale = np.max(np.abs(want))
+        assert max(np.max(np.abs(a - b), initial=0.0) for a, b in zip(full, blocks)) <= 1e-14 * scale
+        assert np.max(np.abs(densify(m, full, k % 2) - want)) <= 1e-14 * scale
     assert np.max(np.abs(_dense(m, series.final) - dense.final)) <= 1e-14 * dense.final_max_abs
-    assert series.final_max_abs == pytest.approx(dense.final_max_abs, rel=1e-14)
-    assert series.unitarity_defects == pytest.approx(dense.unitarity_defects, rel=1e-12, abs=0)
+    for other in (graded, dense):
+        assert series.final_max_abs == pytest.approx(other.final_max_abs, rel=1e-14)
+        assert series.unitarity_defects == pytest.approx(other.unitarity_defects, rel=1e-12, abs=0)
     bound = 1e-13 * series.final_max_abs
     assert series.rotated_coupling_defect < bound and series.order_sum_defect < bound
     if m.cfg.coupling == 0:
-        even, odd = series.final
+        even, odd = _full_pair(m, series.final)
         assert all(np.array_equal(block, np.eye(len(block))) for block in even)
         assert not any(block.any() for block in odd)
         assert series.unitarity_defects == (0.0,) * (m.cfg.horizon + 1)
@@ -707,3 +772,35 @@ def test_sectors_partition_the_tensor_basis_by_parity(case, dims):
     for s, ix in enumerate(m.sectors):
         pi, sigma = np.divmod(ix, m.sigma_space.dim)
         assert np.all(pi_number[pi] % 2 == s // 2) and np.all(sigma_number[sigma] % 2 == s % 2)
+
+
+@pytest.mark.parametrize(
+    "changes, dim, counts",
+    [
+        ({}, 210, (9, 9, 2, 2)),
+        ({"pi_particle_cap": 3}, 1120, (9, 9, 30, 30)),
+        ({"pi_particle_cap": 4}, 4760, (106, 106, 30, 30)),
+        ({"energy_cap": 2}, 9126, None),
+    ],
+    ids=["D210", "D1120", "D4760", "D9126"],
+)
+def test_orbits_partition_each_sector(changes, dim, counts):
+    """22, 78, 272 and 403 orbits: each sector's states are g.r for its representatives
+    r, every state's representative is the least of its orbit, and Burnside's count from
+    the hyperboloids alone (the memory guard's) is the number found."""
+    m = _dense_case({"window_radius": 0, "horizon": 1, **changes})
+    assert m.dim == dim
+    found = tuple(len(orbit[0]) for orbit in m.orbits)
+    assert sum(found) == {210: 22, 1120: 78, 4760: 272, 9126: 403}[dim]
+    assert counts is None or found == counts
+    for perms, (reps, element, rep) in zip(m.sector_permutations, m.orbits):
+        assert np.array_equal(perms[element, rep], np.arange(perms.shape[1]))
+        assert np.array_equal(rep, perms.min(axis=0))
+        assert np.array_equal(reps, np.flatnonzero(rep == np.arange(len(rep))))
+        assert np.array_equal(np.sort(perms, axis=0), np.sort(perms[:, rep], axis=0))  # g.i runs over i's orbit
+    pi, sigma = (scattering._fixed_states(space.hyperboloid, space.n_max) for space in (m.pi_space, m.sigma_space))
+    assert found == tuple(sum(f[p] * e[q] for f, e in zip(pi, sigma)) // 24 for p in (0, 1) for q in (0, 1))
+
+
+def test_generators_generate_the_group():
+    assert len(symmetry.generate_from([symmetry.element(label) for label in scattering.GENERATORS])) == 24

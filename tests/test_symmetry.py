@@ -11,6 +11,7 @@ import pytest
 
 from causet_qft import paperdata, symmetry
 from causet_qft.lattice import Vec3, Vec4, det_exact, norm_sq4
+from causet_qft.momentum import hyperboloid
 from causet_qft.symmetry import (
     ELEMENT_PRINT_DIFFS,
     apply3,
@@ -323,3 +324,31 @@ def test_lift_preserves_minkowski_pairing():
         v = Vec4(*(rnd.randint(-20, 20) for _ in range(4)))
         z = elements()[rnd.randrange(24)]
         assert minkowski_doubled(apply4(z, u), apply4(z, v)) == minkowski_doubled(u, v)
+
+
+def _orbit_sets(perms):
+    """Each index's orbit as a frozenset, closed one group element at a time."""
+    out = []
+    for i in range(perms.shape[1]):
+        orbit, frontier = {i}, [i]
+        while frontier:
+            new = {int(perms[g, j]) for j in frontier for g in range(len(perms))} - orbit
+            orbit |= new
+            frontier = list(new)
+        out.append(frozenset(orbit))
+    return out
+
+
+@pytest.mark.parametrize("m2, pmax", [(0, 1), (3, 3), (0, 2)])
+def test_orbits_match_closure_oracle(m2, pmax):
+    """On a hyperboloid's points: the representatives are the orbits' least points,
+    ascending, and every point i is g.r for the (g, r) returned."""
+    h = hyperboloid(m2, pmax)
+    perms = np.stack([h.permutation_under(z) for z in elements()])
+    reps, element_of, rep = symmetry.orbits(perms)
+    sets = _orbit_sets(perms)
+    assert reps.tolist() == sorted({min(orbit) for orbit in sets})
+    assert rep.tolist() == [min(orbit) for orbit in sets]
+    assert np.array_equal(perms[element_of, rep], np.arange(len(h)))
+    empty = symmetry.orbits(np.zeros((24, 0), dtype=np.int64))
+    assert [len(part) for part in empty] == [0, 0, 0]
