@@ -33,10 +33,9 @@ import numpy as np
 
 from . import paperdata
 from .lattice import Vec4, norm_sq3_rows, rank_keys, require_memory, vectors_with_norm_up_to
-from .momentum import attainable_spatial_norms
+from .momentum import _set_diff, attainable_spatial_norms
 
 __all__ = [
-    "ORIGIN",
     "History",
     "Speed",
     "history",
@@ -49,8 +48,6 @@ __all__ = [
     "average_speeds",
     "speeds_paper_diff",
 ]
-
-ORIGIN = Vec4(0, 0, 0, 0)
 
 # The 13 one-step moves, rest or one of the 12 unit directions, as lexicographic
 # (t, n, p, q) rows: the spatial parts are the ball norm_sq3 <= 1.
@@ -316,11 +313,4 @@ def speeds_paper_diff(t: int) -> dict:
     """Difference between the computed speed set and the published list."""
     if t not in paperdata.SPEED_Q_PRINTED:
         raise ValueError(f"no published speed list for t={t}")
-    computed = {s.norm_sq for s in average_speeds(t)}
-    printed = set(paperdata.SPEED_Q_PRINTED[t])
-    return {
-        "t": t,
-        "computed_only": tuple(sorted(computed - printed)),
-        "printed_only": tuple(sorted(printed - computed)),
-        "agree": computed == printed,
-    }
+    return {"t": t, **_set_diff((s.norm_sq for s in average_speeds(t)), paperdata.SPEED_Q_PRINTED[t])}

@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from . import causet, fock, momentum, representations as reps, scattering, symmetry
-from .lattice import Vec3, Vec4
+from .lattice import Vec4
 from .momentum import PoincareElement
 
 TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "fock-verify"}
@@ -299,14 +299,16 @@ def cmd_masses(args) -> dict:
     k = args.p0_max
     if k < 0:
         raise ValueError(f"--p0-max must be nonnegative, got {k}")
-    rows = {str(p0): list(momentum.mass_squared_values(p0)) for p0 in range(k + 1)}
-    diff = momentum.mass_table_paper_diff(min(k, 7))
-    norm_diff = momentum.spatial_norms_paper_diff(49)
+    # one enumeration serves the rows, both paper diffs and the norms up to 49
+    norms = momentum.attainable_spatial_norms(max(k * k, 49))
+    rows = momentum.mass_squared_rows(norms, k)
+    diff = momentum.mass_table_paper_diff(rows)
+    norm_diff = momentum.spatial_norms_paper_diff(norms, 49)
     low_rows_ok = all(r["agree"] for r in diff[: min(k, 3) + 1])
     payload = {
         "p0_max": k,
-        "rows": rows,
-        "attainable_spatial_norms_49": list(momentum.attainable_spatial_norms(49)),
+        "rows": {str(p0): list(row) for p0, row in enumerate(rows)},
+        "attainable_spatial_norms_49": [v for v in norms if v <= 49],
     }
     checks = [_check("rows_up_to_three_match_printed", low_rows_ok)]
     paper_diff = {"mass_rows": diff, "spatial_norms": norm_diff}
@@ -440,15 +442,16 @@ def cmd_scatter(args) -> dict:
         _check("orders_sum_to_series", summed < bound, summed),
         _check("hamiltonians_self_adjoint", herm < args.tol, herm),
         _check("hamiltonians_rotation_invariant", rotated_h <= SERIES_RELATIVE_BOUND * h_max, rotated_h),
-        _check("odd_orders_vanish", parity["odd_order_max"] <= args.tol, parity["odd_order_max"]),
+        _check("odd_orders_vanish", parity["odd_order_max"] < args.tol, parity["odd_order_max"]),
     ]
     if parity["distinct_states"]:
         checks.append(
-            _check("order_zero_vanishes_for_distinct_states", parity["order0"] <= args.tol, parity["order0"])
+            _check("order_zero_vanishes_for_distinct_states", parity["order0"] < args.tol, parity["order0"])
         )
     config = {
         "g": args.g, "m2": args.m2, "M2": args.big_m2, "pmax": args.pmax, "npi": args.npi, "nsigma": args.nsigma,
         "window": args.window, "horizon": args.horizon, "in": list(args.into), "out": list(args.outgoing),
+        "tol": args.tol,
     }
     return _bundle("scatter", config, payload, {}, checks)
 
@@ -475,7 +478,7 @@ def _leaf(v):
         v = v.item()
     if isinstance(v, complex):
         return {"im": v.imag, "re": v.real}
-    if isinstance(v, (Vec3, Vec4)):
+    if isinstance(v, Vec4):
         return list(v.coords())
     if isinstance(v, (list, tuple, dict)):
         return dict(v) if isinstance(v, dict) else list(v)

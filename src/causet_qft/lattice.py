@@ -8,7 +8,8 @@ floating point.
 
 Sets of lattice points are integer rows (the enumerator returns (n, p, q)
 rows, ``rank_rows`` and ``rank_keys`` find rows and keys in a sorted table);
-``Vec3``/``Vec4`` and their norms are the one-vector API.
+``Vec4`` names one spacetime point, a momentum or a translation.  The squared
+spatial length norm_sq3 of (n, p, q) is n^2 + p^2 + q^2 + np + nq + pq.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Vec3",
     "Vec4",
-    "norm_sq3",
-    "norm_sq4",
     "MINKOWSKI_GRAM",
     "det_exact",
     "norm_sq3_rows",
@@ -38,32 +36,6 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class Vec3:
-    """Spatial lattice vector with coordinates (n, p, q) in the oblique basis."""
-
-    n: int
-    p: int
-    q: int
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.n + other.n, self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.n - other.n, self.p - other.p, self.q - other.q)
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.n, -self.p, -self.q)
-
-    def __mul__(self, k: int) -> "Vec3":
-        return Vec3(k * self.n, k * self.p, k * self.q)
-
-    __rmul__ = __mul__
-
-    def coords(self) -> tuple[int, int, int]:
-        return (self.n, self.p, self.q)
-
-
-@dataclass(frozen=True, slots=True)
 class Vec4:
     """Spacetime lattice vector (t, n, p, q); t is the time coordinate."""
 
@@ -72,37 +44,14 @@ class Vec4:
     p: int
     q: int
 
-    @property
-    def spatial(self) -> Vec3:
-        return Vec3(self.n, self.p, self.q)
-
     def __add__(self, other: "Vec4") -> "Vec4":
         return Vec4(self.t + other.t, self.n + other.n, self.p + other.p, self.q + other.q)
 
     def __sub__(self, other: "Vec4") -> "Vec4":
         return Vec4(self.t - other.t, self.n - other.n, self.p - other.p, self.q - other.q)
 
-    def __neg__(self) -> "Vec4":
-        return Vec4(-self.t, -self.n, -self.p, -self.q)
-
-    def __mul__(self, k: int) -> "Vec4":
-        return Vec4(k * self.t, k * self.n, k * self.p, k * self.q)
-
-    __rmul__ = __mul__
-
     def coords(self) -> tuple[int, int, int, int]:
         return (self.t, self.n, self.p, self.q)
-
-
-def norm_sq3(u: Vec3) -> int:
-    """Squared spatial length n^2+p^2+q^2+np+nq+pq (always a nonnegative integer)."""
-    n, p, q = u.n, u.p, u.q
-    return n * n + p * p + q * q + n * p + n * q + p * q
-
-
-def norm_sq4(u: Vec4) -> int:
-    """Indefinite squared spacetime norm t^2 - |spatial|^2 (may be negative)."""
-    return u.t * u.t - norm_sq3(u.spatial)
 
 
 # doubled Minkowski Gram matrix on coordinates (t, n, p, q): 2(p.x) = p @ G @ x
@@ -124,7 +73,7 @@ def det_exact(m):
 
 
 def norm_sq3_rows(rows: np.ndarray) -> np.ndarray:
-    """``norm_sq3`` of every (n, p, q) row of an (m, 3) integer array."""
+    """norm_sq3 of every (n, p, q) row of an (m, 3) integer array."""
     n, p, q = rows.T
     return n * n + p * p + q * q + n * p + n * q + p * q
 

@@ -19,14 +19,14 @@ import numpy as np
 
 from . import paperdata
 from .lattice import (
-    MINKOWSKI_GRAM, Vec4, norm_sq3_rows, rank_rows, vectors_with_norm, vectors_with_norm_up_to,
+    MINKOWSKI_GRAM, Vec4, norm_sq3_rows, rank_rows, vectors_with_norm_up_to,
 )
 from .symmetry import MATRICES, GroupElement, apply4, index, multiply
 
 __all__ = [
     "attainable_spatial_norms",
     "spatial_norms_paper_diff",
-    "mass_squared_values",
+    "mass_squared_rows",
     "mass_table_paper_diff",
     "Hyperboloid",
     "hyperboloid",
@@ -45,39 +45,36 @@ def attainable_spatial_norms(limit: int) -> tuple[int, ...]:
     return tuple(norms[np.diff(norms, prepend=-1) > 0].tolist())
 
 
-def spatial_norms_paper_diff(limit: int = 49) -> dict:
-    computed = set(attainable_spatial_norms(limit))
-    printed = {v for v in paperdata.SPATIAL_NORMSQ_PRINTED if v <= limit}
+def _set_diff(computed, printed) -> dict:
+    """The values only computed, only printed, and whether the two sets agree."""
+    computed, printed = set(computed), set(printed)
     return {
-        "limit": limit,
         "computed_only": tuple(sorted(computed - printed)),
         "printed_only": tuple(sorted(printed - computed)),
         "agree": computed == printed,
     }
 
 
-def mass_squared_values(p0: int) -> tuple[int, ...]:
-    """Attainable squared masses at fixed energy component p0."""
-    if p0 < 0:
-        raise ValueError("energy component must be nonnegative")
-    cap = p0 * p0
-    return tuple(sorted({cap - q for q in attainable_spatial_norms(cap)}))
+def spatial_norms_paper_diff(norms: tuple[int, ...], limit: int) -> dict:
+    """The attainable spatial norms up to ``limit``, read from ``norms`` (all of them up
+    to at least ``limit``), against the printed list."""
+    printed = (v for v in paperdata.SPATIAL_NORMSQ_PRINTED if v <= limit)
+    return {"limit": limit, **_set_diff((v for v in norms if v <= limit), printed)}
 
 
-def mass_table_paper_diff(p0_max: int = 7) -> list[dict]:
-    rows = []
-    for p0 in range(min(p0_max, 7) + 1):
-        computed = set(mass_squared_values(p0))
-        printed = set(paperdata.MASS_SQ_TABLE_PRINTED[p0])
-        rows.append(
-            {
-                "p0": p0,
-                "computed_only": tuple(sorted(computed - printed)),
-                "printed_only": tuple(sorted(printed - computed)),
-                "agree": computed == printed,
-            }
-        )
-    return rows
+def mass_squared_rows(norms: tuple[int, ...], p0_max: int) -> list[tuple[int, ...]]:
+    """The attainable squared masses p0^2 - Q at each energy p0 = 0..p0_max, ascending,
+    read from ``norms``: the attainable spatial norms Q, ascending, up to at least p0_max^2."""
+    norms = np.asarray(norms, dtype=np.int64)
+    return [
+        tuple((p0 * p0 - norms[: np.searchsorted(norms, p0 * p0, side="right")][::-1]).tolist())
+        for p0 in range(p0_max + 1)
+    ]
+
+
+def mass_table_paper_diff(rows: list[tuple[int, ...]]) -> list[dict]:
+    """The rows p0 <= 7 of a :func:`mass_squared_rows` table against the printed ones."""
+    return [{"p0": p0, **_set_diff(row, paperdata.MASS_SQ_TABLE_PRINTED[p0])} for p0, row in enumerate(rows[:8])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +103,6 @@ class Hyperboloid:
             raise ValueError(f"{p} is not on the truncated hyperboloid")
         return i
 
-    def __contains__(self, p: Vec4) -> bool:
-        return bool(rank_rows(self.coords, np.array([p.coords()]))[0] >= 0)
-
     @cached_property
     def rotation_images(self) -> np.ndarray:
         """Row g, read-only: the index of each point's image under the rotation ``MATRICES[g]``,
@@ -133,9 +127,15 @@ def hyperboloid(mass_sq: int, p_max: int) -> Hyperboloid:
         raise ValueError("squared mass must be nonnegative")
     if p_max < 0:
         raise ValueError("energy cap must be nonnegative")
-    # energy blocks ascend and each is in lexicographic order, so the rows are sorted
-    blocks = [np.insert(vectors_with_norm(p0 * p0 - mass_sq), 0, p0, axis=1) for p0 in range(p_max + 1)]
-    return Hyperboloid(mass_sq=mass_sq, p_max=p_max, coords=np.concatenate(blocks))
+    # p0^2 = mass_sq + norm_sq3 <= p_max^2.  A float root rounds to p0 exactly when the
+    # sum is a square, and to an integer whose square misses it when it is not; the stable
+    # sort by p0 keeps the enumerator's lexicographic order within each energy
+    rows = vectors_with_norm_up_to(p_max * p_max - mass_sq)
+    energy_sq = norm_sq3_rows(rows) + mass_sq
+    p0 = np.rint(np.sqrt(energy_sq)).astype(np.int64)
+    on = p0 * p0 == energy_sq
+    coords = np.insert(rows[on], 0, p0[on], axis=1)
+    return Hyperboloid(mass_sq=mass_sq, p_max=p_max, coords=coords[np.argsort(coords[:, 0], kind="stable")])
 
 
 def mass_shell_defect(h: Hyperboloid) -> int:

@@ -194,8 +194,10 @@ def build_model(cfg: InteractionConfig) -> ScatteringModel:
     each) and the larger of another copy and one unitarity check, 51 int64 per state,
     24 per Fock state and 16 bytes per H term, within one H(t); orbits by Burnside."""
     cfg.validate()
-    pi_h = hyperboloid(cfg.pi_mass_sq, cfg.energy_cap)
-    sigma_h = hyperboloid(cfg.sigma_mass_sq, cfg.energy_cap)
+    # the spaces are lazy: building them first only checks that neither hyperboloid is empty
+    pi_space = fock_space(hyperboloid(cfg.pi_mass_sq, cfg.energy_cap), cfg.pi_particle_cap)
+    sigma_space = fock_space(hyperboloid(cfg.sigma_mass_sq, cfg.energy_cap), cfg.sigma_particle_cap)
+    pi_h, sigma_h = pi_space.hyperboloid, sigma_space.hyperboloid
     pi, sigma = _fixed_states(pi_h, cfg.pi_particle_cap), _fixed_states(sigma_h, cfg.sigma_particle_cap)
     dims = [a * b for a in pi[0] for b in sigma[0]]  # Python integers, which cannot overflow
     w = [sum(f[p] * e[q] for f, e in zip(pi, sigma)) // 24 for p in (0, 1) for q in (0, 1)]
@@ -206,11 +208,7 @@ def build_model(cfg: InteractionConfig) -> ScatteringModel:
     indices = 51 * sum(dims) + 24 * (sum(pi[0]) + sum(sigma[0]))
     need = 16 * (entries + _two_step_paths(len(pi_h), cfg.pi_particle_cap)) + 8 * indices
     require_memory(need, f"the scattering series at D = {sum(dims)}")
-    return ScatteringModel(
-        cfg=cfg,
-        pi_space=fock_space(pi_h, cfg.pi_particle_cap),
-        sigma_space=fock_space(sigma_h, cfg.sigma_particle_cap),
-    )
+    return ScatteringModel(cfg=cfg, pi_space=pi_space, sigma_space=sigma_space)
 
 
 def _joined(tables) -> tuple[list[np.ndarray], np.ndarray]:

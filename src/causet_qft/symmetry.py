@@ -23,7 +23,7 @@ import numpy as np
 
 from . import paperdata
 from .lattice import (
-    MINKOWSKI_GRAM, TRIPLE_MATRICES, Vec3, Vec4, det_exact, norm_sq3_rows, rank_keys, vectors_with_norm_up_to
+    MINKOWSKI_GRAM, TRIPLE_MATRICES, Vec4, det_exact, norm_sq3_rows, rank_keys, vectors_with_norm_up_to
 )
 
 __all__ = [
@@ -36,15 +36,12 @@ __all__ = [
     "MATRICES",
     "PRODUCT_INDEX",
     "multiply",
-    "inverse",
-    "apply3",
     "build_table",
     "table_diff_vs_printed",
     "generate_from",
     "orbits",
     "verify_subgroups",
     "pairwise_generators",
-    "lift_to4",
     "apply4",
     "no_boost_search",
     "preserves_minkowski_form",
@@ -104,8 +101,7 @@ if not _HITS.any(axis=-1).all():
     _i, _j = np.argwhere(~_HITS.any(axis=-1))[0]
     raise AssertionError(f"group not closed at {_ELEMENTS[_i].label}*{_ELEMENTS[_j].label}")
 PRODUCT_INDEX = _HITS.argmax(axis=-1).astype(np.int8)
-_INVERSE_INDEX = np.argmax(PRODUCT_INDEX == _IDENTITY, axis=1)
-if not np.all(PRODUCT_INDEX[np.arange(24), _INVERSE_INDEX] == _IDENTITY):
+if not (PRODUCT_INDEX == _IDENTITY).any(axis=1).all():
     raise AssertionError("a row of the product table holds no identity")
 MATRICES.flags.writeable = PRODUCT_INDEX.flags.writeable = False
 
@@ -129,19 +125,6 @@ def multiply(y: GroupElement, z: GroupElement) -> GroupElement:
     return _ELEMENTS[PRODUCT_INDEX[_INDEX[y.label], _INDEX[z.label]]]
 
 
-def inverse(z: GroupElement) -> GroupElement:
-    return _ELEMENTS[_INVERSE_INDEX[_INDEX[z.label]]]
-
-
-def apply3(z: GroupElement, v: Vec3) -> Vec3:
-    m = z.matrix
-    return Vec3(
-        m[0][0] * v.n + m[0][1] * v.p + m[0][2] * v.q,
-        m[1][0] * v.n + m[1][1] * v.p + m[1][2] * v.q,
-        m[2][0] * v.n + m[2][1] * v.p + m[2][2] * v.q,
-    )
-
-
 @dataclass(frozen=True)
 class GroupTable:
     """Full multiplication table as labels, plus verification results."""
@@ -151,9 +134,6 @@ class GroupTable:
     latin_square: bool
     associative: bool
     inverses: bool
-
-    def entry(self, row: str, col: str) -> str:
-        return self.rows[self.labels.index(row)][self.labels.index(col)]
 
 
 def build_table() -> GroupTable:
@@ -254,20 +234,9 @@ def pairwise_generators() -> dict:
 Matrix4 = tuple[tuple[int, int, int, int], ...]
 
 
-def lift_to4(z: GroupElement) -> Matrix4:
-    """Block lift fixing the time axis and acting spatially as z."""
-    m = z.matrix
-    return (
-        (1, 0, 0, 0),
-        (0, m[0][0], m[0][1], m[0][2]),
-        (0, m[1][0], m[1][1], m[1][2]),
-        (0, m[2][0], m[2][1], m[2][2]),
-    )
-
-
 def apply4(z: GroupElement, v: Vec4) -> Vec4:
-    s = apply3(z, v.spatial)
-    return Vec4(v.t, s.n, s.p, s.q)
+    """The spacetime lift of ``z``: it fixes the time axis and rotates the spatial part."""
+    return Vec4(v.t, *(MATRICES[index(z)] @ v.coords()[1:]).tolist())
 
 
 def preserves_minkowski_form(m: Matrix4) -> bool:

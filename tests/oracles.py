@@ -19,8 +19,12 @@ products against the product table, a 4-D grid against spatial rows,
 per-object triples and per-element spinor comparisons against their stacks,
 a converted copy of a report passed to ``json.dumps`` and a line-list walk
 against the one-pass renderers), so the tests can diff the fast path
-against it on small cases.  It also holds the helpers that only tests call:
-sorted eigensystems, the Poincare identity, inverse and action on a vector,
+against it on small cases, and the per-energy mass and hyperboloid loops
+against the one enumeration of the spectra.  It also holds the helpers that
+only tests call: the one-vector layer (``Vec3`` and its arithmetic, the scalar
+norms, ``apply3``, ``lift_to4``, ``inverse``, a table entry by labels and
+hyperboloid membership), sorted eigensystems, the Poincare identity, inverse
+and action on a vector,
 the symmetry action ``rep_v``, a field operator applied to a vector, and the
 spin-tensored single-particle representation.
 """
@@ -43,24 +47,114 @@ from causet_qft.fock import (
 from causet_qft.lattice import (
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
-    Vec3,
     Vec4,
-    norm_sq3,
     norm_sq3_rows,
-    norm_sq4,
+    rank_rows,
     vectors_with_norm,
     vectors_with_norm_up_to,
 )
-from causet_qft.momentum import Hyperboloid, PoincareElement
+from causet_qft.momentum import Hyperboloid, PoincareElement, attainable_spatial_norms
 from causet_qft.representations import SignConvention, _principal_angle, cal_u, spinor_of
 from causet_qft.scattering import InteractionConfig, ScatteringModel, ScatteringSeries, _max_abs, _window_rows
 from causet_qft.scattering import interaction_hamiltonian as block_hamiltonian
-from causet_qft.symmetry import BoostCertificate, GroupElement, apply4, elements, inverse, multiply
+from causet_qft.symmetry import BoostCertificate, GroupElement, GroupTable, apply4, elements, multiply
+
+
+@dataclass(frozen=True, slots=True)
+class Vec3:
+    """Spatial lattice vector with coordinates (n, p, q) in the oblique basis."""
+
+    n: int
+    p: int
+    q: int
+
+    def __add__(self, other: "Vec3") -> "Vec3":
+        return Vec3(self.n + other.n, self.p + other.p, self.q + other.q)
+
+    def __sub__(self, other: "Vec3") -> "Vec3":
+        return Vec3(self.n - other.n, self.p - other.p, self.q - other.q)
+
+    def __neg__(self) -> "Vec3":
+        return Vec3(-self.n, -self.p, -self.q)
+
+    def __mul__(self, k: int) -> "Vec3":
+        return Vec3(k * self.n, k * self.p, k * self.q)
+
+    __rmul__ = __mul__
+
+    def coords(self) -> tuple[int, int, int]:
+        return (self.n, self.p, self.q)
 
 
 E3 = Vec3(1, 0, 0)
 F3 = Vec3(0, 1, 0)
 G3 = Vec3(0, 0, 1)
+ORIGIN = Vec4(0, 0, 0, 0)
+
+
+def spatial(v: Vec4) -> Vec3:
+    return Vec3(v.n, v.p, v.q)
+
+
+def scaled(k: int, v: Vec4) -> Vec4:
+    return Vec4(*(k * c for c in v.coords()))
+
+
+def norm_sq3(u: Vec3) -> int:
+    """Squared spatial length n^2+p^2+q^2+np+nq+pq (always a nonnegative integer)."""
+    n, p, q = u.n, u.p, u.q
+    return n * n + p * p + q * q + n * p + n * q + p * q
+
+
+def norm_sq4(u: Vec4) -> int:
+    """Indefinite squared spacetime norm t^2 - |spatial|^2 (may be negative)."""
+    return u.t * u.t - norm_sq3(spatial(u))
+
+
+def inverse(z: GroupElement) -> GroupElement:
+    """The element whose matrix times ``z``'s is the identity matrix."""
+    return next(w for w in elements() if matmul3(z.matrix, w.matrix) == ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def apply3(z: GroupElement, v: Vec3) -> Vec3:
+    m = z.matrix
+    return Vec3(
+        m[0][0] * v.n + m[0][1] * v.p + m[0][2] * v.q,
+        m[1][0] * v.n + m[1][1] * v.p + m[1][2] * v.q,
+        m[2][0] * v.n + m[2][1] * v.p + m[2][2] * v.q,
+    )
+
+
+def lift_to4(z: GroupElement) -> tuple[tuple[int, int, int, int], ...]:
+    """Block lift fixing the time axis and acting spatially as z."""
+    m = z.matrix
+    return (
+        (1, 0, 0, 0),
+        (0, m[0][0], m[0][1], m[0][2]),
+        (0, m[1][0], m[1][1], m[1][2]),
+        (0, m[2][0], m[2][1], m[2][2]),
+    )
+
+
+def table_entry(table: GroupTable, row: str, col: str) -> str:
+    return table.rows[table.labels.index(row)][table.labels.index(col)]
+
+
+def on_hyperboloid(p: Vec4, h: Hyperboloid) -> bool:
+    return bool(rank_rows(h.coords, np.array([p.coords()]))[0] >= 0)
+
+
+def mass_squared_values(p0: int) -> tuple[int, ...]:
+    """Attainable squared masses at fixed energy component p0, one enumeration per energy."""
+    cap = p0 * p0
+    return tuple(sorted({cap - q for q in attainable_spatial_norms(cap)}))
+
+
+def hyperboloid_coords(mass_sq: int, p_max: int) -> np.ndarray:
+    """The (p0, n, p, q) rows of the truncated hyperboloid, one enumeration per energy:
+    the energy blocks ascend and each is in lexicographic order."""
+    blocks = [np.insert(vectors_with_norm(p0 * p0 - mass_sq), 0, p0, axis=1) for p0 in range(p_max + 1)]
+    return np.concatenate(blocks)
 
 
 def inner3_doubled(u: Vec3, v: Vec3) -> int:
@@ -72,7 +166,7 @@ def inner3_doubled(u: Vec3, v: Vec3) -> int:
 
 def minkowski_doubled(p: Vec4, x: Vec4) -> int:
     """Doubled Minkowski pairing 2(p.x) = 2 p^0 x^0 - 2<spatial, spatial>."""
-    return 2 * p.t * x.t - inner3_doubled(p.spatial, x.spatial)
+    return 2 * p.t * x.t - inner3_doubled(spatial(p), spatial(x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -650,12 +744,12 @@ def product_table_by_pairs(group: tuple[GroupElement, ...]) -> np.ndarray:
 
 
 def poincare_identity(identity_rotation: GroupElement) -> PoincareElement:
-    return PoincareElement(Vec4(0, 0, 0, 0), identity_rotation)
+    return PoincareElement(ORIGIN, identity_rotation)
 
 
 def poincare_inverse(g: PoincareElement) -> PoincareElement:
     rot_inv = inverse(g.rotation)
-    return PoincareElement(-apply4(rot_inv, g.translation), rot_inv)
+    return PoincareElement(ORIGIN - apply4(rot_inv, g.translation), rot_inv)
 
 
 def no_boost_search_grid(bound: int) -> BoostCertificate:

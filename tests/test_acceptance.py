@@ -31,7 +31,9 @@ from oracles import (
     commutator,
     dense_series,
     expansion_formula,
+    mass_squared_values,
     matrix_commutator,
+    norm_sq4,
     path_lengths,
     product_formula,
     rep_v,
@@ -40,7 +42,7 @@ from oracles import (
 
 import causet_qft
 from causet_qft import causet, fock, momentum, paperdata, representations as reps, scattering, symmetry
-from causet_qft.lattice import Vec4, norm_sq4
+from causet_qft.lattice import Vec4
 from causet_qft.momentum import PoincareElement, poincare_product
 
 
@@ -252,16 +254,18 @@ def test_criterion_6_speeds_and_masses():
             diff = causet.speeds_paper_diff(t)
             assert diff["computed_only"] or diff["printed_only"]
         for p0 in range(4):
-            assert set(momentum.mass_squared_values(p0)) == set(
+            assert set(mass_squared_values(p0)) == set(
                 paperdata.MASS_SQ_TABLE_PRINTED[p0]
             )
+        norms = momentum.attainable_spatial_norms(49)
+        rows = momentum.mass_squared_rows(norms, 7)
         for p0 in range(4, 8):
             expected = {p0 * p0 - q for q in oracle_attainable(p0 * p0)}
-            assert set(momentum.mass_squared_values(p0)) == expected
-            row = momentum.mass_table_paper_diff(7)[p0]
+            assert set(mass_squared_values(p0)) == set(rows[p0]) == expected
+            row = momentum.mass_table_paper_diff(rows)[p0]
             assert row["computed_only"] or row["printed_only"]
-        assert set(momentum.attainable_spatial_norms(49)) == oracle_attainable(49)
-        diff49 = momentum.spatial_norms_paper_diff(49)
+        assert set(norms) == oracle_attainable(49)
+        diff49 = momentum.spatial_norms_paper_diff(norms, 49)
         assert 15 in diff49["computed_only"]
 
 
@@ -288,7 +292,7 @@ def test_criterion_7_fock_theorems():
             measured = commutator(fock.phi(x, space), fock.psi(y, space))[:end, :end]
             # independent oracle: direct phase summation over the point set
             d = y - x
-            doubled_dots = [2 * p.t * d.t - oracles.inner3_doubled(p.spatial, d.spatial) for p in h.points]
+            doubled_dots = [2 * p.t * d.t - oracles.inner3_doubled(oracles.spatial(p), oracles.spatial(d)) for p in h.points]
             scalar = sum(cmath.exp(0.5j * dd) for dd in doubled_dots)
             assert np.max(np.abs(measured - scalar * np.eye(measured.shape[0]))) < 1e-10
             expected_sine = 2j * sum(math.sin(0.5 * dd) for dd in doubled_dots)

@@ -1,10 +1,13 @@
-"""Public surface: each module's ``__all__`` names exactly its public functions and classes."""
+"""Public surface: each module's ``__all__`` names exactly its public functions and classes,
+and the package's own code reads every name it exports."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +34,22 @@ def test_all_is_exact(module):
     }
     exported = {name for name in module.__all__ if is_code(getattr(module, name))}
     assert exported == defined
+
+
+def test_every_exported_name_is_read_in_the_package():
+    """No test-only code in the package: each ``__all__`` name is read somewhere in its
+    source, as a name or an attribute.  Helpers only the tests call live in ``oracles``."""
+    reads = set()
+    for path in Path(causet_qft.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    unread = [
+        f"{module.__name__}.{name}"
+        for module in [causet_qft, *MODULES]
+        for name in getattr(module, "__all__", ())
+        if name not in reads
+    ]
+    assert unread == []

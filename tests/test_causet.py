@@ -11,7 +11,6 @@ import pytest
 
 from causet_qft import causet
 from causet_qft.causet import (
-    ORIGIN,
     CovarianceReport,
     History,
     average_speeds,
@@ -23,10 +22,11 @@ from causet_qft.causet import (
     parent_histogram,
     speeds_paper_diff,
 )
-from causet_qft.lattice import Vec4, norm_sq4
+from causet_qft.lattice import Vec4
 from causet_qft.symmetry import elements
 import oracles
 from oracles import (
+    ORIGIN,
     causal_order,
     children,
     equivariance_check,
@@ -34,6 +34,7 @@ from oracles import (
     in_cone,
     link_array,
     link_reachability,
+    norm_sq4,
     parents,
     path_lengths,
     precedes,

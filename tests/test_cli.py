@@ -25,7 +25,7 @@ import causet_qft
 import oracles
 from causet_qft import causet, cli, fock, scattering, symmetry
 from causet_qft.cli import main
-from causet_qft.lattice import Vec3, Vec4
+from causet_qft.lattice import Vec4
 
 
 def run_cli(capsys, *argv):
@@ -73,7 +73,7 @@ def test_group_verify(capsys):
 def test_group_verify_reads_inverses_off_the_table(capsys, monkeypatch):
     # the identity entry of row A read as A: A has no inverse in the table
     corrupt = symmetry.PRODUCT_INDEX.copy()
-    corrupt[1, symmetry._INVERSE_INDEX[1]] = 1
+    corrupt[1, symmetry.index(oracles.inverse(symmetry.element("A")))] = 1
     monkeypatch.setattr(symmetry, "PRODUCT_INDEX", corrupt)
     code, out, err = run_cli(capsys, "--format", "json", "group-verify")
     assert code == 1
@@ -193,6 +193,17 @@ def test_masses_rejects_negative_p0_max(capsys):
     assert code == 1
     assert out == ""
     assert "error: --p0-max must be nonnegative" in err
+
+
+def test_masses_past_memory_is_a_named_error_at_once(capsys):
+    """The table comes from one enumeration up to p0_max^2, so a p0_max far past memory is
+    refused before any row exists rather than after one enumeration per energy."""
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "masses", "--p0-max", "100000")
+    assert time.monotonic() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the lattice enumeration of norm_sq3 <= 10000000000 (about ")
+    assert err.count("\n") == 1 and "of physical memory" in err
 
 
 def test_hyperboloid(capsys):
@@ -447,6 +458,36 @@ def test_scatter_rejects_horizon_0(capsys):
     assert (code, out) == (1, "")
     assert "error: --horizon must be at least 1 (no H(t) to check at 0), got 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("m2, big_m2", [(5, 1), (0, 50)])
+def test_scatter_with_an_empty_hyperboloid_is_a_named_error(capsys, m2, big_m2):
+    """No pi point (m2 5 > pmax^2) or no sigma point: the same named error, before the
+    memory guard counts states over an empty point set."""
+    start = time.monotonic()
+    code, out, err = run_cli(
+        capsys, "scatter", "--g", "0.1", "--m2", str(m2), "--M2", str(big_m2), "--horizon", "2", "--window", "0"
+    )
+    assert time.monotonic() - start < 2
+    assert (code, out) == (1, "")
+    assert err == "error: hyperboloid is empty at this truncation\n"
+
+
+def test_scatter_echoes_tol_and_gates_parity_strictly_below_it(capsys, monkeypatch):
+    """Three gates read --tol, so the config carries it; a defect equal to it fails, as it
+    does in every other --tol gate."""
+    monkeypatch.setattr(
+        scattering, "order_parity_check",
+        lambda *args: {"odd_order_max": 1e-8, "order0": 1e-8, "order2": 0.0, "distinct_states": True},
+    )
+    code, out, err = run_cli(
+        capsys, "--format", "json", "--tol", "1e-8", "scatter", "--g", "0.1", "--m2", "0", "--M2", "1",
+        "--horizon", "2", "--window", "0",
+    )
+    bundle = json.loads(out)
+    assert bundle["config"]["tol"] == 1e-8
+    failed = [c["name"] for c in bundle["summary"]["checks"] if not c["passed"]]
+    assert (code, failed) == (1, ["odd_orders_vanish", "order_zero_vanishes_for_distinct_states"])
 
 
 def test_scatter_rotation_gate_sees_one_perturbed_entry(capsys, monkeypatch):
@@ -847,7 +888,6 @@ _FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf,
 _LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT, st.complex_numbers(),
     st.integers(-(2**63), 2**63 - 1).map(np.int64), _FLOATS.map(np.float64), st.booleans().map(np.bool_),
-    st.builds(Vec3, st.integers(), st.integers(), st.integers()),
     st.builds(Vec4, st.integers(), st.integers(), st.integers(), st.integers()),
     _int_matrices(np.int64), _int_matrices(np.int32),
     st.lists(st.booleans(), min_size=2, max_size=6).map(lambda xs: np.array(xs[: len(xs) // 2 * 2]).reshape(-1, 2)),

@@ -16,11 +16,8 @@ from causet_qft import lattice
 from causet_qft.lattice import (
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
-    Vec3,
     Vec4,
-    norm_sq3,
     norm_sq3_rows,
-    norm_sq4,
     rank_keys,
     rank_rows,
     vectors_with_norm,
@@ -32,11 +29,15 @@ from oracles import (
     G3,
     ZERO3,
     Triple,
+    Vec3,
     basic_triple,
     cartesian_norm_sq,
     cube_vectors_with_norm_up_to,
     inner3_doubled,
     minkowski_doubled,
+    norm_sq3,
+    norm_sq4,
+    scaled,
     to_cartesian3,
     triples,
     unit_vectors3,
@@ -240,4 +241,4 @@ def test_module_structure():
     assert 2 * u == u + u
     assert (u - u) == ZERO3
     w = Vec4(2, 1, 1, -1)
-    assert 3 * w == w + w + w
+    assert scaled(3, w) == w + w + w

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from causet_qft.lattice import Vec3, Vec4, norm_sq3, norm_sq4
+from causet_qft.lattice import Vec4
 from causet_qft.momentum import (
     Hyperboloid,
     PoincareElement,
@@ -16,13 +16,23 @@ from causet_qft.momentum import (
     hyperboloid,
     hyperboloid_invariance_defect,
     mass_shell_defect,
-    mass_squared_values,
+    mass_squared_rows,
     mass_table_paper_diff,
     poincare_product,
     spatial_norms_paper_diff,
 )
 from causet_qft.symmetry import apply4, element, elements
-from oracles import poincare_apply, poincare_identity, poincare_inverse
+from oracles import (
+    Vec3,
+    hyperboloid_coords,
+    mass_squared_values,
+    norm_sq3,
+    norm_sq4,
+    on_hyperboloid,
+    poincare_apply,
+    poincare_identity,
+    poincare_inverse,
+)
 
 
 def test_attainable_small():
@@ -49,14 +59,15 @@ def test_attainable_49_oracle():
 
 
 def test_spatial_norms_paper_diff():
-    d = spatial_norms_paper_diff(49)
+    d = spatial_norms_paper_diff(attainable_spatial_norms(60), 49)
     assert d["printed_only"] == ()
     assert d["computed_only"] == (15, 17, 20, 22, 29, 32, 34, 40, 41, 42, 44, 45, 47, 48)
     assert not d["agree"]
 
 
 def test_mass_squared_rows_match_table_up_to_three():
-    rows = mass_table_paper_diff(7)
+    rows = mass_table_paper_diff(mass_squared_rows(attainable_spatial_norms(100), 9))
+    assert [row["p0"] for row in rows] == list(range(8))
     for row in rows[:4]:
         assert row["agree"], row
     assert any(not row["agree"] for row in rows[4:])
@@ -70,6 +81,25 @@ def test_mass_squared_oracle_rows():
     assert mass_squared_values(5) == tuple(v for v in range(26) if v != 11)
     assert mass_squared_values(6) == tuple(v for v in range(37) if v not in (6, 22))
     assert mass_squared_values(7) == tuple(v for v in range(50) if v not in (3, 19, 35))
+
+
+@pytest.mark.parametrize("k", range(21))
+def test_mass_squared_rows_match_the_per_energy_loop(k):
+    """One enumeration up to max(k^2, 49) gives each energy's row, as an enumeration per
+    energy does; the norms past k^2 are never read."""
+    assert mass_squared_rows(attainable_spatial_norms(max(k * k, 49)), k) == [
+        mass_squared_values(p0) for p0 in range(k + 1)
+    ]
+
+
+@pytest.mark.parametrize("mass_sq", [0, 1, 2, 3, 4, 5, 7, 8, 9, 14, 16, 30, 49, 50])
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 5, 7, 9])
+def test_hyperboloid_matches_the_per_energy_loop(mass_sq, cap):
+    """One enumeration up to cap^2 - mass_sq and a stable sort by energy give the rows
+    an enumeration per energy gives, empty shells and massive ones included."""
+    coords = hyperboloid(mass_sq, cap).coords
+    assert coords.dtype == np.int64 and coords.shape[1] == 4
+    assert np.array_equal(coords, hyperboloid_coords(mass_sq, cap))
 
 
 def test_hyperboloid_examples():
@@ -129,11 +159,11 @@ def test_index_and_permutation_match_apply4(mass_sq, cap):
     assert list(h.points) == sorted((v for v in cands if norm_sq4(v) == mass_sq), key=Vec4.coords)
     position = {p: i for i, p in enumerate(h.points)}
     for p in h.points:
-        assert h.index(p) == position[p] and p in h
+        assert h.index(p) == position[p] and on_hyperboloid(p, h)
     for z in elements():
         assert h.permutation_under(z).tolist() == [position[apply4(z, p)] for p in h.points]
     outside = Vec4(cap + 1, 0, 0, 0)
-    assert outside not in h
+    assert not on_hyperboloid(outside, h)
     with pytest.raises(ValueError, match="not on the truncated hyperboloid"):
         h.index(outside)
 
@@ -194,6 +224,4 @@ def test_rotation_preserves_hyperboloid_membership():
     h = hyperboloid(1, 3)
     for z in elements():
         for p in h.points:
-            from causet_qft.symmetry import apply4
-
-            assert apply4(z, p) in h
+            assert on_hyperboloid(apply4(z, p), h)

@@ -34,6 +34,7 @@ from oracles import (
     expansion_formula,
     graded_series,
     graded_unitarity_defect,
+    norm_sq4,
     product_formula,
     window_slice,
     xi_matrix,
@@ -306,8 +307,6 @@ def test_window_slice(model):
     assert len(window_slice(wide, 0)) == 1
     assert len(window_slice(wide, 1)) == 13
     assert len(window_slice(wide, 2)) == 55
-    from causet_qft.lattice import norm_sq4
-
     assert all(norm_sq4(x) >= 0 for x in window_slice(wide, 2))
 
 
