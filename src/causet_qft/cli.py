@@ -338,8 +338,8 @@ def cmd_fock_verify(args) -> dict:
     if args.nmax < 1:
         raise ValueError(f"--nmax must be at least 1 (no sector is truncation-safe at 0), got {args.nmax}")
     h = momentum.hyperboloid(args.m2, args.pmax)
+    space = fock.fock_space(h, args.nmax)  # lazy: only checks that the hyperboloid is not empty
     fock.require_table_memory(len(h), args.nmax)
-    space = fock.fock_space(h, args.nmax)
     rnd = random.Random(12345)
 
     def rand_x():

@@ -118,26 +118,24 @@ class FockSpace:
         ``role_b``, as read-only ``(flat, q, r, bracket)`` arrays in (q, r, column) order:
         entry ``flat`` (row * dim + column) of [X_q, Y_r] is the float ``bracket``.
 
-        X_q Y_r and Y_r X_q each take a column along one two-step path at most, to the
-        same multiset where both are defined, so an entry is one float product minus the
-        other; for ladders of equal role these are the same factors, so the same-species
-        tables are empty.  Built once per role pair, q by q with (d, dim) temporaries.
-        """
+        X_q Y_r and Y_r X_q hold one :meth:`product_table` entry per column at most, at one
+        row where both do, so an entry is one weight minus the other: the same factors for
+        ladders of equal role, whose tables are empty.  Built once per role pair."""
         table = self._bracket_tables.get((role_a, role_b))
         if table is None:
-            (xt, xw), (yt, yw) = self.ladder_maps[role_a], self.ladder_maps[role_b]
-            y_ok = yt >= 0
-            parts = []
-            for q, (xq, xwq) in enumerate(zip(xt, xw)):
-                # rows [r, c] of X_q Y_r and Y_r X_q applied to column c, -1 where undefined
-                xy_row = np.where(y_ok, xq[yt], -1)
-                yx_row = np.where(xq >= 0, yt[:, xq], -1)
-                xy = np.where(xy_row >= 0, xwq[yt] * yw, 0.0)
-                bracket = xy - np.where(yx_row >= 0, yw[:, xq] * xwq, 0.0)
-                rows = np.maximum(xy_row, yx_row)
-                r, c = np.nonzero((rows >= 0) & (bracket != 0))
-                parts.append((rows[r, c] * self.dim + c, np.full(len(r), q), r, bracket[r, c]))
-            table = tuple(np.concatenate(column) for column in zip(*parts))
+            d, dim = len(self.hyperboloid), self.dim
+            xy = self.product_table(role_a, role_b)
+            yx = xy if role_a == role_b else self.product_table(role_b, role_a)
+            # (q, r, column) keys, Y's point first in Y_r X_q's table; a key's entries share a row
+            keys = np.concatenate([(xy[2] * d + xy[3]) * dim + xy[1], (yx[3] * d + yx[2]) * dim + yx[1]])
+            rows, weights = np.concatenate([xy[0], yx[0]]), np.concatenate([xy[4], -yx[4]])
+            del xy, yx  # frees their q, r and column arrays before the sort
+            keys, first, where = np.unique(keys, return_index=True, return_inverse=True)
+            bracket = np.zeros(len(keys))
+            np.add.at(bracket, where, weights)
+            keep = bracket != 0
+            qr, cols = np.divmod(keys[keep], dim)
+            table = (rows[first[keep]] * dim + cols, *np.divmod(qr, d), bracket[keep])
             for column in table:
                 column.flags.writeable = False
             self._bracket_tables[(role_a, role_b)] = table
@@ -194,19 +192,19 @@ class FockSpace:
 
 
 # Bytes per ladder-map slot or mixed bracket-table entry: a traced fock-verify run peaks
-# at 71-78 of them from D = 231 to D = 10626, the tables and the xi gates' temporaries.
-_SLOT_BYTES = 96
+# at 104-116 of them from D = 231 to D = 10626, in the table's build or the xi gates.
+_SLOT_BYTES = 120
 
 
 def require_table_memory(points: int, n_max: int) -> None:
     """``ValueError``, before any sector exists, when the (points, dim) ladder maps and the
-    two mixed bracket tables of a cap ``n_max >= 1`` would outgrow physical memory.  With
+    mixed bracket table of a cap ``n_max >= 1`` would outgrow physical memory.  With
     top = C(d + n - 1, n) top-sector multisets, [X_q, Y_q] is nonzero on every column
     below the top sector and on each top one holding q, and [X_q, Y_r] (q != r) only on
-    those, so each table holds d (dim - top) + d^2 C(d + n - 2, n - 1) entries."""
+    those, so the table holds d (dim - top) + d^2 C(d + n - 2, n - 1) entries."""
     d, n = points, n_max
     dim, top = math.comb(d + n, n), math.comb(d + n - 1, n)
-    entries = 2 * (d * (dim - top) + d * d * math.comb(d + n - 2, n - 1))
+    entries = d * (dim - top) + d * d * math.comb(d + n - 2, n - 1)
     require_memory(_SLOT_BYTES * (d * dim + entries), f"the field-operator suite at D = {dim}")
 
 
@@ -385,9 +383,11 @@ def phase_sum_defect(fock: FockSpace, pairs) -> float:
 
 
 def _xi_bracket(fock: FockSpace, x: Vec4, y: Vec4) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices and values of the nonzero [xi(x), xi(y)] entries: the table terms of
-    its four field brackets."""
-    parts = [_bracket_terms(fa(x, fock), fb(y, fock)) for fa in (phi, psi) for fb in (phi, psi)]
+    """Flat indices and values of the nonzero [xi(x), xi(y)] entries: the table terms of its
+    four field brackets, [psi(x), phi(y)] read off one mixed table as -[phi(y), psi(x)]."""
+    phi_x, psi_x, phi_y, psi_y = phi(x, fock), psi(x, fock), phi(y, fock), psi(y, fock)
+    flat, terms = _bracket_terms(phi_y, psi_x)
+    parts = [_bracket_terms(phi_x, phi_y), _bracket_terms(phi_x, psi_y), (flat, -terms), _bracket_terms(psi_x, psi_y)]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -528,6 +528,25 @@ def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
+def bracket_walk(fock: FockSpace, role_a: str, role_b: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`FockSpace.bracket_table` walked point by point over the dense ladder maps:
+    for each q, the rows and float products of X_q Y_r and Y_r X_q at every (r, column)
+    as (d, dim) arrays, -1 and 0.0 where a path is undefined, and their nonzero
+    differences in (q, r, column) order."""
+    (xt, xw), (yt, yw) = fock.ladder_maps[role_a], fock.ladder_maps[role_b]
+    y_ok = yt >= 0
+    parts = []
+    for q, (xq, xwq) in enumerate(zip(xt, xw)):
+        xy_row = np.where(y_ok, xq[yt], -1)
+        yx_row = np.where(xq >= 0, yt[:, xq], -1)
+        xy = np.where(xy_row >= 0, xwq[yt] * yw, 0.0)
+        bracket = xy - np.where(yx_row >= 0, yw[:, xq] * xwq, 0.0)
+        rows = np.maximum(xy_row, yx_row)
+        r, c = np.nonzero((rows >= 0) & (bracket != 0))
+        parts.append((rows[r, c] * fock.dim + c, np.full(len(r), q), r, bracket[r, c]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def apply(op: FieldOperator, vec: np.ndarray) -> np.ndarray:
     """The field operator applied to a vector, one scatter-add over its entries."""
     return _apply(op.fock.dim, op._entries(), vec)

@@ -242,6 +242,31 @@ def test_fock_verify_builds_one_space_and_one_bracket_per_xi_pair(capsys, monkey
     assert out.splitlines() == ["row,col,re,im"] + [f"{r},{c},{re!r},{im!r}" for r, c, re, im in want]
 
 
+def test_fock_verify_builds_one_mixed_bracket_table(capsys, monkeypatch):
+    """[psi(x), phi(y)] is read as -[phi(y), psi(x)]: the run builds the two same-species
+    tables and one mixed one, from four product tables, and keeps those three."""
+    spaces, products = [], []
+    build, product = fock.fock_space, fock.FockSpace.product_table
+    monkeypatch.setattr(fock, "fock_space", lambda *a: spaces.append(build(*a)) or spaces[-1])
+    monkeypatch.setattr(fock.FockSpace, "product_table", lambda s, *roles: products.append(roles) or product(s, *roles))
+    code, _, _ = run_cli(capsys, "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "2")
+    assert code == 0
+    a, c = "annihilates", "creates"
+    assert sorted(products) == sorted([(a, a), (c, c), (a, c), (c, a)])
+    assert sorted(spaces[0]._bracket_tables) == sorted([(a, a), (c, c), (a, c)])
+
+
+@pytest.mark.parametrize("m2, pmax, nmax", [(0, 2, 3), (3, 3, 2)])
+def test_fock_verify_stdout_is_that_of_the_bracket_walk(capsys, monkeypatch, m2, pmax, nmax):
+    """The tables built from the product tables give the bytes of the per-point walk over the
+    dense ladder maps, which builds every table on its own."""
+    argv = ["--format", "json", "fock-verify", "--m2", str(m2), "--pmax", str(pmax), "--nmax", str(nmax)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(fock.FockSpace, "bracket_table", oracles.bracket_walk)
+    assert run_cli(capsys, *argv)[:2] == (0, out)
+
+
 def test_fock_verify_three_particle_cap(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "3"
@@ -325,15 +350,23 @@ def test_fock_verify_rejects_nmax_0(capsys):
 def test_fock_verify_refuses_a_space_larger_than_memory(capsys, monkeypatch):
     """D = C(53, 13), about 8.4e11: refused from its size, before any sector is enumerated."""
 
-    def no_space(*args):
-        raise AssertionError("the Fock space was built before the memory guard")
+    def no_sectors(space):
+        raise AssertionError("a sector was enumerated before the memory guard")
 
-    monkeypatch.setattr(fock, "fock_space", no_space)
+    monkeypatch.setattr(fock.FockSpace, "multiset_arrays", property(no_sectors))
     code, out, err = run_cli(capsys, "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "40")
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: the field-operator suite at D = {math.comb(53, 13)} needs about ")
     assert err.count("\n") == 1 and "of physical memory" in err
+
+
+def test_fock_verify_with_an_empty_hyperboloid_is_a_named_error(capsys):
+    """No point at m2 2 > pmax^2: the space's own error, before the memory guard counts
+    multisets over an empty point set."""
+    code, out, err = run_cli(capsys, "fock-verify", "--m2", "2", "--pmax", "0", "--nmax", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: hyperboloid is empty at this truncation\n"
 
 
 def test_fock_verify_holds_less_than_one_dense_matrix(capsys):

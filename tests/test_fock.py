@@ -39,6 +39,7 @@ from causet_qft.representations import SignConvention, spinor_of
 from causet_qft.symmetry import element, elements, multiply
 from oracles import (
     apply,
+    bracket_walk,
     commutator,
     field_entries,
     matrix_commutator,
@@ -366,6 +367,29 @@ def test_a_second_commutator_reuses_the_cached_tables():
     assert all(a is not b and np.array_equal(a, b) for a, b in zip(other, table))
 
 
+@pytest.mark.parametrize("nmax", [1, 2, 3])
+@pytest.mark.parametrize("m2, pmax", [(0, 1), (2, 2), (1, 2)], ids=["fock13", "six_points", "pmax2"])
+def test_bracket_tables_bit_equal_the_walk(monkeypatch, m2, pmax, nmax):
+    """Each role pair's table, built from two product tables, has the entries, order, dtypes
+    and bits of the point-by-point walk over the dense ladder maps; so has the xi bracket,
+    which reads [psi(x), phi(y)] off the (annihilates, creates) table, summed per entry."""
+    space = fock_space(hyperboloid(m2, pmax), nmax)
+    roles = ("annihilates", "creates")
+    for role_a in roles:
+        for role_b in roles:
+            table, walk = space.bracket_table(role_a, role_b), bracket_walk(space, role_a, role_b)
+            assert [a.dtype for a in table] == [b.dtype for b in walk]
+            assert all(_same_bits(a, b) for a, b in zip(table, walk))
+    rnd = random.Random(27)
+    pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(3)]
+    got = [fock_module._accumulated(*fock_module._xi_bracket(space, x, y)) for x, y in pairs]
+    monkeypatch.setattr(fock_module.FockSpace, "bracket_table", bracket_walk)
+    for (x, y), (positions, entries) in zip(pairs, got):
+        parts = [fock_module._bracket_terms(fa(x, space), fb(y, space)) for fa in (phi, psi) for fb in (phi, psi)]
+        want = fock_module._accumulated(*(np.concatenate(column) for column in zip(*parts)))
+        assert np.array_equal(positions, want[0]) and _same_bits(entries, want[1])
+
+
 def _xi_bracket_from_tables(space, x, y):
     return sum(commutator(fa(x, space), fb(y, space)) for fa in (phi, psi) for fb in (phi, psi))
 
@@ -492,8 +516,8 @@ def test_cached_ladder_entries_bit_equal_the_per_call_scan(oracle_space):
 
 @pytest.mark.parametrize("m2, pmax, nmax", [(3, 3, 2), (0, 1, 3), (3, 3, 3), (0, 1, 4)])
 def test_fock_memory_guard_covers_the_traced_peak(monkeypatch, m2, pmax, nmax):
-    """The guard's count of ladder-map slots and mixed bracket-table entries covers the
-    traced peak of a fock-verify run, and is within twice of it."""
+    """The guard's count of ladder-map slots and mixed bracket-table entries (the run keeps
+    one mixed table) covers the traced peak of a fock-verify run, and is within twice of it."""
     needs = []
     monkeypatch.setattr(fock_module, "require_memory", lambda need, what: needs.append(need))
     tracemalloc.start()
@@ -505,8 +529,7 @@ def test_fock_memory_guard_covers_the_traced_peak(monkeypatch, m2, pmax, nmax):
     assert code == 0
     space = fock_space(hyperboloid(m2, pmax), nmax)
     d = len(space.hyperboloid)
-    mixed = (("annihilates", "creates"), ("creates", "annihilates"))
-    entries = sum(len(space.bracket_table(*roles)[0]) for roles in mixed)
+    entries = len(space.bracket_table("annihilates", "creates")[0])
     assert needs == [fock_module._SLOT_BYTES * (d * space.dim + entries)]
     assert peak <= needs[0] < 2 * peak
 
