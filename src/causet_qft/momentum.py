@@ -19,9 +19,9 @@ import numpy as np
 
 from . import paperdata
 from .lattice import (
-    MINKOWSKI_GRAM, Vec4, norm_sq3_rows, rank_rows, vectors_with_norm_up_to,
+    MINKOWSKI_GRAM, Vec4, norm_sq3_rows, rank_rows, require_memory, vectors_with_norm_up_to,
 )
-from .symmetry import MATRICES, GroupElement, apply4, index, multiply
+from .symmetry import MATRICES, GroupElement, apply4, index
 
 __all__ = [
     "attainable_spatial_norms",
@@ -33,16 +33,27 @@ __all__ = [
     "mass_shell_defect",
     "hyperboloid_invariance_defect",
     "PoincareElement",
-    "poincare_product",
 ]
 
 
+# Bytes per norm below a limit (the sieve traces 46) or per mass-table value (masses, 75-90)
+_VALUE_BYTES = 96
+
+
 def attainable_spatial_norms(limit: int) -> tuple[int, ...]:
-    """All values of the spatial quadratic form up to ``limit``, by enumeration."""
+    """All values of the spatial quadratic form up to ``limit``, by a sieve.  With
+    (a, b, c) = (n + p, n + q, p + q), 2 norm_sq3 = a^2 + b^2 + c^2, and an even sum of three
+    squares has a + b + c even, so an integral (n, p, q): Q is attained exactly when 2Q is a
+    sum of three squares, by Legendre's theorem when 2Q is not 4^a (8b + 7), that is when Q
+    is not 4^k (16b + 14)."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    norms = np.sort(norm_sq3_rows(vectors_with_norm_up_to(limit)))  # sort, drop repeats: no numpy.ma
-    return tuple(norms[np.diff(norms, prepend=-1) > 0].tolist())
+    require_memory(_VALUE_BYTES * (limit + 1), f"the attainable spatial norms up to {limit}")
+    excluded, power = np.zeros(limit + 1, dtype=bool), 1
+    while 14 * power <= limit:
+        excluded[14 * power :: 16 * power] = True
+        power *= 4
+    return tuple(np.flatnonzero(~excluded).tolist())
 
 
 def _set_diff(computed, printed) -> dict:
@@ -64,12 +75,13 @@ def spatial_norms_paper_diff(norms: tuple[int, ...], limit: int) -> dict:
 
 def mass_squared_rows(norms: tuple[int, ...], p0_max: int) -> list[tuple[int, ...]]:
     """The attainable squared masses p0^2 - Q at each energy p0 = 0..p0_max, ascending,
-    read from ``norms``: the attainable spatial norms Q, ascending, up to at least p0_max^2."""
+    read from ``norms``: the attainable spatial norms Q, ascending, up to at least p0_max^2.
+    ``ValueError`` first when the table would outgrow physical memory."""
     norms = np.asarray(norms, dtype=np.int64)
-    return [
-        tuple((p0 * p0 - norms[: np.searchsorted(norms, p0 * p0, side="right")][::-1]).tolist())
-        for p0 in range(p0_max + 1)
-    ]
+    lengths = np.searchsorted(norms, np.arange(p0_max + 1) ** 2, side="right")
+    values = int(lengths.sum())
+    require_memory(_VALUE_BYTES * values, f"the mass table up to p0 = {p0_max} ({values} values)")
+    return [tuple((p0 * p0 - norms[:length][::-1]).tolist()) for p0, length in enumerate(lengths.tolist())]
 
 
 def mass_table_paper_diff(rows: list[tuple[int, ...]]) -> list[dict]:
@@ -150,13 +162,6 @@ class PoincareElement:
 
     translation: Vec4
     rotation: GroupElement
-
-
-def poincare_product(g1: PoincareElement, g2: PoincareElement) -> PoincareElement:
-    return PoincareElement(
-        g1.translation + apply4(g1.rotation, g2.translation),
-        multiply(g1.rotation, g2.rotation),
-    )
 
 
 def hyperboloid_invariance_defect(h: Hyperboloid, group) -> int:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import symmetry
-from .fock import FockSpace, _phases, basis_unit, fock_space, vacuum
+from .fock import _ROLES, FockSpace, _phases, basis_unit, fock_space, vacuum
 from .lattice import Vec4, require_memory, vectors_with_norm_up_to
 from .momentum import Hyperboloid, hyperboloid
 
@@ -72,11 +72,6 @@ def _window_rows(cfg: InteractionConfig, t: int) -> np.ndarray:
     as lexicographic (t, n, p, q) int64 rows."""
     cap = min(t, cfg.window_radius)
     return np.insert(vectors_with_norm_up_to(cap * cap), 0, t, axis=1)
-
-
-# Ladder roles in the order of their coefficients: lowering maps carry e^{-ip.x} in the
-# field, as phi does, and raising maps e^{ip.x}, as psi does.
-_ROLES = ("annihilates", "creates")
 
 
 @dataclass(frozen=True)

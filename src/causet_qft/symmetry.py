@@ -35,7 +35,6 @@ __all__ = [
     "index",
     "MATRICES",
     "PRODUCT_INDEX",
-    "multiply",
     "build_table",
     "table_diff_vs_printed",
     "generate_from",
@@ -118,11 +117,6 @@ def element(label: str) -> GroupElement:
 def index(z: GroupElement) -> int:
     """Position of ``z`` in label order: its row of ``MATRICES`` and ``PRODUCT_INDEX``."""
     return _INDEX[z.label]
-
-
-def multiply(y: GroupElement, z: GroupElement) -> GroupElement:
-    """Product y*z, read from the product table."""
-    return _ELEMENTS[PRODUCT_INDEX[_INDEX[y.label], _INDEX[z.label]]]
 
 
 @dataclass(frozen=True)

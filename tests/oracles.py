@@ -19,12 +19,15 @@ products against the product table, a 4-D grid against spatial rows,
 per-object triples and per-element spinor comparisons against their stacks,
 a converted copy of a report passed to ``json.dumps`` and a line-list walk
 against the one-pass renderers), so the tests can diff the fast path
-against it on small cases, and the per-energy mass and hyperboloid loops
-against the one enumeration of the spectra.  It also holds the helpers that
+against it on small cases, the per-energy mass and hyperboloid loops
+against the one enumeration of the spectra, the norm-ball enumeration against
+the norm sieve, and the fock-verify gates one sample at a time (with the
+commutator on the walk's every-column table) against the batched gates on
+the safe-column table.  It also holds the helpers that
 only tests call: the one-vector layer (``Vec3`` and its arithmetic, the scalar
 norms, ``apply3``, ``lift_to4``, ``inverse``, a table entry by labels and
-hyperboloid membership), sorted eigensystems, the Poincare identity, inverse
-and action on a vector,
+hyperboloid membership), sorted eigensystems, the group product by labels,
+the Poincare product, identity, inverse and action on a vector,
 the symmetry action ``rep_v``, a field operator applied to a vector, and the
 spin-tensored single-particle representation.
 """
@@ -41,9 +44,7 @@ import numpy as np
 
 from causet_qft import paperdata
 from causet_qft.causet import _STEP_ARRAY, CovarianceReport, History, Speed, parent_histogram
-from causet_qft.fock import (
-    FieldOperator, FockSpace, _apply, _bracket_terms, _monomials, _phases, basis_unit, xi_entries
-)
+from causet_qft.fock import FieldOperator, FockSpace, _monomials, _phases, basis_unit, phi, psi, xi_entries
 from causet_qft.lattice import (
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
@@ -57,7 +58,7 @@ from causet_qft.momentum import Hyperboloid, PoincareElement, attainable_spatial
 from causet_qft.representations import SignConvention, _principal_angle, cal_u, spinor_of
 from causet_qft.scattering import InteractionConfig, ScatteringModel, ScatteringSeries, _max_abs, _window_rows
 from causet_qft.scattering import interaction_hamiltonian as block_hamiltonian
-from causet_qft.symmetry import BoostCertificate, GroupElement, GroupTable, apply4, elements, multiply
+from causet_qft.symmetry import PRODUCT_INDEX, BoostCertificate, GroupElement, GroupTable, apply4, elements, index
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,6 +149,12 @@ def mass_squared_values(p0: int) -> tuple[int, ...]:
     """Attainable squared masses at fixed energy component p0, one enumeration per energy."""
     cap = p0 * p0
     return tuple(sorted({cap - q for q in attainable_spatial_norms(cap)}))
+
+
+def attainable_spatial_norms_by_enumeration(limit: int) -> tuple[int, ...]:
+    """The distinct values of norm_sq3 over the whole lattice ball norm_sq3 <= limit."""
+    norms = np.sort(norm_sq3_rows(vectors_with_norm_up_to(limit)))
+    return tuple(norms[np.diff(norms, prepend=-1) > 0].tolist())
 
 
 def hyperboloid_coords(mass_sq: int, p_max: int) -> np.ndarray:
@@ -506,9 +513,9 @@ def multiset_indicator(fock: FockSpace, point_indices: tuple[int, ...]) -> np.nd
 def xi_matrix(x: Vec4, fock: FockSpace) -> np.ndarray:
     """The self-adjoint field phi(x) + psi(x) as a dense dim x dim matrix, written from
     :func:`causet_qft.fock.xi_entries`."""
-    rows, cols, vals = xi_entries(x, fock)
+    rows, cols, vals = xi_entries(np.array([x.coords()]), fock)
     out = np.zeros((fock.dim, fock.dim), dtype=complex)
-    out[rows, cols] = vals
+    out[rows, cols] = vals[0]
     return out
 
 
@@ -517,11 +524,23 @@ def matrix_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def bracket_terms(a: FieldOperator, b: FieldOperator, table=None) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and values of the nonzero [a, b] entries, in (q, r, column) order: each
+    bracket of ``table`` (by default the space's cached table for the two roles) times its
+    Python coefficient product a.coeffs[q] * b.coeffs[r]."""
+    if a.fock is not b.fock and a.fock != b.fock:
+        raise ValueError("operators live on different Fock spaces")
+    flat, q, r, bracket = a.fock.bracket_table(a.role, b.role) if table is None else table
+    products = np.array([[ca * cb for cb in b.coeffs] for ca in a.coeffs])
+    return flat, products[q, r] * bracket
+
+
 def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
-    """[a, b] on the full space, expanded bilinearly over point pairs (q, r) of the
-    space's cached bracket table.  Terms add up in (q, r) order, so same-species
-    commutators are exact zeros."""
-    flat, terms = _bracket_terms(a, b)
+    """[a, b] on the full space, expanded bilinearly over the point pairs (q, r) of
+    :func:`bracket_walk`'s table, which keeps the top-sector columns the space's mixed
+    table drops.  Terms add up in (q, r) order, so same-species commutators are exact
+    zeros."""
+    flat, terms = bracket_terms(a, b, bracket_walk(a.fock, a.role, b.role))
     dim = a.fock.dim
     out = np.zeros(dim * dim, dtype=complex)
     np.add.at(out, flat, terms)
@@ -529,9 +548,9 @@ def commutator(a: FieldOperator, b: FieldOperator) -> np.ndarray:
 
 
 def bracket_walk(fock: FockSpace, role_a: str, role_b: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:meth:`FockSpace.bracket_table` walked point by point over the dense ladder maps:
-    for each q, the rows and float products of X_q Y_r and Y_r X_q at every (r, column)
-    as (d, dim) arrays, -1 and 0.0 where a path is undefined, and their nonzero
+    """:meth:`FockSpace.bracket_table` walked point by point over the dense ladder maps, on
+    every column: for each q, the rows and float products of X_q Y_r and Y_r X_q at every
+    (r, column) as (d, dim) arrays, -1 and 0.0 where a path is undefined, and their nonzero
     differences in (q, r, column) order."""
     (xt, xw), (yt, yw) = fock.ladder_maps[role_a], fock.ladder_maps[role_b]
     y_ok = yt >= 0
@@ -547,9 +566,151 @@ def bracket_walk(fock: FockSpace, role_a: str, role_b: str) -> tuple[np.ndarray,
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def safe_columns(fock: FockSpace, table: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The entries of a ``(flat, q, r, bracket)`` table in truncation-safe columns."""
+    keep = table[0] % fock.dim < fock.safe_sector_end()
+    return tuple(column[keep] for column in table)
+
+
+def apply_entries(dim: int, entries: tuple[np.ndarray, np.ndarray, np.ndarray], vec: np.ndarray) -> np.ndarray:
+    """The dim-row matrix with ``(rows, cols, values)`` entries applied to ``vec``, one
+    ``np.add.at`` scatter-add."""
+    rows, cols, vals = entries
+    out = np.zeros(dim, dtype=complex)
+    np.add.at(out, rows, vals * vec[cols])
+    return out
+
+
 def apply(op: FieldOperator, vec: np.ndarray) -> np.ndarray:
     """The field operator applied to a vector, one scatter-add over its entries."""
-    return _apply(op.fock.dim, op._entries(), vec)
+    return apply_entries(op.fock.dim, op._entries(), vec)
+
+
+def phase_sum(h: Hyperboloid, x: Vec4, y: Vec4) -> complex:
+    """The commutator scalar: sum of exp(i p.(y-x)), in point order."""
+    return sum(_phases(h, y - x).tolist())
+
+
+def sine_sum(h: Hyperboloid, x: Vec4, y: Vec4) -> float:
+    """Sum of sin(p.(y-x)) over the points, in point order: exp of a purely imaginary
+    argument has sin(p.(y-x)) as its imaginary part exactly."""
+    return sum(_phases(h, y - x).imag.tolist())
+
+
+# The fock-verify gates one sample point or pair at a time, as the batched gates of
+# causet_qft.fock once computed them: the same arithmetic in the same order.
+
+
+def adjoint_defect_by_point(fock: FockSpace, points) -> float:
+    """:func:`causet_qft.fock.adjoint_defect` one point at a time, from phi and psi."""
+    (low, _), (up, up_w) = fock.ladder_maps["annihilates"], fock.ladder_maps["creates"]
+    q, r, c, low_w = fock.ladder_entries["annihilates"]
+    paired = up[q, r] == c
+    q_up, c_up, r_up, w_up = fock.ladder_entries["creates"]
+    orphans = low[q_up, c_up] != r_up
+
+    def worst(x: Vec4) -> float:
+        a, b = np.asarray(phi(x, fock).coeffs), np.asarray(psi(x, fock).coeffs)
+        lowered = 0.0 + a[q] * low_w
+        raised = 0.0 + b[q] * up_w[q, r]
+        diff = np.where(paired, np.abs(raised - np.conj(lowered)), np.abs(lowered))
+        orphan = np.abs(0.0 + b[q_up[orphans]] * w_up[orphans])
+        return max(float(np.max(diff, initial=0.0)), float(np.max(orphan, initial=0.0)))
+
+    return max(worst(x) for x in points)
+
+
+def identity_defect_by_pair(fock: FockSpace, flat: np.ndarray, terms: np.ndarray, scalar: complex) -> float:
+    """Largest |entry| of C - scalar * I on the truncation-safe sectors, C the ``terms``
+    summed at their flat positions by ``np.add.at``; a safe diagonal entry with no term
+    counts at |scalar|."""
+    end = fock.safe_sector_end()
+    safe = flat < end * fock.dim
+    safe[safe] = flat[safe] % fock.dim < end
+    positions, where = np.unique(flat[safe], return_inverse=True)
+    entries = np.zeros(len(positions), dtype=complex)
+    np.add.at(entries, where, terms[safe])
+    diagonal = positions % (fock.dim + 1) == 0
+    entries[diagonal] -= scalar
+    bare = float(np.abs(np.complex128(scalar))) if np.count_nonzero(diagonal) < end else 0.0
+    return max(float(np.max(np.abs(entries), initial=0.0)), bare)
+
+
+def phase_sum_defect_by_pair(fock: FockSpace, pairs) -> float:
+    """:func:`causet_qft.fock.phase_sum_defect` one pair at a time."""
+    return max(
+        identity_defect_by_pair(fock, *bracket_terms(phi(x, fock), psi(y, fock)), phase_sum(fock.hyperboloid, x, y))
+        for x, y in pairs
+    )
+
+
+def xi_entries_by_point(x: Vec4, fock: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xi(x)'s entries from its two field operators: phi's, then psi's."""
+    return tuple(np.concatenate(parts) for parts in zip(phi(x, fock)._entries(), psi(x, fock)._entries()))
+
+
+def xi_bracket_by_pair(fock: FockSpace, x: Vec4, y: Vec4) -> tuple[np.ndarray, np.ndarray]:
+    """The [xi(x), xi(y)] terms of its four field brackets' tables, [psi(x), phi(y)] as
+    -[phi(y), psi(x)]."""
+    phi_x, psi_x, phi_y, psi_y = phi(x, fock), psi(x, fock), phi(y, fock), psi(y, fock)
+    flat, terms = bracket_terms(phi_y, psi_x)
+    parts = [bracket_terms(phi_x, phi_y), bracket_terms(phi_x, psi_y), (flat, -terms), bracket_terms(psi_x, psi_y)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def xi_defects_by_pair(fock: FockSpace, pairs, rnd) -> tuple[float, float]:
+    """:func:`causet_qft.fock.xi_defects` one pair at a time, v drawn per pair."""
+    end, dim = fock.safe_sector_end(), fock.dim
+
+    def pair_defects(x: Vec4, y: Vec4) -> tuple[float, float]:
+        flat, terms = xi_bracket_by_pair(fock, x, y)
+        identity = identity_defect_by_pair(fock, flat, terms, 2j * sine_sum(fock.hyperboloid, x, y))
+        v = np.zeros(dim, dtype=complex)
+        v[:end] = np.array([2.0 * rnd.random() - 1.0 for _ in range(2 * end)]).view(complex)
+        rows, cols = np.divmod(flat, dim)
+        safe = cols < end
+        defect = apply_entries(dim, (rows[safe], cols[safe], -terms[safe]), v)
+        xi_x, xi_y = xi_entries_by_point(x, fock), xi_entries_by_point(y, fock)
+        defect += apply_entries(dim, xi_x, apply_entries(dim, xi_y, v))
+        defect -= apply_entries(dim, xi_y, apply_entries(dim, xi_x, v))
+        return identity, float(np.max(np.abs(defect)))
+
+    identity, products = zip(*(pair_defects(x, y) for x, y in pairs))
+    return max(identity), max(products)
+
+
+def multiply(y: GroupElement, z: GroupElement) -> GroupElement:
+    """Product y*z, read from the product table."""
+    return elements()[PRODUCT_INDEX[index(y), index(z)]]
+
+
+def poincare_product(g1: PoincareElement, g2: PoincareElement) -> PoincareElement:
+    """g1 g2 = (y1 + Y1 y2, Y1 Y2), one pair of elements at a time."""
+    return PoincareElement(g1.translation + apply4(g1.rotation, g2.translation), multiply(g1.rotation, g2.rotation))
+
+
+def monomials_by_element(fock: FockSpace, group_elements) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`causet_qft.fock._monomials` of a list of ``PoincareElement``s."""
+    translations = np.array([g.translation.coords() for g in group_elements], dtype=np.int64).reshape(-1, 4)
+    return _monomials(fock, translations, np.array([index(g.rotation) for g in group_elements], dtype=np.int64))
+
+
+def rep_v_defects_by_pair(fock: FockSpace, pairs) -> tuple[float, float, bool]:
+    """:func:`causet_qft.fock.rep_v_defects` with each g1 g2 from :func:`poincare_product`,
+    a pair's three actions one :func:`monomials_by_element` call."""
+    unitarity = hom = 0.0
+    block_diagonal = True
+    sector_of = np.repeat(np.arange(fock.n_max + 1), np.diff(fock.offsets))
+    for g1, g2 in pairs:
+        (p1, p2, p12), (a1, a2, a12) = monomials_by_element(fock, [g1, g2, poincare_product(g1, g2)])
+        shared = np.bincount(p1, minlength=fock.dim)[p1] > 1
+        off_diagonal = float(np.max(np.abs(a1[shared]), initial=0.0)) ** 2
+        unitarity = max(unitarity, off_diagonal, float(np.max(np.abs((a1.conj() * a1).real - 1.0))))
+        prod = a1[p2] * a2
+        defect = np.where(p1[p2] == p12, np.abs(prod - a12), np.maximum(np.abs(prod), np.abs(a12)))
+        hom = max(hom, float(np.max(defect)))
+        block_diagonal = block_diagonal and bool(np.all(sector_of[p1] == sector_of))
+    return unitarity, hom, block_diagonal
 
 
 def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -557,8 +718,8 @@ def rep_v(y: Vec4, rot: GroupElement, fock: FockSpace) -> tuple[np.ndarray, np.n
     the rotation permutes each multiset's points (so V is block-diagonal over sectors)
     and the translation multiplies in the phases of the mapped points; ``perm`` is
     read-only."""
-    amp = _monomials(fock, [PoincareElement(y, rot)])[1][0]
-    return fock.sector_permutation(rot), amp
+    amp = monomials_by_element(fock, [PoincareElement(y, rot)])[1][0]  # raises if the points leave
+    return fock._sector_permutations[1][index(rot)], amp
 
 
 def poincare_apply(g: PoincareElement, x: Vec4) -> Vec4:

@@ -196,13 +196,13 @@ def test_masses_rejects_negative_p0_max(capsys):
 
 
 def test_masses_past_memory_is_a_named_error_at_once(capsys):
-    """The table comes from one enumeration up to p0_max^2, so a p0_max far past memory is
-    refused before any row exists rather than after one enumeration per energy."""
+    """The table comes from one sieve up to p0_max^2, so a p0_max far past memory is
+    refused before any row exists rather than after one pass per energy."""
     start = time.monotonic()
     code, out, err = run_cli(capsys, "masses", "--p0-max", "100000")
     assert time.monotonic() - start < 2
     assert (code, out) == (1, "")
-    assert err.startswith("error: the lattice enumeration of norm_sq3 <= 10000000000 (about ")
+    assert err.startswith("error: the attainable spatial norms up to 10000000000 needs about ")
     assert err.count("\n") == 1 and "of physical memory" in err
 
 
@@ -230,14 +230,15 @@ def test_fock_verify(capsys):
 
 def test_fock_verify_builds_one_space_and_one_bracket_per_xi_pair(capsys, monkeypatch):
     """The csv table is phi(e_t)'s entries on the space the checks ran on, not on a second
-    build, and both xi gates read one bracket per drawn pair."""
+    build, and both xi gates read one bracket per drawn pair: one row of a batch's
+    brackets."""
     spaces, brackets = [], []
     build, bracket = fock.fock_space, fock._xi_bracket
     monkeypatch.setattr(fock, "fock_space", lambda *a: spaces.append(build(*a)) or spaces[-1])
     monkeypatch.setattr(fock, "_xi_bracket", lambda *a: brackets.append(a) or bracket(*a))
     code, out, _ = run_cli(capsys, "--format", "csv", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "2")
     assert code == 0
-    assert len(spaces) == 1 and len(brackets) == 5
+    assert len(spaces) == 1 and sum(len(xs) for _, xs, _ in brackets) == 5
     want = zip(*(column.tolist() for column in fock.phi(Vec4(1, 0, 0, 0), spaces[0]).triplets()))
     assert out.splitlines() == ["row,col,re,im"] + [f"{r},{c},{re!r},{im!r}" for r, c, re, im in want]
 
@@ -248,7 +249,9 @@ def test_fock_verify_builds_one_mixed_bracket_table(capsys, monkeypatch):
     spaces, products = [], []
     build, product = fock.fock_space, fock.FockSpace.product_table
     monkeypatch.setattr(fock, "fock_space", lambda *a: spaces.append(build(*a)) or spaces[-1])
-    monkeypatch.setattr(fock.FockSpace, "product_table", lambda s, *roles: products.append(roles) or product(s, *roles))
+    monkeypatch.setattr(
+        fock.FockSpace, "product_table", lambda s, *roles, **end: products.append(roles) or product(s, *roles, **end)
+    )
     code, _, _ = run_cli(capsys, "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "2")
     assert code == 0
     a, c = "annihilates", "creates"
@@ -287,8 +290,8 @@ def _rep_v_checks(capsys, monkeypatch, corrupt):
     gate builds, calls counted from 1 in the order of the gate's batches and their rows."""
     calls = []
 
-    def corrupted(space, elements):
-        perms, amps = EXACT_MONOMIALS(space, elements)
+    def corrupted(space, *elements):
+        perms, amps = EXACT_MONOMIALS(space, *elements)
         perms = perms.copy()
         for row in perms:
             calls.append(None)

@@ -17,13 +17,11 @@ from causet_qft.fock import (
     adjoint_defect,
     basis_unit,
     fock_space,
-    phase_sum,
     phase_sum_defect,
     phi,
     psi,
     rep_v_defects,
     same_species_commutator_max,
-    sine_sum,
     vacuum,
     xi_defects,
 )
@@ -33,24 +31,34 @@ from causet_qft.momentum import (
     PoincareElement,
     hyperboloid,
     mass_shell_defect,
-    poincare_product,
 )
 from causet_qft.representations import SignConvention, spinor_of
-from causet_qft.symmetry import element, elements, multiply
+from causet_qft.symmetry import element, elements
 from oracles import (
+    adjoint_defect_by_point,
     apply,
+    bracket_terms,
     bracket_walk,
     commutator,
     field_entries,
     matrix_commutator,
     minkowski_doubled,
     momentum_operators,
+    monomials_by_element,
+    multiply,
     multiset_indicator,
     norm_sq3,
     phase,
+    phase_sum,
+    phase_sum_defect_by_pair,
+    poincare_product,
     rep_v,
+    rep_v_defects_by_pair,
+    safe_columns,
+    sine_sum,
     spatial,
     spin_rep,
+    xi_defects_by_pair,
     xi_matrix,
 )
 
@@ -357,9 +365,9 @@ def test_same_species_bracket_tables_are_empty(oracle_space):
 def test_a_second_commutator_reuses_the_cached_tables():
     space = fock_space(hyperboloid(3, 3), 2)
     x, y = Vec4(1, 1, 0, 0), Vec4(2, 0, 1, -1)
-    first = commutator(phi(x, space), psi(y, space))
+    first = phase_sum_defect(space, [(x, y)])
     table = space.bracket_table("annihilates", "creates")
-    assert _same_bits(commutator(phi(x, space), psi(y, space)), first)
+    assert phase_sum_defect(space, [(x, y)]) == first
     assert all(a is b for a, b in zip(space.bracket_table("annihilates", "creates"), table))
     assert not any(column.flags.writeable for column in table)
     # an equal space builds its own tables, with the same entries
@@ -369,25 +377,35 @@ def test_a_second_commutator_reuses_the_cached_tables():
 
 @pytest.mark.parametrize("nmax", [1, 2, 3])
 @pytest.mark.parametrize("m2, pmax", [(0, 1), (2, 2), (1, 2)], ids=["fock13", "six_points", "pmax2"])
-def test_bracket_tables_bit_equal_the_walk(monkeypatch, m2, pmax, nmax):
+def test_bracket_tables_bit_equal_the_walk(m2, pmax, nmax):
     """Each role pair's table, built from two product tables, has the entries, order, dtypes
-    and bits of the point-by-point walk over the dense ladder maps; so has the xi bracket,
-    which reads [psi(x), phi(y)] off the (annihilates, creates) table, summed per entry."""
+    and bits of the point-by-point walk over the dense ladder maps: on every column for
+    equal roles, on the truncation-safe columns, d (dim - top) entries, for mixed ones.
+    So has the xi bracket, which reads [psi(x), phi(y)] off the (annihilates, creates)
+    table, summed per entry, for three pairs at once."""
     space = fock_space(hyperboloid(m2, pmax), nmax)
     roles = ("annihilates", "creates")
     for role_a in roles:
         for role_b in roles:
             table, walk = space.bracket_table(role_a, role_b), bracket_walk(space, role_a, role_b)
+            if role_a != role_b:
+                walk = safe_columns(space, walk)
+                assert len(table[0]) == len(space.hyperboloid) * space.safe_sector_end()
             assert [a.dtype for a in table] == [b.dtype for b in walk]
             assert all(_same_bits(a, b) for a, b in zip(table, walk))
     rnd = random.Random(27)
     pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(3)]
-    got = [fock_module._accumulated(*fock_module._xi_bracket(space, x, y)) for x, y in pairs]
-    monkeypatch.setattr(fock_module.FockSpace, "bracket_table", bracket_walk)
-    for (x, y), (positions, entries) in zip(pairs, got):
-        parts = [fock_module._bracket_terms(fa(x, space), fb(y, space)) for fa in (phi, psi) for fb in (phi, psi)]
-        want = fock_module._accumulated(*(np.concatenate(column) for column in zip(*parts)))
-        assert np.array_equal(positions, want[0]) and _same_bits(entries, want[1])
+    xs, ys = (np.array([v.coords() for v in column]) for column in zip(*pairs))
+    positions, entries = fock_module._accumulated(*fock_module._xi_bracket(space, xs, ys))
+    for (x, y), got in zip(pairs, entries, strict=True):
+        fields = [(fa(x, space), fb(y, space)) for fa in (phi, psi) for fb in (phi, psi)]
+        parts = [bracket_terms(a, b, bracket_walk(space, a.role, b.role)) for a, b in fields]
+        flat, terms = (np.concatenate(column) for column in zip(*parts))
+        safe = flat % space.dim < space.safe_sector_end()
+        want_positions, where = np.unique(flat[safe], return_inverse=True)
+        want = np.zeros(len(want_positions), dtype=complex)
+        np.add.at(want, where, terms[safe])
+        assert np.array_equal(positions, want_positions) and _same_bits(got, want)
 
 
 def _xi_bracket_from_tables(space, x, y):
@@ -423,9 +441,9 @@ def test_identity_gates_bit_equal_the_dense_safe_block(xi_space):
         scalar = phase_sum(xi_space.hyperboloid, x, y)
         assert phase_sum_defect(xi_space, [(x, y)]) == _dense_identity_defect(xi_space, dense, scalar)
         # the four field brackets' terms, added in one pass as the gate adds them
-        flat, terms = fock_module._xi_bracket(xi_space, x, y)
+        flat, terms = fock_module._xi_bracket(xi_space, np.array([x.coords()]), np.array([y.coords()]))
         dense = np.zeros(xi_space.dim**2, dtype=complex)
-        np.add.at(dense, flat, terms)
+        np.add.at(dense, flat, terms[0])
         scalar = 2j * sine_sum(xi_space.hyperboloid, x, y)
         want = _dense_identity_defect(xi_space, dense.reshape(xi_space.dim, xi_space.dim), scalar)
         assert xi_defects(xi_space, [(x, y)], random.Random(0))[0] == want
@@ -438,7 +456,12 @@ def test_identity_defect_counts_missing_and_stray_entries(fock13):
     end, dim = fock13.safe_sector_end(), fock13.dim
     diagonal = np.arange(end) * (dim + 1)
     full = np.full(end, 3 + 4j)
-    defect = fock_module._identity_defect
+
+    def defect(fock, flat, terms, scalar):  # one pair, and the same pair twice
+        once = fock_module._identity_defect(fock, flat, terms[None], [scalar])
+        assert fock_module._identity_defect(fock, flat, np.stack([terms, terms]), [scalar, scalar]) == once
+        return once
+
     assert defect(fock13, diagonal, full, 3 + 4j) == 0.0
     assert defect(fock13, diagonal[1:], full[1:], 3 + 4j) == 5.0
     assert defect(fock13, np.array([], dtype=np.int64), np.array([], dtype=complex), 3 + 4j) == 5.0
@@ -456,14 +479,16 @@ def test_xi_matrix_defect_is_rounding_on_exact_matrices(xi_space):
 
 
 def test_xi_defects_build_each_bracket_once(monkeypatch, fock13):
-    """One bracket per pair serves both gates, and each gate is the worst pair's value."""
+    """One bracket per pair serves both gates, the pairs' brackets built a batch at a time,
+    and each gate is the worst pair's value."""
     calls = []
     bracket = fock_module._xi_bracket
     monkeypatch.setattr(fock_module, "_xi_bracket", lambda *a: calls.append(a[1:]) or bracket(*a))
     rnd = random.Random(28)
     pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(3)]
     both = xi_defects(fock13, pairs, random.Random(29))
-    assert calls == pairs
+    xs, ys = (np.concatenate(column) for column in zip(*calls))
+    assert xs.tolist() == [list(x.coords()) for x, _ in pairs] and ys.tolist() == [list(y.coords()) for _, y in pairs]
     # each pair alone, its v drawn where the three-pair run drew it
     draws = random.Random(29)
     alone = [xi_defects(fock13, [pair], draws) for pair in pairs]
@@ -485,11 +510,11 @@ def test_xi_matrix_defect_sees_one_corrupted_entry(monkeypatch, entry):
     pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(2)]
     exact = fock_module.xi_entries
 
-    def corrupted(x, fock):
-        rows, cols, vals = exact(x, fock)
+    def corrupted(xs, fock):
+        rows, cols, vals = exact(xs, fock)
         hit = (rows == row) & (cols == col)
         if not hit.any():
-            return np.append(rows, row), np.append(cols, col), np.append(vals, 0.5)
+            return np.append(rows, row), np.append(cols, col), np.append(vals, np.full((len(vals), 1), 0.5), axis=1)
         return rows, cols, vals + 0.5 * hit
 
     assert max(xi_defects(space, pairs, random.Random(25))) < 1e-12
@@ -516,8 +541,9 @@ def test_cached_ladder_entries_bit_equal_the_per_call_scan(oracle_space):
 
 @pytest.mark.parametrize("m2, pmax, nmax", [(3, 3, 2), (0, 1, 3), (3, 3, 3), (0, 1, 4)])
 def test_fock_memory_guard_covers_the_traced_peak(monkeypatch, m2, pmax, nmax):
-    """The guard's count of ladder-map slots and mixed bracket-table entries (the run keeps
-    one mixed table) covers the traced peak of a fock-verify run, and is within twice of it."""
+    """The guard's count of ladder-map slots, mixed bracket-table entries (the run keeps one
+    mixed table) and the Y_r X_q paths its build gathers covers the traced peak of a
+    fock-verify run, and is within twice of it."""
     needs = []
     monkeypatch.setattr(fock_module, "require_memory", lambda need, what: needs.append(need))
     tracemalloc.start()
@@ -530,7 +556,8 @@ def test_fock_memory_guard_covers_the_traced_peak(monkeypatch, m2, pmax, nmax):
     space = fock_space(hyperboloid(m2, pmax), nmax)
     d = len(space.hyperboloid)
     entries = len(space.bracket_table("annihilates", "creates")[0])
-    assert needs == [fock_module._SLOT_BYTES * (d * space.dim + entries)]
+    paths = len(space.product_table("creates", "annihilates", end=space.safe_sector_end())[0])
+    assert needs == [fock_module._SLOT_BYTES * (d * space.dim + entries + paths)]
     assert peak <= needs[0] < 2 * peak
 
 
@@ -543,12 +570,15 @@ def test_xi_matrix_bit_equals_the_sum_of_its_fields(oracle_space):
 
 
 def _adjoint_defect_oracle(space, points):
-    """The dense measure: worst |psi(x) - phi(x)^H| entry over full matrices."""
-    field_phi, field_psi = fock_module.phi, fock_module.psi  # as patched
-    return max(
-        float(np.max(np.abs(field_psi(x, space).as_matrix() - field_phi(x, space).as_matrix().conj().T)))
-        for x in points
-    )
+    """The dense measure: worst |psi(x) - phi(x)^H| entry over full matrices, with the
+    coefficients the gate reads (as patched)."""
+    worst = 0.0
+    for x in points:
+        rows = fock_module._coefficients(space.hyperboloid, np.array([x.coords()]))
+        roles = ("annihilates", "creates")
+        low, high = (FieldOperator(space, role, tuple(r[0])).as_matrix() for role, r in zip(roles, rows))
+        worst = max(worst, float(np.max(np.abs(high - low.conj().T))))
+    return worst
 
 
 def test_adjoint_defect_matches_dense_oracle(oracle_space):
@@ -562,13 +592,14 @@ def test_adjoint_defect_sees_a_corrupted_coefficient(monkeypatch):
     space = fock_space(hyperboloid(3, 3), 2)
     rnd = random.Random(17)
     points = [_random_x(rnd) for _ in range(3)]
-    exact = psi
+    exact = fock_module._coefficients
 
-    def corrupted(x, fock):
-        op = exact(x, fock)
-        return FieldOperator(fock=fock, role=op.role, coeffs=(op.coeffs[0] * 1.5,) + op.coeffs[1:])
+    def corrupted(h, xs):
+        phi_rows, psi_rows = exact(h, xs)
+        psi_rows[:, 0] *= 1.5
+        return phi_rows, psi_rows
 
-    monkeypatch.setattr(fock_module, "psi", corrupted)
+    monkeypatch.setattr(fock_module, "_coefficients", corrupted)
     defect = adjoint_defect(space, points)
     assert defect > 0.1
     assert defect == _adjoint_defect_oracle(space, points)
@@ -659,10 +690,37 @@ def test_rep_v_gate_bit_equals_the_per_element_oracle(m2, pmax, nmax):
     got, want = rep_v_defects(space, pairs), _rep_v_defects_by_element(space, pairs)
     assert got == want and got[2]
     batch = [g for pair in pairs[:4] for g in pair]
-    perms, amps = fock_module._monomials(space, batch)
+    perms, amps = monomials_by_element(space, batch)
     for g, perm, amp in zip(batch, perms, amps, strict=True):
         want_perm, want_amp = _rep_v_uncached(g.translation, g.rotation, space)
         assert np.array_equal(perm, want_perm) and _same_bits(amp, want_amp)
+
+
+def _same_values(a, b):
+    return _same_bits(np.array(a, dtype=float), np.array(b, dtype=float))
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 3])
+@pytest.mark.parametrize("m2, pmax", [(0, 1), (2, 2), (1, 2)], ids=["fock13", "six_points", "pmax2"])
+def test_batched_gates_bit_equal_the_per_sample_oracles(m2, pmax, nmax):
+    """Each gate, its samples taken a batch at a time, gives the bits of the same gate one
+    point or pair at a time, for odd sample counts from one to several batches."""
+    space = fock_space(hyperboloid(m2, pmax), nmax)
+    rnd = random.Random(31)
+
+    def rand_g():
+        return PoincareElement(_random_x(rnd), elements()[rnd.randrange(24)])
+
+    for count in (1, 7, 21):
+        points = [_random_x(rnd) for _ in range(count)]
+        pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(count)]
+        group_pairs = [(rand_g(), rand_g()) for _ in range(count)]
+        assert _same_values(adjoint_defect(space, points), adjoint_defect_by_point(space, points))
+        assert _same_values(phase_sum_defect(space, pairs), phase_sum_defect_by_pair(space, pairs))
+        got, want = (gate(space, pairs, random.Random(count)) for gate in (xi_defects, xi_defects_by_pair))
+        assert _same_values(got, want)
+        assert _same_values(rep_v_defects(space, group_pairs), rep_v_defects_by_pair(space, group_pairs))
+    assert len(fock_module._batches(space, 21, 3 * space.dim)) > 1  # rep_v's pairs in more than one batch
 
 
 def test_rep_v_raises_on_an_open_point_set():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from causet_qft import cli, momentum
 from causet_qft.lattice import Vec4
 from causet_qft.momentum import (
     Hyperboloid,
@@ -18,12 +22,12 @@ from causet_qft.momentum import (
     mass_shell_defect,
     mass_squared_rows,
     mass_table_paper_diff,
-    poincare_product,
     spatial_norms_paper_diff,
 )
 from causet_qft.symmetry import apply4, element, elements
 from oracles import (
     Vec3,
+    attainable_spatial_norms_by_enumeration,
     hyperboloid_coords,
     mass_squared_values,
     norm_sq3,
@@ -32,6 +36,7 @@ from oracles import (
     poincare_apply,
     poincare_identity,
     poincare_inverse,
+    poincare_product,
 )
 
 
@@ -49,6 +54,32 @@ def test_attainable_norms_match_triple_loop():
     span = range(-17, 18)  # a coordinate of a vector of norm <= 144 is at most sqrt(288)
     values = {norm_sq3(Vec3(*c)) for c in itertools.product(span, repeat=3)}
     assert attainable_spatial_norms(limit) == tuple(sorted(v for v in values if v <= limit))
+
+
+def test_attainable_norms_match_the_enumeration_up_to_2500():
+    """Legendre's sieve gives the values the enumeration of the whole ball finds up to 2500,
+    and their prefix at limits on and beside the excluded values 4^k (16b + 14)."""
+    enumerated = attainable_spatial_norms_by_enumeration(2500)
+    assert attainable_spatial_norms(2500) == enumerated
+    for limit in [0, 1, 13, 14, 15, 29, 30, 31, 55, 56, 57, 223, 224, 225, 1000, 2499]:
+        assert attainable_spatial_norms(limit) == tuple(v for v in enumerated if v <= limit)
+
+
+@pytest.mark.parametrize("p0_max", [30, 60, 100])
+def test_masses_guard_covers_the_traced_peak(monkeypatch, p0_max):
+    """The larger of the sieve's and the mass table's counts covers a masses run's traced
+    peak, rendering included, and is within twice of it."""
+    needs = []
+    monkeypatch.setattr(momentum, "require_memory", lambda need, what: needs.append(need))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--format", "json", "masses", "--p0-max", str(p0_max)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(needs) == 2
+    assert peak <= max(needs) < 2 * peak
 
 
 def test_attainable_49_oracle():

@@ -25,10 +25,11 @@ from causet_qft.representations import (
     spinor_of,
     unitary3_defect,
 )
-from causet_qft.symmetry import element, elements, index, multiply
+from causet_qft.symmetry import element, elements, index
 from oracles import (
     eigensystem,
     homomorphism_defect_by_pairs,
+    multiply,
     printed_spinor_rows,
     projective_check_by_pairs,
     unitary3_defect_by_element,

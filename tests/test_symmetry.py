@@ -20,7 +20,6 @@ from causet_qft.symmetry import (
     elements,
     generate_from,
     isometry_report,
-    multiply,
     no_boost_search,
     pairwise_generators,
     preserves_minkowski_form,
@@ -39,6 +38,7 @@ from oracles import (
     lift_to4,
     matmul3,
     minkowski_doubled,
+    multiply,
     no_boost_search_grid,
     norm_sq4,
     product_table_by_pairs,
