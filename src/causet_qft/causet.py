@@ -203,14 +203,11 @@ def complete_children(hist: History) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    horizon: int
-    vertex_count: int
     comparable_pairs: int
     weakly_covariant: bool
     covariant: bool
     covariance_witness: tuple[Vec4, Vec4] | None
     orphan_count: int
-    orphans_sample: tuple[Vec4, ...]
     height_mismatch_count: int
     pathless_comparable_pairs: int
     pathless_sample: tuple[tuple[Vec4, Vec4], ...]
@@ -243,7 +240,7 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
         weakly_covariant &= bool(((times[rows, None] - times[links])[found] == 1).all())
         heights[rows] = np.where(found, heights[links] + 1, 0).max(axis=1)
 
-    orphans = np.flatnonzero((_parent_counts(hist) == 0) & (times > 0))
+    orphan_count = int(np.count_nonzero((_parent_counts(hist) == 0) & (times > 0)))
 
     sizes, steps = np.diff(off).tolist(), _step_sets(hist)
     below = list(itertools.accumulate(sizes))[::-1]  # below[k]: vertices up to time T - k
@@ -263,14 +260,11 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
         sample += [(hist.vertex(u), hist.vertex(v)) for v in np.flatnonzero(later & ~reached)[: 5 - len(sample)]]
 
     return CovarianceReport(
-        horizon=hist.horizon,
-        vertex_count=len(times),
         comparable_pairs=comparable,
         weakly_covariant=weakly_covariant,
         covariant=witness is None,
         covariance_witness=witness,
-        orphan_count=len(orphans),
-        orphans_sample=tuple(map(hist.vertex, orphans[:5])),
+        orphan_count=orphan_count,
         height_mismatch_count=int(np.count_nonzero(heights != times)),
         pathless_comparable_pairs=pathless,
         pathless_sample=tuple(sample),

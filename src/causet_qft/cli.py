@@ -32,7 +32,6 @@ import numpy as np
 
 from . import causet, fock, momentum, representations as reps, scattering, symmetry
 from .lattice import Vec4
-from .momentum import PoincareElement
 
 TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "fock-verify"}
 
@@ -317,7 +316,7 @@ def cmd_masses(args) -> dict:
 
 def cmd_hyperboloid(args) -> dict:
     h = momentum.hyperboloid(args.m2, args.pmax)
-    invariance = momentum.hyperboloid_invariance_defect(h, symmetry.elements())
+    invariance = momentum.hyperboloid_invariance_defect(h)
     payload = {
         "mass_sq": args.m2,
         "p_max": args.pmax,
@@ -340,21 +339,24 @@ def cmd_fock_verify(args) -> dict:
     h = momentum.hyperboloid(args.m2, args.pmax)
     space = fock.fock_space(h, args.nmax)  # lazy: only checks that the hyperboloid is not empty
     fock.require_table_memory(len(h), args.nmax)
+    # seeded samples in a fixed draw order: a translation is four randint(-3, 3) draws, and a
+    # Poincare element is a translation, then one randrange(24) rotation index
     rnd = random.Random(12345)
 
-    def rand_x():
-        return Vec4(*(rnd.randint(-3, 3) for _ in range(4)))
+    def rand_x() -> list[int]:
+        return [rnd.randint(-3, 3) for _ in range(4)]
 
-    def rand_g():
-        return PoincareElement(rand_x(), symmetry.elements()[rnd.randrange(24)])
+    def pairs() -> np.ndarray:  # five (x, y) pairs, as the x rows and the y rows
+        return np.array([[rand_x(), rand_x()] for _ in range(5)], dtype=np.int64).transpose(1, 0, 2)
 
-    adjoint_defect = fock.adjoint_defect(space, [rand_x() for _ in range(20)])
-    phi_phi, psi_psi = fock.same_species_commutator_max(space, rand_x(), rand_x())
-    mixed_defect = fock.phase_sum_defect(space, [(rand_x(), rand_x()) for _ in range(5)])
-    xi_pairs = [(rand_x(), rand_x()) for _ in range(5)]
-    # its own generator, so the rand_x / rand_g draws stay as they were
-    xi_defect, xi_matrix_defect = fock.xi_defects(space, xi_pairs, random.Random(12345))
-    v_unitarity, v_hom, block_ok = fock.rep_v_defects(space, [(rand_g(), rand_g()) for _ in range(50)])
+    adjoint_defect = fock.adjoint_defect(space, np.array([rand_x() for _ in range(20)], dtype=np.int64))
+    phi_phi, psi_psi = fock.same_species_commutator_max(space, *np.array([rand_x(), rand_x()], dtype=np.int64))
+    mixed_defect = fock.phase_sum_defect(space, *pairs())
+    xs, ys = pairs()
+    # the Freivalds vectors' own generator, so the sample draws stay as they were
+    xi_defect, xi_matrix_defect = fock.xi_defects(space, xs, ys, random.Random(12345))
+    g = np.array([[rand_x() + [rnd.randrange(24)] for _ in range(2)] for _ in range(50)], dtype=np.int64)
+    v_unitarity, v_hom, block_ok = fock.rep_v_defects(space, g[..., :4], g[..., 4])
     shell_defect = momentum.mass_shell_defect(h)
 
     payload = {
@@ -404,14 +406,12 @@ def cmd_scatter(args) -> dict:
         pi_particle_cap=args.npi, sigma_particle_cap=args.nsigma, window_radius=args.window, horizon=args.horizon,
     )
     model = scattering.build_model(cfg)
-    pts = model.pi_space.hyperboloid.points
-    if not all(0 <= i < len(pts) for i in (*args.into, *args.outgoing)):
-        raise ValueError(f"momentum indices out of range for a {len(pts)}-point hyperboloid")
-    p_in = tuple(pts[i] for i in args.into)
-    p_out = tuple(pts[i] for i in args.outgoing)
+    coords = model.pi_space.hyperboloid.coords
+    if not all(0 <= i < len(coords) for i in (*args.into, *args.outgoing)):
+        raise ValueError(f"momentum indices out of range for a {len(coords)}-point hyperboloid")
     series = scattering.scattering_series(model)
-    report = scattering.amplitude(model, p_in, p_out, series)
-    parity = scattering.order_parity_check(report, p_in, p_out)
+    report = scattering.amplitude(model, args.into, args.outgoing, series)
+    parity = scattering.order_parity_check(report, args.into, args.outgoing)
     herm = scattering.self_adjoint_defect(series)
     rotated_h, h_max = scattering.rotation_defect(model, series)
     payload = {
@@ -427,8 +427,8 @@ def cmd_scatter(args) -> dict:
         "unitarity_defects": list(series.unitarity_defects),
         "odd_order_max": parity["odd_order_max"],
         "order0": parity["order0"],
-        "in_momenta": [list(p.coords()) for p in p_in],
-        "out_momenta": [list(p.coords()) for p in p_out],
+        "in_momenta": coords[list(args.into)].tolist(),
+        "out_momenta": coords[list(args.outgoing)].tolist(),
         "conventions": {
             "density_ordering": "field squared as written, no normal ordering",
             "state_normalization": "unit norm under the multiplicity-weighted inner product",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .lattice import MINKOWSKI_GRAM, Vec4, rank_rows, require_memory
 from .momentum import Hyperboloid
-from .symmetry import MATRICES, PRODUCT_INDEX, elements, index
+from .symmetry import MATRICES, PRODUCT_INDEX, elements
 
 __all__ = [
     "FockSpace",
@@ -32,7 +32,6 @@ __all__ = [
     "fock_space",
     "require_table_memory",
     "phi",
-    "psi",
     "xi_entries",
     "adjoint_defect",
     "same_species_commutator_max",
@@ -205,21 +204,14 @@ def fock_space(h: Hyperboloid, n_max: int) -> FockSpace:
 _ROLES = ("annihilates", "creates")  # coefficient order: lowering e^{-ip.x}, as phi, raising e^{ip.x}
 
 
-def _pair_rows(pairs) -> np.ndarray:
-    """The (t, n, p, q) rows of the first and of the second ``Vec4`` of m pairs: (2, m, 4)."""
-    rows = np.array([x.coords() + y.coords() for x, y in pairs], dtype=np.int64)
-    return rows.reshape(-1, 2, 4).transpose(1, 0, 2)
-
-
-def _phases(h: Hyperboloid, x) -> np.ndarray:
-    """exp(i p.x) for every point p of h, in point order, from the doubled integer pairing:
-    one row for a ``Vec4`` x, an (m, d) array for the (m, 4) coordinate rows of m points."""
-    rows = np.array(x.coords()) if isinstance(x, Vec4) else x
-    return np.exp(0.5j * (rows @ MINKOWSKI_GRAM @ h.coords.T))
+def _phases(h: Hyperboloid, xs: np.ndarray) -> np.ndarray:
+    """exp(i p.x) for every point p of h, in point order, from the doubled integer pairing,
+    at the (t, n, p, q) coordinate rows x: (..., 4) int rows give (..., d) phases."""
+    return np.exp(0.5j * (xs @ MINKOWSKI_GRAM @ h.coords.T))
 
 
 def _coefficients(h: Hyperboloid, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi(x)'s and psi(x)'s coefficients at (m, 4) coordinate rows x, as two (m, d) arrays."""
+    """phi(x)'s and psi(x)'s coefficients at (..., 4) coordinate rows x, as two (..., d) arrays."""
     phases = _phases(h, xs)
     return np.conj(phases), phases
 
@@ -280,16 +272,8 @@ class FieldOperator:
 def phi(x: Vec4, fock: FockSpace) -> FieldOperator:
     """Annihilation field: sector n+1 -> n with amplitude sqrt(count) e^{-ip.x}; there is
     no block out of sector 0."""
-    coeffs = tuple(np.conj(_phases(fock.hyperboloid, x)).tolist())
+    coeffs = tuple(np.conj(_phases(fock.hyperboloid, np.array(x.coords()))).tolist())
     return FieldOperator(fock=fock, role="annihilates", coeffs=coeffs)
-
-
-def psi(x: Vec4, fock: FockSpace) -> FieldOperator:
-    """Creation field: sector n -> n+1 with amplitude sqrt(count+1) e^{ip.x}.  The raising
-    maps invert the lowering maps with the same amplitudes, so the adjoint relation to
-    :func:`phi` is a checkable fact about the phases; the top sector's image is dropped."""
-    coeffs = tuple(_phases(fock.hyperboloid, x).tolist())
-    return FieldOperator(fock=fock, role="creates", coeffs=coeffs)
 
 
 def _field_entries(fock: FockSpace, role: str, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,18 +322,17 @@ def _identity_defect(fock: FockSpace, flat: np.ndarray, terms: np.ndarray, scala
     return max(float(np.max(np.abs(entries), initial=0.0)), bare)
 
 
-def adjoint_defect(fock: FockSpace, points) -> float:
-    """Worst |psi(x) - phi(x)^H| entry over the points x, read off the ladder maps: lowering
-    q takes column c to row r; psi(x)'s entry at (c, r) is the raising entry (q, r) when that
-    one leads back to c, compared with the conjugated phi(x) entry.  A lowering entry without
-    that raising partner, or a raising entry without its lowering one, counts at its full
-    magnitude, as in the dense difference.  O(d dim) per point."""
+def adjoint_defect(fock: FockSpace, xs: np.ndarray) -> float:
+    """Worst |psi(x) - phi(x)^H| entry over the (m, 4) int64 coordinate rows x, read off the
+    ladder maps: lowering q takes column c to row r; psi(x)'s entry at (c, r) is the raising
+    entry (q, r) when that one leads back to c, compared with the conjugated phi(x) entry.
+    A lowering entry without that raising partner, or a raising entry without its lowering
+    one, counts at its full magnitude, as in the dense difference.  O(d dim) per point."""
     (low, _), (up, up_w) = fock.ladder_maps["annihilates"], fock.ladder_maps["creates"]
     q, r, c, _ = fock.ladder_entries["annihilates"]
     paired, raise_w = up[q, r] == c, up_w[q, r]
     q_up, c_up, r_up, w_up = fock.ladder_entries["creates"]
     orphans = low[q_up, c_up] != r_up
-    xs = np.array([x.coords() for x in points], dtype=np.int64).reshape(-1, 4)
 
     def worst(batch: slice) -> float:
         a, b = _coefficients(fock.hyperboloid, xs[batch])
@@ -362,20 +345,21 @@ def adjoint_defect(fock: FockSpace, points) -> float:
     return max(worst(batch) for batch in _batches(fock, len(xs), len(q)))
 
 
-def same_species_commutator_max(fock: FockSpace, x: Vec4, y: Vec4) -> tuple[float, float]:
-    """Largest |entry| of [phi(x), phi(y)] and of [psi(x), psi(y)]; both are exact zeros."""
+def same_species_commutator_max(fock: FockSpace, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Largest |entry| of [phi(x), phi(y)] and of [psi(x), psi(y)] at two (t, n, p, q)
+    coordinate rows; both are exact zeros."""
 
-    def worst(role: str, field) -> float:
-        a, b = (np.array([field(v, fock).coeffs]) for v in (x, y))
-        return float(np.max(np.abs(_accumulated(*_table_terms(fock, (role, role), a, b))[1]), initial=0.0))
+    def worst(role: str, c: np.ndarray) -> float:
+        return float(np.max(np.abs(_accumulated(*_table_terms(fock, (role, role), c[:1], c[1:]))[1]), initial=0.0))
 
-    return worst("annihilates", phi), worst("creates", psi)
+    return tuple(map(worst, _ROLES, _coefficients(fock.hyperboloid, np.stack([x, y]))))
 
 
-def phase_sum_defect(fock: FockSpace, pairs) -> float:
+def phase_sum_defect(fock: FockSpace, xs: np.ndarray, ys: np.ndarray) -> float:
     """Worst deviation of [phi(x), psi(y)] from the phase sum, sum_p exp(i p.(y - x)) in
-    point order, times I over the pairs (x, y), a batch of pairs at a time."""
-    h, (xs, ys) = fock.hyperboloid, _pair_rows(pairs)
+    point order, times I over the pairs of (m, 4) int64 coordinate rows (x, y), a batch of
+    pairs at a time."""
+    h = fock.hyperboloid
 
     def defect(batch: slice) -> float:
         flat, terms = _table_terms(fock, _ROLES, _coefficients(h, xs[batch])[0], _coefficients(h, ys[batch])[1])
@@ -396,9 +380,9 @@ def _xi_bracket(fock: FockSpace, xs: np.ndarray, ys: np.ndarray) -> tuple[np.nda
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts], axis=1)
 
 
-def xi_defects(fock: FockSpace, pairs, rnd: random.Random) -> tuple[float, float]:
-    """The two xi gates over the pairs (x, y), each pair's bracket C built once from the
-    four field brackets' tables:
+def xi_defects(fock: FockSpace, xs: np.ndarray, ys: np.ndarray, rnd: random.Random) -> tuple[float, float]:
+    """The two xi gates over the pairs of (m, 4) int64 coordinate rows (x, y), each pair's
+    bracket C built once from the four field brackets' tables:
 
     - the worst deviation of C's truncation-safe block from 2i sine_sum(x, y) I, the sum of
       sin(p.(y - x)) over the points in point order;
@@ -408,7 +392,7 @@ def xi_defects(fock: FockSpace, pairs, rnd: random.Random) -> tuple[float, float
       after pair, uniform in [-1, 1), on the truncation-safe sectors (zero above them);
       xi(y) v then fills every sector, so the outer products read every entry of both fields.
     """
-    end, dim, h, (xs, ys) = fock.safe_sector_end(), fock.dim, fock.hyperboloid, _pair_rows(pairs)
+    end, dim, h = fock.safe_sector_end(), fock.dim, fock.hyperboloid
 
     def defects(batch: slice) -> tuple[float, float]:
         x, y = xs[batch], ys[batch]
@@ -447,15 +431,14 @@ def _monomials(fock: FockSpace, translations: np.ndarray, rotations: np.ndarray)
     return perms, np.take_along_axis(amps, perms, axis=1)
 
 
-def rep_v_defects(fock: FockSpace, pairs) -> tuple[float, float, bool]:
-    """Over pairs (g1, g2) of Poincare elements: the worst unitarity defect of V(g1), the
-    worst |V(g1) V(g2) - V(g1 g2)| entry, and whether every V(g1) is block-diagonal.  V^H V
-    is diag |amp|^2 plus |amp|^2-sized entries where columns share a row; V1 V2 is
-    (perm1[perm2], amp1[perm2] amp2), a differing support counting as a defect; g1 g2 is
-    (y1 + Y1 y2, Y1 Y2), Y1 Y2 read off ``symmetry.PRODUCT_INDEX``."""
-    pairs, dim = list(pairs), fock.dim
-    t1, t2 = _pair_rows([(g1.translation, g2.translation) for g1, g2 in pairs])
-    r1, r2 = np.array([[index(g1.rotation), index(g2.rotation)] for g1, g2 in pairs], dtype=np.int64).reshape(-1, 2).T
+def rep_v_defects(fock: FockSpace, translations: np.ndarray, rotations: np.ndarray) -> tuple[float, float, bool]:
+    """Over m pairs (g1, g2) of Poincare elements g = (y, Y), given as (m, 2, 4) int64
+    translation rows y and (m, 2) rotation indices Y (``symmetry.MATRICES`` order): the worst
+    unitarity defect of V(g1), the worst |V(g1) V(g2) - V(g1 g2)| entry, and whether every
+    V(g1) is block-diagonal.  V^H V is diag |amp|^2 plus |amp|^2-sized entries where columns
+    share a row; V1 V2 is (perm1[perm2], amp1[perm2] amp2), a differing support counting as
+    a defect; g1 g2 is (y1 + Y1 y2, Y1 Y2), Y1 Y2 read off ``symmetry.PRODUCT_INDEX``."""
+    dim, (t1, t2), (r1, r2) = fock.dim, translations.transpose(1, 0, 2), rotations.T
     t12 = t1 + np.concatenate([t2[:, :1], np.einsum("kij,kj->ki", MATRICES[r1], t2[:, 1:])], axis=1)
     translations, rotations = np.stack([t1, t2, t12], axis=1), np.stack([r1, r2, PRODUCT_INDEX[r1, r2]], axis=1)
     sector_of = np.repeat(np.arange(fock.n_max + 1), np.diff(fock.offsets))
@@ -471,7 +454,7 @@ def rep_v_defects(fock: FockSpace, pairs) -> tuple[float, float, bool]:
         hom = np.where(same, np.abs(prod - a12), np.maximum(np.abs(prod), np.abs(a12)))
         return unitarity, float(np.max(hom)), bool(np.all(sector_of[p1] == sector_of))
 
-    unitarity, hom, block_diagonal = zip((0.0, 0.0, True), *map(defects, _batches(fock, len(pairs), 3 * dim)))
+    unitarity, hom, block_diagonal = zip((0.0, 0.0, True), *map(defects, _batches(fock, len(t1), 3 * dim)))
     return max(unitarity), max(hom), all(block_diagonal)
 
 

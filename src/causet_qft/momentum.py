@@ -1,4 +1,4 @@
-"""Dual energy-momentum space: spectra, hyperboloids and the Poincare product.
+"""Dual energy-momentum space: spectra and mass hyperboloids.
 
 Dual vectors carry integer coordinates in the same oblique basis with the
 same quadratic form, which is the only reading under which the squared mass
@@ -6,8 +6,8 @@ same quadratic form, which is the only reading under which the squared mass
 forward sheet, truncated at a configurable energy cap so everything
 downstream stays finite.
 
-A hyperboloid's points are the sorted integer rows of a (d, 4) array; point
-lookup and the rotation action rank rows of it, and ``points`` is a view.
+A hyperboloid's points are the sorted integer rows of a (d, 4) array, named by
+their row indices; the rotation action ranks rows of it, and ``points`` is a view.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "hyperboloid",
     "mass_shell_defect",
     "hyperboloid_invariance_defect",
-    "PoincareElement",
 ]
 
 
@@ -109,12 +108,6 @@ class Hyperboloid:
     def points(self) -> tuple[Vec4, ...]:
         return tuple(Vec4(*row) for row in self.coords.tolist())
 
-    def index(self, p: Vec4) -> int:
-        (i,) = rank_rows(self.coords, np.array([p.coords()])).tolist()
-        if i < 0:
-            raise ValueError(f"{p} is not on the truncated hyperboloid")
-        return i
-
     @cached_property
     def rotation_images(self) -> np.ndarray:
         """Row g, read-only: the index of each point's image under the rotation ``MATRICES[g]``,
@@ -156,14 +149,7 @@ def mass_shell_defect(h: Hyperboloid) -> int:
     return int(np.max(np.abs(twice_norms // 2 - h.mass_sq), initial=0))
 
 
-@dataclass(frozen=True)
-class PoincareElement:
-    """Pair of a lattice translation and a spatial rotation, acting as x -> y + Yx."""
-
-    translation: Vec4
-    rotation: GroupElement
-
-
-def hyperboloid_invariance_defect(h: Hyperboloid, group) -> int:
-    """Number of (element, point) pairs whose image leaves the point set (0 expected)."""
-    return sum(int(np.count_nonzero(h.rotation_images[index(z)] < 0)) for z in group)
+def hyperboloid_invariance_defect(h: Hyperboloid) -> int:
+    """Number of (rotation, point) pairs, over the 24 rotations of G, whose image leaves
+    the point set (0 expected)."""
+    return int(np.count_nonzero(h.rotation_images < 0))

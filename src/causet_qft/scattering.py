@@ -22,7 +22,7 @@ import numpy as np
 
 from . import symmetry
 from .fock import _ROLES, FockSpace, _phases, basis_unit, fock_space, vacuum
-from .lattice import Vec4, require_memory, vectors_with_norm_up_to
+from .lattice import require_memory, vectors_with_norm_up_to
 from .momentum import Hyperboloid, hyperboloid
 
 __all__ = [
@@ -353,11 +353,10 @@ def rotation_defect(model: ScatteringModel, series: ScatteringSeries) -> tuple[f
     return max(worst, default=0.0), max((_max_abs(h[0::2]) for h in hams), default=0.0)
 
 
-def two_pi_state(model: ScatteringModel, p: Vec4, q: Vec4) -> np.ndarray:
-    """Normalized symmetric two-particle state tensored with the sigma vacuum."""
-    h = model.pi_space.hyperboloid
-    pair = (h.index(p), h.index(q))
-    return np.kron(basis_unit(model.pi_space, pair), vacuum(model.sigma_space))
+def two_pi_state(model: ScatteringModel, p: int, q: int) -> np.ndarray:
+    """Normalized symmetric two-particle state at the pi-hyperboloid points of indices p and
+    q, tensored with the sigma vacuum; ``ValueError`` for an index off the hyperboloid."""
+    return np.kron(basis_unit(model.pi_space, (p, q)), vacuum(model.sigma_space))
 
 
 @dataclass(frozen=True)
@@ -369,10 +368,11 @@ class AmplitudeReport:
 
 
 def amplitude(
-    model: ScatteringModel, incoming: tuple[Vec4, Vec4], outgoing: tuple[Vec4, Vec4], series: ScatteringSeries
+    model: ScatteringModel, incoming: tuple[int, int], outgoing: tuple[int, int], series: ScatteringSeries
 ) -> AmplitudeReport:
-    """<out| S |in> for two-particle states of the first species, read from ``series``:
-    |in> = e_{g.r} in sector 0, so S|in> = P_g S e_r, paired with <out| read at g-images."""
+    """<out| S |in> for two-particle states of the first species, each given by two
+    pi-hyperboloid point indices, read from ``series``: |in> = e_{g.r} in sector 0, so
+    S|in> = P_g S e_r, paired with <out| read at g-images."""
     reps, element, rep = model.orbits[0]
     local = np.searchsorted(model.sectors[0], np.flatnonzero(two_pi_state(model, *incoming))[0])
     g, column = element[local], np.searchsorted(reps, rep[local])
@@ -387,10 +387,9 @@ def amplitude(
     return AmplitudeReport(total, per_order, float(abs(total) ** 2), (model.pi_space.dim, model.sigma_space.dim))
 
 
-def order_parity_check(
-    report: AmplitudeReport, incoming: tuple[Vec4, Vec4], outgoing: tuple[Vec4, Vec4]
-) -> dict:
-    """Odd-order maximum, |order 0| and order 2 of ``report``, and whether in and out differ."""
+def order_parity_check(report: AmplitudeReport, incoming: tuple[int, int], outgoing: tuple[int, int]) -> dict:
+    """Odd-order maximum, |order 0| and order 2 of ``report``, and whether the in and out
+    point-index pairs differ as sets."""
     odd_max = max((abs(c) for k, c in enumerate(report.per_order) if k % 2 == 1), default=0.0)
     return {
         "odd_order_max": odd_max,

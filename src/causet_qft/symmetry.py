@@ -147,9 +147,8 @@ def build_table() -> GroupTable:
     return GroupTable(labels, rows, latin, assoc, inverses)
 
 
-def table_diff_vs_printed(table: GroupTable | None = None) -> list[dict]:
+def table_diff_vs_printed(table: GroupTable) -> list[dict]:
     """Cell-by-cell diff of the computed table against the published one."""
-    table = table or build_table()
     return [
         {"row": row_label, "col": col_label, "printed": printed, "computed": computed}
         for row_label, row in zip(table.labels, table.rows)

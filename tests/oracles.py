@@ -26,8 +26,10 @@ commutator on the walk's every-column table) against the batched gates on
 the safe-column table.  It also holds the helpers that
 only tests call: the one-vector layer (``Vec3`` and its arithmetic, the scalar
 norms, ``apply3``, ``lift_to4``, ``inverse``, a table entry by labels and
-hyperboloid membership), sorted eigensystems, the group product by labels,
-the Poincare product, identity, inverse and action on a vector,
+hyperboloid membership), the coordinate rows and rotation indices the gates take
+from ``Vec4`` points and ``PoincareElement`` pairs, sorted eigensystems, the group
+product by labels, the ``PoincareElement`` and its product, identity, inverse and
+action on a vector,
 the symmetry action ``rep_v``, a field operator applied to a vector, and the
 spin-tensored single-particle representation.
 """
@@ -44,7 +46,7 @@ import numpy as np
 
 from causet_qft import paperdata
 from causet_qft.causet import _STEP_ARRAY, CovarianceReport, History, Speed, parent_histogram
-from causet_qft.fock import FieldOperator, FockSpace, _monomials, _phases, basis_unit, phi, psi, xi_entries
+from causet_qft.fock import FieldOperator, FockSpace, _monomials, _phases, basis_unit, phi, xi_entries
 from causet_qft.lattice import (
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
@@ -54,7 +56,7 @@ from causet_qft.lattice import (
     vectors_with_norm,
     vectors_with_norm_up_to,
 )
-from causet_qft.momentum import Hyperboloid, PoincareElement, attainable_spatial_norms
+from causet_qft.momentum import Hyperboloid, attainable_spatial_norms
 from causet_qft.representations import SignConvention, _principal_angle, cal_u, spinor_of
 from causet_qft.scattering import InteractionConfig, ScatteringModel, ScatteringSeries, _max_abs, _window_rows
 from causet_qft.scattering import interaction_hamiltonian as block_hamiltonian
@@ -365,14 +367,11 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
         u, v = np.unravel_index(np.argmax(later), later.shape)
         witness = (hist.vertex(u), hist.vertex(v))
     return CovarianceReport(
-        horizon=hist.horizon,
-        vertex_count=len(times),
         comparable_pairs=int(np.count_nonzero(order)),
         weakly_covariant=bool((child_times == times[:, None] + 1).all()),
         covariant=witness is None,
         covariance_witness=witness,
         orphan_count=len(orphans),
-        orphans_sample=tuple(map(hist.vertex, orphans[:5])),
         height_mismatch_count=int(np.count_nonzero(heights != times)),
         pathless_comparable_pairs=int(np.count_nonzero(pathless)),
         pathless_sample=tuple((hist.vertex(u), hist.vertex(v)) for u, v in np.argwhere(pathless)[:5]),
@@ -461,6 +460,15 @@ def phase(p: Vec4, x: Vec4) -> complex:
     return complex(np.exp(0.5j * minkowski_doubled(p, x)))
 
 
+def psi(x: Vec4, fock: FockSpace) -> FieldOperator:
+    """Creation field: sector n -> n+1 with amplitude sqrt(count+1) e^{ip.x}, the
+    counterpart of :func:`causet_qft.fock.phi`.  The raising maps invert the lowering maps
+    with the same amplitudes, so the adjoint relation to phi is a checkable fact about the
+    phases; the top sector's image is dropped."""
+    coeffs = tuple(_phases(fock.hyperboloid, rows([x])[0]).tolist())
+    return FieldOperator(fock=fock, role="creates", coeffs=coeffs)
+
+
 def momentum_operators(fock: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal coordinate-multiplication operators on the one-particle sector."""
     return tuple(np.diag(column) for column in fock.hyperboloid.coords.T)
@@ -487,7 +495,7 @@ def spin_rep(y: Vec4, rot: GroupElement, spin, h: Hyperboloid) -> np.ndarray:
         raise ValueError(f"spin must be one of 0, 1/2, 1; got {spin!r}")
     perm = h.permutation_under(rot)
     single = np.zeros((len(h), len(h)), dtype=complex)
-    single[perm, np.arange(len(h))] = _phases(h, y)[perm]
+    single[perm, np.arange(len(h))] = _phases(h, rows([y])[0])[perm]
     k = _SPIN_TAGS[spin]
     if k == 1:
         return single
@@ -588,13 +596,13 @@ def apply(op: FieldOperator, vec: np.ndarray) -> np.ndarray:
 
 def phase_sum(h: Hyperboloid, x: Vec4, y: Vec4) -> complex:
     """The commutator scalar: sum of exp(i p.(y-x)), in point order."""
-    return sum(_phases(h, y - x).tolist())
+    return sum(_phases(h, rows([y - x])[0]).tolist())
 
 
 def sine_sum(h: Hyperboloid, x: Vec4, y: Vec4) -> float:
     """Sum of sin(p.(y-x)) over the points, in point order: exp of a purely imaginary
     argument has sin(p.(y-x)) as its imaginary part exactly."""
-    return sum(_phases(h, y - x).imag.tolist())
+    return sum(_phases(h, rows([y - x])[0]).imag.tolist())
 
 
 # The fock-verify gates one sample point or pair at a time, as the batched gates of
@@ -677,6 +685,33 @@ def xi_defects_by_pair(fock: FockSpace, pairs, rnd) -> tuple[float, float]:
 
     identity, products = zip(*(pair_defects(x, y) for x, y in pairs))
     return max(identity), max(products)
+
+
+@dataclass(frozen=True)
+class PoincareElement:
+    """Pair of a lattice translation and a spatial rotation, acting as x -> y + Yx."""
+
+    translation: Vec4
+    rotation: GroupElement
+
+
+def rows(points) -> np.ndarray:
+    """The (t, n, p, q) rows of m ``Vec4`` points as one (m, 4) int64 array, as the gates take them."""
+    return np.array([p.coords() for p in points], dtype=np.int64).reshape(-1, 4)
+
+
+def pair_rows(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The x rows and the y rows of m pairs (x, y) of ``Vec4`` points."""
+    pairs = list(pairs)
+    return rows(x for x, _ in pairs), rows(y for _, y in pairs)
+
+
+def element_rows(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 2, 4) translation rows and the (m, 2) rotation indices of m pairs of
+    ``PoincareElement``s, as :func:`causet_qft.fock.rep_v_defects` takes them."""
+    pairs = list(pairs)
+    translations = rows(g.translation for pair in pairs for g in pair).reshape(-1, 2, 4)
+    return translations, np.array([[index(g.rotation) for g in pair] for pair in pairs], dtype=np.int64).reshape(-1, 2)
 
 
 def multiply(y: GroupElement, z: GroupElement) -> GroupElement:

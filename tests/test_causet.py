@@ -129,14 +129,11 @@ def _covariance_oracle(hist) -> CovarianceReport:
         None,
     )
     return CovarianceReport(
-        horizon=hist.horizon,
-        vertex_count=len(verts),
         comparable_pairs=comparable,
         weakly_covariant=all(c.t == w.t + 1 for w in verts for c in children(w)),
         covariant=witness is None,
         covariance_witness=witness,
         orphan_count=len(orphans),
-        orphans_sample=orphans[:5],
         height_mismatch_count=sum(1 for v in verts if heights[v] != v.t),
         pathless_comparable_pairs=len(pathless),
         pathless_sample=tuple(pathless[:5]),
@@ -249,8 +246,9 @@ def test_parent_histogram_matches_per_object_oracle():
 def test_covariance_diagnostics_history5():
     # new data past the published horizon, first confirmed against the
     # per-vertex reachable sets of reachable_from
-    rep = covariance_diagnostics(history(5))
-    assert rep.vertex_count == 1394
+    hist = history(5)
+    rep = covariance_diagnostics(hist)
+    assert len(hist.coords) == 1394
     assert rep.comparable_pairs == 39995
     assert rep.pathless_comparable_pairs == 3284
     assert rep.height_mismatch_count == 308
@@ -318,8 +316,9 @@ def test_all_existing_paths_have_shell_difference_length():
 
 
 def test_covariance_diagnostics_history3():
-    rep = covariance_diagnostics(history(3))
-    assert rep.vertex_count == 246
+    hist = history(3)
+    rep = covariance_diagnostics(hist)
+    assert len(hist.coords) == 246
     assert rep.comparable_pairs == 1844
     assert rep.weakly_covariant
     assert not rep.covariant
@@ -332,7 +331,7 @@ def test_covariance_diagnostics_history3():
     assert rep.orphan_count == 30
     assert rep.height_mismatch_count == 30
     assert rep.pathless_comparable_pairs == 30
-    assert all(o.t == 3 for o in rep.orphans_sample)
+    assert all(u.t == 0 and v.t == 3 for u, v in rep.pathless_sample)
 
 
 def test_covariance_diagnostics_trivial_history():
@@ -417,8 +416,9 @@ def test_shell_counts_match_the_vxv_oracles(t):
 
 
 def test_pair_counts_history8():
-    rep = covariance_diagnostics(history(8))
-    assert rep.vertex_count == 7831
+    hist = history(8)
+    rep = covariance_diagnostics(hist)
+    assert len(hist.coords) == 7831
     assert rep.comparable_pairs == 1005258
     assert rep.pathless_comparable_pairs == 173384
 

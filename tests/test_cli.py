@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import causet_qft
 import oracles
-from causet_qft import causet, cli, fock, scattering, symmetry
+from causet_qft import causet, cli, fock, momentum, scattering, symmetry
 from causet_qft.cli import main
 from causet_qft.lattice import Vec4
 
@@ -280,6 +281,75 @@ def test_fock_verify_three_particle_cap(capsys):
     assert bundle["payload"]["phi_phi_commutator_max"] == 0.0
     assert bundle["payload"]["psi_psi_commutator_max"] == 0.0
     assert all(c["passed"] for c in bundle["summary"]["checks"])
+
+
+def _bits(values) -> list[str]:
+    """Floats as their exact hex forms, so -0.0 and 0.0 differ; bools as they are."""
+    return [v if isinstance(v, bool) else float(v).hex() for v in values]
+
+
+def test_fock_verify_draws_its_samples_in_the_documented_order(capsys):
+    """Every gate value is that of the seeded ``Vec4`` / ``PoincareElement`` draws, in order:
+    20 points, one same-species pair, five phase-sum pairs, five xi pairs and 50 pairs of
+    elements, each element its translation's four draws and then its rotation's; the gates
+    run on those draws as coordinate rows and rotation indices, and agree bit for bit, in
+    the payload and in the check details."""
+    rnd = random.Random(12345)
+
+    def rand_x():
+        return Vec4(*(rnd.randint(-3, 3) for _ in range(4)))
+
+    def rand_g():
+        return oracles.PoincareElement(rand_x(), symmetry.elements()[rnd.randrange(24)])
+
+    points = [rand_x() for _ in range(20)]
+    same = [rand_x(), rand_x()]
+    mixed = [(rand_x(), rand_x()) for _ in range(5)]
+    xi_pairs = [(rand_x(), rand_x()) for _ in range(5)]
+    group_pairs = [(rand_g(), rand_g()) for _ in range(50)]
+    space = fock.fock_space(momentum.hyperboloid(3, 3), 2)
+    phi_phi, psi_psi = fock.same_species_commutator_max(space, *oracles.rows(same))
+    xi, xi_products = fock.xi_defects(space, *oracles.pair_rows(xi_pairs), random.Random(12345))
+    unitarity, hom, block_diagonal = fock.rep_v_defects(space, *oracles.element_rows(group_pairs))
+    want = {  # check name: (payload key, value)
+        "creation_is_adjoint_of_annihilation": ("adjoint_defect", fock.adjoint_defect(space, oracles.rows(points))),
+        "annihilator_commutator_zero_exact": ("phi_phi_commutator_max", phi_phi),
+        "creator_commutator_zero_exact": ("psi_psi_commutator_max", psi_psi),
+        "phi_psi_commutator_matches_phase_sum": (
+            "phi_psi_vs_phase_sum_defect", fock.phase_sum_defect(space, *oracles.pair_rows(mixed))
+        ),
+        "xi_commutator_matches_sine_sum": ("xi_commutator_defect", xi),
+        "xi_matrix_products_match_bracket": (None, xi_products),
+        "rep_v_unitary": ("rep_v_unitarity_defect", unitarity),
+        "rep_v_homomorphism": ("rep_v_homomorphism_defect", hom),
+    }
+    code, out, _ = run_cli(capsys, "--format", "json", "fock-verify", "--m2", "3", "--pmax", "3", "--nmax", "2")
+    assert code == 0
+    bundle = json.loads(out)
+    details = {c["name"]: c.get("detail") for c in bundle["summary"]["checks"]}
+    assert _bits(details[name] for name in want) == _bits(value for _, value in want.values())
+    keys = [key for key, _ in want.values() if key] + ["rep_v_block_diagonal"]
+    values = [value for key, value in want.values() if key] + [block_diagonal]
+    assert _bits(bundle["payload"][key] for key in keys) == _bits(values)
+    # rounding-level values, which a reordered draw would move
+    assert 0.0 < xi and 0.0 < hom
+
+
+def test_scatter_momenta_are_the_rows_of_the_given_indices(capsys):
+    """``in_momenta`` / ``out_momenta`` are the pi hyperboloid's coordinate rows at the
+    indices given; in and out the same pair in another order is one state, so the
+    order-zero gate for distinct states is left out."""
+    coords = momentum.hyperboloid(0, 1).coords
+    argv = ["--format", "json", "scatter", "--g", "0.1", "--m2", "0", "--M2", "1", "--horizon", "3", "--window", "0"]
+    for into, outgoing in (((2, 7), (5, 1)), ((3, 4), (4, 3)), ((4, 4), (1, 12))):
+        flags = ["--in", ",".join(map(str, into)), "--out-momenta", ",".join(map(str, outgoing))]
+        code, out, _ = run_cli(capsys, *argv, *flags)
+        assert code == 0
+        bundle = json.loads(out)
+        assert bundle["payload"]["in_momenta"] == coords[list(into)].tolist()
+        assert bundle["payload"]["out_momenta"] == coords[list(outgoing)].tolist()
+        names = [c["name"] for c in bundle["summary"]["checks"]]
+        assert ("order_zero_vanishes_for_distinct_states" in names) == (set(into) != set(outgoing))
 
 
 EXACT_MONOMIALS = fock._monomials

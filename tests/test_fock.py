@@ -19,7 +19,6 @@ from causet_qft.fock import (
     fock_space,
     phase_sum_defect,
     phi,
-    psi,
     rep_v_defects,
     same_species_commutator_max,
     vacuum,
@@ -28,18 +27,19 @@ from causet_qft.fock import (
 from causet_qft.lattice import Vec4
 from causet_qft.momentum import (
     Hyperboloid,
-    PoincareElement,
     hyperboloid,
     mass_shell_defect,
 )
 from causet_qft.representations import SignConvention, spinor_of
 from causet_qft.symmetry import element, elements
 from oracles import (
+    PoincareElement,
     adjoint_defect_by_point,
     apply,
     bracket_terms,
     bracket_walk,
     commutator,
+    element_rows,
     field_entries,
     matrix_commutator,
     minkowski_doubled,
@@ -48,12 +48,15 @@ from oracles import (
     multiply,
     multiset_indicator,
     norm_sq3,
+    pair_rows,
     phase,
     phase_sum,
     phase_sum_defect_by_pair,
     poincare_product,
+    psi,
     rep_v,
     rep_v_defects_by_pair,
+    rows,
     safe_columns,
     sine_sum,
     spatial,
@@ -342,14 +345,14 @@ def test_xi_commutator(fock13):
     x, y = Vec4(0, 0, 0, 0), Vec4(1, 0, 0, 0)
     # [xi(a), xi(b)] = 2i sine_sum(a, b) I on the truncation-safe sectors
     for a, b in ((x, y), (x, x), (y, x)):
-        assert xi_defects(fock13, [(a, b)], random.Random(0))[0] <= 1e-10
+        assert xi_defects(fock13, *pair_rows([(a, b)]), random.Random(0))[0] <= 1e-10
     val = 2j * sine_sum(fock13.hyperboloid, x, y)
     assert val == pytest.approx(2j * 12.0 * math.sin(1.0))
     assert 2j * sine_sum(fock13.hyperboloid, x, x) == 0
     assert 2j * sine_sum(fock13.hyperboloid, y, x) == pytest.approx(-val)
     assert sine_sum(fock13.hyperboloid, x, y) == pytest.approx(12.0 * math.sin(1.0))
     with pytest.raises(ValueError, match="n_max >= 1"):
-        xi_defects(fock_space(hyperboloid(0, 1), 0), [(x, y)], random.Random(0))
+        xi_defects(fock_space(hyperboloid(0, 1), 0), *pair_rows([(x, y)]), random.Random(0))
 
 
 def test_same_species_bracket_tables_are_empty(oracle_space):
@@ -365,9 +368,9 @@ def test_same_species_bracket_tables_are_empty(oracle_space):
 def test_a_second_commutator_reuses_the_cached_tables():
     space = fock_space(hyperboloid(3, 3), 2)
     x, y = Vec4(1, 1, 0, 0), Vec4(2, 0, 1, -1)
-    first = phase_sum_defect(space, [(x, y)])
+    first = phase_sum_defect(space, *pair_rows([(x, y)]))
     table = space.bracket_table("annihilates", "creates")
-    assert phase_sum_defect(space, [(x, y)]) == first
+    assert phase_sum_defect(space, *pair_rows([(x, y)])) == first
     assert all(a is b for a, b in zip(space.bracket_table("annihilates", "creates"), table))
     assert not any(column.flags.writeable for column in table)
     # an equal space builds its own tables, with the same entries
@@ -395,7 +398,7 @@ def test_bracket_tables_bit_equal_the_walk(m2, pmax, nmax):
             assert all(_same_bits(a, b) for a, b in zip(table, walk))
     rnd = random.Random(27)
     pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(3)]
-    xs, ys = (np.array([v.coords() for v in column]) for column in zip(*pairs))
+    xs, ys = pair_rows(pairs)
     positions, entries = fock_module._accumulated(*fock_module._xi_bracket(space, xs, ys))
     for (x, y), got in zip(pairs, entries, strict=True):
         fields = [(fa(x, space), fb(y, space)) for fa in (phi, psi) for fb in (phi, psi)]
@@ -439,15 +442,15 @@ def test_identity_gates_bit_equal_the_dense_safe_block(xi_space):
         x, y = _random_x(rnd), _random_x(rnd)
         dense = commutator(phi(x, xi_space), psi(y, xi_space))
         scalar = phase_sum(xi_space.hyperboloid, x, y)
-        assert phase_sum_defect(xi_space, [(x, y)]) == _dense_identity_defect(xi_space, dense, scalar)
+        assert phase_sum_defect(xi_space, *pair_rows([(x, y)])) == _dense_identity_defect(xi_space, dense, scalar)
         # the four field brackets' terms, added in one pass as the gate adds them
         flat, terms = fock_module._xi_bracket(xi_space, np.array([x.coords()]), np.array([y.coords()]))
         dense = np.zeros(xi_space.dim**2, dtype=complex)
         np.add.at(dense, flat, terms[0])
         scalar = 2j * sine_sum(xi_space.hyperboloid, x, y)
         want = _dense_identity_defect(xi_space, dense.reshape(xi_space.dim, xi_space.dim), scalar)
-        assert xi_defects(xi_space, [(x, y)], random.Random(0))[0] == want
-        assert same_species_commutator_max(xi_space, x, y) == (0.0, 0.0)
+        assert xi_defects(xi_space, *pair_rows([(x, y)]), random.Random(0))[0] == want
+        assert same_species_commutator_max(xi_space, *rows([x, y])) == (0.0, 0.0)
 
 
 def test_identity_defect_counts_missing_and_stray_entries(fock13):
@@ -475,7 +478,7 @@ def test_identity_defect_counts_missing_and_stray_entries(fock13):
 def test_xi_matrix_defect_is_rounding_on_exact_matrices(xi_space):
     rnd = random.Random(22)
     pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(3)]
-    assert xi_defects(xi_space, pairs, random.Random(23))[1] < 1e-12
+    assert xi_defects(xi_space, *pair_rows(pairs), random.Random(23))[1] < 1e-12
 
 
 def test_xi_defects_build_each_bracket_once(monkeypatch, fock13):
@@ -486,12 +489,12 @@ def test_xi_defects_build_each_bracket_once(monkeypatch, fock13):
     monkeypatch.setattr(fock_module, "_xi_bracket", lambda *a: calls.append(a[1:]) or bracket(*a))
     rnd = random.Random(28)
     pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(3)]
-    both = xi_defects(fock13, pairs, random.Random(29))
+    both = xi_defects(fock13, *pair_rows(pairs), random.Random(29))
     xs, ys = (np.concatenate(column) for column in zip(*calls))
     assert xs.tolist() == [list(x.coords()) for x, _ in pairs] and ys.tolist() == [list(y.coords()) for _, y in pairs]
     # each pair alone, its v drawn where the three-pair run drew it
     draws = random.Random(29)
-    alone = [xi_defects(fock13, [pair], draws) for pair in pairs]
+    alone = [xi_defects(fock13, *pair_rows([pair]), draws) for pair in pairs]
     assert both == tuple(max(column) for column in zip(*alone))
 
 
@@ -517,9 +520,9 @@ def test_xi_matrix_defect_sees_one_corrupted_entry(monkeypatch, entry):
             return np.append(rows, row), np.append(cols, col), np.append(vals, np.full((len(vals), 1), 0.5), axis=1)
         return rows, cols, vals + 0.5 * hit
 
-    assert max(xi_defects(space, pairs, random.Random(25))) < 1e-12
+    assert max(xi_defects(space, *pair_rows(pairs), random.Random(25))) < 1e-12
     monkeypatch.setattr(fock_module, "xi_entries", corrupted)
-    bracket_defect, product_defect = xi_defects(space, pairs, random.Random(25))
+    bracket_defect, product_defect = xi_defects(space, *pair_rows(pairs), random.Random(25))
     assert product_defect > 1e-3
     # the bracket gate reads the tables, not the ladder entries
     assert bracket_defect < 1e-12
@@ -585,7 +588,7 @@ def test_adjoint_defect_matches_dense_oracle(oracle_space):
     space, _ = oracle_space
     rnd = random.Random(16)
     points = [_random_x(rnd) for _ in range(20)]
-    assert adjoint_defect(space, points) == _adjoint_defect_oracle(space, points)
+    assert adjoint_defect(space, rows(points)) == _adjoint_defect_oracle(space, points)
 
 
 def test_adjoint_defect_sees_a_corrupted_coefficient(monkeypatch):
@@ -600,7 +603,7 @@ def test_adjoint_defect_sees_a_corrupted_coefficient(monkeypatch):
         return phi_rows, psi_rows
 
     monkeypatch.setattr(fock_module, "_coefficients", corrupted)
-    defect = adjoint_defect(space, points)
+    defect = adjoint_defect(space, rows(points))
     assert defect > 0.1
     assert defect == _adjoint_defect_oracle(space, points)
 
@@ -610,7 +613,7 @@ def test_adjoint_defect_sees_a_corrupted_raising_entry(part):
     space = fock_space(hyperboloid(3, 3), 2)
     rnd = random.Random(18)
     points = [_random_x(rnd) for _ in range(3)]
-    assert adjoint_defect(space, points) == 0.0
+    assert adjoint_defect(space, rows(points)) == 0.0
     # corrupt a fresh space's maps before its ladder entries are gathered from them
     space = fock_space(hyperboloid(3, 3), 2)
     up, up_w = space.ladder_maps["creates"]
@@ -624,7 +627,7 @@ def test_adjoint_defect_sees_a_corrupted_raising_entry(part):
         r = space.offsets[2]
         assert up[q, r] < 0
         up[q, r], up_w[q, r] = space.offsets[1], 1.0
-    defect = adjoint_defect(space, points)
+    defect = adjoint_defect(space, rows(points))
     assert defect > 0.5
     assert defect == _adjoint_defect_oracle(space, points)
 
@@ -687,7 +690,7 @@ def test_rep_v_gate_bit_equals_the_per_element_oracle(m2, pmax, nmax):
         return PoincareElement(_random_x(rnd), elements()[rnd.randrange(24)])
 
     pairs = [(rand_g(), rand_g()) for _ in range(17)]
-    got, want = rep_v_defects(space, pairs), _rep_v_defects_by_element(space, pairs)
+    got, want = rep_v_defects(space, *element_rows(pairs)), _rep_v_defects_by_element(space, pairs)
     assert got == want and got[2]
     batch = [g for pair in pairs[:4] for g in pair]
     perms, amps = monomials_by_element(space, batch)
@@ -715,11 +718,12 @@ def test_batched_gates_bit_equal_the_per_sample_oracles(m2, pmax, nmax):
         points = [_random_x(rnd) for _ in range(count)]
         pairs = [(_random_x(rnd), _random_x(rnd)) for _ in range(count)]
         group_pairs = [(rand_g(), rand_g()) for _ in range(count)]
-        assert _same_values(adjoint_defect(space, points), adjoint_defect_by_point(space, points))
-        assert _same_values(phase_sum_defect(space, pairs), phase_sum_defect_by_pair(space, pairs))
-        got, want = (gate(space, pairs, random.Random(count)) for gate in (xi_defects, xi_defects_by_pair))
-        assert _same_values(got, want)
-        assert _same_values(rep_v_defects(space, group_pairs), rep_v_defects_by_pair(space, group_pairs))
+        assert _same_values(adjoint_defect(space, rows(points)), adjoint_defect_by_point(space, points))
+        assert _same_values(phase_sum_defect(space, *pair_rows(pairs)), phase_sum_defect_by_pair(space, pairs))
+        got = xi_defects(space, *pair_rows(pairs), random.Random(count))
+        assert _same_values(got, xi_defects_by_pair(space, pairs, random.Random(count)))
+        got = rep_v_defects(space, *element_rows(group_pairs))
+        assert _same_values(got, rep_v_defects_by_pair(space, group_pairs))
     assert len(fock_module._batches(space, 21, 3 * space.dim)) > 1  # rep_v's pairs in more than one batch
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from causet_qft import fock, scattering, symmetry
-from causet_qft.fock import FockSpace, fock_space, phi, psi
+from causet_qft.fock import FockSpace, fock_space, phi
 from causet_qft.lattice import Vec4
 from causet_qft.momentum import hyperboloid
 from causet_qft.scattering import (
@@ -36,6 +36,7 @@ from oracles import (
     graded_unitarity_defect,
     norm_sq4,
     product_formula,
+    psi,
     window_slice,
     xi_matrix,
 )
@@ -604,13 +605,13 @@ def test_unitarity_defect_scales_with_coupling_squared(model):
 
 
 def test_two_pi_state_normalized(model):
-    pts = model.pi_space.hyperboloid.points
-    vec = two_pi_state(model, pts[1], pts[2])
+    vec = two_pi_state(model, 1, 2)
     assert np.vdot(vec, vec) == pytest.approx(1.0)
-    same = two_pi_state(model, pts[1], pts[1])
+    same = two_pi_state(model, 1, 1)
     assert np.vdot(same, same) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        two_pi_state(model, Vec4(9, 9, 9, 9), pts[0])
+    for off in (len(model.pi_space.hyperboloid), -1):
+        with pytest.raises(ValueError, match="not all on the hyperboloid"):
+            two_pi_state(model, off, 0)
 
 
 def test_amplitude_identity_for_equal_states(model):
@@ -625,15 +626,13 @@ def test_amplitude_identity_for_equal_states(model):
         horizon=3,
     )
     m0 = build_model(cfg0)
-    pts = m0.pi_space.hyperboloid.points
-    rep = amplitude(m0, (pts[1], pts[2]), (pts[1], pts[2]), scattering_series(m0))
+    rep = amplitude(m0, (1, 2), (1, 2), scattering_series(m0))
     assert rep.total == pytest.approx(1.0)
     assert rep.probability == pytest.approx(1.0)
 
 
 def test_order_parity(model):
-    pts = model.pi_space.hyperboloid.points
-    incoming, outgoing = (pts[1], pts[2]), (pts[3], pts[4])
+    incoming, outgoing = (1, 2), (3, 4)
     rep = order_parity_check(
         amplitude(model, incoming, outgoing, scattering_series(model)), incoming, outgoing
     )
@@ -644,8 +643,7 @@ def test_order_parity(model):
 
 
 def test_amplitude_report_structure(model):
-    pts = model.pi_space.hyperboloid.points
-    rep = amplitude(model, (pts[1], pts[2]), (pts[3], pts[4]), scattering_series(model))
+    rep = amplitude(model, (1, 2), (3, 4), scattering_series(model))
     assert isinstance(rep, AmplitudeReport)
     assert len(rep.per_order) == model.cfg.horizon + 1
     assert rep.probability == pytest.approx(abs(rep.total) ** 2)
