@@ -6,8 +6,9 @@ enumerator against the per-column q intervals, chain enumeration
 and the V x V order, link reachability and order axioms against the
 per-shell key sets, cone membership and the child array from a dense
 coordinate grid against the parent links looked up by key, sumset check and
-closed-form pair counts, set comparisons against integer matrices, explicit
-step products and the 2^n sum over decreasing time tuples against the step
+closed-form pair counts, the sweep over every sum of two balls against the
+positive-definiteness certificate, set comparisons against integer matrices,
+explicit step products and the 2^n sum over decreasing time tuples against the step
 recursion and its orders checked on the coupling circle, the dense
 Hamiltonian and step loop and the whole parity-block series against the
 series on orbit representative columns, the
@@ -346,6 +347,24 @@ def order_axioms(rel: np.ndarray) -> dict[str, bool]:
         "antisymmetric": not (rel & rel.T).any(),
         "transitive": transitive,
     }
+
+
+def sumsets_inside(hist: History) -> bool:
+    """Whether B_j + B_k lies in B_{j+k} for all j, k >= 1 with j + k <= horizon, by
+    sweeping every sum: ``causet.order_axioms``' ``transitive`` certificate, checked."""
+    shells = np.split(hist.keys, hist.offsets[1:-1])
+    for m in range(2, hist.horizon + 1):
+        lo = shells[m][0]
+        member = np.zeros(shells[m][-1] - lo + 1, dtype=bool)
+        member[shells[m] - lo] = True
+        for j in range(1, m // 2 + 1):
+            b = shells[m - j] - lo
+            rows = max(1, (1 << 16) // len(b))  # 2^16 sums, 512 KB, stay in cache
+            for start in range(0, len(shells[j]), rows):
+                sums = (shells[j][start : start + rows, None] + b).ravel()
+                if sums[0] < 0 or sums[-1] >= len(member) or not member[sums].all():
+                    return False
+    return True
 
 
 def covariance_diagnostics(hist: History) -> CovarianceReport:

@@ -22,7 +22,7 @@ from causet_qft.causet import (
     parent_histogram,
     speeds_paper_diff,
 )
-from causet_qft.lattice import Vec4
+from causet_qft.lattice import MINKOWSKI_GRAM, Vec4
 from causet_qft.symmetry import elements
 import oracles
 from oracles import (
@@ -432,10 +432,33 @@ def test_sumset_check_sees_a_missing_ball_point(dropped):
     offsets = tuple(o - (i > 2) for i, o in enumerate(hist.offsets))
     holed = History(hist.horizon, np.delete(hist.coords, row, axis=0), offsets)
     assert np.diff(holed.offsets).tolist() == [1, 13, 54, 177, 381]
-    assert order_axioms(holed) == {"irreflexive": True, "antisymmetric": True, "transitive": False}
+    assert not oracles.sumsets_inside(holed)
     # a subset of a transitive relation stays transitive: the sumset check is stronger
-    assert oracles.order_axioms(causal_order(holed.coords))["transitive"]
+    assert order_axioms(holed) == {"irreflexive": True, "antisymmetric": True, "transitive": True}
+    assert order_axioms(holed)["transitive"] == oracles.order_axioms(causal_order(holed.coords))["transitive"]
+    assert oracles.sumsets_inside(hist)
     assert order_axioms(hist)["transitive"]
+
+
+@pytest.mark.parametrize("t", range(13))
+def test_transitivity_certificate_matches_the_sumset_sweep(t):
+    hist = history(t)
+    assert oracles.sumsets_inside(hist) == order_axioms(hist)["transitive"]
+
+
+@pytest.mark.parametrize(
+    "gram, definite",
+    [
+        (-MINKOWSKI_GRAM[1:, 1:], True),  # G, leading minors 2, 3, 4
+        ([[1, 2, 0], [2, 1, 0], [0, 0, 1]], False),  # indefinite: minors 1, -3
+        ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], False),  # semidefinite and singular: minors 1, 0
+        (MINKOWSKI_GRAM[1:, 1:], False),  # -G
+        (MINKOWSKI_GRAM, False),  # the Lorentzian form
+    ],
+    ids=["G", "indefinite", "singular", "minus_G", "lorentzian"],
+)
+def test_transitivity_certificate_refuses_forms_that_are_not_definite(gram, definite):
+    assert causet._positive_definite(gram) is definite
 
 
 def test_order_axioms_read_the_difference_set():

@@ -829,14 +829,21 @@ def test_out_to_an_unwritable_path_is_a_named_error(tmp_path, capsys, target):
     assert "Traceback" not in err
 
 
-def test_causet_verify_counts_pairs_from_the_shells_at_t12(capsys):
-    # V = 36,251 vertices, whose V x V order the causet layer never holds
-    code, out, _ = run_cli(capsys, "--format", "json", "causet-verify", "--t", "12")
+@pytest.mark.parametrize(
+    "t, vertices, comparable, pathless",
+    [
+        pytest.param(12, 36251, 20022076, 5011336, id="t12"),
+        pytest.param(24, 533681, 4129359744, 1410961872, id="t24"),  # past every oracle's reach
+    ],
+)
+def test_causet_verify_counts_pairs_from_the_shells(capsys, t, vertices, comparable, pathless):
+    # V vertices, whose V x V order the causet layer never holds
+    code, out, _ = run_cli(capsys, "--format", "json", "causet-verify", "--t", str(t))
     assert code == 0
     payload = json.loads(out)["payload"]
-    assert payload["vertex_count"] == 36251
-    assert payload["comparable_pairs"] == 20022076
-    assert payload["pathless_comparable_pairs"] == 5011336
+    assert payload["vertex_count"] == vertices
+    assert payload["comparable_pairs"] == comparable
+    assert payload["pathless_comparable_pairs"] == pathless
 
 
 def test_causet_verify_larger_than_memory_is_a_named_error(capsys, monkeypatch):

@@ -205,8 +205,11 @@ def test_enumerator_guard_covers_the_traced_peak(monkeypatch, limit):
 
 @given(st.lists(st.tuples(coords, coords, coords), max_size=20))
 def test_norm_rows_match_scalar_norm(rows):
-    got = norm_sq3_rows(np.array(rows, dtype=np.int64).reshape(-1, 3)).tolist()
-    assert got == [norm_sq3(Vec3(*r)) for r in rows]
+    array = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    got = norm_sq3_rows(array)
+    assert got.tolist() == [norm_sq3(Vec3(*r)) for r in rows]
+    # the enumerator's balls are those of the form that causet.order_axioms certifies
+    assert (2 * got).tolist() == ((array @ -MINKOWSKI_GRAM[1:, 1:]) * array).sum(axis=1).tolist()
 
 
 @given(vec4s, vec4s)

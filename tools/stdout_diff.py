@@ -52,7 +52,7 @@ def invocations(scratch: str) -> list[tuple[str, ...]]:
         for name in workloads.WORKLOADS
         for inv in workloads.build(name, workloads.DEFAULT_SEED)
     ]
-    causets = [("--format", "json", "causet-verify", "--t", str(t)) for t in range(9)]
+    causets = [("--format", "json", "causet-verify", "--t", str(t)) for t in (*range(9), 12, 20)]
     errors = [
         ("fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "0"),
         ("fock-verify", "--m2", "5", "--pmax", "1", "--nmax", "1"),
