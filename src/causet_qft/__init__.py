@@ -8,7 +8,4 @@ scattering engine.  The ``causet-qft`` command line exposes the verification
 reports; see the README for a tour.
 """
 
-from .lattice import Vec4
-
-__all__ = ["Vec4"]
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ and links join u to v iff v - u lies in some {k} x R_k, R_k the k-link
 displacements.  Vertices, balls and step sets are sorted radix keys that add
 as the vectors do, and the keys are the layer's only lookup structure: a
 vertex's parents are its key minus the 13 step keys, looked up in the shell
-below.  The tests define the same notions one ``Vec4`` at a time (shells,
+below.  The tests define the same notions one point at a time (shells,
 precedence, children, parents) and diff the arrays against them.
 """
 
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from . import paperdata
-from .lattice import MINKOWSKI_GRAM, Vec4, det_exact, norm_sq3_rows, rank_keys, require_memory, vectors_with_norm_up_to
+from .lattice import MINKOWSKI_GRAM, det_exact, norm_sq3_rows, rank_keys, require_memory, vectors_with_norm_up_to
 from .momentum import _set_diff, attainable_spatial_norms
 
 __all__ = [
@@ -73,9 +73,6 @@ class History:
     horizon: int
     coords: np.ndarray
     offsets: tuple[int, ...]
-
-    def vertex(self, i: int) -> Vec4:
-        return Vec4(*self.coords[i].tolist())
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -194,16 +191,19 @@ def complete_children(hist: History) -> tuple[int, int]:
     return int(np.count_nonzero(kids == len(_STEP_ARRAY))), len(kids)
 
 
+Point = tuple[int, int, int, int]  # one (t, n, p, q) row
+
+
 @dataclass(frozen=True)
 class CovarianceReport:
     comparable_pairs: int
     weakly_covariant: bool
     covariant: bool
-    covariance_witness: tuple[Vec4, Vec4] | None
+    covariance_witness: tuple[Point, Point] | None
     orphan_count: int
     height_mismatch_count: int
     pathless_comparable_pairs: int
-    pathless_sample: tuple[tuple[Vec4, Vec4], ...]
+    pathless_sample: tuple[tuple[Point, Point], ...]
     parent_histogram: dict[int, dict[int, int]]
 
 
@@ -242,6 +242,10 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
     pathless = sum(unreached[k] * below[k] for k in range(1, len(sizes)))
 
     difference, chains = keys[off[1] :], np.concatenate(steps)
+
+    def pair(u: int, v: int) -> tuple[Point, Point]:
+        return tuple(map(tuple, hist.coords[[u, v]].tolist()))
+
     witness, sample = None, []
     for u in range(len(keys)):
         if witness is not None and len(sample) == min(5, pathless):
@@ -249,8 +253,8 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
         later, reached = (rank_keys(table, keys - keys[u]) >= 0 for table in (difference, chains))
         higher = np.flatnonzero((heights > heights[u]) & ~later)
         if witness is None and len(higher):
-            witness = (hist.vertex(u), hist.vertex(higher[0]))
-        sample += [(hist.vertex(u), hist.vertex(v)) for v in np.flatnonzero(later & ~reached)[: 5 - len(sample)]]
+            witness = pair(u, higher[0])
+        sample += [pair(u, v) for v in np.flatnonzero(later & ~reached)[: 5 - len(sample)]]
 
     return CovarianceReport(
         comparable_pairs=comparable,

@@ -30,8 +30,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from . import causet, fock, momentum, representations as reps, scattering, symmetry
-from .lattice import Vec4
+from . import causet, fock, momentum, paperdata, representations as reps, scattering, symmetry
 
 TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "fock-verify"}
 
@@ -98,12 +97,12 @@ def cmd_group_verify(args) -> dict:
     iso = symmetry.isometry_report()
     subgroups = symmetry.verify_subgroups()
     pairwise = symmetry.pairwise_generators()
-    mn = len(symmetry.generate_from([symmetry.element("M"), symmetry.element("N")]))
+    mn = len(symmetry.generate_from([symmetry.index("M"), symmetry.index("N")]))
     failing_pairs = [
         r["pair"] for r in pairwise["pairs"] if not r["commute"] and r["generated_order"] != 24
     ]
     payload = {
-        "order": len(symmetry.elements()),
+        "order": len(symmetry.MATRICES),
         "axioms": {
             "latin_square": table.latin_square,
             "associative": table.associative,
@@ -119,7 +118,7 @@ def cmd_group_verify(args) -> dict:
         },
     }
     checks = [
-        _check("group_order_24", len(symmetry.elements()) == 24),
+        _check("group_order_24", len(symmetry.MATRICES) == 24),
         _check("latin_square", table.latin_square),
         _check("associative_all_triples", table.associative),
         _check("inverses_exist", table.inverses),
@@ -143,8 +142,8 @@ def cmd_reps_verify(args) -> dict:
     spin_unitarity = reps.spinor_unitarity_defect()
     seven_worst = reps.spinor_equation_residual()
     log_worst = reps.generator_log_defect()
-    proj_canonical = reps.projective_check(reps.SignConvention.CANONICAL)
-    proj_printed = reps.projective_check(reps.SignConvention.PRINTED)
+    proj_canonical = reps.projective_check(reps.SPINORS)
+    proj_printed = reps.projective_check(reps.PRINTED_SIGN_SPINORS)
     proj_worst = proj_canonical["worst_residual"]
     printed_report = reps.printed_spinor_report()
     transport = reps.eigen_transport_check()
@@ -165,8 +164,8 @@ def cmd_reps_verify(args) -> dict:
             "printed_convention_JJ": proj_printed["cocycle"][("J", "J")],
             "canonical_convention_JJ": proj_canonical["cocycle"][("J", "J")],
         },
-        "unitary3": {z.label: reps.cal_u(z).astype(complex) for z in symmetry.elements()},
-        "spinor": {z.label: reps.spinor_of(z).matrix for z in symmetry.elements()},
+        "unitary3": dict(zip(paperdata.LABEL_ORDER, reps.CAL_U.astype(complex))),
+        "spinor": dict(zip(paperdata.LABEL_ORDER, reps.SPINORS)),
     }
     checks = [
         _check("unitary3_unitarity", u_defect < 1e-12, u_defect),
@@ -316,6 +315,7 @@ def cmd_masses(args) -> dict:
 
 def cmd_hyperboloid(args) -> dict:
     h = momentum.hyperboloid(args.m2, args.pmax)
+    momentum.require_points(h)  # every check would pass vacuously on no points
     invariance = momentum.hyperboloid_invariance_defect(h)
     payload = {
         "mass_sq": args.m2,
@@ -394,7 +394,7 @@ def cmd_fock_verify(args) -> dict:
         payload, {}, checks,
     )
     if args.format == "csv":  # the csv table: phi(e_t)'s entries on this run's space
-        bundle["triplets"] = fock.phi(Vec4(1, 0, 0, 0), space).triplets()
+        bundle["triplets"] = fock.phi((1, 0, 0, 0), space).triplets()
     return bundle
 
 
@@ -470,16 +470,14 @@ _JSON_WORDS = {
 
 
 def _leaf(v):
-    """``v`` one level down in JSON's types: vectors and tuples as lists, complex numbers
-    as ``{"im", "re"}``, numpy scalars and 0-d arrays as Python scalars; arrays stay."""
+    """``v`` one level down in JSON's types: tuples as lists, complex numbers as
+    ``{"im", "re"}``, numpy scalars and 0-d arrays as Python scalars; arrays stay."""
     if isinstance(v, (np.generic, np.ndarray)):
         if v.ndim:
             return v
         v = v.item()
     if isinstance(v, complex):
         return {"im": v.imag, "re": v.real}
-    if isinstance(v, Vec4):
-        return list(v.coords())
     if isinstance(v, (list, tuple, dict)):
         return dict(v) if isinstance(v, dict) else list(v)
     return v

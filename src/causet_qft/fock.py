@@ -22,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import MINKOWSKI_GRAM, Vec4, rank_rows, require_memory
-from .momentum import Hyperboloid
-from .symmetry import MATRICES, PRODUCT_INDEX, elements
+from .lattice import MINKOWSKI_GRAM, rank_rows, require_memory
+from .momentum import Hyperboloid, require_points
+from .symmetry import MATRICES, PRODUCT_INDEX
 
 __all__ = [
     "FockSpace",
@@ -196,8 +196,7 @@ def _batches(fock: FockSpace, count: int, width: int) -> list[slice]:
 def fock_space(h: Hyperboloid, n_max: int) -> FockSpace:
     if n_max < 0:
         raise ValueError("particle cap must be nonnegative")
-    if len(h) == 0:
-        raise ValueError("hyperboloid is empty at this truncation")
+    require_points(h)
     return FockSpace(hyperboloid=h, n_max=n_max)
 
 
@@ -269,10 +268,10 @@ class FieldOperator:
         return rows[order], cols[order], vals.real, vals.imag
 
 
-def phi(x: Vec4, fock: FockSpace) -> FieldOperator:
-    """Annihilation field: sector n+1 -> n with amplitude sqrt(count) e^{-ip.x}; there is
-    no block out of sector 0."""
-    coeffs = tuple(np.conj(_phases(fock.hyperboloid, np.array(x.coords()))).tolist())
+def phi(x, fock: FockSpace) -> FieldOperator:
+    """Annihilation field at the (t, n, p, q) coordinate row x: sector n+1 -> n with
+    amplitude sqrt(count) e^{-ip.x}; there is no block out of sector 0."""
+    coeffs = tuple(np.conj(_phases(fock.hyperboloid, np.asarray(x))).tolist())
     return FieldOperator(fock=fock, role="annihilates", coeffs=coeffs)
 
 
@@ -421,7 +420,7 @@ def _monomials(fock: FockSpace, translations: np.ndarray, rotations: np.ndarray)
     times the last phase.  Raises at the first rotation that leaves the point set."""
     closed, perms = fock._sector_permutations
     if not closed[rotations].all():
-        fock.hyperboloid.permutation_under(elements()[rotations[np.argmin(closed[rotations])]])
+        fock.hyperboloid.permutation_under(int(rotations[np.argmin(closed[rotations])]))
     phases, low = _phases(fock.hyperboloid, translations), fock.ladder_maps["annihilates"][0]
     amps = np.ones((len(phases), fock.dim), dtype=complex)
     for n, ms in enumerate(fock.multiset_arrays[1:], start=1):

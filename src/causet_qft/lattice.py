@@ -6,10 +6,11 @@ direction.  All inner products are kept exact by working with *doubled*
 values (2<u,v> is always an integer), so nothing in this module touches
 floating point.
 
-Sets of lattice points are integer rows (the enumerator returns (n, p, q)
-rows, ``rank_rows`` and ``rank_keys`` find rows and keys in a sorted table);
-``Vec4`` names one spacetime point, a momentum or a translation.  The squared
-spatial length norm_sq3 of (n, p, q) is n^2 + p^2 + q^2 + np + nq + pq.
+A point, a momentum or a translation is an integer coordinate row, (n, p, q) in
+space and (t, n, p, q) in spacetime, and a set of them is the rows of one array
+(the enumerator returns (n, p, q) rows, ``rank_rows`` and ``rank_keys`` find rows
+and keys in a sorted table).  The squared spatial length norm_sq3 of (n, p, q) is
+n^2 + p^2 + q^2 + np + nq + pq.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Vec4",
     "MINKOWSKI_GRAM",
     "det_exact",
     "norm_sq3_rows",
@@ -33,25 +32,6 @@ __all__ = [
     "require_memory",
     "TRIPLE_MATRICES",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Vec4:
-    """Spacetime lattice vector (t, n, p, q); t is the time coordinate."""
-
-    t: int
-    n: int
-    p: int
-    q: int
-
-    def __add__(self, other: "Vec4") -> "Vec4":
-        return Vec4(self.t + other.t, self.n + other.n, self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other: "Vec4") -> "Vec4":
-        return Vec4(self.t - other.t, self.n - other.n, self.p - other.p, self.q - other.q)
-
-    def coords(self) -> tuple[int, int, int, int]:
-        return (self.t, self.n, self.p, self.q)
 
 
 # doubled Minkowski Gram matrix on coordinates (t, n, p, q): 2(p.x) = p @ G @ x

@@ -7,7 +7,7 @@ forward sheet, truncated at a configurable energy cap so everything
 downstream stays finite.
 
 A hyperboloid's points are the sorted integer rows of a (d, 4) array, named by
-their row indices; the rotation action ranks rows of it, and ``points`` is a view.
+their row indices; the rotation action ranks rows of it.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from . import paperdata
-from .lattice import (
-    MINKOWSKI_GRAM, Vec4, norm_sq3_rows, rank_rows, require_memory, vectors_with_norm_up_to,
-)
-from .symmetry import MATRICES, GroupElement, apply4, index
+from .lattice import MINKOWSKI_GRAM, norm_sq3_rows, rank_rows, require_memory, vectors_with_norm_up_to
+from .symmetry import MATRICES
 
 __all__ = [
     "attainable_spatial_norms",
@@ -30,6 +28,7 @@ __all__ = [
     "mass_table_paper_diff",
     "Hyperboloid",
     "hyperboloid",
+    "require_points",
     "mass_shell_defect",
     "hyperboloid_invariance_defect",
 ]
@@ -105,10 +104,6 @@ class Hyperboloid:
         return len(self.coords)
 
     @cached_property
-    def points(self) -> tuple[Vec4, ...]:
-        return tuple(Vec4(*row) for row in self.coords.tolist())
-
-    @cached_property
     def rotation_images(self) -> np.ndarray:
         """Row g, read-only: the index of each point's image under the rotation ``MATRICES[g]``,
         -1 where it leaves the point set; all 24 rotations ranked in one pass."""
@@ -117,12 +112,13 @@ class Hyperboloid:
         out.flags.writeable = False
         return out
 
-    def permutation_under(self, z: GroupElement) -> np.ndarray:
-        """Index permutation induced by the spatial action; raises if not closed."""
-        perm = self.rotation_images[index(z)]
+    def permutation_under(self, z: int) -> np.ndarray:
+        """Index permutation induced by the rotation ``MATRICES[z]``; raises if not closed."""
+        perm = self.rotation_images[z]
         if (perm < 0).any():
-            p = self.points[int(np.argmax(perm < 0))]
-            raise ValueError(f"{apply4(z, p)} is not on the truncated hyperboloid")
+            t, *space = self.coords[int(np.argmax(perm < 0))].tolist()
+            image = [t, *(MATRICES[z] @ space).tolist()]
+            raise ValueError(f"{image} is not on the truncated hyperboloid")
         return perm
 
 
@@ -141,6 +137,12 @@ def hyperboloid(mass_sq: int, p_max: int) -> Hyperboloid:
     on = p0 * p0 == energy_sq
     coords = np.insert(rows[on], 0, p0[on], axis=1)
     return Hyperboloid(mass_sq=mass_sq, p_max=p_max, coords=coords[np.argsort(coords[:, 0], kind="stable")])
+
+
+def require_points(h: Hyperboloid) -> None:
+    """``ValueError`` when ``h`` holds no point, before anything is built over its points."""
+    if len(h) == 0:
+        raise ValueError("hyperboloid is empty at this truncation")
 
 
 def mass_shell_defect(h: Hyperboloid) -> int:

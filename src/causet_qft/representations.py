@@ -1,13 +1,15 @@
 """Unitary and spinor representations of the lattice symmetry group.
 
 The 3-dimensional representation is the conjugation of the integer matrices
-into Cartesian coordinates, where they become rotations: one (24, 3, 3) stack
-in label order.  The 2-dimensional spinor values are recovered per element
-from the standard quadratic relations between a rotation matrix and its SU(2)
-preimages, into one (24, 2, 2) stack; the preimage is only defined up to a
-global sign, so a deterministic representative is chosen (see
-``SignConvention``).  Every law that relates pairs of elements is one array
-expression over the group's product table.
+into Cartesian coordinates, where they become rotations: the read-only (24, 3, 3)
+stack ``CAL_U`` in label order.  The 2-dimensional spinor values are recovered per
+element from the standard quadratic relations between a rotation matrix and its
+SU(2) preimages, into the read-only (24, 2, 2) stack ``SPINORS``.  The preimage is
+only defined up to a global sign: ``SPINORS`` makes the first entry of
+(Re a, Im a, Re b, Im b) larger than 1e-7 in magnitude positive, and
+``PRINTED_SIGN_SPINORS`` follows the published listing's sign wherever the printed
+matrix is a faithful lift, and ``SPINORS`` elsewhere.  Every law that relates pairs
+of elements is one array expression over the group's product table.
 """
 
 from __future__ import annotations
@@ -15,27 +17,23 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import paperdata
-from .symmetry import MATRICES, PRODUCT_INDEX, GroupElement, element, elements, index
+from .symmetry import MATRICES, PRODUCT_INDEX, index
 
 __all__ = [
-    "Spinor2",
-    "SignConvention",
     "ALLOWED_EIGENVALUES",
-    "basis_change",
-    "cal_u",
+    "CAL_U",
+    "SPINORS",
+    "PRINTED_SIGN_SPINORS",
     "unitary3_defect",
     "homomorphism_defect",
     "eigenvalue_set_defect",
     "eigen_transport_check",
     "generator_log",
     "generator_log_defect",
-    "spinor_of",
     "seven_equation_residuals",
     "spinor_unitarity_defect",
     "spinor_equation_residual",
@@ -54,29 +52,20 @@ ALLOWED_EIGENVALUES = (
 )
 
 
-def basis_change() -> tuple[np.ndarray, np.ndarray]:
-    """The published pair (U, U^-1) converting Cartesian <-> lattice coordinates."""
-    return np.array(paperdata.U_MATRIX), np.array(paperdata.U_INVERSE)
-
-
-_U, _UINV = basis_change()
-_CAL_U = _UINV @ MATRICES @ _U
-_CAL_U.flags.writeable = False
-
-
-def cal_u(z: GroupElement) -> np.ndarray:
-    """Rotation matrix of ``z`` in Cartesian coordinates (a read-only 3x3 array)."""
-    return _CAL_U[index(z)]
+# the published pair (U, U^-1) converting Cartesian <-> lattice coordinates
+_U, _UINV = np.array(paperdata.U_MATRIX), np.array(paperdata.U_INVERSE)
+CAL_U = _UINV @ MATRICES @ _U
+CAL_U.flags.writeable = False
 
 
 def unitary3_defect() -> float:
     """Worst |R^T R - I| entry over the (real) rotations R."""
-    return float(np.max(np.abs(_CAL_U.transpose(0, 2, 1) @ _CAL_U - np.eye(3))))
+    return float(np.max(np.abs(CAL_U.transpose(0, 2, 1) @ CAL_U - np.eye(3))))
 
 
 def homomorphism_defect() -> float:
     """Worst | calU(YZ) - calU(Y) calU(Z) | entry over all 576 pairs."""
-    return float(np.max(np.abs(_CAL_U[PRODUCT_INDEX] - _CAL_U[:, None] @ _CAL_U[None, :])))
+    return float(np.max(np.abs(CAL_U[PRODUCT_INDEX] - CAL_U[:, None] @ CAL_U[None, :])))
 
 
 def _principal_angle(lam: complex) -> float:
@@ -86,14 +75,14 @@ def _principal_angle(lam: complex) -> float:
     return theta
 
 
-def generator_log(z: GroupElement) -> np.ndarray:
-    """Self-adjoint generator H with exp(iH) = cal_u(z), spectrum in (-pi, pi].
+def generator_log(z: int) -> np.ndarray:
+    """Self-adjoint generator H with exp(iH) = ``CAL_U[z]``, spectrum in (-pi, pi].
 
     The rotation matrices are normal with well-separated eigenvalue clusters,
     so eigenvectors are orthonormalized cluster by cluster before assembling
     the spectral sum.
     """
-    vals, vecs = np.linalg.eig(cal_u(z))
+    vals, vecs = np.linalg.eig(CAL_U[z])
     clusters: dict[int, list[int]] = {}
     for i, lam in enumerate(vals):
         key = min(
@@ -117,37 +106,11 @@ def generator_log(z: GroupElement) -> np.ndarray:
 def generator_log_defect() -> float:
     """Worst |exp(iH) - calU(z)| entry over the group, H = generator_log(z)."""
     worst = 0.0
-    for z in elements():
+    for z, rotation in enumerate(CAL_U):
         vals, vecs = np.linalg.eigh(generator_log(z))
         exp_h = vecs @ np.diag(np.exp(1j * vals)) @ vecs.conj().T
-        worst = max(worst, float(np.max(np.abs(exp_h - cal_u(z)))))
+        worst = max(worst, float(np.max(np.abs(exp_h - rotation))))
     return worst
-
-
-class SignConvention(Enum):
-    """How the global sign of a spinor value is fixed.
-
-    CANONICAL: the first entry of (Re a, Im a, Re b, Im b) larger than 1e-7
-    in magnitude is made positive.  PRINTED: follow the published listing's
-    choice whenever the printed matrix is a faithful lift; fall back to
-    CANONICAL for entries the source misprints.
-    """
-
-    CANONICAL = "canonical"
-    PRINTED = "printed"
-
-
-@dataclass(frozen=True)
-class Spinor2:
-    """SU(2) value [[a, b], [-conj(b), conj(a)]] at one group element."""
-
-    label: str
-    a: complex
-    b: complex
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [-self.b.conjugate(), self.a.conjugate()]])
 
 
 def seven_equation_residuals(rotation: np.ndarray, a: complex, b: complex) -> tuple[float, ...]:
@@ -208,8 +171,11 @@ def _canonicalize(a: complex, b: complex) -> tuple[complex, complex]:
     return a, b
 
 
-_SPINORS = np.array([Spinor2(z.label, *_canonicalize(*_solve_spinor(cal_u(z)))).matrix for z in elements()])
-_SPINORS.flags.writeable = False
+# the SU(2) values [[a, b], [-conj(b), conj(a)]] of the rotations, each sign made canonical
+SPINORS = np.array(
+    [[[a, b], [-b.conjugate(), a.conjugate()]] for a, b in (_canonicalize(*_solve_spinor(r)) for r in CAL_U)]
+)
+SPINORS.flags.writeable = False
 
 # A printed spinor matrix counts as a valid form, or as a match, within this.
 _PRINTED_TOL = 1e-9
@@ -219,87 +185,76 @@ def _printed_comparison() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per element, the printed matrix p against the canonical value R: whether p has
     the SU(2) form [[a, b], [-conj(b), conj(a)]] (unitary, determinant 1), the distance
     min(|p - R|, |p + R|), and the sign +1/-1 of the nearer one, 0 if p is corrupt."""
-    p = np.array([paperdata.SPINOR_PRINTED[z.label] for z in elements()])
+    p = np.array([paperdata.SPINOR_PRINTED[label] for label in paperdata.LABEL_ORDER])
     valid = (
         (np.max(np.abs(p.conj().transpose(0, 2, 1) @ p - np.eye(2)), axis=(1, 2)) < _PRINTED_TOL)
         & (np.abs(np.linalg.det(p) - 1.0) < _PRINTED_TOL)
         & (np.abs(p[:, 1, 1] - p[:, 0, 0].conj()) < _PRINTED_TOL)
         & (np.abs(p[:, 1, 0] + p[:, 0, 1].conj()) < _PRINTED_TOL)
     )
-    d_plus, d_minus = (np.max(np.abs(d), axis=(1, 2)) for d in (p - _SPINORS, p + _SPINORS))
+    d_plus, d_minus = (np.max(np.abs(d), axis=(1, 2)) for d in (p - SPINORS, p + SPINORS))
     diff = np.minimum(d_plus, d_minus)
     return valid, diff, np.where(valid & (diff < _PRINTED_TOL), np.where(d_plus < d_minus, 1, -1), 0)
 
 
 _PRINTED_VALID, _PRINTED_DIFF, _PRINTED_SIGNS = _printed_comparison()
-
-
-def _spinors(convention: SignConvention) -> np.ndarray:
-    """The (24, 2, 2) spinor values under ``convention``."""
-    if convention is SignConvention.CANONICAL:
-        return _SPINORS
-    return np.where(_PRINTED_SIGNS[:, None, None] < 0, -_SPINORS, _SPINORS)
-
-
-def spinor_of(z: GroupElement, convention: SignConvention = SignConvention.CANONICAL) -> Spinor2:
-    """Spinor value of ``z`` under the requested sign convention."""
-    m = _spinors(convention)[index(z)]
-    return Spinor2(z.label, complex(m[0, 0]), complex(m[0, 1]))
+PRINTED_SIGN_SPINORS = np.where(_PRINTED_SIGNS[:, None, None] < 0, -SPINORS, SPINORS)
+PRINTED_SIGN_SPINORS.flags.writeable = False
 
 
 def spinor_unitarity_defect() -> float:
     """Worst |R^H R - I| entry over the canonical spinor values R."""
-    return float(np.max(np.abs(_SPINORS.conj().transpose(0, 2, 1) @ _SPINORS - np.eye(2))))
+    return float(np.max(np.abs(SPINORS.conj().transpose(0, 2, 1) @ SPINORS - np.eye(2))))
 
 
 def spinor_equation_residual() -> float:
     """Worst residual of the seven relations between each canonical spinor value and its rotation."""
-    spinors = [spinor_of(z) for z in elements()]
-    return max(max(seven_equation_residuals(r, s.a, s.b)) for r, s in zip(_CAL_U, spinors))
+    return max(
+        max(seven_equation_residuals(r, complex(s[0, 0]), complex(s[0, 1]))) for r, s in zip(CAL_U, SPINORS)
+    )
 
 
-def projective_check(convention: SignConvention = SignConvention.CANONICAL) -> dict:
-    """Worst residual of R(YZ) = +-R(Y)R(Z) over all pairs, and the sign cocycle."""
-    mats = _spinors(convention)
+def projective_check(mats: np.ndarray) -> dict:
+    """Worst residual of R(YZ) = +-R(Y)R(Z) over all pairs of the (24, 2, 2) spinor stack
+    ``mats`` (``SPINORS`` or ``PRINTED_SIGN_SPINORS``), and the sign cocycle by labels."""
     prod, target = mats[:, None] @ mats[None, :], mats[PRODUCT_INDEX]
     d_plus, d_minus = (np.max(np.abs(d), axis=(-2, -1)) for d in (prod - target, prod + target))
-    labels = [z.label for z in elements()]
     signs = np.where(d_plus <= d_minus, 1, -1).ravel().tolist()
-    cocycle = dict(zip(itertools.product(labels, repeat=2), signs))
+    cocycle = dict(zip(itertools.product(paperdata.LABEL_ORDER, repeat=2), signs))
     worst = float(np.max(np.minimum(d_plus, d_minus)))
-    return {"convention": convention.value, "worst_residual": worst, "cocycle": cocycle}
+    return {"worst_residual": worst, "cocycle": cocycle}
 
 
 def printed_spinor_report() -> list[dict]:
     """Per-element comparison of the computed spinor values with the listing."""
-    rows = zip(elements(), _PRINTED_VALID.tolist(), _PRINTED_DIFF.tolist(), _PRINTED_SIGNS.tolist())
+    rows = zip(paperdata.LABEL_ORDER, _PRINTED_VALID.tolist(), _PRINTED_DIFF.tolist(), _PRINTED_SIGNS.tolist())
     return [
         {
-            "label": z.label,
+            "label": label,
             "printed_valid_form": valid,
             "matches_up_to_sign": diff < _PRINTED_TOL,
             "max_abs_diff": diff,
             "printed_sign": sign,
         }
-        for z, valid, diff, sign in rows
+        for label, valid, diff, sign in rows
     ]
 
 
 def eigenvalue_set_defect() -> float:
     """Worst distance of any eigenvalue from the six allowed values."""
-    vals, _ = np.linalg.eig(_CAL_U)
+    vals, _ = np.linalg.eig(CAL_U)
     return float(np.max(np.abs(vals[..., None] - np.array(ALLOWED_EIGENVALUES)).min(axis=-1)))
 
 
 def eigen_transport_check() -> float:
     """Worst eigen-equation residual of the published 3-cycle eigenvectors, before
     and after the basis change."""
-    z = element("A")
+    z = index("A")
     worst = 0.0
     for lam, coords in paperdata.EIGEN_EXAMPLE_A:
         u = np.array(coords, dtype=complex)
-        zu = np.array(z.matrix, dtype=float) @ u
+        zu = MATRICES[z].astype(float) @ u
         worst = max(worst, float(np.max(np.abs(zu - lam * u))))
         v = _UINV @ u
-        worst = max(worst, float(np.max(np.abs(cal_u(z) @ v - lam * v))))
+        worst = max(worst, float(np.max(np.abs(CAL_U[z] @ v - lam * v))))
     return worst

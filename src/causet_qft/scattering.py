@@ -348,7 +348,7 @@ def rotation_defect(model: ScatteringModel, series: ScatteringSeries) -> tuple[f
     2, whose adjoints are 1 and 3.  Rounding-level, not zero: a term and its image add into
     their entries in different orders."""
     perms, hams = model.sector_permutations, series.hamiltonians
-    images = [[p[symmetry.index(symmetry.element(label))] for p in perms] for label in GENERATORS]
+    images = [[p[symmetry.index(label)] for p in perms] for label in GENERATORS]
     worst = (_max_abs(h[s][np.ix_(p[s + 1], p[s])] - h[s] for s in (0, 2)) for p in images for h in hams)
     return max(worst, default=0.0), max((_max_abs(h[0::2]) for h in hams), default=0.0)
 

@@ -5,11 +5,12 @@ positively oriented triple it sends the basic triple to, so the 24 triples
 give the 24 matrices.  Printed labels are attached afterwards by matrix
 equality; any printed matrix that is not actually a symmetry is reported in
 `ELEMENT_PRINT_DIFFS` and its label is assigned to the unique leftover
-derived matrix.  (The published listing misprints exactly one entry.)
+derived matrix.  (The published listing misprints exactly one entry.)  An
+element is its row index in label order: ``index(label)`` finds it, and its
+row of ``MATRICES`` acts on the spatial (n, p, q) part of a coordinate row.
 
-The spacetime story is handled here too: the block lift that fixes the time
-axis, and a bounded exhaustive search for norm-preserving unit-determinant
-maps that move the time axis.  The search is a certificate for whatever it
+The spacetime story is handled here too: a bounded exhaustive search for
+norm-preserving unit-determinant maps that move the time axis.  The search is a certificate for whatever it
 finds -- notably it *refutes* the published no-boost claim; see the report
 fields.
 """
@@ -23,15 +24,12 @@ import numpy as np
 
 from . import paperdata
 from .lattice import (
-    MINKOWSKI_GRAM, TRIPLE_MATRICES, Vec4, det_exact, norm_sq3_rows, rank_keys, vectors_with_norm_up_to
+    MINKOWSKI_GRAM, TRIPLE_MATRICES, det_exact, norm_sq3_rows, rank_keys, vectors_with_norm_up_to
 )
 
 __all__ = [
-    "GroupElement",
     "GroupTable",
     "BoostCertificate",
-    "elements",
-    "element",
     "index",
     "MATRICES",
     "PRODUCT_INDEX",
@@ -41,25 +39,17 @@ __all__ = [
     "orbits",
     "verify_subgroups",
     "pairwise_generators",
-    "apply4",
     "no_boost_search",
     "preserves_minkowski_form",
     "isometry_report",
     "ELEMENT_PRINT_DIFFS",
 ]
 
-Matrix3 = tuple[tuple[int, int, int], ...]
 
-
-@dataclass(frozen=True, slots=True)
-class GroupElement:
-    """A lattice symmetry: label plus 3x3 integer matrix (columns = images)."""
-
-    label: str
-    matrix: Matrix3
-
-
-def _derive_elements() -> tuple[tuple[GroupElement, ...], tuple[dict, ...]]:
+def _derive_matrices() -> tuple[np.ndarray, tuple[dict, ...]]:
+    """The 24 symmetry matrices as one (24, 3, 3) int64 stack in published label order,
+    and a diff per printed matrix that is not a symmetry: its label takes the one derived
+    matrix that no printed one matches."""
     derived = [tuple(map(tuple, m)) for m in TRIPLE_MATRICES.tolist()]
     if len(set(derived)) != 24:
         raise AssertionError("expected 24 distinct symmetry matrices")
@@ -83,40 +73,29 @@ def _derive_elements() -> tuple[tuple[GroupElement, ...], tuple[dict, ...]]:
         }
         for lab, m in fixed.items()
     )
-    elems = tuple(GroupElement(lab, fixed.get(lab, m)) for lab, m in zip(paperdata.LABEL_ORDER, printed))
-    return elems, diffs
+    matrices = [fixed.get(lab, m) for lab, m in zip(paperdata.LABEL_ORDER, printed)]
+    return np.array(matrices, dtype=np.int64), diffs
 
-
-_ELEMENTS, ELEMENT_PRINT_DIFFS = _derive_elements()
-_INDEX = {e.label: i for i, e in enumerate(_ELEMENTS)}
-_IDENTITY = _INDEX["I"]
 
 # The matrices as one read-only (24, 3, 3) int64 stack in label order, and the index
 # table of its products y*z, the group's only multiplication.  Closure and an identity
 # in every row (each element's inverse) are facts of this static data, asserted here.
-MATRICES = np.array([e.matrix for e in _ELEMENTS], dtype=np.int64)
+MATRICES, ELEMENT_PRINT_DIFFS = _derive_matrices()
+_INDEX = {label: i for i, label in enumerate(paperdata.LABEL_ORDER)}
+_IDENTITY = _INDEX["I"]
 _HITS = np.all((MATRICES[:, None] @ MATRICES)[:, :, None] == MATRICES, axis=(-2, -1))
 if not _HITS.any(axis=-1).all():
     _i, _j = np.argwhere(~_HITS.any(axis=-1))[0]
-    raise AssertionError(f"group not closed at {_ELEMENTS[_i].label}*{_ELEMENTS[_j].label}")
+    raise AssertionError(f"group not closed at {paperdata.LABEL_ORDER[_i]}*{paperdata.LABEL_ORDER[_j]}")
 PRODUCT_INDEX = _HITS.argmax(axis=-1).astype(np.int8)
 if not (PRODUCT_INDEX == _IDENTITY).any(axis=1).all():
     raise AssertionError("a row of the product table holds no identity")
 MATRICES.flags.writeable = PRODUCT_INDEX.flags.writeable = False
 
 
-def elements() -> tuple[GroupElement, ...]:
-    """The 24 symmetries in published label order (identity first)."""
-    return _ELEMENTS
-
-
-def element(label: str) -> GroupElement:
-    return _ELEMENTS[_INDEX[label]]
-
-
-def index(z: GroupElement) -> int:
-    """Position of ``z`` in label order: its row of ``MATRICES`` and ``PRODUCT_INDEX``."""
-    return _INDEX[z.label]
+def index(label: str) -> int:
+    """The element of printed label ``label``: its row of ``MATRICES`` and ``PRODUCT_INDEX``."""
+    return _INDEX[label]
 
 
 @dataclass(frozen=True)
@@ -159,18 +138,19 @@ def table_diff_vs_printed(table: GroupTable) -> list[dict]:
     ]
 
 
-def generate_from(gens) -> set[GroupElement]:
-    """Closure of a nonempty generator set under the group product."""
+def generate_from(gens) -> np.ndarray:
+    """Closure of a nonempty set of element indices under the group product, as its
+    indices in ascending order."""
     gens = list(gens)
     if not gens:
         raise ValueError("generator set must be nonempty")
-    seen = np.zeros(24, dtype=bool)
-    seen[[_INDEX[g.label] for g in gens]] = True
+    seen = np.zeros(len(MATRICES), dtype=bool)
+    seen[gens] = True
     while True:
         grown = seen.copy()
         grown[PRODUCT_INDEX[np.ix_(seen, seen)]] = True
         if np.array_equal(grown, seen):
-            return {_ELEMENTS[i] for i in np.flatnonzero(seen)}
+            return np.flatnonzero(seen)
         seen = grown
 
 
@@ -217,7 +197,7 @@ def pairwise_generators() -> dict:
     for a, b in itertools.combinations_with_replacement(labels, 2):
         i, j = _INDEX[a], _INDEX[b]
         commute = PRODUCT_INDEX[i, j] == PRODUCT_INDEX[j, i]
-        order = len(generate_from([_ELEMENTS[i], _ELEMENTS[j]]))
+        order = len(generate_from([i, j]))
         if not commute and order != 24:
             claim_holds = False
         pairs.append({"pair": (a, b), "commute": bool(commute), "generated_order": order})
@@ -225,11 +205,6 @@ def pairwise_generators() -> dict:
 
 
 Matrix4 = tuple[tuple[int, int, int, int], ...]
-
-
-def apply4(z: GroupElement, v: Vec4) -> Vec4:
-    """The spacetime lift of ``z``: it fixes the time axis and rotates the spatial part."""
-    return Vec4(v.t, *(MATRICES[index(z)] @ v.coords()[1:]).tolist())
 
 
 def preserves_minkowski_form(m: Matrix4) -> bool:

@@ -18,6 +18,10 @@ against the cached entries, the scalar phase against the phase rows,
 multiset indicators and diagonal momentum operators, per-pair matrix
 products against the product table, a 4-D grid against spatial rows,
 per-object triples and per-element spinor comparisons against their stacks,
+the group elements one ``GroupElement`` each, built from the triples and the
+printed listing alone, with their rotations ``cal_u`` and spinor values
+``spinor_of`` (a ``Spinor2`` under a ``SignConvention``) solved one element at a
+time, against ``symmetry.MATRICES`` and the representation stacks,
 a converted copy of a report passed to ``json.dumps`` and a line-list walk
 against the one-pass renderers), so the tests can diff the fast path
 against it on small cases, the per-energy mass and hyperboloid loops
@@ -25,9 +29,10 @@ against the one enumeration of the spectra, the norm-ball enumeration against
 the norm sieve, and the fock-verify gates one sample at a time (with the
 commutator on the walk's every-column table) against the batched gates on
 the safe-column table.  It also holds the helpers that
-only tests call: the one-vector layer (``Vec3`` and its arithmetic, the scalar
-norms, ``apply3``, ``lift_to4``, ``inverse``, a table entry by labels and
-hyperboloid membership), the coordinate rows and rotation indices the gates take
+only tests call: the one-vector layer (``Vec3``, ``Vec4`` and their arithmetic,
+the scalar norms, ``apply3``, ``apply4``, ``lift_to4``, ``inverse``, a table entry by
+labels, the ``Vec4`` view ``points`` of a hyperboloid and hyperboloid membership), the
+coordinate rows and rotation indices the gates take
 from ``Vec4`` points and ``PoincareElement`` pairs, sorted eigensystems, the group
 product by labels, the ``PoincareElement`` and its product, identity, inverse and
 action on a vector,
@@ -41,6 +46,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -51,17 +57,16 @@ from causet_qft.fock import FieldOperator, FockSpace, _monomials, _phases, basis
 from causet_qft.lattice import (
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
-    Vec4,
     norm_sq3_rows,
     rank_rows,
     vectors_with_norm,
     vectors_with_norm_up_to,
 )
 from causet_qft.momentum import Hyperboloid, attainable_spatial_norms
-from causet_qft.representations import SignConvention, _principal_angle, cal_u, spinor_of
+from causet_qft.representations import _canonicalize, _principal_angle, _solve_spinor
 from causet_qft.scattering import InteractionConfig, ScatteringModel, ScatteringSeries, _max_abs, _window_rows
 from causet_qft.scattering import interaction_hamiltonian as block_hamiltonian
-from causet_qft.symmetry import PRODUCT_INDEX, BoostCertificate, GroupElement, GroupTable, apply4, elements, index
+from causet_qft.symmetry import PRODUCT_INDEX, BoostCertificate, GroupTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,10 +95,39 @@ class Vec3:
         return (self.n, self.p, self.q)
 
 
+@dataclass(frozen=True, slots=True)
+class Vec4:
+    """Spacetime lattice vector (t, n, p, q); t is the time coordinate."""
+
+    t: int
+    n: int
+    p: int
+    q: int
+
+    def __add__(self, other: "Vec4") -> "Vec4":
+        return Vec4(self.t + other.t, self.n + other.n, self.p + other.p, self.q + other.q)
+
+    def __sub__(self, other: "Vec4") -> "Vec4":
+        return Vec4(self.t - other.t, self.n - other.n, self.p - other.p, self.q - other.q)
+
+    def coords(self) -> tuple[int, int, int, int]:
+        return (self.t, self.n, self.p, self.q)
+
+
 E3 = Vec3(1, 0, 0)
 F3 = Vec3(0, 1, 0)
 G3 = Vec3(0, 0, 1)
 ORIGIN = Vec4(0, 0, 0, 0)
+
+Matrix3 = tuple[tuple[int, int, int], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class GroupElement:
+    """A lattice symmetry: label plus 3x3 integer matrix (columns = images)."""
+
+    label: str
+    matrix: Matrix3
 
 
 def spatial(v: Vec4) -> Vec3:
@@ -142,6 +176,11 @@ def lift_to4(z: GroupElement) -> tuple[tuple[int, int, int, int], ...]:
 
 def table_entry(table: GroupTable, row: str, col: str) -> str:
     return table.rows[table.labels.index(row)][table.labels.index(col)]
+
+
+def points(h: Hyperboloid) -> tuple[Vec4, ...]:
+    """The ``Vec4`` view of a hyperboloid's coordinate rows, in point order."""
+    return tuple(Vec4(*row) for row in h.coords.tolist())
 
 
 def on_hyperboloid(p: Vec4, h: Hyperboloid) -> bool:
@@ -204,6 +243,39 @@ def unit_vectors3() -> tuple[Vec3, ...]:
 def triples() -> tuple[Triple, ...]:
     """The 24 positively oriented triples, the ``Vec3`` view of ``TRIPLE_MATRICES``."""
     return tuple(Triple(*(Vec3(*col) for col in m.T.tolist())) for m in TRIPLE_MATRICES)
+
+
+def _derive_elements() -> tuple[GroupElement, ...]:
+    """The 24 symmetries in printed label order, one object each, from the triples and the
+    printed listing alone: a label keeps its printed matrix when some triple's member
+    columns form it, and the one label whose printed matrix none forms takes the matrix
+    that no printed one matches."""
+    derived = [tuple(zip(*(v.coords() for v in t.members()))) for t in triples()]
+    printed = [paperdata.ELEMENT_MATRICES_PRINTED[label] for label in paperdata.LABEL_ORDER]
+    (leftover,) = [m for m in derived if m not in printed]
+    return tuple(GroupElement(lab, m if m in derived else leftover) for lab, m in zip(paperdata.LABEL_ORDER, printed))
+
+
+_ELEMENTS = _derive_elements()
+
+
+def elements() -> tuple[GroupElement, ...]:
+    """The 24 symmetries in printed label order (identity first)."""
+    return _ELEMENTS
+
+
+def element(label: str) -> GroupElement:
+    return _ELEMENTS[paperdata.LABEL_ORDER.index(label)]
+
+
+def index(z: GroupElement) -> int:
+    """``z``'s place in the printed label order: its row of ``symmetry.MATRICES``."""
+    return paperdata.LABEL_ORDER.index(z.label)
+
+
+def apply4(z: GroupElement, v: Vec4) -> Vec4:
+    """The spacetime lift of ``z``: it fixes the time axis and rotates the spatial part."""
+    return Vec4(v.t, *apply3(z, spatial(v)).coords())
 
 
 def cube_vectors_with_norm_up_to(limit: int) -> np.ndarray:
@@ -381,10 +453,11 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
     pathless = order & ~link_reachability(links, hist.offsets)
     child_times = np.where(links >= 0, times[links], hist.horizon + 1)
     later = (heights[:, None] < heights[None, :]) & ~order
+    coords = hist.coords.tolist()
     witness = None
     if later.any():
         u, v = np.unravel_index(np.argmax(later), later.shape)
-        witness = (hist.vertex(u), hist.vertex(v))
+        witness = (tuple(coords[u]), tuple(coords[v]))
     return CovarianceReport(
         comparable_pairs=int(np.count_nonzero(order)),
         weakly_covariant=bool((child_times == times[:, None] + 1).all()),
@@ -393,7 +466,7 @@ def covariance_diagnostics(hist: History) -> CovarianceReport:
         orphan_count=len(orphans),
         height_mismatch_count=int(np.count_nonzero(heights != times)),
         pathless_comparable_pairs=int(np.count_nonzero(pathless)),
-        pathless_sample=tuple((hist.vertex(u), hist.vertex(v)) for u, v in np.argwhere(pathless)[:5]),
+        pathless_sample=tuple((tuple(coords[u]), tuple(coords[v])) for u, v in np.argwhere(pathless)[:5]),
         parent_histogram=parent_histogram(hist),
     )
 
@@ -479,12 +552,12 @@ def phase(p: Vec4, x: Vec4) -> complex:
     return complex(np.exp(0.5j * minkowski_doubled(p, x)))
 
 
-def psi(x: Vec4, fock: FockSpace) -> FieldOperator:
-    """Creation field: sector n -> n+1 with amplitude sqrt(count+1) e^{ip.x}, the
-    counterpart of :func:`causet_qft.fock.phi`.  The raising maps invert the lowering maps
-    with the same amplitudes, so the adjoint relation to phi is a checkable fact about the
-    phases; the top sector's image is dropped."""
-    coeffs = tuple(_phases(fock.hyperboloid, rows([x])[0]).tolist())
+def psi(x, fock: FockSpace) -> FieldOperator:
+    """Creation field at the (t, n, p, q) coordinate row x: sector n -> n+1 with amplitude
+    sqrt(count+1) e^{ip.x}, the counterpart of :func:`causet_qft.fock.phi`.  The raising
+    maps invert the lowering maps with the same amplitudes, so the adjoint relation to phi
+    is a checkable fact about the phases; the top sector's image is dropped."""
+    coeffs = tuple(_phases(fock.hyperboloid, np.asarray(x)).tolist())
     return FieldOperator(fock=fock, role="creates", coeffs=coeffs)
 
 
@@ -512,7 +585,7 @@ def spin_rep(y: Vec4, rot: GroupElement, spin, h: Hyperboloid) -> np.ndarray:
     """
     if spin not in _SPIN_TAGS:
         raise ValueError(f"spin must be one of 0, 1/2, 1; got {spin!r}")
-    perm = h.permutation_under(rot)
+    perm = h.permutation_under(index(rot))
     single = np.zeros((len(h), len(h)), dtype=complex)
     single[perm, np.arange(len(h))] = _phases(h, rows([y])[0])[perm]
     k = _SPIN_TAGS[spin]
@@ -637,7 +710,7 @@ def adjoint_defect_by_point(fock: FockSpace, points) -> float:
     orphans = low[q_up, c_up] != r_up
 
     def worst(x: Vec4) -> float:
-        a, b = np.asarray(phi(x, fock).coeffs), np.asarray(psi(x, fock).coeffs)
+        a, b = np.asarray(phi(x.coords(), fock).coeffs), np.asarray(psi(x.coords(), fock).coeffs)
         lowered = 0.0 + a[q] * low_w
         raised = 0.0 + b[q] * up_w[q, r]
         diff = np.where(paired, np.abs(raised - np.conj(lowered)), np.abs(lowered))
@@ -666,20 +739,22 @@ def identity_defect_by_pair(fock: FockSpace, flat: np.ndarray, terms: np.ndarray
 def phase_sum_defect_by_pair(fock: FockSpace, pairs) -> float:
     """:func:`causet_qft.fock.phase_sum_defect` one pair at a time."""
     return max(
-        identity_defect_by_pair(fock, *bracket_terms(phi(x, fock), psi(y, fock)), phase_sum(fock.hyperboloid, x, y))
+        identity_defect_by_pair(
+            fock, *bracket_terms(phi(x.coords(), fock), psi(y.coords(), fock)), phase_sum(fock.hyperboloid, x, y)
+        )
         for x, y in pairs
     )
 
 
 def xi_entries_by_point(x: Vec4, fock: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """xi(x)'s entries from its two field operators: phi's, then psi's."""
-    return tuple(np.concatenate(parts) for parts in zip(phi(x, fock)._entries(), psi(x, fock)._entries()))
+    return tuple(np.concatenate(parts) for parts in zip(*(field(x.coords(), fock)._entries() for field in (phi, psi))))
 
 
 def xi_bracket_by_pair(fock: FockSpace, x: Vec4, y: Vec4) -> tuple[np.ndarray, np.ndarray]:
     """The [xi(x), xi(y)] terms of its four field brackets' tables, [psi(x), phi(y)] as
     -[phi(y), psi(x)]."""
-    phi_x, psi_x, phi_y, psi_y = phi(x, fock), psi(x, fock), phi(y, fock), psi(y, fock)
+    (phi_x, psi_x), (phi_y, psi_y) = ((phi(v.coords(), fock), psi(v.coords(), fock)) for v in (x, y))
     flat, terms = bracket_terms(phi_y, psi_x)
     parts = [bracket_terms(phi_x, phi_y), bracket_terms(phi_x, psi_y), (flat, -terms), bracket_terms(psi_x, psi_y)]
     return tuple(np.concatenate(column) for column in zip(*parts))
@@ -1057,6 +1132,52 @@ def units_triads_triples() -> tuple[tuple[Vec3, ...], tuple[frozenset[Vec3], ...
     return tuple(units), tuple(triad_list), tuple(trips)
 
 
+def basis_change() -> tuple[np.ndarray, np.ndarray]:
+    """The published pair (U, U^-1) converting Cartesian <-> lattice coordinates."""
+    return np.array(paperdata.U_MATRIX), np.array(paperdata.U_INVERSE)
+
+
+def cal_u(z: GroupElement) -> np.ndarray:
+    """Rotation matrix of ``z`` in Cartesian coordinates, U^-1 M U from its own matrix."""
+    u, u_inv = basis_change()
+    return u_inv @ np.array(z.matrix) @ u
+
+
+class SignConvention(Enum):
+    """How the global sign of a spinor value is fixed.
+
+    CANONICAL: the first entry of (Re a, Im a, Re b, Im b) larger than 1e-7
+    in magnitude is made positive.  PRINTED: follow the published listing's
+    choice whenever the printed matrix is a faithful lift; fall back to
+    CANONICAL for entries the source misprints.
+    """
+
+    CANONICAL = "canonical"
+    PRINTED = "printed"
+
+
+@dataclass(frozen=True)
+class Spinor2:
+    """SU(2) value [[a, b], [-conj(b), conj(a)]] at one group element."""
+
+    label: str
+    a: complex
+    b: complex
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array([[self.a, self.b], [-self.b.conjugate(), self.a.conjugate()]])
+
+
+def spinor_of(z: GroupElement, convention: SignConvention = SignConvention.CANONICAL) -> Spinor2:
+    """Spinor value of ``z`` under ``convention``, solved from :func:`cal_u` of ``z`` alone;
+    the printed sign is read off :func:`printed_spinor_rows`' row of ``z``."""
+    spinor = Spinor2(z.label, *_canonicalize(*_solve_spinor(cal_u(z))))
+    if convention is SignConvention.PRINTED and printed_spinor_rows()[index(z)]["printed_sign"] < 0:
+        return Spinor2(z.label, -spinor.a, -spinor.b)
+    return spinor
+
+
 def eigensystem(z: GroupElement) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (sorted by principal argument) and eigenvectors of cal_u(z)."""
     vals, vecs = np.linalg.eig(cal_u(z))
@@ -1064,27 +1185,33 @@ def eigensystem(z: GroupElement) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def unitary3_defect_by_element() -> float:
-    """Worst |R^H R - I| entry, one rotation R at a time."""
+def unitary3_defect_by_element(rotations) -> float:
+    """Worst |R^H R - I| entry over the 24 rotations R in label order, one at a time."""
     worst = 0.0
-    for z in elements():
-        m = cal_u(z)
+    for m in rotations:
         worst = max(worst, float(np.max(np.abs(m.conj().T @ m - np.eye(3)))))
     return worst
 
 
-def homomorphism_defect_by_pairs() -> float:
-    """Worst | calU(YZ) - calU(Y) calU(Z) | entry, one pair at a time."""
+def homomorphism_defect_by_pairs(rotations) -> float:
+    """Worst | calU(YZ) - calU(Y) calU(Z) | entry over the 24 rotations in label order,
+    one pair at a time."""
     worst = 0.0
     for y in elements():
         for z in elements():
-            worst = max(worst, float(np.max(np.abs(cal_u(multiply(y, z)) - cal_u(y) @ cal_u(z)))))
+            product = rotations[index(multiply(y, z))] - rotations[index(y)] @ rotations[index(z)]
+            worst = max(worst, float(np.max(np.abs(product))))
     return worst
 
 
-def projective_check_by_pairs(convention: SignConvention) -> dict:
-    """Worst residual of R(YZ) = +-R(Y)R(Z) and the sign cocycle, one pair at a time."""
-    mats = {z.label: spinor_of(z, convention).matrix for z in elements()}
+def spinor_matrices(convention: SignConvention) -> dict[str, np.ndarray]:
+    """Each element's :func:`spinor_of` matrix under ``convention``, by label."""
+    return {z.label: spinor_of(z, convention).matrix for z in elements()}
+
+
+def projective_check_by_pairs(mats: dict[str, np.ndarray]) -> dict:
+    """Worst residual of R(YZ) = +-R(Y)R(Z) and the sign cocycle over the spinor matrices
+    ``mats`` by label, one pair at a time."""
     cocycle: dict[tuple[str, str], int] = {}
     worst = 0.0
     for y in elements():
@@ -1095,7 +1222,7 @@ def projective_check_by_pairs(convention: SignConvention) -> dict:
             d_minus = float(np.max(np.abs(prod + target)))
             worst = max(worst, min(d_plus, d_minus))
             cocycle[(y.label, z.label)] = 1 if d_plus <= d_minus else -1
-    return {"convention": convention.value, "worst_residual": worst, "cocycle": cocycle}
+    return {"worst_residual": worst, "cocycle": cocycle}
 
 
 def printed_spinor_rows(tol: float = 1e-9) -> list[dict]:
@@ -1150,8 +1277,6 @@ def cartesian_norm_sq(u: Vec3) -> float:
 
 def plain(obj):
     """Recursively convert report values into JSON-encodable structures."""
-    if isinstance(obj, (Vec3, Vec4)):
-        return list(obj.coords())
     if isinstance(obj, complex):
         return {"im": float(obj.imag), "re": float(obj.real)}
     if isinstance(obj, np.ndarray):

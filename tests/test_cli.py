@@ -26,7 +26,6 @@ import causet_qft
 import oracles
 from causet_qft import causet, cli, fock, momentum, scattering, symmetry
 from causet_qft.cli import main
-from causet_qft.lattice import Vec4
 
 
 def run_cli(capsys, *argv):
@@ -74,7 +73,7 @@ def test_group_verify(capsys):
 def test_group_verify_reads_inverses_off_the_table(capsys, monkeypatch):
     # the identity entry of row A read as A: A has no inverse in the table
     corrupt = symmetry.PRODUCT_INDEX.copy()
-    corrupt[1, symmetry.index(oracles.inverse(symmetry.element("A")))] = 1
+    corrupt[1, oracles.index(oracles.inverse(oracles.element("A")))] = 1
     monkeypatch.setattr(symmetry, "PRODUCT_INDEX", corrupt)
     code, out, err = run_cli(capsys, "--format", "json", "group-verify")
     assert code == 1
@@ -99,6 +98,27 @@ def test_reps_verify(capsys):
     assert "A" in bundle["payload"]["spinor"]
     details = {c["name"]: c.get("detail") for c in bundle["summary"]["checks"]}
     assert details["projective_up_to_sign"] == bundle["payload"]["projective_worst_residual"]
+
+
+def _complex_matrix(rows):
+    return [[{"im": im, "re": re} for re, im in row] for row in rows]
+
+
+def test_reps_verify_pins_the_values_of_a(capsys):
+    """Element A's rotation and canonical spinor value, bit for bit as the per-element
+    records gave them before the representations became stacks."""
+    code, out, _ = run_cli(capsys, "--format", "json", "reps-verify")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["spinor"]["A"] == _complex_matrix([
+        [(0.49999999999999994, -0.28867513459481287), (-0.4082482904638632, -0.7071067811865474)],
+        [(0.4082482904638632, -0.7071067811865474), (0.49999999999999994, 0.28867513459481287)],
+    ])
+    assert payload["unitary3"]["A"] == _complex_matrix([
+        [(0.5, 0.0), (0.2886751345948129, 0.0), (0.8164965809277258, 0.0)],
+        [(0.8660254037844386, 0.0), (-0.16666666666666657, 0.0), (-0.47140452079103173, 0.0)],
+        [(0.0, 0.0), (0.9428090415820635, 0.0), (-0.33333333333333337, 0.0)],
+    ])
 
 
 def test_reps_verify_fails_gates_in_the_report(capsys):
@@ -170,6 +190,24 @@ def test_causet_verify(capsys):
     assert exc.value.code == 2
 
 
+def test_causet_verify_pins_the_witness_and_the_first_pathless_pair(capsys):
+    """The covariance witness and the first pathless pair at t = 3 as (t, n, p, q) rows,
+    in json and in text, as they read when the reports held one point object each."""
+    witness, first = [[1, -1, 0, 0], [2, -2, 0, 2]], [[0, 0, 0, 0], [3, -3, -1, 2]]
+    code, out, _ = run_cli(capsys, "--format", "json", "causet-verify", "--t", "3")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["covariance_witness"] == witness
+    assert payload["pathless_sample"][0] == first
+    code, out, _ = run_cli(capsys, "causet-verify", "--t", "3")
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("  covariance_witness:")
+    assert lines[at + 1 : at + 3] == ["    - [1, -1, 0, 0]", "    - [2, -2, 0, 2]"]
+    at = lines.index("  pathless_sample:")
+    assert lines[at + 1 : at + 4] == ["    -", "      - [0, 0, 0, 0]", "      - [3, -3, -1, 2]"]
+
+
 def test_speeds(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "speeds", "--t", "4")
     assert code == 0
@@ -215,6 +253,14 @@ def test_hyperboloid(capsys):
     assert bundle["payload"]["points"][0] == [0, 0, 0, 0]
 
 
+def test_hyperboloid_with_no_points_is_a_named_error(capsys):
+    """m2 5 > pmax^2 leaves no point, where every check would pass vacuously: the error
+    fock-verify and scatter give for the same hyperboloid."""
+    code, out, err = run_cli(capsys, "hyperboloid", "--m2", "5", "--pmax", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: hyperboloid is empty at this truncation\n"
+
+
 def test_fock_verify(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "2"
@@ -240,7 +286,7 @@ def test_fock_verify_builds_one_space_and_one_bracket_per_xi_pair(capsys, monkey
     code, out, _ = run_cli(capsys, "--format", "csv", "fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "2")
     assert code == 0
     assert len(spaces) == 1 and sum(len(xs) for _, xs, _ in brackets) == 5
-    want = zip(*(column.tolist() for column in fock.phi(Vec4(1, 0, 0, 0), spaces[0]).triplets()))
+    want = zip(*(column.tolist() for column in fock.phi((1, 0, 0, 0), spaces[0]).triplets()))
     assert out.splitlines() == ["row,col,re,im"] + [f"{r},{c},{re!r},{im!r}" for r, c, re, im in want]
 
 
@@ -297,10 +343,10 @@ def test_fock_verify_draws_its_samples_in_the_documented_order(capsys):
     rnd = random.Random(12345)
 
     def rand_x():
-        return Vec4(*(rnd.randint(-3, 3) for _ in range(4)))
+        return oracles.Vec4(*(rnd.randint(-3, 3) for _ in range(4)))
 
     def rand_g():
-        return oracles.PoincareElement(rand_x(), symmetry.elements()[rnd.randrange(24)])
+        return oracles.PoincareElement(rand_x(), oracles.elements()[rnd.randrange(24)])
 
     points = [rand_x() for _ in range(20)]
     same = [rand_x(), rand_x()]
@@ -1001,7 +1047,7 @@ _FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf,
 _LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT, st.complex_numbers(),
     st.integers(-(2**63), 2**63 - 1).map(np.int64), _FLOATS.map(np.float64), st.booleans().map(np.bool_),
-    st.builds(Vec4, st.integers(), st.integers(), st.integers(), st.integers()),
+    st.tuples(st.integers(), st.integers(), st.integers(), st.integers()),
     _int_matrices(np.int64), _int_matrices(np.int32),
     st.lists(st.booleans(), min_size=2, max_size=6).map(lambda xs: np.array(xs[: len(xs) // 2 * 2]).reshape(-1, 2)),
     st.lists(_FLOATS, max_size=3).map(np.array), st.lists(st.complex_numbers(), max_size=2).map(np.array),

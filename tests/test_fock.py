@@ -24,23 +24,25 @@ from causet_qft.fock import (
     vacuum,
     xi_defects,
 )
-from causet_qft.lattice import Vec4
 from causet_qft.momentum import (
     Hyperboloid,
     hyperboloid,
     mass_shell_defect,
 )
-from causet_qft.representations import SignConvention, spinor_of
-from causet_qft.symmetry import element, elements
 from oracles import (
     PoincareElement,
+    SignConvention,
+    Vec4,
     adjoint_defect_by_point,
     apply,
     bracket_terms,
     bracket_walk,
     commutator,
+    element,
     element_rows,
+    elements,
     field_entries,
+    index,
     matrix_commutator,
     minkowski_doubled,
     momentum_operators,
@@ -52,6 +54,7 @@ from oracles import (
     phase,
     phase_sum,
     phase_sum_defect_by_pair,
+    points,
     poincare_product,
     psi,
     rep_v,
@@ -61,6 +64,7 @@ from oracles import (
     sine_sum,
     spatial,
     spin_rep,
+    spinor_of,
     xi_defects_by_pair,
     xi_matrix,
 )
@@ -83,7 +87,7 @@ def fock13():
 
 def _lowering_oracle(fock):
     """Per-point real lowering matrices on the full space."""
-    mats = [np.zeros((fock.dim, fock.dim)) for _ in fock.hyperboloid.points]
+    mats = [np.zeros((fock.dim, fock.dim)) for _ in points(fock.hyperboloid)]
     for n in range(fock.n_max):
         src, dst = fock.multiset_arrays[n + 1].tolist(), fock.multiset_arrays[n].tolist()
         for col, mu in enumerate(src):
@@ -121,8 +125,8 @@ def _commutator_oracle(a, b, mats):
 
 def _rep_v_oracle(y, rot, fock):
     """Dense V: point permutation from the rotation, phases from the translation."""
-    perm = fock.hyperboloid.permutation_under(rot)
-    point_phases = [phase(p, y) for p in fock.hyperboloid.points]
+    perm = fock.hyperboloid.permutation_under(index(rot))
+    point_phases = [phase(p, y) for p in points(fock.hyperboloid)]
     out = np.zeros((fock.dim, fock.dim), dtype=complex)
     for n, sector in enumerate(fock.multiset_arrays):
         sector = sector.tolist()
@@ -162,7 +166,7 @@ def test_as_matrix_matches_dense_oracle(oracle_space):
     rnd = random.Random(11)
     for x in [Vec4(0, 0, 0, 0)] + [_random_x(rnd) for _ in range(4)]:
         for field in (phi, psi):
-            op = field(x, space)
+            op = field(x.coords(), space)
             m = op.as_matrix()
             assert _same_bits(m, _field_oracle(op, mats))
             rows, cols = np.nonzero(m)
@@ -177,12 +181,12 @@ def test_array_phases_bit_equal_scalar_phase():
     rnd = random.Random(14)
     for m2, pmax in ((0, 2), (3, 3)):
         space = fock_space(hyperboloid(m2, pmax), 1)
-        pts = space.hyperboloid.points
+        pts = points(space.hyperboloid)
         for _ in range(20):
             x, y = _random_x(rnd, span=9), _random_x(rnd, span=9)
-            assert _same_bits(np.array(psi(x, space).coeffs), np.array([phase(p, x) for p in pts]))
+            assert _same_bits(np.array(psi(x.coords(), space).coeffs), np.array([phase(p, x) for p in pts]))
             conj = np.array([phase(p, x).conjugate() for p in pts])
-            assert _same_bits(np.array(phi(x, space).coeffs), conj)
+            assert _same_bits(np.array(phi(x.coords(), space).coeffs), conj)
             assert _same_bits(
                 np.array(phase_sum(space.hyperboloid, x, y)), np.array(sum(phase(p, y - x) for p in pts))
             )
@@ -191,7 +195,7 @@ def test_array_phases_bit_equal_scalar_phase():
 
 
 def test_commutator_across_equal_spaces():
-    x, y = Vec4(1, 1, 0, 0), Vec4(2, 0, 1, -1)
+    x, y = (1, 1, 0, 0), (2, 0, 1, -1)
     first, second = (fock_space(hyperboloid(3, 3), 2) for _ in range(2))
     assert first is not second and first == second
     assert _same_bits(commutator(phi(x, first), psi(y, second)), commutator(phi(x, first), psi(y, first)))
@@ -207,7 +211,7 @@ def test_commutator_matches_dense_oracle(oracle_space):
     x, y = _random_x(rnd), _random_x(rnd)
     for fa in (phi, psi):
         for fb in (phi, psi):
-            a, b = fa(x, space), fb(y, space)
+            a, b = fa(x.coords(), space), fb(y.coords(), space)
             assert _same_bits(commutator(a, b), _commutator_oracle(a, b, mats))
 
 
@@ -255,37 +259,37 @@ def test_inner_product_positive_definite(fock13):
 
 def test_phi_annihilates_vacuum(fock13):
     x = _random_x()
-    out = apply(phi(x, fock13), vacuum(fock13))
+    out = apply(phi(x.coords(), fock13), vacuum(fock13))
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_phi_single_point_hyperboloid():
     f1 = fock_space(hyperboloid(1, 1), 2)
-    p = f1.hyperboloid.points[0]
+    p = points(f1.hyperboloid)[0]
     x = Vec4(2, 1, 0, -1)
-    out = apply(phi(x, f1), basis_unit(f1, (0,)))
+    out = apply(phi(x.coords(), f1), basis_unit(f1, (0,)))
     expected = np.conj(phase(p, x))
     assert out[0] == pytest.approx(expected)
     assert np.allclose(out[1:], 0.0)
 
 
 def test_phi_real_at_origin(fock13):
-    m = phi(Vec4(0, 0, 0, 0), fock13).as_matrix()
+    m = phi((0, 0, 0, 0), fock13).as_matrix()
     assert np.max(np.abs(m.imag)) == 0.0
 
 
 def test_psi_on_vacuum(fock13):
     x = _random_x()
-    out = apply(psi(x, fock13), vacuum(fock13))
+    out = apply(psi(x.coords(), fock13), vacuum(fock13))
     sector1 = out[fock13.sector_slice(1)]
-    expected = np.array([phase(p, x) for p in fock13.hyperboloid.points])
+    expected = np.array([phase(p, x) for p in points(fock13.hyperboloid)])
     assert np.max(np.abs(sector1 - expected)) < 1e-14
 
 
 def test_psi_ladder_factor_single_point():
     f1 = fock_space(hyperboloid(1, 1), 3)
     x = Vec4(0, 0, 0, 0)
-    creator = psi(x, f1)
+    creator = psi(x.coords(), f1)
     vec = vacuum(f1)
     for n in range(3):
         vec = apply(creator, vec)
@@ -297,15 +301,15 @@ def test_psi_ladder_factor_single_point():
 def test_psi_is_adjoint_of_phi(fock13):
     for _ in range(20):
         x = _random_x()
-        a = phi(x, fock13).as_matrix()
-        c = psi(x, fock13).as_matrix()
+        a = phi(x.coords(), fock13).as_matrix()
+        c = psi(x.coords(), fock13).as_matrix()
         assert np.max(np.abs(c - a.conj().T)) < 1e-12
 
 
 def test_adjoint_pairing_random_vectors(fock13):
     rnd = random.Random(2)
     x = _random_x(rnd)
-    a, c = phi(x, fock13), psi(x, fock13)
+    a, c = phi(x.coords(), fock13), psi(x.coords(), fock13)
     for _ in range(10):
         f = np.array([complex(rnd.gauss(0, 1), rnd.gauss(0, 1)) for _ in range(fock13.dim)])
         g = np.array([complex(rnd.gauss(0, 1), rnd.gauss(0, 1)) for _ in range(fock13.dim)])
@@ -316,20 +320,20 @@ def test_adjoint_pairing_random_vectors(fock13):
 
 def test_annihilator_commutator_vanishes_exactly(fock13):
     x, y = Vec4(1, 1, 0, 0), Vec4(3, 0, -1, 2)
-    c = commutator(phi(x, fock13), phi(y, fock13))
+    c = commutator(phi(x.coords(), fock13), phi(y.coords(), fock13))
     assert np.all(c == 0)
 
 
 def test_creator_commutator_vanishes_exactly(fock13):
     x, y = Vec4(2, 0, 1, 0), Vec4(1, -1, 0, 1)
-    c = commutator(psi(x, fock13), psi(y, fock13))
+    c = commutator(psi(x.coords(), fock13), psi(y.coords(), fock13))
     assert np.all(c == 0)
 
 
 def test_phi_psi_commutator_scalar(fock13):
     x, y = Vec4(1, 1, 0, 0), Vec4(2, 0, 1, -1)
     end = fock13.safe_sector_end()
-    c = commutator(phi(x, fock13), psi(y, fock13))[:end, :end]
+    c = commutator(phi(x.coords(), fock13), psi(y.coords(), fock13))[:end, :end]
     scalar = phase_sum(fock13.hyperboloid, x, y)
     assert np.max(np.abs(c - scalar * np.eye(c.shape[0]))) < 1e-10
 
@@ -337,7 +341,7 @@ def test_phi_psi_commutator_scalar(fock13):
 def test_phi_psi_same_point_counts_points(fock13):
     x = Vec4(2, 1, 1, 1)
     end = fock13.safe_sector_end()
-    c = commutator(phi(x, fock13), psi(x, fock13))[:end, :end]
+    c = commutator(phi(x.coords(), fock13), psi(x.coords(), fock13))[:end, :end]
     assert np.max(np.abs(c - 13.0 * np.eye(c.shape[0]))) < 1e-10
 
 
@@ -401,7 +405,7 @@ def test_bracket_tables_bit_equal_the_walk(m2, pmax, nmax):
     xs, ys = pair_rows(pairs)
     positions, entries = fock_module._accumulated(*fock_module._xi_bracket(space, xs, ys))
     for (x, y), got in zip(pairs, entries, strict=True):
-        fields = [(fa(x, space), fb(y, space)) for fa in (phi, psi) for fb in (phi, psi)]
+        fields = [(fa(x.coords(), space), fb(y.coords(), space)) for fa in (phi, psi) for fb in (phi, psi)]
         parts = [bracket_terms(a, b, bracket_walk(space, a.role, b.role)) for a, b in fields]
         flat, terms = (np.concatenate(column) for column in zip(*parts))
         safe = flat % space.dim < space.safe_sector_end()
@@ -412,7 +416,7 @@ def test_bracket_tables_bit_equal_the_walk(m2, pmax, nmax):
 
 
 def _xi_bracket_from_tables(space, x, y):
-    return sum(commutator(fa(x, space), fb(y, space)) for fa in (phi, psi) for fb in (phi, psi))
+    return sum(commutator(fa(x.coords(), space), fb(y.coords(), space)) for fa in (phi, psi) for fb in (phi, psi))
 
 
 @pytest.fixture(scope="module", params=["oracle", "d231"])
@@ -440,7 +444,7 @@ def test_identity_gates_bit_equal_the_dense_safe_block(xi_space):
     rnd = random.Random(26)
     for _ in range(3):
         x, y = _random_x(rnd), _random_x(rnd)
-        dense = commutator(phi(x, xi_space), psi(y, xi_space))
+        dense = commutator(phi(x.coords(), xi_space), psi(y.coords(), xi_space))
         scalar = phase_sum(xi_space.hyperboloid, x, y)
         assert phase_sum_defect(xi_space, *pair_rows([(x, y)])) == _dense_identity_defect(xi_space, dense, scalar)
         # the four field brackets' terms, added in one pass as the gate adds them
@@ -535,7 +539,7 @@ def test_cached_ladder_entries_bit_equal_the_per_call_scan(oracle_space):
     rnd = random.Random(27)
     for x in [Vec4(0, 0, 0, 0)] + [_random_x(rnd) for _ in range(4)]:
         for field in (phi, psi):
-            op = field(x, space)
+            op = field(x.coords(), space)
             for got, want in zip(op._entries(), field_entries(op)):
                 assert _same_bits(got, want)
     for column in space.ladder_entries["creates"]:
@@ -569,7 +573,7 @@ def test_xi_matrix_bit_equals_the_sum_of_its_fields(oracle_space):
     space, _ = oracle_space
     rnd = random.Random(15)
     for x in [Vec4(0, 0, 0, 0)] + [_random_x(rnd) for _ in range(4)]:
-        assert _same_bits(xi_matrix(x, space), phi(x, space).as_matrix() + psi(x, space).as_matrix())
+        assert _same_bits(xi_matrix(x, space), phi(x.coords(), space).as_matrix() + psi(x.coords(), space).as_matrix())
 
 
 def _adjoint_defect_oracle(space, points):
@@ -634,16 +638,16 @@ def test_adjoint_defect_sees_a_corrupted_raising_entry(part):
 
 def _rep_v_uncached(y, rot, fock):
     """rep_v ranking every sector's image multisets on each call."""
-    point_perm = fock.hyperboloid.permutation_under(rot)
-    point_phases = np.array([phase(p, y) for p in fock.hyperboloid.points])
+    point_perm = fock.hyperboloid.permutation_under(index(rot))
+    point_phases = np.array([phase(p, y) for p in points(fock.hyperboloid)])
     perm = np.empty(fock.dim, dtype=np.int64)
     amp = np.ones(fock.dim, dtype=complex)
     for n, ms in enumerate(fock.multiset_arrays):
         mapped = np.sort(point_perm[ms], axis=1)
         block = fock.sector_slice(n)
         perm[block] = fock.rank(n, mapped)
-        for points in mapped.T:
-            amp[block] *= point_phases[points]
+        for column in mapped.T:
+            amp[block] *= point_phases[column]
     return perm, amp
 
 
@@ -786,7 +790,7 @@ def test_rep_v_translation_phases(fock13):
     y = Vec4(2, 1, 0, 0)
     v = _dense(*rep_v(y, element("I"), fock13))
     block = v[fock13.sector_slice(1), fock13.sector_slice(1)]
-    expected = np.diag([phase(p, y) for p in fock13.hyperboloid.points])
+    expected = np.diag([phase(p, y) for p in points(fock13.hyperboloid)])
     assert np.max(np.abs(block - expected)) < 1e-14
 
 
@@ -827,7 +831,7 @@ def test_spin_rep_identity_rotation(fock13):
     h = fock13.hyperboloid
     y = Vec4(1, 0, 0, 0)
     s1 = spin_rep(y, element("I"), 1, h)
-    phases = np.diag([phase(p, y) for p in h.points])
+    phases = np.diag([phase(p, y) for p in points(h)])
     assert np.max(np.abs(s1 - np.kron(phases, np.eye(3)))) < 1e-12
 
 
@@ -862,7 +866,7 @@ def test_spin_half_projective_sign(fock13):
 
 def test_momentum_operators(fock13):
     p0, p1, p2, p3 = momentum_operators(fock13)
-    pts = fock13.hyperboloid.points
+    pts = points(fock13.hyperboloid)
     for i, p in enumerate(pts):
         assert p0[i, i] == p.t
         assert (p1[i, i], p2[i, i], p3[i, i]) == (p.n, p.p, p.q)

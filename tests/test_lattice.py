@@ -16,7 +16,6 @@ from causet_qft import lattice
 from causet_qft.lattice import (
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
-    Vec4,
     norm_sq3_rows,
     rank_keys,
     rank_rows,
@@ -30,6 +29,7 @@ from oracles import (
     ZERO3,
     Triple,
     Vec3,
+    Vec4,
     basic_triple,
     cartesian_norm_sq,
     cube_vectors_with_norm_up_to,

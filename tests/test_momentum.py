@@ -6,13 +6,14 @@ import contextlib
 import io
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from causet_qft import cli, momentum
-from causet_qft.lattice import Vec4, rank_rows
+from causet_qft.lattice import rank_rows
 from causet_qft.momentum import (
     Hyperboloid,
     attainable_spatial_norms,
@@ -23,16 +24,21 @@ from causet_qft.momentum import (
     mass_table_paper_diff,
     spatial_norms_paper_diff,
 )
-from causet_qft.symmetry import apply4, element, elements
 from oracles import (
     PoincareElement,
     Vec3,
+    Vec4,
+    apply4,
     attainable_spatial_norms_by_enumeration,
+    element,
+    elements,
     hyperboloid_coords,
+    index,
     mass_squared_values,
     norm_sq3,
     norm_sq4,
     on_hyperboloid,
+    points,
     poincare_apply,
     poincare_identity,
     poincare_inverse,
@@ -136,13 +142,13 @@ def test_hyperboloid_matches_the_per_energy_loop(mass_sq, cap):
 
 def test_hyperboloid_examples():
     h = hyperboloid(1, 1)
-    assert h.points == (Vec4(1, 0, 0, 0),)
+    assert points(h) == (Vec4(1, 0, 0, 0),)
     h0 = hyperboloid(0, 1)
     assert len(h0) == 13
-    assert h0.points[0] == Vec4(0, 0, 0, 0)
-    assert all(norm_sq4(p) == 0 for p in h0.points)
+    assert points(h0)[0] == Vec4(0, 0, 0, 0)
+    assert all(norm_sq4(p) == 0 for p in points(h0))
     h4 = hyperboloid(4, 2)
-    assert h4.points == (Vec4(2, 0, 0, 0),)
+    assert points(h4) == (Vec4(2, 0, 0, 0),)
     with pytest.raises(ValueError):
         hyperboloid(-1, 1)
     with pytest.raises(ValueError):
@@ -151,9 +157,9 @@ def test_hyperboloid_examples():
 
 def test_hyperboloid_ordering_and_index():
     h = hyperboloid(0, 2)
-    assert list(h.points) == sorted(h.points, key=lambda p: p.coords())
+    assert list(points(h)) == sorted(points(h), key=lambda p: p.coords())
     # a point's index is its row: ranking the rows looks each point up
-    assert rank_rows(h.coords, rows(h.points)).tolist() == list(range(len(h)))
+    assert rank_rows(h.coords, rows(points(h))).tolist() == list(range(len(h)))
     assert rank_rows(h.coords, rows([Vec4(5, 0, 0, 0)])).tolist() == [-1]
 
 
@@ -162,13 +168,13 @@ def test_hyperboloid_group_invariance():
         h = hyperboloid(mass_sq, cap)
         assert hyperboloid_invariance_defect(h) == 0
         for z in elements():
-            perm = h.permutation_under(z)
+            perm = h.permutation_under(index(z))
             assert sorted(perm) == list(range(len(h)))
 
 
 def test_mass_integrality():
     h = hyperboloid(2, 3)
-    for p in h.points:
+    for p in points(h):
         assert isinstance(norm_sq4(p), int)
         assert norm_sq4(p) == 2
 
@@ -176,7 +182,7 @@ def test_mass_integrality():
 def test_mass_shell_defect():
     for mass_sq, cap in ((0, 1), (1, 2), (2, 3), (4, 3)):
         h = hyperboloid(mass_sq, cap)
-        assert mass_shell_defect(h) == max(abs(norm_sq4(p) - mass_sq) for p in h.points) == 0
+        assert mass_shell_defect(h) == max(abs(norm_sq4(p) - mass_sq) for p in points(h)) == 0
     # (1, 1, 0, 0) is light-like, so it misses the mass-1 shell by exactly 1
     off_shell = Hyperboloid(mass_sq=1, p_max=1, coords=np.array([[1, 0, 0, 0], [1, 1, 0, 0]]))
     assert mass_shell_defect(off_shell) == 1
@@ -187,12 +193,12 @@ def test_index_and_permutation_match_apply4(mass_sq, cap):
     h = hyperboloid(mass_sq, cap)
     span = range(-2 * cap - 1, 2 * cap + 2)
     cands = (Vec4(t, *c) for t in range(cap + 1) for c in itertools.product(span, repeat=3))
-    assert list(h.points) == sorted((v for v in cands if norm_sq4(v) == mass_sq), key=Vec4.coords)
-    position = {p: i for i, p in enumerate(h.points)}
-    assert rank_rows(h.coords, rows(h.points)).tolist() == [position[p] for p in h.points]
-    assert all(on_hyperboloid(p, h) for p in h.points)
+    assert list(points(h)) == sorted((v for v in cands if norm_sq4(v) == mass_sq), key=Vec4.coords)
+    position = {p: i for i, p in enumerate(points(h))}
+    assert rank_rows(h.coords, rows(points(h))).tolist() == [position[p] for p in points(h)]
+    assert all(on_hyperboloid(p, h) for p in points(h))
     for z in elements():
-        assert h.permutation_under(z).tolist() == [position[apply4(z, p)] for p in h.points]
+        assert h.permutation_under(index(z)).tolist() == [position[apply4(z, p)] for p in points(h)]
     outside = Vec4(cap + 1, 0, 0, 0)
     assert not on_hyperboloid(outside, h)
     assert rank_rows(h.coords, rows([outside])).tolist() == [-1]
@@ -201,11 +207,13 @@ def test_index_and_permutation_match_apply4(mass_sq, cap):
 def test_open_point_set_counts_and_raises():
     # a point set the rotations do not close: two points of the 13-point shell
     h = Hyperboloid(mass_sq=0, p_max=1, coords=np.array([[1, 0, 0, 0], [1, 1, 0, 0]]))
-    outside = [(z, p) for z in elements() for p in h.points if apply4(z, p) not in set(h.points)]
+    outside = [(z, p) for z in elements() for p in points(h) if apply4(z, p) not in set(points(h))]
     assert len(outside) == 22  # (1, 1, 0, 0) stays put under 2 of the 24 rotations
     assert hyperboloid_invariance_defect(h) == len(outside)
-    with pytest.raises(ValueError, match="not on the truncated hyperboloid"):
-        h.permutation_under(outside[0][0])
+    z, p = outside[0]  # the message names the image of the first point z moves off
+    image = list(apply4(z, p).coords())
+    with pytest.raises(ValueError, match=re.escape(f"{image} is not on the truncated hyperboloid")):
+        h.permutation_under(index(z))
 
 
 def test_hyperboloids_built_twice_are_equal():
@@ -253,5 +261,5 @@ def test_poincare_action_consistency():
 def test_rotation_preserves_hyperboloid_membership():
     h = hyperboloid(1, 3)
     for z in elements():
-        for p in h.points:
+        for p in points(h):
             assert on_hyperboloid(apply4(z, p), h)

@@ -12,9 +12,9 @@ from causet_qft import paperdata
 from causet_qft import representations as reps
 from causet_qft.representations import (
     ALLOWED_EIGENVALUES,
-    SignConvention,
-    basis_change,
-    cal_u,
+    CAL_U,
+    PRINTED_SIGN_SPINORS,
+    SPINORS,
     eigen_transport_check,
     eigenvalue_set_defect,
     generator_log,
@@ -22,20 +22,36 @@ from causet_qft.representations import (
     printed_spinor_report,
     projective_check,
     seven_equation_residuals,
-    spinor_of,
     unitary3_defect,
 )
-from causet_qft.symmetry import element, elements, index
+from causet_qft.symmetry import index
 from oracles import (
+    SignConvention,
+    basis_change,
+    cal_u,
     eigensystem,
+    element,
+    elements,
     homomorphism_defect_by_pairs,
     multiply,
     printed_spinor_rows,
     projective_check_by_pairs,
+    spinor_matrices,
+    spinor_of,
     unitary3_defect_by_element,
 )
 
 OMEGA = cmath.exp(2j * math.pi / 3)
+
+
+def test_stacks_match_the_per_element_oracles():
+    """The three read-only stacks against each element's rotation and spinor values,
+    solved one element at a time from its own matrix: bit for bit."""
+    assert np.array_equal(CAL_U, [cal_u(z) for z in elements()])
+    assert np.array_equal(SPINORS, [spinor_of(z).matrix for z in elements()])
+    printed = [spinor_of(z, SignConvention.PRINTED).matrix for z in elements()]
+    assert np.array_equal(PRINTED_SIGN_SPINORS, printed)
+    assert not any(stack.flags.writeable for stack in (CAL_U, SPINORS, PRINTED_SIGN_SPINORS))
 
 
 def test_basis_change_values():
@@ -46,33 +62,33 @@ def test_basis_change_values():
 
 
 def test_cal_u_values():
-    assert np.allclose(cal_u(element("I")), np.eye(3))
-    assert not cal_u(element("I")).flags.writeable
-    assert np.allclose(cal_u(element("M")), np.diag([1.0, -1.0, -1.0]), atol=1e-12)
-    n_row1 = cal_u(element("N"))[0]
+    assert np.allclose(CAL_U[index("I")], np.eye(3))
+    assert np.allclose(CAL_U[index("M")], np.diag([1.0, -1.0, -1.0]), atol=1e-12)
+    n_row1 = CAL_U[index("N")][0]
     assert np.allclose(
         n_row1, [0.5, -1.0 / (2.0 * math.sqrt(3.0)), -math.sqrt(2.0 / 3.0)], atol=1e-12
     )
     for lab, printed in paperdata.UNITARY3_PRINTED.items():
-        assert np.max(np.abs(cal_u(element(lab)) - np.array(printed))) < 1e-12
+        assert np.max(np.abs(CAL_U[index(lab)] - np.array(printed))) < 1e-12
 
 
 def test_unitarity_and_homomorphism():
     assert unitary3_defect() < 1e-12
     assert homomorphism_defect() < 1e-12
     # the stacked laws give the per-element and per-pair loops' values bit for bit
-    assert unitary3_defect() == unitary3_defect_by_element()
-    assert homomorphism_defect() == homomorphism_defect_by_pairs()
+    rotations = [cal_u(z) for z in elements()]
+    assert unitary3_defect() == unitary3_defect_by_element(rotations)
+    assert homomorphism_defect() == homomorphism_defect_by_pairs(rotations)
 
 
 def test_unitarity_and_homomorphism_see_a_corrupted_rotation(monkeypatch):
-    broken = reps._CAL_U.copy()
-    broken[index(element("N")), 0, 1] += 1e-3
-    monkeypatch.setattr(reps, "_CAL_U", broken)
+    broken = CAL_U.copy()
+    broken[index("N"), 0, 1] += 1e-3
+    monkeypatch.setattr(reps, "CAL_U", broken)
     assert unitary3_defect() > 1e-4
     assert homomorphism_defect() > 1e-4
-    assert unitary3_defect() == unitary3_defect_by_element()
-    assert homomorphism_defect() == homomorphism_defect_by_pairs()
+    assert unitary3_defect() == unitary3_defect_by_element(broken)
+    assert homomorphism_defect() == homomorphism_defect_by_pairs(broken)
 
 
 def test_eigenvalue_set():
@@ -107,7 +123,7 @@ def test_eigenvectors_orthonormal_when_distinct():
 
 
 def test_generator_log_roundtrip_all_elements():
-    for z in elements():
+    for z in range(24):
         h = generator_log(z)
         assert np.max(np.abs(h - h.conj().T)) < 1e-10
         vals = np.linalg.eigvalsh(h)
@@ -116,10 +132,10 @@ def test_generator_log_roundtrip_all_elements():
 
 
 def test_generator_log_examples():
-    h = generator_log(element("A"))
+    h = generator_log(index("A"))
     vals = sorted(np.linalg.eigvalsh(h))
     assert np.allclose(vals, [-2 * math.pi / 3, 0.0, 2 * math.pi / 3], atol=1e-10)
-    assert np.max(np.abs(generator_log(element("I")))) < 1e-12
+    assert np.max(np.abs(generator_log(index("I")))) < 1e-12
 
 
 def _expm_hermitian(h):
@@ -128,28 +144,28 @@ def _expm_hermitian(h):
 
 
 def test_exponential_reproduces_representation():
-    for z in elements():
+    for z, rotation in enumerate(CAL_U):
         h = generator_log(z)
-        assert np.max(np.abs(_expm_hermitian(h) - cal_u(z))) < 1e-10
+        assert np.max(np.abs(_expm_hermitian(h) - rotation)) < 1e-10
 
 
 def test_spinor_values_and_equations():
-    for z in elements():
-        s = spinor_of(z)
-        assert abs(abs(s.a) ** 2 + abs(s.b) ** 2 - 1.0) < 1e-12
-        m = s.matrix
+    for rotation, m in zip(CAL_U, SPINORS):
+        a, b = complex(m[0, 0]), complex(m[0, 1])
+        assert np.array_equal(m, [[a, b], [-b.conjugate(), a.conjugate()]])
+        assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) < 1e-12
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
         assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
-        assert max(seven_equation_residuals(cal_u(z), s.a, s.b)) < 1e-10
+        assert max(seven_equation_residuals(rotation, a, b)) < 1e-10
 
 
 def test_spinor_examples():
-    m = spinor_of(element("M")).matrix
+    m = SPINORS[index("M")]
     target = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
     assert min(np.max(np.abs(m - target)), np.max(np.abs(m + target))) < 1e-12
-    i_mat = spinor_of(element("I")).matrix
+    i_mat = SPINORS[index("I")]
     assert min(np.max(np.abs(i_mat - np.eye(2))), np.max(np.abs(i_mat + np.eye(2)))) < 1e-12
-    n_mat = spinor_of(element("N")).matrix
+    n_mat = SPINORS[index("N")]
     printed_n = np.array(paperdata.SPINOR_PRINTED["N"])
     assert min(np.max(np.abs(n_mat - printed_n)), np.max(np.abs(n_mat + printed_n))) < 1e-9
 
@@ -167,14 +183,14 @@ def test_printed_spinor_comparison():
             assert r["printed_sign"] in (-1, 1)
 
 
-def test_flipped_printed_sign_flips_its_cocycle_entries(monkeypatch):
-    g = index(element("G"))
-    before = projective_check(SignConvention.PRINTED)["cocycle"]
-    flipped = reps._PRINTED_SIGNS.copy()
-    flipped[g] *= -1
-    monkeypatch.setattr(reps, "_PRINTED_SIGNS", flipped)
-    after = projective_check(SignConvention.PRINTED)
-    assert after == projective_check_by_pairs(SignConvention.PRINTED)
+def test_flipped_printed_sign_flips_its_cocycle_entries():
+    before = projective_check(PRINTED_SIGN_SPINORS)["cocycle"]
+    flipped = PRINTED_SIGN_SPINORS.copy()
+    flipped[index("G")] *= -1
+    after = projective_check(flipped)
+    mats = spinor_matrices(SignConvention.PRINTED)
+    mats["G"] = -mats["G"]
+    assert after == projective_check_by_pairs(mats)
     # R(G) -> -R(G) flips c(Y, Z) exactly when G is an odd number of Y, Z and YZ
     for y in elements():
         for z in elements():
@@ -184,9 +200,9 @@ def test_flipped_printed_sign_flips_its_cocycle_entries(monkeypatch):
 
 
 def test_projective_property_canonical():
-    report = projective_check(SignConvention.CANONICAL)
+    report = projective_check(SPINORS)
     # the stacked check gives the pair loop's residual bit for bit and its 576 signs
-    assert report == projective_check_by_pairs(SignConvention.CANONICAL)
+    assert report == projective_check_by_pairs(spinor_matrices(SignConvention.CANONICAL))
     assert len(report["cocycle"]) == 576
     assert report["worst_residual"] < 1e-10
     cocycle = report["cocycle"]
@@ -197,23 +213,20 @@ def test_projective_property_canonical():
 
 def test_projective_property_printed_convention():
     """Under the published sign choices both quoted sign facts reproduce."""
-    report = projective_check(SignConvention.PRINTED)
-    assert report == projective_check_by_pairs(SignConvention.PRINTED)
+    report = projective_check(PRINTED_SIGN_SPINORS)
+    assert report == projective_check_by_pairs(spinor_matrices(SignConvention.PRINTED))
     assert report["worst_residual"] < 1e-10
     assert multiply(element("G"), element("H")).label == "I"
     assert report["cocycle"][("G", "H")] == -1
     assert report["cocycle"][("J", "J")] == -1
-    g = spinor_of(element("G"), SignConvention.PRINTED).matrix
-    h = spinor_of(element("H"), SignConvention.PRINTED).matrix
+    g, h, j = (PRINTED_SIGN_SPINORS[index(label)] for label in "GHJ")
     assert np.max(np.abs(g @ h + np.eye(2))) < 1e-10
-    j = spinor_of(element("J"), SignConvention.PRINTED).matrix
     assert np.max(np.abs(j @ j + np.eye(2))) < 1e-10
 
 
 def test_spinor_sign_convention_deterministic():
-    for z in elements():
-        s = spinor_of(z)
-        for comp in (s.a.real, s.a.imag, s.b.real, s.b.imag):
+    for a, b in SPINORS[:, 0].tolist():
+        for comp in (a.real, a.imag, b.real, b.imag):
             if abs(comp) > 1e-7:
                 assert comp > 0
                 break

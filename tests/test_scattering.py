@@ -13,7 +13,6 @@ import pytest
 
 from causet_qft import fock, scattering, symmetry
 from causet_qft.fock import FockSpace, fock_space, phi
-from causet_qft.lattice import Vec4
 from causet_qft.momentum import hyperboloid
 from causet_qft.scattering import (
     AmplitudeReport,
@@ -27,6 +26,7 @@ from causet_qft.scattering import (
     two_pi_state,
 )
 from oracles import (
+    Vec4,
     dense_series,
     densify,
     difference_op,
@@ -337,8 +337,8 @@ def _kron_hamiltonian(model, t):
     """H(t) assembled from Kronecker products of the two fields' full matrices."""
     out = np.zeros((model.dim, model.dim), dtype=complex)
     for x in window_slice(model.cfg, t):
-        pi_x = phi(x, model.pi_space).as_matrix() + psi(x, model.pi_space).as_matrix()
-        sigma_x = phi(x, model.sigma_space).as_matrix() + psi(x, model.sigma_space).as_matrix()
+        pi_x = phi(x.coords(), model.pi_space).as_matrix() + psi(x.coords(), model.pi_space).as_matrix()
+        sigma_x = phi(x.coords(), model.sigma_space).as_matrix() + psi(x.coords(), model.sigma_space).as_matrix()
         out += model.cfg.coupling * np.kron(pi_x @ pi_x, sigma_x)
     return (out + out.conj().T) / 2
 
@@ -800,4 +800,4 @@ def test_orbits_partition_each_sector(changes, dim, counts):
 
 
 def test_generators_generate_the_group():
-    assert len(symmetry.generate_from([symmetry.element(label) for label in scattering.GENERATORS])) == 24
+    assert len(symmetry.generate_from([symmetry.index(label) for label in scattering.GENERATORS])) == 24

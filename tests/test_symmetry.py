@@ -10,14 +10,11 @@ import numpy as np
 import pytest
 
 from causet_qft import paperdata, symmetry
-from causet_qft.lattice import Vec4, det_exact
+from causet_qft.lattice import det_exact
 from causet_qft.momentum import hyperboloid
 from causet_qft.symmetry import (
     ELEMENT_PRINT_DIFFS,
-    apply4,
     build_table,
-    element,
-    elements,
     generate_from,
     isometry_report,
     no_boost_search,
@@ -31,7 +28,11 @@ from oracles import (
     F3,
     G3,
     Vec3,
+    Vec4,
     apply3,
+    apply4,
+    element,
+    elements,
     inner3_doubled,
     inverse,
     leibniz_det,
@@ -51,6 +52,13 @@ def test_element_count_and_identity():
     els = elements()
     assert len(els) == 24
     assert element("I").matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_matrices_match_the_element_oracle():
+    """The stack against the elements built one object at a time from the triples and
+    the printed listing, and each label's index its row."""
+    assert np.array_equal(symmetry.MATRICES, [z.matrix for z in elements()])
+    assert [symmetry.index(z.label) for z in elements()] == list(range(24))
 
 
 def test_cycle_element_action():
@@ -120,10 +128,10 @@ def test_build_table_reads_inverses_off_the_table(monkeypatch):
 
 
 def test_generate_from():
-    assert len(generate_from([element("M"), element("N")])) == 24
-    assert generate_from([element("I")]) == {element("I")}
-    sub = generate_from([element("I"), element("A"), element("B")])
-    assert {z.label for z in sub} == {"I", "A", "B"}
+    i, a, b, m, n = map(symmetry.index, "IABMN")
+    assert generate_from([m, n]).tolist() == list(range(24))
+    assert generate_from([i]).tolist() == [i]
+    assert generate_from([b, a]).tolist() == sorted([i, a, b])
     with pytest.raises(ValueError):
         generate_from([])
 
@@ -349,7 +357,7 @@ def test_orbits_match_closure_oracle(m2, pmax):
     """On a hyperboloid's points: the representatives are the orbits' least points,
     ascending, and every point i is g.r for the (g, r) returned."""
     h = hyperboloid(m2, pmax)
-    perms = np.stack([h.permutation_under(z) for z in elements()])
+    perms = np.stack([h.permutation_under(z) for z in range(24)])
     reps, element_of, rep = symmetry.orbits(perms)
     sets = _orbit_sets(perms)
     assert reps.tolist() == sorted({min(orbit) for orbit in sets})

@@ -30,8 +30,9 @@ FOCK = [("0", "1", "3"), ("0", "1", "5"), ("0", "2", "3"), ("1", "2", "3"), ("3"
 
 
 def invocations(scratch: str) -> list[tuple[str, ...]]:
-    """Every subcommand in json and text, the csv forms, the benchmark's invocations and
-    the documented ``error:`` cases; ``scratch`` is an existing directory for ``--out``."""
+    """Every subcommand in json and text, the csv forms, the benchmark's invocations, the
+    documented ``error:`` cases and a run whose gates fail; ``scratch`` is an existing
+    directory for ``--out``."""
     reports = [
         ("group-table",), ("group-table", "--check"), ("group-verify",), ("reps-verify",),
         ("no-boost", "--bound", "5"), ("shells", "--t", "3"), ("shells", "--t", "4", "--sizes-only"),
@@ -69,6 +70,7 @@ def invocations(scratch: str) -> list[tuple[str, ...]]:
         ("masses", "--p0-max", "100000000"), ("no-boost", "--bound", "1000"),
         ("--out", scratch, "group-verify"), ("--out", os.path.join(scratch, "missing", "report.json"), "group-verify"),
         ("--tol", "0", "group-verify"), ("--tol", "nan", "group-verify"),
+        ("hyperboloid", "--m2", "5", "--pmax", "1"), ("--format", "json", "--tol", "1e-17", "reps-verify"),
     ]
     return [
         *(("--format", fmt, *argv) for fmt in ("json", "text") for argv in reports),
