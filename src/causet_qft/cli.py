@@ -2,17 +2,19 @@
 
 Each library module owns its gates: a function there measures one law (group
 axioms, unitarity, commutator identities, and so on) and returns the value.
-A subcommand draws its seeded samples, calls those functions, thresholds the
-values against ``--tol`` or their exact target, and assembles a report bundle
-with five sections: the command echo, the configuration, the result payload,
-the diff against the published values (data that never fails the run), and a
-pass/fail summary.  Bundles are rendered deterministically (sorted keys, no
-timestamps); wall-clock timing goes to stderr so stdout is byte-identical
-across runs.  No library gate raises: a failed gate is a named check in the
-report.  Exit status: 0 when all gated checks pass, 1 when one fails (named
-on stderr after the report) or the run stops on bad input, an unwritable
-``--out`` path or too little memory (``error: ...`` on stderr), 2 for usage
-errors.
+A subcommand draws its seeded samples, calls those functions and records each
+gate with ``_check``: a flag ``{name, passed}`` for a verdict, or a measured
+record ``{name, passed, detail, <rule>: bound}`` whose ``passed`` applies its rule
+(``below`` <, ``at_most`` <=, ``equals`` ==) to ``detail`` and the bound (``--tol``,
+a fixed bound or an exact target).  It assembles a report bundle with five
+sections: the command echo, the configuration, the result payload, the diff
+against the published values (data that never fails the run), and a pass/fail
+summary.  Bundles are rendered deterministically (sorted keys, no timestamps);
+wall-clock timing goes to stderr so stdout is byte-identical across runs.  No
+library gate raises: a failed gate is a named check in the report.  Exit
+status: 0 when all gated checks pass, 1 when one fails (named on stderr after
+the report) or the run stops on bad input, an unwritable ``--out`` path or too
+little memory (``error: ...`` on stderr), 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import csv
 import functools
 import io
 import math
+import operator
 import os
 import random
 import sys
@@ -39,6 +42,11 @@ TABLE_COMMANDS = {"group-table", "shells", "speeds", "masses", "hyperboloid", "f
 # geometrically with the horizon.  Measured: below 6.2e-15 up to horizon 12 and
 # 8.9e-15 at 16 (window 0, g 0.01 to 1e6); H's rotation defect 5.2e-16 of max|H|.
 SERIES_RELATIVE_BOUND = 1e-13
+# The 24 rotations and spinor values are fixed tables of order-one entries, so their
+# unitarity and homomorphism defects are one product's rounding (4.4e-16 at most); a
+# fixed bound, not --tol, keeps a loose --tol from passing a wrong entry.
+FIXED_TABLE_BOUND = 1e-12
+_RULES = {"below": operator.lt, "at_most": operator.le, "equals": operator.eq}
 
 
 def _key(k):
@@ -47,11 +55,14 @@ def _key(k):
     return str(k)
 
 
-def _check(name: str, passed: bool, detail=None) -> dict:
-    entry = {"name": name, "passed": bool(passed)}
-    if detail is not None:
-        entry["detail"] = detail
-    return entry
+def _check(name: str, value, **bound) -> dict:
+    """The flag ``{name, passed}`` for a verdict ``value``, or, given one bound as
+    ``below=``, ``at_most=`` or ``equals=``, the record of a measured ``value`` whose
+    ``passed`` is that rule applied to the value and the bound."""
+    if not bound:
+        return {"name": name, "passed": bool(value)}
+    ((rule, limit),) = bound.items()
+    return {"name": name, "passed": bool(_RULES[rule](value, limit)), "detail": value, rule: limit}
 
 
 def _bundle(command: str, config: dict, payload: dict, paper_diff, checks: list[dict]) -> dict:
@@ -88,7 +99,7 @@ def cmd_group_table(args) -> dict:
         "table_cell_diffs": diffs,
     }
     if args.check:
-        checks.append(_check("table_matches_printed", len(diffs) == 0, {"diff_cells": len(diffs)}))
+        checks.append(_check("table_matches_printed", len(diffs), equals=0))
     return _bundle("group-table", {"check": bool(args.check)}, payload, paper_diff, checks)
 
 
@@ -118,13 +129,13 @@ def cmd_group_verify(args) -> dict:
         },
     }
     checks = [
-        _check("group_order_24", len(symmetry.MATRICES) == 24),
+        _check("group_order_24", len(symmetry.MATRICES), equals=24),
         _check("latin_square", table.latin_square),
         _check("associative_all_triples", table.associative),
         _check("inverses_exist", table.inverses),
         _check("isometry_invariants", all(iso.values())),
         _check("listed_subgroups_verify", all(s["subgroup"] for s in subgroups)),
-        _check("mn_generates_group", mn == 24),
+        _check("mn_generates_group", mn, equals=24),
     ]
     paper_diff = {
         "element_matrix_diffs": list(symmetry.ELEMENT_PRINT_DIFFS),
@@ -168,17 +179,17 @@ def cmd_reps_verify(args) -> dict:
         "spinor": dict(zip(paperdata.LABEL_ORDER, reps.SPINORS)),
     }
     checks = [
-        _check("unitary3_unitarity", u_defect < 1e-12, u_defect),
-        _check("unitary3_homomorphism", hom < 1e-12, hom),
-        _check("eigenvalues_in_allowed_set", eig < tol, eig),
-        _check("generator_log_roundtrip", log_worst < tol, log_worst),
-        _check("spinor_unitarity", spin_unitarity < 1e-12, spin_unitarity),
-        _check("spinor_equations", seven_worst < tol, seven_worst),
-        _check("projective_up_to_sign", proj_worst < tol, proj_worst),
+        _check("unitary3_unitarity", u_defect, below=FIXED_TABLE_BOUND),
+        _check("unitary3_homomorphism", hom, below=FIXED_TABLE_BOUND),
+        _check("eigenvalues_in_allowed_set", eig, below=tol),
+        _check("generator_log_roundtrip", log_worst, below=tol),
+        _check("spinor_unitarity", spin_unitarity, below=FIXED_TABLE_BOUND),
+        _check("spinor_equations", seven_worst, below=tol),
+        _check("projective_up_to_sign", proj_worst, below=tol),
         _check("pinned_spinor_examples_match", pinned_match),
-        _check("cocycle_GH_minus_one", proj_printed["cocycle"][("G", "H")] == -1),
-        _check("cocycle_JJ_minus_one", proj_printed["cocycle"][("J", "J")] == -1),
-        _check("eigen_transport", transport < tol, transport),
+        _check("cocycle_GH_minus_one", proj_printed["cocycle"][("G", "H")], equals=-1),
+        _check("cocycle_JJ_minus_one", proj_printed["cocycle"][("J", "J")], equals=-1),
+        _check("eigen_transport", transport, below=tol),
     ]
     paper_diff = {
         "spinor_listing": printed_report,
@@ -230,11 +241,12 @@ def cmd_shells(args) -> dict:
     }
     if not args.sizes_only:
         payload["shells"] = np.split(hist.coords, hist.offsets[1:-1])
-    checks = [
-        _check("shell0_single_vertex", sizes[0] == 1),
-        _check("shell1_thirteen_vertices", len(sizes) < 2 or sizes[1] == 13),
-        _check("children_always_thirteen", complete == below_top, complete),
-    ]
+    checks = [_check("shell0_single_vertex", sizes[0], equals=1)]
+    if t >= 1:  # shell 1 and the children of shells below the top exist
+        checks += [
+            _check("shell1_thirteen_vertices", sizes[1], equals=13),
+            _check("children_always_thirteen", complete, equals=below_top),
+        ]
     paper_diff = {"construction_divergences": [r for r in cross if not r["equal"]]}
     return _bundle(
         "shells", {"t": t, "sizes_only": bool(args.sizes_only)}, payload, paper_diff, checks
@@ -286,8 +298,8 @@ def cmd_speeds(args) -> dict:
         "speeds": [{"norm_sq": s.norm_sq, "value": s.value} for s in speeds],
     }
     checks = [
-        _check("zero_speed_attainable", speeds[0].norm_sq == 0),
-        _check("light_speed_attainable", speeds[-1].norm_sq == t * t),
+        _check("zero_speed_attainable", speeds[0].norm_sq, equals=0),
+        _check("light_speed_attainable", speeds[-1].norm_sq, equals=t * t),
     ]
     paper_diff = causet.speeds_paper_diff(t) if t <= 5 else {"note": "no published list"}
     return _bundle("speeds", {"t": t}, payload, paper_diff, checks)
@@ -325,8 +337,8 @@ def cmd_hyperboloid(args) -> dict:
     }
     points = h.coords.tolist()
     checks = [
-        _check("points_on_shell_exact", momentum.mass_shell_defect(h) == 0),
-        _check("rotation_invariant_point_set", invariance == 0),
+        _check("points_on_shell_exact", momentum.mass_shell_defect(h), equals=0),
+        _check("rotation_invariant_point_set", invariance, equals=0),
         _check("lexicographic_order", points == sorted(points)),
     ]
     return _bundle("hyperboloid", {"m2": args.m2, "pmax": args.pmax}, payload, {}, checks)
@@ -378,16 +390,16 @@ def cmd_fock_verify(args) -> dict:
         "mass_shell_defect": shell_defect,
     }
     checks = [
-        _check("creation_is_adjoint_of_annihilation", adjoint_defect < tol, adjoint_defect),
-        _check("annihilator_commutator_zero_exact", phi_phi == 0.0, phi_phi),
-        _check("creator_commutator_zero_exact", psi_psi == 0.0, psi_psi),
-        _check("phi_psi_commutator_matches_phase_sum", mixed_defect < tol, mixed_defect),
-        _check("xi_commutator_matches_sine_sum", xi_defect < tol, xi_defect),
-        _check("xi_matrix_products_match_bracket", xi_matrix_defect < tol, xi_matrix_defect),
-        _check("rep_v_unitary", v_unitarity < tol, v_unitarity),
-        _check("rep_v_homomorphism", v_hom < tol, v_hom),
+        _check("creation_is_adjoint_of_annihilation", adjoint_defect, below=tol),
+        _check("annihilator_commutator_zero_exact", phi_phi, equals=0.0),
+        _check("creator_commutator_zero_exact", psi_psi, equals=0.0),
+        _check("phi_psi_commutator_matches_phase_sum", mixed_defect, below=tol),
+        _check("xi_commutator_matches_sine_sum", xi_defect, below=tol),
+        _check("xi_matrix_products_match_bracket", xi_matrix_defect, below=tol),
+        _check("rep_v_unitary", v_unitarity, below=tol),
+        _check("rep_v_homomorphism", v_hom, below=tol),
         _check("rep_v_block_diagonal", block_ok),
-        _check("mass_shell_identity_exact", shell_defect == 0),
+        _check("mass_shell_identity_exact", shell_defect, equals=0),
     ]
     bundle = _bundle(
         "fock-verify", {"m2": args.m2, "pmax": args.pmax, "nmax": args.nmax, "tol": tol},
@@ -436,18 +448,16 @@ def cmd_scatter(args) -> dict:
         },
     }
     bound = SERIES_RELATIVE_BOUND * series.final_max_abs
-    rotated, summed = series.rotated_coupling_defect, series.order_sum_defect
     checks = [
-        _check("orders_match_rotated_couplings", rotated < bound, rotated),
-        _check("orders_sum_to_series", summed < bound, summed),
-        _check("hamiltonians_self_adjoint", herm < args.tol, herm),
-        _check("hamiltonians_rotation_invariant", rotated_h <= SERIES_RELATIVE_BOUND * h_max, rotated_h),
-        _check("odd_orders_vanish", parity["odd_order_max"] < args.tol, parity["odd_order_max"]),
+        _check("orders_match_rotated_couplings", series.rotated_coupling_defect, below=bound),
+        _check("orders_sum_to_series", series.order_sum_defect, below=bound),
+        _check("hamiltonians_self_adjoint", herm, below=args.tol),
+        # at_most: H = 0 at g = 0, where the defect and the bound are both 0
+        _check("hamiltonians_rotation_invariant", rotated_h, at_most=SERIES_RELATIVE_BOUND * h_max),
+        _check("odd_orders_vanish", parity["odd_order_max"], below=args.tol),
     ]
     if parity["distinct_states"]:
-        checks.append(
-            _check("order_zero_vanishes_for_distinct_states", parity["order0"] < args.tol, parity["order0"])
-        )
+        checks.append(_check("order_zero_vanishes_for_distinct_states", parity["order0"], below=args.tol))
     config = {
         "g": args.g, "m2": args.m2, "M2": args.big_m2, "pmax": args.pmax, "npi": args.npi, "nsigma": args.nsigma,
         "window": args.window, "horizon": args.horizon, "in": list(args.into), "out": list(args.outgoing),

@@ -128,6 +128,10 @@ def test_reps_verify_fails_gates_in_the_report(capsys):
     checks = {c["name"]: c for c in json.loads(out)["summary"]["checks"]}
     for name in ("projective_up_to_sign", "eigen_transport"):
         assert not checks[name]["passed"] and checks[name]["detail"] >= 1e-17
+        assert checks[name]["below"] == 1e-17
+    # the fixed tables' gates ignore --tol
+    for name in ("unitary3_unitarity", "unitary3_homomorphism", "spinor_unitarity"):
+        assert checks[name]["passed"] and checks[name]["below"] == cli.FIXED_TABLE_BOUND == 1e-12
 
 
 def test_no_boost(capsys):
@@ -151,9 +155,21 @@ def test_shells(capsys):
     checks = {c["name"]: c for c in bundle["summary"]["checks"]}
     # every vertex of shells 0..2 has its 13 children in the history
     assert checks["children_always_thirteen"] == {
-        "name": "children_always_thirteen", "passed": True, "detail": 1 + 13 + 55
+        "name": "children_always_thirteen", "passed": True, "detail": 1 + 13 + 55, "equals": 1 + 13 + 55
     }
     assert bundle["paper_diff"]["construction_divergences"][0]["t"] == 3
+
+
+def test_shells_at_t0_gates_only_what_exists(capsys):
+    """Shell 1 and the children of the shells below the top do not exist at t = 0, so
+    their checks are not emitted rather than passing vacuously."""
+    code, out, _ = run_cli(capsys, "--format", "json", "shells", "--t", "0")
+    assert code == 0
+    bundle = json.loads(out)
+    assert bundle["payload"]["sizes"] == [1]
+    assert bundle["summary"]["checks"] == [
+        {"name": "shell0_single_vertex", "passed": True, "detail": 1, "equals": 1}
+    ]
 
 
 def test_shells_full_listing(capsys):
@@ -749,8 +765,13 @@ def test_scatter_zero_coupling_is_accepted(capsys):
     assert payload["unitarity_defects"] == [0.0, 0.0, 0.0]
     assert payload["rotated_coupling_defect"] == 0.0
     assert payload["series_max_abs"] == 1.0
-    details = {c["name"]: c["detail"] for c in bundle["summary"]["checks"]}
-    assert details["orders_match_rotated_couplings"] == details["orders_sum_to_series"] == 0.0
+    checks = {c["name"]: c for c in bundle["summary"]["checks"]}
+    # H = 0, so the rotation gate passes 0 <= 0; the series gates' bound is 1e-13 max|S| = 1e-13
+    assert checks["hamiltonians_rotation_invariant"] == {
+        "name": "hamiltonians_rotation_invariant", "passed": True, "detail": 0.0, "at_most": 0.0
+    }
+    for name in ("orders_match_rotated_couplings", "orders_sum_to_series"):
+        assert checks[name] == {"name": name, "passed": True, "detail": 0.0, "below": 1e-13}
 
 
 def test_library_gate_failure_is_a_named_error(capsys, monkeypatch):
@@ -1074,3 +1095,31 @@ _TREES = st.recursive(
 def test_render_matches_the_two_pass_oracle_on_payload_trees(bundle):
     assert cli._render_json(bundle) == oracles.render_json(bundle)
     assert cli._render_text(bundle) == oracles.render_text(bundle)
+
+
+RULES = {"below": lambda v, b: v < b, "at_most": lambda v, b: v <= b, "equals": lambda v, b: v == b}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *SUBCOMMANDS, ("shells", "--t", "0"), ("--tol", "1e-17", "reps-verify"),
+        ("scatter", "--g", "0", "--m2", "0", "--M2", "1", "--horizon", "3", "--window", "0"),
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_check_records_compute_passed_from_value_and_bound(capsys, argv):
+    """A check is a flag {name, passed} or a measured record {name, passed, detail,
+    <rule>: bound} whose passed is its rule applied to the two; all_passed is the
+    conjunction of the checks and sets the exit code."""
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    summary = json.loads(out)["summary"]
+    for check in summary["checks"]:
+        rest = check.keys() - {"name", "passed"}
+        if rest:
+            (rule,) = rest - {"detail"}
+            assert rest == {"detail", rule} and rule in RULES
+            assert check["passed"] is RULES[rule](check["detail"], check[rule])
+        assert type(check["passed"]) is bool
+    assert summary["all_passed"] is all(c["passed"] for c in summary["checks"])
+    assert code == (0 if summary["all_passed"] else 1)

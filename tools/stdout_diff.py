@@ -31,8 +31,8 @@ FOCK = [("0", "1", "3"), ("0", "1", "5"), ("0", "2", "3"), ("1", "2", "3"), ("3"
 
 def invocations(scratch: str) -> list[tuple[str, ...]]:
     """Every subcommand in json and text, the csv forms, the benchmark's invocations, the
-    documented ``error:`` cases and a run whose gates fail; ``scratch`` is an existing
-    directory for ``--out``."""
+    gates' edge cases, the documented ``error:`` cases and a run whose gates fail;
+    ``scratch`` is an existing directory for ``--out``."""
     reports = [
         ("group-table",), ("group-table", "--check"), ("group-verify",), ("reps-verify",),
         ("no-boost", "--bound", "5"), ("shells", "--t", "3"), ("shells", "--t", "4", "--sizes-only"),
@@ -54,6 +54,11 @@ def invocations(scratch: str) -> list[tuple[str, ...]]:
         for inv in workloads.build(name, workloads.DEFAULT_SEED)
     ]
     causets = [("--format", "json", "causet-verify", "--t", str(t)) for t in (*range(9), 12, 20)]
+    # edge cases of the gates: no shell 1 at t 0, and H = 0 with S = I at g 0
+    edges = [
+        ("--format", "json", "shells", "--t", "0"),
+        ("--format", "json", "scatter", "--g", "0", "--m2", "0", "--M2", "1", "--horizon", "3", "--window", "0"),
+    ]
     errors = [
         ("fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "0"),
         ("fock-verify", "--m2", "5", "--pmax", "1", "--nmax", "1"),
@@ -77,6 +82,7 @@ def invocations(scratch: str) -> list[tuple[str, ...]]:
         *(("--format", "csv", *argv) for argv in tables),
         *benchmark,
         *causets,
+        *edges,
         *errors,
     ]
 
