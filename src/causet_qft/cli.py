@@ -424,8 +424,6 @@ def cmd_scatter(args) -> dict:
     series = scattering.scattering_series(model)
     report = scattering.amplitude(model, args.into, args.outgoing, series)
     parity = scattering.order_parity_check(report, args.into, args.outgoing)
-    herm = scattering.self_adjoint_defect(series)
-    rotated_h, h_max = scattering.rotation_defect(model, series)
     payload = {
         "per_order": list(report.per_order),
         "total": report.total,
@@ -448,12 +446,13 @@ def cmd_scatter(args) -> dict:
         },
     }
     bound = SERIES_RELATIVE_BOUND * series.final_max_abs
+    h_bound = SERIES_RELATIVE_BOUND * series.hamiltonian_max_abs
     checks = [
         _check("orders_match_rotated_couplings", series.rotated_coupling_defect, below=bound),
         _check("orders_sum_to_series", series.order_sum_defect, below=bound),
-        _check("hamiltonians_self_adjoint", herm, below=args.tol),
+        _check("hamiltonians_self_adjoint", series.hamiltonian_adjoint_defect, below=args.tol),
         # at_most: H = 0 at g = 0, where the defect and the bound are both 0
-        _check("hamiltonians_rotation_invariant", rotated_h, at_most=SERIES_RELATIVE_BOUND * h_max),
+        _check("hamiltonians_rotation_invariant", series.hamiltonian_rotation_defect, at_most=h_bound),
         _check("odd_orders_vanish", parity["odd_order_max"], below=args.tol),
     ]
     if parity["distinct_states"]:

@@ -38,8 +38,6 @@ __all__ = [
     "phase_sum_defect",
     "xi_defects",
     "rep_v_defects",
-    "basis_unit",
-    "vacuum",
 ]
 
 
@@ -456,15 +454,3 @@ def rep_v_defects(fock: FockSpace, translations: np.ndarray, rotations: np.ndarr
     unitarity, hom, block_diagonal = zip((0.0, 0.0, True), *map(defects, _batches(fock, len(t1), 3 * dim)))
     return max(unitarity), max(hom), all(block_diagonal)
 
-
-def basis_unit(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:
-    """Unit vector of the orthonormal basis at the given multiset."""
-    if not all(0 <= i < len(fock.hyperboloid) for i in point_indices):
-        raise ValueError(f"point indices {tuple(point_indices)} are not all on the hyperboloid")
-    vec = np.zeros(fock.dim, dtype=complex)
-    vec[fock.rank(len(point_indices), np.sort([point_indices], axis=1))] = 1.0
-    return vec
-
-
-def vacuum(fock: FockSpace) -> np.ndarray:
-    return basis_unit(fock, ())

@@ -9,7 +9,8 @@ dense blocks and order k maps s to s ^ (k mod 2).  The window slice is a norm ba
 both hyperboloids are closed under the 24 rotations of G, so H(t), the orders and S
 commute with the tensor permutations P_g: X[g.i, g.j] = X[i, j].  They are held at the
 representative columns of each sector's G-orbits; the column at g.r is P_g times the
-one at r.
+one at r.  The step loop builds each H(t), measures it and multiplies it in before it
+builds the next, so the series holds one H(t) at a time and keeps none.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import symmetry
-from .fock import _ROLES, FockSpace, _phases, basis_unit, fock_space, vacuum
+from .fock import _ROLES, FockSpace, _phases, fock_space
 from .lattice import require_memory, vectors_with_norm_up_to
 from .momentum import Hyperboloid, hyperboloid
 
@@ -35,7 +36,6 @@ __all__ = [
     "self_adjoint_defect",
     "GENERATORS",
     "rotation_defect",
-    "two_pi_state",
     "AmplitudeReport",
     "amplitude",
     "order_parity_check",
@@ -184,10 +184,12 @@ def _parity_split(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
 
 def build_model(cfg: InteractionConfig) -> ScatteringModel:
     """The model, or a ``ValueError`` before any sector exists when the series would
-    outgrow physical memory.  Its traced peak stays below n + 1 H(t) (sum |s| |s ^ 1|
-    complex entries), the held items (n // 2 + n + 2 per orbit of s, |s| + |s ^ 1| rows
-    each) and the larger of another copy and one unitarity check, 51 int64 per state,
-    24 per Fock state and 16 bytes per H term, within one H(t); orbits by Burnside."""
+    outgrow physical memory.  Its traced peak stays below the held items (n // 2 + n + 2
+    per orbit of s, |s| + |s ^ 1| rows each), the larger of a step (one H(t), sum |s|
+    |s ^ 1| complex entries, beside the items' products with it) and one unitarity check,
+    the larger of one more H(t) (building and measuring one) and numpy's ufunc buffer
+    (a broadcast operation's), 51 int64 per state, 24 per Fock state and 16 bytes per H
+    term, within one H(t); orbits by Burnside."""
     cfg.validate()
     # the spaces are lazy: building them first only checks that neither hyperboloid is empty
     pi_space = fock_space(hyperboloid(cfg.pi_mass_sq, cfg.energy_cap), cfg.pi_particle_cap)
@@ -199,7 +201,8 @@ def build_model(cfg: InteractionConfig) -> ScatteringModel:
     m, n = [dims[s] + dims[s ^ 1] for s in range(4)], cfg.horizon
     held = (n // 2 + n + 2) * sum(a * b for a, b in zip(m, w))
     gram = max(24 * w[s] * (m[s] + w[s] + w[s ^ 1]) + 2 * m[s] * (w[s] + w[s ^ 1]) for s in range(4))
-    entries = (n + 1) * sum(dims[s] * dims[s ^ 1] for s in range(4)) + held + max(held, gram)
+    h = sum(dims[s] * dims[s ^ 1] for s in range(4))
+    entries = held + max(h + held, gram) + max(h, np.getbufsize())
     indices = 51 * sum(dims) + 24 * (sum(pi[0]) + sum(sigma[0]))
     need = 16 * (entries + _two_step_paths(len(pi_h), cfg.pi_particle_cap)) + 8 * indices
     require_memory(need, f"the scattering series at D = {sum(dims)}")
@@ -242,21 +245,25 @@ def interaction_hamiltonian(model: ScatteringModel, t: int) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class ScatteringSeries:
-    """H(0..n-1), the orders, S(n) as its (even, odd) parts, max|S(n)| and the defects;
+    """The orders, S(n) as its (even, odd) parts, max|S(n)|, the defects, and H(0..n-1)'s
+    self-adjoint and rotation defects and max|H|, each taken before the next H(t) is built;
     block s of order k: the rows of sector s ^ (k mod 2) at sector s's representatives."""
 
-    hamiltonians: tuple[tuple[np.ndarray, ...], ...]
     final: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
     final_orders: tuple[tuple[np.ndarray, ...], ...]
     final_max_abs: float
     rotated_coupling_defect: float
     order_sum_defect: float
     unitarity_defects: tuple[float, ...]
+    hamiltonian_adjoint_defect: float
+    hamiltonian_rotation_defect: float
+    hamiltonian_max_abs: float
 
 
 def _max_abs(blocks) -> float:
-    """Largest |entry| over the blocks; 0.0 when they hold none."""
-    return max((float(np.max(np.abs(b), initial=0.0)) for b in blocks), default=0.0)
+    """Largest |entry| over the blocks, arrays or numbers; 0.0 when they hold none and NaN
+    when one is NaN, where Python's ``max`` keeps whichever argument comes first."""
+    return float(np.max([np.max(np.abs(b), initial=0.0) for b in blocks], initial=0.0))
 
 
 def scattering_series(model: ScatteringModel) -> ScatteringSeries:
@@ -266,10 +273,10 @@ def scattering_series(model: ScatteringModel) -> ScatteringSeries:
     odd parts), so a step is one product with H(t)'s block r per sector; order k gains
     i H(t) times order k - 1 and chain j i w_j H(t) times itself.  Chain 0 is S.  Chain j
     must be the sum of w_j^k times order k: ``order_sum_defect`` is the worst entry off
-    at w = 1 and ``rotated_coupling_defect`` at the other roots, which bounds every order."""
+    at w = 1 and ``rotated_coupling_defect`` at the other roots, which bounds every order.
+    Each H(t) is built, measured and multiplied in, and dropped before the next is built."""
     n, dims = model.cfg.horizon, model.sector_dims
     width = [len(orbit[0]) for orbit in model.orbits]
-    hams = [interaction_hamiltonian(model, t) for t in range(n)]
     half = n // 2 + 1  # orders 0, 2, ..., 2 half - 2 and 1, 3, ..., 2 half - 1
     count = half + n + 1  # items per column sector
     roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
@@ -294,25 +301,30 @@ def scattering_series(model: ScatteringModel) -> ScatteringSeries:
     for (reps, _, _), (even, _) in zip(model.orbits, parts):  # order 0 and the chains start as I
         even[np.r_[0, half:count][:, None], np.arange(len(reps)), reps] = 1
     columns = [[part[half] for part in pair] for pair in parts]  # S, chain 0
-    defects = [_unitarity_defect(model, columns)]
-    for h in hams:
+    defects, measured = [_unitarity_defect(model, columns)], []
+    for t in range(n):
+        h = interaction_hamiltonian(model, t)
+        measured.append((self_adjoint_defect(h), rotation_defect(model, h), _max_abs(h[0::2])))
         step(h)
+        del h  # the unitarity check and the next build run without it
         defects.append(_unitarity_defect(model, columns))
-    summed = rotated = 0.0
+    worst = []  # per item, the worst entry off at each root
     for first, part in (item for pair in parts for item in enumerate(pair)):
         powers = roots[:, None] ** np.arange(first, 2 * half, 2)  # powers of the rounded w
         gap = part[half:] - np.einsum("jk,kcx->jcx", powers, part[:half])
-        worst = np.max(np.abs(gap), axis=(1, 2), initial=0.0)  # per root
-        summed, rotated = max(summed, worst[0]), max(rotated, *worst[1:], 0.0)
+        worst.append(np.max(np.abs(gap), axis=(1, 2), initial=0.0))
 
     def blocks(k: int, item: int) -> tuple[np.ndarray, ...]:
         return tuple(parts[s ^ k % 2][k % 2][item].T for s in range(4))
 
     final = (blocks(0, half), blocks(1, half))
+    worst = np.max(worst, axis=0)  # per root, NaN when an item's is
+    adjoint, rotation, largest = np.max(np.reshape(measured, (-1, 3)), axis=0, initial=0.0).tolist()
     return ScatteringSeries(
-        hamiltonians=tuple(hams), final=final, final_orders=tuple(blocks(k, k // 2) for k in range(n + 1)),
-        final_max_abs=max(_max_abs(final[0]), _max_abs(final[1])), rotated_coupling_defect=float(rotated),
-        order_sum_defect=float(summed), unitarity_defects=tuple(defects),
+        final=final, final_orders=tuple(blocks(k, k // 2) for k in range(n + 1)),
+        final_max_abs=_max_abs([*final[0], *final[1]]), rotated_coupling_defect=_max_abs(worst[1:]),
+        order_sum_defect=float(worst[0]), unitarity_defects=tuple(defects),
+        hamiltonian_adjoint_defect=adjoint, hamiltonian_rotation_defect=rotation, hamiltonian_max_abs=largest,
     )
 
 
@@ -320,7 +332,7 @@ def _unitarity_defect(model: ScatteringModel, columns) -> float:
     """max|S^H S - I| from S's columns in each row sector r (sector r's, then r ^ 1's):
     per column sector, one gather by the 24 row permutations and one product give every
     (S^H S)[g.a, b] = <P_g S e_a, S e_b>, less 1 where g.a = b, i.e. g fixes a = b."""
-    dims, orbits, worst = model.sector_dims, model.orbits, 0.0
+    dims, orbits, worst = model.sector_dims, model.orbits, []
     for s in (0, 2):
         perms = np.concatenate([model.sector_permutations[s], model.sector_permutations[s + 1] + dims[s]], axis=1)
         reps = np.concatenate([orbits[s][0], orbits[s + 1][0] + dims[s]])
@@ -330,33 +342,26 @@ def _unitarity_defect(model: ScatteringModel, columns) -> float:
             g, j = np.nonzero(perms[:, reps[lo:hi]] == reps[lo:hi])
             gram = z[lo:hi].take(perms, axis=1).reshape(24 * (hi - lo), len(z.T)) @ z.conj().T  # [b, g, a]
             gram.reshape(-1)[(j * 24 + g) * len(reps) + lo + j] -= 1
-            worst = max(worst, _max_abs([gram]))
-    return worst
+            worst.append(_max_abs([gram]))
+    return _max_abs(worst)
 
 
-def self_adjoint_defect(series: ScatteringSeries) -> float:
-    """Worst |H - H^H| entry over the series' Hamiltonians, blocks 0 and 2 against the
-    adjoints of 1 and 3 (the reverse pairs are the same differences); 0.0 by construction."""
-    return max((_max_abs(h[s] - h[s ^ 1].conj().T for s in (0, 2)) for h in series.hamiltonians), default=0.0)
+def self_adjoint_defect(h: tuple[np.ndarray, ...]) -> float:
+    """Worst |H - H^H| entry of one H(t), blocks 0 and 2 against the adjoints of 1 and 3
+    (the reverse pairs are the same differences); 0.0 by construction."""
+    return _max_abs(h[s] - h[s ^ 1].conj().T for s in (0, 2))
 
 
 GENERATORS = ("A", "M")  # generate G: what commutes with both P_g commutes with all 24
 
 
-def rotation_defect(model: ScatteringModel, series: ScatteringSeries) -> tuple[float, float]:
-    """Worst |P_g H P_g^T - H| entry for g in ``GENERATORS``, and max|H|, over blocks 0 and
+def rotation_defect(model: ScatteringModel, h: tuple[np.ndarray, ...]) -> float:
+    """Worst |P_g H P_g^T - H| entry of one H(t) for g in ``GENERATORS``, over blocks 0 and
     2, whose adjoints are 1 and 3.  Rounding-level, not zero: a term and its image add into
     their entries in different orders."""
-    perms, hams = model.sector_permutations, series.hamiltonians
+    perms = model.sector_permutations
     images = [[p[symmetry.index(label)] for p in perms] for label in GENERATORS]
-    worst = (_max_abs(h[s][np.ix_(p[s + 1], p[s])] - h[s] for s in (0, 2)) for p in images for h in hams)
-    return max(worst, default=0.0), max((_max_abs(h[0::2]) for h in hams), default=0.0)
-
-
-def two_pi_state(model: ScatteringModel, p: int, q: int) -> np.ndarray:
-    """Normalized symmetric two-particle state at the pi-hyperboloid points of indices p and
-    q, tensored with the sigma vacuum; ``ValueError`` for an index off the hyperboloid."""
-    return np.kron(basis_unit(model.pi_space, (p, q)), vacuum(model.sigma_space))
+    return _max_abs(h[s][np.ix_(p[s + 1], p[s])] - h[s] for p in images for s in (0, 2))
 
 
 @dataclass(frozen=True)
@@ -371,16 +376,19 @@ def amplitude(
     model: ScatteringModel, incoming: tuple[int, int], outgoing: tuple[int, int], series: ScatteringSeries
 ) -> AmplitudeReport:
     """<out| S |in> for two-particle states of the first species, each given by two
-    pi-hyperboloid point indices, read from ``series``: |in> = e_{g.r} in sector 0, so
-    S|in> = P_g S e_r, paired with <out| read at g-images."""
+    pi-hyperboloid point indices (the caller keeps them on the hyperboloid), read from
+    ``series``.  Each state is one tensor basis state of sector 0, its pi pair's rank with
+    the sigma vacuum (index 0): |in> = e_{g.r}, so S|in> = P_g S e_r, paired with <out| at
+    the rows g maps onto it in each row sector (none in sector 1)."""
+    pi, n_sigma = model.pi_space, model.sigma_space.dim
+    index_in, index_out = (pi.rank(2, np.sort([pair], axis=1))[0] * n_sigma for pair in (incoming, outgoing))
     reps, element, rep = model.orbits[0]
-    local = np.searchsorted(model.sectors[0], np.flatnonzero(two_pi_state(model, *incoming))[0])
+    local = np.searchsorted(model.sectors[0], index_in)
     g, column = element[local], np.searchsorted(reps, rep[local])
-    vec_out = two_pi_state(model, *outgoing)
-    parts_out = [vec_out[ix][perms[g]] for ix, perms in zip(model.sectors, model.sector_permutations)]
+    out_rows = [model.sectors[p][model.sector_permutations[p][g]] == index_out for p in (0, 1)]
 
     def bracket(blocks, parity: int) -> complex:
-        return complex(0.0 + np.vdot(parts_out[parity], blocks[0][:, column]))
+        return complex(0.0 + np.vdot(out_rows[parity], blocks[0][:, column]))
 
     per_order = tuple(bracket(order, k % 2) for k, order in enumerate(series.final_orders))
     total = bracket(series.final[0], 0) + bracket(series.final[1], 1)
@@ -388,11 +396,10 @@ def amplitude(
 
 
 def order_parity_check(report: AmplitudeReport, incoming: tuple[int, int], outgoing: tuple[int, int]) -> dict:
-    """Odd-order maximum, |order 0| and order 2 of ``report``, and whether the in and out
-    point-index pairs differ as sets."""
-    odd_max = max((abs(c) for k, c in enumerate(report.per_order) if k % 2 == 1), default=0.0)
+    """Odd-order maximum (NaN when one is), |order 0| and order 2 of ``report``, and whether
+    the in and out point-index pairs differ as sets."""
     return {
-        "odd_order_max": odd_max,
+        "odd_order_max": _max_abs(report.per_order[1::2]),
         "order0": abs(report.per_order[0]),
         "order2": report.per_order[2] if len(report.per_order) > 2 else 0.0,
         "distinct_states": set(incoming) != set(outgoing),

@@ -36,8 +36,9 @@ coordinate rows and rotation indices the gates take
 from ``Vec4`` points and ``PoincareElement`` pairs, sorted eigensystems, the group
 product by labels, the ``PoincareElement`` and its product, identity, inverse and
 action on a vector,
-the symmetry action ``rep_v``, a field operator applied to a vector, and the
-spin-tensored single-particle representation.
+the symmetry action ``rep_v``, a field operator applied to a vector, the
+spin-tensored single-particle representation, the Fock basis units with the
+vacuum, and the two-pi states as D-length vectors.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from causet_qft import paperdata
+from causet_qft import paperdata, symmetry
 from causet_qft.causet import _STEP_ARRAY, CovarianceReport, History, Speed, parent_histogram
-from causet_qft.fock import FieldOperator, FockSpace, _monomials, _phases, basis_unit, phi, xi_entries
+from causet_qft.fock import FieldOperator, FockSpace, _monomials, _phases, phi, xi_entries
 from causet_qft.lattice import (
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
@@ -64,7 +65,14 @@ from causet_qft.lattice import (
 )
 from causet_qft.momentum import Hyperboloid, attainable_spatial_norms
 from causet_qft.representations import _canonicalize, _principal_angle, _solve_spinor
-from causet_qft.scattering import InteractionConfig, ScatteringModel, ScatteringSeries, _max_abs, _window_rows
+from causet_qft.scattering import (
+    GENERATORS,
+    InteractionConfig,
+    ScatteringModel,
+    ScatteringSeries,
+    _max_abs,
+    _window_rows,
+)
 from causet_qft.scattering import interaction_hamiltonian as block_hamiltonian
 from causet_qft.symmetry import PRODUCT_INDEX, BoostCertificate, GroupTable
 
@@ -600,6 +608,25 @@ def spin_rep(y: Vec4, rot: GroupElement, spin, h: Hyperboloid) -> np.ndarray:
     return np.kron(single, factor)
 
 
+def basis_unit(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:
+    """Unit vector of the orthonormal basis at the given multiset."""
+    if not all(0 <= i < len(fock.hyperboloid) for i in point_indices):
+        raise ValueError(f"point indices {tuple(point_indices)} are not all on the hyperboloid")
+    vec = np.zeros(fock.dim, dtype=complex)
+    vec[fock.rank(len(point_indices), np.sort([point_indices], axis=1))] = 1.0
+    return vec
+
+
+def vacuum(fock: FockSpace) -> np.ndarray:
+    return basis_unit(fock, ())
+
+
+def two_pi_state(model: ScatteringModel, p: int, q: int) -> np.ndarray:
+    """Normalized symmetric two-particle state at the pi-hyperboloid points of indices p and
+    q, tensored with the sigma vacuum; ``ValueError`` for an index off the hyperboloid."""
+    return np.kron(basis_unit(model.pi_space, (p, q)), vacuum(model.sigma_space))
+
+
 def multiset_indicator(fock: FockSpace, point_indices: tuple[int, ...]) -> np.ndarray:
     """Multiset indicator as a full-space vector: the orthonormal basis unit times the
     square root of the multiset's number of ordered arrangements, so its squared norm
@@ -879,6 +906,28 @@ def interaction_hamiltonian(model: ScatteringModel, t: int) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+def hamiltonian_maxima(model: ScatteringModel, hams) -> dict[str, float]:
+    """The three maxima over dense H(t)'s that a series carries: max|H - H^H|, max|H[g.i, g.j]
+    - H[i, j]| for g in ``GENERATORS`` (g.i from each sector's permutations) and max|H|."""
+    images = []
+    for label in GENERATORS:
+        image = np.empty(model.dim, dtype=np.int64)
+        for ix, perms in zip(model.sectors, model.sector_permutations):
+            image[ix] = ix[perms[symmetry.index(label)]]
+        images.append(image)
+
+    def worst(values) -> float:
+        return max(values, default=0.0)
+
+    return {
+        "hamiltonian_adjoint_defect": worst(float(np.max(np.abs(h - h.conj().T), initial=0.0)) for h in hams),
+        "hamiltonian_rotation_defect": worst(
+            float(np.max(np.abs(h[np.ix_(g, g)] - h), initial=0.0)) for g in images for h in hams
+        ),
+        "hamiltonian_max_abs": worst(float(np.max(np.abs(h), initial=0.0)) for h in hams),
+    }
+
+
 def dense_series(model: ScatteringModel) -> ScatteringSeries:
     """The series on dense D x D matrices, as the library built it before the graded layout:
     one step loop for the orders (order k updated from order k - 1 before that one
@@ -915,13 +964,13 @@ def dense_series(model: ScatteringModel) -> ScatteringSeries:
             chain -= np.multiply(order, w_k, out=factor)
         rotated = max(rotated, float(np.max(np.abs(chain))))
     return ScatteringSeries(
-        hamiltonians=tuple(hams),
         final=final,
         final_orders=tuple(orders),
         final_max_abs=float(np.max(np.abs(final))),
         rotated_coupling_defect=rotated,
         order_sum_defect=float(np.max(np.abs(sum(orders) - final))),
         unitarity_defects=tuple(unitarity),
+        **hamiltonian_maxima(model, hams),
     )
 
 
@@ -998,13 +1047,13 @@ def graded_series(model: ScatteringModel) -> ScatteringSeries:
         for parity, part in enumerate((even, odd))
     )
     return ScatteringSeries(
-        hamiltonians=tuple(hams),
         final=(tuple(even), tuple(odd)),
         final_orders=tuple(tuple(order) for order in orders),
         final_max_abs=max(_max_abs(even), _max_abs(odd)),
         rotated_coupling_defect=rotated,
         order_sum_defect=summed,
         unitarity_defects=tuple(unitarity),
+        **hamiltonian_maxima(model, [densify(model, h, 1) for h in hams]),
     )
 
 

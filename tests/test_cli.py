@@ -554,6 +554,27 @@ def test_scatter(capsys):
     }
 
 
+def test_scatter_overflow_fails_its_gates_with_nan(capsys):
+    """At g = 1e300 the series overflows, and inf - inf puts NaN in S, in order 3 and in
+    the unitarity Gram.  Every maximum over them reads NaN, not the 0.0 that Python's
+    ``max`` keeps against a NaN, so the gates on them fail."""
+    code, out, err = run_cli(
+        capsys, "--format", "json", "scatter", "--g", "1e300", "--m2", "0", "--M2", "1",
+        "--horizon", "3", "--window", "0",
+    )
+    bundle = json.loads(out)
+    payload = bundle["payload"]
+    assert code == 1
+    for key in ("series_max_abs", "rotated_coupling_defect", "odd_order_max"):
+        assert math.isnan(payload[key]), key
+    assert math.isnan(payload["per_order"][3]["re"])
+    defects = payload["unitarity_defects"]
+    assert defects[:2] == [0.0, math.inf] and all(math.isnan(d) for d in defects[2:])
+    failed = [c["name"] for c in bundle["summary"]["checks"] if not c["passed"]]
+    assert failed == ["orders_match_rotated_couplings", "orders_sum_to_series", "odd_orders_vanish"]
+    assert err.splitlines()[-1] == "FAILED: " + ", ".join(failed)
+
+
 def test_scatter_builds_one_series(capsys, monkeypatch):
     calls = {"scattering_series": 0, "interaction_hamiltonian": 0}
     for name in calls:

@@ -15,13 +15,11 @@ from causet_qft import fock as fock_module
 from causet_qft.fock import (
     FieldOperator,
     adjoint_defect,
-    basis_unit,
     fock_space,
     phase_sum_defect,
     phi,
     rep_v_defects,
     same_species_commutator_max,
-    vacuum,
     xi_defects,
 )
 from causet_qft.momentum import (
@@ -35,6 +33,7 @@ from oracles import (
     Vec4,
     adjoint_defect_by_point,
     apply,
+    basis_unit,
     bracket_terms,
     bracket_walk,
     commutator,
@@ -65,6 +64,7 @@ from oracles import (
     spatial,
     spin_rep,
     spinor_of,
+    vacuum,
     xi_defects_by_pair,
     xi_matrix,
 )

@@ -22,8 +22,9 @@ from causet_qft.scattering import (
     build_model,
     interaction_hamiltonian,
     order_parity_check,
+    rotation_defect,
     scattering_series,
-    two_pi_state,
+    self_adjoint_defect,
 )
 from oracles import (
     Vec4,
@@ -34,13 +35,20 @@ from oracles import (
     expansion_formula,
     graded_series,
     graded_unitarity_defect,
+    hamiltonian_maxima,
     norm_sq4,
     product_formula,
     psi,
+    two_pi_state,
     window_slice,
     xi_matrix,
 )
 from oracles import interaction_hamiltonian as dense_hamiltonian
+
+
+def _hamiltonians(model):
+    """H(0..n-1), each built afresh: the series keeps none of them."""
+    return [interaction_hamiltonian(model, t) for t in range(model.cfg.horizon)]
 
 
 def _random_matrices(rnd, dim, count, scale=0.5):
@@ -155,7 +163,7 @@ def test_series_orders_are_the_tuple_sums(window_radius):
     )
     m = build_model(cfg)
     series = scattering_series(m)
-    want = _tuple_sums([1j * densify(m, h, 1) for h in series.hamiltonians], m.dim)
+    want = _tuple_sums([1j * densify(m, h, 1) for h in _hamiltonians(m)], m.dim)
     for k, (got, order) in enumerate(zip(series.final_orders, want, strict=True)):
         assert np.max(np.abs(_full(m, got, k % 2) - order)) <= 1e-12 * series.final_max_abs
 
@@ -208,19 +216,35 @@ def _hamiltonian_entries(model):
     return sum(d[s ^ 1] * d[s] for s in range(4))
 
 
+def _held_entries(model):
+    """Entries of the series' items: n // 2 + n + 2 per orbit of s, |s| + |s ^ 1| rows each."""
+    n, d = model.cfg.horizon, model.sector_dims
+    return (n // 2 + n + 2) * sum((d[s] + d[s ^ 1]) * len(orbit[0]) for s, orbit in enumerate(model.orbits))
+
+
+def _traced_series_peak(model):
+    tracemalloc.start()
+    try:
+        scattering_series(model)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _guard_bytes(model):
     """The guard's arithmetic from the built model: its sector sizes, its orbits as
     ``symmetry.orbits`` finds them and its two-step pi paths as the product tables list
     them, against the closed forms the guard uses before any sector exists."""
-    n, d = model.cfg.horizon, model.sector_dims
+    d = model.sector_dims
     w = [len(orbit[0]) for orbit in model.orbits]
     rows = [d[s] + d[s ^ 1] for s in range(4)]
     pair = [w[s] + w[s ^ 1] for s in range(4)]
-    held = (n // 2 + n + 2) * sum(r * c for r, c in zip(rows, w))
+    held = _held_entries(model)
     gram = max(24 * w[s] * (rows[s] + pair[s]) + 2 * rows[s] * pair[s] for s in range(4))
     roles = ("annihilates", "creates")
     paths = sum(len(model.pi_space.product_table(x, y)[0]) for x in roles for y in roles)
-    entries = (n + 1) * _hamiltonian_entries(model) + held + max(held, gram) + paths
+    h = _hamiltonian_entries(model)
+    entries = held + max(h + held, gram) + max(h, np.getbufsize()) + paths
     return 16 * entries + 8 * (51 * model.dim + 24 * (model.pi_space.dim + model.sigma_space.dim))
 
 
@@ -240,12 +264,7 @@ def _guard_and_traced_peak(monkeypatch, pi_mass_sq, sigma_mass_sq, energy_cap, h
     needs = []
     monkeypatch.setattr(scattering, "require_memory", lambda need, what: needs.append(need))
     model = build_model(cfg)
-    tracemalloc.start()
-    try:
-        scattering_series(model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_series_peak(model)
     assert needs == [_guard_bytes(model)]
     return needs[0], 16 * _hamiltonian_entries(model), model.sector_dims, peak
 
@@ -266,6 +285,34 @@ def test_memory_guard_counts_the_peak_of_unequal_sigma_sectors(monkeypatch, hori
     need, operator, dims, peak = _guard_and_traced_peak(monkeypatch, 2, 2, 2, horizon)
     assert dims == (22, 132, 6, 36)
     assert need - operator <= peak <= need
+
+
+@pytest.mark.parametrize("masses", [(0, 1, 1), (2, 2, 2)], ids=["equal-sigma", "unequal-sigma"])
+def test_series_peak_less_its_items_does_not_grow_with_the_horizon(masses):
+    """Each H(t) is dropped before the next is built, so beyond the held items and one
+    step's products of them the traced peak holds a horizon-free count of H(t)'s; it grew
+    by one H(t) per step while the series kept every H(t)."""
+    pi_mass_sq, sigma_mass_sq, energy_cap = masses
+    beyond = []
+    for horizon in (1, 2, 4, 8):
+        cfg = InteractionConfig(
+            coupling=0.1, pi_mass_sq=pi_mass_sq, sigma_mass_sq=sigma_mass_sq, energy_cap=energy_cap,
+            pi_particle_cap=2, sigma_particle_cap=1, window_radius=0, horizon=horizon,
+        )
+        model = build_model(cfg)
+        beyond.append(_traced_series_peak(model) - 2 * 16 * _held_entries(model))
+    assert max(beyond) == beyond[0]
+
+
+def test_maxima_keep_nan():
+    """Python's ``max`` keeps its first argument against a NaN, so a fold through it can
+    read 0.0 beside a NaN entry: the series' maxima and the parity check keep the NaN."""
+    assert math.isnan(scattering._max_abs([np.zeros((2, 2)), np.array([[1.0, np.nan]])]))
+    assert math.isnan(scattering._max_abs([np.array([np.inf]) - np.inf, np.ones(3)]))
+    assert scattering._max_abs([]) == scattering._max_abs([np.zeros((0, 3))]) == 0.0
+    nan = complex(math.nan, math.nan)
+    report = AmplitudeReport(nan, (0j, 0j, 0j, nan), math.nan, (1, 1))
+    assert math.isnan(order_parity_check(report, (1, 2), (3, 4))["odd_order_max"])
 
 
 def test_config_validation():
@@ -389,7 +436,7 @@ def test_hamiltonian_zero_coupling(model):
     m0 = build_model(cfg0)
     assert not any(block.any() for block in interaction_hamiltonian(m0, 0))
     series = scattering_series(m0)
-    steps = _graded_steps(m0, series.hamiltonians)
+    steps = _graded_steps(m0, _hamiltonians(m0))
     assert _same_blocks(_full_pair(m0, series.final), steps[-1])
     even, odd = _full_pair(m0, series.final)
     assert all(np.array_equal(block, np.eye(len(block))) for block in even)
@@ -475,7 +522,7 @@ def test_series_recursion_properties(model):
     assert series.rotated_coupling_defect < 1e-9
     # S(0..n) rebuilt one factor at a time on whole parity blocks: the series' S(n) and
     # each step's unitarity defect agree with them to rounding
-    steps = _graded_steps(model, series.hamiltonians)
+    steps = _graded_steps(model, _hamiltonians(model))
     scale = series.final_max_abs
     for got, want in zip(_full_pair(model, series.final), steps[-1], strict=True):
         assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) <= 1e-14 * scale
@@ -485,7 +532,8 @@ def test_series_recursion_properties(model):
     before = densify(model, steps[-2][0], 0) + densify(model, steps[-2][1], 1)
     final = _dense(model, series.final)
     (last,) = difference_op([before, final])
-    assert np.max(np.abs(last - 1j * densify(model, series.hamiltonians[-1], 1) @ before)) < 1e-10
+    h_last = interaction_hamiltonian(model, model.cfg.horizon - 1)
+    assert np.max(np.abs(last - 1j * densify(model, h_last, 1) @ before)) < 1e-10
     # per-order pieces sum to the final operator
     total = sum(_full(model, order, k % 2) for k, order in enumerate(series.final_orders))
     assert np.max(np.abs(total - final)) < 1e-10
@@ -523,7 +571,7 @@ def test_final_orders_match_full_recursion(horizon, window_radius):
     )
     m = build_model(cfg)
     graded = graded_series(m)
-    reference = _reference_orders(m, graded.hamiltonians)
+    reference = _reference_orders(m, _hamiltonians(m))
     assert len(graded.final_orders) == len(reference) == horizon + 1
     for got_blocks, want_blocks in zip(graded.final_orders, reference):
         for got, want in zip(got_blocks, want_blocks, strict=True):
@@ -614,6 +662,22 @@ def test_two_pi_state_normalized(model):
             two_pi_state(model, off, 0)
 
 
+@pytest.mark.parametrize(
+    "incoming, outgoing", [((1, 2), (3, 4)), ((3, 3), (3, 3)), ((12, 4), (0, 7)), ((5, 9), (9, 5))]
+)
+def test_amplitude_reads_the_dense_bracket(incoming, outgoing):
+    """Read by basis index, each order's amplitude and the total are <out| X |in> with the
+    two-pi states as D-length vectors and X made dense from its representative columns."""
+    m = _dense_case({})
+    series = scattering_series(m)
+    rep = amplitude(m, incoming, outgoing, series)
+    vec_in, vec_out = two_pi_state(m, *incoming), two_pi_state(m, *outgoing)
+    bound = 1e-14 * series.final_max_abs
+    for k, order in enumerate(series.final_orders):
+        assert abs(rep.per_order[k] - np.vdot(vec_out, _full(m, order, k % 2) @ vec_in)) <= bound
+    assert abs(rep.total - np.vdot(vec_out, _dense(m, series.final) @ vec_in)) <= bound
+
+
 def test_amplitude_identity_for_equal_states(model):
     cfg0 = InteractionConfig(
         coupling=0.0,
@@ -694,11 +758,23 @@ def test_graded_series_matches_the_dense_oracle(case):
     fill its sector's columns."""
     m = _dense_case(case)
     series, graded, dense = scattering_series(m), graded_series(m), dense_series(m)
-    for h, want in zip(series.hamiltonians, dense.hamiltonians, strict=True):
+    for t, h in enumerate(_hamiltonians(m)):
         # the selection rule: the dense H is an exact zero off the graded blocks
+        want = dense_hamiltonian(m, t)
         support = densify(m, [np.ones_like(b) for b in h], 1) != 0
         assert not want[~support].any()
         assert np.max(np.abs(densify(m, h, 1) - want)) <= 1e-14 * np.max(np.abs(want))
+        # one H(t)'s defects on its blocks, against the same H made dense
+        maxima = hamiltonian_maxima(m, [densify(m, h, 1)])
+        assert self_adjoint_defect(h) == maxima["hamiltonian_adjoint_defect"] == 0.0
+        assert rotation_defect(m, h) == maxima["hamiltonian_rotation_defect"]
+    # the maxima over H(t) taken in the step loop, against the same blocks made dense and
+    # against the dense assembly, whose rounding differs
+    fields = ("hamiltonian_adjoint_defect", "hamiltonian_rotation_defect", "hamiltonian_max_abs")
+    assert [getattr(series, f) for f in fields] == [getattr(graded, f) for f in fields]
+    assert series.hamiltonian_adjoint_defect == dense.hamiltonian_adjoint_defect == 0.0
+    assert series.hamiltonian_max_abs == pytest.approx(dense.hamiltonian_max_abs, rel=1e-14)
+    assert dense.hamiltonian_rotation_defect <= 1e-13 * dense.hamiltonian_max_abs
     orders = zip(series.final_orders, graded.final_orders, dense.final_orders, strict=True)
     for k, (got, blocks, want) in enumerate(orders):
         full = expand(m, got, k % 2)

@@ -8,12 +8,15 @@ the work tree's on ``PYTHONPATH``, under ``OPENBLAS_NUM_THREADS=1`` (BLAS sums i
 order).  Two runs agree when their stdout, their exit codes and their stderr lines
 carrying ``error:`` or starting with ``FAILED:`` are equal; the ``# wall-clock:`` line
 and argparse's usage text are not compared.  Prints one line per invocation and exits 1
-when any invocation differs.
+when any invocation differs.  When both stdouts of a differing invocation are json
+reports, an indented line follows for each dotted key path (list items by index) that
+was added (``+``), removed (``-``) or changed (``~``).
 """
 
 from __future__ import annotations
 
 import os
+import json
 import subprocess
 import sys
 import tempfile
@@ -54,10 +57,12 @@ def invocations(scratch: str) -> list[tuple[str, ...]]:
         for inv in workloads.build(name, workloads.DEFAULT_SEED)
     ]
     causets = [("--format", "json", "causet-verify", "--t", str(t)) for t in (*range(9), 12, 20)]
-    # edge cases of the gates: no shell 1 at t 0, and H = 0 with S = I at g 0
+    # edge cases of the gates: no shell 1 at t 0, H = 0 with S = I at g 0, and a series
+    # that overflows into NaN at g 1e300
     edges = [
         ("--format", "json", "shells", "--t", "0"),
         ("--format", "json", "scatter", "--g", "0", "--m2", "0", "--M2", "1", "--horizon", "3", "--window", "0"),
+        ("--format", "json", "scatter", "--g", "1e300", "--m2", "0", "--M2", "1", "--horizon", "3", "--window", "0"),
     ]
     errors = [
         ("fock-verify", "--m2", "0", "--pmax", "1", "--nmax", "0"),
@@ -97,6 +102,37 @@ def run(src: Path, argv: tuple[str, ...], cwd: str) -> tuple[bytes, int, list[st
     return proc.stdout, proc.returncode, [line for line in lines if "error:" in line or line.startswith("FAILED:")]
 
 
+def key_changes(old, new, path: str = "") -> list[str]:
+    """The dotted key paths where two parsed json reports differ, each marked ``+`` (only in
+    ``new``), ``-`` (only in ``old``) or ``~`` (changed); leaves compare as json text, so a
+    NaN equals a NaN."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = sorted(old.keys() | new.keys())
+    elif isinstance(old, list) and isinstance(new, list):
+        keys = range(max(len(old), len(new)))
+        old, new = dict(enumerate(old)), dict(enumerate(new))
+    else:
+        return [] if json.dumps(old) == json.dumps(new) else [f"~ {path}"]
+    changes = []
+    for key in keys:
+        at = f"{path}.{key}" if path else str(key)
+        if key not in new:
+            changes.append(f"- {at}")
+        elif key not in old:
+            changes.append(f"+ {at}")
+        else:
+            changes += key_changes(old[key], new[key], at)
+    return changes
+
+
+def json_changes(old: bytes, new: bytes) -> list[str]:
+    """:func:`key_changes` of two stdouts, or nothing when either is not one json report."""
+    try:
+        return key_changes(json.loads(old), json.loads(new))
+    except ValueError:
+        return []
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -115,6 +151,8 @@ def main(argv: list[str]) -> int:
             differing += bool(parts)
             verdict = f"DIFF ({', '.join(parts)})" if parts else "same"
             print(f"{verdict:<22} exit {new[1]}  {' '.join(case)}", flush=True)
+            for change in json_changes(old[0], new[0]) if old[0] != new[0] else ():
+                print(f"    {change}", flush=True)
     print(f"{len(cases) - differing} of {len(cases)} invocations identical to {argv[0]}")
     return 1 if differing else 0
 
