@@ -73,22 +73,27 @@ class FockSpace:
         return self.offsets[self.n_max]
 
     def rank(self, n: int, multisets: np.ndarray) -> np.ndarray:
-        """Full-space indices of the sorted rows of an (m, n) array of sector-n multisets."""
-        return self.offsets[n] + rank_rows(self.multiset_arrays[n], multisets)
+        """Full-space indices of the sorted rows of an (m, n) array of sector-n multisets; a
+        row that is none of them is a ``ValueError``."""
+        found = rank_rows(self.multiset_arrays[n], multisets)
+        if (found < 0).any():
+            row = multisets[np.argmax(found < 0)].tolist()
+            raise ValueError(f"{row} is not a sorted multiset of {n} of the {len(self.hyperboloid)} points")
+        return self.offsets[n] + found
 
     @cached_property
     def _sector_permutations(self) -> tuple[np.ndarray, np.ndarray]:
         """Whether the point set is closed under each of the 24 rotations, in
         ``symmetry.MATRICES`` order, and their sector permutations as the rows of one read-only
-        (24, dim) array, ranked in one pass per sector; a row whose rotation leaves is void."""
-        point_perms = self.hyperboloid.rotation_images
-        rotations = len(point_perms)
-        perms = np.empty((rotations, self.dim), dtype=np.int64)
+        (24, dim) array, ranked in one pass per sector; -1 fills a row whose rotation leaves."""
+        closed = (self.hyperboloid.rotation_images >= 0).all(axis=1)
+        point_perms, rotations = self.hyperboloid.rotation_images[closed], np.count_nonzero(closed)
+        perms = np.full((len(closed), self.dim), -1, dtype=np.int64)
         for n, ms in enumerate(self.multiset_arrays):
             mapped = np.sort(point_perms[:, ms], axis=2).reshape(rotations * len(ms), n)
-            perms[:, self.sector_slice(n)] = self.rank(n, mapped).reshape(rotations, len(ms))
+            perms[closed, self.sector_slice(n)] = self.rank(n, mapped).reshape(rotations, len(ms))
         perms.flags.writeable = False
-        return (point_perms >= 0).all(axis=1), perms
+        return closed, perms
 
     @cached_property
     def _bracket_tables(self) -> dict[tuple[str, str], tuple[np.ndarray, ...]]:

@@ -1,21 +1,23 @@
-"""Discrete-time scattering: step products, their orders and amplitudes, on orbit columns.
+"""Discrete-time scattering: step products, their orders and amplitudes, on G's isotypic blocks.
 
 S obeys S(k+1) = (I + iH(k))S(k) from the identity.  One step loop builds S, its orders
 in the coupling (order k picks up one factor of H per step, so per-order amplitudes are
 bookkeeping) and the products with the coupling turned through the (n+1)-th roots of
 unity, which check every order.  The interaction g (pi field)^2 (x) (sigma field) maps
-sector s = 2P + Q (P, Q the pi- and sigma-number parities) to s ^ 1, so H(t) is four
-dense blocks and order k maps s to s ^ (k mod 2).  The window slice is a norm ball and
-both hyperboloids are closed under the 24 rotations of G, so H(t), the orders and S
-commute with the tensor permutations P_g: X[g.i, g.j] = X[i, j].  They are held at the
-representative columns of each sector's G-orbits; the column at g.r is P_g times the
-one at r.  The step loop builds each H(t), measures it and multiplies it in before it
-builds the next, so the series holds one H(t) at a time and keeps none.
+sector s = 2P + Q (P, Q the pi- and sigma-number parities) to s ^ 1, and order k maps s
+to s ^ (k mod 2).  The window slice is a norm ball and both hyperboloids are closed under
+the 24 rotations of G = S4, so H(t), the orders and S commute with the tensor
+permutations P_g.  By Schur's lemma each is then the sum over G's irreps rho of
+A_rho (x) I_d in a basis adapted to them (``symmetry.adapted_basis``), one n_rho x n_rho
+multiplicity block per irrep, the paper's rotations ``CAL_U`` being the irrep 3'.  H(t)
+is built only at each orbit's representative column, which gives its blocks, and a step
+is one small product per sector and irrep; maxima in the tensor basis are read back from
+the representative columns.  The step loop builds each H(t), measures it and multiplies
+it in before it builds the next, so the series holds one H(t) at a time and keeps none.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,10 +34,9 @@ __all__ = [
     "ScatteringSeries",
     "build_model",
     "interaction_hamiltonian",
+    "hamiltonian_blocks",
     "scattering_series",
     "self_adjoint_defect",
-    "GENERATORS",
-    "rotation_defect",
     "AmplitudeReport",
     "amplitude",
     "order_parity_check",
@@ -116,30 +117,67 @@ class ScatteringModel:
         return tuple(symmetry.orbits(perms) for perms in self.sector_permutations)
 
     @cached_property
+    def isotypic(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per sector pair (0, 1) and (2, 3), ``symmetry.adapted_basis`` on its orbits: the
+        (w, 24, 24) entries and their transposes over |K| (slot coordinates from an orbit's 24
+        row images).  Copy j of irrep rho on representative k is index b of (rho, b), each
+        sector's copies padded to the most of any irrep there, sector 2p's first: its rows
+        24 k + slot (rho, j, l) in slot coordinates and its place 3 k + j (-1 past d or on
+        padding); then the entries at the representatives [rho, k, j, l], as they are and
+        over d |K| / 24, the (2, 5) copies by sector and the two padded sizes."""
+        perms, sizes = self.sector_permutations, np.cumsum([0, *self.sector_dims])
+        entries, order, counts = symmetry.adapted_basis(np.hstack([p + o for p, o in zip(perms, sizes)]))
+        dims, bounds = np.array([len(d.T) for d in symmetry.irreps()]), np.cumsum([0, *(len(o[0]) for o in self.orbits)])
+        first = np.cumsum(dims * dims) - dims * dims  # each irrep's first slot
+        out = []
+        for lo, split, hi in (bounds[0:3], bounds[2:5]):
+            m, w = counts[:, lo:hi], hi - lo
+            copies = np.array([m[:, : split - lo].sum(axis=1), m[:, split - lo :].sum(axis=1)])
+            top, total = copies.max(axis=1, initial=0), m.sum(axis=1)
+            rho, k = np.repeat(np.arange(5), total), np.repeat(np.tile(np.arange(w), 5), m.ravel())
+            j = np.arange(len(k)) - np.repeat(np.cumsum(m.ravel()) - m.ravel(), m.ravel())
+            b = np.arange(len(k)) - (np.cumsum(total) - total)[rho] + (k >= split - lo) * (top[0] - copies[0, rho])
+            rows, places, l = np.full((5, top.sum(), 3), -1), np.full((5, top.sum()), -1), np.arange(3)
+            rows[rho, b] = np.where(l < dims[rho, None], (24 * k + first[rho] + dims[rho] * j)[:, None] + l, -1)
+            places[rho, b] = 3 * k + j
+            at = np.zeros((5, w, 3, 3))
+            for i, d in enumerate(dims):  # the entries at the representatives, [rho, k, j, l]
+                at[i, :, :d, :d] = entries[lo:hi, symmetry.index("I"), first[i] : first[i] + d * d].reshape(w, d, d)
+            weights, block = at * (24 / np.outer(dims, order[lo:hi]))[:, :, None, None], entries[lo:hi]
+            out.append((block, block.transpose(0, 2, 1) / order[lo:hi, None, None], rows, places, at, weights, copies, top))
+        return tuple(out)
+
+    @cached_property
     def _hamiltonian_terms(self) -> tuple:
-        """The terms of H(t)'s blocks 2P out of the even-sigma sectors, placed once: a pi
-        path X_q Y_r of :meth:`FockSpace.product_table` times a sigma ladder entry Z_u out
-        of an even-sigma state, worth g K[(X, Y, q, r), (Z, u)] times the two weights in
-        slice t, K the phase sums.  The sigma entries' (keys, weights, offsets per block)
-        and each P's paths' (keys, offsets, weights), int32 where they fit."""
+        """The terms of H(t)'s blocks 0 and 2 at the representative columns (a, b) of
+        sectors 0 and 2, placed once: a pi path X_q Y_r of :meth:`FockSpace.product_table`
+        out of pi state a times a sigma ladder entry Z_u out of sigma state b, worth
+        g K[(X, Y, q, r), (Z, u)] times the two weights in slice t, K the phase sums.  Per
+        block, the terms' flat keys into K, g times their weights, their entries in the
+        (rows x representatives) block and its shape."""
         pi, sigma = self.pi_space, self.sigma_space
         (pi_parity, pi_local), (sigma_parity, sigma_local) = _parity_split(pi), _parity_split(sigma)
         n_pi, n_sigma = np.bincount(pi_parity, minlength=2), np.bincount(sigma_parity, minlength=2)
-        widths = n_pi * n_sigma[0]  # the columns of blocks 0 and 2
-        index = np.int32 if max(widths * n_pi * n_sigma[1]) < 2**31 else np.int64
-
+        d, d_sigma = len(pi.hyperboloid), len(sigma.hyperboloid)
         (u, rows, cols, weight), z = _joined([sigma.ladder_entries[role] for role in _ROLES])
         even = sigma_parity[cols] == 0
-        rows, cols = sigma_local[rows[even]], sigma_local[cols[even]]
-        offsets = [(rows * width + cols).astype(index) for width in widths]
-        sigma_terms = ((z * len(sigma.hyperboloid) + u)[even], weight[even], offsets)
-
-        d = len(pi.hyperboloid)
+        sigma_key, sigma_weight, sigma_row = (z * d_sigma + u)[even], weight[even], sigma_local[rows[even]]
+        sigma_col = sigma_local[cols[even]]
         (rows, cols, q, r, weight), xy = _joined([pi.product_table(x, y) for x in _ROLES for y in _ROLES])
-        parity = pi_parity[cols]
-        keys = ((xy * d + q) * d + r).astype(index)
-        offsets = (pi_local[rows] * n_sigma[1] * widths[parity] + pi_local[cols] * n_sigma[0]).astype(index)
-        return sigma_terms, [(keys[parity == p], offsets[parity == p], weight[parity == p]) for p in (0, 1)]
+        terms = []
+        for p in (0, 1):
+            reps = self.orbits[2 * p][0]
+            place = np.full(n_pi[p] * n_sigma[0], -1)
+            place[reps] = np.arange(len(reps))
+            mine = np.flatnonzero(pi_parity[cols] == p)
+            column = place[pi_local[cols[mine]][:, None] * n_sigma[0] + sigma_col]  # -1 off the representatives
+            path, entry = np.nonzero(column >= 0)
+            rep, path = column[path, entry], mine[path]
+            keys = ((xy * d + q) * d + r)[path] * (2 * d_sigma) + sigma_key[entry]
+            at = (pi_local[rows[path]] * n_sigma[1] + sigma_row[entry]) * len(reps) + rep
+            weights = (self.cfg.coupling * sigma_weight[entry]) * weight[path]
+            terms.append((keys, weights, at, (n_pi[p] * n_sigma[1], len(reps))))
+        return tuple(terms)
 
 
 def _fixed_states(h: Hyperboloid, cap: int) -> list[tuple[int, int]]:
@@ -160,19 +198,6 @@ def _fixed_states(h: Hyperboloid, cap: int) -> list[tuple[int, int]]:
     return fixed
 
 
-def _two_step_paths(d: int, cap: int) -> int:
-    """Entries of the four ``FockSpace.product_table`` tables over d points.  Out of the C(n)
-    states of n particles, lowering twice or lowering then raising gives d^2 C(n - 2) and
-    d^2 C(n - 1); raising then lowering sums the squared supports of n + 1, d C(n) + d (d - 1)
-    C(n - 1); raising twice d^2 C(n)."""
-    states = [0, 0] + [math.comb(d + n - 1, n) for n in range(cap + 1)]  # C(n) at n + 2
-    return sum(
-        d * d * (states[n] + states[n + 1]) + (n < cap) * (d * states[n + 2] + d * (d - 1) * states[n + 1])
-        + (n < cap - 1) * d * d * states[n + 2]
-        for n in range(cap + 1)
-    )
-
-
 def _parity_split(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     """Each basis state's particle-number parity, and its index among the states of that parity."""
     parity = np.repeat(np.arange(space.n_max + 1) % 2, np.diff(space.offsets))
@@ -184,27 +209,30 @@ def _parity_split(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
 
 def build_model(cfg: InteractionConfig) -> ScatteringModel:
     """The model, or a ``ValueError`` before any sector exists when the series would
-    outgrow physical memory.  Its traced peak stays below the held items (n // 2 + n + 2
-    per orbit of s, |s| + |s ^ 1| rows each), the larger of a step (one H(t), sum |s|
-    |s ^ 1| complex entries, beside the items' products with it) and one unitarity check,
-    the larger of one more H(t) (building and measuring one) and numpy's ufunc buffer
-    (a broadcast operation's), 51 int64 per state, 24 per Fock state and 16 bytes per H
-    term, within one H(t); orbits by Burnside."""
+    outgrow physical memory.  Irrep rho has sum_g chi_rho(g) fix_s(g) / 24 copies in sector
+    s, fix_s(g) the states g fixes; a sector pair's stacks are padded to N, the most copies
+    of any irrep in each of its sectors, over W orbits.  The traced peak stays below the held
+    items (n // 2 + n + 2 items of 5 N^2 per pair), a step's chunk of their products, one
+    unitarity check (15 N^2 for S^T, its conjugate and the Gram, 5 N (3 W + 1) placed and
+    10 W N spread in slot coordinates, 60 W^2 + 577 W read back) and two ufunc buffers,
+    plus 64 int64 per state, 24 per Fock state and 1200 per orbit."""
     cfg.validate()
     # the spaces are lazy: building them first only checks that neither hyperboloid is empty
     pi_space = fock_space(hyperboloid(cfg.pi_mass_sq, cfg.energy_cap), cfg.pi_particle_cap)
     sigma_space = fock_space(hyperboloid(cfg.sigma_mass_sq, cfg.energy_cap), cfg.sigma_particle_cap)
     pi_h, sigma_h = pi_space.hyperboloid, sigma_space.hyperboloid
     pi, sigma = _fixed_states(pi_h, cfg.pi_particle_cap), _fixed_states(sigma_h, cfg.sigma_particle_cap)
-    dims = [a * b for a in pi[0] for b in sigma[0]]  # Python integers, which cannot overflow
-    w = [sum(f[p] * e[q] for f, e in zip(pi, sigma)) // 24 for p in (0, 1) for q in (0, 1)]
-    m, n = [dims[s] + dims[s ^ 1] for s in range(4)], cfg.horizon
-    held = (n // 2 + n + 2) * sum(a * b for a, b in zip(m, w))
-    gram = max(24 * w[s] * (m[s] + w[s] + w[s ^ 1]) + 2 * m[s] * (w[s] + w[s ^ 1]) for s in range(4))
-    h = sum(dims[s] * dims[s ^ 1] for s in range(4))
-    entries = held + max(h + held, gram) + max(h, np.getbufsize())
-    indices = 51 * sum(dims) + 24 * (sum(pi[0]) + sum(sigma[0]))
-    need = 16 * (entries + _two_step_paths(len(pi_h), cfg.pi_particle_cap)) + 8 * indices
+    fixed = [[f[p] * e[q] for f, e in zip(pi, sigma)] for p in (0, 1) for q in (0, 1)]  # Python integers
+    characters = [np.rint(np.trace(d, axis1=1, axis2=2)).astype(np.int64).tolist() for d in symmetry.irreps()]
+    copies = [[sum(c * f for c, f in zip(chi, fix)) // 24 for fix in fixed] for chi in characters]
+    top = [max(c[s] for c in copies) for s in range(4)]
+    pairs = [(top[s] + top[s + 1], copies[0][s] + copies[0][s + 1]) for s in (0, 2)]  # N, W
+    item, count = 5 * sum(x * x for x, _ in pairs), cfg.horizon // 2 + cfg.horizon + 2
+    products = item * min(count, max(1, _STEP_ENTRIES // item))  # one chunk's
+    check = max(15 * x * x + 10 * (3 * w + 1) * x + 60 * w * w + 577 * w for x, w in pairs)
+    entries = item * count + products + check + 2 * np.getbufsize()
+    dims = [fix[0] for fix in fixed]
+    need = 16 * entries + 8 * (64 * sum(dims) + 24 * (sum(pi[0]) + sum(sigma[0])) + 1200 * sum(copies[0]))
     require_memory(need, f"the scattering series at D = {sum(dims)}")
     return ScatteringModel(cfg=cfg, pi_space=pi_space, sigma_space=sigma_space)
 
@@ -214,40 +242,67 @@ def _joined(tables) -> tuple[list[np.ndarray], np.ndarray]:
     return [np.concatenate(c) for c in zip(*tables)], np.repeat(np.arange(len(tables)), [len(t[0]) for t in tables])
 
 
-def interaction_hamiltonian(model: ScatteringModel, t: int) -> tuple[np.ndarray, ...]:
-    """g (pi field)^2 (x) (sigma field), summed over the window slice, as its four blocks
-    (block s maps sector s to s ^ 1).  With pi_x = sum of c^X_q(x) X_q over roles X and
-    points q, and sigma_x alike, H(t) = g sum of K[X, Y, q, r, Z, u] X_q Y_r (x) Z_u,
-    where the slice's phase sums K are one ``einsum``; a block is one gather of K and one
-    ``bincount`` per part.  Only the blocks C out of sectors 0 and 2 are summed, and C^H
-    is returned for the blocks back: H is exactly self-adjoint by construction."""
-    cfg = model.cfg
-    rows = _window_rows(cfg, t)
+def interaction_hamiltonian(model: ScatteringModel, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """g (pi field)^2 (x) (sigma field), summed over the window slice, at the representative
+    columns of sectors 0 and 2: blocks 0 and 2 (from sector s to s + 1) at those columns.
+    With pi_x = sum of c^X_q(x) X_q over roles X and points q, and sigma_x alike,
+    H(t) = g sum of K[X, Y, q, r, Z, u] X_q Y_r (x) Z_u, where the slice's phase sums K are
+    one ``einsum``; a block is one gather of K and one ``bincount`` per part."""
+    rows = _window_rows(model.cfg, t)
     # (2, W, d): each point's lowering and raising coefficients e^{-ip.x}, e^{ip.x} per window row
     phases = (_phases(space.hyperboloid, rows) for space in (model.pi_space, model.sigma_space))
     pi_c, sigma_c = (np.stack([p.conj(), p]) for p in phases)
-    d, d_sigma = pi_c.shape[2], sigma_c.shape[2]
-    phase_sums = np.einsum("axq,bxr,zxu->abqrzu", pi_c, pi_c, sigma_c).reshape(4 * d * d, 2 * d_sigma)
-    (sigma_keys, sigma_weights, sigma_offsets), paths = model._hamiltonian_terms
-    phase_sums = phase_sums[:, sigma_keys] * (cfg.coupling * sigma_weights)
-    dims = model.sector_dims
-    blocks = []
-    for p, (keys, offsets, weights) in enumerate(paths):
-        terms = phase_sums[keys] * weights[:, None]
-        at = (offsets[:, None] + sigma_offsets[p]).ravel()
-        c = np.empty(dims[2 * p + 1] * dims[2 * p], dtype=complex)
-        c.real = np.bincount(at, terms.real.ravel(), len(c))
-        c.imag = np.bincount(at, terms.imag.ravel(), len(c))
-        c = c.reshape(dims[2 * p + 1], dims[2 * p])
-        blocks += [c, c.conj().T]
-    return tuple(blocks)
+    phase_sums = np.einsum("axq,bxr,zxu->abqrzu", pi_c, pi_c, sigma_c).ravel()
+    columns = []
+    for keys, weights, at, shape in model._hamiltonian_terms:
+        terms = phase_sums[keys] * weights
+        c = np.empty(shape[0] * shape[1], dtype=complex)
+        c.real = np.bincount(at, terms.real, len(c))
+        c.imag = np.bincount(at, terms.imag, len(c))
+        columns.append(c.reshape(shape))
+    return tuple(columns)
+
+
+def _spread(x: np.ndarray, places: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """(rho, b, l, k): the sum over the columns of x[rho] placed on representative k of
+    x[rho, b, column] times row l of the column's basis entries at k: the slot coordinates
+    of the representative columns of the operator whose padded blocks x are."""
+    padded = np.zeros((5, 3 * at.shape[1] + 1, x.shape[1]), dtype=complex)
+    padded[np.arange(5)[:, None], places] = x.transpose(0, 2, 1)  # padding to the last row
+    return (at.transpose(0, 1, 3, 2) @ padded[:, :-1].reshape(5, at.shape[1], 3, x.shape[1])).transpose(0, 3, 2, 1)
+
+
+def hamiltonian_blocks(model: ScatteringModel, columns) -> tuple[tuple[np.ndarray, ...], float]:
+    """H's multiplicity blocks A_rho = B_rho^H H B_rho from its representative columns: block
+    s is the (5, ., .) stack of the irreps' blocks from sector s to s ^ 1, zero-padded, and
+    blocks 1 and 3 are the conjugate transposes of 0 and 2, so H is exactly self-adjoint by
+    construction.  H[:, g.r] = P_g H[:, r], so the representative columns in slot
+    coordinates (one product with each orbit's 24 row images) hold B_rho's vectors of every
+    row l, and A_rho weighs their rows.  Also the leakage: the largest slot coordinate of the
+    columns that the blocks do not give back, rounding when H commutes with every P_g."""
+    blocks, leakage = [np.empty(0)] * 4, []
+    for p, h in enumerate(columns):
+        entries, inverse, rows, places, at, weights, _, top = model.isotypic[p]
+        w, split = len(entries), len(model.orbits[2 * p][0])
+        rows, places = rows[:, top[0] :], places[:, : top[0]]  # sector 2p + 1's rows, 2p's columns
+        images = h[model.sector_permutations[2 * p + 1][:, model.orbits[2 * p + 1][0]]].transpose(1, 0, 2)
+        slots = np.zeros((24 * w + 1, split), dtype=complex)  # padding reads the last row
+        slots[24 * split : 24 * w] = (inverse[split:] @ images).reshape(24 * (w - split), split)
+        x = np.zeros((5, split + 1, top[1], 3), dtype=complex)  # [rho, k, b, j], padding reads k = split
+        x[:, :split] = slots[rows].transpose(0, 3, 1, 2) @ weights[:, :split].transpose(0, 1, 3, 2)
+        a = x[np.arange(5)[:, None], places // 3, :, places % 3].transpose(0, 2, 1)
+        rebuilt = np.zeros_like(slots)
+        rebuilt[rows] = _spread(a, places, at[:, :split])
+        leakage.append(_max_abs([slots - rebuilt]))
+        blocks[2 * p], blocks[2 * p + 1] = a, a.conj().transpose(0, 2, 1)
+    return tuple(blocks), _max_abs(leakage)
 
 
 @dataclass(frozen=True)
 class ScatteringSeries:
     """The orders, S(n) as its (even, odd) parts, max|S(n)|, the defects, and H(0..n-1)'s
-    self-adjoint and rotation defects and max|H|, each taken before the next H(t) is built;
-    block s of order k: the rows of sector s ^ (k mod 2) at sector s's representatives."""
+    self-adjoint defect, leakage and max|H|, each taken before the next H(t) is built;
+    block s of order k: the padded stack of its irreps' blocks from sector s to s ^ (k mod 2)."""
 
     final: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
     final_orders: tuple[tuple[np.ndarray, ...], ...]
@@ -266,102 +321,105 @@ def _max_abs(blocks) -> float:
     return float(np.max([np.max(np.abs(b), initial=0.0) for b in blocks], initial=0.0))
 
 
+def _standard_max(model: ScatteringModel, p: int, x: np.ndarray) -> float:
+    """max|X| in the tensor basis of sector pair p for the X whose padded blocks x are: X
+    commutes with every P_g, so its largest entry lies in its representative columns,
+    read back from slot coordinates onto each orbit's 24 row images."""
+    entries, _, rows, places, at, *_ = model.isotypic[p]
+    slots = np.zeros((24 * len(entries) + 1, len(entries)), dtype=complex)  # padding writes the last row
+    slots[rows] = _spread(x, places, at)
+    return _max_abs([entries @ slots[:-1].reshape(len(entries), 24, len(entries))])
+
+
+# Complex entries (64 MiB) of step products at a time: a step multiplies its items in chunks
+# of at most this many product entries, unless one item alone holds more.
+_STEP_ENTRIES = 1 << 22
+
+
+def _items_before(n: int, t: int) -> int:
+    """Of each column's items, the n + 1 chains and the orders up to t, the prefix that can be
+    nonzero before step t: the step's products of the others would add exact zeros."""
+    return n + 2 + t // 2
+
+
 def scattering_series(model: ScatteringModel) -> ScatteringSeries:
     """S, its orders and chains j = 0..n, the products of (I + i w_j H(t)), w_j = exp(2 pi
-    i j / (n + 1)), in one loop.  Row sector r holds, one row per representative column,
-    the items of column sector r (even orders, chains' even parts) and r ^ 1 (odd orders,
-    odd parts), so a step is one product with H(t)'s block r per sector; order k gains
-    i H(t) times order k - 1 and chain j i w_j H(t) times itself.  Chain 0 is S.  Chain j
-    must be the sum of w_j^k times order k: ``order_sum_defect`` is the worst entry off
-    at w = 1 and ``rotated_coupling_defect`` at the other roots, which bounds every order.
-    Each H(t) is built, measured and multiplied in, and dropped before the next is built."""
-    n, dims = model.cfg.horizon, model.sector_dims
-    width = [len(orbit[0]) for orbit in model.orbits]
+    i j / (n + 1)), in one loop on the multiplicity blocks.  Row sector r holds, per irrep
+    and one row per copy in its sector pair (sector 2p's first), the chains (chain 0 is S)
+    and then the orders: column sector r's even ones and r ^ 1's odd ones, so a step is one
+    stacked product with H(t)'s block per sector.  Order k gains i H(t) times order k - 1
+    and chain j i w_j H(t) times itself; step t multiplies only the items up to order t,
+    those above are still zero.  Chain j must be the sum of w_j^k times order k:
+    ``order_sum_defect`` is the worst block entry off at w = 1 and
+    ``rotated_coupling_defect`` at the other roots, which bounds every order.  Each H(t)
+    is built, measured and multiplied in, and dropped before the next is built."""
+    n = model.cfg.horizon
     half = n // 2 + 1  # orders 0, 2, ..., 2 half - 2 and 1, 3, ..., 2 half - 1
-    count = half + n + 1  # items per column sector
+    count = n + 1 + half  # items per column
     roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    scale = 1j * np.concatenate([np.ones(half), roots])[:, None, None]
+    scale = 1j * np.concatenate([roots, np.ones(half)])[:, None, None]
+    parts = [(slice(0, top[0]), slice(top[0], top.sum())) for *_, top in model.isotypic]
+    copies = [rows[:, :, 0] >= 0 for _, _, rows, *_ in model.isotypic]  # (5, pair size) each, no padding
+    held = []
+    for r in range(4):
+        p, part = r // 2, parts[r // 2][r % 2]
+        held.append(np.zeros((count, 5, copies[p].shape[1], part.stop - part.start), dtype=complex))
+        held[r][: n + 2, :, part] = np.eye(part.stop - part.start) * copies[p][:, None, part]  # I
 
-    def items(held: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:  # (item, column, row) views
-        cut, rows = count * width[r], held.shape[1]
-        return held[:cut].reshape(count, width[r], rows), held[cut:].reshape(count, width[r ^ 1], rows)
+    def step(h, pre: int) -> None:
+        size = max(1, _STEP_ENTRIES // sum(x[0].size for x in held))  # items a chunk multiplies
+        for stop in range(pre, 0, -size):  # top chunk first: each adds only into items it or an earlier one read
+            start = max(stop - size, 0)
+            products = [x[start:stop] @ a.transpose(0, 2, 1) for x, a in zip(held, h)]
+            chains, orders = max(start, min(stop, n + 1)), (max(start, n + 1), min(stop, count - 1))
+            for r, product in enumerate(products):
+                to, (even, odd) = held[r ^ 1], (parts[r // 2][i] for i in (r % 2, 1 - r % 2))
+                product *= scale[start:stop, None]
+                to[start:stop, :, even] += product[:, :, even]  # order 2i to 2i + 1, a chain's even part to its odd
+                to[start:chains, :, odd] += product[: chains - start, :, odd]
+                to[orders[0] + 1 : orders[1] + 1, :, odd] += product[orders[0] - start : orders[1] - start, :, odd]
 
-    def step(h) -> None:
-        for r, product in enumerate([held[r] @ h[r].T for r in range(4)]):
-            even, odd = items(product, r)
-            even *= scale
-            odd *= scale
-            to_even, to_odd = parts[r ^ 1]  # column sectors r ^ 1 and r
-            to_odd += even  # order 2i to 2i + 1, each chain's even part to its odd part
-            to_even[1:half] += odd[: half - 1]  # order 2i + 1 to 2i + 2
-            to_even[half:] += odd[half:]
+    def pair_max(p: int, gram: bool) -> float:  # max|S^H S - I| or max|S| on sector pair p
+        z = np.concatenate([held[2 * p][0], held[2 * p + 1][0]], axis=2)  # S^T
+        if not gram:
+            return _standard_max(model, p, z.transpose(0, 2, 1))
+        product = z.conj() @ z.transpose(0, 2, 1)
+        product.reshape(5, -1)[:, :: len(z[0]) + 1] -= copies[p]
+        return _standard_max(model, p, product)
 
-    held = [np.zeros((count * (width[r] + width[r ^ 1]), dims[r]), dtype=complex) for r in range(4)]
-    parts = [items(held[r], r) for r in range(4)]
-    for (reps, _, _), (even, _) in zip(model.orbits, parts):  # order 0 and the chains start as I
-        even[np.r_[0, half:count][:, None], np.arange(len(reps)), reps] = 1
-    columns = [[part[half] for part in pair] for pair in parts]  # S, chain 0
-    defects, measured = [_unitarity_defect(model, columns)], []
+    defects, measured = [_max_abs([pair_max(p, True) for p in (0, 1)])], []
     for t in range(n):
-        h = interaction_hamiltonian(model, t)
-        measured.append((self_adjoint_defect(h), rotation_defect(model, h), _max_abs(h[0::2])))
-        step(h)
+        columns = interaction_hamiltonian(model, t)
+        h, leakage = hamiltonian_blocks(model, columns)
+        measured.append((self_adjoint_defect(h), leakage, _max_abs(columns)))
+        del columns
+        step(h, _items_before(n, t))
         del h  # the unitarity check and the next build run without it
-        defects.append(_unitarity_defect(model, columns))
+        defects.append(_max_abs([pair_max(p, True) for p in (0, 1)]))
     worst = []  # per item, the worst entry off at each root
-    for first, part in (item for pair in parts for item in enumerate(pair)):
-        powers = roots[:, None] ** np.arange(first, 2 * half, 2)  # powers of the rounded w
-        gap = part[half:] - np.einsum("jk,kcx->jcx", powers, part[:half])
-        worst.append(np.max(np.abs(gap), axis=(1, 2), initial=0.0))
+    for r, x in enumerate(held):
+        for first, part in enumerate(parts[r // 2][i] for i in (r % 2, 1 - r % 2)):
+            powers = roots[:, None] ** np.arange(first, 2 * half, 2)  # powers of the rounded w
+            gap = x[: n + 1, :, part] - np.einsum("jk,krcx->jrcx", powers, x[n + 1 :, :, part])
+            worst.append(np.max(np.abs(gap), axis=(1, 2, 3), initial=0.0))
 
     def blocks(k: int, item: int) -> tuple[np.ndarray, ...]:
-        return tuple(parts[s ^ k % 2][k % 2][item].T for s in range(4))
+        return tuple(held[s ^ k % 2][item, :, parts[s // 2][s % 2]].transpose(0, 2, 1) for s in range(4))
 
-    final = (blocks(0, half), blocks(1, half))
     worst = np.max(worst, axis=0)  # per root, NaN when an item's is
     adjoint, rotation, largest = np.max(np.reshape(measured, (-1, 3)), axis=0, initial=0.0).tolist()
     return ScatteringSeries(
-        final=final, final_orders=tuple(blocks(k, k // 2) for k in range(n + 1)),
-        final_max_abs=_max_abs([*final[0], *final[1]]), rotated_coupling_defect=_max_abs(worst[1:]),
+        final=(blocks(0, 0), blocks(1, 0)), final_orders=tuple(blocks(k, n + 1 + k // 2) for k in range(n + 1)),
+        final_max_abs=_max_abs([pair_max(p, False) for p in (0, 1)]), rotated_coupling_defect=_max_abs(worst[1:]),
         order_sum_defect=float(worst[0]), unitarity_defects=tuple(defects),
         hamiltonian_adjoint_defect=adjoint, hamiltonian_rotation_defect=rotation, hamiltonian_max_abs=largest,
     )
 
 
-def _unitarity_defect(model: ScatteringModel, columns) -> float:
-    """max|S^H S - I| from S's columns in each row sector r (sector r's, then r ^ 1's):
-    per column sector, one gather by the 24 row permutations and one product give every
-    (S^H S)[g.a, b] = <P_g S e_a, S e_b>, less 1 where g.a = b, i.e. g fixes a = b."""
-    dims, orbits, worst = model.sector_dims, model.orbits, []
-    for s in (0, 2):
-        perms = np.concatenate([model.sector_permutations[s], model.sector_permutations[s + 1] + dims[s]], axis=1)
-        reps = np.concatenate([orbits[s][0], orbits[s + 1][0] + dims[s]])
-        (e0, o0), (e1, o1) = columns[s], columns[s + 1]
-        z = np.block([[e0, o1], [o0, e1]])  # columns of sectors s, s + 1 on the rows of both
-        for lo, hi in ((0, len(orbits[s][0])), (len(orbits[s][0]), len(reps))):
-            g, j = np.nonzero(perms[:, reps[lo:hi]] == reps[lo:hi])
-            gram = z[lo:hi].take(perms, axis=1).reshape(24 * (hi - lo), len(z.T)) @ z.conj().T  # [b, g, a]
-            gram.reshape(-1)[(j * 24 + g) * len(reps) + lo + j] -= 1
-            worst.append(_max_abs([gram]))
-    return _max_abs(worst)
-
-
-def self_adjoint_defect(h: tuple[np.ndarray, ...]) -> float:
-    """Worst |H - H^H| entry of one H(t), blocks 0 and 2 against the adjoints of 1 and 3
+def self_adjoint_defect(h) -> float:
+    """Worst |H - H^H| entry of one H(t)'s blocks, 0 and 2 against the adjoints of 1 and 3
     (the reverse pairs are the same differences); 0.0 by construction."""
-    return _max_abs(h[s] - h[s ^ 1].conj().T for s in (0, 2))
-
-
-GENERATORS = ("A", "M")  # generate G: what commutes with both P_g commutes with all 24
-
-
-def rotation_defect(model: ScatteringModel, h: tuple[np.ndarray, ...]) -> float:
-    """Worst |P_g H P_g^T - H| entry of one H(t) for g in ``GENERATORS``, over blocks 0 and
-    2, whose adjoints are 1 and 3.  Rounding-level, not zero: a term and its image add into
-    their entries in different orders."""
-    perms = model.sector_permutations
-    images = [[p[symmetry.index(label)] for p in perms] for label in GENERATORS]
-    return _max_abs(h[s][np.ix_(p[s + 1], p[s])] - h[s] for p in images for s in (0, 2))
+    return _max_abs(h[s] - h[s ^ 1].conj().transpose(0, 2, 1) for s in (0, 2))
 
 
 @dataclass(frozen=True)
@@ -378,17 +436,23 @@ def amplitude(
     """<out| S |in> for two-particle states of the first species, each given by two
     pi-hyperboloid point indices (the caller keeps them on the hyperboloid), read from
     ``series``.  Each state is one tensor basis state of sector 0, its pi pair's rank with
-    the sigma vacuum (index 0): |in> = e_{g.r}, so S|in> = P_g S e_r, paired with <out| at
-    the rows g maps onto it in each row sector (none in sector 1)."""
+    the sigma vacuum (index 0): |in> = e_{g.r}, so <out| X |in> = X[g^-1.out, r] for every
+    G-invariant X, the basis entries at g^-1.out and at r paired through X's blocks; odd
+    orders map sector 0 to sector 1, where <out| has no rows, and read 0 (NaN beside one)."""
     pi, n_sigma = model.pi_space, model.sigma_space.dim
     index_in, index_out = (pi.rank(2, np.sort([pair], axis=1))[0] * n_sigma for pair in (incoming, outgoing))
     reps, element, rep = model.orbits[0]
-    local = np.searchsorted(model.sectors[0], index_in)
-    g, column = element[local], np.searchsorted(reps, rep[local])
-    out_rows = [model.sectors[p][model.sector_permutations[p][g]] == index_out for p in (0, 1)]
+    local_in, local_out = np.searchsorted(model.sectors[0], [index_in, index_out])
+    row = np.argmax(model.sector_permutations[0][element[local_in]] == local_out)
+    k_in, k_out = np.searchsorted(reps, [rep[local_in], rep[row]])
+    entries, _, rows, places, at, *_, top = model.isotypic[0]
+    rows, places = rows[:, : top[0]], places[:, : top[0]]
+    left = np.where(rows // 24 == k_out, entries[k_out, element[row]][rows % 24], 0.0)
+    right = np.where((places // 3 == k_in)[..., None], np.take_along_axis(at.reshape(5, -1, 3), places[..., None], 1), 0.0)
+    weights = left @ right.transpose(0, 2, 1)  # <out| X |in> = sum of weights * X's padded blocks from sector 0 to 0
 
     def bracket(blocks, parity: int) -> complex:
-        return complex(0.0 + np.vdot(out_rows[parity], blocks[0][:, column]))
+        return complex(0.0 + np.vdot(np.zeros(blocks[0].shape) if parity else weights, blocks[0]))
 
     per_order = tuple(bracket(order, k % 2) for k, order in enumerate(series.final_orders))
     total = bracket(series.final[0], 0) + bracket(series.final[1], 1)

@@ -17,6 +17,7 @@ fields.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -37,6 +38,8 @@ __all__ = [
     "table_diff_vs_printed",
     "generate_from",
     "orbits",
+    "irreps",
+    "adapted_basis",
     "verify_subgroups",
     "pairwise_generators",
     "no_boost_search",
@@ -162,6 +165,49 @@ def orbits(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rep = perms.min(axis=0)
     element = np.argmax(perms[:, rep] == indices, axis=0)
     return np.flatnonzero(rep == indices), element, rep
+
+
+@functools.cache
+def irreps() -> tuple[np.ndarray, ...]:
+    """G = S4's five irreducible representations as real orthogonal (24, d, d) stacks, built
+    on first use: trivial; sign, +1 on the squares (the even permutations); 2, through G -> S3,
+    G conjugating its class of three involutions, on the plane orthogonal to (1, 1, 1);
+    3 = 3' (x) sign; and 3', the rotations ``representations.CAL_U``."""
+    from .representations import CAL_U  # which imports this module
+
+    sign = np.where(np.isin(np.arange(24), np.diagonal(PRODUCT_INDEX)), 1.0, -1.0)
+    inverse = np.argmax(PRODUCT_INDEX == _IDENTITY, axis=1)
+    conjugates = np.sort(PRODUCT_INDEX[PRODUCT_INDEX, inverse[:, None]], axis=0)  # column g: h g h^-1
+    involutions = np.flatnonzero((np.diff(conjugates, axis=0) != 0).sum(axis=0) == 2)
+    moved = np.searchsorted(involutions, PRODUCT_INDEX[PRODUCT_INDEX[:, involutions], inverse[:, None]])
+    plane = np.linalg.qr(np.eye(3)[:, :2] - 1 / 3)[0]
+    two = plane.T @ np.eye(3)[moved].transpose(0, 2, 1) @ plane
+    out = np.ones((24, 1, 1)), sign[:, None, None], two, sign[:, None, None] * CAL_U, CAL_U
+    for d in out:  # every caller shares them
+        d.flags.writeable = False
+    return out
+
+
+def adapted_basis(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An orthonormal basis adapted to ``irreps()`` of the permutation representation whose
+    row g sends i to ``perms[g, i]``, orbit by orbit: irrep rho (dimension d) appears m =
+    <chi_rho on K, 1> times on the orbit of r with stabilizer K (Frobenius reciprocity), and
+    m orthonormal u_j spanning sum_K D(h) / |K| give row l of copy j, sqrt(d |K| / 24)
+    (D(g) u_j)_l at state g.r.  Returns the (w, 24, 24) entries, [k, g, slot] at state
+    ``perms[g, r_k]`` for the representatives r_k of ``orbits``, slot (rho, j, l) at d j + l
+    past each earlier irrep's d^2 (zero for j >= m); the orders |K|; and the (5, w) m."""
+    reps = orbits(perms)[0]
+    fixed = perms[:, reps] == reps
+    order, dims, stack = fixed.sum(axis=0), np.array([len(d.T) for d in irreps()]), np.zeros((5, 24, 3, 3))
+    for i, d in enumerate(irreps()):  # zero-padded to 3 x 3
+        stack[i, :, : len(d.T), : len(d.T)] = d
+    counts = np.rint(np.trace(stack, axis1=2, axis2=3)).astype(np.int64) @ fixed // order
+    averages = (fixed.T @ stack.reshape(5, 24, 9)).reshape(5, -1, 3, 3) / order[:, None, None]
+    u = np.linalg.eigh(averages)[1][..., ::-1] * (np.arange(3) < counts[..., None])[..., None, :]  # eigenvalue 1
+    entries = (stack.reshape(5, 1, 72, 3) @ u).reshape(5, -1, 24, 3, 3).transpose(1, 2, 0, 4, 3)
+    entries = entries * np.sqrt(np.outer(order, dims) / 24)[:, None, :, None, None]
+    slots = [9 * i + 3 * j + l for i, d in enumerate(dims) for j in range(d) for l in range(d)]
+    return entries.reshape(len(reps), 24, 45)[:, :, slots], order, counts
 
 
 def _is_subgroup(labels: tuple[str, ...]) -> dict:

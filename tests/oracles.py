@@ -10,8 +10,10 @@ closed-form pair counts, the sweep over every sum of two balls against the
 positive-definiteness certificate, set comparisons against integer matrices,
 explicit step products and the 2^n sum over decreasing time tuples against the step
 recursion and its orders checked on the coupling circle, the dense
-Hamiltonian and step loop and the whole parity-block series against the
-series on orbit representative columns, the
+Hamiltonian and step loop, the whole parity-block series and the series on
+orbit representative columns (with its unitarity gather by the 24 row
+permutations) against the series on the isotypic blocks, made dense through
+the adapted basis, the
 dense xi matrix, dense matrix products and the dense commutator against the
 Fock layer's ladder entries and bracket tables, a per-call ladder-map scan
 against the cached entries, the scalar phase against the phase rows,
@@ -65,15 +67,8 @@ from causet_qft.lattice import (
 )
 from causet_qft.momentum import Hyperboloid, attainable_spatial_norms
 from causet_qft.representations import _canonicalize, _principal_angle, _solve_spinor
-from causet_qft.scattering import (
-    GENERATORS,
-    InteractionConfig,
-    ScatteringModel,
-    ScatteringSeries,
-    _max_abs,
-    _window_rows,
-)
-from causet_qft.scattering import interaction_hamiltonian as block_hamiltonian
+from causet_qft.scattering import InteractionConfig, ScatteringModel, ScatteringSeries, _max_abs, _window_rows
+from causet_qft.scattering import interaction_hamiltonian as library_columns
 from causet_qft.symmetry import PRODUCT_INDEX, BoostCertificate, GroupTable
 
 
@@ -1013,7 +1008,7 @@ def graded_series(model: ScatteringModel) -> ScatteringSeries:
     of w^k times order k.  Block s of every operator holds all of sector s's columns."""
     n = model.cfg.horizon
     dims = model.sector_dims
-    hams = [block_hamiltonian(model, t) for t in range(n)]
+    hams = [parity_hamiltonian(model, t) for t in range(n)]
 
     def zeros(parity: int) -> list[np.ndarray]:
         return [np.zeros((dims[s ^ parity], dims[s]), dtype=complex) for s in range(4)]
@@ -1068,6 +1063,140 @@ def expand(model: ScatteringModel, blocks, parity: int) -> list[np.ndarray]:
         full = np.empty((model.sector_dims[s ^ parity], model.sector_dims[s]), dtype=complex)
         full[rows.T, np.arange(len(rep))] = block[:, np.searchsorted(reps, rep)]
         out.append(full)
+    return out
+
+
+GENERATORS = ("A", "M")  # generate G: what commutes with both P_g commutes with all 24
+
+
+def parity_hamiltonian(model: ScatteringModel, t: int) -> list[np.ndarray]:
+    """H(t)'s four parity blocks (block s from sector s to s ^ 1): blocks 0 and 2 from the
+    library's representative columns, the column at g.r being P_g times the one at r, and
+    blocks 1 and 3 their adjoints."""
+    blocks = []
+    for s, column in zip((0, 2), library_columns(model, t)):
+        reps, element, rep = model.orbits[s]
+        full = np.empty((model.sector_dims[s + 1], model.sector_dims[s]), dtype=complex)
+        full[model.sector_permutations[s + 1][element].T, np.arange(len(rep))] = column[:, np.searchsorted(reps, rep)]
+        blocks += [full, full.conj().T]
+    return blocks
+
+
+def orbit_series(model: ScatteringModel) -> ScatteringSeries:
+    """The series on G-orbit representative columns, as the library built it before the
+    isotypic blocks: S, its orders and chains j = 0..n, the products of (I + i w_j H(t)), w_j = exp(2 pi
+    i j / (n + 1)), in one loop.  Row sector r holds, one row per representative column,
+    the items of column sector r (even orders, chains' even parts) and r ^ 1 (odd orders,
+    odd parts), so a step is one product with H(t)'s block r per sector; order k gains
+    i H(t) times order k - 1 and chain j i w_j H(t) times itself.  Chain 0 is S.  Chain j
+    must be the sum of w_j^k times order k: ``order_sum_defect`` is the worst entry off
+    at w = 1 and ``rotated_coupling_defect`` at the other roots, which bounds every order.
+    Each H(t) is built, measured and multiplied in, and dropped before the next is built."""
+    n, dims = model.cfg.horizon, model.sector_dims
+    width = [len(orbit[0]) for orbit in model.orbits]
+    half = n // 2 + 1  # orders 0, 2, ..., 2 half - 2 and 1, 3, ..., 2 half - 1
+    count = half + n + 1  # items per column sector
+    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    scale = 1j * np.concatenate([np.ones(half), roots])[:, None, None]
+
+    def items(held: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:  # (item, column, row) views
+        cut, rows = count * width[r], held.shape[1]
+        return held[:cut].reshape(count, width[r], rows), held[cut:].reshape(count, width[r ^ 1], rows)
+
+    def step(h) -> None:
+        for r, product in enumerate([held[r] @ h[r].T for r in range(4)]):
+            even, odd = items(product, r)
+            even *= scale
+            odd *= scale
+            to_even, to_odd = parts[r ^ 1]  # column sectors r ^ 1 and r
+            to_odd += even  # order 2i to 2i + 1, each chain's even part to its odd part
+            to_even[1:half] += odd[: half - 1]  # order 2i + 1 to 2i + 2
+            to_even[half:] += odd[half:]
+
+    held = [np.zeros((count * (width[r] + width[r ^ 1]), dims[r]), dtype=complex) for r in range(4)]
+    parts = [items(held[r], r) for r in range(4)]
+    for (reps, _, _), (even, _) in zip(model.orbits, parts):  # order 0 and the chains start as I
+        even[np.r_[0, half:count][:, None], np.arange(len(reps)), reps] = 1
+    columns = [[part[half] for part in pair] for pair in parts]  # S, chain 0
+    defects, measured = [gathered_unitarity_defect(model, columns)], []
+    for t in range(n):
+        h = parity_hamiltonian(model, t)
+        measured.append((_max_abs(h[s] - h[s ^ 1].conj().T for s in (0, 2)), rotation_defect(model, h), _max_abs(h[0::2])))
+        step(h)
+        del h  # the unitarity check and the next build run without it
+        defects.append(gathered_unitarity_defect(model, columns))
+    worst = []  # per item, the worst entry off at each root
+    for first, part in (item for pair in parts for item in enumerate(pair)):
+        powers = roots[:, None] ** np.arange(first, 2 * half, 2)  # powers of the rounded w
+        gap = part[half:] - np.einsum("jk,kcx->jcx", powers, part[:half])
+        worst.append(np.max(np.abs(gap), axis=(1, 2), initial=0.0))
+
+    def blocks(k: int, item: int) -> tuple[np.ndarray, ...]:
+        return tuple(parts[s ^ k % 2][k % 2][item].T for s in range(4))
+
+    final = (blocks(0, half), blocks(1, half))
+    worst = np.max(worst, axis=0)  # per root, NaN when an item's is
+    adjoint, rotation, largest = np.max(np.reshape(measured, (-1, 3)), axis=0, initial=0.0).tolist()
+    return ScatteringSeries(
+        final=final, final_orders=tuple(blocks(k, k // 2) for k in range(n + 1)),
+        final_max_abs=_max_abs([*final[0], *final[1]]), rotated_coupling_defect=_max_abs(worst[1:]),
+        order_sum_defect=float(worst[0]), unitarity_defects=tuple(defects),
+        hamiltonian_adjoint_defect=adjoint, hamiltonian_rotation_defect=rotation, hamiltonian_max_abs=largest,
+    )
+
+
+def gathered_unitarity_defect(model: ScatteringModel, columns) -> float:
+    """max|S^H S - I| from S's columns in each row sector r (sector r's, then r ^ 1's):
+    per column sector, one gather by the 24 row permutations and one product give every
+    (S^H S)[g.a, b] = <P_g S e_a, S e_b>, less 1 where g.a = b, i.e. g fixes a = b."""
+    dims, orbits, worst = model.sector_dims, model.orbits, []
+    for s in (0, 2):
+        perms = np.concatenate([model.sector_permutations[s], model.sector_permutations[s + 1] + dims[s]], axis=1)
+        reps = np.concatenate([orbits[s][0], orbits[s + 1][0] + dims[s]])
+        (e0, o0), (e1, o1) = columns[s], columns[s + 1]
+        z = np.block([[e0, o1], [o0, e1]])  # columns of sectors s, s + 1 on the rows of both
+        for lo, hi in ((0, len(orbits[s][0])), (len(orbits[s][0]), len(reps))):
+            g, j = np.nonzero(perms[:, reps[lo:hi]] == reps[lo:hi])
+            gram = z[lo:hi].take(perms, axis=1).reshape(24 * (hi - lo), len(z.T)) @ z.conj().T  # [b, g, a]
+            gram.reshape(-1)[(j * 24 + g) * len(reps) + lo + j] -= 1
+            worst.append(_max_abs([gram]))
+    return _max_abs(worst)
+
+
+def rotation_defect(model: ScatteringModel, h: tuple[np.ndarray, ...]) -> float:
+    """Worst |P_g H P_g^T - H| entry of one H(t) for g in ``GENERATORS``, over blocks 0 and
+    2, whose adjoints are 1 and 3.  Rounding-level, not zero: a term and its image add into
+    their entries in different orders."""
+    perms = model.sector_permutations
+    images = [[p[symmetry.index(label)] for p in perms] for label in GENERATORS]
+    return _max_abs(h[s][np.ix_(p[s + 1], p[s])] - h[s] for p in images for s in (0, 2))
+
+
+def pair_basis(model: ScatteringModel, p: int) -> np.ndarray:
+    """The adapted basis of sector pair p as a dense matrix on the pair's states (sector 2p's,
+    then 2p + 1's), column k 24 + slot as ``ScatteringModel.isotypic`` indexes its rows, and
+    a zero column last, which index -1 reads."""
+    entries = model.isotypic[p][0]
+    perms = np.hstack([model.sector_permutations[2 * p], model.sector_permutations[2 * p + 1] + model.sector_dims[2 * p]])
+    out = np.zeros((perms.shape[1], 24 * len(entries) + 1))
+    for k, r in enumerate(symmetry.orbits(perms)[0]):
+        out[perms[:, r], 24 * k : 24 * k + 24] = entries[k]  # an orbit's states repeat, with equal entries
+    return out
+
+
+def isotypic_dense(model: ScatteringModel, blocks, parity: int) -> np.ndarray:
+    """A G-invariant operator of Q-parity ``parity`` as a dense D x D matrix from its padded
+    isotypic blocks, [s] the (5, ., .) stack from sector s to s ^ parity: the sum over irreps
+    rho and rows l of B_{rho l} X_rho B_{rho l}^T."""
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for s, x in enumerate(blocks):
+        p, (_, _, rows, *_, top) = s // 2, model.isotypic[s // 2]
+        parts = (slice(0, top[0]), slice(top[0], top.sum()))
+        basis, states = pair_basis(model, p), np.concatenate(model.sectors[2 * p : 2 * p + 2])
+        out[np.ix_(states, states)] += sum(
+            basis[:, rows[rho, parts[(s ^ parity) % 2], l]] @ x[rho] @ basis[:, rows[rho, parts[s % 2], l]].T
+            for rho in range(5) for l in range(3)
+        )
     return out
 
 

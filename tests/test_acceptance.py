@@ -382,8 +382,11 @@ def test_criterion_9_dyson_engine():
         )
         zero_model = scattering.build_model(zero_cfg)
         series = scattering.scattering_series(zero_model)
-        even, odd = series.final  # at the representative columns of each sector
-        assert all(np.array_equal(b, np.eye(len(b))[:, orbit[0]]) for b, orbit in zip(even, zero_model.orbits))
+        even, odd = series.final  # each sector's stack of multiplicity blocks, zero-padded
+        for s, block in enumerate(even):  # the identity on the copies of each irrep
+            _, _, rows, *_, top = zero_model.isotypic[s // 2]
+            copies = (rows[:, : top[0]] if s % 2 == 0 else rows[:, top[0] :])[..., 0] >= 0
+            assert np.array_equal(block, np.eye(len(copies[0])) * copies[:, None, :])
         assert not any(block.any() for block in odd)
         # the dense step loop agrees exactly: S = I, and every S(k) is exactly unitary
         dense = dense_series(zero_model)

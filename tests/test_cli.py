@@ -534,10 +534,11 @@ def test_scatter(capsys):
     assert code == 0
     bundle = json.loads(out)
     per_order = [complex(c["re"], c["im"]) for c in bundle["payload"]["per_order"]]
-    # pinned from the dense series; the parity blocks sum fewer exact zeros, in an order
-    # BLAS may choose by its thread count, which moves the last digits of order 4
+    # pinned from the dense series; the multiplicity blocks sum in the adapted basis, and
+    # their rounding, read back through it, moves the last digits at the scale of max|S|
+    scale = bundle["payload"]["series_max_abs"]
     for got, want in zip(per_order, PINNED_PER_ORDER, strict=True):
-        assert got == want if want == 0 else abs(got - want) <= 1e-15 * abs(want)
+        assert got == want if want == 0 else abs(got - want) <= 1e-15 * scale
     assert bundle["payload"]["sector_dims"] == [92, 92, 13, 13]
     assert bundle["payload"]["order0"] == 0.0
     assert bundle["payload"]["odd_order_max"] == 0.0
@@ -556,8 +557,9 @@ def test_scatter(capsys):
 
 def test_scatter_overflow_fails_its_gates_with_nan(capsys):
     """At g = 1e300 the series overflows, and inf - inf puts NaN in S, in order 3 and in
-    the unitarity Gram.  Every maximum over them reads NaN, not the 0.0 that Python's
-    ``max`` keeps against a NaN, so the gates on them fail."""
+    the unitarity Gram, whose infinite entries the read back through the adapted basis
+    mixes into NaN from the first step.  Every maximum over them reads NaN, not the 0.0
+    that Python's ``max`` keeps against a NaN, so the gates on them fail."""
     code, out, err = run_cli(
         capsys, "--format", "json", "scatter", "--g", "1e300", "--m2", "0", "--M2", "1",
         "--horizon", "3", "--window", "0",
@@ -569,7 +571,7 @@ def test_scatter_overflow_fails_its_gates_with_nan(capsys):
         assert math.isnan(payload[key]), key
     assert math.isnan(payload["per_order"][3]["re"])
     defects = payload["unitarity_defects"]
-    assert defects[:2] == [0.0, math.inf] and all(math.isnan(d) for d in defects[2:])
+    assert defects[0] == 0.0 and all(math.isnan(d) for d in defects[1:])
     failed = [c["name"] for c in bundle["summary"]["checks"] if not c["passed"]]
     assert failed == ["orders_match_rotated_couplings", "orders_sum_to_series", "odd_orders_vanish"]
     assert err.splitlines()[-1] == "FAILED: " + ", ".join(failed)
@@ -680,16 +682,17 @@ def test_scatter_echoes_tol_and_gates_parity_strictly_below_it(capsys, monkeypat
 
 
 def test_scatter_rotation_gate_sees_one_perturbed_entry(capsys, monkeypatch):
-    """H(t) with one entry and its adjoint moved by 1e-6 max|H| is still self-adjoint and
-    its series still consistent, but no longer commutes with the rotations, which the
-    orbit columns assume: only ``hamiltonians_rotation_invariant`` fails."""
+    """H(t) with one entry of the vacuum's column moved by 1e-6 max|H| no longer commutes
+    with the rotations, which fix the vacuum but move that entry's state; its blocks are
+    still self-adjoint and its series consistent, but the column leaks out of what the
+    blocks give back: only ``hamiltonians_rotation_invariant`` fails."""
     original = scattering.interaction_hamiltonian
 
     def perturbed(model, t):
-        blocks = [b.copy() for b in original(model, t)]
-        blocks[0][3, 5] += 1e-6 * max(np.max(np.abs(b)) for b in blocks)
-        blocks[1] = blocks[0].conj().T
-        return tuple(blocks)
+        columns = [c.copy() for c in original(model, t)]
+        assert model.orbits[0][0][0] == 0 and len(set(model.sector_permutations[1][:, 3])) > 1
+        columns[0][3, 0] += 1e-6 * max(np.max(np.abs(c)) for c in columns)
+        return tuple(columns)
 
     monkeypatch.setattr(scattering, "interaction_hamiltonian", perturbed)
     code, out, err = run_cli(
@@ -785,14 +788,16 @@ def test_scatter_zero_coupling_is_accepted(capsys):
     assert payload["total"] == {"im": 0.0, "re": 0.0}
     assert payload["unitarity_defects"] == [0.0, 0.0, 0.0]
     assert payload["rotated_coupling_defect"] == 0.0
-    assert payload["series_max_abs"] == 1.0
+    # max|S| = 1, read back from the blocks through the adapted basis, which rounds
+    assert payload["series_max_abs"] == pytest.approx(1.0, rel=1e-15)
     checks = {c["name"]: c for c in bundle["summary"]["checks"]}
-    # H = 0, so the rotation gate passes 0 <= 0; the series gates' bound is 1e-13 max|S| = 1e-13
+    # H = 0, so the rotation gate passes 0 <= 0; the series gates' bound is 1e-13 max|S|
     assert checks["hamiltonians_rotation_invariant"] == {
         "name": "hamiltonians_rotation_invariant", "passed": True, "detail": 0.0, "at_most": 0.0
     }
     for name in ("orders_match_rotated_couplings", "orders_sum_to_series"):
-        assert checks[name] == {"name": name, "passed": True, "detail": 0.0, "below": 1e-13}
+        bound = 1e-13 * payload["series_max_abs"]
+        assert checks[name] == {"name": name, "passed": True, "detail": 0.0, "below": bound}
 
 
 def test_library_gate_failure_is_a_named_error(capsys, monkeypatch):
@@ -839,52 +844,52 @@ def test_series_gates_scale_with_the_series(capsys):
 def test_scatter_fails_on_weight_moved_between_orders(capsys, monkeypatch):
     """A genuine fault that the sum of the orders cannot see: order 1 ends E above its
     value and order 3 E below, with S(n) and the odd part of the sum unchanged; E is odd,
-    as both orders are.  Every step t adds iH(t) times order k - 1 into order k, so order
-    1 starts at E, order 2 at F = -i(H(0) + H(1) + H(2)) E, which cancels the iH(t) E the
-    steps add into it, and order 3 at -E less the iH(t) times order 2 they add into it.
-    E joins the vacuum to a one-sigma state, so no two-pi amplitude moves."""
+    as both orders are.  Every step t adds iH(t) times order k - 1 into order k once order
+    k - 1 may be nonzero (order 2 from step 2 on), so order 1 starts at E, order 2 at
+    F = -i(H(0) + H(1) + H(2)) E, which cancels the iH(t) E the steps add into it, and order
+    3 at -E less the iH(2) times order 2 that step 2 adds into it.  E joins the vacuum to
+    the sigma state of one particle, both in the trivial irrep, so no two-pi amplitude moves."""
     cfg = scattering.InteractionConfig(
         coupling=0.1, pi_mass_sq=0, sigma_mass_sq=1, energy_cap=1,
         pi_particle_cap=2, sigma_particle_cap=1, window_radius=0, horizon=3,
     )
     model = scattering.build_model(cfg)
-    hams = [scattering.interaction_hamiltonian(model, t) for t in range(3)]
-    dims = model.sector_dims
+    columns = [scattering.interaction_hamiltonian(model, t) for t in range(3)]
+    hams = [scattering.hamiltonian_blocks(model, c)[0] for c in columns]
 
     def times_h(h, blocks, parity):
         return [h[s ^ parity] @ b for s, b in enumerate(blocks)]
 
-    fault = [np.zeros((dims[s ^ 1], dims[s]), dtype=complex) for s in range(4)]
-    fault[0][0, 0] = 1e-6  # from the vacuum, sector 0, to sector 1
+    fault = [np.zeros_like(b) for b in hams[0]]  # sector s to s ^ 1, per irrep
+    fault[0][0, 0, 0] = 1e-6  # trivial irrep: the vacuum, sector 0, to sector 1's first copy
     h_fault = [times_h(h, fault, 1) for h in hams]
     order2 = [-1j * sum(parts) for parts in zip(*h_fault)]
     order3, before = [-e for e in fault], order2  # before: order 2 ahead of step t
-    for h, hf in zip(hams, h_fault):
-        order3 = [o - 1j * x for o, x in zip(order3, times_h(h, before, 0))]
+    for t, (h, hf) in enumerate(zip(hams, h_fault)):
+        if t >= 2:
+            order3 = [o - 1j * x for o, x in zip(order3, times_h(h, before, 0))]
         before = [b + 1j * x for b, x in zip(before, hf)]
-    # The vacuum is the first representative of sector 0.  The series holds, in row
-    # sector r, each column of column sector r's items (orders 0 and 2, then the four
-    # chains' even parts) and then of column sector r ^ 1's (orders 1 and 3, then the
-    # chains' odd parts) as a row: order 2 starts in row sector 0, orders 1 and 3 in 1.
-    width = [len(orbit[0]) for orbit in model.orbits]
-    starts = {0: [(1 * width[0], order2[0])], 1: [(6 * width[1], fault[0]), (6 * width[1] + width[0], order3[0])]}
+    # Row sector r holds, per irrep and item, sector 0's columns before sector 1's, each a
+    # row of the item's entries in r: the four chains, then orders 0 and 2 (row sector 0)
+    # or 1 and 3 (row sector 1).  The vacuum's copy is column 0.
+    starts = {0: [(5, order2[0])], 1: [(4, fault[0]), (5, order3[0])]}
     calls = iter(range(4))
 
     class StartsAtTheFault:
         """``numpy`` whose complex ``zeros`` hands out the row sectors' items with the
-        starts of orders 1..3 at the vacuum's column."""
+        starts of orders 1..3 in sector 0's columns."""
 
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def zeros(self, shape, dtype):
+        def zeros(self, shape, dtype=float):
             held = np.zeros(shape, dtype)
-            for row, block in starts.get(next(calls, None), []) if dtype is complex else ():
-                held[row] = block[:, 0]
+            for item, block in starts.get(next(calls, None), []) if dtype is complex else ():
+                held[item, :, : block.shape[2]] = block.transpose(0, 2, 1)
             return held
 
-    # Hamiltonians built beforehand, so the row sectors' items are the series' only complex zeros
-    monkeypatch.setattr(scattering, "interaction_hamiltonian", lambda model, t: hams[t])
+    # Hamiltonians built beforehand, so the row sectors' items are the series' first complex zeros
+    monkeypatch.setattr(scattering, "interaction_hamiltonian", lambda model, t: columns[t])
     monkeypatch.setattr(scattering, "np", StartsAtTheFault())
     code, out, err = run_cli(
         capsys, "--format", "json", "scatter", "--g", "0.1", "--m2", "0", "--M2", "1",

@@ -651,6 +651,17 @@ def _rep_v_uncached(y, rot, fock):
     return perm, amp
 
 
+def test_rank_names_a_row_outside_the_sector():
+    """``rank`` finds every multiset of each sector and refuses any other row by name: an
+    unsorted row, a point off the hyperboloid, or a row of another sector's length."""
+    space = fock_space(hyperboloid(0, 1), 3)
+    for n, ms in enumerate(space.multiset_arrays):
+        assert np.array_equal(space.rank(n, ms), np.arange(space.sector_slice(n).start, space.sector_slice(n).stop))
+    for n, row in ((2, [4, 3]), (2, [3, 13]), (2, [-1, 3]), (3, [0, 0, 40])):
+        with pytest.raises(ValueError, match=rf"\[{', '.join(map(str, row))}\] is not a sorted multiset of {n} of the 13"):
+            space.rank(n, np.array([row]))
+
+
 @pytest.mark.parametrize("m2,pmax,nmax", [(3, 3, 2), (0, 1, 3)])
 def test_rep_v_bit_equals_uncached_oracle(m2, pmax, nmax):
     space = fock_space(hyperboloid(m2, pmax), nmax)

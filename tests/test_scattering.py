@@ -20,13 +20,14 @@ from causet_qft.scattering import (
     ScatteringModel,
     amplitude,
     build_model,
+    hamiltonian_blocks,
     interaction_hamiltonian,
     order_parity_check,
-    rotation_defect,
     scattering_series,
     self_adjoint_defect,
 )
 from oracles import (
+    GENERATORS,
     Vec4,
     dense_series,
     densify,
@@ -36,9 +37,14 @@ from oracles import (
     graded_series,
     graded_unitarity_defect,
     hamiltonian_maxima,
+    isotypic_dense,
     norm_sq4,
+    orbit_series,
+    pair_basis,
+    parity_hamiltonian,
     product_formula,
     psi,
+    rotation_defect,
     two_pi_state,
     window_slice,
     xi_matrix,
@@ -47,8 +53,8 @@ from oracles import interaction_hamiltonian as dense_hamiltonian
 
 
 def _hamiltonians(model):
-    """H(0..n-1), each built afresh: the series keeps none of them."""
-    return [interaction_hamiltonian(model, t) for t in range(model.cfg.horizon)]
+    """H(0..n-1) as whole parity blocks from the library's representative columns."""
+    return [parity_hamiltonian(model, t) for t in range(model.cfg.horizon)]
 
 
 def _random_matrices(rnd, dim, count, scale=0.5):
@@ -210,16 +216,20 @@ def test_memory_guard_estimates_the_model_dimension(
     assert build_model(cfg).dim == dim
 
 
-def _hamiltonian_entries(model):
-    """Entries of H(t): block s is |s ^ 1| x |s|."""
-    d = model.sector_dims
-    return sum(d[s ^ 1] * d[s] for s in range(4))
-
-
 def _held_entries(model):
-    """Entries of the series' items: n // 2 + n + 2 per orbit of s, |s| + |s ^ 1| rows each."""
-    n, d = model.cfg.horizon, model.sector_dims
-    return (n // 2 + n + 2) * sum((d[s] + d[s ^ 1]) * len(orbit[0]) for s, orbit in enumerate(model.orbits))
+    """Entries of the series' items: n // 2 + n + 2 items of 5 N^2 per sector pair, N its
+    padded size."""
+    n = model.cfg.horizon
+    return 5 * (n // 2 + n + 2) * sum(int(top.sum()) ** 2 for *_, top in model.isotypic)
+
+
+def _check_entries(model):
+    """Entries of the largest unitarity check: S^T, its conjugate and the Gram, their slot
+    coordinates placed and spread, and the read back."""
+    return max(
+        15 * x * x + 10 * (3 * w + 1) * x + 60 * w * w + 577 * w
+        for x, w in ((int(top.sum()), len(entries)) for entries, *_, top in model.isotypic)
+    )
 
 
 def _traced_series_peak(model):
@@ -232,25 +242,19 @@ def _traced_series_peak(model):
 
 
 def _guard_bytes(model):
-    """The guard's arithmetic from the built model: its sector sizes, its orbits as
-    ``symmetry.orbits`` finds them and its two-step pi paths as the product tables list
-    them, against the closed forms the guard uses before any sector exists."""
-    d = model.sector_dims
-    w = [len(orbit[0]) for orbit in model.orbits]
-    rows = [d[s] + d[s ^ 1] for s in range(4)]
-    pair = [w[s] + w[s ^ 1] for s in range(4)]
-    held = _held_entries(model)
-    gram = max(24 * w[s] * (rows[s] + pair[s]) + 2 * rows[s] * pair[s] for s in range(4))
-    roles = ("annihilates", "creates")
-    paths = sum(len(model.pi_space.product_table(x, y)[0]) for x in roles for y in roles)
-    h = _hamiltonian_entries(model)
-    entries = held + max(h + held, gram) + max(h, np.getbufsize()) + paths
-    return 16 * entries + 8 * (51 * model.dim + 24 * (model.pi_space.dim + model.sigma_space.dim))
+    """The guard's arithmetic from the built model: its padded pair sizes and orbits as
+    ``ScatteringModel.isotypic`` finds them, against the characters and fixed-state counts
+    the guard uses before any sector exists."""
+    item = _held_entries(model) // (model.cfg.horizon // 2 + model.cfg.horizon + 2)
+    products = min(_held_entries(model), max(item, scattering._STEP_ENTRIES // item * item))
+    entries = _held_entries(model) + products + _check_entries(model) + 2 * np.getbufsize()
+    orbits = sum(len(orbit[0]) for orbit in model.orbits)
+    return 16 * entries + 8 * (64 * model.dim + 24 * (model.pi_space.dim + model.sigma_space.dim) + 1200 * orbits)
 
 
 def _guard_and_traced_peak(monkeypatch, pi_mass_sq, sigma_mass_sq, energy_cap, horizon):
-    """The guard's estimate for a model, one H(t) in bytes, the model's sector sizes and
-    the series' traced peak."""
+    """The guard's estimate for a model, its slack (one step's products and one unitarity
+    check, in bytes), the model's sector sizes and the series' traced peak."""
     cfg = InteractionConfig(
         coupling=0.1,
         pi_mass_sq=pi_mass_sq,
@@ -266,42 +270,53 @@ def _guard_and_traced_peak(monkeypatch, pi_mass_sq, sigma_mass_sq, energy_cap, h
     model = build_model(cfg)
     peak = _traced_series_peak(model)
     assert needs == [_guard_bytes(model)]
-    return needs[0], 16 * _hamiltonian_entries(model), model.sector_dims, peak
+    return needs[0], 16 * (_held_entries(model) + _check_entries(model)), model.sector_dims, peak
 
 
 @pytest.mark.parametrize("horizon", [2, 4, 8])
 def test_memory_guard_counts_the_series_peak(monkeypatch, horizon):
-    """The guard's count is the traced peak of the series, rounded up to within one H(t);
-    here the odd-pi sectors are a seventh of the even ones."""
-    need, operator, dims, peak = _guard_and_traced_peak(monkeypatch, 0, 1, 1, horizon)
+    """The guard's count is the traced peak of the series, rounded up to within one step's
+    products and one unitarity check; here the odd-pi sectors are a seventh of the even ones."""
+    need, slack, dims, peak = _guard_and_traced_peak(monkeypatch, 0, 1, 1, horizon)
     assert dims == (92, 92, 13, 13)
-    assert need - operator <= peak <= need
+    assert need - slack <= peak <= need
 
 
 @pytest.mark.parametrize("horizon", [2, 4, 8])
 def test_memory_guard_counts_the_peak_of_unequal_sigma_sectors(monkeypatch, horizon):
-    """With six sigma points H(t) is a third of an even operator, and the guard still
-    rounds the traced peak up to within one H(t)."""
-    need, operator, dims, peak = _guard_and_traced_peak(monkeypatch, 2, 2, 2, horizon)
+    """With six sigma points the sector pairs hold unequal copies, and the guard still
+    rounds the traced peak up to within one step's products and one unitarity check."""
+    need, slack, dims, peak = _guard_and_traced_peak(monkeypatch, 2, 2, 2, horizon)
     assert dims == (22, 132, 6, 36)
-    assert need - operator <= peak <= need
+    assert need - slack <= peak <= need
 
 
 @pytest.mark.parametrize("masses", [(0, 1, 1), (2, 2, 2)], ids=["equal-sigma", "unequal-sigma"])
-def test_series_peak_less_its_items_does_not_grow_with_the_horizon(masses):
-    """Each H(t) is dropped before the next is built, so beyond the held items and one
-    step's products of them the traced peak holds a horizon-free count of H(t)'s; it grew
-    by one H(t) per step while the series kept every H(t)."""
+def test_series_peak_less_its_items_does_not_grow_with_the_horizon(monkeypatch, masses):
+    """Each H(t) is dropped before the next is built, so the traced peak of building one
+    H(t) and its blocks, less the held items, is the same at every step and horizon to
+    within 8 KB, the step loop's measured floats (about 0.5 KB a step); keeping each H(t)
+    would add its representative columns and blocks, 68 KB a step in the equal-sigma model."""
     pi_mass_sq, sigma_mass_sq, energy_cap = masses
     beyond = []
+    for name in ("interaction_hamiltonian", "hamiltonian_blocks"):
+        def traced(*args, _build=getattr(scattering, name)):
+            tracemalloc.reset_peak()
+            out = _build(*args)
+            beyond.append(tracemalloc.get_traced_memory()[1] - 16 * _held_entries(args[0]))
+            return out
+
+        monkeypatch.setattr(scattering, name, traced)
     for horizon in (1, 2, 4, 8):
         cfg = InteractionConfig(
             coupling=0.1, pi_mass_sq=pi_mass_sq, sigma_mass_sq=sigma_mass_sq, energy_cap=energy_cap,
             pi_particle_cap=2, sigma_particle_cap=1, window_radius=0, horizon=horizon,
         )
         model = build_model(cfg)
-        beyond.append(_traced_series_peak(model) - 2 * 16 * _held_entries(model))
-    assert max(beyond) == beyond[0]
+        model.isotypic, model._hamiltonian_terms  # the model's tables, built once
+        _traced_series_peak(model)
+    builds, blocks = beyond[0::2], beyond[1::2]
+    assert max(builds) - min(builds) <= 8192 and max(blocks) - min(blocks) <= 8192
 
 
 def test_maxima_keep_nan():
@@ -374,9 +389,10 @@ def test_hamiltonian_selfadjoint(window_radius):
     m = build_model(cfg)
     assert len(window_slice(cfg, 2)) == (1 if window_radius == 0 else 13)
     for t in range(cfg.horizon):
-        h = interaction_hamiltonian(m, t)
-        assert all(np.array_equal(h[s ^ 1], h[s].conj().T) for s in range(4))
-        dense = densify(m, h, 1)
+        h, _ = hamiltonian_blocks(m, interaction_hamiltonian(m, t))
+        assert all(np.array_equal(h[s ^ 1], h[s].conj().transpose(0, 2, 1)) for s in range(4))
+        assert self_adjoint_defect(h) == 0.0
+        dense = densify(m, parity_hamiltonian(m, t), 1)
         assert np.max(np.abs(dense - dense.conj().T)) == 0.0
 
 
@@ -435,13 +451,21 @@ def test_hamiltonian_zero_coupling(model):
     )
     m0 = build_model(cfg0)
     assert not any(block.any() for block in interaction_hamiltonian(m0, 0))
+    assert not any(block.any() for block in hamiltonian_blocks(m0, interaction_hamiltonian(m0, 0))[0])
     series = scattering_series(m0)
     steps = _graded_steps(m0, _hamiltonians(m0))
-    assert _same_blocks(_full_pair(m0, series.final), steps[-1])
-    even, odd = _full_pair(m0, series.final)
-    assert all(np.array_equal(block, np.eye(len(block))) for block in even)
+    even, odd = series.final  # S = I exactly, on the copies; the padding stays zero
+    assert all(np.array_equal(block, _identity(m0, s)) for s, block in enumerate(even))
     assert not any(block.any() for block in odd)
     assert series.unitarity_defects == tuple(graded_unitarity_defect(*s) for s in steps) == (0.0,) * 3
+    assert series.final_max_abs == pytest.approx(1.0, rel=1e-15)  # read back through the basis
+
+
+def _identity(model, s):
+    """The identity on sector s's copies of each irrep, as a padded (5, ., .) stack."""
+    _, _, rows, *_, top = model.isotypic[s // 2]
+    part = slice(0, top[0]) if s % 2 == 0 else slice(top[0], top.sum())
+    return np.eye(part.stop - part.start) * (rows[:, None, part, 0] >= 0)
 
 
 def test_hamiltonian_single_point_hand_check():
@@ -463,7 +487,7 @@ def test_hamiltonian_single_point_hand_check():
     assert np.allclose(pi0, np.array([[0, 1, 0], [1, 0, s2], [0, s2, 0]]))
     expected_pi_sq = np.array([[1, 0, s2], [0, 3, 0], [s2, 0, 2]])
     expected_sigma = np.array([[0, 1], [1, 0]])
-    h0 = densify(m, interaction_hamiltonian(m, 0), 1)
+    h0 = densify(m, parity_hamiltonian(m, 0), 1)
     assert np.allclose(h0, 0.5 * np.kron(expected_pi_sq, expected_sigma), atol=1e-14)
 
 
@@ -484,36 +508,22 @@ def _graded_steps(model, hams):
     return steps
 
 
-def _same_blocks(got, want):
-    """Bit-equal (even, odd) pairs of block tuples."""
-    pairs = (zip(part, other, strict=True) for part, other in zip(got, want, strict=True))
-    return all(np.array_equal(a, b) for blocks in pairs for a, b in blocks)
-
-
 def _full(model, blocks, parity):
-    """A G-invariant operator of Q-parity ``parity`` as a dense D x D matrix from its blocks
-    at the representative columns."""
-    return densify(model, expand(model, blocks, parity), parity)
-
-
-def _at_reps(model, blocks, parity):
-    """The D x (representatives) matrix of an operator's representative columns, sector
-    by sector, from its blocks."""
-    out = []
-    for s, block in enumerate(blocks):
-        columns = np.zeros((model.dim, block.shape[1]), dtype=complex)
-        columns[model.sectors[s ^ parity]] = block
-        out.append(columns)
-    return np.hstack(out)
+    """A G-invariant operator of Q-parity ``parity`` as a dense D x D matrix from its padded
+    isotypic blocks."""
+    return isotypic_dense(model, blocks, parity)
 
 
 def _full_pair(model, pair):
     """The (even, odd) pair of S on whole parity blocks."""
-    return tuple(expand(model, blocks, parity) for parity, blocks in enumerate(pair))
+    return tuple(
+        [_full(model, blocks, parity)[np.ix_(model.sectors[s ^ parity], ix)] for s, ix in enumerate(model.sectors)]
+        for parity, blocks in enumerate(pair)
+    )
 
 
 def _dense(model, pair):
-    """S as a dense D x D matrix from its (even, odd) pair at the representative columns."""
+    """S as a dense D x D matrix from its (even, odd) pair of padded isotypic blocks."""
     return _full(model, pair[0], 0) + _full(model, pair[1], 1)
 
 
@@ -532,7 +542,7 @@ def test_series_recursion_properties(model):
     before = densify(model, steps[-2][0], 0) + densify(model, steps[-2][1], 1)
     final = _dense(model, series.final)
     (last,) = difference_op([before, final])
-    h_last = interaction_hamiltonian(model, model.cfg.horizon - 1)
+    h_last = parity_hamiltonian(model, model.cfg.horizon - 1)
     assert np.max(np.abs(last - 1j * densify(model, h_last, 1) @ before)) < 1e-10
     # per-order pieces sum to the final operator
     total = sum(_full(model, order, k % 2) for k, order in enumerate(series.final_orders))
@@ -580,9 +590,42 @@ def test_final_orders_match_full_recursion(horizon, window_radius):
                 assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
     series = scattering_series(m)
     scale = max(series.final_max_abs, *(np.max(np.abs(b)) for blocks in reference for b in blocks))
-    for k, (got_blocks, want_blocks) in enumerate(zip(series.final_orders, reference, strict=True)):
-        for s, (got, want) in enumerate(zip(got_blocks, want_blocks, strict=True)):
-            assert np.max(np.abs(got - want[:, m.orbits[s][0]]), initial=0.0) <= 1e-14 * scale
+    for k, (got, want) in enumerate(zip(series.final_orders, reference, strict=True)):
+        assert np.max(np.abs(_full(m, got, k % 2) - densify(m, want, k % 2))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("entries", [1, 7000])
+@pytest.mark.parametrize("horizon", [1, 2, 5, 6])
+def test_steps_in_chunks_change_no_bit(monkeypatch, horizon, entries):
+    """A step multiplies its items in chunks, the top one first, when their products would
+    outgrow ``_STEP_ENTRIES``: one item, or two, at a time gives the bits of one product."""
+    m = _dense_case({"horizon": horizon})
+    whole = scattering_series(m)
+    monkeypatch.setattr(scattering, "_STEP_ENTRIES", entries)
+    chunked = scattering_series(m)
+
+    def bits(series):
+        return [x.tobytes() for blocks in (*series.final, *series.final_orders) for x in blocks]
+
+    assert bits(chunked) == bits(whole)
+    assert (chunked.unitarity_defects, chunked.rotated_coupling_defect) == (whole.unitarity_defects, whole.rotated_coupling_defect)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 5, 6])
+def test_skipping_the_zero_orders_changes_no_bit(monkeypatch, horizon):
+    """Step t multiplies only the chains and the orders up to t; multiplying every item, as
+    the series did before, gives the same bits in every item, signed zeros included."""
+    m = _dense_case({"horizon": horizon})
+    skipped = scattering_series(m)
+    count = horizon // 2 + horizon + 2
+    monkeypatch.setattr(scattering, "_items_before", lambda n, t: count)
+    every = scattering_series(m)
+    assert [scattering._items_before(horizon, t) for t in range(horizon)] == [count] * horizon
+    def bits(series):
+        return [x.tobytes() for blocks in (*series.final, *series.final_orders) for x in blocks]
+
+    assert bits(skipped) == bits(every)
+    assert skipped.unitarity_defects == every.unitarity_defects
 
 
 def test_series_one_step(model):
@@ -598,11 +641,12 @@ def test_series_one_step(model):
     )
     m1 = build_model(cfg1)
     series = scattering_series(m1)
-    expected = np.eye(m1.dim, dtype=complex) + 1j * densify(m1, interaction_hamiltonian(m1, 0), 1)
-    # I + iH at the representative columns, exactly: each is one column of H times i
-    reps = np.concatenate([ix[orbit[0]] for ix, orbit in zip(m1.sectors, m1.orbits)])
-    got = _at_reps(m1, series.final[0], 0) + _at_reps(m1, series.final[1], 1)
-    assert np.max(np.abs(got - expected[:, reps])) == 0.0
+    # I + iH on the multiplicity blocks, exactly: each odd block is H's block times i
+    h, _ = hamiltonian_blocks(m1, interaction_hamiltonian(m1, 0))
+    assert all(np.array_equal(block, _identity(m1, s)) for s, block in enumerate(series.final[0]))
+    assert all(np.array_equal(block, 1j * a) for block, a in zip(series.final[1], h, strict=True))
+    expected = np.eye(m1.dim, dtype=complex) + 1j * densify(m1, parity_hamiltonian(m1, 0), 1)
+    assert np.max(np.abs(_dense(m1, series.final) - expected)) <= 1e-15 * series.final_max_abs
 
 
 def test_series_two_steps_order_pattern(model):
@@ -618,7 +662,7 @@ def test_series_two_steps_order_pattern(model):
     )
     m2 = build_model(cfg2)
     series = scattering_series(m2)
-    h0, h1 = (densify(m2, interaction_hamiltonian(m2, t), 1) for t in (0, 1))
+    h0, h1 = (densify(m2, parity_hamiltonian(m2, t), 1) for t in (0, 1))
     eye = np.eye(m2.dim, dtype=complex)
     # later time acts on the left of earlier time
     expected = eye + 1j * (h0 + h1) + (1j**2) * (h1 @ h0)
@@ -631,7 +675,7 @@ def test_unitarity_defect_structure(model):
     defects = series.unitarity_defects
     assert defects[0] == 0.0
     # one step: S*S - I = H^2 exactly for self-adjoint H
-    h0 = densify(model, interaction_hamiltonian(model, 0), 1)
+    h0 = densify(model, parity_hamiltonian(model, 0), 1)
     assert defects[1] == pytest.approx(float(np.max(np.abs(h0 @ h0))), rel=1e-12)
     assert all(d > 0 for d in defects[1:])
 
@@ -676,6 +720,19 @@ def test_amplitude_reads_the_dense_bracket(incoming, outgoing):
     for k, order in enumerate(series.final_orders):
         assert abs(rep.per_order[k] - np.vdot(vec_out, _full(m, order, k % 2) @ vec_in)) <= bound
     assert abs(rep.total - np.vdot(vec_out, _dense(m, series.final) @ vec_in)) <= bound
+
+
+@pytest.mark.parametrize("point", [13, 40, -1])
+def test_amplitude_refuses_a_point_off_the_hyperboloid(point):
+    """A pair with a point index off the 13-point hyperboloid is no two-pi state: ``rank``
+    names it instead of returning the index before its sector, a state of the sector below."""
+    m = _dense_case({"window_radius": 0})
+    series = scattering_series(m)
+    with pytest.raises(ValueError, match=r"is not a sorted multiset of 2 of the 13 points"):
+        amplitude(m, (3, point), (3, 4), series)
+    with pytest.raises(ValueError, match=r"is not a sorted multiset of 2 of the 13 points"):
+        amplitude(m, (1, 2), (point, 3), series)
+    assert amplitude(m, (3, 12), (3, 4), series).total == amplitude(m, (12, 3), (4, 3), series).total
 
 
 def test_amplitude_identity_for_equal_states(model):
@@ -753,46 +810,73 @@ DENSE_CASES = [
     ids=[*(f"horizon{n}-window{w}" for w in (0, 1) for n in range(6)), "nsigma2", "pi_empty", "g0"],
 )
 def test_graded_series_matches_the_dense_oracle(case):
-    """The orbit columns against the whole parity blocks of the block oracle and against
-    the dense Hamiltonian and step loop: an orbit column's images under the 24 rotations
-    fill its sector's columns."""
-    m = _dense_case(case)
-    series, graded, dense = scattering_series(m), graded_series(m), dense_series(m)
+    """The isotypic blocks, made dense through the adapted basis, against the whole parity
+    blocks of the graded oracle, the orbit columns of the orbit oracle (an orbit column's
+    images under the 24 rotations fill its sector's columns) and the dense Hamiltonian and
+    step loop."""
+    _check_against_the_oracles(_dense_case(case))
+
+
+def test_block_series_matches_the_oracles_on_unequal_sigma_sectors():
+    """Six sigma points: sectors (22, 132, 6, 36), whose pairs have unequal copies."""
+    m = _dense_case({"pi_mass_sq": 2, "sigma_mass_sq": 2, "energy_cap": 2, "window_radius": 0})
+    assert m.sector_dims == (22, 132, 6, 36)
+    _check_against_the_oracles(m)
+
+
+def _check_against_the_oracles(m):
+    series, graded, dense, orbit = scattering_series(m), graded_series(m), dense_series(m), orbit_series(m)
     for t, h in enumerate(_hamiltonians(m)):
         # the selection rule: the dense H is an exact zero off the graded blocks
         want = dense_hamiltonian(m, t)
+        scale = np.max(np.abs(want), initial=0.0)
         support = densify(m, [np.ones_like(b) for b in h], 1) != 0
         assert not want[~support].any()
-        assert np.max(np.abs(densify(m, h, 1) - want)) <= 1e-14 * np.max(np.abs(want))
-        # one H(t)'s defects on its blocks, against the same H made dense
+        assert np.max(np.abs(densify(m, h, 1) - want), initial=0.0) <= 1e-14 * scale
+        # one H(t)'s blocks made dense, and its defects against the same H made dense
+        blocks, leakage = hamiltonian_blocks(m, interaction_hamiltonian(m, t))
+        assert np.max(np.abs(_full(m, blocks, 1) - want), initial=0.0) <= 1e-14 * scale
         maxima = hamiltonian_maxima(m, [densify(m, h, 1)])
-        assert self_adjoint_defect(h) == maxima["hamiltonian_adjoint_defect"] == 0.0
+        assert self_adjoint_defect(blocks) == maxima["hamiltonian_adjoint_defect"] == 0.0
         assert rotation_defect(m, h) == maxima["hamiltonian_rotation_defect"]
-    # the maxima over H(t) taken in the step loop, against the same blocks made dense and
-    # against the dense assembly, whose rounding differs
-    fields = ("hamiltonian_adjoint_defect", "hamiltonian_rotation_defect", "hamiltonian_max_abs")
-    assert [getattr(series, f) for f in fields] == [getattr(graded, f) for f in fields]
+        assert leakage <= 1e-14 * scale
+    # the maxima over H(t) taken in the step loop, against the oracles' over the same
+    # columns made whole and the dense assembly, whose rounding differs
+    for other in (graded, orbit):
+        assert series.hamiltonian_max_abs == other.hamiltonian_max_abs
     assert series.hamiltonian_adjoint_defect == dense.hamiltonian_adjoint_defect == 0.0
     assert series.hamiltonian_max_abs == pytest.approx(dense.hamiltonian_max_abs, rel=1e-14)
+    assert series.hamiltonian_rotation_defect <= 1e-14 * series.hamiltonian_max_abs
     assert dense.hamiltonian_rotation_defect <= 1e-13 * dense.hamiltonian_max_abs
-    orders = zip(series.final_orders, graded.final_orders, dense.final_orders, strict=True)
-    for k, (got, blocks, want) in enumerate(orders):
-        full = expand(m, got, k % 2)
-        scale = np.max(np.abs(want))
-        assert max(np.max(np.abs(a - b), initial=0.0) for a, b in zip(full, blocks)) <= 1e-14 * scale
-        assert np.max(np.abs(densify(m, full, k % 2) - want)) <= 1e-14 * scale
+    orders = zip(series.final_orders, graded.final_orders, orbit.final_orders, dense.final_orders, strict=True)
+    for k, (got, blocks, columns, want) in enumerate(orders):
+        full, scale = _full(m, got, k % 2), np.max(np.abs(want))
+        assert np.max(np.abs(full - densify(m, blocks, k % 2))) <= 1e-14 * scale
+        assert np.max(np.abs(full - densify(m, expand(m, columns, k % 2), k % 2))) <= 1e-14 * scale
+        assert np.max(np.abs(full - want)) <= 1e-14 * scale
     assert np.max(np.abs(_dense(m, series.final) - dense.final)) <= 1e-14 * dense.final_max_abs
-    for other in (graded, dense):
+    for other in (graded, orbit, dense):
         assert series.final_max_abs == pytest.approx(other.final_max_abs, rel=1e-14)
         assert series.unitarity_defects == pytest.approx(other.unitarity_defects, rel=1e-12, abs=0)
     bound = 1e-13 * series.final_max_abs
     assert series.rotated_coupling_defect < bound and series.order_sum_defect < bound
     if m.cfg.coupling == 0:
-        even, odd = _full_pair(m, series.final)
-        assert all(np.array_equal(block, np.eye(len(block))) for block in even)
+        even, odd = series.final
+        assert all(np.array_equal(block, _identity(m, s)) for s, block in enumerate(even))
         assert not any(block.any() for block in odd)
         assert series.unitarity_defects == (0.0,) * (m.cfg.horizon + 1)
         assert series.rotated_coupling_defect == series.order_sum_defect == 0.0
+
+
+def _representative_columns(model, t):
+    """The library's H(t) at the representative columns of sectors 0 and 2, and the dense
+    oracle's at the same columns, as D x D matrices zero in every other column."""
+    got, want = np.zeros((model.dim, model.dim), dtype=complex), np.zeros((model.dim, model.dim), dtype=complex)
+    for s, column in zip((0, 2), interaction_hamiltonian(model, t)):
+        reps = model.sectors[s][model.orbits[s][0]]
+        got[np.ix_(model.sectors[s + 1], reps)] = column
+        want[:, reps] = dense_hamiltonian(model, t)[:, reps]
+    return got, want
 
 
 @pytest.mark.parametrize(
@@ -805,7 +889,7 @@ def test_hamiltonian_matches_the_dense_oracle_per_slice(case):
     the dense per-point assembly; at g = 0 the bound is 0, so every block is an exact zero."""
     m = _dense_case(case)
     for t in range(m.cfg.horizon):
-        got, want = densify(m, interaction_hamiltonian(m, t), 1), dense_hamiltonian(m, t)
+        got, want = _representative_columns(m, t)
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
 
 
@@ -813,7 +897,7 @@ def test_hamiltonian_matches_the_dense_oracle_at_three_pi_particles():
     """One 13-point slice of the --npi 3 model (sectors 92, 92, 468, 468)."""
     m = _dense_case({"pi_particle_cap": 3})
     assert m.sector_dims == (92, 92, 468, 468)
-    got, want = densify(m, interaction_hamiltonian(m, 1), 1), dense_hamiltonian(m, 1)
+    got, want = _representative_columns(m, 1)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -876,4 +960,73 @@ def test_orbits_partition_each_sector(changes, dim, counts):
 
 
 def test_generators_generate_the_group():
-    assert len(symmetry.generate_from([symmetry.index(label) for label in scattering.GENERATORS])) == 24
+    assert len(symmetry.generate_from([symmetry.index(label) for label in GENERATORS])) == 24
+
+
+@pytest.mark.parametrize("npi", [2, 3, 4])
+def test_copies_of_each_irrep_fill_each_sector(npi):
+    """sum d_rho n_rho = |s| in every sector, and each n_rho is the inner product of chi_rho
+    with the states each rotation fixes, as the memory guard counts them."""
+    m = _dense_case({"pi_particle_cap": npi, "window_radius": 0, "horizon": 1})
+    characters = np.array([np.trace(d, axis1=1, axis2=2) for d in symmetry.irreps()]).round().astype(int)
+    dims = [len(d.T) for d in symmetry.irreps()]
+    pi, sigma = (scattering._fixed_states(space.hyperboloid, space.n_max) for space in (m.pi_space, m.sigma_space))
+    for s, size in enumerate(m.sector_dims):
+        fixed = np.array([f[s // 2] * e[s % 2] for f, e in zip(pi, sigma)])
+        copies = m.isotypic[s // 2][6][s % 2]
+        assert copies.tolist() == (characters @ fixed // 24).tolist()
+        assert (characters @ fixed % 24 == 0).all() and sum(d * c for d, c in zip(dims, copies)) == size
+
+
+def _pair_images(model, p):
+    """The 24 permutation matrices P_g of sector pair p's states, (24, |pair|, |pair|)."""
+    perms = np.hstack([model.sector_permutations[2 * p], model.sector_permutations[2 * p + 1] + model.sector_dims[2 * p]])
+    out = np.zeros((24, perms.shape[1], perms.shape[1]))
+    out[np.arange(24)[:, None], perms, np.arange(perms.shape[1])] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("case", [{}, {"sigma_particle_cap": 2}, {"pi_mass_sq": 2, "sigma_mass_sq": 2, "energy_cap": 2}])
+def test_adapted_basis_reduces_invariant_matrices(case):
+    """The adapted basis of each sector pair is orthonormal; row l of irrep rho's copies
+    spans the range of the projector P^rho_{ll} = d / 24 sum_g D_ll(g) P_g, which is
+    idempotent; and a random G-invariant matrix comes out as sum over rho of A_rho (x) I_d:
+    zero between irreps or rows, the same block in every row."""
+    m = _dense_case({"window_radius": 0, "horizon": 1, **case})
+    rnd = np.random.default_rng(7)
+    for p, (_, _, rows, *_) in enumerate(m.isotypic):
+        basis, images = pair_basis(m, p), _pair_images(m, p)
+        used = rows[rows >= 0]
+        assert np.max(np.abs(basis[:, used].T @ basis[:, used] - np.eye(len(basis))), initial=0.0) <= 1e-14
+        assert len(used) == len(basis)
+        x = rnd.normal(size=images.shape[1:]) + 1j * rnd.normal(size=images.shape[1:])
+        x = np.mean(images @ x @ images.transpose(0, 2, 1), axis=0)  # G-invariant
+        reduced = basis[:, used].T @ x @ basis[:, used]
+        position = {slot: i for i, slot in enumerate(used)}
+        expected = np.zeros_like(reduced)
+        for rho, d in enumerate(symmetry.irreps()):
+            projector = len(d.T) / 24 * np.einsum("g,gij->ij", d[:, 0, 0], images)
+            assert np.max(np.abs(projector @ projector - projector), initial=0.0) <= 1e-14
+            copies = rows[rho][rows[rho, :, 0] >= 0]  # (n, d)
+            first = [position[r] for r in copies[:, 0]]
+            assert np.max(np.abs(projector @ basis[:, copies[:, 0]] - basis[:, copies[:, 0]]), initial=0.0) <= 1e-14
+            block = reduced[np.ix_(first, first)]
+            for l in range(len(d.T)):
+                at = [position[r] for r in copies[:, l]]
+                expected[np.ix_(at, at)] = block
+        assert np.max(np.abs(reduced - expected)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_leakage_sees_columns_no_invariant_operator_has():
+    """The leakage is rounding on H(t)'s representative columns, and large on random ones:
+    a column at a representative that some rotation fixes must be fixed by it too."""
+    m = _dense_case({"window_radius": 1})
+    columns = interaction_hamiltonian(m, 1)
+    scale = max(np.max(np.abs(c)) for c in columns)
+    assert hamiltonian_blocks(m, columns)[1] <= 1e-14 * scale
+    rnd = np.random.default_rng(3)
+    noise = [c + 1e-3 * scale * rnd.normal(size=c.shape) for c in columns]
+    assert hamiltonian_blocks(m, noise)[1] > 1e-5 * scale
+    vacuum = [c.copy() for c in columns]
+    vacuum[0][3, 0] += 1e-6 * scale  # the vacuum's column, which every rotation fixes
+    assert hamiltonian_blocks(m, vacuum)[1] > 1e-7 * scale

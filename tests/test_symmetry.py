@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import pytest
 from causet_qft import paperdata, symmetry
 from causet_qft.lattice import det_exact
 from causet_qft.momentum import hyperboloid
+from causet_qft.representations import CAL_U
 from causet_qft.symmetry import (
     ELEMENT_PRINT_DIFFS,
     build_table,
@@ -365,3 +370,57 @@ def test_orbits_match_closure_oracle(m2, pmax):
     assert np.array_equal(perms[element_of, rep], np.arange(len(h)))
     empty = symmetry.orbits(np.zeros((24, 0), dtype=np.int64))
     assert [len(part) for part in empty] == [0, 0, 0]
+
+
+def _class_table() -> dict[tuple[int, int], list[int]]:
+    """G's conjugacy classes from the product table alone, keyed by (size, element order)."""
+    identity = symmetry.index("I")
+    inverse_of = np.argmax(symmetry.PRODUCT_INDEX == identity, axis=1)
+    classes = {}
+    for g in range(24):
+        members = sorted({int(symmetry.PRODUCT_INDEX[symmetry.PRODUCT_INDEX[h, g], inverse_of[h]]) for h in range(24)})
+        power, order = g, 1
+        while power != identity:
+            power, order = symmetry.PRODUCT_INDEX[power, g], order + 1
+        classes[len(members), order] = members
+    return classes
+
+
+# S4's character table on the classes of the identity, the three double transpositions,
+# the six transpositions, the six 4-cycles and the eight 3-cycles: trivial, sign, 2, 3
+# (the standard representation) and 3' = 3 (x) sign, the rotations
+S4_CHARACTERS = {(1, 1): [1, 1, 2, 3, 3], (3, 2): [1, 1, 2, -1, -1], (6, 2): [1, -1, 0, 1, -1],
+                 (6, 4): [1, -1, 0, -1, 1], (8, 3): [1, 1, -1, 0, 0]}
+
+
+def test_irreps_characters_match_the_class_table():
+    """Each irrep's character is a class function with S4's values on the classes the
+    product table gives; the five are orthonormal and their squared dimensions sum to 24."""
+    classes = _class_table()
+    assert sorted(classes) == sorted(S4_CHARACTERS)
+    characters = np.array([np.trace(d, axis1=1, axis2=2) for d in symmetry.irreps()])
+    for key, members in classes.items():
+        assert np.max(np.abs(characters[:, members] - np.array(S4_CHARACTERS[key])[:, None])) <= 1e-14
+    assert np.max(np.abs(characters @ characters.T / 24 - np.eye(5))) <= 1e-14
+    assert sum(len(d.T) ** 2 for d in symmetry.irreps()) == 24
+
+
+def test_irreps_are_orthogonal_representations():
+    """D(g) D(h) = D(gh) and D(g) D(g)^T = I to 1e-14; 3' is the rotations themselves and
+    3 their product with the sign, which is +1 exactly on the squares."""
+    for d in symmetry.irreps():
+        assert np.max(np.abs(d[symmetry.PRODUCT_INDEX] - d[:, None] @ d[None])) <= 1e-14
+        assert np.max(np.abs(d @ d.transpose(0, 2, 1) - np.eye(len(d.T)))) <= 1e-14
+    trivial, sign, _, three, three_prime = symmetry.irreps()
+    assert np.array_equal(trivial, np.ones((24, 1, 1))) and np.array_equal(three_prime, CAL_U)
+    squares = np.isin(np.arange(24), np.diagonal(symmetry.PRODUCT_INDEX))
+    assert np.array_equal(sign[:, 0, 0], np.where(squares, 1.0, -1.0))
+    assert np.array_equal(three, sign * CAL_U)
+
+
+def test_irreps_are_built_on_first_use():
+    """Importing the package builds no irrep: the cache is empty until the first call."""
+    code = "from causet_qft import cli, symmetry; print(symmetry.irreps.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(symmetry.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["0"]

@@ -10,13 +10,15 @@ carrying ``error:`` or starting with ``FAILED:`` are equal; the ``# wall-clock:`
 and argparse's usage text are not compared.  Prints one line per invocation and exits 1
 when any invocation differs.  When both stdouts of a differing invocation are json
 reports, an indented line follows for each dotted key path (list items by index) that
-was added (``+``), removed (``-``) or changed (``~``).
+was added (``+``), removed (``-``) or changed (``~``); a changed number also shows its old
+and new value and their relative difference |new - old| / |old|.
 """
 
 from __future__ import annotations
 
-import os
 import json
+import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -102,17 +104,28 @@ def run(src: Path, argv: tuple[str, ...], cwd: str) -> tuple[bytes, int, list[st
     return proc.stdout, proc.returncode, [line for line in lines if "error:" in line or line.startswith("FAILED:")]
 
 
+def relative(old: float, new: float) -> float:
+    """|new - old| / |old|: inf when only ``old`` is 0, NaN when either is NaN."""
+    if math.isnan(old) or math.isnan(new):
+        return math.nan
+    return abs(new - old) / abs(old) if old else math.inf
+
+
 def key_changes(old, new, path: str = "") -> list[str]:
     """The dotted key paths where two parsed json reports differ, each marked ``+`` (only in
-    ``new``), ``-`` (only in ``old``) or ``~`` (changed); leaves compare as json text, so a
-    NaN equals a NaN."""
+    ``new``), ``-`` (only in ``old``) or ``~`` (changed, a number with its old and new value
+    and their relative difference); leaves compare as json text, so a NaN equals a NaN."""
     if isinstance(old, dict) and isinstance(new, dict):
         keys = sorted(old.keys() | new.keys())
     elif isinstance(old, list) and isinstance(new, list):
         keys = range(max(len(old), len(new)))
         old, new = dict(enumerate(old)), dict(enumerate(new))
+    elif json.dumps(old) == json.dumps(new):
+        return []
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        return [f"~ {path}  {old!r} -> {new!r}  relative {relative(old, new):.3g}"]
     else:
-        return [] if json.dumps(old) == json.dumps(new) else [f"~ {path}"]
+        return [f"~ {path}"]
     changes = []
     for key in keys:
         at = f"{path}.{key}" if path else str(key)
