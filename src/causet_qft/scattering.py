@@ -10,10 +10,11 @@ the 24 rotations of G = S4, so H(t), the orders and S commute with the tensor
 permutations P_g.  By Schur's lemma each is then the sum over G's irreps rho of
 A_rho (x) I_d in a basis adapted to them (``symmetry.adapted_basis``), one n_rho x n_rho
 multiplicity block per irrep, the paper's rotations ``CAL_U`` being the irrep 3'.  H(t)
-is built only at each orbit's representative column, which gives its blocks, and a step
-is one small product per sector and irrep; maxima in the tensor basis are read back from
-the representative columns.  The step loop builds each H(t), measures it and multiplies
-it in before it builds the next, so the series holds one H(t) at a time and keeps none.
+is built only at each orbit's representative column, which gives its blocks; the series
+holds, per sector pair and irrep, its operators on that irrep's copies, and a step is two
+small products per pair and irrep.  Maxima in the tensor basis are read back from the
+representative columns.  The step loop builds each H(t), measures it and multiplies it
+in before it builds the next, so the series holds one H(t) at a time and keeps none.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "interaction_hamiltonian",
     "hamiltonian_blocks",
     "scattering_series",
-    "self_adjoint_defect",
     "AmplitudeReport",
     "amplitude",
     "order_parity_check",
@@ -117,34 +117,24 @@ class ScatteringModel:
         return tuple(symmetry.orbits(perms) for perms in self.sector_permutations)
 
     @cached_property
-    def isotypic(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per sector pair (0, 1) and (2, 3), ``symmetry.adapted_basis`` on its orbits: the
-        (w, 24, 24) entries and their transposes over |K| (slot coordinates from an orbit's 24
-        row images).  Copy j of irrep rho on representative k is index b of (rho, b), each
-        sector's copies padded to the most of any irrep there, sector 2p's first: its rows
-        24 k + slot (rho, j, l) in slot coordinates and its place 3 k + j (-1 past d or on
-        padding); then the entries at the representatives [rho, k, j, l], as they are and
-        over d |K| / 24, the (2, 5) copies by sector and the two padded sizes."""
+    def isotypic(self) -> tuple[tuple[np.ndarray, np.ndarray, tuple], ...]:
+        """Per sector pair (0, 1) and (2, 3), ``symmetry.adapted_basis`` on its orbits, sector
+        2p's first: the (w, 24, 24) entries, the stabilizer orders |K| and, per irrep rho of
+        dimension d, its copies (copy j on orbit k one index, by orbit): their (n, d) rows
+        24 k + slot (rho, j, l) of the entries, their entries at their representatives, and
+        how many lie in sector 2p."""
         perms, sizes = self.sector_permutations, np.cumsum([0, *self.sector_dims])
         entries, order, counts = symmetry.adapted_basis(np.hstack([p + o for p, o in zip(perms, sizes)]))
-        dims, bounds = np.array([len(d.T) for d in symmetry.irreps()]), np.cumsum([0, *(len(o[0]) for o in self.orbits)])
-        first = np.cumsum(dims * dims) - dims * dims  # each irrep's first slot
-        out = []
+        bounds, out = np.cumsum([0, *(len(o[0]) for o in self.orbits)]), []
         for lo, split, hi in (bounds[0:3], bounds[2:5]):
-            m, w = counts[:, lo:hi], hi - lo
-            copies = np.array([m[:, : split - lo].sum(axis=1), m[:, split - lo :].sum(axis=1)])
-            top, total = copies.max(axis=1, initial=0), m.sum(axis=1)
-            rho, k = np.repeat(np.arange(5), total), np.repeat(np.tile(np.arange(w), 5), m.ravel())
-            j = np.arange(len(k)) - np.repeat(np.cumsum(m.ravel()) - m.ravel(), m.ravel())
-            b = np.arange(len(k)) - (np.cumsum(total) - total)[rho] + (k >= split - lo) * (top[0] - copies[0, rho])
-            rows, places, l = np.full((5, top.sum(), 3), -1), np.full((5, top.sum()), -1), np.arange(3)
-            rows[rho, b] = np.where(l < dims[rho, None], (24 * k + first[rho] + dims[rho] * j)[:, None] + l, -1)
-            places[rho, b] = 3 * k + j
-            at = np.zeros((5, w, 3, 3))
-            for i, d in enumerate(dims):  # the entries at the representatives, [rho, k, j, l]
-                at[i, :, :d, :d] = entries[lo:hi, symmetry.index("I"), first[i] : first[i] + d * d].reshape(w, d, d)
-            weights, block = at * (24 / np.outer(dims, order[lo:hi]))[:, :, None, None], entries[lo:hi]
-            out.append((block, block.transpose(0, 2, 1) / order[lo:hi, None, None], rows, places, at, weights, copies, top))
+            at, copies, first = entries[lo:hi, symmetry.index("I")].ravel(), [], 0
+            for d, m in zip((len(d.T) for d in symmetry.irreps()), counts[:, lo:hi]):
+                k = np.repeat(np.arange(hi - lo), m)
+                j = np.arange(len(k)) - np.repeat(np.cumsum(m) - m, m)
+                rows = (24 * k + first + d * j)[:, None] + np.arange(d)
+                copies.append((rows, at[rows], int(m[: split - lo].sum())))
+                first += d * d
+            out.append((entries[lo:hi], order[lo:hi], tuple(copies)))
         return tuple(out)
 
     @cached_property
@@ -209,13 +199,15 @@ def _parity_split(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
 
 def build_model(cfg: InteractionConfig) -> ScatteringModel:
     """The model, or a ``ValueError`` before any sector exists when the series would
-    outgrow physical memory.  Irrep rho has sum_g chi_rho(g) fix_s(g) / 24 copies in sector
-    s, fix_s(g) the states g fixes; a sector pair's stacks are padded to N, the most copies
-    of any irrep in each of its sectors, over W orbits.  The traced peak stays below the held
-    items (n // 2 + n + 2 items of 5 N^2 per pair), a step's chunk of their products, one
-    unitarity check (15 N^2 for S^T, its conjugate and the Gram, 5 N (3 W + 1) placed and
-    10 W N spread in slot coordinates, 60 W^2 + 577 W read back) and two ufunc buffers,
-    plus 64 int64 per state, 24 per Fock state and 1200 per orbit."""
+    outgrow physical memory.  Irrep rho has m_s = sum_g chi_rho(g) fix_s(g) / 24 copies in
+    sector s, fix_s(g) the states g fixes, and m = m_2p + m_2p+1 on sector pair p, whose W
+    orbits are the trivial irrep's copies.  The traced peak is the held items, 2n + 2 of m^2
+    per pair and irrep, plus the largest of one step's products ((2n + 1) m^2 and A's
+    adjoint, at most m^2 / 4, for the largest m, beside H(t)'s blocks), one unitarity check (sum m^2 for the
+    Grams, 24 W^2 slot coordinates and the larger of their 36 W min(W, 64) read back and
+    6 m W placed) and one build of H's blocks (24 s (w + 4 W) with s and w the orbits of
+    sectors 2p and 2p + 1, and H's s columns of sector 2p + 1), plus one ufunc buffer, with
+    40 int64 per state, 128 per Fock state and 600 per orbit."""
     cfg.validate()
     # the spaces are lazy: building them first only checks that neither hyperboloid is empty
     pi_space = fock_space(hyperboloid(cfg.pi_mass_sq, cfg.energy_cap), cfg.pi_particle_cap)
@@ -225,14 +217,16 @@ def build_model(cfg: InteractionConfig) -> ScatteringModel:
     fixed = [[f[p] * e[q] for f, e in zip(pi, sigma)] for p in (0, 1) for q in (0, 1)]  # Python integers
     characters = [np.rint(np.trace(d, axis1=1, axis2=2)).astype(np.int64).tolist() for d in symmetry.irreps()]
     copies = [[sum(c * f for c, f in zip(chi, fix)) // 24 for fix in fixed] for chi in characters]
-    top = [max(c[s] for c in copies) for s in range(4)]
-    pairs = [(top[s] + top[s + 1], copies[0][s] + copies[0][s + 1]) for s in (0, 2)]  # N, W
-    item, count = 5 * sum(x * x for x, _ in pairs), cfg.horizon // 2 + cfg.horizon + 2
-    products = item * min(count, max(1, _STEP_ENTRIES // item))  # one chunk's
-    check = max(15 * x * x + 10 * (3 * w + 1) * x + 60 * w * w + 577 * w for x, w in pairs)
-    entries = item * count + products + check + 2 * np.getbufsize()
     dims = [fix[0] for fix in fixed]
-    need = 16 * entries + 8 * (64 * sum(dims) + 24 * (sum(pi[0]) + sum(sigma[0])) + 1200 * sum(copies[0]))
+    n, m = cfg.horizon, [[c[s] + c[s + 1] for c in copies] for s in (0, 2)]  # per sector pair and irrep
+    total, big = sum(x * x for pair in m for x in pair), max(x for pair in m for x in pair)
+    transient = (8 * n + 5) * big * big // 4 + total // 4  # a step's products, one A^H and H's blocks
+    for p, pair in enumerate(m):
+        s, w = copies[0][2 * p : 2 * p + 2]
+        check = sum(x * x for x in pair) + 24 * (s + w) ** 2 + max(36 * min(s + w, 64), 6 * max(pair)) * (s + w)
+        transient = max(transient, check, 24 * s * (w + 4 * (s + w)) + dims[2 * p + 1] * s)
+    tables = 40 * sum(dims) + 128 * (sum(pi[0]) + sum(sigma[0])) + 600 * sum(copies[0])
+    need = 16 * ((2 * n + 2) * total + transient + np.getbufsize()) + 8 * tables
     require_memory(need, f"the scattering series at D = {sum(dims)}")
     return ScatteringModel(cfg=cfg, pi_space=pi_space, sigma_space=sigma_space)
 
@@ -263,49 +257,62 @@ def interaction_hamiltonian(model: ScatteringModel, t: int) -> tuple[np.ndarray,
     return tuple(columns)
 
 
-def _spread(x: np.ndarray, places: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """(rho, b, l, k): the sum over the columns of x[rho] placed on representative k of
-    x[rho, b, column] times row l of the column's basis entries at k: the slot coordinates
-    of the representative columns of the operator whose padded blocks x are."""
-    padded = np.zeros((5, 3 * at.shape[1] + 1, x.shape[1]), dtype=complex)
-    padded[np.arange(5)[:, None], places] = x.transpose(0, 2, 1)  # padding to the last row
-    return (at.transpose(0, 1, 3, 2) @ padded[:, :-1].reshape(5, at.shape[1], 3, x.shape[1])).transpose(0, 3, 2, 1)
+def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for real a and complex z, as one real product on z's interleaved parts, so no
+    complex copy of a is made."""
+    return (a @ z.view(float)).view(complex)
 
 
-def hamiltonian_blocks(model: ScatteringModel, columns) -> tuple[tuple[np.ndarray, ...], float]:
-    """H's multiplicity blocks A_rho = B_rho^H H B_rho from its representative columns: block
-    s is the (5, ., .) stack of the irreps' blocks from sector s to s ^ 1, zero-padded, and
-    blocks 1 and 3 are the conjugate transposes of 0 and 2, so H is exactly self-adjoint by
-    construction.  H[:, g.r] = P_g H[:, r], so the representative columns in slot
-    coordinates (one product with each orbit's 24 row images) hold B_rho's vectors of every
-    row l, and A_rho weighs their rows.  Also the leakage: the largest slot coordinate of the
-    columns that the blocks do not give back, rounding when H commutes with every P_g."""
-    blocks, leakage = [np.empty(0)] * 4, []
+def _columns(x: np.ndarray, rows: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """(row copy, l, k): slot coordinates at representative k of the operator whose block
+    for one irrep x is, from its column copies' rows and entries at their representatives;
+    an orbit holds at most three copies j, so the sum over them is one product per orbit."""
+    k, slot = np.divmod(rows[:, 0], 24)
+    place = 3 * k + (slot - slot[:1]) // len(at.T)  # 3 k + j, the first copy's j being 0
+    spread, entries = np.zeros((len(x), 3 * width), dtype=complex), np.zeros((3 * width, len(at.T)))
+    spread[:, place], entries[place] = x, at
+    products = spread.reshape(len(x), width, 3).transpose(1, 0, 2) @ entries.reshape(width, 3, len(at.T))
+    return products.transpose(1, 2, 0)
+
+
+def hamiltonian_blocks(model: ScatteringModel, columns) -> tuple[tuple[tuple[np.ndarray, ...], ...], float]:
+    """H's multiplicity blocks A_rho = B_rho^H H B_rho from its representative columns: per
+    sector pair p, the five irreps' blocks from sector 2p's copies to 2p + 1's; the reverse
+    blocks are their conjugate transposes, so H is exactly self-adjoint by construction.
+    H[:, g.r] = P_g H[:, r], so the representative columns in slot coordinates (one product
+    with each orbit's 24 row images) hold B_rho's vectors of every row l, and A_rho weighs
+    their rows.  Also the leakage: the largest slot coordinate of the columns that the
+    blocks do not give back.  It is rounding when the column at each representative r is
+    fixed by r's stabilizer, as a G-invariant H's is; a column at a representative that only
+    the identity fixes is some G-invariant operator's whatever it holds, so the leakage sees
+    no symmetry breaking there, and the blocks are those of the G-invariant operator with
+    these representative columns."""
+    blocks, leakage = [], []
     for p, h in enumerate(columns):
-        entries, inverse, rows, places, at, weights, _, top = model.isotypic[p]
+        entries, order, irreps = model.isotypic[p]
         w, split = len(entries), len(model.orbits[2 * p][0])
-        rows, places = rows[:, top[0] :], places[:, : top[0]]  # sector 2p + 1's rows, 2p's columns
         images = h[model.sector_permutations[2 * p + 1][:, model.orbits[2 * p + 1][0]]].transpose(1, 0, 2)
-        slots = np.zeros((24 * w + 1, split), dtype=complex)  # padding reads the last row
-        slots[24 * split : 24 * w] = (inverse[split:] @ images).reshape(24 * (w - split), split)
-        x = np.zeros((5, split + 1, top[1], 3), dtype=complex)  # [rho, k, b, j], padding reads k = split
-        x[:, :split] = slots[rows].transpose(0, 3, 1, 2) @ weights[:, :split].transpose(0, 1, 3, 2)
-        a = x[np.arange(5)[:, None], places // 3, :, places % 3].transpose(0, 2, 1)
-        rebuilt = np.zeros_like(slots)
-        rebuilt[rows] = _spread(a, places, at[:, :split])
+        slots = np.zeros((w, 24, split), dtype=complex)
+        slots[split:] = _real_times(entries[split:].transpose(0, 2, 1), images) / order[split:, None, None]
+        slots, rebuilt, pair = slots.reshape(24 * w, split), np.zeros((24 * w, split), dtype=complex), []
+        for rows, at, n0 in irreps:
+            weight = at[:n0] * (24 / len(at.T) / order[rows[:n0, :1] // 24])
+            pair.append(np.einsum("xlc,cl->xc", slots[rows[n0:]][:, :, rows[:n0, 0] // 24], weight))
+            rebuilt[rows[n0:]] = _columns(pair[-1], rows[:n0], at[:n0], split)
+        blocks.append(tuple(pair))
         leakage.append(_max_abs([slots - rebuilt]))
-        blocks[2 * p], blocks[2 * p + 1] = a, a.conj().transpose(0, 2, 1)
     return tuple(blocks), _max_abs(leakage)
 
 
 @dataclass(frozen=True)
 class ScatteringSeries:
-    """The orders, S(n) as its (even, odd) parts, max|S(n)|, the defects, and H(0..n-1)'s
-    self-adjoint defect, leakage and max|H|, each taken before the next H(t) is built;
-    block s of order k: the padded stack of its irreps' blocks from sector s to s ^ (k mod 2)."""
+    """S(n) and its orders, per sector pair and irrep the block on the pair's copies as its
+    rows in sector 2p and in 2p + 1; max|S(n)|, the defects, and H(0..n-1)'s self-adjoint
+    defect (0.0, its reverse blocks being adjoints), leakage and max|H|, each taken before
+    the next H(t) is built."""
 
-    final: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
-    final_orders: tuple[tuple[np.ndarray, ...], ...]
+    final: tuple[tuple[np.ndarray, ...], ...]
+    final_orders: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
     final_max_abs: float
     rotated_coupling_defect: float
     order_sum_defect: float
@@ -321,105 +328,87 @@ def _max_abs(blocks) -> float:
     return float(np.max([np.max(np.abs(b), initial=0.0) for b in blocks], initial=0.0))
 
 
-def _standard_max(model: ScatteringModel, p: int, x: np.ndarray) -> float:
-    """max|X| in the tensor basis of sector pair p for the X whose padded blocks x are: X
-    commutes with every P_g, so its largest entry lies in its representative columns,
-    read back from slot coordinates onto each orbit's 24 row images."""
-    entries, _, rows, places, at, *_ = model.isotypic[p]
-    slots = np.zeros((24 * len(entries) + 1, len(entries)), dtype=complex)  # padding writes the last row
-    slots[rows] = _spread(x, places, at)
-    return _max_abs([entries @ slots[:-1].reshape(len(entries), 24, len(entries))])
-
-
-# Complex entries (64 MiB) of step products at a time: a step multiplies its items in chunks
-# of at most this many product entries, unless one item alone holds more.
-_STEP_ENTRIES = 1 << 22
+def _standard_max(model: ScatteringModel, p: int, xs) -> float:
+    """max|X| in the tensor basis of sector pair p for the X whose blocks xs are: X commutes
+    with every P_g, so its largest entry lies in its representative columns, read back from
+    slot coordinates onto each orbit's 24 row images, 64 orbits at a time."""
+    entries, _, irreps = model.isotypic[p]
+    slots = np.zeros((24 * len(entries), len(entries)), dtype=complex)
+    for (rows, at, _), x in zip(irreps, xs):
+        slots[rows] = _columns(x, rows, at, len(entries))
+    slots = slots.reshape(len(entries), 24, len(entries))
+    return _max_abs(_real_times(entries[k : k + 64], slots[k : k + 64]) for k in range(0, len(entries), 64))
 
 
 def _items_before(n: int, t: int) -> int:
-    """Of each column's items, the n + 1 chains and the orders up to t, the prefix that can be
+    """Of each block's items, the n + 1 chains and the orders 0..n, the prefix that can be
     nonzero before step t: the step's products of the others would add exact zeros."""
-    return n + 2 + t // 2
+    return n + 2 + t
 
 
 def scattering_series(model: ScatteringModel) -> ScatteringSeries:
     """S, its orders and chains j = 0..n, the products of (I + i w_j H(t)), w_j = exp(2 pi
-    i j / (n + 1)), in one loop on the multiplicity blocks.  Row sector r holds, per irrep
-    and one row per copy in its sector pair (sector 2p's first), the chains (chain 0 is S)
-    and then the orders: column sector r's even ones and r ^ 1's odd ones, so a step is one
-    stacked product with H(t)'s block per sector.  Order k gains i H(t) times order k - 1
-    and chain j i w_j H(t) times itself; step t multiplies only the items up to order t,
-    those above are still zero.  Chain j must be the sum of w_j^k times order k:
-    ``order_sum_defect`` is the worst block entry off at w = 1 and
-    ``rotated_coupling_defect`` at the other roots, which bounds every order.  Each H(t)
-    is built, measured and multiplied in, and dropped before the next is built."""
+    i j / (n + 1)), in one loop on the multiplicity blocks: per sector pair and irrep, the
+    n + 1 chains (chain 0 is S) and the orders 0..n as operators on the pair's copies.
+    Order k gains i H(t) times order k - 1 and chain j i w_j H(t) times itself, H(t) being
+    [[0, A^H], [A, 0]] on the pair, so a step is two small products per pair and irrep;
+    step t multiplies only the items up to order t, those above are still zero.  Chain j
+    must be the sum of w_j^k times order k: ``order_sum_defect`` is the worst block entry
+    off at w = 1 and ``rotated_coupling_defect`` at the other roots, which bounds every
+    order.  Each H(t) is built, measured and multiplied in, and dropped before the next."""
     n = model.cfg.horizon
-    half = n // 2 + 1  # orders 0, 2, ..., 2 half - 2 and 1, 3, ..., 2 half - 1
-    count = n + 1 + half  # items per column
     roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    scale = 1j * np.concatenate([roots, np.ones(half)])[:, None, None]
-    parts = [(slice(0, top[0]), slice(top[0], top.sum())) for *_, top in model.isotypic]
-    copies = [rows[:, :, 0] >= 0 for _, _, rows, *_ in model.isotypic]  # (5, pair size) each, no padding
-    held = []
-    for r in range(4):
-        p, part = r // 2, parts[r // 2][r % 2]
-        held.append(np.zeros((count, 5, copies[p].shape[1], part.stop - part.start), dtype=complex))
-        held[r][: n + 2, :, part] = np.eye(part.stop - part.start) * copies[p][:, None, part]  # I
+    scale = 1j * np.concatenate([roots, np.ones(n + 1)])[:, None, None]
+    model._hamiltonian_terms  # built before the items, so its peak does not add to theirs
+    held = []  # per sector pair and irrep, the items' rows in sector 2p and in 2p + 1
+    for *_, irreps in model.isotypic:
+        for rows, _, n0 in irreps:
+            upper, lower = (np.zeros((2 * n + 2, k, len(rows)), dtype=complex) for k in (n0, len(rows) - n0))
+            upper[: n + 2, :, :n0], lower[: n + 2, :, n0:] = np.eye(n0), np.eye(len(rows) - n0)
+            held.append((upper, lower))
 
-    def step(h, pre: int) -> None:
-        size = max(1, _STEP_ENTRIES // sum(x[0].size for x in held))  # items a chunk multiplies
-        for stop in range(pre, 0, -size):  # top chunk first: each adds only into items it or an earlier one read
-            start = max(stop - size, 0)
-            products = [x[start:stop] @ a.transpose(0, 2, 1) for x, a in zip(held, h)]
-            chains, orders = max(start, min(stop, n + 1)), (max(start, n + 1), min(stop, count - 1))
-            for r, product in enumerate(products):
-                to, (even, odd) = held[r ^ 1], (parts[r // 2][i] for i in (r % 2, 1 - r % 2))
-                product *= scale[start:stop, None]
-                to[start:stop, :, even] += product[:, :, even]  # order 2i to 2i + 1, a chain's even part to its odd
-                to[start:chains, :, odd] += product[: chains - start, :, odd]
-                to[orders[0] + 1 : orders[1] + 1, :, odd] += product[orders[0] - start : orders[1] - start, :, odd]
+    def largest(gram: bool) -> float:  # max|S^H S - I| or max|S| in the tensor basis
+        out = []
+        for p in (0, 1):
+            s = [(u[0], v[0]) for u, v in held[5 * p : 5 * p + 5]]
+            xs = [u.conj().T @ u + v.conj().T @ v - np.eye(len(u.T)) if gram else np.vstack([u, v]) for u, v in s]
+            out.append(_standard_max(model, p, xs))
+        return _max_abs(out)
 
-    def pair_max(p: int, gram: bool) -> float:  # max|S^H S - I| or max|S| on sector pair p
-        z = np.concatenate([held[2 * p][0], held[2 * p + 1][0]], axis=2)  # S^T
-        if not gram:
-            return _standard_max(model, p, z.transpose(0, 2, 1))
-        product = z.conj() @ z.transpose(0, 2, 1)
-        product.reshape(5, -1)[:, :: len(z[0]) + 1] -= copies[p]
-        return _standard_max(model, p, product)
-
-    defects, measured = [_max_abs([pair_max(p, True) for p in (0, 1)])], []
+    defects, measured = [largest(True)], []
     for t in range(n):
         columns = interaction_hamiltonian(model, t)
         h, leakage = hamiltonian_blocks(model, columns)
-        measured.append((self_adjoint_defect(h), leakage, _max_abs(columns)))
+        measured.append((leakage, _max_abs(columns)))
         del columns
-        step(h, _items_before(n, t))
+        pre = _items_before(n, t)
+        for (upper, lower), a in zip(held, (a for pair in h for a in pair)):
+            top, bottom = a.conj().T @ lower[:pre], a @ upper[:pre]  # H(t) X's rows in sectors 2p, 2p + 1
+            for x, product in ((upper, top), (lower, bottom)):
+                product *= scale[:pre]  # i w_j for chain j, i for the orders
+                x[: n + 1] += product[: n + 1]
+                x[n + 2 : pre + 1] += product[n + 1 :]
+            del top, bottom, product  # before the next irrep's
         del h  # the unitarity check and the next build run without it
-        defects.append(_max_abs([pair_max(p, True) for p in (0, 1)]))
-    worst = []  # per item, the worst entry off at each root
-    for r, x in enumerate(held):
-        for first, part in enumerate(parts[r // 2][i] for i in (r % 2, 1 - r % 2)):
-            powers = roots[:, None] ** np.arange(first, 2 * half, 2)  # powers of the rounded w
-            gap = x[: n + 1, :, part] - np.einsum("jk,krcx->jrcx", powers, x[n + 1 :, :, part])
-            worst.append(np.max(np.abs(gap), axis=(1, 2, 3), initial=0.0))
+        defects.append(largest(True))
+    powers, gaps = roots[:, None] ** np.arange(n + 1), []  # powers of the rounded w
+    for x in (x for pair in held for x in pair):  # per item, the worst entry off at each root
+        gap = powers @ x[n + 1 :].reshape(n + 1, -1)
+        gap -= x[: n + 1].reshape(n + 1, -1)
+        gaps.append(np.max(np.abs(gap), axis=1, initial=0.0))
+    del gap  # before the read back of max|S|
+    worst = np.max(gaps, axis=0)  # per root, NaN when an item's is
 
-    def blocks(k: int, item: int) -> tuple[np.ndarray, ...]:
-        return tuple(held[s ^ k % 2][item, :, parts[s // 2][s % 2]].transpose(0, 2, 1) for s in range(4))
+    def blocks(item: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+        return tuple(tuple((u[item], v[item]) for u, v in held[5 * p : 5 * p + 5]) for p in (0, 1))
 
-    worst = np.max(worst, axis=0)  # per root, NaN when an item's is
-    adjoint, rotation, largest = np.max(np.reshape(measured, (-1, 3)), axis=0, initial=0.0).tolist()
+    rotation, largest_h = np.max(np.reshape(measured, (-1, 2)), axis=0, initial=0.0).tolist()
     return ScatteringSeries(
-        final=(blocks(0, 0), blocks(1, 0)), final_orders=tuple(blocks(k, n + 1 + k // 2) for k in range(n + 1)),
-        final_max_abs=_max_abs([pair_max(p, False) for p in (0, 1)]), rotated_coupling_defect=_max_abs(worst[1:]),
+        final=blocks(0), final_orders=tuple(blocks(n + 1 + k) for k in range(n + 1)),
+        final_max_abs=largest(False), rotated_coupling_defect=_max_abs(worst[1:]),
         order_sum_defect=float(worst[0]), unitarity_defects=tuple(defects),
-        hamiltonian_adjoint_defect=adjoint, hamiltonian_rotation_defect=rotation, hamiltonian_max_abs=largest,
+        hamiltonian_adjoint_defect=0.0, hamiltonian_rotation_defect=rotation, hamiltonian_max_abs=largest_h,
     )
-
-
-def self_adjoint_defect(h) -> float:
-    """Worst |H - H^H| entry of one H(t)'s blocks, 0 and 2 against the adjoints of 1 and 3
-    (the reverse pairs are the same differences); 0.0 by construction."""
-    return _max_abs(h[s] - h[s ^ 1].conj().transpose(0, 2, 1) for s in (0, 2))
 
 
 @dataclass(frozen=True)
@@ -445,17 +434,21 @@ def amplitude(
     local_in, local_out = np.searchsorted(model.sectors[0], [index_in, index_out])
     row = np.argmax(model.sector_permutations[0][element[local_in]] == local_out)
     k_in, k_out = np.searchsorted(reps, [rep[local_in], rep[row]])
-    entries, _, rows, places, at, *_, top = model.isotypic[0]
-    rows, places = rows[:, : top[0]], places[:, : top[0]]
-    left = np.where(rows // 24 == k_out, entries[k_out, element[row]][rows % 24], 0.0)
-    right = np.where((places // 3 == k_in)[..., None], np.take_along_axis(at.reshape(5, -1, 3), places[..., None], 1), 0.0)
-    weights = left @ right.transpose(0, 2, 1)  # <out| X |in> = sum of weights * X's padded blocks from sector 0 to 0
+    entries, _, irreps = model.isotypic[0]
+    weights = []  # per irrep: <out| X |in> = the sum of weights * X's block from sector 0 to 0
+    for rows, at, n0 in irreps:
+        left = np.where(rows[:n0] // 24 == k_out, entries[k_out, element[row]][rows[:n0] % 24], 0.0)
+        weights.append((left @ np.where(rows[:n0] // 24 == k_in, at[:n0], 0.0).T, n0))
 
-    def bracket(blocks, parity: int) -> complex:
-        return complex(0.0 + np.vdot(np.zeros(blocks[0].shape) if parity else weights, blocks[0]))
+    def bracket(blocks, parity: int) -> complex:  # odd: zero weights on the blocks from sector 0 to 1
+        total = 0.0
+        for (w, n0), rows in zip(weights, blocks[0]):
+            block = rows[parity][:, :n0]
+            total += np.vdot(np.zeros(block.shape) if parity else w, block)
+        return complex(total)
 
     per_order = tuple(bracket(order, k % 2) for k, order in enumerate(series.final_orders))
-    total = bracket(series.final[0], 0) + bracket(series.final[1], 1)
+    total = bracket(series.final, 0) + bracket(series.final, 1)
     return AmplitudeReport(total, per_order, float(abs(total) ** 2), (model.pi_space.dim, model.sigma_space.dim))
 
 

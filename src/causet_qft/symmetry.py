@@ -204,10 +204,12 @@ def adapted_basis(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     counts = np.rint(np.trace(stack, axis1=2, axis2=3)).astype(np.int64) @ fixed // order
     averages = (fixed.T @ stack.reshape(5, 24, 9)).reshape(5, -1, 3, 3) / order[:, None, None]
     u = np.linalg.eigh(averages)[1][..., ::-1] * (np.arange(3) < counts[..., None])[..., None, :]  # eigenvalue 1
-    entries = (stack.reshape(5, 1, 72, 3) @ u).reshape(5, -1, 24, 3, 3).transpose(1, 2, 0, 4, 3)
-    entries = entries * np.sqrt(np.outer(order, dims) / 24)[:, None, :, None, None]
-    slots = [9 * i + 3 * j + l for i, d in enumerate(dims) for j in range(d) for l in range(d)]
-    return entries.reshape(len(reps), 24, 45)[:, :, slots], order, counts
+    u *= np.sqrt(np.outer(dims, order) / 24)[..., None, None]
+    entries = []
+    for i, d in enumerate(dims):
+        images = stack[i, :, :d, :d] @ u[i, :, None, :d, :d]  # [k, g, l, j]
+        entries.append(images.transpose(0, 1, 3, 2).reshape(len(reps), 24, d * d))
+    return np.concatenate(entries, axis=2), order, counts
 
 
 def _is_subgroup(labels: tuple[str, ...]) -> dict:

@@ -1174,28 +1174,42 @@ def rotation_defect(model: ScatteringModel, h: tuple[np.ndarray, ...]) -> float:
 
 def pair_basis(model: ScatteringModel, p: int) -> np.ndarray:
     """The adapted basis of sector pair p as a dense matrix on the pair's states (sector 2p's,
-    then 2p + 1's), column k 24 + slot as ``ScatteringModel.isotypic`` indexes its rows, and
-    a zero column last, which index -1 reads."""
+    then 2p + 1's), column 24 k + slot as ``ScatteringModel.isotypic`` indexes its rows."""
     entries = model.isotypic[p][0]
     perms = np.hstack([model.sector_permutations[2 * p], model.sector_permutations[2 * p + 1] + model.sector_dims[2 * p]])
-    out = np.zeros((perms.shape[1], 24 * len(entries) + 1))
+    out = np.zeros((perms.shape[1], 24 * len(entries)))
     for k, r in enumerate(symmetry.orbits(perms)[0]):
         out[perms[:, r], 24 * k : 24 * k + 24] = entries[k]  # an orbit's states repeat, with equal entries
     return out
 
 
-def isotypic_dense(model: ScatteringModel, blocks, parity: int) -> np.ndarray:
-    """A G-invariant operator of Q-parity ``parity`` as a dense D x D matrix from its padded
-    isotypic blocks, [s] the (5, ., .) stack from sector s to s ^ parity: the sum over irreps
+def pair_blocks(model: ScatteringModel, h) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+    """H's blocks on each sector pair's copies, [[0, A^H], [A, 0]] as its rows in sector 2p
+    and in 2p + 1, from its blocks A from sector 2p's copies to 2p + 1's, as
+    ``hamiltonian_blocks`` gives them."""
+    return tuple(
+        tuple(
+            (np.hstack([np.zeros((n0, n0)), a.conj().T]), np.hstack([a, np.zeros((len(a), len(a)))]))
+            for a, (_, _, n0) in zip(pair, irreps)
+        )
+        for pair, (*_, irreps) in zip(h, model.isotypic)
+    )
+
+
+def isotypic_dense(model: ScatteringModel, blocks) -> np.ndarray:
+    """A G-invariant operator as a dense D x D matrix from its multiplicity blocks, [p][rho]
+    on sector pair p's copies as their rows in sector 2p and in 2p + 1: the sum over irreps
     rho and rows l of B_{rho l} X_rho B_{rho l}^T."""
     out = np.zeros((model.dim, model.dim), dtype=complex)
-    for s, x in enumerate(blocks):
-        p, (_, _, rows, *_, top) = s // 2, model.isotypic[s // 2]
-        parts = (slice(0, top[0]), slice(top[0], top.sum()))
+    for p, (pair, (*_, irreps)) in enumerate(zip(blocks, model.isotypic)):
         basis, states = pair_basis(model, p), np.concatenate(model.sectors[2 * p : 2 * p + 2])
-        out[np.ix_(states, states)] += sum(
-            basis[:, rows[rho, parts[(s ^ parity) % 2], l]] @ x[rho] @ basis[:, rows[rho, parts[s % 2], l]].T
-            for rho in range(5) for l in range(3)
+        out[np.ix_(states, states)] = sum(
+            (
+                basis[:, rows[:, l]] @ np.vstack(x) @ basis[:, rows[:, l]].T
+                for (rows, _, _), x in zip(irreps, pair)
+                for l in range(len(rows.T))
+            ),
+            start=np.zeros((len(states), len(states)), dtype=complex),
         )
     return out
 

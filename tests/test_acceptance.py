@@ -382,12 +382,8 @@ def test_criterion_9_dyson_engine():
         )
         zero_model = scattering.build_model(zero_cfg)
         series = scattering.scattering_series(zero_model)
-        even, odd = series.final  # each sector's stack of multiplicity blocks, zero-padded
-        for s, block in enumerate(even):  # the identity on the copies of each irrep
-            _, _, rows, *_, top = zero_model.isotypic[s // 2]
-            copies = (rows[:, : top[0]] if s % 2 == 0 else rows[:, top[0] :])[..., 0] >= 0
-            assert np.array_equal(block, np.eye(len(copies[0])) * copies[:, None, :])
-        assert not any(block.any() for block in odd)
+        for pair in series.final:  # per sector pair and irrep, the identity on its copies
+            assert all(np.array_equal(np.vstack(rows), np.eye(len(rows[0].T))) for rows in pair)
         # the dense step loop agrees exactly: S = I, and every S(k) is exactly unitary
         dense = dense_series(zero_model)
         assert np.array_equal(dense.final, np.eye(zero_model.dim))

@@ -844,51 +844,42 @@ def test_series_gates_scale_with_the_series(capsys):
 def test_scatter_fails_on_weight_moved_between_orders(capsys, monkeypatch):
     """A genuine fault that the sum of the orders cannot see: order 1 ends E above its
     value and order 3 E below, with S(n) and the odd part of the sum unchanged; E is odd,
-    as both orders are.  Every step t adds iH(t) times order k - 1 into order k once order
-    k - 1 may be nonzero (order 2 from step 2 on), so order 1 starts at E, order 2 at
-    F = -i(H(0) + H(1) + H(2)) E, which cancels the iH(t) E the steps add into it, and order
-    3 at -E less the iH(2) times order 2 that step 2 adds into it.  E joins the vacuum to
-    the sigma state of one particle, both in the trivial irrep, so no two-pi amplitude moves."""
+    as both orders are.  Step t adds iH(t) times order k - 1 into order k once order k - 1
+    may be nonzero (k - 1 <= t), so order 1 starts at E, order 2 at F = -i(H(1) + H(2)) E,
+    which cancels the iH(t) E that steps 1 and 2 add into it, and order 3 at -E less the
+    iH(2) times order 2 that step 2 adds into it.  E joins the vacuum to the sigma state of
+    one particle, both in the trivial irrep, so no two-pi amplitude moves."""
     cfg = scattering.InteractionConfig(
         coupling=0.1, pi_mass_sq=0, sigma_mass_sq=1, energy_cap=1,
         pi_particle_cap=2, sigma_particle_cap=1, window_radius=0, horizon=3,
     )
     model = scattering.build_model(cfg)
     columns = [scattering.interaction_hamiltonian(model, t) for t in range(3)]
-    hams = [scattering.hamiltonian_blocks(model, c)[0] for c in columns]
-
-    def times_h(h, blocks, parity):
-        return [h[s ^ parity] @ b for s, b in enumerate(blocks)]
-
-    fault = [np.zeros_like(b) for b in hams[0]]  # sector s to s ^ 1, per irrep
-    fault[0][0, 0, 0] = 1e-6  # trivial irrep: the vacuum, sector 0, to sector 1's first copy
-    h_fault = [times_h(h, fault, 1) for h in hams]
-    order2 = [-1j * sum(parts) for parts in zip(*h_fault)]
-    order3, before = [-e for e in fault], order2  # before: order 2 ahead of step t
-    for t, (h, hf) in enumerate(zip(hams, h_fault)):
-        if t >= 2:
-            order3 = [o - 1j * x for o, x in zip(order3, times_h(h, before, 0))]
-        before = [b + 1j * x for b, x in zip(before, hf)]
-    # Row sector r holds, per irrep and item, sector 0's columns before sector 1's, each a
-    # row of the item's entries in r: the four chains, then orders 0 and 2 (row sector 0)
-    # or 1 and 3 (row sector 1).  The vacuum's copy is column 0.
-    starts = {0: [(5, order2[0])], 1: [(4, fault[0]), (5, order3[0])]}
-    calls = iter(range(4))
+    # H(t) on the copies of the trivial irrep in sector pair 0, sector 0's first
+    hams = [np.vstack(oracles.pair_blocks(model, scattering.hamiltonian_blocks(model, c)[0])[0][0]) for c in columns]
+    n0 = model.isotypic[0][2][0][2]
+    fault = np.zeros_like(hams[0])
+    fault[n0, 0] = 1e-6  # the vacuum's copy to sector 1's first
+    starts = [fault, -1j * (hams[1] + hams[2]) @ fault]  # orders 1 and 2
+    starts.append(-fault - 1j * hams[2] @ (starts[1] + 1j * hams[1] @ fault))
+    calls = iter([slice(0, n0), slice(n0, None)])
 
     class StartsAtTheFault:
-        """``numpy`` whose complex ``zeros`` hands out the row sectors' items with the
-        starts of orders 1..3 in sector 0's columns."""
+        """``numpy`` whose first two complex ``zeros``, the items (the four chains, then
+        orders 0..3) of the trivial irrep in sector pair 0, their rows in sector 0 and in
+        sector 1, hold the starts of orders 1..3."""
 
         def __getattr__(self, name):
             return getattr(np, name)
 
         def zeros(self, shape, dtype=float):
             held = np.zeros(shape, dtype)
-            for item, block in starts.get(next(calls, None), []) if dtype is complex else ():
-                held[item, :, : block.shape[2]] = block.transpose(0, 2, 1)
+            rows = next(calls, None) if dtype is complex else None
+            if rows is not None:
+                held[5:8] = [start[rows] for start in starts]
             return held
 
-    # Hamiltonians built beforehand, so the row sectors' items are the series' first complex zeros
+    # Hamiltonians built beforehand, so the held items are the series' first complex zeros
     monkeypatch.setattr(scattering, "interaction_hamiltonian", lambda model, t: columns[t])
     monkeypatch.setattr(scattering, "np", StartsAtTheFault())
     code, out, err = run_cli(

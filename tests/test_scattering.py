@@ -24,7 +24,6 @@ from causet_qft.scattering import (
     interaction_hamiltonian,
     order_parity_check,
     scattering_series,
-    self_adjoint_defect,
 )
 from oracles import (
     GENERATORS,
@@ -41,6 +40,7 @@ from oracles import (
     norm_sq4,
     orbit_series,
     pair_basis,
+    pair_blocks,
     parity_hamiltonian,
     product_formula,
     psi,
@@ -171,7 +171,7 @@ def test_series_orders_are_the_tuple_sums(window_radius):
     series = scattering_series(m)
     want = _tuple_sums([1j * densify(m, h, 1) for h in _hamiltonians(m)], m.dim)
     for k, (got, order) in enumerate(zip(series.final_orders, want, strict=True)):
-        assert np.max(np.abs(_full(m, got, k % 2) - order)) <= 1e-12 * series.final_max_abs
+        assert np.max(np.abs(_full(m, got) - order)) <= 1e-12 * series.final_max_abs
 
 
 @pytest.fixture(scope="module")
@@ -217,19 +217,19 @@ def test_memory_guard_estimates_the_model_dimension(
 
 
 def _held_entries(model):
-    """Entries of the series' items: n // 2 + n + 2 items of 5 N^2 per sector pair, N its
-    padded size."""
-    n = model.cfg.horizon
-    return 5 * (n // 2 + n + 2) * sum(int(top.sum()) ** 2 for *_, top in model.isotypic)
+    """Entries of the series' items: 2n + 2 items of m^2 per sector pair and irrep, m its
+    copies on the pair."""
+    return (2 * model.cfg.horizon + 2) * sum(len(rows) ** 2 for *_, irreps in model.isotypic for rows, _, _ in irreps)
 
 
 def _check_entries(model):
-    """Entries of the largest unitarity check: S^T, its conjugate and the Gram, their slot
-    coordinates placed and spread, and the read back."""
-    return max(
-        15 * x * x + 10 * (3 * w + 1) * x + 60 * w * w + 577 * w
-        for x, w in ((int(top.sum()), len(entries)) for entries, *_, top in model.isotypic)
-    )
+    """Entries of the largest unitarity check: the Grams, the slot coordinates and the larger
+    of their read back and the placing of one irrep's columns."""
+    out = []
+    for entries, _, irreps in model.isotypic:
+        sizes, w = [len(rows) for rows, _, _ in irreps], len(entries)
+        out.append(sum(m * m for m in sizes) + 24 * w * w + max(36 * min(w, 64), 6 * max(sizes)) * w)
+    return max(out)
 
 
 def _traced_series_peak(model):
@@ -242,19 +242,22 @@ def _traced_series_peak(model):
 
 
 def _guard_bytes(model):
-    """The guard's arithmetic from the built model: its padded pair sizes and orbits as
-    ``ScatteringModel.isotypic`` finds them, against the characters and fixed-state counts
-    the guard uses before any sector exists."""
-    item = _held_entries(model) // (model.cfg.horizon // 2 + model.cfg.horizon + 2)
-    products = min(_held_entries(model), max(item, scattering._STEP_ENTRIES // item * item))
-    entries = _held_entries(model) + products + _check_entries(model) + 2 * np.getbufsize()
+    """The guard's arithmetic from the built model: its copies and orbits as
+    ``ScatteringModel.isotypic`` and ``orbits`` find them, against the characters and
+    fixed-state counts the guard uses before any sector exists."""
+    n, sizes = model.cfg.horizon, [len(rows) for *_, irreps in model.isotypic for rows, _, _ in irreps]
+    transient = max(_check_entries(model), (8 * n + 5) * max(sizes) ** 2 // 4 + sum(m * m for m in sizes) // 4)
+    for p, (entries, _, irreps) in enumerate(model.isotypic):
+        s, w = (len(model.orbits[2 * p + i][0]) for i in (0, 1))
+        transient = max(transient, 24 * s * (w + 4 * len(entries)) + model.sector_dims[2 * p + 1] * s)
     orbits = sum(len(orbit[0]) for orbit in model.orbits)
-    return 16 * entries + 8 * (64 * model.dim + 24 * (model.pi_space.dim + model.sigma_space.dim) + 1200 * orbits)
+    tables = 40 * model.dim + 128 * (model.pi_space.dim + model.sigma_space.dim) + 600 * orbits
+    return 16 * (_held_entries(model) + transient + np.getbufsize()) + 8 * tables
 
 
 def _guard_and_traced_peak(monkeypatch, pi_mass_sq, sigma_mass_sq, energy_cap, horizon):
-    """The guard's estimate for a model, its slack (one step's products and one unitarity
-    check, in bytes), the model's sector sizes and the series' traced peak."""
+    """The guard's estimate for a model, its slack (one unitarity check, in bytes), the
+    model's sector sizes and the series' traced peak."""
     cfg = InteractionConfig(
         coupling=0.1,
         pi_mass_sq=pi_mass_sq,
@@ -270,13 +273,17 @@ def _guard_and_traced_peak(monkeypatch, pi_mass_sq, sigma_mass_sq, energy_cap, h
     model = build_model(cfg)
     peak = _traced_series_peak(model)
     assert needs == [_guard_bytes(model)]
-    return needs[0], 16 * (_held_entries(model) + _check_entries(model)), model.sector_dims, peak
+    return needs[0], 16 * _check_entries(model), model.sector_dims, peak
 
 
 @pytest.mark.parametrize("horizon", [2, 4, 8])
 def test_memory_guard_counts_the_series_peak(monkeypatch, horizon):
-    """The guard's count is the traced peak of the series, rounded up to within one step's
-    products and one unitarity check; here the odd-pi sectors are a seventh of the even ones."""
+    """The guard's count is the traced peak of the series, rounded up by less than one
+    unitarity check, the smallest transient it counts (measured: 125-134, 127-129 and
+    113-115 KB at horizons 2, 4 and 8 against a check of 337 KB: the 128 KB ufunc buffer
+    that the guard counts in every phase, less numpy's cache of small blocks, which grows
+    about 3 KB a step, and a few KB that depend on what the process ran before); here the
+    odd-pi sectors are a seventh of the even ones."""
     need, slack, dims, peak = _guard_and_traced_peak(monkeypatch, 0, 1, 1, horizon)
     assert dims == (92, 92, 13, 13)
     assert need - slack <= peak <= need
@@ -285,7 +292,8 @@ def test_memory_guard_counts_the_series_peak(monkeypatch, horizon):
 @pytest.mark.parametrize("horizon", [2, 4, 8])
 def test_memory_guard_counts_the_peak_of_unequal_sigma_sectors(monkeypatch, horizon):
     """With six sigma points the sector pairs hold unequal copies, and the guard still
-    rounds the traced peak up to within one step's products and one unitarity check."""
+    rounds the traced peak up by less than one unitarity check (measured: 116-118, 109-111
+    and 96-98 KB at horizons 2, 4 and 8 against a check of 179 KB)."""
     need, slack, dims, peak = _guard_and_traced_peak(monkeypatch, 2, 2, 2, horizon)
     assert dims == (22, 132, 6, 36)
     assert need - slack <= peak <= need
@@ -296,7 +304,8 @@ def test_series_peak_less_its_items_does_not_grow_with_the_horizon(monkeypatch, 
     """Each H(t) is dropped before the next is built, so the traced peak of building one
     H(t) and its blocks, less the held items, is the same at every step and horizon to
     within 8 KB, the step loop's measured floats (about 0.5 KB a step); keeping each H(t)
-    would add its representative columns and blocks, 68 KB a step in the equal-sigma model."""
+    would add its representative columns and blocks, about 22 KB a step in the equal-sigma
+    model."""
     pi_mass_sq, sigma_mass_sq, energy_cap = masses
     beyond = []
     for name in ("interaction_hamiltonian", "hamiltonian_blocks"):
@@ -375,7 +384,9 @@ def test_window_slice(model):
 
 @pytest.mark.parametrize("window_radius", [0, 1])
 def test_hamiltonian_selfadjoint(window_radius):
-    """Exactly self-adjoint by construction, whatever order BLAS sums in."""
+    """Exactly self-adjoint by construction, whatever order BLAS sums in: one block per
+    sector pair and irrep, from sector 2p's copies to 2p + 1's, whose adjoint is the reverse
+    block."""
     cfg = InteractionConfig(
         coupling=0.1,
         pi_mass_sq=0,
@@ -390,8 +401,9 @@ def test_hamiltonian_selfadjoint(window_radius):
     assert len(window_slice(cfg, 2)) == (1 if window_radius == 0 else 13)
     for t in range(cfg.horizon):
         h, _ = hamiltonian_blocks(m, interaction_hamiltonian(m, t))
-        assert all(np.array_equal(h[s ^ 1], h[s].conj().transpose(0, 2, 1)) for s in range(4))
-        assert self_adjoint_defect(h) == 0.0
+        shapes = [[(len(rows) - n0, n0) for rows, _, n0 in irreps] for *_, irreps in m.isotypic]
+        assert [[a.shape for a in pair] for pair in h] == shapes
+        assert all(np.array_equal(np.vstack(x), np.vstack(x).conj().T) for pair in pair_blocks(m, h) for x in pair)
         dense = densify(m, parity_hamiltonian(m, t), 1)
         assert np.max(np.abs(dense - dense.conj().T)) == 0.0
 
@@ -451,21 +463,17 @@ def test_hamiltonian_zero_coupling(model):
     )
     m0 = build_model(cfg0)
     assert not any(block.any() for block in interaction_hamiltonian(m0, 0))
-    assert not any(block.any() for block in hamiltonian_blocks(m0, interaction_hamiltonian(m0, 0))[0])
+    assert not any(a.any() for pair in hamiltonian_blocks(m0, interaction_hamiltonian(m0, 0))[0] for a in pair)
     series = scattering_series(m0)
     steps = _graded_steps(m0, _hamiltonians(m0))
-    even, odd = series.final  # S = I exactly, on the copies; the padding stays zero
-    assert all(np.array_equal(block, _identity(m0, s)) for s, block in enumerate(even))
-    assert not any(block.any() for block in odd)
+    assert _is_identity(series.final)  # S = I exactly
     assert series.unitarity_defects == tuple(graded_unitarity_defect(*s) for s in steps) == (0.0,) * 3
     assert series.final_max_abs == pytest.approx(1.0, rel=1e-15)  # read back through the basis
 
 
-def _identity(model, s):
-    """The identity on sector s's copies of each irrep, as a padded (5, ., .) stack."""
-    _, _, rows, *_, top = model.isotypic[s // 2]
-    part = slice(0, top[0]) if s % 2 == 0 else slice(top[0], top.sum())
-    return np.eye(part.stop - part.start) * (rows[:, None, part, 0] >= 0)
+def _is_identity(blocks):
+    """Whether every block, per sector pair and irrep, is exactly the identity."""
+    return all(np.array_equal(np.vstack(x), np.eye(len(x[0].T))) for pair in blocks for x in pair)
 
 
 def test_hamiltonian_single_point_hand_check():
@@ -508,23 +516,9 @@ def _graded_steps(model, hams):
     return steps
 
 
-def _full(model, blocks, parity):
-    """A G-invariant operator of Q-parity ``parity`` as a dense D x D matrix from its padded
-    isotypic blocks."""
-    return isotypic_dense(model, blocks, parity)
-
-
-def _full_pair(model, pair):
-    """The (even, odd) pair of S on whole parity blocks."""
-    return tuple(
-        [_full(model, blocks, parity)[np.ix_(model.sectors[s ^ parity], ix)] for s, ix in enumerate(model.sectors)]
-        for parity, blocks in enumerate(pair)
-    )
-
-
-def _dense(model, pair):
-    """S as a dense D x D matrix from its (even, odd) pair of padded isotypic blocks."""
-    return _full(model, pair[0], 0) + _full(model, pair[1], 1)
+def _full(model, blocks):
+    """A G-invariant operator as a dense D x D matrix from its multiplicity blocks."""
+    return isotypic_dense(model, blocks)
 
 
 def test_series_recursion_properties(model):
@@ -534,18 +528,18 @@ def test_series_recursion_properties(model):
     # each step's unitarity defect agree with them to rounding
     steps = _graded_steps(model, _hamiltonians(model))
     scale = series.final_max_abs
-    for got, want in zip(_full_pair(model, series.final), steps[-1], strict=True):
-        assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) <= 1e-14 * scale
+    want = densify(model, steps[-1][0], 0) + densify(model, steps[-1][1], 1)
+    assert np.max(np.abs(_full(model, series.final) - want)) <= 1e-14 * scale
     want = [graded_unitarity_defect(*s) for s in steps]
     assert series.unitarity_defects == pytest.approx(want, rel=1e-12, abs=0)
     # the last step adds iH(n-1) S(n-1) to the rebuilt S(n-1)
     before = densify(model, steps[-2][0], 0) + densify(model, steps[-2][1], 1)
-    final = _dense(model, series.final)
+    final = _full(model, series.final)
     (last,) = difference_op([before, final])
     h_last = parity_hamiltonian(model, model.cfg.horizon - 1)
     assert np.max(np.abs(last - 1j * densify(model, h_last, 1) @ before)) < 1e-10
     # per-order pieces sum to the final operator
-    total = sum(_full(model, order, k % 2) for k, order in enumerate(series.final_orders))
+    total = sum(_full(model, order) for order in series.final_orders)
     assert np.max(np.abs(total - final)) < 1e-10
 
 
@@ -591,38 +585,24 @@ def test_final_orders_match_full_recursion(horizon, window_radius):
     series = scattering_series(m)
     scale = max(series.final_max_abs, *(np.max(np.abs(b)) for blocks in reference for b in blocks))
     for k, (got, want) in enumerate(zip(series.final_orders, reference, strict=True)):
-        assert np.max(np.abs(_full(m, got, k % 2) - densify(m, want, k % 2))) <= 1e-14 * scale
-
-
-@pytest.mark.parametrize("entries", [1, 7000])
-@pytest.mark.parametrize("horizon", [1, 2, 5, 6])
-def test_steps_in_chunks_change_no_bit(monkeypatch, horizon, entries):
-    """A step multiplies its items in chunks, the top one first, when their products would
-    outgrow ``_STEP_ENTRIES``: one item, or two, at a time gives the bits of one product."""
-    m = _dense_case({"horizon": horizon})
-    whole = scattering_series(m)
-    monkeypatch.setattr(scattering, "_STEP_ENTRIES", entries)
-    chunked = scattering_series(m)
-
-    def bits(series):
-        return [x.tobytes() for blocks in (*series.final, *series.final_orders) for x in blocks]
-
-    assert bits(chunked) == bits(whole)
-    assert (chunked.unitarity_defects, chunked.rotated_coupling_defect) == (whole.unitarity_defects, whole.rotated_coupling_defect)
+        assert np.max(np.abs(_full(m, got) - densify(m, want, k % 2))) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 5, 6])
 def test_skipping_the_zero_orders_changes_no_bit(monkeypatch, horizon):
-    """Step t multiplies only the chains and the orders up to t; multiplying every item, as
-    the series did before, gives the same bits in every item, signed zeros included."""
+    """Step t multiplies only the chains and the orders up to t; multiplying every item that
+    feeds another, the chains and orders 0..n - 1, gives the same bits in every item, signed
+    zeros included."""
     m = _dense_case({"horizon": horizon})
     skipped = scattering_series(m)
-    count = horizon // 2 + horizon + 2
+    count = 2 * horizon + 1
     monkeypatch.setattr(scattering, "_items_before", lambda n, t: count)
     every = scattering_series(m)
     assert [scattering._items_before(horizon, t) for t in range(horizon)] == [count] * horizon
+
     def bits(series):
-        return [x.tobytes() for blocks in (*series.final, *series.final_orders) for x in blocks]
+        items = (series.final, *series.final_orders)
+        return [x.tobytes() for blocks in items for pair in blocks for rows in pair for x in rows]
 
     assert bits(skipped) == bits(every)
     assert skipped.unitarity_defects == every.unitarity_defects
@@ -641,12 +621,13 @@ def test_series_one_step(model):
     )
     m1 = build_model(cfg1)
     series = scattering_series(m1)
-    # I + iH on the multiplicity blocks, exactly: each odd block is H's block times i
+    # I + iH on the multiplicity blocks, exactly
     h, _ = hamiltonian_blocks(m1, interaction_hamiltonian(m1, 0))
-    assert all(np.array_equal(block, _identity(m1, s)) for s, block in enumerate(series.final[0]))
-    assert all(np.array_equal(block, 1j * a) for block, a in zip(series.final[1], h, strict=True))
+    for got, want in zip(series.final, pair_blocks(m1, h), strict=True):
+        for x, y in zip(got, want, strict=True):
+            assert np.array_equal(np.vstack(x), np.eye(len(x[0].T)) + 1j * np.vstack(y))
     expected = np.eye(m1.dim, dtype=complex) + 1j * densify(m1, parity_hamiltonian(m1, 0), 1)
-    assert np.max(np.abs(_dense(m1, series.final) - expected)) <= 1e-15 * series.final_max_abs
+    assert np.max(np.abs(_full(m1, series.final) - expected)) <= 1e-15 * series.final_max_abs
 
 
 def test_series_two_steps_order_pattern(model):
@@ -666,8 +647,8 @@ def test_series_two_steps_order_pattern(model):
     eye = np.eye(m2.dim, dtype=complex)
     # later time acts on the left of earlier time
     expected = eye + 1j * (h0 + h1) + (1j**2) * (h1 @ h0)
-    assert np.max(np.abs(_dense(m2, series.final) - expected)) < 1e-12
-    assert np.max(np.abs(_full(m2, series.final_orders[2], 0) - (1j**2) * (h1 @ h0))) < 1e-12
+    assert np.max(np.abs(_full(m2, series.final) - expected)) < 1e-12
+    assert np.max(np.abs(_full(m2, series.final_orders[2]) - (1j**2) * (h1 @ h0))) < 1e-12
 
 
 def test_unitarity_defect_structure(model):
@@ -718,8 +699,8 @@ def test_amplitude_reads_the_dense_bracket(incoming, outgoing):
     vec_in, vec_out = two_pi_state(m, *incoming), two_pi_state(m, *outgoing)
     bound = 1e-14 * series.final_max_abs
     for k, order in enumerate(series.final_orders):
-        assert abs(rep.per_order[k] - np.vdot(vec_out, _full(m, order, k % 2) @ vec_in)) <= bound
-    assert abs(rep.total - np.vdot(vec_out, _dense(m, series.final) @ vec_in)) <= bound
+        assert abs(rep.per_order[k] - np.vdot(vec_out, _full(m, order) @ vec_in)) <= bound
+    assert abs(rep.total - np.vdot(vec_out, _full(m, series.final) @ vec_in)) <= bound
 
 
 @pytest.mark.parametrize("point", [13, 40, -1])
@@ -835,9 +816,9 @@ def _check_against_the_oracles(m):
         assert np.max(np.abs(densify(m, h, 1) - want), initial=0.0) <= 1e-14 * scale
         # one H(t)'s blocks made dense, and its defects against the same H made dense
         blocks, leakage = hamiltonian_blocks(m, interaction_hamiltonian(m, t))
-        assert np.max(np.abs(_full(m, blocks, 1) - want), initial=0.0) <= 1e-14 * scale
+        assert np.max(np.abs(_full(m, pair_blocks(m, blocks)) - want), initial=0.0) <= 1e-14 * scale
         maxima = hamiltonian_maxima(m, [densify(m, h, 1)])
-        assert self_adjoint_defect(blocks) == maxima["hamiltonian_adjoint_defect"] == 0.0
+        assert maxima["hamiltonian_adjoint_defect"] == 0.0
         assert rotation_defect(m, h) == maxima["hamiltonian_rotation_defect"]
         assert leakage <= 1e-14 * scale
     # the maxima over H(t) taken in the step loop, against the oracles' over the same
@@ -850,20 +831,18 @@ def _check_against_the_oracles(m):
     assert dense.hamiltonian_rotation_defect <= 1e-13 * dense.hamiltonian_max_abs
     orders = zip(series.final_orders, graded.final_orders, orbit.final_orders, dense.final_orders, strict=True)
     for k, (got, blocks, columns, want) in enumerate(orders):
-        full, scale = _full(m, got, k % 2), np.max(np.abs(want))
+        full, scale = _full(m, got), np.max(np.abs(want))
         assert np.max(np.abs(full - densify(m, blocks, k % 2))) <= 1e-14 * scale
         assert np.max(np.abs(full - densify(m, expand(m, columns, k % 2), k % 2))) <= 1e-14 * scale
         assert np.max(np.abs(full - want)) <= 1e-14 * scale
-    assert np.max(np.abs(_dense(m, series.final) - dense.final)) <= 1e-14 * dense.final_max_abs
+    assert np.max(np.abs(_full(m, series.final) - dense.final)) <= 1e-14 * dense.final_max_abs
     for other in (graded, orbit, dense):
         assert series.final_max_abs == pytest.approx(other.final_max_abs, rel=1e-14)
         assert series.unitarity_defects == pytest.approx(other.unitarity_defects, rel=1e-12, abs=0)
     bound = 1e-13 * series.final_max_abs
     assert series.rotated_coupling_defect < bound and series.order_sum_defect < bound
     if m.cfg.coupling == 0:
-        even, odd = series.final
-        assert all(np.array_equal(block, _identity(m, s)) for s, block in enumerate(even))
-        assert not any(block.any() for block in odd)
+        assert _is_identity(series.final)
         assert series.unitarity_defects == (0.0,) * (m.cfg.horizon + 1)
         assert series.rotated_coupling_defect == series.order_sum_defect == 0.0
 
@@ -973,8 +952,8 @@ def test_copies_of_each_irrep_fill_each_sector(npi):
     pi, sigma = (scattering._fixed_states(space.hyperboloid, space.n_max) for space in (m.pi_space, m.sigma_space))
     for s, size in enumerate(m.sector_dims):
         fixed = np.array([f[s // 2] * e[s % 2] for f, e in zip(pi, sigma)])
-        copies = m.isotypic[s // 2][6][s % 2]
-        assert copies.tolist() == (characters @ fixed // 24).tolist()
+        copies = [len(rows) - n0 if s % 2 else n0 for rows, _, n0 in m.isotypic[s // 2][2]]
+        assert copies == (characters @ fixed // 24).tolist()
         assert (characters @ fixed % 24 == 0).all() and sum(d * c for d, c in zip(dims, copies)) == size
 
 
@@ -994,9 +973,9 @@ def test_adapted_basis_reduces_invariant_matrices(case):
     zero between irreps or rows, the same block in every row."""
     m = _dense_case({"window_radius": 0, "horizon": 1, **case})
     rnd = np.random.default_rng(7)
-    for p, (_, _, rows, *_) in enumerate(m.isotypic):
+    for p, (*_, irreps) in enumerate(m.isotypic):
         basis, images = pair_basis(m, p), _pair_images(m, p)
-        used = rows[rows >= 0]
+        used = np.concatenate([rows.ravel() for rows, _, _ in irreps])
         assert np.max(np.abs(basis[:, used].T @ basis[:, used] - np.eye(len(basis))), initial=0.0) <= 1e-14
         assert len(used) == len(basis)
         x = rnd.normal(size=images.shape[1:]) + 1j * rnd.normal(size=images.shape[1:])
@@ -1004,10 +983,9 @@ def test_adapted_basis_reduces_invariant_matrices(case):
         reduced = basis[:, used].T @ x @ basis[:, used]
         position = {slot: i for i, slot in enumerate(used)}
         expected = np.zeros_like(reduced)
-        for rho, d in enumerate(symmetry.irreps()):
+        for (copies, _, _), d in zip(irreps, symmetry.irreps(), strict=True):  # copies: (n, d) rows
             projector = len(d.T) / 24 * np.einsum("g,gij->ij", d[:, 0, 0], images)
             assert np.max(np.abs(projector @ projector - projector), initial=0.0) <= 1e-14
-            copies = rows[rho][rows[rho, :, 0] >= 0]  # (n, d)
             first = [position[r] for r in copies[:, 0]]
             assert np.max(np.abs(projector @ basis[:, copies[:, 0]] - basis[:, copies[:, 0]]), initial=0.0) <= 1e-14
             block = reduced[np.ix_(first, first)]
@@ -1030,3 +1008,19 @@ def test_leakage_sees_columns_no_invariant_operator_has():
     vacuum = [c.copy() for c in columns]
     vacuum[0][3, 0] += 1e-6 * scale  # the vacuum's column, which every rotation fixes
     assert hamiltonian_blocks(m, vacuum)[1] > 1e-7 * scale
+
+
+@pytest.mark.xfail(strict=True, reason="the leakage sees only columns at representatives some rotation fixes")
+def test_leakage_sees_a_column_moved_at_a_representative_only_the_identity_fixes():
+    """H(t) commutes with every P_g only if each column is P_g times its representative's.
+    Only the representatives' columns are built, and the column at a representative whose
+    stabilizer is trivial is some G-invariant operator's whatever it holds: 1e-3 max|H|
+    moved within it leaves the leakage at rounding, and the series runs on the G-invariant
+    operator with these columns.  ``hamiltonians_rotation_invariant`` cannot see it."""
+    m = _dense_case({"window_radius": 1})
+    columns = [c.copy() for c in interaction_hamiltonian(m, 1)]
+    scale = max(np.max(np.abs(c)) for c in columns)
+    perms, reps = m.sector_permutations[0], m.orbits[0][0]
+    k = next(k for k, r in enumerate(reps) if np.count_nonzero(perms[:, r] == r) == 1)
+    columns[0][3, k] += 1e-3 * scale
+    assert hamiltonian_blocks(m, columns)[1] > 1e-7 * scale
