@@ -346,6 +346,7 @@ def _items_before(n: int, t: int) -> int:
     return n + 2 + t
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow's NaN fails the series gates by name
 def scattering_series(model: ScatteringModel) -> ScatteringSeries:
     """S, its orders and chains j = 0..n, the products of (I + i w_j H(t)), w_j = exp(2 pi
     i j / (n + 1)), in one loop on the multiplicity blocks: per sector pair and irrep, the

@@ -93,6 +93,7 @@ if not _HITS.any(axis=-1).all():
 PRODUCT_INDEX = _HITS.argmax(axis=-1).astype(np.int8)
 if not (PRODUCT_INDEX == _IDENTITY).any(axis=1).all():
     raise AssertionError("a row of the product table holds no identity")
+_INVERSE = np.argmax(PRODUCT_INDEX == _IDENTITY, axis=1)
 MATRICES.flags.writeable = PRODUCT_INDEX.flags.writeable = False
 
 
@@ -176,10 +177,9 @@ def irreps() -> tuple[np.ndarray, ...]:
     from .representations import CAL_U  # which imports this module
 
     sign = np.where(np.isin(np.arange(24), np.diagonal(PRODUCT_INDEX)), 1.0, -1.0)
-    inverse = np.argmax(PRODUCT_INDEX == _IDENTITY, axis=1)
-    conjugates = np.sort(PRODUCT_INDEX[PRODUCT_INDEX, inverse[:, None]], axis=0)  # column g: h g h^-1
+    conjugates = np.sort(PRODUCT_INDEX[PRODUCT_INDEX, _INVERSE[:, None]], axis=0)  # column g: h g h^-1
     involutions = np.flatnonzero((np.diff(conjugates, axis=0) != 0).sum(axis=0) == 2)
-    moved = np.searchsorted(involutions, PRODUCT_INDEX[PRODUCT_INDEX[:, involutions], inverse[:, None]])
+    moved = np.searchsorted(involutions, PRODUCT_INDEX[PRODUCT_INDEX[:, involutions], _INVERSE[:, None]])
     plane = np.linalg.qr(np.eye(3)[:, :2] - 1 / 3)[0]
     two = plane.T @ np.eye(3)[moved].transpose(0, 2, 1) @ plane
     out = np.ones((24, 1, 1)), sign[:, None, None], two, sign[:, None, None] * CAL_U, CAL_U
@@ -297,19 +297,6 @@ def _with_each_of(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndar
     return i, np.arange(len(i)) + np.repeat(lo - (np.cumsum(size) - size), size)
 
 
-def _unit_images(bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The time images (t, s), norm_sq3(s) = t^2 - 1, and the space images, t^2 + 1,
-    with every entry in [-bound, bound]: rows of two (m, 4) arrays in lexicographic order."""
-    spatial = vectors_with_norm_up_to(bound * bound + 1)
-    spatial = spatial[np.all(np.abs(spatial) <= bound, axis=1)]
-    t_sq = np.arange(-bound, bound + 1)[:, None] ** 2
-    d_arr, s_arr = (
-        np.column_stack([ti - bound, spatial[si]])
-        for ti, si in (np.nonzero(norm_sq3_rows(spatial) == t_sq + shift) for shift in (-1, 1))
-    )
-    return d_arr, s_arr
-
-
 def _orthogonal_triads(d_arr: np.ndarray, s_arr: np.ndarray) -> np.ndarray:
     """Every (d, s_a, s_b, s_c) of a time image and three space images orthogonal to
     it with pairwise doubled pairing -1, as the rows of an (N, 4, 4) stack in
@@ -355,17 +342,41 @@ def no_boost_search(bound: int) -> BoostCertificate:
     Columns are the images of the four basis vectors; a solution is a
     "boost" when the image of the time basis vector is not the time axis up
     to sign.  A time image (t, s) has norm_sq3(s) = t^2 - 1 and a space image
-    t^2 + 1: both are spatial rows of the box.  The candidates are the
-    orthogonal triads of space images with a time image, found in whole-array
-    integer passes over blocks of time images; one determinant call keeps the
-    solutions.  The candidates come out in lexicographic column order, so no
-    list is sorted.
+    t^2 + 1.  G maps solutions to solutions, as diag(1, M_g) keeps the form and
+    the determinant, but not the box: each box time image's least image under
+    G, its representative, is searched for orthogonal triads of space images of
+    any size, the determinant is taken there, and each solution is mapped back
+    to the box time images of its orbit and kept when it lies in the box.  One
+    sort restores lexicographic column order.
     """
     if bound < 3:
         raise ValueError("bound must be at least 3")
-    d_arr, s_arr = _unit_images(bound)
-    candidates = _orthogonal_triads(d_arr, s_arr)  # columns as rows: the transpose, of the same det
-    sols = candidates[det_exact(candidates) == 1]
+    spatial = vectors_with_norm_up_to(bound * bound + 1)
+    t_sq = np.arange(-bound, bound + 1)[:, None] ** 2
+    spatial = spatial[np.isin(norm_sq3_rows(spatial), [t_sq - 1, t_sq + 1])]
+    times, spaces = (
+        np.column_stack([ti - bound, spatial[si]])
+        for ti, si in (np.nonzero(norm_sq3_rows(spatial) == t_sq + shift) for shift in (-1, 1))
+    )
+    d_arr, s_arr = (rows[np.all(np.abs(rows) <= bound, axis=1)] for rows in (times, spaces))
+    # |entry| <= sqrt(2 norm_sq3) < 2 bound, below half the base: the keys ascend as the rows do
+    radix = (4 * bound + 1) ** np.arange(3, -1, -1)
+    lifts = np.zeros((24, 4, 4), dtype=np.int64)
+    lifts[:, 0, 0], lifts[:, 1:, 1:] = 1, MATRICES
+    images = d_arr @ lifts.transpose(0, 2, 1)  # [g, i]: g's image of time image i
+    keys = images @ radix
+    least = keys.argmin(axis=0)
+    rep_keys, first, rep_of = np.unique(keys.min(axis=0), return_index=True, return_inverse=True)
+    found = _orthogonal_triads(images[least[first], first], spaces)  # columns as rows, of the same det
+    found = found[det_exact(found) == 1]
+
+    # time image i takes its representative's solutions j, moved by the inverse of its least element
+    count = np.bincount(np.searchsorted(rep_keys, found[:, 0] @ radix), minlength=len(rep_keys))
+    i, j = _with_each_of((np.cumsum(count) - count)[rep_of], count[rep_of])
+    sols = found[j] @ lifts[_INVERSE[least]][i].transpose(0, 2, 1)
+    inside = np.all(np.abs(sols) <= bound, axis=(1, 2))
+    sols, columns = sols[inside], sols[inside, 1:] @ radix
+    sols = sols[np.lexsort((*columns.T[::-1], i[inside]))]
 
     moves_axis = (np.abs(sols[:, 0, 0]) != 1) | sols[:, 0, 1:].any(axis=1)
     boost_count = int(moves_axis.sum())

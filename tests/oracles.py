@@ -18,7 +18,8 @@ dense xi matrix, dense matrix products and the dense commutator against the
 Fock layer's ladder entries and bracket tables, a per-call ladder-map scan
 against the cached entries, the scalar phase against the phase rows,
 multiset indicators and diagonal momentum operators, per-pair matrix
-products against the product table, a 4-D grid against spatial rows,
+products against the product table, a 4-D grid and a scan of every time
+image of the box against the boost search at G's orbit representatives,
 per-object triples and per-element spinor comparisons against their stacks,
 the group elements one ``GroupElement`` each, built from the triples and the
 printed listing alone, with their rotations ``cal_u`` and spinor values
@@ -60,6 +61,7 @@ from causet_qft.fock import FieldOperator, FockSpace, _monomials, _phases, phi, 
 from causet_qft.lattice import (
     MINKOWSKI_GRAM,
     TRIPLE_MATRICES,
+    det_exact,
     norm_sq3_rows,
     rank_rows,
     vectors_with_norm,
@@ -1253,6 +1255,29 @@ def poincare_inverse(g: PoincareElement) -> PoincareElement:
     return PoincareElement(ORIGIN - apply4(rot_inv, g.translation), rot_inv)
 
 
+def _boost_certificate(bound: int, d_arr: np.ndarray, s_arr: np.ndarray, sols: list) -> BoostCertificate:
+    """The certificate of the time and space images and the sorted solutions, each the
+    tuple of its four columns."""
+    boosts = [s for s in sols if s[0] not in {(1, 0, 0, 0), (-1, 0, 0, 0)}]
+    time_solutions = tuple(sorted(tuple(int(x) for x in v) for v in d_arr))
+    space_solutions = tuple(sorted(tuple(int(x) for x in v) for v in s_arr))
+    return BoostCertificate(
+        bound=bound,
+        time_eq_solutions=time_solutions,
+        space_eq_solutions=space_solutions,
+        total_solutions=len(sols),
+        fixing_time_axis=len(sols) - len(boosts),
+        boost_count=len(boosts),
+        boost_examples=tuple(
+            tuple(tuple(c[i] for c in cols) for i in range(4)) for cols in boosts[:16]
+        ),
+        quoted_families_found={
+            "time": {f: f in time_solutions for f in paperdata.BOOST_EQ_TIME_FAMILIES},
+            "space": {f: f in space_solutions for f in paperdata.BOOST_EQ_SPACE_FAMILIES},
+        },
+    )
+
+
 def no_boost_search_grid(bound: int) -> BoostCertificate:
     """The boost search over the full (2B+1)^4 coordinate grid, one candidate at a time.
 
@@ -1277,25 +1302,31 @@ def no_boost_search_grid(bound: int) -> BoostCertificate:
                     cols = tuple(tuple(int(x) for x in c) for c in (td, s0[i], s0[j], s0[k]))
                     if leibniz_det(cols) == 1:
                         sols.append(cols)
-    sols.sort()
-    boosts = [s for s in sols if s[0] not in {(1, 0, 0, 0), (-1, 0, 0, 0)}]
-    time_solutions = tuple(sorted(tuple(int(x) for x in v) for v in d_arr))
-    space_solutions = tuple(sorted(tuple(int(x) for x in v) for v in s_arr))
-    return BoostCertificate(
-        bound=bound,
-        time_eq_solutions=time_solutions,
-        space_eq_solutions=space_solutions,
-        total_solutions=len(sols),
-        fixing_time_axis=len(sols) - len(boosts),
-        boost_count=len(boosts),
-        boost_examples=tuple(
-            tuple(tuple(c[i] for c in cols) for i in range(4)) for cols in boosts[:16]
-        ),
-        quoted_families_found={
-            "time": {f: f in time_solutions for f in paperdata.BOOST_EQ_TIME_FAMILIES},
-            "space": {f: f in space_solutions for f in paperdata.BOOST_EQ_SPACE_FAMILIES},
-        },
+    return _boost_certificate(bound, d_arr, s_arr, sorted(sols))
+
+
+def boost_solutions_scan(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The time images (t, s), norm_sq3(s) = t^2 - 1, and the space images, t^2 + 1, with
+    every entry in [-bound, bound], as rows in lexicographic order, and the solutions as
+    an (N, 4, 4) stack of columns as rows in lexicographic order: every box time image
+    is scanned against every box space image by ``symmetry._orthogonal_triads``, in its
+    blocks of time images, and each candidate's determinant is taken."""
+    spatial = vectors_with_norm_up_to(bound * bound + 1)
+    spatial = spatial[np.all(np.abs(spatial) <= bound, axis=1)]
+    t_sq = np.arange(-bound, bound + 1)[:, None] ** 2
+    d_arr, s_arr = (
+        np.column_stack([ti - bound, spatial[si]])
+        for ti, si in (np.nonzero(norm_sq3_rows(spatial) == t_sq + shift) for shift in (-1, 1))
     )
+    candidates = symmetry._orthogonal_triads(d_arr, s_arr)
+    return d_arr, s_arr, candidates[det_exact(candidates) == 1]
+
+
+def no_boost_search_scan(bound: int) -> BoostCertificate:
+    """The boost search over every time image of the box, without G: the certificate of
+    ``boost_solutions_scan``."""
+    d_arr, s_arr, sols = boost_solutions_scan(bound)
+    return _boost_certificate(bound, d_arr, s_arr, [tuple(map(tuple, m)) for m in sols.tolist()])
 
 
 def units_triads_triples() -> tuple[tuple[Vec3, ...], tuple[frozenset[Vec3], ...], tuple[Triple, ...]]:

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -559,11 +560,15 @@ def test_scatter_overflow_fails_its_gates_with_nan(capsys):
     """At g = 1e300 the series overflows, and inf - inf puts NaN in S, in order 3 and in
     the unitarity Gram, whose infinite entries the read back through the adapted basis
     mixes into NaN from the first step.  Every maximum over them reads NaN, not the 0.0
-    that Python's ``max`` keeps against a NaN, so the gates on them fail."""
-    code, out, err = run_cli(
-        capsys, "--format", "json", "scatter", "--g", "1e300", "--m2", "0", "--M2", "1",
-        "--horizon", "3", "--window", "0",
-    )
+    that Python's ``max`` keeps against a NaN, so the gates on them fail, and they alone
+    report it: numpy warns of no overflow."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "--format", "json", "scatter", "--g", "1e300", "--m2", "0", "--M2", "1",
+            "--horizon", "3", "--window", "0",
+        )
+    assert [w.category for w in caught] == [] and "RuntimeWarning" not in err
     bundle = json.loads(out)
     payload = bundle["payload"]
     assert code == 1

@@ -36,6 +36,7 @@ from oracles import (
     Vec4,
     apply3,
     apply4,
+    boost_solutions_scan,
     element,
     elements,
     inner3_doubled,
@@ -46,6 +47,7 @@ from oracles import (
     minkowski_doubled,
     multiply,
     no_boost_search_grid,
+    no_boost_search_scan,
     norm_sq4,
     product_table_by_pairs,
     spatial,
@@ -240,6 +242,28 @@ def test_boost_search_matches_grid_oracle(bound):
         assert getattr(cert, f.name) == getattr(oracle, f.name), f.name
 
 
+@pytest.mark.parametrize("bound", range(3, 21))
+def test_boost_search_matches_scan_oracle(bound):
+    cert = no_boost_search(bound)
+    oracle = no_boost_search_scan(bound)
+    for f in dataclasses.fields(cert):
+        assert getattr(cert, f.name) == getattr(oracle, f.name), f.name
+
+
+@pytest.mark.parametrize(("bound", "outside"), [(12, 0), (17, 144), (20, 288)])
+def test_representatives_take_space_images_outside_the_box(bound, outside):
+    """G does not keep the box.  Moved by the element that takes its time image to the
+    least of that image's 24 images, a box solution can leave the box: from bound 17 on
+    some do, so a search of the representatives against the box's space images alone
+    would miss them."""
+    _, _, sols = boost_solutions_scan(bound)
+    images = np.einsum("gab,mb->mga", symmetry.MATRICES, sols[:, 0, 1:])  # [m, g]: g's image of m's time image
+    keys = images @ (4 * bound + 1) ** np.arange(2, -1, -1)
+    moved = sols[:, :, 1:] @ symmetry.MATRICES[keys.argmin(axis=1)].transpose(0, 2, 1)
+    assert int((np.abs(moved[:, 1:]) > bound).any(axis=(1, 2)).sum()) == outside
+    assert no_boost_search(bound).total_solutions == len(sols)
+
+
 def test_no_boost_search_bound12():
     cert = no_boost_search(12)
     assert (len(cert.time_eq_solutions), len(cert.space_eq_solutions)) == (966, 1404)
@@ -250,8 +274,9 @@ def test_no_boost_search_bound12():
 
 
 def test_no_boost_search_peak_stays_in_row_blocks():
-    """Pairings are scanned 64 time images at a time and no solution list is sorted
-    as Python tuples, so the traced peak of bound 12 stays below 3.4 MB."""
+    """Pairings are scanned for G's orbit representatives of the time images, 64 at a
+    time, and no solution list is sorted as Python tuples, so the traced peak of bound
+    12 stays below 3.4 MB."""
     no_boost_search(12)  # first-call allocations, such as numpy's caches, are not counted
     tracemalloc.start()
     try:

@@ -40,7 +40,8 @@ def invocations(scratch: str) -> list[tuple[str, ...]]:
     ``scratch`` is an existing directory for ``--out``."""
     reports = [
         ("group-table",), ("group-table", "--check"), ("group-verify",), ("reps-verify",),
-        ("no-boost", "--bound", "5"), ("shells", "--t", "3"), ("shells", "--t", "4", "--sizes-only"),
+        *(("no-boost", "--bound", bound) for bound in ("3", "5", "12", "20")),
+        ("shells", "--t", "3"), ("shells", "--t", "4", "--sizes-only"),
         ("causet-verify", "--t", "5"), ("speeds", "--t", "5"), ("masses", "--p0-max", "7"),
         ("hyperboloid", "--m2", "0", "--pmax", "4"), ("hyperboloid", "--m2", "3", "--pmax", "3"),
         *(("fock-verify", "--m2", m2, "--pmax", pmax, "--nmax", nmax) for m2, pmax, nmax in FOCK),
