@@ -469,7 +469,8 @@ def cmd_scatter(args) -> dict:
 # One walk per format renders the bundle as the commands built it: JSON in the
 # layout of ``json.dumps(value, indent=2, sort_keys=True)``, text in insertion
 # order.  A list of scalars is one join, a 2-D integer array one ``%`` call over
-# its flattened values.
+# its flattened values, and in JSON a 2-D complex array one ``%`` call over its
+# entries' ``{"im", "re"}`` parts (text walks those entries one at a time).
 
 _SCALAR, _SCALARS, _BLOCK, _LIST, _DICT = range(5)
 _PLAIN = frozenset({str, int, float, bool, type(None), dict, list})
@@ -494,13 +495,13 @@ def _leaf(v):
 
 def _form(v):
     """``(form, value)``: a scalar (empty containers too), a nonempty list of scalars, a
-    nonempty 2-D integer array as ``(flat values, width)``, a nonempty list, or a
-    nonempty dict keyed through ``_key``."""
+    nonempty 2-D integer or complex array, a nonempty list, or a nonempty dict keyed
+    through ``_key``."""
     if type(v) not in _PLAIN:
         v = _leaf(v)
     if type(v) is np.ndarray:
-        if v.ndim == 2 and v.size and v.dtype.kind in "iu":
-            return _BLOCK, (v.ravel().tolist(), v.shape[1])
+        if v.ndim == 2 and v.size and v.dtype.kind in "iuc":
+            return _BLOCK, v
         v = v.tolist()
     if type(v) not in (dict, list) or not v:
         return _SCALAR, v
@@ -543,10 +544,14 @@ def _json(v, nl: str, emit) -> None:
     elif form == _SCALARS:
         emit("[" + inner + ("," + inner).join(map(_json_scalar, v)) + nl + "]")
     elif form == _BLOCK:
-        flat, width = v
         cell = inner + "  "
-        row = "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]"
-        emit("[" + inner + ("," + inner).join([row] * (len(flat) // width)) % tuple(flat) + nl + "]")
+        if v.dtype.kind == "c":  # each entry the dict {"im", "re"} of two JSON floats
+            entry = "{" + cell + '  "im": %s,' + cell + '  "re": %s' + cell + "}"
+            parts = map(_json_scalar, np.stack([v.imag, v.real], axis=-1).ravel().tolist())
+        else:
+            entry, parts = "%d", v.ravel().tolist()
+        row = "[" + cell + ("," + cell).join([entry] * v.shape[1]) + inner + "]"
+        emit("[" + inner + ("," + inner).join([row] * len(v)) % tuple(parts) + nl + "]")
     else:
         emit(_json_scalar(v))
 
@@ -561,6 +566,8 @@ def _text(pairs, pad: str, emit) -> None:
     inner = pad + "  "
     for head, v in pairs:
         form, v = _form(v)
+        if form == _BLOCK and v.dtype.kind == "c":
+            form, v = _LIST, v.tolist()
         if form == _SCALAR:
             emit(f"{pad}{head} {_text_scalar(v)}")
         elif form == _SCALARS:
@@ -568,9 +575,8 @@ def _text(pairs, pad: str, emit) -> None:
         else:
             emit(pad + head)
             if form == _BLOCK:
-                flat, width = v
-                row = inner + "- [" + ", ".join(["%d"] * width) + "]"
-                emit("\n".join([row] * (len(flat) // width)) % tuple(flat))
+                row = inner + "- [" + ", ".join(["%d"] * v.shape[1]) + "]"
+                emit("\n".join([row] * len(v)) % tuple(v.ravel().tolist()))
             else:
                 items = ((f"{k}:", x) for k, x in v.items()) if form == _DICT else (("-", x) for x in v)
                 _text(items, inner, emit)

@@ -32,7 +32,7 @@ __all__ = [
     "homomorphism_defect",
     "eigenvalue_set_defect",
     "eigen_transport_check",
-    "generator_log",
+    "generator_logs",
     "generator_log_defect",
     "seven_equation_residuals",
     "spinor_unitarity_defect",
@@ -68,49 +68,35 @@ def homomorphism_defect() -> float:
     return float(np.max(np.abs(CAL_U[PRODUCT_INDEX] - CAL_U[:, None] @ CAL_U[None, :])))
 
 
-def _principal_angle(lam: complex) -> float:
-    theta = cmath.phase(lam)
-    if theta <= -math.pi + 1e-12:
-        theta += 2.0 * math.pi
-    return theta
+def generator_logs(rotations: np.ndarray) -> np.ndarray:
+    """Self-adjoint generators H with exp(iH) = R, for a (m, 3, 3) stack of rotations R with
+    eigenvalues in ``ALLOWED_EIGENVALUES``: H's spectrum is their angles, in (-pi, pi].
 
-
-def generator_log(z: int) -> np.ndarray:
-    """Self-adjoint generator H with exp(iH) = ``CAL_U[z]``, spectrum in (-pi, pi].
-
-    The rotation matrices are normal with well-separated eigenvalue clusters,
-    so eigenvectors are orthonormalized cluster by cluster before assembling
-    the spectral sum.
+    The rotation matrices are normal with well-separated eigenvalue clusters: one
+    ``eig`` of the stack, each eigenvalue keyed to its nearest allowed value, one
+    stable sort that orders every matrix's columns cluster by cluster, and one stacked
+    ``qr`` per cluster size orthonormalizes each cluster before the spectral sums.
     """
-    vals, vecs = np.linalg.eig(CAL_U[z])
-    clusters: dict[int, list[int]] = {}
-    for i, lam in enumerate(vals):
-        key = min(
-            range(len(ALLOWED_EIGENVALUES)),
-            key=lambda k: abs(lam - ALLOWED_EIGENVALUES[k]),
-        )
-        clusters.setdefault(key, []).append(i)
-    basis = np.zeros((3, 3), dtype=complex)
-    out_angles = np.zeros(3)
-    col = 0
-    for key in sorted(clusters):
-        idx = clusters[key]
-        block, _ = np.linalg.qr(vecs[:, idx])
-        for j in range(len(idx)):
-            basis[:, col] = block[:, j]
-            out_angles[col] = _principal_angle(ALLOWED_EIGENVALUES[key])
-            col += 1
-    return basis @ np.diag(out_angles) @ basis.conj().T
+    vals, vecs = np.linalg.eig(rotations)
+    keys = np.abs(vals[..., None] - np.array(ALLOWED_EIGENVALUES)).argmin(axis=-1)
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys, vecs = np.take_along_axis(keys, order, 1), np.take_along_axis(vecs, order[:, None, :], 2)
+    same = keys[:, :, None] == keys[:, None, :]
+    first, size = same.argmax(axis=2), same.sum(axis=2)  # each column's cluster: its first column, its size
+    basis = np.empty_like(vecs)
+    for d in set(size.ravel().tolist()):  # not np.unique, which imports numpy.ma
+        element, start = np.nonzero((first == np.arange(3)) & (size == d))
+        cols = start[:, None] + np.arange(d)
+        block = vecs[element[:, None], :, cols].transpose(0, 2, 1)  # (clusters, 3, d)
+        basis[element[:, None], :, cols] = np.linalg.qr(block)[0].transpose(0, 2, 1)
+    return (basis * np.angle(ALLOWED_EIGENVALUES)[keys][:, None, :]) @ basis.conj().transpose(0, 2, 1)
 
 
 def generator_log_defect() -> float:
-    """Worst |exp(iH) - calU(z)| entry over the group, H = generator_log(z)."""
-    worst = 0.0
-    for z, rotation in enumerate(CAL_U):
-        vals, vecs = np.linalg.eigh(generator_log(z))
-        exp_h = vecs @ np.diag(np.exp(1j * vals)) @ vecs.conj().T
-        worst = max(worst, float(np.max(np.abs(exp_h - rotation))))
-    return worst
+    """Worst |exp(iH) - calU(z)| entry over the group, H = ``generator_logs(CAL_U)``."""
+    vals, vecs = np.linalg.eigh(generator_logs(CAL_U))
+    exp_h = (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    return float(np.max(np.abs(exp_h - CAL_U)))
 
 
 def seven_equation_residuals(rotation: np.ndarray, a: complex, b: complex) -> tuple[float, ...]:

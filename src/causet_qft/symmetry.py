@@ -37,6 +37,7 @@ __all__ = [
     "build_table",
     "table_diff_vs_printed",
     "generate_from",
+    "generated_subgroups",
     "orbits",
     "irreps",
     "adapted_basis",
@@ -125,9 +126,8 @@ def build_table() -> GroupTable:
     assoc = bool(np.array_equal(left, right))
     identity = t == _IDENTITY
     inverses = bool(np.all(identity.sum(axis=1) == 1) and np.array_equal(identity, identity.T))
-    labels = paperdata.LABEL_ORDER
-    rows = tuple(tuple(labels[t[i, j]] for j in range(n)) for i in range(n))
-    return GroupTable(labels, rows, latin, assoc, inverses)
+    rows = tuple(map(tuple, np.array(paperdata.LABEL_ORDER)[t].tolist()))
+    return GroupTable(paperdata.LABEL_ORDER, rows, latin, assoc, inverses)
 
 
 def table_diff_vs_printed(table: GroupTable) -> list[dict]:
@@ -142,20 +142,33 @@ def table_diff_vs_printed(table: GroupTable) -> list[dict]:
     ]
 
 
+def generated_subgroups(gens) -> np.ndarray:
+    """The (m, 24) membership of the subgroup that each row of the (m, k) index stack ``gens``
+    generates, k >= 1: each row's set is right-multiplied by its own generators until no row
+    grows (the words in the generators of a finite group are the subgroup they generate)."""
+    gens = np.asarray(gens)
+    if gens.ndim != 2 or not gens.shape[1]:
+        raise ValueError("generator set must be nonempty")
+    if gens.dtype.kind not in "iu" or gens.size and not (0 <= gens.min() and gens.max() < len(MATRICES)):
+        raise ValueError(f"generators must be element indices in 0..{len(MATRICES) - 1}")
+    seen = np.zeros((len(gens), len(MATRICES)), dtype=bool)
+    seen[np.arange(len(gens))[:, None], gens] = True
+    while True:
+        row, member = np.nonzero(seen)
+        grown = seen.copy()
+        grown[row[:, None], PRODUCT_INDEX[member[:, None], gens[row]]] = True
+        if np.array_equal(grown, seen):
+            return seen
+        seen = grown
+
+
 def generate_from(gens) -> np.ndarray:
     """Closure of a nonempty set of element indices under the group product, as its
-    indices in ascending order."""
+    indices in ascending order: one row of ``generated_subgroups``."""
     gens = list(gens)
-    if not gens:
-        raise ValueError("generator set must be nonempty")
-    seen = np.zeros(len(MATRICES), dtype=bool)
-    seen[gens] = True
-    while True:
-        grown = seen.copy()
-        grown[PRODUCT_INDEX[np.ix_(seen, seen)]] = True
-        if np.array_equal(grown, seen):
-            return np.flatnonzero(seen)
-        seen = grown
+    if not all(isinstance(g, (int, np.integer)) and not isinstance(g, bool) for g in gens):
+        raise ValueError(f"generators must be element indices in 0..{len(MATRICES) - 1}")
+    return np.flatnonzero(generated_subgroups([gens])[0])
 
 
 def orbits(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,16 +253,12 @@ def pairwise_generators() -> dict:
     non-commuting pair generates the whole group.
     """
     labels = [lab for lab in paperdata.LABEL_ORDER if lab >= "M"]
-    pairs = []
-    claim_holds = True
-    for a, b in itertools.combinations_with_replacement(labels, 2):
-        i, j = _INDEX[a], _INDEX[b]
-        commute = PRODUCT_INDEX[i, j] == PRODUCT_INDEX[j, i]
-        order = len(generate_from([i, j]))
-        if not commute and order != 24:
-            claim_holds = False
-        pairs.append({"pair": (a, b), "commute": bool(commute), "generated_order": order})
-    return {"pairs": pairs, "noncommuting_pairs_generate": claim_holds}
+    pairs = list(itertools.combinations_with_replacement(labels, 2))
+    i, j = np.array([[_INDEX[a], _INDEX[b]] for a, b in pairs]).T
+    commute = PRODUCT_INDEX[i, j] == PRODUCT_INDEX[j, i]
+    order = generated_subgroups(np.column_stack([i, j])).sum(axis=1)
+    rows = [{"pair": p, "commute": c, "generated_order": n} for p, c, n in zip(pairs, commute.tolist(), order.tolist())]
+    return {"pairs": rows, "noncommuting_pairs_generate": bool(np.all(commute | (order == 24)))}
 
 
 Matrix4 = tuple[tuple[int, int, int, int], ...]
@@ -266,15 +275,15 @@ def preserves_minkowski_form(m: Matrix4) -> bool:
 class BoostCertificate:
     """Outcome of the bounded exhaustive search for time-axis-moving symmetries.
 
-    ``time_eq_solutions`` / ``space_eq_solutions`` are the Diophantine
-    sub-enumerations (images of the time / space basis vectors with the right
-    norm); ``boost_examples`` holds up to 16 full matrices whose first column
-    is not the (possibly negated) time axis.
+    ``time_eq_solutions`` / ``space_eq_solutions`` are the Diophantine sub-enumerations
+    (the box's images of the time / space basis vectors with the right norm) as read-only
+    (m, 4) int64 rows in lexicographic order; ``boost_examples`` holds up to 16 full
+    matrices whose first column is not the (possibly negated) time axis.
     """
 
     bound: int
-    time_eq_solutions: tuple[tuple[int, int, int, int], ...]
-    space_eq_solutions: tuple[tuple[int, int, int, int], ...]
+    time_eq_solutions: np.ndarray
+    space_eq_solutions: np.ndarray
     total_solutions: int
     fixing_time_axis: int
     boost_count: int
@@ -382,16 +391,15 @@ def no_boost_search(bound: int) -> BoostCertificate:
     boost_count = int(moves_axis.sum())
     boosts = sols[np.flatnonzero(moves_axis)[:16]].transpose(0, 2, 1).tolist()
 
-    time_solutions = tuple(map(tuple, d_arr.tolist()))
-    space_solutions = tuple(map(tuple, s_arr.tolist()))
-    families = {
-        "time": {fam: fam in time_solutions for fam in paperdata.BOOST_EQ_TIME_FAMILIES},
-        "space": {fam: fam in space_solutions for fam in paperdata.BOOST_EQ_SPACE_FAMILIES},
+    d_arr.flags.writeable = s_arr.flags.writeable = False
+    families = {  # row membership: ``in`` on an array would match single entries
+        "time": {fam: bool((d_arr == fam).all(axis=1).any()) for fam in paperdata.BOOST_EQ_TIME_FAMILIES},
+        "space": {fam: bool((s_arr == fam).all(axis=1).any()) for fam in paperdata.BOOST_EQ_SPACE_FAMILIES},
     }
     return BoostCertificate(
         bound=bound,
-        time_eq_solutions=time_solutions,
-        space_eq_solutions=space_solutions,
+        time_eq_solutions=d_arr,
+        space_eq_solutions=s_arr,
         total_solutions=len(sols),
         fixing_time_axis=len(sols) - boost_count,
         boost_count=boost_count,

@@ -21,6 +21,9 @@ multiset indicators and diagonal momentum operators, per-pair matrix
 products against the product table, a 4-D grid and a scan of every time
 image of the box against the boost search at G's orbit representatives,
 per-object triples and per-element spinor comparisons against their stacks,
+the subgroup closure one generator set at a time against the batched closure,
+the generator log and its roundtrip one element at a time (with the principal
+angle of one eigenvalue) against the batched logs,
 the group elements one ``GroupElement`` each, built from the triples and the
 printed listing alone, with their rotations ``cal_u`` and spinor values
 ``spinor_of`` (a ``Spinor2`` under a ``SignConvention``) solved one element at a
@@ -37,7 +40,8 @@ the scalar norms, ``apply3``, ``apply4``, ``lift_to4``, ``inverse``, a table ent
 labels, the ``Vec4`` view ``points`` of a hyperboloid and hyperboloid membership), the
 coordinate rows and rotation indices the gates take
 from ``Vec4`` points and ``PoincareElement`` pairs, sorted eigensystems, the group
-product by labels, the ``PoincareElement`` and its product, identity, inverse and
+product by labels, the boost certificates' field comparison ``certificate_diff`` and
+row membership ``has_row``, the ``PoincareElement`` and its product, identity, inverse and
 action on a vector,
 the symmetry action ``rep_v``, a field operator applied to a vector, the
 spin-tensored single-particle representation, the Fock basis units with the
@@ -46,6 +50,8 @@ vacuum, and the two-pi states as D-length vectors.
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import itertools
 import json
 import math
@@ -68,7 +74,7 @@ from causet_qft.lattice import (
     vectors_with_norm_up_to,
 )
 from causet_qft.momentum import Hyperboloid, attainable_spatial_norms
-from causet_qft.representations import _canonicalize, _principal_angle, _solve_spinor
+from causet_qft.representations import ALLOWED_EIGENVALUES, CAL_U, _canonicalize, _solve_spinor
 from causet_qft.scattering import InteractionConfig, ScatteringModel, ScatteringSeries, _max_abs, _window_rows
 from causet_qft.scattering import interaction_hamiltonian as library_columns
 from causet_qft.symmetry import PRODUCT_INDEX, BoostCertificate, GroupTable
@@ -1246,6 +1252,19 @@ def product_table_by_pairs(group: tuple[GroupElement, ...]) -> np.ndarray:
     return table
 
 
+def generate_from_by_set(gens) -> np.ndarray:
+    """Closure of a nonempty set of element indices, one set at a time: the set's
+    products with itself are added until it stops growing; its indices ascending."""
+    seen = np.zeros(24, dtype=bool)
+    seen[list(gens)] = True
+    while True:
+        grown = seen.copy()
+        grown[PRODUCT_INDEX[np.ix_(seen, seen)]] = True
+        if np.array_equal(grown, seen):
+            return np.flatnonzero(seen)
+        seen = grown
+
+
 def poincare_identity(identity_rotation: GroupElement) -> PoincareElement:
     return PoincareElement(ORIGIN, identity_rotation)
 
@@ -1259,12 +1278,12 @@ def _boost_certificate(bound: int, d_arr: np.ndarray, s_arr: np.ndarray, sols: l
     """The certificate of the time and space images and the sorted solutions, each the
     tuple of its four columns."""
     boosts = [s for s in sols if s[0] not in {(1, 0, 0, 0), (-1, 0, 0, 0)}]
-    time_solutions = tuple(sorted(tuple(int(x) for x in v) for v in d_arr))
-    space_solutions = tuple(sorted(tuple(int(x) for x in v) for v in s_arr))
+    time_solutions = sorted(tuple(int(x) for x in v) for v in d_arr)
+    space_solutions = sorted(tuple(int(x) for x in v) for v in s_arr)
     return BoostCertificate(
         bound=bound,
-        time_eq_solutions=time_solutions,
-        space_eq_solutions=space_solutions,
+        time_eq_solutions=np.array(time_solutions, dtype=np.int64).reshape(-1, 4),
+        space_eq_solutions=np.array(space_solutions, dtype=np.int64).reshape(-1, 4),
         total_solutions=len(sols),
         fixing_time_axis=len(sols) - len(boosts),
         boost_count=len(boosts),
@@ -1276,6 +1295,24 @@ def _boost_certificate(bound: int, d_arr: np.ndarray, s_arr: np.ndarray, sols: l
             "space": {f: f in space_solutions for f in paperdata.BOOST_EQ_SPACE_FAMILIES},
         },
     )
+
+
+def certificate_diff(cert: BoostCertificate, other: BoostCertificate) -> list[str]:
+    """The names of the fields in which two certificates differ, arrays (the image rows)
+    compared by dtype and entries."""
+
+    def same(a, b) -> bool:
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            both = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            return both and a.dtype == b.dtype and np.array_equal(a, b)
+        return a == b
+
+    return [f.name for f in dataclasses.fields(cert) if not same(getattr(cert, f.name), getattr(other, f.name))]
+
+
+def has_row(rows: np.ndarray, row) -> bool:
+    """Whether the (m, 4) array ``rows`` holds ``row`` as one of its rows."""
+    return bool((rows == np.asarray(row)).all(axis=1).any())
 
 
 def no_boost_search_grid(bound: int) -> BoostCertificate:
@@ -1399,6 +1436,45 @@ def spinor_of(z: GroupElement, convention: SignConvention = SignConvention.CANON
     if convention is SignConvention.PRINTED and printed_spinor_rows()[index(z)]["printed_sign"] < 0:
         return Spinor2(z.label, -spinor.a, -spinor.b)
     return spinor
+
+
+def _principal_angle(lam: complex) -> float:
+    theta = cmath.phase(lam)
+    if theta <= -math.pi + 1e-12:
+        theta += 2.0 * math.pi
+    return theta
+
+
+def generator_log(z: int) -> np.ndarray:
+    """Self-adjoint generator H with exp(iH) = ``CAL_U[z]``, spectrum in (-pi, pi], one
+    element at a time: its eigenvalues keyed to the nearest allowed value in a Python loop
+    and each cluster's eigenvectors orthonormalized by its own ``qr``."""
+    vals, vecs = np.linalg.eig(CAL_U[z])
+    clusters: dict[int, list[int]] = {}
+    for i, lam in enumerate(vals):
+        key = min(range(len(ALLOWED_EIGENVALUES)), key=lambda k: abs(lam - ALLOWED_EIGENVALUES[k]))
+        clusters.setdefault(key, []).append(i)
+    basis = np.zeros((3, 3), dtype=complex)
+    out_angles = np.zeros(3)
+    col = 0
+    for key in sorted(clusters):
+        idx = clusters[key]
+        block, _ = np.linalg.qr(vecs[:, idx])
+        for j in range(len(idx)):
+            basis[:, col] = block[:, j]
+            out_angles[col] = _principal_angle(ALLOWED_EIGENVALUES[key])
+            col += 1
+    return basis @ np.diag(out_angles) @ basis.conj().T
+
+
+def generator_log_defect_by_element() -> float:
+    """Worst |exp(iH) - calU(z)| entry over the group, one ``generator_log`` and ``eigh`` each."""
+    worst = 0.0
+    for z, rotation in enumerate(CAL_U):
+        vals, vecs = np.linalg.eigh(generator_log(z))
+        exp_h = vecs @ np.diag(np.exp(1j * vals)) @ vecs.conj().T
+        worst = max(worst, float(np.max(np.abs(exp_h - rotation))))
+    return worst
 
 
 def eigensystem(z: GroupElement) -> tuple[np.ndarray, np.ndarray]:

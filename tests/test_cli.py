@@ -1083,6 +1083,20 @@ def _int_matrices(dtype):
     )
 
 
+def _complex_matrices(dtype, parts):
+    """Complex matrices of 1 to 3 columns and 0 to 3 rows, each part drawn from ``parts``."""
+    values = st.lists(st.tuples(parts, parts), max_size=9)
+
+    def build(t):
+        width, pairs = t
+        parts = np.array(pairs[: len(pairs) // width * width], dtype=float).reshape(-1, width, 2)
+        out = np.empty(parts.shape[:2], dtype=dtype)
+        out.real, out.imag = parts[..., 0], parts[..., 1]  # not re + 1j * im, which turns inf into nan
+        return out
+
+    return st.tuples(st.integers(1, 3), values).map(build)
+
+
 # ASCII, characters JSON escapes, non-ASCII, and one outside the BMP (a surrogate pair)
 _TEXT = st.text(alphabet='az09 ,:"\\/\n\t\x00\x1f\x7fé∞ψ\u2028😀', max_size=6)
 _KEYS = st.one_of(_TEXT, st.integers(-3, 3), st.tuples(st.integers(-3, 3), _TEXT))
@@ -1096,6 +1110,9 @@ _LEAVES = st.one_of(
     st.lists(_FLOATS, max_size=3).map(np.array), st.lists(st.complex_numbers(), max_size=2).map(np.array),
     _FLOATS.map(np.array),
     st.just(np.zeros((2, 0), dtype=np.int64)),
+    _complex_matrices(np.complex128, _FLOATS),
+    _complex_matrices(np.complex64, st.one_of(st.floats(width=32), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))),
+    st.just(np.zeros((2, 0), dtype=np.complex128)),
     st.lists(st.lists(st.integers(), max_size=3), max_size=3),  # ragged and empty rows
     # equal-width rows of ints with True/False among them, empty rows included
     st.tuples(

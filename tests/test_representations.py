@@ -17,7 +17,8 @@ from causet_qft.representations import (
     SPINORS,
     eigen_transport_check,
     eigenvalue_set_defect,
-    generator_log,
+    generator_log_defect,
+    generator_logs,
     homomorphism_defect,
     printed_spinor_report,
     projective_check,
@@ -32,6 +33,8 @@ from oracles import (
     eigensystem,
     element,
     elements,
+    generator_log,
+    generator_log_defect_by_element,
     homomorphism_defect_by_pairs,
     multiply,
     printed_spinor_rows,
@@ -123,8 +126,7 @@ def test_eigenvectors_orthonormal_when_distinct():
 
 
 def test_generator_log_roundtrip_all_elements():
-    for z in range(24):
-        h = generator_log(z)
+    for h in generator_logs(CAL_U):
         assert np.max(np.abs(h - h.conj().T)) < 1e-10
         vals = np.linalg.eigvalsh(h)
         assert np.all(vals > -math.pi - 1e-9)
@@ -132,10 +134,23 @@ def test_generator_log_roundtrip_all_elements():
 
 
 def test_generator_log_examples():
-    h = generator_log(index("A"))
+    h = generator_logs(CAL_U)[index("A")]
     vals = sorted(np.linalg.eigvalsh(h))
     assert np.allclose(vals, [-2 * math.pi / 3, 0.0, 2 * math.pi / 3], atol=1e-10)
-    assert np.max(np.abs(generator_log(index("I")))) < 1e-12
+    assert np.max(np.abs(generator_logs(CAL_U[[index("I")]]))) < 1e-12
+
+
+def test_generator_logs_match_the_per_element_oracle():
+    """One eig, one sort and a qr per cluster size over the stack give each element's
+    per-element log to 1e-14, and the reported roundtrip defect exactly."""
+    logs = generator_logs(CAL_U)
+    assert logs.shape == (24, 3, 3)
+    for z, h in enumerate(logs):
+        assert np.max(np.abs(h - generator_log(z))) < 1e-14
+    assert generator_log_defect() == generator_log_defect_by_element()
+    # any sub-stack, in any order, gives the same rows
+    picked = [index("A"), index("I"), index("J"), index("M")]
+    assert np.array_equal(generator_logs(CAL_U[picked]), logs[picked])
 
 
 def _expm_hermitian(h):
@@ -144,8 +159,7 @@ def _expm_hermitian(h):
 
 
 def test_exponential_reproduces_representation():
-    for z, rotation in enumerate(CAL_U):
-        h = generator_log(z)
+    for h, rotation in zip(generator_logs(CAL_U), CAL_U):
         assert np.max(np.abs(_expm_hermitian(h) - rotation)) < 1e-10
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import os
 import random
 import subprocess
@@ -21,6 +21,7 @@ from causet_qft.symmetry import (
     ELEMENT_PRINT_DIFFS,
     build_table,
     generate_from,
+    generated_subgroups,
     isometry_report,
     no_boost_search,
     pairwise_generators,
@@ -37,8 +38,11 @@ from oracles import (
     apply3,
     apply4,
     boost_solutions_scan,
+    certificate_diff,
     element,
     elements,
+    generate_from_by_set,
+    has_row,
     inner3_doubled,
     inverse,
     leibniz_det,
@@ -139,8 +143,31 @@ def test_generate_from():
     assert generate_from([m, n]).tolist() == list(range(24))
     assert generate_from([i]).tolist() == [i]
     assert generate_from([b, a]).tolist() == sorted([i, a, b])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         generate_from([])
+
+
+@pytest.mark.parametrize("gens", [[-1], [24], [True], [3, False], [1.0], [[1, 2]]], ids=repr)
+def test_generate_from_rejects_what_is_not_an_element_index(gens):
+    """-1 would read element 23's row, 24 overrun the table and True index as a mask."""
+    with pytest.raises(ValueError, match=r"element indices in 0\.\.23"):
+        generate_from(gens)
+
+
+@pytest.mark.parametrize("gens", [np.zeros((2, 0), dtype=np.int64), [[0, 24]], [[-1, 0]], np.ones((1, 2), dtype=bool)])
+def test_generated_subgroups_rejects_bad_stacks(gens):
+    with pytest.raises(ValueError):
+        generated_subgroups(gens)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_generated_subgroups_match_the_per_set_oracle(k):
+    """All 24 singletons, 276 pairs and 2024 triples in one batched closure each."""
+    sets = np.array(list(itertools.combinations(range(24), k)))
+    members = generated_subgroups(sets)
+    assert members.shape == (len(sets), 24) and members.dtype == bool
+    for row, gens in zip(members, sets):
+        assert np.flatnonzero(row).tolist() == generate_from_by_set(gens).tolist()
 
 
 def test_verify_subgroups_all_pass():
@@ -223,10 +250,14 @@ def test_no_boost_search_bound3():
     # Diophantine sub-enumerations contain the quoted families
     assert all(cert.quoted_families_found["time"].values())
     assert all(cert.quoted_families_found["space"].values())
-    assert (2, 1, 1, 0) in cert.time_eq_solutions
-    assert (3, 2, 2, -2) in cert.time_eq_solutions
-    assert (1, 1, 1, -1) in cert.space_eq_solutions
-    assert (2, 2, 1, -1) in cert.space_eq_solutions
+    assert has_row(cert.time_eq_solutions, (2, 1, 1, 0))
+    assert has_row(cert.time_eq_solutions, (3, 2, 2, -2))
+    assert has_row(cert.space_eq_solutions, (1, 1, 1, -1))
+    assert has_row(cert.space_eq_solutions, (2, 2, 1, -1))
+    # rows, not entries: ``in`` on the array finds (3, 3, 3, 3), which is no time image
+    assert (3, 3, 3, 3) in cert.time_eq_solutions and not has_row(cert.time_eq_solutions, (3, 3, 3, 3))
+    for rows in (cert.time_eq_solutions, cert.space_eq_solutions):
+        assert rows.dtype == np.int64 and rows.shape[1] == 4 and not rows.flags.writeable
     # frozen counts from the exhaustive enumeration at this bound
     assert cert.total_solutions == 336
     assert cert.fixing_time_axis == 48
@@ -238,16 +269,14 @@ def test_no_boost_search_bound3():
 def test_boost_search_matches_grid_oracle(bound):
     cert = no_boost_search(bound)
     oracle = no_boost_search_grid(bound)
-    for f in dataclasses.fields(cert):
-        assert getattr(cert, f.name) == getattr(oracle, f.name), f.name
+    assert certificate_diff(cert, oracle) == []
 
 
 @pytest.mark.parametrize("bound", range(3, 21))
 def test_boost_search_matches_scan_oracle(bound):
     cert = no_boost_search(bound)
     oracle = no_boost_search_scan(bound)
-    for f in dataclasses.fields(cert):
-        assert getattr(cert, f.name) == getattr(oracle, f.name), f.name
+    assert certificate_diff(cert, oracle) == []
 
 
 @pytest.mark.parametrize(("bound", "outside"), [(12, 0), (17, 144), (20, 288)])
