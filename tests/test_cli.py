@@ -1089,9 +1089,9 @@ def _complex_matrices(dtype, parts):
 
     def build(t):
         width, pairs = t
-        parts = np.array(pairs[: len(pairs) // width * width], dtype=float).reshape(-1, width, 2)
-        out = np.empty(parts.shape[:2], dtype=dtype)
-        out.real, out.imag = parts[..., 0], parts[..., 1]  # not re + 1j * im, which turns inf into nan
+        cells = np.array(pairs[: len(pairs) // width * width], dtype=float).reshape(-1, width, 2)
+        out = np.empty(cells.shape[:2], dtype=dtype)
+        out.real, out.imag = cells[..., 0], cells[..., 1]  # not re + 1j * im, which turns inf into nan
         return out
 
     return st.tuples(st.integers(1, 3), values).map(build)
@@ -1111,7 +1111,9 @@ _LEAVES = st.one_of(
     _FLOATS.map(np.array),
     st.just(np.zeros((2, 0), dtype=np.int64)),
     _complex_matrices(np.complex128, _FLOATS),
-    _complex_matrices(np.complex64, st.one_of(st.floats(width=32), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))),
+    _complex_matrices(
+        np.complex64, st.one_of(st.floats(width=32), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+    ),
     st.just(np.zeros((2, 0), dtype=np.complex128)),
     st.lists(st.lists(st.integers(), max_size=3), max_size=3),  # ragged and empty rows
     # equal-width rows of ints with True/False among them, empty rows included
